@@ -47,6 +47,7 @@ from .semideviation import (
     deviation_sum,
     normalize_kernel,
     semideviation_mean,
+    semideviation_means,
 )
 from .homogenize import (
     LimitEstimate,

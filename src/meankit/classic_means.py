@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .domain import IntervalDomain, WeightedSample, probe_points
 from .errors import (
@@ -284,9 +284,3 @@ def scaling_ratio_limit(
             f"denominator of the scaling ratio underflowed before convergence ({generator.name})"
         )
     return est
-
-
-def strict_monotone_on_grid(fn: Callable[[float], float], points: list[float]) -> bool:
-    """Strictly increasing along ``points`` (helper shared by probes)."""
-    values = [fn(p) for p in points]
-    return all(a < b for a, b in zip(values, values[1:]))

@@ -9,7 +9,7 @@ and ``float("-inf")`` select the max/min limiting cases of the power mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -223,11 +223,3 @@ class MeanKind(Enum):
             if kind.value == label:
                 return kind
         raise ValueError(f"unknown mean kind {label!r}")
-
-
-def restrict(domain: IntervalDomain, lo: float, hi: float) -> IntervalDomain:
-    """Sub-interval of ``domain`` (open), validated to be inside it."""
-    sub = replace(domain, lo=lo, hi=hi, lo_open=True, hi_open=True)
-    if not (domain.contains(lo) or lo == domain.lo) or not (domain.contains(hi) or hi == domain.hi):
-        raise ValueError(f"({lo}, {hi}) is not inside {domain}")
-    return sub

@@ -482,7 +482,15 @@ def scalar_from_expression(
 
 @dataclass(frozen=True)
 class Kernel2:
-    """Two-variable kernel K(x, y) with optional analytic partials."""
+    """Two-variable kernel K(x, y) with optional analytic partials.
+
+    ``generator``, when set, declares difference structure: for every (x, y)
+    ``fn(x, y) == generator.fn(x) - generator.fn(y)``, bit for bit, and solvers
+    may evaluate the generator instead of ``fn``.  Only ``difference_kernel``
+    sets it; constructors that build a new ``fn`` (``normalize_kernel``, ratio
+    and expression kernels) leave it None, as must a ``dataclasses.replace``
+    that gives a difference kernel an ``fn`` breaking the identity.
+    """
 
     name: str
     fn: Callable[[float, float], float]
@@ -491,6 +499,7 @@ class Kernel2:
     deriv1: Callable[[float, float], float] | None = None
     deriv2: Callable[[float, float], float] | None = None
     source: str | None = None
+    generator: ScalarFunction | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -642,7 +651,9 @@ def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -
     dom = domain or f.domain
     d1 = (lambda x, y: f.deriv1(x)) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(y)) if f.deriv1 is not None else None
-    return Kernel2(f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, d1, d2)
+    return Kernel2(
+        f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, d1, d2, generator=f
+    )
 
 
 def ratio_kernel(f: ScalarFunction) -> Kernel2:

@@ -14,13 +14,20 @@ zeros exact, which is what resolves genuine plateaus of sign-based kernels)
 and refines the kind-appropriate boundary cell by bisection on the defining
 predicate.  Distinctions between strict and weak kinds below ``zero_band``
 are not meaningful.
+
+One classified grid serves every requested kind (``semideviation_means``),
+and a memo keyed by y lets the kinds' bisections share the midpoints of a
+common boundary cell.  For difference kernels K(x, y) = f(x) - f(y) (those
+declaring ``Kernel2.generator``) the deviation sum evaluates f(x_i) once per
+sample instead of once per term and point; the terms, and so every value of
+D, are the same floats as on the generic path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .classic_means import ComparisonVerdict
 from .domain import (
@@ -59,20 +66,49 @@ class SemidevMeanConfig:
 DEFAULT_CONFIG = SemidevMeanConfig()
 
 
+_KERNEL_ERRORS = (MeanKitError, ValueError, OverflowError, ZeroDivisionError)
+
+
 def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], float]:
     """The function y -> sum_i w_i K(x_i, y); kernel failures are re-raised
-    with the offending (x_i, y) pair attached."""
-    entries, weights, k = sample.entries, sample.weights, kernel.fn
+    with the offending (x_i, y) pair attached.
+
+    A kernel declaring a ``generator`` f gets f(x_i) evaluated once, here;
+    each term stays w_i * (f(x_i) - f(y)), the same floats as w_i * K(x_i, y).
+    """
+    entries, weights = sample.entries, sample.weights
+
+    def failure(x: float, y: float, exc: Exception) -> KernelEvaluationError:
+        return KernelEvaluationError(f"kernel {kernel.name} failed at ({x}, {y}): {exc}")
+
+    f = kernel.generator
+    if f is not None:
+        try:
+            fxs = [f.fn(x) for x in entries]
+        except _KERNEL_ERRORS:
+            f = None  # the generic sum raises with the offending pair
+    if f is not None:
+        g = f.fn
+
+        def separable(y: float) -> float:
+            try:
+                fy = g(y)
+            except _KERNEL_ERRORS as exc:
+                # The generic sum fails at its first term: f(x_0) is fine.
+                raise failure(entries[0], y, exc) from exc
+            return math.fsum([w * (fx - fy) for fx, w in zip(fxs, weights)])
+
+        return separable
+
+    k = kernel.fn
 
     def total(y: float) -> float:
         terms = []
         for x, w in zip(entries, weights):
             try:
                 terms.append(w * k(x, y))
-            except (MeanKitError, ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise KernelEvaluationError(
-                    f"kernel {kernel.name} failed at ({x}, {y}): {exc}"
-                ) from exc
+            except _KERNEL_ERRORS as exc:
+                raise failure(x, y, exc) from exc
         return math.fsum(terms)
 
     return total
@@ -97,24 +133,32 @@ def _alternations(classes: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def semideviation_mean(
+def semideviation_means(
     kernel: Kernel2,
     sample: WeightedSample,
-    kind: MeanKind,
+    kinds: Iterable[MeanKind],
     cfg: SemidevMeanConfig | None = None,
-) -> float:
-    """Locate one of the four sign-change means of ``kernel`` on ``sample``.
+) -> dict[MeanKind, float]:
+    """Locate several sign-change means of ``kernel`` on ``sample`` from one
+    classified grid.
 
     The kernel is assumed (or should be checked via ``check_semideviation``)
-    to have the off-diagonal sign of x - y; with that, the defining set is
-    clamped by the hull and the returned value obeys the mean-value property.
+    to have the off-diagonal sign of x - y; with that, each defining set is
+    clamped by the hull and each returned value obeys the mean-value
+    property.  Every kind gets the value ``semideviation_mean`` gives alone.
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
     if lo == hi:
-        return lo
+        return {kind: lo for kind in kinds}
     dsum = deviation_sum(kernel, sample)
-    classify = lambda y: _classify(dsum(y), cfg.zero_band)
+    memo: dict[float, int] = {}
+
+    def classify(y: float) -> int:
+        c = memo.get(y)
+        if c is None:
+            c = memo[y] = _classify(dsum(y), cfg.zero_band)
+        return c
 
     m = cfg.grid_size
     step = (hi - lo) / (m - 1)
@@ -126,11 +170,10 @@ def semideviation_mean(
         # A single +/- alternation is the clean shape; re-check a doubled grid
         # and refuse when the alternation count is still moving (features at
         # or below grid resolution cannot be bracketed).
-        mids = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
         merged: list[int] = []
-        for j, c in enumerate(classes[:-1]):
+        for a, b, c in zip(grid, grid[1:], classes):
             merged.append(c)
-            merged.append(classify(mids[j]))
+            merged.append(classify(0.5 * (a + b)))
         merged.append(classes[-1])
         refined_alt = _alternations(merged)
         if refined_alt != base_alt:
@@ -139,48 +182,54 @@ def semideviation_mean(
                 f"but {refined_alt} times when doubled; increase grid_size"
             )
 
-    predicate = _PREDICATES[kind]
-    flags = [predicate(c) for c in classes]
     # Hull-scale tolerance (no absolute floor), so scaled-down samples keep
     # constant relative accuracy under t -> 0 limits.
     tol = cfg.refine_tol * max(abs(lo), abs(hi))
 
-    if kind.is_inf_kind:
-        first = next((j for j, ok in enumerate(flags) if ok), None)
-        if first is None:
-            # Defining set is empty inside the hull; outside it the sum is
-            # negative right of the hull, so its infimum clamps to max(x).
-            return hi
-        if first == 0:
-            return lo
-        a, b = grid[first - 1], grid[first]  # predicate False at a, True at b
+    def refine(kind: MeanKind) -> float:
+        predicate = _PREDICATES[kind]
+        flags = [predicate(c) for c in classes]
+        if kind.is_inf_kind:
+            first = next((j for j, ok in enumerate(flags) if ok), None)
+            if first is None:
+                # Defining set is empty inside the hull; outside it the sum is
+                # negative right of the hull, so its infimum clamps to max(x).
+                return hi
+            if first == 0:
+                return lo
+            a, b = grid[first - 1], grid[first]  # predicate False at a, True at b
+        else:
+            last = next((j for j in range(m - 1, -1, -1) if flags[j]), None)
+            if last is None:
+                # Mirror of the empty inf-kind case: the sum is positive left
+                # of the hull, so the supremum clamps to min(x).
+                return lo
+            if last == m - 1:
+                return hi
+            a, b = grid[last], grid[last + 1]  # predicate True at a, False at b
+        holds_at_a = not kind.is_inf_kind
         for _ in range(cfg.max_bisect):
             if b - a <= tol:
                 break
             mid = 0.5 * (a + b)
-            if predicate(classify(mid)):
-                b = mid
-            else:
+            if predicate(classify(mid)) == holds_at_a:
                 a = mid
+            else:
+                b = mid
         return 0.5 * (a + b)
 
-    last = next((j for j in range(m - 1, -1, -1) if flags[j]), None)
-    if last is None:
-        # Mirror of the empty inf-kind case: the sum is positive left of the
-        # hull, so the supremum clamps to min(x).
-        return lo
-    if last == m - 1:
-        return hi
-    a, b = grid[last], grid[last + 1]  # predicate True at a, False at b
-    for _ in range(cfg.max_bisect):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if predicate(classify(mid)):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return {kind: refine(kind) for kind in kinds}
+
+
+def semideviation_mean(
+    kernel: Kernel2,
+    sample: WeightedSample,
+    kind: MeanKind,
+    cfg: SemidevMeanConfig | None = None,
+) -> float:
+    """Locate one of the four sign-change means of ``kernel`` on ``sample``
+    (see ``semideviation_means``)."""
+    return semideviation_means(kernel, sample, (kind,), cfg)[kind]
 
 
 def deviation_mean(

@@ -42,6 +42,7 @@ from .semideviation import (
     check_semideviation,
     normalize_kernel,
     semideviation_mean,
+    semideviation_means,
 )
 
 MEAN_TOL = 1e-7
@@ -223,12 +224,6 @@ def _sample_witness(index: int, sample: WeightedSample, **extra: Any) -> dict[st
     return doc
 
 
-def _four_means(
-    kernel: Kernel2, sample: WeightedSample, cfg: SemidevMeanConfig
-) -> dict[MeanKind, float]:
-    return {kind: semideviation_mean(kernel, sample, kind, cfg) for kind in KINDS}
-
-
 # --- ordering / symmetry suite -----------------------------------------------------------
 
 
@@ -248,7 +243,7 @@ def verify_sandwich(
     symmetry = new_condition("symmetry", "invariant under entry/weight permutation")
     perm_rng = random.Random(plan.seed * 1_000_003 + 1)
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
-        means = _four_means(kernel, sample, cfg)
+        means = semideviation_means(kernel, sample, KINDS, cfg)
         lw, ls = means[MeanKind.LOWER_WEAK], means[MeanKind.LOWER_STRICT]
         us, uw = means[MeanKind.UPPER_STRICT], means[MeanKind.UPPER_WEAK]
         mn, mx = sample.hull()
@@ -264,7 +259,7 @@ def verify_sandwich(
         order = list(range(len(sample)))
         perm_rng.shuffle(order)
         permuted = sample.permuted(order)
-        perm_means = _four_means(kernel, permuted, cfg)
+        perm_means = semideviation_means(kernel, permuted, KINDS, cfg)
         symmetry.record(
             all(abs(perm_means[k] - means[k]) <= mean_tol(means[k]) for k in KINDS),
             lambda: _sample_witness(
@@ -356,8 +351,8 @@ def verify_comparison(
     means_cond = new_condition("mean_inequalities", "all four kinds ordered on samples")
     weakest = new_condition("weakest_link", "lower-weak(first) <= upper-weak(second)")
     for idx, sample in enumerate(plan.samples(domain)):
-        low_means = _four_means(kernel_low, sample, cfg)
-        high_means = _four_means(kernel_high, sample, cfg)
+        low_means = semideviation_means(kernel_low, sample, KINDS, cfg)
+        high_means = semideviation_means(kernel_high, sample, KINDS, cfg)
         ok = all(low_means[k] <= high_means[k] + mean_tol(high_means[k]) for k in KINDS)
         means_cond.record(
             ok,
@@ -448,9 +443,11 @@ def verify_jensen(
         midpoint = make_weighted_sample(
             [0.5 * (a + b) for a, b in zip(s1.entries, s2.entries)], s1.weights, domain
         )
-        lw1 = semideviation_mean(kernel, s1, MeanKind.LOWER_WEAK, cfg)
-        lw2 = semideviation_mean(kernel, s2, MeanKind.LOWER_WEAK, cfg)
-        uw_mid = semideviation_mean(kernel, midpoint, MeanKind.UPPER_WEAK, cfg)
+        means1 = semideviation_means(kernel, s1, KINDS, cfg)
+        means2 = semideviation_means(kernel, s2, KINDS, cfg)
+        means_mid = semideviation_means(kernel, midpoint, KINDS, cfg)
+        lw1, lw2 = means1[MeanKind.LOWER_WEAK], means2[MeanKind.LOWER_WEAK]
+        uw_mid = means_mid[MeanKind.UPPER_WEAK]
         pair_violation = False
         rhs = 0.5 * (lw1 + lw2)
         ok = uw_mid >= rhs - mean_tol(rhs)
@@ -462,9 +459,7 @@ def verify_jensen(
             ),
         )
         for kind in KINDS:
-            m1 = semideviation_mean(kernel, s1, kind, cfg)
-            m2 = semideviation_mean(kernel, s2, kind, cfg)
-            m_mid = semideviation_mean(kernel, midpoint, kind, cfg)
+            m1, m2, m_mid = means1[kind], means2[kind], means_mid[kind]
             avg = 0.5 * (m1 + m2)
             ok = m_mid >= avg - mean_tol(avg)
             pair_violation |= not ok
@@ -741,10 +736,10 @@ def verify_homi(
     for idx, (sx, sy_k) in enumerate(pairs):
         combined_entries = [operation.fn(a, b) for a, b in zip(sx.entries, sy_k.entries)]
         combined = make_weighted_sample(combined_entries, sx.weights, result_domain)
-        first_means = _four_means(kernel_first, sx, cfg)
-        second_means = _four_means(kernel_second, sy_k, cfg)
+        first_means = semideviation_means(kernel_first, sx, KINDS, cfg)
+        second_means = semideviation_means(kernel_second, sy_k, KINDS, cfg)
         if monotone_mode:
-            result_means = _four_means(kernel_result, combined, cfg)
+            result_means = semideviation_means(kernel_result, combined, KINDS, cfg)
             for kind in KINDS:
                 bound = operation.fn(first_means[kind], second_means[kind])
                 ok = result_means[kind] <= bound + mean_tol(bound)

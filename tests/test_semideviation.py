@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,7 @@ from meankit import (
     deviation_mean,
     deviation_sum,
     difference_kernel,
+    exp_generator,
     kernel_from_expression,
     log_generator,
     make_weighted_sample,
@@ -21,6 +23,7 @@ from meankit import (
     quasiarithmetic_mean,
     ratio_kernel,
     semideviation_mean,
+    semideviation_means,
     shifted_power_generator,
     sign_kernel,
 )
@@ -31,7 +34,7 @@ from meankit.errors import (
     NoSignChange,
     NotNormalizable,
 )
-from meankit.expr import Kernel2
+from meankit.expr import Kernel2, ScalarFunction
 
 POS = positive_reals()
 REALS = all_reals()
@@ -327,3 +330,135 @@ def test_zero_band_collapses_noise_level_distinctions():
     # the hull ends.
     assert semideviation_mean(sign_kernel(), s, MeanKind.LOWER_WEAK, wide) == 1.0
     assert semideviation_mean(sign_kernel(), s, MeanKind.UPPER_WEAK, wide) == 3.0
+
+
+# --- separable deviation sums and the shared scan ------------------------------------
+
+CATALOG = [
+    (power_generator(2), (0.1, 6.0)),
+    (power_generator(0.5), (0.1, 6.0)),
+    (power_generator(-1), (0.1, 6.0)),
+    (log_generator(), (0.1, 6.0)),
+    (exp_generator(), (-4.0, 4.0)),
+    (cosh_generator(), (0.05, 4.0)),
+    (shifted_power_generator(0.5, 1.0), (-0.9, 3.0)),
+    (shifted_power_generator(0.0, 1.0), (-0.9, 3.0)),
+]
+
+
+def _generic(kernel: Kernel2) -> Kernel2:
+    return dataclasses.replace(kernel, generator=None)
+
+
+def _seeded_samples(domain, lo, hi, seed, count=30):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        entries = [rng.uniform(lo, hi) for _ in range(n)]
+        weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        out.append(make_weighted_sample(entries, weights, domain))
+    return out
+
+
+def _failure(dsum, y):
+    with pytest.raises(KernelEvaluationError) as info:
+        dsum(y)
+    return str(info.value)
+
+
+def test_only_difference_kernels_declare_a_generator():
+    assert difference_kernel(cosh_generator()).generator is not None
+    assert arithmetic_kernel().generator is not None
+    for kernel in (
+        sign_kernel(),
+        ratio_kernel(power_generator(0.5)),
+        kernel_from_expression("cosh(x) - cosh(y)", POS),
+        normalize_kernel(difference_kernel(power_generator(2))),
+    ):
+        assert kernel.generator is None
+
+
+@pytest.mark.parametrize("gen, bounds", CATALOG, ids=[g.name for g, _ in CATALOG])
+def test_separable_sum_equals_generic_bit_for_bit(gen, bounds):
+    kernel = difference_kernel(gen)
+    lo, hi = bounds
+    for s in _seeded_samples(gen.domain, lo, hi, seed=len(gen.name)):
+        fast, slow = deviation_sum(kernel, s), deviation_sum(_generic(kernel), s)
+        for j in range(41):
+            y = lo + j * (hi - lo) / 40
+            assert fast(y).hex() == slow(y).hex(), (gen.name, s.entries, y)
+
+
+def test_failing_generator_raises_the_generic_message():
+    log_kernel = difference_kernel(log_generator())
+    s = make_weighted_sample([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], POS)
+    for y in (0.0, -1.5):
+        assert _failure(deviation_sum(log_kernel, s), y) == _failure(
+            deviation_sum(_generic(log_kernel), s), y
+        )
+    exp_kernel = difference_kernel(exp_generator())
+    s = make_weighted_sample([0.5, -1.0], [1.0, 1.0], REALS)
+    assert _failure(deviation_sum(exp_kernel, s), 1e4) == _failure(
+        deviation_sum(_generic(exp_kernel), s), 1e4
+    )
+
+
+def test_generator_failing_at_an_entry_falls_back_to_the_generic_sum():
+    def capped(x: float) -> float:
+        if x > 3.0:
+            raise ValueError(f"capped at {x}")
+        return x
+
+    kernel = difference_kernel(ScalarFunction("capped", capped, REALS))
+    s = make_weighted_sample([1.0, 4.0, 2.0], [1.0, 1.0, 1.0], REALS)
+    message = _failure(deviation_sum(kernel, s), 2.0)
+    assert message == _failure(deviation_sum(_generic(kernel), s), 2.0)
+    assert "(4.0, 2.0)" in message
+
+
+@pytest.mark.parametrize(
+    "kernel, domain, bounds, cfg",
+    [
+        (sign_kernel(), REALS, (1.0, 4.0), SemidevMeanConfig(grid_size=64)),
+        (arithmetic_kernel(), REALS, (-3.0, 3.0), SemidevMeanConfig(grid_size=128)),
+        (difference_kernel(cosh_generator()), POS, (0.1, 4.0), SemidevMeanConfig()),
+        (difference_kernel(cosh_generator()), POS, (0.1, 4.0), SemidevMeanConfig(zero_band=1e-9)),
+        (ratio_kernel(log_generator()), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
+    ],
+    ids=["sign_dev", "arithmetic", "cosh", "cosh-zero-band", "ratio-log"],
+)
+def test_shared_scan_equals_per_kind_solves(kernel, domain, bounds, cfg):
+    rng = random.Random(17)
+    for s in _seeded_samples(domain, *bounds, seed=23, count=20):
+        if kernel.name == "sign_dev":
+            # Integer entries and weights give plateaus where weak != strict.
+            s = make_weighted_sample(
+                [float(round(x)) for x in s.entries],
+                [float(rng.randint(1, 3)) for _ in s.entries],
+                domain,
+            )
+        means = semideviation_means(kernel, s, KINDS, cfg)
+        assert list(means) == KINDS
+        for kind in KINDS:
+            assert means[kind].hex() == semideviation_mean(kernel, s, kind, cfg).hex()
+            assert means[kind].hex() == semideviation_mean(_generic(kernel), s, kind, cfg).hex()
+        subset = semideviation_means(kernel, s, [MeanKind.UPPER_WEAK], cfg)
+        assert subset == {MeanKind.UPPER_WEAK: means[MeanKind.UPPER_WEAK]}
+
+
+def test_shared_scan_raises_on_unresolvable_oscillation():
+    wobbly = Kernel2(
+        "wobbly",
+        lambda x, y: (x - y) * (1.05 + math.sin(73.0 * (x + y))),
+        REALS,
+        REALS,
+    )
+    s = make_weighted_sample([1.0, 5.0], [1.0, 1.0], REALS)
+    with pytest.raises(AmbiguousClassification):
+        semideviation_means(wobbly, s, KINDS, SemidevMeanConfig(grid_size=16))
+    wiggle = ScalarFunction("wiggle", lambda x: x + 1.5 * math.sin(73.0 * x), REALS)
+    kernel = difference_kernel(wiggle)
+    for k in (kernel, _generic(kernel)):
+        with pytest.raises(AmbiguousClassification):
+            semideviation_means(k, s, KINDS, SemidevMeanConfig(grid_size=16))

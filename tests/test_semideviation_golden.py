@@ -1,0 +1,141 @@
+"""Golden values of the four sign-change means, required bit for bit.
+
+``data/semideviation_golden.json`` holds the ``repr`` of all four kinds on
+seeded samples, recorded with the per-kind grid-scan solver at commit
+99aadd2 (before the shared scan and the separable deviation sums), by running
+this file as a script against that commit's ``src``:
+
+    PYTHONPATH=src python tests/test_semideviation_golden.py
+
+Re-recording is only valid together with an argument that the new values are
+at least as accurate as the recorded ones.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from meankit import (
+    MeanKind,
+    SemidevMeanConfig,
+    arithmetic_kernel,
+    cosh_generator,
+    difference_kernel,
+    exp_generator,
+    kernel_from_expression,
+    log_generator,
+    make_weighted_sample,
+    power_generator,
+    ratio_kernel,
+    semideviation_mean,
+    semideviation_means,
+    sign_kernel,
+)
+from meankit.domain import all_reals, positive_reals
+
+DATA = Path(__file__).parent / "data" / "semideviation_golden.json"
+SAMPLES_PER_CASE = 40
+
+#: kernel name -> (factory, entry range, integer entries and weights)
+KERNELS = {
+    # Small integer entries and weights give exact zero plateaus of D, where
+    # the weak and strict kinds differ.
+    "sign_dev": (sign_kernel, (1, 6), True),
+    "arithmetic": (arithmetic_kernel, (-5.0, 5.0), False),
+    "diff_gen:power:2": (lambda: difference_kernel(power_generator(2)), (0.5, 4.0), False),
+    "diff_gen:power:0": (lambda: difference_kernel(power_generator(0)), (0.5, 4.0), False),
+    "diff_gen:exp": (lambda: difference_kernel(exp_generator()), (-3.0, 3.0), False),
+    "diff_gen:cosh": (lambda: difference_kernel(cosh_generator()), (0.1, 4.0), False),
+    "expr:cosh(x) - cosh(y)": (
+        lambda: kernel_from_expression("cosh(x) - cosh(y)", positive_reals()),
+        (0.1, 4.0),
+        False,
+    ),
+    "ratio_dev:power:0.5": (lambda: ratio_kernel(power_generator(0.5)), (0.5, 4.0), False),
+    "ratio_dev:log": (lambda: ratio_kernel(log_generator()), (0.5, 4.0), False),
+}
+
+#: (kernel name, SemidevMeanConfig keyword arguments, seed)
+CASES = [
+    *((name, {}, seed) for seed, name in enumerate(KERNELS)),
+    ("diff_gen:power:2", {"grid_size": 128}, 100),
+    ("diff_gen:cosh", {"zero_band": 1e-9}, 101),
+]
+
+
+def case_samples(name: str, seed: int) -> list[tuple[list[float], list[float]]]:
+    """Seeded (entries, weights) pairs; every 10th sample is degenerate."""
+    _, (lo, hi), integral = KERNELS[name]
+    rng = random.Random(seed)
+    out = []
+    for i in range(SAMPLES_PER_CASE):
+        n = rng.randint(1, 6)
+        if integral:
+            entries = [float(rng.randint(lo, hi)) for _ in range(n)]
+            weights = [float(rng.randint(1, 3)) for _ in range(n)]
+        else:
+            entries = [rng.uniform(lo, hi) for _ in range(n)]
+            weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        if i % 10 == 9:
+            entries = [entries[0]] * n
+        out.append((entries, weights))
+    return out
+
+
+def _domain(name: str):
+    return all_reals() if name in ("sign_dev", "arithmetic", "diff_gen:exp") else positive_reals()
+
+
+def record() -> dict:
+    cases = []
+    for name, config, seed in CASES:
+        kernel = KERNELS[name][0]()
+        cfg = SemidevMeanConfig(**config)
+        rows = []
+        for entries, weights in case_samples(name, seed):
+            sample = make_weighted_sample(entries, weights, _domain(name))
+            means = {k.value: repr(semideviation_mean(kernel, sample, k, cfg)) for k in MeanKind}
+            rows.append({"entries": entries, "weights": weights, "means": means})
+        cases.append({"kernel": name, "config": config, "seed": seed, "samples": rows})
+    return {"cases": cases}
+
+
+GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else {"cases": []}
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=lambda c: f"{c['kernel']}-{c['seed']}"
+)
+def test_four_means_match_recorded_values(case):
+    kernel = KERNELS[case["kernel"]][0]()
+    cfg = SemidevMeanConfig(**case["config"])
+    assert [(r["entries"], r["weights"]) for r in case["samples"]] == case_samples(
+        case["kernel"], case["seed"]
+    )
+    for row in case["samples"]:
+        sample = make_weighted_sample(row["entries"], row["weights"], _domain(case["kernel"]))
+        means = semideviation_means(kernel, sample, MeanKind, cfg)
+        assert {k.value: repr(v) for k, v in means.items()} == row["means"], row
+
+
+def test_every_case_is_recorded():
+    assert [(c["kernel"], c["config"], c["seed"]) for c in GOLDEN["cases"]] == [
+        (name, config, seed) for name, config, seed in CASES
+    ]
+
+
+if __name__ == "__main__":
+    # One sample per line keeps the file small and its diffs readable.
+    cases = record()["cases"]
+    lines = ['{"cases": [']
+    for i, case in enumerate(cases):
+        head = json.dumps({k: v for k, v in case.items() if k != "samples"})
+        lines.append(head[:-1] + ', "samples": [')
+        lines.append(",\n".join(json.dumps(row) for row in case["samples"]))
+        lines.append("]}" + ("," if i < len(cases) - 1 else ""))
+    lines.append("]}")
+    DATA.write_text("\n".join(lines) + "\n")
