@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 from .classic_means import power_mean, quasiarithmetic_mean
 from .domain import (
@@ -63,9 +63,18 @@ __all__ = [
 ENVELOPE_GRID = 256
 
 #: Octaves explored around the admissible range when an endpoint is missing.
-#: 2^-28 keeps the smallest scale above the cancellation floor of solver-based
-#: means (absolute error ~ ulp / t stays below 1e-7).
+#: 2^-28 is not above the cancellation floor of every solver-based mean: a
+#: generator that is flat in floating point near 0 (cosh, where cosh(x) ==
+#: 1.0 below about 1e-8) makes M(t x) / t a hull endpoint at the small end of
+#: the scan, so qa(cosh) envelopes can be wrong (ROADMAP item 4).
 ENVELOPE_OCTAVES = 28
+
+#: Nodes per octave of the tabulated scale profile: h is computed at
+#: r_k = 2^(k / PROFILE_NODES_PER_OCTAVE) for integer k.
+PROFILE_NODES_PER_OCTAVE = 16
+
+#: Ratios at which scale profiles are checked for sign(h(r)) = sign(r - 1).
+SIGN_PROBE_RATIOS = (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -195,15 +204,8 @@ def _golden_refine(
     return best
 
 
-def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, float]:
-    """(lower, upper) homogeneous envelope estimates from one shared scan.
-
-    Scans M(t x, w) / t on a 256-point log grid over the admissible scalings
-    (t = 1 is always included, so the defining inequalities lower <= M(x, w)
-    <= upper hold numerically) and refines each extremum by golden section.
-    The scan assumes a profile without needle-thin basins; the grid density
-    is the guard against missing one.
-    """
+def _envelope_scan(handle: MeanHandle, sample: WeightedSample) -> tuple[list[float], list[float]]:
+    """Scales t and values M(t x, w) / t of the shared envelope grid."""
     t_lo, t_hi = _admissible_scales(handle, sample)
     log_lo, log_hi = math.log(t_lo), math.log(t_hi)
     ts = [math.exp(log_lo + j * (log_hi - log_lo) / (ENVELOPE_GRID - 1)) for j in range(ENVELOPE_GRID)]
@@ -213,32 +215,58 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
     values = [_scaled_ratio(handle, sample, t) for t in ts]
     if all(math.isnan(v) for v in values):
         raise AllEvaluationsFailed("scaled mean ratio failed at every sampled scale")
+    return ts, values
 
-    def refine(direction: float) -> float:
-        # direction +1 searches the minimum, -1 the maximum.
-        keyed = [direction * v if not math.isnan(v) else math.inf for v in values]
-        best_idx = min(range(len(ts)), key=keyed.__getitem__)
-        lo_idx, hi_idx = max(best_idx - 1, 0), min(best_idx + 1, len(ts) - 1)
-        refined = _golden_refine(
-            lambda u: direction * _scaled_ratio(handle, sample, math.exp(u)),
-            math.log(ts[lo_idx]),
-            math.log(ts[hi_idx]),
-        )
-        return direction * min(refined, keyed[best_idx])
 
-    return refine(1.0), refine(-1.0)
+def _envelope_refine(
+    handle: MeanHandle,
+    sample: WeightedSample,
+    ts: list[float],
+    values: list[float],
+    direction: float,
+) -> float:
+    """Golden-section refinement of the scanned minimum (direction +1) or
+    maximum (direction -1)."""
+    keyed = [direction * v if not math.isnan(v) else math.inf for v in values]
+    best_idx = min(range(len(ts)), key=keyed.__getitem__)
+    lo_idx, hi_idx = max(best_idx - 1, 0), min(best_idx + 1, len(ts) - 1)
+    refined = _golden_refine(
+        lambda u: direction * _scaled_ratio(handle, sample, math.exp(u)),
+        math.log(ts[lo_idx]),
+        math.log(ts[hi_idx]),
+    )
+    return direction * min(refined, keyed[best_idx])
+
+
+def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, float]:
+    """(lower, upper) homogeneous envelope estimates from one shared scan.
+
+    Scans M(t x, w) / t on a 256-point log grid over the admissible scalings
+    (t = 1 is always included, so the defining inequalities lower <= M(x, w)
+    <= upper hold numerically) and refines each extremum by golden section.
+    The scan assumes a profile without needle-thin basins; the grid density
+    is the guard against missing one.
+    """
+    ts, values = _envelope_scan(handle, sample)
+    return (
+        _envelope_refine(handle, sample, ts, values, 1.0),
+        _envelope_refine(handle, sample, ts, values, -1.0),
+    )
 
 
 def envelope(
     handle: MeanHandle, sample: WeightedSample, which: Literal["lower", "upper"]
 ) -> float:
-    """Lower or upper homogeneous envelope estimate (see ``envelope_pair``)."""
-    lower, upper = envelope_pair(handle, sample)
+    """Lower or upper homogeneous envelope estimate: the matching element of
+    ``envelope_pair``, without refining the other extremum."""
     if which == "lower":
-        return lower
-    if which == "upper":
-        return upper
-    raise ValueError("which must be 'lower' or 'upper'")
+        direction = 1.0
+    elif which == "upper":
+        direction = -1.0
+    else:
+        raise ValueError("which must be 'lower' or 'upper'")
+    ts, values = _envelope_scan(handle, sample)
+    return _envelope_refine(handle, sample, ts, values, direction)
 
 
 # --- local homogenization ------------------------------------------------------------
@@ -310,10 +338,8 @@ def kernel_homogenization(
     return limit_at_zero(g, t0, ratio=scan_ratio, max_steps=max_steps, window=window, tol=tol)
 
 
-def _round_significant(r: float, digits: int = 12) -> float:
-    if r == 0.0:
-        return 0.0
-    return float(f"{r:.{digits - 1}e}")
+def _node_ratio(k: int) -> float:
+    return 2.0 ** (k / PROFILE_NODES_PER_OCTAVE)
 
 
 def homogenization_profile(
@@ -324,29 +350,42 @@ def homogenization_profile(
     tol: float = 1e-5,
     window: int = 4,
 ) -> Callable[[float], float]:
-    """Memoized scale profile r -> h(r) of a deviation kernel.
+    """Tabulated scale profile r -> h(r) of a deviation kernel.
 
-    Mode "estimate" demands convergence of each pointwise limit and returns
-    the tail midpoint; "lower"/"upper" return the tail min/max (liminf and
-    limsup proxies) without requiring convergence.  The memo key rounds r to
-    12 significant digits, so nearby ratios met during root refinement reuse
-    the same (deterministic) value.  The default tail window is shorter and
-    the tolerance looser than the raw limit engine's because the profile is
-    queried across wide ratio ranges where cancellation noise in the scaled
-    kernel sets a floor on the achievable window spread.
+    h is computed only at the nodes r_k = 2^(k/16), k an integer, each by one
+    ``kernel_homogenization`` scan made the first time a query needs it and
+    memoized by k.  Mode "estimate" returns the node's tail midpoint and
+    raises NotConverged, naming the node's ratio, when that scan does not
+    converge; "lower"/"upper" return the tail min/max (liminf and limsup
+    proxies) without requiring convergence.  A query at a node returns the
+    node's value; elsewhere, with r_k < r < r_k+1, the value is a monotone
+    cubic Hermite in r (not log r) through nodes k and k+1, with
+    Fritsch-Carlson slopes (Brodlie's weighted harmonic mean of the
+    neighbouring secants, 0 where those change sign) from nodes k-1 to k+2.
+    So "estimate" raises exactly when one of the nodes a query needs fails.
+    The cubic reproduces profiles linear in r exactly (the arithmetic
+    kernel's h = r - 1) and keeps the node values' monotonicity; for smooth
+    profiles its error shrinks as the cube of the node spacing
+    r (2^(1/16) - 1) ~ 0.044 r, and against the closed forms (r^p - 1)/p,
+    p <= 3, it stays within tol * (1 + |h|) for r in [1/20, 20].  The
+    default tail window is shorter and the tolerance looser than the raw
+    limit engine's because the profile is queried across wide ratio ranges
+    where cancellation noise in the scaled kernel sets a floor on the
+    achievable window spread.
     """
     base = normalized if normalized is not None else normalize_kernel(kernel)
-    memo: dict[float, float] = {}
+    nodes: dict[int, float] = {}
 
-    def profile(r: float) -> float:
-        key = _round_significant(r)
-        if key in memo:
-            return memo[key]
-        est = kernel_homogenization(kernel, key, normalized=base, tol=tol, window=window)
+    def node(k: int) -> float:
+        value = nodes.get(k)
+        if value is not None:
+            return value
+        r = _node_ratio(k)
+        est = kernel_homogenization(kernel, r, normalized=base, tol=tol, window=window)
         if mode == "estimate":
             if not est.converged:
                 raise NotConverged(
-                    f"scale profile of {kernel.name} did not converge at r={key} "
+                    f"scale profile of {kernel.name} did not converge at r={r} "
                     f"(spread {est.spread:.3e})"
                 )
             value = est.estimate
@@ -354,13 +393,64 @@ def homogenization_profile(
             value = est.tail_min
         else:
             value = est.tail_max
-        memo[key] = value
+        nodes[k] = value
         return value
+
+    def slope(k: int) -> float:
+        r_prev, r_k, r_next = _node_ratio(k - 1), _node_ratio(k), _node_ratio(k + 1)
+        h_prev, h_next = r_k - r_prev, r_next - r_k
+        d_prev = (node(k) - node(k - 1)) / h_prev
+        d_next = (node(k + 1) - node(k)) / h_next
+        if d_prev * d_next <= 0.0:
+            return 0.0
+        w_prev, w_next = 2.0 * h_next + h_prev, h_next + 2.0 * h_prev
+        return (w_prev + w_next) / (w_prev / d_prev + w_next / d_next)
+
+    def profile(r: float) -> float:
+        if not 0.0 < r < math.inf:
+            raise ValueError("ratio must be positive and finite")
+        k = math.floor(PROFILE_NODES_PER_OCTAVE * math.log2(r))
+        # log2 can round across a node: settle r_k <= r < r_k+1 exactly.
+        while _node_ratio(k) > r:
+            k -= 1
+        while _node_ratio(k + 1) <= r:
+            k += 1
+        r0 = _node_ratio(k)
+        if r == r0:
+            return node(k)
+        width = _node_ratio(k + 1) - r0
+        s = (r - r0) / width
+        u = 1.0 - s
+        return (
+            (1.0 + 2.0 * s) * u * u * node(k)
+            + s * u * u * width * slope(k)
+            + s * s * (3.0 - 2.0 * s) * node(k + 1)
+            - s * s * u * width * slope(k + 1)
+        )
 
     return profile
 
 
-SIGN_PROBE_RATIOS = (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)
+def sign_probe_failure(
+    profiles: Sequence[Callable[[float], float]],
+) -> tuple[float, tuple[float, ...], MeanKitError | ValueError | None] | None:
+    """The first probe ratio r at which the profiles break sign(h(r)) =
+    sign(r - 1), as (r, values, error); None when every probe passes.
+
+    A profile breaks the property at r when it raises there (``error`` is the
+    MeanKitError or ValueError, ``values`` the values computed before it) or
+    when one of its values is not finite or has the wrong sign.
+    """
+    for r in SIGN_PROBE_RATIOS:
+        values: list[float] = []
+        try:
+            for h in profiles:
+                values.append(h(r))
+        except (MeanKitError, ValueError) as exc:
+            return r, tuple(values), exc
+        if not all(math.isfinite(v) and sign(v) == sign(r - 1.0) for v in values):
+            return r, tuple(values), None
+    return None
 
 
 def ratio_kernel_from_profile(name: str, profile: Callable[[float], float]) -> Kernel2:
@@ -380,17 +470,20 @@ def homogeneous_semidev_mean(
     """Sign-change mean of the ratio kernel built from the kernel's scale
     profile; scaling the sample by t > 0 scales the result by t.
 
-    The profile must satisfy sign(h(r)) = sign(r - 1) (verified on probe
-    ratios); otherwise the homogeneous construction is not a deviation kernel
-    and SignPropertyViolated is raised.
+    The profile must be finite with sign(h(r)) = sign(r - 1) (verified on
+    probe ratios); otherwise the homogeneous construction is not a deviation
+    kernel and SignPropertyViolated is raised.  A profile's own error at a
+    probe ratio propagates.
     """
     h = profile if profile is not None else homogenization_profile(kernel)
-    for r in SIGN_PROBE_RATIOS:
-        value = h(r)
-        if sign(value) != sign(r - 1.0):
-            raise SignPropertyViolated(
-                f"scale profile has value {value} at ratio {r}; expected sign {sign(r - 1.0)}"
-            )
+    failure = sign_probe_failure([h])
+    if failure is not None:
+        r, values, error = failure
+        if error is not None:
+            raise error
+        raise SignPropertyViolated(
+            f"scale profile has value {values[0]} at ratio {r}; expected sign {sign(r - 1.0)}"
+        )
     ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
     positive_sample = make_weighted_sample(sample.entries, sample.weights, positive_reals())
     return semideviation_mean(ratio_k, positive_sample, kind, cfg)

@@ -31,11 +31,13 @@ from .domain import (
 from .errors import MeanKitError, NotNormalizable
 from .expr import Kernel2, ScalarFunction, difference_kernel, power_generator
 from .homogenize import (
+    SIGN_PROBE_RATIOS,
+    MeanHandle,
     deviation_handle,
     homogenization_profile,
     local_homogenization,
     ratio_kernel_from_profile,
-    semideviation_handle,
+    sign_probe_failure,
 )
 from .semideviation import (
     SemidevMeanConfig,
@@ -487,7 +489,27 @@ def verify_jensen(
 # --- scale-profile suites -------------------------------------------------------------------
 
 
-SIGN_PROBES = (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)
+def _strict_pair_handles(
+    kernel: Kernel2, cfg: SemidevMeanConfig
+) -> tuple[MeanHandle, MeanHandle, Callable[[], None]]:
+    """Upper-strict and lower-strict mean handles backed by one solve per
+    sample (``semideviation_means`` gives each kind the value it gives alone),
+    and the function that empties their shared memo."""
+    kinds = (MeanKind.UPPER_STRICT, MeanKind.LOWER_STRICT)
+    memo: dict[WeightedSample, dict[MeanKind, float]] = {}
+
+    def means(s: WeightedSample) -> dict[MeanKind, float]:
+        found = memo.get(s)
+        if found is None:
+            found = memo[s] = semideviation_means(kernel, s, kinds, cfg)
+        return found
+
+    def handle(kind: MeanKind) -> MeanHandle:
+        return MeanHandle(
+            f"semidev({kernel.name},{kind.value})", kernel.domain_x, lambda s: means(s)[kind]
+        )
+
+    return handle(MeanKind.UPPER_STRICT), handle(MeanKind.LOWER_STRICT), memo.clear
 
 
 def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None = None) -> Report:
@@ -496,7 +518,8 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     With h_low / h_high the liminf / limsup scale profiles of the normalized
     kernel: lower-weak mean of h_low's ratio kernel <= lower homogenization
     of the upper-strict mean, and the upper homogenization of the
-    lower-strict mean <= upper-weak mean of h_high's ratio kernel.
+    lower-strict mean <= upper-weak mean of h_high's ratio kernel.  Both
+    local scans of a sample share its scaled solves.
     """
     cfg = cfg or SemidevMeanConfig(grid_size=64)
     try:
@@ -505,21 +528,20 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
         return _inconclusive("tei", str(exc))
     h_low = homogenization_profile(kernel, "lower", normalized=star)
     h_high = homogenization_profile(kernel, "upper", normalized=star)
-    for r in SIGN_PROBES:
-        try:
-            a, b = h_low(r), h_high(r)
-        except (MeanKitError, ValueError) as exc:
-            return _inconclusive("tei", f"scale profile failed at ratio {r}: {exc}")
-        if not (math.isfinite(a) and math.isfinite(b)):
+    failure = sign_probe_failure([h_low, h_high])
+    if failure is not None:
+        r, values, error = failure
+        if error is not None:
+            return _inconclusive("tei", f"scale profile failed at ratio {r}: {error}")
+        if not all(math.isfinite(v) for v in values):
             return _inconclusive("tei", f"scale profile not finite at ratio {r}")
-        if sign(a) != sign(r - 1.0) or sign(b) != sign(r - 1.0):
-            return _inconclusive(
-                "tei", f"sign property violated at ratio {r}: profile values ({a}, {b})"
-            )
+        a, b = values
+        return _inconclusive(
+            "tei", f"sign property violated at ratio {r}: profile values ({a}, {b})"
+        )
     low_ratio = ratio_kernel_from_profile(f"scale_profile_low({kernel.name})", h_low)
     high_ratio = ratio_kernel_from_profile(f"scale_profile_high({kernel.name})", h_high)
-    upper_handle = semideviation_handle(kernel, MeanKind.UPPER_STRICT, cfg)
-    lower_handle = semideviation_handle(kernel, MeanKind.LOWER_STRICT, cfg)
+    upper_handle, lower_handle, clear_memo = _strict_pair_handles(kernel, cfg)
     lower_bound = new_condition(
         "lower_bound", "profile mean <= lower homogenization of upper-strict mean"
     )
@@ -527,6 +549,7 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
         "upper_bound", "upper homogenization of lower-strict mean <= profile mean"
     )
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
+        clear_memo()
         positive = make_weighted_sample(sample.entries, sample.weights, positive_reals())
         lhs = semideviation_mean(low_ratio, positive, MeanKind.LOWER_WEAK, cfg)
         low_est = local_homogenization(upper_handle, positive)
@@ -571,7 +594,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
                 "cei",
                 f"normalized kernel is not midpoint concave at {(x, y, u, v)}",
             )
-    for r in SIGN_PROBES:
+    for r in SIGN_PROBE_RATIOS:
         t_small = 1e-6
         diag = abs(star.fn(r * t_small, t_small))
         if diag > 1e-3 * (1.0 + abs(r)):

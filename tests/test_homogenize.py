@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -18,6 +19,7 @@ from meankit import (
     limit_at_zero,
     local_homogenization,
     make_weighted_sample,
+    normalize_kernel,
     power_generator,
     power_handle,
     power_mean,
@@ -25,7 +27,8 @@ from meankit import (
     semideviation_handle,
     translated_power_handle,
 )
-from meankit.domain import open_interval, positive_reals
+import meankit.homogenize as homogenize
+from meankit.domain import open_interval, positive_reals, sign
 from meankit.errors import AllEvaluationsFailed, NotConverged, SignPropertyViolated
 from meankit.limits import largest_halving_start
 
@@ -93,6 +96,30 @@ class TestEnvelopes:
 
         value = quasiarithmetic_mean(s, gen)
         assert lower <= value <= upper
+
+    def test_single_envelope_is_the_pair_element_without_the_other_search(self):
+        dom = open_interval(0, 2)
+        rng = random.Random(19)
+        for gen in (exp_generator().restricted(dom), cosh_generator().restricted(dom)):
+            calls = []
+            inner = quasiarithmetic_handle(gen)
+            handle = dataclasses.replace(inner, fn=lambda s: calls.append(s) or inner.fn(s))
+            for _ in range(10):
+                n = rng.randint(1, 4)
+                s = make_weighted_sample(
+                    [rng.uniform(0.1, 1.9) for _ in range(n)],
+                    [rng.uniform(0.1, 3.0) for _ in range(n)],
+                    dom,
+                )
+                calls.clear()
+                lower, upper = envelope_pair(handle, s)
+                pair_calls = len(calls)
+                for which, expected in (("lower", lower), ("upper", upper)):
+                    calls.clear()
+                    assert envelope(handle, s, which) == expected
+                    assert len(calls) < pair_calls
+        with pytest.raises(ValueError):
+            envelope(handle, s, "middle")
 
     def test_empty_admissible_set_on_needle_domain(self):
         # A domain thinner than the endpoint margins leaves no scaling room.
@@ -237,6 +264,86 @@ class TestKernelHomogenization:
         for a, b, c in zip(values, values[1:], values[2:]):
             assert b >= 0.5 * (a + c) - 1e-5  # concavity on a uniform grid
             assert b >= a - 1e-9  # nondecreasing
+
+
+def _closed_profile(p: float, r: float) -> float:
+    return math.log(r) if p == 0.0 else (r**p - 1.0) / p
+
+
+#: (kernel, p) with scale profile (r^p - 1) / p (log r at p = 0).
+CLOSED_PROFILES = [
+    *((difference_kernel(power_generator(p)), p) for p in (0.0, 0.5, 1.0, 2.0, 3.0)),
+    (difference_kernel(cosh_generator()), 2.0),
+]
+PROFILE_MODES = ("estimate", "lower", "upper")
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("mode", PROFILE_MODES)
+    @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
+    def test_matches_closed_form(self, kernel, p, mode):
+        h = homogenization_profile(kernel, mode)
+        rng = random.Random(41)
+        for _ in range(300):
+            r = math.exp(rng.uniform(math.log(1 / 20), math.log(20)))
+            closed = _closed_profile(p, r)
+            assert abs(h(r) - closed) <= 1e-5 * (1.0 + abs(closed)), (r, closed)
+
+    @pytest.mark.parametrize("mode", PROFILE_MODES)
+    @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
+    def test_sign_near_one(self, kernel, p, mode):
+        h = homogenization_profile(kernel, mode)
+        for r in (1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3):
+            assert sign(h(r)) == sign(r - 1.0), r
+
+    def test_nodes_are_kernel_homogenization_values(self):
+        kernel = difference_kernel(cosh_generator())
+        star = normalize_kernel(kernel)
+        tables = {mode: homogenization_profile(kernel, mode) for mode in PROFILE_MODES}
+        for k in (-40, -17, -1, 0, 1, 5, 16, 33, 60):
+            r = 2.0 ** (k / 16)
+            est = kernel_homogenization(kernel, r, normalized=star, tol=1e-5, window=4)
+            assert tables["estimate"](r) == est.estimate
+            assert tables["lower"](r) == est.tail_min
+            assert tables["upper"](r) == est.tail_max
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_ratio_outside_the_positive_reals_raises(self, r):
+        h = homogenization_profile(difference_kernel(power_generator(2)))
+        with pytest.raises(ValueError):
+            h(r)
+
+    def test_estimate_raises_exactly_when_a_needed_node_fails(self):
+        # Past r ~ 25 the cosh profile's tail spread exceeds the absolute
+        # tolerance: the node at 2^(75/16) ~ 25.77 does not converge, while
+        # nodes 71-74 do.  A query between nodes k and k+1 needs nodes k-1 to
+        # k+2; a query at a node needs only that node.
+        kernel = difference_kernel(cosh_generator())
+        h = homogenization_profile(kernel)
+        bad = 2.0 ** (75 / 16)
+        with pytest.raises(NotConverged, match=f"r={bad}"):
+            h(bad)
+        with pytest.raises(NotConverged, match=f"r={bad}"):
+            h(2.0 ** (73.5 / 16))
+        for r in (2.0 ** (74 / 16), math.nextafter(2.0 ** (73 / 16), 0.0)):
+            assert h(r) == pytest.approx((r**2 - 1) / 2, rel=1e-5)
+        assert homogenization_profile(kernel, "upper")(bad) == pytest.approx(
+            (bad**2 - 1) / 2, rel=1e-6
+        )
+
+    def test_queries_share_a_bounded_set_of_node_scans(self, monkeypatch):
+        scans = []
+
+        def counting(g, t0, **kwargs):
+            scans.append(t0)
+            return limit_at_zero(g, t0, **kwargs)
+
+        monkeypatch.setattr(homogenize, "limit_at_zero", counting)
+        h = homogenization_profile(difference_kernel(cosh_generator()), "lower")
+        rng = random.Random(43)
+        for _ in range(2000):
+            h(math.exp(rng.uniform(math.log(1 / 20), math.log(20))))
+        assert 0 < len(scans) <= 150
 
 
 class TestHomogeneousSemidevMean:

@@ -11,9 +11,11 @@ from meankit import (
     cosh_generator,
     difference_kernel,
     kernel_from_expression,
+    local_homogenization,
     make_weighted_sample,
     normalize_kernel,
     power_generator,
+    semideviation_handle,
     semideviation_mean,
     sign_kernel,
     verify_cei,
@@ -24,6 +26,7 @@ from meankit import (
     verify_sandwich,
     verify_tei,
 )
+import meankit.verify as verify
 from meankit.domain import all_reals, positive_reals
 from meankit.verify import hoelder_preset, minkowski_preset
 
@@ -213,6 +216,72 @@ class TestScaleProfileSuites:
         plan = SamplePlan(seed=25, n_samples=10, n_range=(1, 4), entry_range=(0.5, 3.0))
         report = verify_tei(difference_kernel(power_generator(0.5)), plan)
         assert report.overall == "pass"
+
+    @pytest.mark.parametrize(
+        "suite,kernel",
+        [
+            (verify_tei, difference_kernel(cosh_generator())),
+            (verify_cei, difference_kernel(power_generator(0.5))),
+        ],
+    )
+    def test_distorted_profile_fails(self, suite, kernel, monkeypatch):
+        # h(r^1.05) moves the profile mean to another power mean; a constant
+        # factor on h would leave it unchanged and could not fail the check.
+        original = verify.homogenization_profile
+
+        def distorted(*args, **kwargs):
+            h = original(*args, **kwargs)
+            return lambda r: h(r**1.05)
+
+        plan = SamplePlan(seed=26, n_samples=10, n_range=(2, 4), entry_range=(0.5, 3.0))
+        assert suite(kernel, plan).overall == "pass"
+        monkeypatch.setattr(verify, "homogenization_profile", distorted)
+        assert suite(kernel, plan).overall == "fail"
+
+    def test_tei_shared_local_scans_match_separate_scans(self, monkeypatch):
+        kernel = difference_kernel(cosh_generator())
+        cfg = SemidevMeanConfig(grid_size=64)
+        scans = []
+
+        def recording(handle, sample):
+            est = local_homogenization(handle, sample)
+            scans.append((handle.name, sample, est))
+            return est
+
+        monkeypatch.setattr(verify, "local_homogenization", recording)
+        plan = SamplePlan(seed=27, n_samples=8, n_range=(1, 4), entry_range=(0.5, 3.0))
+        assert verify_tei(kernel, plan, cfg).overall == "pass"
+        separate_handles = {
+            handle.name: handle
+            for handle in (
+                semideviation_handle(kernel, MeanKind.UPPER_STRICT, cfg),
+                semideviation_handle(kernel, MeanKind.LOWER_STRICT, cfg),
+            )
+        }
+        assert [name for name, _, _ in scans] == list(separate_handles) * plan.n_samples
+        for name, sample, est in scans:
+            separate = local_homogenization(separate_handles[name], sample)
+            assert (est.tail_min.hex(), est.tail_max.hex()) == (
+                separate.tail_min.hex(),
+                separate.tail_max.hex(),
+            )
+            assert est.values == separate.values
+
+    def test_shared_strict_handles_keep_their_kinds_apart(self):
+        # Two entries of equal weight put a zero plateau between them into the
+        # sign kernel's deviation sum, so the strict lower and upper means differ.
+        kernel = sign_kernel().with_domains(POS)
+        cfg = SemidevMeanConfig(grid_size=64)
+        upper, lower, _ = verify._strict_pair_handles(kernel, cfg)
+        s = make_weighted_sample([1.0, 3.0], [1.0, 1.0], POS)
+        for shared, kind, expected in (
+            (upper, MeanKind.UPPER_STRICT, 1.0),
+            (lower, MeanKind.LOWER_STRICT, 3.0),
+        ):
+            est = local_homogenization(shared, s)
+            separate = local_homogenization(semideviation_handle(kernel, kind, cfg), s)
+            assert est.values == separate.values
+            assert est.estimate == pytest.approx(expected)
 
 
 class TestOperationSuites:
