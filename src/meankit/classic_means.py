@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .domain import IntervalDomain, WeightedSample, probe_points
 from .errors import (
@@ -48,6 +48,31 @@ class ComparisonVerdict:
     witness: dict[str, Any] | None = field(default=None)
 
 
+def bisect(
+    a: float,
+    b: float,
+    below: Callable[[float], bool],
+    tol: float,
+    max_iter: int = MAX_BISECT,
+) -> float:
+    """Shrink the bracket [a, b] around a sought point by halving.
+
+    ``below(mid)`` says whether the point lies above the midpoint
+    0.5 * (a + b), which then becomes a; otherwise it becomes b.  Stops once
+    b - a <= tol or after ``max_iter`` halvings and returns the midpoint of
+    the last bracket.
+    """
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        mid = 0.5 * (a + b)
+        if below(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def _weighted_average(values: list[float], weights: tuple[float, ...]) -> float:
     return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
 
@@ -68,11 +93,26 @@ def power_mean(sample: WeightedSample, exponent: float) -> float:
     if p == 0.0:
         avg_log = math.fsum(w * math.log(x) for x, w in zip(sample.entries, sample.weights))
         return math.exp(avg_log / total)
-    try:
-        s = math.fsum(w * math.pow(x, p) for x, w in zip(sample.entries, sample.weights)) / total
+    picked = [(x, w) for x, w in zip(sample.entries, sample.weights) if w > 0.0]
+
+    def power_average(scale: float) -> float:
+        try:
+            return math.fsum(w * math.pow(x / scale, p) for x, w in picked) / total
+        except OverflowError:
+            return math.inf
+
+    scale = 1.0
+    s = power_average(scale)
+    if not math.isfinite(s) or s <= 0.0:
+        # The power sum overflowed or underflowed although the mean may be
+        # representable: divide by the entry with the largest term, so that
+        # every term is at most its weight and that entry's term is exact.
+        scale = max(x for x, _ in picked) if p > 0.0 else min(x for x, _ in picked)
+        s = power_average(scale)
         if not math.isfinite(s) or s <= 0.0:
             raise NonFinite(f"power sum degenerated to {s} at exponent {p}")
-        result = math.pow(s, 1.0 / p)
+    try:
+        result = scale * math.pow(s, 1.0 / p)
     except OverflowError as exc:
         raise NonFinite(f"power mean overflowed at exponent {p}") from exc
     if not math.isfinite(result):
@@ -124,16 +164,7 @@ def quasiarithmetic_mean(
     # samples keep a constant relative accuracy, so t -> 0 limits of the mean
     # are not polluted by solver error growing like tol / t.
     tol = rel_tol * max(abs(lo), abs(hi))
-    a, b = lo, hi
-    for _ in range(MAX_BISECT):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if (generator.fn(mid) < target) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    return bisect(lo, hi, lambda y: (generator.fn(y) < target) == increasing, tol)
 
 
 def local_power_order(generator: ScalarFunction, x: float) -> float:

@@ -232,7 +232,9 @@ def compute() -> None:
     default=MeanKind.LOWER_WEAK.value,
 )
 @click.option("--domain", "domain_text", default=None, help="lo,hi (open interval).")
-@click.option("--grid", default=1024, show_default=True, help="Sign-scan grid size.")
+@click.option(
+    "--grid", type=click.IntRange(min=2), default=1024, show_default=True, help="Sign-scan grid size."
+)
 @click.option("--refine-tol", default=1e-12, show_default=True)
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def compute_mean(
@@ -386,7 +388,7 @@ SUITES = ("sandwich", "lemma-lim", "comparison", "jensen", "tei", "cei", "minkow
 @click.option("--op", "operation_text", default=None, help="expr:TEXT operation in x, y (homi).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--samples", default=100, show_default=True)
-@click.option("--grid", default=10, show_default=True)
+@click.option("--grid", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--x", "point_text", default=None, help="Point pair x,y for lemma-lim.")
 @click.option("--n-range", default="1,6", show_default=True)
 @click.option("--entry-range", default=None)
@@ -545,6 +547,10 @@ def main(argv: list[str] | None = None) -> int:
     except MeanKitError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         return 3
+    except ValueError as exc:
+        # A library argument check the flags did not catch: a usage error.
+        click.echo(f"error: {exc}", err=True)
+        return 2
     return int(result) if isinstance(result, int) else 0
 
 

@@ -390,7 +390,11 @@ class ScalarFunction:
     """One-variable function with optional analytic first/second derivatives.
 
     ``strictly_monotone`` is a catalog promise; when None, consumers that need
-    monotonicity probe it on a grid themselves.
+    monotonicity probe it on a grid themselves.  True must also hold for the
+    float implementation, monotone over ``domain`` in floating point (ties
+    allowed where the function is flat in floats): the sign-change solver
+    then locates its boundary cell by halving in O(log grid) steps and would
+    miss extra sign changes of a non-monotone ``fn``.
     """
 
     name: str

@@ -14,7 +14,7 @@ Three constructions attach a homogeneous mean to a given one:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
 from .classic_means import power_mean, quasiarithmetic_mean
@@ -349,16 +349,20 @@ def homogenization_profile(
     normalized: Kernel2 | None = None,
     tol: float = 1e-5,
     window: int = 4,
+    _node_estimates: dict[int, LimitEstimate] | None = None,
 ) -> Callable[[float], float]:
     """Tabulated scale profile r -> h(r) of a deviation kernel.
 
     h is computed only at the nodes r_k = 2^(k/16), k an integer, each by one
     ``kernel_homogenization`` scan made the first time a query needs it and
-    memoized by k.  Mode "estimate" returns the node's tail midpoint and
-    raises NotConverged, naming the node's ratio, when that scan does not
-    converge; "lower"/"upper" return the tail min/max (liminf and limsup
-    proxies) without requiring convergence.  A query at a node returns the
-    node's value; elsewhere, with r_k < r < r_k+1, the value is a monotone
+    memoized by k.  Profiles of one kernel, normalized kernel, tol and window
+    may share that memo (the scans' LimitEstimates, without their sampled
+    tables) by passing the same dict as ``_node_estimates``; within the
+    package, tei's lower and upper profiles do, so each node is scanned once.  Mode "estimate" returns the
+    node's tail midpoint and raises NotConverged, naming the node's ratio,
+    when that scan does not converge; "lower"/"upper" return the tail
+    min/max (liminf and limsup proxies) without requiring convergence.  A
+    query at a node returns the node's value; elsewhere, with r_k < r < r_k+1, the value is a monotone
     cubic Hermite in r (not log r) through nodes k and k+1, with
     Fritsch-Carlson slopes (Brodlie's weighted harmonic mean of the
     neighbouring secants, 0 where those change sign) from nodes k-1 to k+2.
@@ -374,6 +378,7 @@ def homogenization_profile(
     achievable window spread.
     """
     base = normalized if normalized is not None else normalize_kernel(kernel)
+    estimates = {} if _node_estimates is None else _node_estimates
     nodes: dict[int, float] = {}
 
     def node(k: int) -> float:
@@ -381,7 +386,11 @@ def homogenization_profile(
         if value is not None:
             return value
         r = _node_ratio(k)
-        est = kernel_homogenization(kernel, r, normalized=base, tol=tol, window=window)
+        est = estimates.get(k)
+        if est is None:
+            scan = kernel_homogenization(kernel, r, normalized=base, tol=tol, window=window)
+            # The tail statistics are all any mode reads; drop the sampled table.
+            est = estimates[k] = replace(scan, values=())
         if mode == "estimate":
             if not est.converged:
                 raise NotConverged(

@@ -20,7 +20,12 @@ and a memo keyed by y lets the kinds' bisections share the midpoints of a
 common boundary cell.  For difference kernels K(x, y) = f(x) - f(y) (those
 declaring ``Kernel2.generator``) the deviation sum evaluates f(x_i) once per
 sample instead of once per term and point; the terms, and so every value of
-D, are the same floats as on the generic path.
+D, are the same floats as on the generic path.  When that generator is
+declared strictly monotone and the hull lies in its domain, D is monotone
+and its classes change at most once along the grid, so no grid is
+classified: each kind finds its boundary cell by halving over the grid
+indices, O(log grid) deviation sums, and gets the cell, and so the
+midpoints and the value, that the full scan would give.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .classic_means import ComparisonVerdict
+from .classic_means import ComparisonVerdict, bisect
 from .domain import (
     IntervalDomain,
     MeanKind,
@@ -133,6 +138,35 @@ def _alternations(classes: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _boundary(holds: Callable[[int], bool], m: int, first: bool, monotone: bool) -> int | None:
+    """The first (``first``) or last index j < m with holds(j); None when
+    there is none.
+
+    With ``monotone`` the truth values over 0..m-1 change at most once, so
+    the ends decide the answer or bracket the change, which is then found by
+    halving between an index of each value: O(log m) calls, the index a
+    linear scan would find.  Otherwise every index may be tried.
+    """
+    if not monotone:
+        order = range(m) if first else range(m - 1, -1, -1)
+        return next((j for j in order if holds(j)), None)
+    at_start, at_end = holds(0), holds(m - 1)
+    if first and at_start:
+        return 0
+    if not first and at_end:
+        return m - 1
+    if at_start == at_end:
+        return None
+    a, b = 0, m - 1  # holds(a) == at_start != holds(b)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if holds(mid) == at_start:
+            a = mid
+        else:
+            b = mid
+    return b if first else a
+
+
 def semideviation_means(
     kernel: Kernel2,
     sample: WeightedSample,
@@ -140,7 +174,7 @@ def semideviation_means(
     cfg: SemidevMeanConfig | None = None,
 ) -> dict[MeanKind, float]:
     """Locate several sign-change means of ``kernel`` on ``sample`` from one
-    classified grid.
+    sign scan of the deviation sum.
 
     The kernel is assumed (or should be checked via ``check_semideviation``)
     to have the off-diagonal sign of x - y; with that, each defining set is
@@ -162,25 +196,40 @@ def semideviation_means(
 
     m = cfg.grid_size
     step = (hi - lo) / (m - 1)
-    grid = [lo + j * step for j in range(m - 1)] + [hi]
-    classes = [classify(y) for y in grid]
 
-    base_alt = _alternations(classes)
-    if base_alt > 1:
-        # A single +/- alternation is the clean shape; re-check a doubled grid
-        # and refuse when the alternation count is still moving (features at
-        # or below grid resolution cannot be bracketed).
-        merged: list[int] = []
-        for a, b, c in zip(grid, grid[1:], classes):
-            merged.append(c)
-            merged.append(classify(0.5 * (a + b)))
-        merged.append(classes[-1])
-        refined_alt = _alternations(merged)
-        if refined_alt != base_alt:
-            raise AmbiguousClassification(
-                f"sign classification oscillates {base_alt} times on the base grid "
-                f"but {refined_alt} times when doubled; increase grid_size"
-            )
+    def point(j: int) -> float:
+        return hi if j == m - 1 else lo + j * step
+
+    # A strictly monotone generator f on the hull makes D(y) = sum_i w_i
+    # (f(x_i) - f(y)) monotone in floats (each rounding step is monotone),
+    # so the classes change at most once across the grid: each kind's cell
+    # is found by halving, classifying only the points it touches.
+    f = kernel.generator
+    monotone = (
+        f is not None
+        and f.strictly_monotone is True
+        and f.domain.contains(lo)
+        and f.domain.contains(hi)
+    )
+    if not monotone:
+        grid = [lo + j * step for j in range(m - 1)] + [hi]
+        classes = [classify(y) for y in grid]
+        base_alt = _alternations(classes)
+        if base_alt > 1:
+            # A single +/- alternation is the clean shape; re-check a doubled
+            # grid and refuse when the alternation count is still moving
+            # (features at or below grid resolution cannot be bracketed).
+            merged: list[int] = []
+            for a, b, c in zip(grid, grid[1:], classes):
+                merged.append(c)
+                merged.append(classify(0.5 * (a + b)))
+            merged.append(classes[-1])
+            refined_alt = _alternations(merged)
+            if refined_alt != base_alt:
+                raise AmbiguousClassification(
+                    f"sign classification oscillates {base_alt} times on the base grid "
+                    f"but {refined_alt} times when doubled; increase grid_size"
+                )
 
     # Hull-scale tolerance (no absolute floor), so scaled-down samples keep
     # constant relative accuracy under t -> 0 limits.
@@ -188,35 +237,29 @@ def semideviation_means(
 
     def refine(kind: MeanKind) -> float:
         predicate = _PREDICATES[kind]
-        flags = [predicate(c) for c in classes]
+        if monotone:
+            holds = lambda j: predicate(classify(point(j)))
+        else:
+            holds = lambda j: predicate(classes[j])
+        j = _boundary(holds, m, kind.is_inf_kind, monotone)
         if kind.is_inf_kind:
-            first = next((j for j, ok in enumerate(flags) if ok), None)
-            if first is None:
+            if j is None:
                 # Defining set is empty inside the hull; outside it the sum is
                 # negative right of the hull, so its infimum clamps to max(x).
                 return hi
-            if first == 0:
+            if j == 0:
                 return lo
-            a, b = grid[first - 1], grid[first]  # predicate False at a, True at b
+            a, b = point(j - 1), point(j)  # predicate False at a, True at b
         else:
-            last = next((j for j in range(m - 1, -1, -1) if flags[j]), None)
-            if last is None:
+            if j is None:
                 # Mirror of the empty inf-kind case: the sum is positive left
                 # of the hull, so the supremum clamps to min(x).
                 return lo
-            if last == m - 1:
+            if j == m - 1:
                 return hi
-            a, b = grid[last], grid[last + 1]  # predicate True at a, False at b
+            a, b = point(j), point(j + 1)  # predicate True at a, False at b
         holds_at_a = not kind.is_inf_kind
-        for _ in range(cfg.max_bisect):
-            if b - a <= tol:
-                break
-            mid = 0.5 * (a + b)
-            if predicate(classify(mid)) == holds_at_a:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+        return bisect(a, b, lambda y: predicate(classify(y)) == holds_at_a, tol, cfg.max_bisect)
 
     return {kind: refine(kind) for kind in kinds}
 
@@ -260,16 +303,7 @@ def deviation_mean(
     if at_hi == 0.0:
         return hi
     tol = cfg.refine_tol * max(abs(lo), abs(hi))
-    a, b = lo, hi
-    for _ in range(cfg.max_bisect):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if dsum(mid) <= 0.0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return bisect(lo, hi, lambda y: not dsum(y) <= 0.0, tol, cfg.max_bisect)
 
 
 # --- normalization ---------------------------------------------------------------

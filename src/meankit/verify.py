@@ -32,6 +32,7 @@ from .errors import MeanKitError, NotNormalizable
 from .expr import Kernel2, ScalarFunction, difference_kernel, power_generator
 from .homogenize import (
     SIGN_PROBE_RATIOS,
+    LimitEstimate,
     MeanHandle,
     deviation_handle,
     homogenization_profile,
@@ -518,16 +519,18 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     With h_low / h_high the liminf / limsup scale profiles of the normalized
     kernel: lower-weak mean of h_low's ratio kernel <= lower homogenization
     of the upper-strict mean, and the upper homogenization of the
-    lower-strict mean <= upper-weak mean of h_high's ratio kernel.  Both
-    local scans of a sample share its scaled solves.
+    lower-strict mean <= upper-weak mean of h_high's ratio kernel.  The two
+    profiles share one scan per node, and both local scans of a sample share
+    its scaled solves.
     """
     cfg = cfg or SemidevMeanConfig(grid_size=64)
     try:
         star = normalize_kernel(kernel)
     except NotNormalizable as exc:
         return _inconclusive("tei", str(exc))
-    h_low = homogenization_profile(kernel, "lower", normalized=star)
-    h_high = homogenization_profile(kernel, "upper", normalized=star)
+    nodes: dict[int, LimitEstimate] = {}
+    h_low = homogenization_profile(kernel, "lower", normalized=star, _node_estimates=nodes)
+    h_high = homogenization_profile(kernel, "upper", normalized=star, _node_estimates=nodes)
     failure = sign_probe_failure([h_low, h_high])
     if failure is not None:
         r, values, error = failure

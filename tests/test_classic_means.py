@@ -71,11 +71,32 @@ class TestPowerMean:
         with pytest.raises(ValueError):
             power_mean(_sample([1, 2], [1, 1]), math.nan)
 
-    def test_overflow_reported_as_nonfinite(self):
+    def test_overflowing_power_sum_is_rescaled(self):
+        # The terms x^p overflow or underflow to 0; the means do not.
+        assert power_mean(_sample([1e200, 1e200], [1, 1]), 4) == 1e200
+        assert power_mean(_sample([1e200, 1], [1, 1]), 2) == pytest.approx(
+            1e200 / math.sqrt(2.0), rel=1e-15
+        )
+        assert power_mean(_sample([1e-200, 1], [1, 1]), -2) == pytest.approx(
+            math.sqrt(2.0) * 1e-200, rel=1e-15
+        )
+        assert power_mean(_sample([3e-200, 4e-200], [1, 1]), 2) == pytest.approx(
+            math.sqrt(12.5) * 1e-200, rel=1e-15
+        )
+
+    def test_power_sum_degenerate_after_rescaling_is_nonfinite(self):
         from meankit.errors import NonFinite
 
+        # Rescaled, the only nonzero term is 5e-324 and its average rounds to 0.
         with pytest.raises(NonFinite):
-            power_mean(_sample([1e200, 1e200], [1, 1]), 4)
+            power_mean(_sample([1e200, 1e-200], [5e-324, 2]), 4)
+
+    def test_finite_power_sums_keep_their_bits(self):
+        for s in _random_samples(40, 60, lo=1e-3, hi=1e3):
+            for p in (-3.0, -1.0, 0.5, 2.0, 3.0):
+                terms = [w * math.pow(x, p) for x, w in zip(s.entries, s.weights)]
+                unscaled = math.pow(math.fsum(terms) / s.total_weight(), 1.0 / p)
+                assert power_mean(s, p).hex() == unscaled.hex()
 
     def test_monotone_in_exponent(self):
         exponents = [-math.inf, -2, 0, 1, 2, math.inf]

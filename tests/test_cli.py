@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +210,24 @@ def test_human_output_explains_the_defining_formula(capsys):
     )
     assert code == 0
     assert "inf{y : D(y) <= 0}" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "mean", "--kind", "semidev", "--kernel", "diff_gen:power:2",
+         "--x", "1,2,3", "--w", "1,1,1", "--grid", "1"),
+        ("homogenize", "--target", "kernel", "--kernel", "sign_dev", "--ratio", "2"),
+        ("verify", "--suite", "minkowski", "--kernel", "power:2", "--samples", "3", "--grid", "1"),
+    ],
+    ids=["compute-grid-1", "kernel-domain", "verify-grid-1"],
+)
+def test_argument_errors_exit_2_without_traceback(args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "meankit.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.strip()

@@ -345,6 +345,27 @@ class TestProfileTable:
             h(math.exp(rng.uniform(math.log(1 / 20), math.log(20))))
         assert 0 < len(scans) <= 150
 
+    def test_profiles_sharing_a_node_table_give_the_same_values(self, monkeypatch):
+        kernel = difference_kernel(cosh_generator())
+        star = normalize_kernel(kernel)
+        ratios = [math.exp(u / 7.0) for u in range(-20, 21)]
+        separate = {
+            mode: [homogenization_profile(kernel, mode, normalized=star)(r) for r in ratios]
+            for mode in PROFILE_MODES
+        }
+        scans = []
+
+        def counting(g, t0, **kwargs):
+            scans.append(t0)
+            return limit_at_zero(g, t0, **kwargs)
+
+        monkeypatch.setattr(homogenize, "limit_at_zero", counting)
+        table: dict = {}
+        for mode in PROFILE_MODES:
+            h = homogenization_profile(kernel, mode, normalized=star, _node_estimates=table)
+            assert [h(r).hex() for r in ratios] == [v.hex() for v in separate[mode]]
+        assert len(scans) == len(table)
+
 
 class TestHomogeneousSemidevMean:
     def test_cosh_kernel_gives_quadratic_mean(self):

@@ -27,6 +27,7 @@ from meankit import (
     shifted_power_generator,
     sign_kernel,
 )
+import meankit.semideviation as semideviation
 from meankit.domain import all_reals, open_interval, positive_reals
 from meankit.errors import (
     AmbiguousClassification,
@@ -462,3 +463,103 @@ def test_shared_scan_raises_on_unresolvable_oscillation():
     for k in (kernel, _generic(kernel)):
         with pytest.raises(AmbiguousClassification):
             semideviation_means(k, s, KINDS, SemidevMeanConfig(grid_size=16))
+
+
+# --- monotone generators: the boundary cell found by halving ---------------------------
+
+
+def _full_scan(kernel: Kernel2) -> Kernel2:
+    """The same deviation sums without the monotonicity promise, so every grid
+    point is classified."""
+    return dataclasses.replace(
+        kernel, generator=dataclasses.replace(kernel.generator, strictly_monotone=None)
+    )
+
+
+def _assert_same_means(kernel, s, cfg):
+    fast = semideviation_means(kernel, s, KINDS, cfg)
+    slow = semideviation_means(_full_scan(kernel), s, KINDS, cfg)
+    assert {k: repr(v) for k, v in fast.items()} == {k: repr(v) for k, v in slow.items()}, s
+
+
+MONOTONE = [
+    (power_generator(2), (0.2, 5.0)),
+    (power_generator(0), (0.2, 5.0)),
+    (exp_generator(), (-4.0, 4.0)),
+    (cosh_generator(), (0.05, 4.0)),
+    # Decreasing generator: D increases, so the classes run - ... 0 ... +.
+    (power_generator(-1), (0.2, 5.0)),
+]
+
+
+@pytest.mark.parametrize("grid", [2, 3, 128, 1024])
+@pytest.mark.parametrize("band", [0.0, 1e-9])
+@pytest.mark.parametrize("gen, bounds", MONOTONE, ids=[g.name for g, _ in MONOTONE])
+def test_halving_finds_the_cell_of_the_full_scan(gen, bounds, band, grid):
+    kernel = difference_kernel(gen)
+    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
+    for s in _seeded_samples(gen.domain, *bounds, seed=31 + grid, count=25):
+        _assert_same_means(kernel, s, cfg)
+
+
+def test_halving_on_a_sum_that_is_zero_in_floats():
+    # cosh(x) == 1.0 for x ~ 1e-9, so D == 0 on the whole grid and every
+    # kind clamps to a hull end.
+    kernel = difference_kernel(cosh_generator())
+    for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):
+        tiny = s.scaled(1e-9)
+        assert deviation_sum(kernel, tiny)(tiny.hull()[0]) == 0.0
+        for grid in (2, 3, 1024):
+            _assert_same_means(kernel, tiny, SemidevMeanConfig(grid_size=grid))
+
+
+@pytest.mark.parametrize("grid", [2, 3, 1024])
+def test_halving_on_degenerate_samples(grid):
+    kernel = difference_kernel(power_generator(2))
+    cfg = SemidevMeanConfig(grid_size=grid)
+    x = 1.5
+    for entries, weights in (
+        ([x], [2.0]),
+        ([x, x], [1.0, 3.0]),
+        ([1.0, x, 4.0], [0.0, 1.0, 0.0]),  # zero weights: D vanishes at x only
+        ([x, math.nextafter(x, 2.0)], [1.0, 1.0]),  # hull one ulp wide
+        ([1.0, 4.0], [1e-12, 1.0]),
+        ([1.0, 4.0], [1.0, 1e-12]),
+    ):
+        _assert_same_means(kernel, make_weighted_sample(entries, weights, POS), cfg)
+
+
+def test_full_scan_outside_the_generator_domain():
+    # x^2 is promised monotone on (0, inf) only; on a hull reaching below 0,
+    # D is not monotone and the grid must be scanned in full.
+    kernel = difference_kernel(power_generator(2), REALS)
+    for s in _seeded_samples(REALS, -3.0, 3.0, seed=43, count=30):
+        _assert_same_means(kernel, s, SemidevMeanConfig(grid_size=64))
+
+
+def test_halving_evaluates_few_deviation_sums(monkeypatch):
+    calls = [0]
+    original = semideviation.deviation_sum
+
+    def counting(kernel, sample):
+        dsum = original(kernel, sample)
+
+        def counted(y):
+            calls[0] += 1
+            return dsum(y)
+
+        return counted
+
+    monkeypatch.setattr(semideviation, "deviation_sum", counting)
+    cfg = SemidevMeanConfig(grid_size=1024)
+    for gen, bounds in MONOTONE:
+        kernel = difference_kernel(gen)
+        for s in _seeded_samples(gen.domain, *bounds, seed=47, count=10):
+            if s.is_constant():
+                continue
+            calls[0] = 0
+            semideviation_means(kernel, s, KINDS, cfg)
+            assert calls[0] < 100, (gen.name, s)
+            calls[0] = 0
+            semideviation_means(_full_scan(kernel), s, KINDS, cfg)
+            assert calls[0] >= 1024, (gen.name, s)

@@ -26,6 +26,7 @@ from meankit import (
     verify_sandwich,
     verify_tei,
 )
+import meankit.homogenize as homogenize
 import meankit.verify as verify
 from meankit.domain import all_reals, positive_reals
 from meankit.verify import hoelder_preset, minkowski_preset
@@ -266,6 +267,34 @@ class TestScaleProfileSuites:
                 separate.tail_max.hex(),
             )
             assert est.values == separate.values
+
+    def test_tei_scans_each_profile_node_once(self, monkeypatch):
+        ratios = []
+        original = homogenize.kernel_homogenization
+
+        def counting(kernel, ratio_value, **kwargs):
+            ratios.append(ratio_value)
+            return original(kernel, ratio_value, **kwargs)
+
+        monkeypatch.setattr(homogenize, "kernel_homogenization", counting)
+        kernel = difference_kernel(cosh_generator())
+        plan = SamplePlan(seed=28, n_samples=6, n_range=(1, 4), entry_range=(0.5, 3.0))
+        shared = verify_tei(kernel, plan)
+        assert shared.overall == "pass"
+        assert ratios and len(ratios) == len(set(ratios))
+        distinct = len(ratios)
+
+        # Separate tables (the profiles built without a shared node memo)
+        # scan every node twice and give the same report bytes.
+        profile = verify.homogenization_profile
+
+        def separate(*args, _node_estimates=None, **kwargs):
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "homogenization_profile", separate)
+        ratios.clear()
+        assert verify_tei(kernel, plan).to_json() == shared.to_json()
+        assert len(ratios) == 2 * distinct
 
     def test_shared_strict_handles_keep_their_kinds_apart(self):
         # Two entries of equal weight put a zero plateau between them into the
