@@ -405,16 +405,25 @@ def verify(
 ):
     """Run one verification suite; exit 0 on pass, 1 on fail/inconclusive."""
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"config file {config_path!r}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise click.UsageError(f"config file {config_path!r}: expected a JSON object")
+        options = {param.name: param for param in ctx.command.params}
         merged = {}
         for key, value in config.items():
             name = key.replace("-", "_")
             if name not in ctx.params:
                 raise click.UsageError(f"config file: unknown key {key!r}")
+            if value is None:
+                raise click.UsageError(f"config file: key {key!r} is null")
             source = ctx.get_parameter_source(name)
             if source is not None and source.name == "DEFAULT":
-                merged[name] = value
+                # The option's own type checks the value, as it does a flag.
+                merged[name] = options[name].type_cast_value(ctx, value)
         suite = merged.get("suite", suite)
         kernel = merged.get("kernel", kernel)
         kernel2 = merged.get("kernel2", kernel2)

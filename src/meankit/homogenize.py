@@ -13,6 +13,7 @@ Three constructions attach a homogeneous mean to a given one:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
@@ -151,10 +152,7 @@ def deviation_handle(kernel: Kernel2, cfg: SemidevMeanConfig | None = None) -> M
 
 def _scaled_ratio(handle: MeanHandle, sample: WeightedSample, t: float) -> float:
     try:
-        scaled = make_weighted_sample(
-            [t * x for x in sample.entries], sample.weights, handle.domain
-        )
-        return handle.fn(scaled) / t
+        return handle.fn(sample.scaled(t, handle.domain)) / t
     except (MeanKitError, OverflowError, ZeroDivisionError):
         return math.nan
 
@@ -338,6 +336,7 @@ def kernel_homogenization(
     return limit_at_zero(g, t0, ratio=scan_ratio, max_steps=max_steps, window=window, tol=tol)
 
 
+@functools.cache
 def _node_ratio(k: int) -> float:
     return 2.0 ** (k / PROFILE_NODES_PER_OCTAVE)
 
@@ -367,6 +366,8 @@ def homogenization_profile(
     Fritsch-Carlson slopes (Brodlie's weighted harmonic mean of the
     neighbouring secants, 0 where those change sign) from nodes k-1 to k+2.
     So "estimate" raises exactly when one of the nodes a query needs fails.
+    Node values and each cell's end values and slopes are memoized, so a
+    repeated cell costs one Hermite sum.
     The cubic reproduces profiles linear in r exactly (the arithmetic
     kernel's h = r - 1) and keeps the node values' monotonicity; for smooth
     profiles its error shrinks as the cube of the node spacing
@@ -415,6 +416,17 @@ def homogenization_profile(
         w_prev, w_next = 2.0 * h_next + h_prev, h_next + 2.0 * h_prev
         return (w_prev + w_next) / (w_prev / d_prev + w_next / d_next)
 
+    cells: dict[int, tuple[float, float, float, float, float, float]] = {}
+
+    def cell(k: int) -> tuple[float, float, float, float, float, float]:
+        # (r_k, r_k+1 - r_k, h_k, slope_k, h_k+1, slope_k+1), computed in the
+        # order the Hermite sum reads them, so the same node raises first.
+        c = cells.get(k)
+        if c is None:
+            r0 = _node_ratio(k)
+            c = cells[k] = (r0, _node_ratio(k + 1) - r0, node(k), slope(k), node(k + 1), slope(k + 1))
+        return c
+
     def profile(r: float) -> float:
         if not 0.0 < r < math.inf:
             raise ValueError("ratio must be positive and finite")
@@ -424,17 +436,16 @@ def homogenization_profile(
             k -= 1
         while _node_ratio(k + 1) <= r:
             k += 1
-        r0 = _node_ratio(k)
-        if r == r0:
+        if r == _node_ratio(k):
             return node(k)
-        width = _node_ratio(k + 1) - r0
+        r0, width, h0, m0, h1, m1 = cell(k)
         s = (r - r0) / width
         u = 1.0 - s
         return (
-            (1.0 + 2.0 * s) * u * u * node(k)
-            + s * u * u * width * slope(k)
-            + s * s * (3.0 - 2.0 * s) * node(k + 1)
-            - s * s * u * width * slope(k + 1)
+            (1.0 + 2.0 * s) * u * u * h0
+            + s * u * u * width * m0
+            + s * s * (3.0 - 2.0 * s) * h1
+            - s * s * u * width * m1
         )
 
     return profile

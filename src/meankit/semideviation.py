@@ -17,15 +17,21 @@ are not meaningful.
 
 One classified grid serves every requested kind (``semideviation_means``),
 and a memo keyed by y lets the kinds' bisections share the midpoints of a
-common boundary cell.  For difference kernels K(x, y) = f(x) - f(y) (those
-declaring ``Kernel2.generator``) the deviation sum evaluates f(x_i) once per
-sample instead of once per term and point; the terms, and so every value of
-D, are the same floats as on the generic path.  When that generator is
-declared strictly monotone and the hull lies in its domain, D is monotone
-and its classes change at most once along the grid, so no grid is
-classified: each kind finds its boundary cell by halving over the grid
-indices, O(log grid) deviation sums, and gets the cell, and so the
-midpoints and the value, that the full scan would give.
+common boundary cell; kinds that bisect the same cell on the same test
+(c > 0 or c >= 0) share the whole bisection.  For difference kernels
+K(x, y) = f(x) - f(y) (those declaring ``Kernel2.generator``) the deviation
+sum evaluates f(x_i) once per sample instead of once per term and point;
+the terms, and so every value of D, are the same floats as on the generic
+path.  When that generator is declared strictly monotone and the hull lies
+in its domain, D is monotone and its classes change at most once along the
+grid, so no grid is classified: each kind finds its boundary cell by
+halving over the grid indices, O(log grid) deviation sums, and gets the
+cell, and so the midpoints and the value, that the full scan would give.
+On that path, when D is positive at the lower hull end and negative at the
+upper one, Illinois regula falsi first narrows the sign change to a
+bracket; points outside it take the class of its nearer end without a
+deviation sum.  The narrowing only supplies classes, so the halving and
+the bisection still decide every value.
 """
 
 from __future__ import annotations
@@ -127,6 +133,58 @@ _PREDICATES = {
 }
 
 
+#: Whether a kind's bisection moves right past y on c > 0 (True) or on
+#: c >= 0: the inf kinds move while their predicate fails, the sup kinds
+#: while it holds.
+_STRICT_BELOW = {
+    MeanKind.LOWER_WEAK: True,
+    MeanKind.LOWER_STRICT: False,
+    MeanKind.UPPER_STRICT: True,
+    MeanKind.UPPER_WEAK: False,
+}
+
+#: Step cap of the regula falsi narrowing (``_narrow``).
+NARROW_STEPS = 12
+
+
+def _narrow(
+    measure: Callable[[float], tuple[float, int]],
+    a: float,
+    fa: float,
+    b: float,
+    fb: float,
+    tol: float,
+) -> tuple[float, float]:
+    """Shrink [a, b], D positive at a and negative at b, by Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) and return the last bracket.
+
+    ``measure(y)`` gives D(y) and its class.  A secant point that is not
+    strictly inside the bracket is replaced by the midpoint.  Stops when the
+    bracket is at most ``tol`` wide, when a step lands on class 0, or after
+    NARROW_STEPS steps.  The bracket only supplies knowledge (the class at
+    its ends), so where it stops changes no value.
+    """
+    side = 0  # which end the previous step moved: 1 for a, -1 for b
+    for _ in range(NARROW_STEPS):
+        if b - a <= tol:
+            break
+        y = a + (b - a) * (fa / (fa - fb))
+        if not a < y < b:
+            y = 0.5 * (a + b)
+        fy, c = measure(y)
+        if c == 0:
+            break
+        if c > 0:
+            if side == 1:
+                fb *= 0.5  # a moved twice: halve the stale end's weight
+            a, fa, side = y, fy, 1
+        else:
+            if side == -1:
+                fa *= 0.5
+            b, fb, side = y, fy, -1
+    return a, b
+
+
 def _classify(value: float, zero_band: float) -> int:
     if abs(value) <= zero_band:
         return 0
@@ -187,11 +245,23 @@ def semideviation_means(
         return {kind: lo for kind in kinds}
     dsum = deviation_sum(kernel, sample)
     memo: dict[float, int] = {}
+    # On a monotone sum, D is positive on y <= left and negative on
+    # y >= right once the narrowing below has moved these bounds inward.
+    left, right = -math.inf, math.inf
+
+    def measure(y: float) -> tuple[float, int]:
+        value = dsum(y)
+        c = memo[y] = _classify(value, cfg.zero_band)
+        return value, c
 
     def classify(y: float) -> int:
+        if y <= left:
+            return 1
+        if y >= right:
+            return -1
         c = memo.get(y)
         if c is None:
-            c = memo[y] = _classify(dsum(y), cfg.zero_band)
+            c = measure(y)[1]
         return c
 
     m = cfg.grid_size
@@ -235,6 +305,15 @@ def semideviation_means(
     # constant relative accuracy under t -> 0 limits.
     tol = cfg.refine_tol * max(abs(lo), abs(hi))
 
+    if monotone:
+        (d_lo, c_lo), (d_hi, c_hi) = measure(lo), measure(hi)
+        if c_lo > 0 > c_hi:
+            # Narrow the sign change first, so that the grid halving and the
+            # bisections below find most classes already known.
+            left, right = _narrow(measure, lo, d_lo, hi, d_hi, tol)
+
+    bisections: dict[tuple[float, float, bool], float] = {}
+
     def refine(kind: MeanKind) -> float:
         predicate = _PREDICATES[kind]
         if monotone:
@@ -258,8 +337,14 @@ def semideviation_means(
             if j == m - 1:
                 return hi
             a, b = point(j), point(j + 1)  # predicate True at a, False at b
-        holds_at_a = not kind.is_inf_kind
-        return bisect(a, b, lambda y: predicate(classify(y)) == holds_at_a, tol, cfg.max_bisect)
+        # The sought point lies right of y when c > 0 (strict) or c >= 0 at
+        # y, so kinds with the same test and cell share one bisection.
+        strict = _STRICT_BELOW[kind]
+        key = (a, b, strict)
+        if key not in bisections:
+            below = (lambda y: classify(y) > 0) if strict else (lambda y: classify(y) >= 0)
+            bisections[key] = bisect(a, b, below, tol, cfg.max_bisect)
+        return bisections[key]
 
     return {kind: refine(kind) for kind in kinds}
 

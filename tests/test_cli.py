@@ -212,17 +212,33 @@ def test_human_output_explains_the_defining_formula(capsys):
     assert "inf{y : D(y) <= 0}" in out
 
 
+VERIFY_WITH_CONFIG = ("verify", "--suite", "minkowski", "--kernel", "power:2", "--samples", "3", "--config")
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, config",
     [
-        ("compute", "mean", "--kind", "semidev", "--kernel", "diff_gen:power:2",
-         "--x", "1,2,3", "--w", "1,1,1", "--grid", "1"),
-        ("homogenize", "--target", "kernel", "--kernel", "sign_dev", "--ratio", "2"),
-        ("verify", "--suite", "minkowski", "--kernel", "power:2", "--samples", "3", "--grid", "1"),
+        (("compute", "mean", "--kind", "semidev", "--kernel", "diff_gen:power:2",
+          "--x", "1,2,3", "--w", "1,1,1", "--grid", "1"), None),
+        (("homogenize", "--target", "kernel", "--kernel", "sign_dev", "--ratio", "2"), None),
+        (("verify", "--suite", "minkowski", "--kernel", "power:2", "--samples", "3", "--grid", "1"), None),
+        (VERIFY_WITH_CONFIG, '{"grid": 1}'),
+        (VERIFY_WITH_CONFIG, "[1, 2]"),
+        (VERIFY_WITH_CONFIG, "{not json"),
+        (VERIFY_WITH_CONFIG, '{"seed": null}'),
+        (VERIFY_WITH_CONFIG, None),  # the config file does not exist
     ],
-    ids=["compute-grid-1", "kernel-domain", "verify-grid-1"],
+    ids=[
+        "compute-grid-1", "kernel-domain", "verify-grid-1",
+        "config-grid-1", "config-list", "config-bad-json", "config-null", "config-missing",
+    ],
 )
-def test_argument_errors_exit_2_without_traceback(args):
+def test_argument_errors_exit_2_without_traceback(args, config, tmp_path):
+    if args[-1] == "--config":
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(config)
+        args = (*args, str(path))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

@@ -563,3 +563,99 @@ def test_halving_evaluates_few_deviation_sums(monkeypatch):
             calls[0] = 0
             semideviation_means(_full_scan(kernel), s, KINDS, cfg)
             assert calls[0] >= 1024, (gen.name, s)
+
+
+# --- monotone generators: the sign change narrowed by regula falsi -------------------
+
+#: exp on entries in +-30: D is far from linear, the hardest case for the secant.
+EXP_WIDE = (exp_generator(), (-30.0, 30.0))
+
+
+def _exp_wide_samples():
+    return _seeded_samples(REALS, *EXP_WIDE[1], seed=53, count=200)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 64, 1024])
+@pytest.mark.parametrize("band", [0.0, 1e-9])
+def test_narrowing_keeps_the_means_of_the_full_scan(band, grid, monkeypatch):
+    # D is linear for f(x) = x, so a secant step lands on its root, within
+    # 1e-9 of 0 in floats: the narrowing then stops on class 0.
+    steps = []
+    narrow = semideviation._narrow
+
+    def recording(measure, *args):
+        def spy(y):
+            value, c = measure(y)
+            steps.append(c)
+            return value, c
+
+        return narrow(spy, *args)
+
+    monkeypatch.setattr(semideviation, "_narrow", recording)
+    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
+    kernel = difference_kernel(power_generator(1))
+    split = False  # a weak and a strict kind tell the band's two edges apart
+    for s in _seeded_samples(POS, 0.2, 5.0, seed=59, count=25):
+        _assert_same_means(kernel, s, cfg)
+        means = semideviation_means(kernel, s, KINDS, cfg)
+        # Kinds that share a bisection get what each gets alone.
+        alone = {k: repr(semideviation_mean(kernel, s, k, cfg)) for k in KINDS}
+        assert {k: repr(v) for k, v in means.items()} == alone, s
+        split |= means[MeanKind.LOWER_WEAK] < means[MeanKind.LOWER_STRICT]
+    if band:
+        assert 0 in steps
+        assert split
+
+
+@pytest.mark.parametrize("grid", [64, 1024])
+@pytest.mark.parametrize("band", [0.0, 1e-9])
+def test_narrowing_on_a_sum_far_from_linear(band, grid):
+    kernel = difference_kernel(EXP_WIDE[0])
+    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
+    for s in _exp_wide_samples():
+        _assert_same_means(kernel, s, cfg)
+
+
+def test_narrowing_evaluates_fewer_deviation_sums(monkeypatch):
+    counts = {"sums": 0, "bisections": 0}
+    original_sum, original_bisect = semideviation.deviation_sum, semideviation.bisect
+
+    def counting_sum(kernel, sample):
+        dsum = original_sum(kernel, sample)
+
+        def counted(y):
+            counts["sums"] += 1
+            return dsum(y)
+
+        return counted
+
+    def counting_bisect(*args):
+        counts["bisections"] += 1
+        return original_bisect(*args)
+
+    monkeypatch.setattr(semideviation, "deviation_sum", counting_sum)
+    monkeypatch.setattr(semideviation, "bisect", counting_bisect)
+    cfg = SemidevMeanConfig(grid_size=1024)
+
+    def solve(kernel, s):
+        counts.update(sums=0, bisections=0)
+        semideviation_means(kernel, s, KINDS, cfg)
+        assert counts["bisections"] <= 2, (kernel.name, s)
+        return counts["sums"]
+
+    for gen, bounds in MONOTONE:
+        kernel = difference_kernel(gen)
+        for s in _seeded_samples(gen.domain, *bounds, seed=47, count=10):
+            if s.is_constant():
+                continue
+            sums = solve(kernel, s)
+            if gen.name == power_generator(-1).name:
+                # D increases: the hull ends decide every kind.
+                assert sums == 2, s
+            else:
+                assert sums <= 25, (gen.name, s)
+    kernel = difference_kernel(EXP_WIDE[0])
+    sums = [solve(kernel, s) for s in _exp_wide_samples() if not s.is_constant()]
+    # The parent solver made 42.6 sums per call on these samples, 43 at most.
+    assert max(sums) <= 43 + semideviation.NARROW_STEPS
+    assert sum(sums) < 35 * len(sums)

@@ -1,0 +1,75 @@
+"""Structured suite reports, required byte for byte.
+
+``data/suite_reports.json`` holds the SHA-256 of the structured stdout of
+small runs of the minkowski, hoelder, tei and cei suites, on the kernels
+the benchmark runs them with.  The hashes were recorded at commit f84e627
+(before the regula falsi narrowing of the sign change and the profile cell
+cache), by running this file as a script against a clean checkout of that
+commit:
+
+    PYTHONPATH=src python tests/test_suite_reports.py
+
+Re-recording is only valid together with an argument that the new reports
+are at least as accurate as the recorded ones.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from meankit.cli import main
+
+DATA = Path(__file__).parent / "data" / "suite_reports.json"
+
+#: (suite, kernel, samples per run)
+SUITES = [
+    ("minkowski", "power:2", 150),
+    ("hoelder", "power:0", 150),
+    ("tei", "diff_gen:cosh", 20),
+    ("cei", "power:0.5", 20),
+]
+SEEDS = (0, 1)
+
+
+def runs() -> list[list[str]]:
+    return [
+        ["verify", "--suite", suite, "--kernel", kernel, "--samples", str(samples),
+         "--seed", str(seed), "--format", "structured"]
+        for suite, kernel, samples in SUITES
+        for seed in SEEDS
+    ]
+
+
+def report(argv: list[str]) -> tuple[int, str]:
+    """Exit code and SHA-256 of the stdout of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {"runs": []}
+
+
+@pytest.mark.parametrize("run", RECORDED["runs"], ids=lambda r: " ".join(r["argv"][2:7:2]))
+def test_report_bytes_match_recorded_hash(run):
+    code, digest = report(run["argv"])
+    assert (code, digest) == (run["exit_code"], run["sha256"])
+
+
+def test_every_run_is_recorded():
+    assert [r["argv"] for r in RECORDED["runs"]] == runs()
+
+
+if __name__ == "__main__":
+    rows = []
+    for argv in runs():
+        code, digest = report(argv)
+        rows.append(json.dumps({"argv": argv, "exit_code": code, "sha256": digest}))
+    DATA.write_text('{"runs": [\n' + ",\n".join(rows) + "\n]}\n")
