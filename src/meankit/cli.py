@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Any
 
 import click
@@ -96,9 +97,13 @@ def _parse_vector(text: str, label: str) -> list[float]:
     return [_parse_float(s, label) for s in items]
 
 
-def _parse_domain(text: str | None) -> IntervalDomain:
+# Option callbacks convert a flag's text once, before the command body runs;
+# a value from ``verify --config`` takes the same path.
+
+
+def _parse_domain(ctx: click.Context, param: click.Parameter, text: str | None) -> IntervalDomain | None:
     if text is None:
-        return positive_reals()
+        return None
     parts = _parse_vector(text, "--domain")
     if len(parts) != 2:
         raise click.UsageError("--domain takes exactly two comma-separated bounds")
@@ -108,13 +113,56 @@ def _parse_domain(text: str | None) -> IntervalDomain:
         raise click.UsageError(str(exc)) from None
 
 
-def _parse_range(text: str | None, label: str) -> tuple[float, float] | None:
+def _parse_range(ctx: click.Context, param: click.Parameter, text: str | None) -> tuple[float, float] | None:
     if text is None:
         return None
+    label = param.opts[0]
     parts = _parse_vector(text, label)
     if len(parts) != 2 or not parts[0] < parts[1]:
         raise click.UsageError(f"{label} must be 'lo,hi' with lo < hi")
     return parts[0], parts[1]
+
+
+def _parse_count_range(ctx: click.Context, param: click.Parameter, text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(s) for s in text.split(","))
+        if 1 <= lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise click.BadParameter(f"{text!r} is not 'lo,hi' with integers 1 <= lo <= hi")
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Read a JSON object into ``ctx.default_map``, keyed by long option or parameter name.
+
+    ``-`` and ``_`` are interchangeable in keys.  Values reach the options as
+    flag text, so explicit flags win and each value passes its option's own
+    type and callback.
+    """
+    if path is None:
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(f"{path!r}: {exc}") from None
+    if not isinstance(config, dict):
+        raise click.BadParameter(f"{path!r}: expected a JSON object")
+    names = {
+        key.lstrip("-").replace("-", "_"): option.name
+        for option in ctx.command.params if option is not param
+        for key in (option.name, *option.opts)
+    }
+    defaults: dict[str, str] = {}
+    for key, value in config.items():
+        name = names.get(key.replace("-", "_"))
+        if name is None or name in defaults:
+            raise click.BadParameter(f"unknown or repeated key {key!r}")
+        if value is None or isinstance(value, (list, dict)):
+            raise click.BadParameter(f"key {key!r} must be a string, number or boolean")
+        defaults[name] = value if isinstance(value, str) else json.dumps(value)
+    ctx.default_map = defaults
 
 
 def resolve_generator(spec: str, domain: IntervalDomain | None = None) -> ScalarFunction:
@@ -231,7 +279,7 @@ def compute() -> None:
     type=click.Choice([k.value for k in MeanKind]),
     default=MeanKind.LOWER_WEAK.value,
 )
-@click.option("--domain", "domain_text", default=None, help="lo,hi (open interval).")
+@click.option("--domain", callback=_parse_domain, help="lo,hi (open interval).")
 @click.option(
     "--grid", type=click.IntRange(min=2), default=1024, show_default=True, help="Sign-scan grid size."
 )
@@ -239,26 +287,25 @@ def compute() -> None:
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def compute_mean(
     kind, exponent, generator, kernel, entries_text, weights_text,
-    semidev_kind, domain_text, grid, refine_tol, output_format,
+    semidev_kind, domain, grid, refine_tol, output_format,
 ):
     """Compute one weighted mean value."""
     entries = _parse_vector(entries_text, "--x")
     weights = _parse_vector(weights_text, "--w")
-    domain = _parse_domain(domain_text)
     cfg = SemidevMeanConfig(grid_size=grid, refine_tol=refine_tol)
     doc: dict[str, Any] = {"command": "compute-mean", "kind": kind}
     if kind == "power":
         if exponent is None:
             raise click.UsageError("--kind power requires --p")
         p = _parse_float(exponent, "--p")
-        sample = make_weighted_sample(entries, weights, domain)
+        sample = make_weighted_sample(entries, weights, domain or positive_reals())
         value = power_mean(sample, p)
         doc.update({"p": p})
         formula = MEAN_FORMULAS["power"]
     elif kind == "qa":
         if generator is None:
             raise click.UsageError("--kind qa requires --generator")
-        gen = resolve_generator(generator, domain)
+        gen = resolve_generator(generator, domain or positive_reals())
         sample = make_weighted_sample(entries, weights, gen.domain)
         value = quasiarithmetic_mean(sample, gen)
         doc.update({"generator": gen.name})
@@ -266,7 +313,7 @@ def compute_mean(
     elif kind == "semidev":
         if kernel is None:
             raise click.UsageError("--kind semidev requires --kernel")
-        kern = resolve_kernel(kernel, _parse_domain(domain_text) if domain_text else None)
+        kern = resolve_kernel(kernel, domain)
         sample = make_weighted_sample(entries, weights, kern.domain_x)
         mean_kind = MeanKind.from_label(semidev_kind)
         value = semideviation_mean(kern, sample, mean_kind, cfg)
@@ -275,7 +322,7 @@ def compute_mean(
     else:
         if kernel is None:
             raise click.UsageError("--kind deviation requires --kernel")
-        kern = resolve_kernel(kernel, _parse_domain(domain_text) if domain_text else None)
+        kern = resolve_kernel(kernel, domain)
         sample = make_weighted_sample(entries, weights, kern.domain_x)
         value = deviation_mean(kern, sample, cfg)
         doc.update({"kernel": kern.name})
@@ -295,13 +342,13 @@ def compute_mean(
 @click.option("--x", "entries_text", default=None)
 @click.option("--w", "weights_text", default=None)
 @click.option("--ratio", default=None, help="Argument r of the kernel scale profile.")
-@click.option("--domain", "domain_text", default=None)
+@click.option("--domain", callback=_parse_domain)
 @click.option("--tol", default=1e-6, show_default=True, help="Tail-window tolerance.")
 @click.option("--csv", "csv_path", default=None, help="Write the t,value table (use - for stdout).")
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def homogenize(
     target, method, mean_kind, generator, kernel, exponent, semidev_kind,
-    entries_text, weights_text, ratio, domain_text, tol, csv_path, output_format,
+    entries_text, weights_text, ratio, domain, tol, csv_path, output_format,
 ):
     """Estimate scaling limits: generator order, mean homogenization, or
     kernel scale profile."""
@@ -309,7 +356,7 @@ def homogenize(
     if target == "qa":
         if generator is None:
             raise click.UsageError("--target qa requires --generator")
-        gen = resolve_generator(generator, _parse_domain(domain_text))
+        gen = resolve_generator(generator, domain or positive_reals())
         est = qa_local_homogenization(gen, tol=tol)
         order = common_power_order(est)
         doc.update({"generator": gen.name, **_limit_doc(est), "power_order": order})
@@ -323,7 +370,7 @@ def homogenize(
     if target == "kernel":
         if kernel is None or ratio is None:
             raise click.UsageError("--target kernel requires --kernel and --ratio")
-        kern = resolve_kernel(kernel, _parse_domain(domain_text) if domain_text else None)
+        kern = resolve_kernel(kernel, domain)
         r = _parse_float(ratio, "--ratio")
         est = kernel_homogenization(kern, r, tol=tol)
         doc.update({"kernel": kern.name, "ratio": r, **_limit_doc(est)})
@@ -340,20 +387,20 @@ def homogenize(
     if mean_kind == "power":
         if exponent is None:
             raise click.UsageError("--mean power requires --p")
-        handle = power_handle(_parse_float(exponent, "--p"), _parse_domain(domain_text))
+        handle = power_handle(_parse_float(exponent, "--p"), domain or positive_reals())
     elif mean_kind == "qa":
         if generator is None:
             raise click.UsageError("--mean qa requires --generator")
-        handle = quasiarithmetic_handle(resolve_generator(generator, _parse_domain(domain_text)))
+        handle = quasiarithmetic_handle(resolve_generator(generator, domain or positive_reals()))
     elif mean_kind == "semidev":
         if kernel is None:
             raise click.UsageError("--mean semidev requires --kernel")
-        kern = resolve_kernel(kernel, _parse_domain(domain_text) if domain_text else None)
+        kern = resolve_kernel(kernel, domain)
         handle = semideviation_handle(kern, MeanKind.from_label(semidev_kind))
     else:
         if kernel is None:
             raise click.UsageError("--mean deviation requires --kernel")
-        kern = resolve_kernel(kernel, _parse_domain(domain_text) if domain_text else None)
+        kern = resolve_kernel(kernel, domain)
         handle = deviation_handle(kern)
     sample = make_weighted_sample(entries, weights, positive_reals())
     doc.update({"mean": handle.name, "entries": entries, "weights": weights, "method": method})
@@ -387,82 +434,36 @@ SUITES = ("sandwich", "lemma-lim", "comparison", "jensen", "tei", "cei", "minkow
 @click.option("--kernel3", default=None, help="Third kernel (homi).")
 @click.option("--op", "operation_text", default=None, help="expr:TEXT operation in x, y (homi).")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--samples", default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--grid", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option("--x", "point_text", default=None, help="Point pair x,y for lemma-lim.")
-@click.option("--n-range", default="1,6", show_default=True)
-@click.option("--entry-range", default=None)
-@click.option("--weight-range", default="0.1,3", show_default=True)
-@click.option("--domain", "domain_text", default=None)
+@click.option("--n-range", default="1,6", show_default=True, callback=_parse_count_range)
+@click.option("--entry-range", callback=_parse_range)
+@click.option("--weight-range", default="0.1,3", show_default=True, callback=_parse_range)
+# The parameter names are config keys too, so --domain keeps ``domain_text``.
+@click.option("--domain", "domain_text", callback=_parse_domain)
 @click.option("--monotone/--no-monotone", default=True, show_default=True, help="homi: probe and use the monotone form.")
-@click.option("--config", "config_path", default=None, help="JSON file mirroring these options.")
+@click.option(
+    "--config", is_eager=True, expose_value=False, callback=_load_config,
+    help="JSON file: an object of option values keyed by long option name (- or _ alike); flags win.",
+)
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
-@click.pass_context
 def verify(
-    ctx, suite, kernel, kernel2, kernel3, operation_text, seed, samples, grid,
-    point_text, n_range, entry_range, weight_range, domain_text, monotone,
-    config_path, output_format,
+    suite, kernel, kernel2, kernel3, operation_text, seed, samples, grid,
+    point_text, n_range, entry_range, weight_range, domain_text, monotone, output_format,
 ):
     """Run one verification suite; exit 0 on pass, 1 on fail/inconclusive."""
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise click.UsageError(f"config file {config_path!r}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise click.UsageError(f"config file {config_path!r}: expected a JSON object")
-        options = {param.name: param for param in ctx.command.params}
-        merged = {}
-        for key, value in config.items():
-            name = key.replace("-", "_")
-            if name not in ctx.params:
-                raise click.UsageError(f"config file: unknown key {key!r}")
-            if value is None:
-                raise click.UsageError(f"config file: key {key!r} is null")
-            source = ctx.get_parameter_source(name)
-            if source is not None and source.name == "DEFAULT":
-                # The option's own type checks the value, as it does a flag.
-                merged[name] = options[name].type_cast_value(ctx, value)
-        suite = merged.get("suite", suite)
-        kernel = merged.get("kernel", kernel)
-        kernel2 = merged.get("kernel2", kernel2)
-        kernel3 = merged.get("kernel3", kernel3)
-        operation_text = merged.get("op", merged.get("operation_text", operation_text))
-        seed = int(merged.get("seed", seed))
-        samples = int(merged.get("samples", samples))
-        grid = int(merged.get("grid", grid))
-        point_text = merged.get("x", merged.get("point_text", point_text))
-        n_range = merged.get("n_range", n_range)
-        entry_range = merged.get("entry_range", entry_range)
-        weight_range = merged.get("weight_range", weight_range)
-        domain_text = merged.get("domain", domain_text)
-        monotone = bool(merged.get("monotone", monotone))
-        output_format = merged.get("format", output_format)
-
-    n_lo, n_hi = (int(v) for v in _parse_vector(n_range, "--n-range"))
     plan = SamplePlan(
-        seed=seed,
-        n_samples=samples,
-        n_range=(n_lo, n_hi),
-        entry_range=_parse_range(entry_range, "--entry-range"),
-        weight_range=_parse_range(weight_range, "--weight-range") or (0.1, 3.0),
+        seed=seed, n_samples=samples, n_range=n_range, entry_range=entry_range, weight_range=weight_range
     )
-    domain = _parse_domain(domain_text) if domain_text else None
 
     if suite in ("minkowski", "hoelder"):
         generator = resolve_generator(kernel) if kernel else None
-        factor_range = _parse_range(entry_range, "--entry-range") or (0.5, 4.0)
-        preset = (minkowski_preset if suite == "minkowski" else hoelder_preset)(
-            generator, factor_range
-        )
+        factor_range = entry_range or (0.5, 4.0)
+        preset = (minkowski_preset if suite == "minkowski" else hoelder_preset)(generator, factor_range)
         inner_lo, inner_hi = factor_range
         pad = 0.05 * (inner_hi - inner_lo)
-        plan_inner = SamplePlan(
-            seed=seed, n_samples=samples, n_range=(n_lo, n_hi),
-            entry_range=(inner_lo + pad, inner_hi - pad),
-            weight_range=plan.weight_range,
-        )
+        plan_inner = replace(plan, entry_range=(inner_lo + pad, inner_hi - pad))
         report = verify_homi(
             preset["kernel_result"], preset["kernel_first"], preset["kernel_second"],
             preset["operation"], plan_inner, grid=grid,
@@ -472,9 +473,9 @@ def verify(
         if not (kernel and kernel2 and kernel3 and operation_text):
             raise click.UsageError("--suite homi needs --kernel, --kernel2, --kernel3 and --op")
         op_spec = operation_text if operation_text.startswith("expr:") else f"expr:{operation_text}"
-        kern_i = resolve_kernel(kernel, domain)
-        kern_j = resolve_kernel(kernel2, domain)
-        kern_k = resolve_kernel(kernel3, domain)
+        kern_i = resolve_kernel(kernel, domain_text)
+        kern_j = resolve_kernel(kernel2, domain_text)
+        kern_k = resolve_kernel(kernel3, domain_text)
         operation = kernel_from_expression(op_spec[5:], kern_j.domain_x, kern_k.domain_x, name="operation")
         report = verify_homi(kern_i, kern_j, kern_k, operation, plan, grid=grid, monotone_mode=monotone)
     elif suite == "lemma-lim":
@@ -483,17 +484,17 @@ def verify(
         points = _parse_vector(point_text, "--x")
         if len(points) != 2:
             raise click.UsageError("--x must give exactly two points for lemma-lim")
-        report = verify_lemma_lim(resolve_kernel(kernel, domain), points[0], points[1])
+        report = verify_lemma_lim(resolve_kernel(kernel, domain_text), points[0], points[1])
     elif suite == "comparison":
         if kernel is None or kernel2 is None:
             raise click.UsageError("--suite comparison needs --kernel and --kernel2")
         report = verify_comparison(
-            resolve_kernel(kernel, domain), resolve_kernel(kernel2, domain), plan, grid=max(grid, 12)
+            resolve_kernel(kernel, domain_text), resolve_kernel(kernel2, domain_text), plan, grid=max(grid, 12)
         )
     else:
         if kernel is None:
             raise click.UsageError(f"--suite {suite} needs --kernel")
-        kern = resolve_kernel(kernel, domain)
+        kern = resolve_kernel(kernel, domain_text)
         if suite == "sandwich":
             report = verify_sandwich(kern, plan)
         elif suite == "jensen":
@@ -545,9 +546,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         result = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return 2
     except click.ClickException as exc:
         exc.show()
         return 2

@@ -23,7 +23,6 @@ from .domain import (
     IntervalDomain,
     MeanKind,
     WeightedSample,
-    make_weighted_sample,
     positive_reals,
     sign,
 )
@@ -505,5 +504,5 @@ def homogeneous_semidev_mean(
             f"scale profile has value {values[0]} at ratio {r}; expected sign {sign(r - 1.0)}"
         )
     ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
-    positive_sample = make_weighted_sample(sample.entries, sample.weights, positive_reals())
+    positive_sample = sample.with_domain(positive_reals())
     return semideviation_mean(ratio_k, positive_sample, kind, cfg)

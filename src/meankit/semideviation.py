@@ -432,15 +432,10 @@ def normalize_kernel(kernel: Kernel2, probe_count: int = 17) -> Kernel2:
                 f"diagonal slope of {kernel.name} is {d} at y={y}; need strictly negative"
             )
 
-    if kernel.deriv2 is not None:
-        slope = lambda y: kernel.deriv2(y, y)
-    else:
-        slope = lambda y: numeric_derivative(lambda v: kernel.fn(y, v), y, 1, kernel.domain_y)
-
     def scaled(x: float, y: float) -> float:
-        return kernel.fn(x, y) / (-slope(y))
+        return kernel.fn(x, y) / (-_diagonal_slope(kernel, y))
 
-    d1 = (lambda x, y: kernel.deriv1(x, y) / (-slope(y))) if kernel.deriv1 is not None else None
+    d1 = (lambda x, y: kernel.deriv1(x, y) / (-_diagonal_slope(kernel, y))) if kernel.deriv1 is not None else None
     return Kernel2(
         name=f"normalized({kernel.name})",
         fn=scaled,

@@ -553,7 +553,7 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     )
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
         clear_memo()
-        positive = make_weighted_sample(sample.entries, sample.weights, positive_reals())
+        positive = sample.with_domain(positive_reals())
         lhs = semideviation_mean(low_ratio, positive, MeanKind.LOWER_WEAK, cfg)
         low_est = local_homogenization(upper_handle, positive)
         lower_bound.record(
@@ -640,7 +640,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     dev_handle = deviation_handle(kernel, cfg)
     bump_rng = random.Random(plan.seed * 1_000_003 + 41)
     for idx, sample in enumerate(plan.samples(domain)):
-        positive = make_weighted_sample(sample.entries, sample.weights, positive_reals())
+        positive = sample.with_domain(positive_reals())
         est = local_homogenization(dev_handle, positive)
         collapse.record(
             est.spread <= limit_tol(est.estimate),

@@ -212,7 +212,9 @@ def test_human_output_explains_the_defining_formula(capsys):
     assert "inf{y : D(y) <= 0}" in out
 
 
-VERIFY_WITH_CONFIG = ("verify", "--suite", "minkowski", "--kernel", "power:2", "--samples", "3", "--config")
+VERIFY_MINKOWSKI = ("verify", "--suite", "minkowski", "--kernel", "power:2")
+VERIFY_MINKOWSKI_3 = (*VERIFY_MINKOWSKI, "--samples", "3")
+VERIFY_WITH_CONFIG = (*VERIFY_MINKOWSKI_3, "--config")
 
 
 @pytest.mark.parametrize(
@@ -227,10 +229,27 @@ VERIFY_WITH_CONFIG = ("verify", "--suite", "minkowski", "--kernel", "power:2", "
         (VERIFY_WITH_CONFIG, "{not json"),
         (VERIFY_WITH_CONFIG, '{"seed": null}'),
         (VERIFY_WITH_CONFIG, None),  # the config file does not exist
+        (VERIFY_MINKOWSKI_3 + ("--samples", "0"), None),
+        (VERIFY_MINKOWSKI_3 + ("--samples", "-4"), None),
+        (VERIFY_MINKOWSKI_3 + ("--n-range", "0,2"), None),
+        (VERIFY_MINKOWSKI_3 + ("--n-range", "1.7,2"), None),
+        (VERIFY_MINKOWSKI_3 + ("--n-range", "3,1"), None),
+        (VERIFY_WITH_CONFIG, '{"bogus": 1}'),
+        (VERIFY_WITH_CONFIG, '{"config": "x.json"}'),
+        (VERIFY_WITH_CONFIG, '{"n_range": "0,2"}'),
+        ((*VERIFY_MINKOWSKI, "--config"), '{"samples": 0}'),
+        (VERIFY_WITH_CONFIG, '{"domain": "1"}'),
+        (VERIFY_WITH_CONFIG, '{"entry_range": [0.5, 8]}'),
+        (VERIFY_WITH_CONFIG, '{"n-range": "1,2", "n_range": "2,3"}'),
+        ((*VERIFY_MINKOWSKI, "--config"), '{"samples": 2.5}'),
     ],
     ids=[
         "compute-grid-1", "kernel-domain", "verify-grid-1",
         "config-grid-1", "config-list", "config-bad-json", "config-null", "config-missing",
+        "samples-0", "samples-negative", "n-range-0", "n-range-float", "n-range-reversed",
+        "config-unknown-key", "config-config-key", "config-n-range-0", "config-samples-0",
+        "config-domain-one-bound", "config-entry-range-list", "config-repeated-key",
+        "config-samples-float",
     ],
 )
 def test_argument_errors_exit_2_without_traceback(args, config, tmp_path):
@@ -247,3 +266,61 @@ def test_argument_errors_exit_2_without_traceback(args, config, tmp_path):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.strip()
+
+
+MINKOWSKI = ("--suite", "minkowski", "--kernel", "power:2", "--samples", "3")
+LEMMA_LIM = ("--suite", "lemma-lim", "--kernel", "diff_gen:cosh")
+COMPARISON_SUITE = ("--suite", "comparison", "--format", "structured")
+COMPARISON_KERNELS = ("--kernel", "power:2", "--kernel2", "power:1")
+COMPARISON = (*COMPARISON_SUITE, *COMPARISON_KERNELS, "--samples", "5")
+HOMI = ("--suite", "homi", "--kernel", "power:2", "--samples", "3", "--grid", "3", "--format", "structured")
+HOMI_KERNELS = ("--kernel2", "power:2", "--kernel3", "power:3")
+
+
+# Each base run lacks the option under test, which changes that run.
+@pytest.mark.parametrize(
+    "base, flags, config",
+    [
+        (MINKOWSKI, ("--format", "structured"), {"format": "structured"}),
+        (MINKOWSKI, ("--format", "structured"), {"output_format": "structured"}),
+        (LEMMA_LIM, ("--x", "1,2"), {"x": "1,2"}),
+        (LEMMA_LIM, ("--x", "1,2"), {"point_text": "1,2"}),
+        ((*HOMI, *HOMI_KERNELS), ("--op", "x+y"), {"op": "x+y"}),
+        ((*HOMI, *HOMI_KERNELS), ("--op", "x+y"), {"operation_text": "x+y"}),
+        (COMPARISON, ("--domain", "0.5,20"), {"domain": "0.5,20"}),
+        (COMPARISON, ("--domain", "0.5,20"), {"domain_text": "0.5,20"}),
+        (COMPARISON, ("--n-range", "2,3"), {"n-range": "2,3"}),
+        (COMPARISON, ("--n-range", "2,3"), {"n_range": "2,3"}),
+        (COMPARISON, ("--entry-range", "0.5,8"), {"entry_range": "0.5,8"}),
+        (COMPARISON, ("--weight-range", "0.5,2"), {"weight-range": "0.5,2"}),
+        (COMPARISON, ("--grid", "20"), {"grid": 20}),
+        (COMPARISON, ("--seed", "1"), {"seed": 1}),
+        ((*COMPARISON_SUITE, *COMPARISON_KERNELS), ("--samples", "6"), {"samples": 6}),
+        ((*COMPARISON_SUITE, "--kernel2", "power:1"), ("--kernel", "power:2"), {"kernel": "power:2"}),
+        ((*COMPARISON_SUITE, "--kernel", "power:2"), ("--kernel2", "power:1"), {"kernel2": "power:1"}),
+        ((*HOMI, "--op", "x+y"), HOMI_KERNELS, {"kernel2": "power:2", "kernel3": "power:3"}),
+        ((*HOMI, *HOMI_KERNELS, "--op", "x+y"), ("--no-monotone",), {"monotone": False}),
+        (MINKOWSKI[2:], ("--suite", "minkowski"), {"suite": "minkowski"}),
+    ],
+    ids=[
+        "format", "output_format", "x", "point_text", "op", "operation_text", "domain", "domain_text",
+        "n-range", "n_range", "entry_range", "weight-range", "grid", "seed", "samples", "kernel",
+        "kernel2", "kernel2-kernel3-homi", "monotone-false", "suite",
+    ],
+)
+def test_verify_config_value_matches_its_flag(base, flags, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    without = run_cli(capsys, "verify", *base)
+    by_flag = run_cli(capsys, "verify", *base, *flags)
+    by_config = run_cli(capsys, "verify", *base, "--config", str(path))
+    assert by_flag[:2] != without[:2]  # the option changes this run
+    assert by_config[:2] == by_flag[:2]
+
+
+def test_verify_explicit_flag_beats_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"samples": 5}))
+    code, out, _ = run_cli(capsys, "verify", *MINKOWSKI, "--format", "structured", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["samples"] == 3
