@@ -24,12 +24,12 @@ from .errors import (
     VanishingFirstDerivative,
 )
 from .expr import ScalarFunction
-from .limits import LimitEstimate, largest_halving_start, limit_at_zero
+from .limits import LIMIT_TOL, LimitEstimate, largest_halving_start, limit_at_zero
 
 #: First-derivative magnitude below which the order operator refuses to divide.
 DERIVATIVE_GUARD = 1e-14
 
-#: Default relative tolerance of the generator-inversion bisection.
+#: Relative tolerance of the generator-inversion bisection.
 INVERSE_REL_TOL = 1e-12
 
 #: Bisection iteration cap.
@@ -48,21 +48,15 @@ class ComparisonVerdict:
     witness: dict[str, Any] | None = field(default=None)
 
 
-def bisect(
-    a: float,
-    b: float,
-    below: Callable[[float], bool],
-    tol: float,
-    max_iter: int = MAX_BISECT,
-) -> float:
+def bisect(a: float, b: float, below: Callable[[float], bool], tol: float) -> float:
     """Shrink the bracket [a, b] around a sought point by halving.
 
     ``below(mid)`` says whether the point lies above the midpoint
     0.5 * (a + b), which then becomes a; otherwise it becomes b.  Stops once
-    b - a <= tol or after ``max_iter`` halvings and returns the midpoint of
-    the last bracket.
+    b - a <= tol or after MAX_BISECT halvings and returns the midpoint of the
+    last bracket.
     """
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT):
         if b - a <= tol:
             break
         mid = 0.5 * (a + b)
@@ -132,12 +126,7 @@ def _probe_monotone_direction(f: ScalarFunction, lo: float, hi: float) -> bool:
     return increasing
 
 
-def quasiarithmetic_mean(
-    sample: WeightedSample,
-    generator: ScalarFunction,
-    *,
-    rel_tol: float = INVERSE_REL_TOL,
-) -> float:
+def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> float:
     """Generator-inverse of the weighted average of generator values."""
     lo, hi = sample.hull()
     if lo == hi:
@@ -163,7 +152,7 @@ def quasiarithmetic_mean(
     # Tolerance follows the hull scale (no absolute floor): scaled-down
     # samples keep a constant relative accuracy, so t -> 0 limits of the mean
     # are not polluted by solver error growing like tol / t.
-    tol = rel_tol * max(abs(lo), abs(hi))
+    tol = INVERSE_REL_TOL * max(abs(lo), abs(hi))
     return bisect(lo, hi, lambda y: (generator.fn(y) < target) == increasing, tol)
 
 
@@ -182,18 +171,15 @@ def local_power_order(generator: ScalarFunction, x: float) -> float:
 
 
 def compare_quasiarithmetic(
-    f: ScalarFunction,
-    g: ScalarFunction,
-    domain: IntervalDomain,
-    grid_size: int = 64,
+    f: ScalarFunction, g: ScalarFunction, domain: IntervalDomain
 ) -> ComparisonVerdict:
-    """Check f''/f' <= g''/g' on a uniform interior grid of ``domain``.
+    """Check f''/f' <= g''/g' on a uniform 64-point interior grid of ``domain``.
 
     When this holds everywhere the f-mean is dominated by the g-mean on that
     domain; the first failing point is returned as a witness.
     """
     checked = 0
-    for x in probe_points(domain, grid_size):
+    for x in probe_points(domain, 64):
         d1f = f.derivative(x, 1)
         if abs(d1f) <= DERIVATIVE_GUARD:
             raise VanishingFirstDerivative(f"{f.name}: first derivative vanishes at {x}")
@@ -212,26 +198,19 @@ def compare_quasiarithmetic(
     return ComparisonVerdict(holds=True, checked_points=checked)
 
 
-def _diverged(est: LimitEstimate, factor: float = 1e6) -> bool:
+def _diverged(est: LimitEstimate) -> bool:
     # Escape detection: the last sampled value has left the scale of the
-    # first one by orders of magnitude without the tail ever settling.
+    # first one by six orders of magnitude without the tail ever settling.
     if est.converged:
         return False
     first = next((v for _, v in est.values if math.isfinite(v)), None)
     last = next((v for _, v in reversed(est.values) if math.isfinite(v)), None)
     if first is None or last is None:
         return False
-    return abs(last) > factor * max(1.0, abs(first))
+    return abs(last) > 1e6 * max(1.0, abs(first))
 
 
-def qa_local_homogenization(
-    generator: ScalarFunction,
-    *,
-    ratio: float = 0.5,
-    max_steps: int = 60,
-    window: int = 8,
-    tol: float = 1e-6,
-) -> LimitEstimate:
+def qa_local_homogenization(generator: ScalarFunction, *, tol: float = LIMIT_TOL) -> LimitEstimate:
     """Estimate the local power order of a generator at 0+.
 
     tail_min / tail_max proxy the liminf / limsup of the order operator; when
@@ -250,29 +229,21 @@ def qa_local_homogenization(
         except (NonFinite, DomainError, ZeroDivisionError, OverflowError):
             return math.nan
 
-    est = limit_at_zero(g, t0, ratio=ratio, max_steps=max_steps, window=window, tol=tol)
+    est = limit_at_zero(g, t0, tol=tol)
     if _diverged(est):
         raise Diverged(f"order operator of {generator.name} leaves every bounded window at 0")
     return est
 
 
-def common_power_order(est: LimitEstimate, tol: float = 1e-6) -> float | None:
+def common_power_order(est: LimitEstimate) -> float | None:
     """The common limit order when a converged estimate's tails agree within
-    ``tol`` (absolute); None otherwise."""
-    if est.converged and est.spread <= tol:
+    LIMIT_TOL (absolute); None otherwise."""
+    if est.converged and est.spread <= LIMIT_TOL:
         return est.estimate
     return None
 
 
-def scaling_ratio_limit(
-    generator: ScalarFunction,
-    x: float,
-    *,
-    ratio: float = 0.5,
-    max_steps: int = 60,
-    window: int = 8,
-    tol: float = 1e-6,
-) -> LimitEstimate:
+def scaling_ratio_limit(generator: ScalarFunction, x: float) -> LimitEstimate:
     """Limit of (f(t x) - f(t)) / (f(2 t) - f(t)) as t -> 0+.
 
     For the pure power generator of exponent p this equals
@@ -301,7 +272,7 @@ def scaling_ratio_limit(
             return math.nan
 
     try:
-        est = limit_at_zero(g, t0, ratio=ratio, max_steps=max_steps, window=window, tol=tol)
+        est = limit_at_zero(g, t0)
     except AllEvaluationsFailed:
         if hit_zero_denominator:
             raise DegenerateDenominator(

@@ -51,6 +51,7 @@ from .homogenize import (
     quasiarithmetic_handle,
     semideviation_handle,
 )
+from .limits import LIMIT_TOL
 from .semideviation import SemidevMeanConfig, deviation_mean, semideviation_mean
 from .verify import (
     Report,
@@ -195,20 +196,20 @@ def resolve_generator(spec: str, domain: IntervalDomain | None = None) -> Scalar
 def resolve_kernel(spec: str, domain: IntervalDomain | None = None) -> Kernel2:
     """Kernel spec: sign_dev | diff_gen:GEN | ratio_dev:GEN | expr:TEXT | GEN.
 
-    A bare generator spec names its difference kernel diff_gen(GEN).
+    A bare generator spec names its difference kernel diff_gen(GEN).  An
+    explicit ``domain`` replaces both domains of every family's kernel.
     """
-    if spec.startswith("expr:"):
-        dom = domain or positive_reals()
-        return kernel_from_expression(spec[5:], dom, dom)
     name, _, params = spec.partition(":")
-    if name == "sign_dev":
-        return sign_kernel()
-    if name == "diff_gen":
+    if spec.startswith("expr:"):
+        kernel = kernel_from_expression(spec[5:], positive_reals())
+    elif name == "sign_dev":
+        kernel = sign_kernel()
+    elif name == "diff_gen":
         kernel = difference_kernel(resolve_generator(params))
-        return kernel.with_domains(domain) if domain is not None else kernel
-    if name == "ratio_dev":
-        return ratio_kernel(resolve_generator(params))
-    kernel = difference_kernel(resolve_generator(spec))
+    elif name == "ratio_dev":
+        kernel = ratio_kernel(resolve_generator(params))
+    else:
+        kernel = difference_kernel(resolve_generator(spec))
     return kernel.with_domains(domain) if domain is not None else kernel
 
 
@@ -343,7 +344,7 @@ def compute_mean(
 @click.option("--w", "weights_text", default=None)
 @click.option("--ratio", default=None, help="Argument r of the kernel scale profile.")
 @click.option("--domain", callback=_parse_domain)
-@click.option("--tol", default=1e-6, show_default=True, help="Tail-window tolerance.")
+@click.option("--tol", default=LIMIT_TOL, show_default=True, help="Tail-window tolerance.")
 @click.option("--csv", "csv_path", default=None, help="Write the t,value table (use - for stdout).")
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def homogenize(

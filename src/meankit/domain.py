@@ -90,10 +90,10 @@ def open_interval(lo: float, hi: float) -> IntervalDomain:
     return IntervalDomain(lo, hi)
 
 
-def probe_points(domain: IntervalDomain, count: int, span: float = 16.0) -> list[float]:
+def probe_points(domain: IntervalDomain, count: int) -> list[float]:
     """Uniform points on an interior window of ``domain``, for admission probes.
 
-    Infinite ends are replaced by a window of width ``span``; finite ends are
+    Infinite ends are replaced by a window of width 16; finite ends are
     padded by 5% of the window so probes stay clear of singular endpoints.
     """
     if count < 2:
@@ -103,11 +103,11 @@ def probe_points(domain: IntervalDomain, count: int, span: float = 16.0) -> list
         pad = 0.05 * (domain.hi - domain.lo)
         a, b = domain.lo + pad, domain.hi - pad
     elif lo_fin:
-        a, b = domain.lo + 0.05 * span, domain.lo + span
+        a, b = domain.lo + 0.8, domain.lo + 16.0
     elif hi_fin:
-        a, b = domain.hi - span, domain.hi - 0.05 * span
+        a, b = domain.hi - 16.0, domain.hi - 0.8
     else:
-        a, b = -span / 2.0, span / 2.0
+        a, b = -8.0, 8.0
     step = (b - a) / (count - 1)
     return [a + j * step for j in range(count)]
 

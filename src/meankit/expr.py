@@ -394,7 +394,8 @@ class ScalarFunction:
     float implementation, monotone over ``domain`` in floating point (ties
     allowed where the function is flat in floats): the sign-change solver
     then locates its boundary cell by halving in O(log grid) steps and would
-    miss extra sign changes of a non-monotone ``fn``.
+    miss extra sign changes of a non-monotone ``fn``.  A function built from
+    expression text keeps that text only as its default ``name``.
     """
 
     name: str
@@ -402,7 +403,6 @@ class ScalarFunction:
     domain: IntervalDomain
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
-    source: str | None = None
     strictly_monotone: bool | None = None
 
     def __call__(self, x: float) -> float:
@@ -440,6 +440,22 @@ def _check_derivative_agreement(
             )
 
 
+def _compile(text: str | None, variables: tuple[str, ...]) -> Callable[..., float] | None:
+    """Parse ``text`` into a function of ``variables``, passed positionally;
+    None for None.  Free variables outside ``variables`` are rejected."""
+    if text is None:
+        return None
+    ast = parse(text)
+    extra = free_variables(ast) - set(variables)
+    if extra:
+        raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {text!r}")
+    if len(variables) == 1:
+        (v,) = variables
+        return lambda x: evaluate(ast, {v: x})
+    u, v = variables
+    return lambda x, y: evaluate(ast, {u: x, v: y})
+
+
 def scalar_from_expression(
     source: str,
     domain: IntervalDomain,
@@ -454,31 +470,15 @@ def scalar_from_expression(
     Analytic derivative expressions, when supplied, are validated against
     central differences at construction.
     """
-    ast = parse(source)
-    extra = free_variables(ast) - {variable}
-    if extra:
-        raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {source!r}")
-
-    def fn(x: float, _ast=ast) -> float:
-        return evaluate(_ast, {variable: x})
-
-    def compile_deriv(text: str | None):
-        if text is None:
-            return None
-        dast = parse(text)
-        bad = free_variables(dast) - {variable}
-        if bad:
-            raise UnboundVariable(f"unexpected free variables {sorted(bad)} in {text!r}")
-        return lambda x, _d=dast: evaluate(_d, {variable: x})
-
-    d1 = compile_deriv(deriv1_source)
-    d2 = compile_deriv(deriv2_source)
+    fn = _compile(source, (variable,))
+    d1 = _compile(deriv1_source, (variable,))
+    d2 = _compile(deriv2_source, (variable,))
     label = name or source
     if d1 is not None:
         _check_derivative_agreement(fn, d1, domain, 1, label)
     if d2 is not None:
         _check_derivative_agreement(fn, d2, domain, 2, label)
-    return ScalarFunction(label, fn, domain, d1, d2, source=source)
+    return ScalarFunction(label, fn, domain, d1, d2)
 
 
 # --- two-variable kernel handle -----------------------------------------------------
@@ -493,7 +493,8 @@ class Kernel2:
     may evaluate the generator instead of ``fn``.  Only ``difference_kernel``
     sets it; constructors that build a new ``fn`` (``normalize_kernel``, ratio
     and expression kernels) leave it None, as must a ``dataclasses.replace``
-    that gives a difference kernel an ``fn`` breaking the identity.
+    that gives a difference kernel an ``fn`` breaking the identity.  A kernel
+    built from expression text keeps that text only as its default ``name``.
     """
 
     name: str
@@ -502,7 +503,6 @@ class Kernel2:
     domain_y: IntervalDomain
     deriv1: Callable[[float, float], float] | None = None
     deriv2: Callable[[float, float], float] | None = None
-    source: str | None = None
     generator: ScalarFunction | None = None
 
     def __call__(self, x: float, y: float) -> float:
@@ -533,25 +533,9 @@ def kernel_from_expression(
 ) -> Kernel2:
     """Build a kernel in variables (x, y) from expression text."""
     domain_y = domain_y or domain_x
-    ast = parse(source)
-    extra = free_variables(ast) - {"x", "y"}
-    if extra:
-        raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {source!r}")
-
-    def fn(x: float, y: float, _ast=ast) -> float:
-        return evaluate(_ast, {"x": x, "y": y})
-
-    def compile_partial(text: str | None):
-        if text is None:
-            return None
-        dast = parse(text)
-        bad = free_variables(dast) - {"x", "y"}
-        if bad:
-            raise UnboundVariable(f"unexpected free variables {sorted(bad)} in {text!r}")
-        return lambda x, y, _d=dast: evaluate(_d, {"x": x, "y": y})
-
-    d1 = compile_partial(deriv1_source)
-    d2 = compile_partial(deriv2_source)
+    fn = _compile(source, ("x", "y"))
+    d1 = _compile(deriv1_source, ("x", "y"))
+    d2 = _compile(deriv2_source, ("x", "y"))
     label = name or source
     if d1 is not None:
         probe_y = probe_points(domain_y, 3)[1]
@@ -559,7 +543,7 @@ def kernel_from_expression(
     if d2 is not None:
         probe_x = probe_points(domain_x, 3)[1]
         _check_derivative_agreement(lambda y: fn(probe_x, y), lambda y: d2(probe_x, y), domain_y, 1, label)
-    return Kernel2(label, fn, domain_x, domain_y, d1, d2, source=source)
+    return Kernel2(label, fn, domain_x, domain_y, d1, d2)
 
 
 # --- built-in catalog -----------------------------------------------------------------

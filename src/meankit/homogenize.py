@@ -34,7 +34,7 @@ from .errors import (
     SignPropertyViolated,
 )
 from .expr import Kernel2, ScalarFunction
-from .limits import LimitEstimate, largest_halving_start, limit_at_zero
+from .limits import LIMIT_TOL, LIMIT_WINDOW, LimitEstimate, largest_halving_start, limit_at_zero
 from .semideviation import (
     SemidevMeanConfig,
     deviation_mean,
@@ -72,6 +72,10 @@ ENVELOPE_OCTAVES = 28
 #: Nodes per octave of the tabulated scale profile: h is computed at
 #: r_k = 2^(k / PROFILE_NODES_PER_OCTAVE) for integer k.
 PROFILE_NODES_PER_OCTAVE = 16
+
+#: Tail tolerance and window of each node's limit scan.
+PROFILE_TOL = 1e-5
+PROFILE_WINDOW = 4
 
 #: Ratios at which scale profiles are checked for sign(h(r)) = sign(r - 1).
 SIGN_PROBE_RATIOS = (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)
@@ -173,10 +177,9 @@ def _admissible_scales(handle: MeanHandle, sample: WeightedSample) -> tuple[floa
     return t_lo, t_hi
 
 
-def _golden_refine(
-    fun: Callable[[float], float], a: float, b: float, rel_tol: float = 1e-8
-) -> float:
-    """Golden-section minimum of ``fun`` over [a, b]; returns the best value."""
+def _golden_refine(fun: Callable[[float], float], a: float, b: float) -> float:
+    """Golden-section minimum of ``fun`` over [a, b], to a relative bracket
+    width of 1e-8; returns the best value."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
@@ -184,7 +187,7 @@ def _golden_refine(
     candidates = [v for v in (f1, f2, fun(a), fun(b)) if not math.isnan(v)]
     best = min(candidates) if candidates else math.inf
     for _ in range(200):
-        if b - a <= rel_tol * max(abs(a), abs(b)):
+        if b - a <= 1e-8 * max(abs(a), abs(b)):
             break
         if math.isnan(f1) or (not math.isnan(f2) and f2 < f1):
             a, x1, f1 = x1, x2, f2
@@ -273,10 +276,7 @@ def local_homogenization(
     handle: MeanHandle,
     sample: WeightedSample,
     *,
-    ratio: float = 0.5,
-    max_steps: int = 60,
-    window: int = 8,
-    tol: float = 1e-6,
+    tol: float = LIMIT_TOL,
 ) -> LimitEstimate:
     """Limit estimate of M(t x, w) / t as t -> 0+.
 
@@ -291,14 +291,7 @@ def local_homogenization(
     if xmin <= 0.0:
         raise ValueError("local homogenization needs positive entries")
     t0 = largest_halving_start(handle.domain.inner_hi() / xmax)
-    return limit_at_zero(
-        lambda t: _scaled_ratio(handle, sample, t),
-        t0,
-        ratio=ratio,
-        max_steps=max_steps,
-        window=window,
-        tol=tol,
-    )
+    return limit_at_zero(lambda t: _scaled_ratio(handle, sample, t), t0, tol=tol)
 
 
 # --- kernel scale profile --------------------------------------------------------------
@@ -309,10 +302,8 @@ def kernel_homogenization(
     ratio_value: float,
     *,
     normalized: Kernel2 | None = None,
-    scan_ratio: float = 0.5,
-    max_steps: int = 60,
-    window: int = 8,
-    tol: float = 1e-6,
+    window: int = LIMIT_WINDOW,
+    tol: float = LIMIT_TOL,
 ) -> LimitEstimate:
     """Limit estimate of K*(r t, t) / t as t -> 0+ for the normalized kernel.
 
@@ -332,7 +323,7 @@ def kernel_homogenization(
         except (MeanKitError, OverflowError, ZeroDivisionError):
             return math.nan
 
-    return limit_at_zero(g, t0, ratio=scan_ratio, max_steps=max_steps, window=window, tol=tol)
+    return limit_at_zero(g, t0, window=window, tol=tol)
 
 
 @functools.cache
@@ -345,25 +336,25 @@ def homogenization_profile(
     mode: Literal["estimate", "lower", "upper"] = "estimate",
     *,
     normalized: Kernel2 | None = None,
-    tol: float = 1e-5,
-    window: int = 4,
     _node_estimates: dict[int, LimitEstimate] | None = None,
 ) -> Callable[[float], float]:
     """Tabulated scale profile r -> h(r) of a deviation kernel.
 
     h is computed only at the nodes r_k = 2^(k/16), k an integer, each by one
-    ``kernel_homogenization`` scan made the first time a query needs it and
-    memoized by k.  Profiles of one kernel, normalized kernel, tol and window
-    may share that memo (the scans' LimitEstimates, without their sampled
-    tables) by passing the same dict as ``_node_estimates``; within the
-    package, tei's lower and upper profiles do, so each node is scanned once.  Mode "estimate" returns the
+    ``kernel_homogenization`` scan (window PROFILE_WINDOW, tolerance
+    PROFILE_TOL) made the first time a query needs it and memoized by k.
+    Profiles of one kernel and normalized kernel may share that memo (the
+    scans' LimitEstimates, without their sampled tables) by passing the same
+    dict as ``_node_estimates``; within the package, tei's lower and upper
+    profiles do, so each node is scanned once.  Mode "estimate" returns the
     node's tail midpoint and raises NotConverged, naming the node's ratio,
     when that scan does not converge; "lower"/"upper" return the tail
     min/max (liminf and limsup proxies) without requiring convergence.  A
-    query at a node returns the node's value; elsewhere, with r_k < r < r_k+1, the value is a monotone
-    cubic Hermite in r (not log r) through nodes k and k+1, with
-    Fritsch-Carlson slopes (Brodlie's weighted harmonic mean of the
-    neighbouring secants, 0 where those change sign) from nodes k-1 to k+2.
+    query at a node returns the node's value; elsewhere, with r_k < r <
+    r_k+1, the value is a monotone cubic Hermite in r (not log r) through
+    nodes k and k+1, with Fritsch-Carlson slopes (Brodlie's weighted
+    harmonic mean of the neighbouring secants, 0 where those change sign)
+    from nodes k-1 to k+2.
     So "estimate" raises exactly when one of the nodes a query needs fails.
     Node values and each cell's end values and slopes are memoized, so a
     repeated cell costs one Hermite sum.
@@ -371,10 +362,10 @@ def homogenization_profile(
     kernel's h = r - 1) and keeps the node values' monotonicity; for smooth
     profiles its error shrinks as the cube of the node spacing
     r (2^(1/16) - 1) ~ 0.044 r, and against the closed forms (r^p - 1)/p,
-    p <= 3, it stays within tol * (1 + |h|) for r in [1/20, 20].  The
-    default tail window is shorter and the tolerance looser than the raw
-    limit engine's because the profile is queried across wide ratio ranges
-    where cancellation noise in the scaled kernel sets a floor on the
+    p <= 3, it stays within PROFILE_TOL * (1 + |h|) for r in [1/20, 20].
+    The tail window is shorter and the tolerance looser than the limit
+    engine's defaults because the profile is queried across wide ratio
+    ranges where cancellation noise in the scaled kernel sets a floor on the
     achievable window spread.
     """
     base = normalized if normalized is not None else normalize_kernel(kernel)
@@ -388,7 +379,9 @@ def homogenization_profile(
         r = _node_ratio(k)
         est = estimates.get(k)
         if est is None:
-            scan = kernel_homogenization(kernel, r, normalized=base, tol=tol, window=window)
+            scan = kernel_homogenization(
+                kernel, r, normalized=base, window=PROFILE_WINDOW, tol=PROFILE_TOL
+            )
             # The tail statistics are all any mode reads; drop the sampled table.
             est = estimates[k] = replace(scan, values=())
         if mode == "estimate":

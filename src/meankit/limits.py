@@ -18,6 +18,10 @@ from .errors import AllEvaluationsFailed
 
 UNDERFLOW_FLOOR = 1e-300
 
+#: Default tail window and tolerance of every limit scan at zero.
+LIMIT_WINDOW = 8
+LIMIT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class LimitEstimate:
@@ -45,8 +49,8 @@ def limit_at_zero(
     *,
     ratio: float = 0.5,
     max_steps: int = 60,
-    window: int = 8,
-    tol: float = 1e-6,
+    window: int = LIMIT_WINDOW,
+    tol: float = LIMIT_TOL,
 ) -> LimitEstimate:
     """Estimate lim g(t) as t -> 0+ by sampling t_k = t0 * ratio**k.
 

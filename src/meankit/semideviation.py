@@ -65,7 +65,6 @@ class SemidevMeanConfig:
     grid_size: int = 1024
     refine_tol: float = 1e-12
     zero_band: float = 0.0
-    max_bisect: int = 200
 
     def __post_init__(self):
         if self.grid_size < 2:
@@ -343,7 +342,7 @@ def semideviation_means(
         key = (a, b, strict)
         if key not in bisections:
             below = (lambda y: classify(y) > 0) if strict else (lambda y: classify(y) >= 0)
-            bisections[key] = bisect(a, b, below, tol, cfg.max_bisect)
+            bisections[key] = bisect(a, b, below, tol)
         return bisections[key]
 
     return {kind: refine(kind) for kind in kinds}
@@ -388,7 +387,7 @@ def deviation_mean(
     if at_hi == 0.0:
         return hi
     tol = cfg.refine_tol * max(abs(lo), abs(hi))
-    return bisect(lo, hi, lambda y: not dsum(y) <= 0.0, tol, cfg.max_bisect)
+    return bisect(lo, hi, lambda y: not dsum(y) <= 0.0, tol)
 
 
 # --- normalization ---------------------------------------------------------------
@@ -400,17 +399,17 @@ def _diagonal_slope(kernel: Kernel2, y: float) -> float:
     return numeric_derivative(lambda v: kernel.fn(y, v), y, 1, kernel.domain_y)
 
 
-def normalize_kernel(kernel: Kernel2, probe_count: int = 17) -> Kernel2:
+def normalize_kernel(kernel: Kernel2) -> Kernel2:
     """Rescale a kernel by its diagonal slope: K*(x, y) = K(x, y) / (-dK/dy at (y, y)).
 
     The rescaled kernel has diagonal slope -1, generates the same sign-change
     means, and is a fixed point of this operation (within numerical noise).
     Admission requires the diagonal slope to exist and be strictly negative,
-    probed on an interior grid; kernels without analytic partials also get a
-    step-halving stability check so jump kernels are rejected.
+    probed on a 17-point interior grid; kernels without analytic partials
+    also get a step-halving stability check so jump kernels are rejected.
     """
     analytic = kernel.deriv2 is not None
-    for y in probe_points(kernel.domain_y, probe_count):
+    for y in probe_points(kernel.domain_y, 17):
         try:
             d = _diagonal_slope(kernel, y)
             if not analytic:
@@ -472,23 +471,20 @@ def check_semideviation(
     return ComparisonVerdict(holds=True, checked_points=checked)
 
 
-def check_quasideviation(
-    kernel: Kernel2,
-    domain: IntervalDomain | None = None,
-    grid: int = 10,
-) -> ComparisonVerdict:
+def check_quasideviation(kernel: Kernel2, domain: IntervalDomain | None = None) -> ComparisonVerdict:
     """Probe the two quasideviation requirements beyond the sign property:
     continuity in the second argument (finite-oscillation heuristic) and
-    strictly increasing ratios t -> K(y, t) / K(x, t) on (x, y).
+    strictly increasing ratios t -> K(y, t) / K(x, t) on (x, y), on a
+    10-point probe grid.
 
     A grid heuristic: it can certify failure with a witness but only report
     "no counterexample found" for success.
     """
     dom = domain or kernel.domain_x
-    admission = check_semideviation(kernel, dom, grid=max(grid, 8))
+    admission = check_semideviation(kernel, dom, grid=10)
     if not admission.holds:
         return admission
-    pts = probe_points(dom, grid)
+    pts = probe_points(dom, 10)
     checked = admission.checked_points
 
     # Continuity probe: the largest jump between adjacent samples of

@@ -16,7 +16,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .domain import (
     IntervalDomain,
@@ -56,6 +56,9 @@ LIMIT_TOL = 1e-4
 #: the grid, for the single-crossing kernels the suites use).
 SUITE_CONFIG = SemidevMeanConfig(grid_size=128)
 
+#: Default solver configuration of the scale-profile suites (tei, cei).
+PROFILE_SUITE_CONFIG = SemidevMeanConfig(grid_size=64)
+
 KINDS = (MeanKind.LOWER_WEAK, MeanKind.LOWER_STRICT, MeanKind.UPPER_STRICT, MeanKind.UPPER_WEAK)
 
 
@@ -93,18 +96,25 @@ class SamplePlan:
         pts = probe_points(domain, 2)
         return pts[0], pts[-1]
 
-    def samples(self, domain: IntervalDomain) -> list[WeightedSample]:
-        lo, hi = self.resolved_entry_range(domain)
+    def _draws(
+        self, ranges: Sequence[tuple[float, float]]
+    ) -> Iterator[tuple[list[list[float]], list[float]]]:
+        """Per sample, from one stream: its length, then one entry list per
+        range, then the shared weights."""
         rng = random.Random(self.seed)
-        out = []
         for i in range(self.n_samples):
             n = rng.randint(*self.n_range)
-            entries = [rng.uniform(lo, hi) for _ in range(n)]
+            entry_lists = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in ranges]
             weights = [rng.uniform(*self.weight_range) for _ in range(n)]
             if i % 20 == 19:
-                entries = [entries[0]] * n
-            out.append(make_weighted_sample(entries, weights, domain))
-        return out
+                entry_lists = [[entries[0]] * n for entries in entry_lists]
+            yield entry_lists, weights
+
+    def samples(self, domain: IntervalDomain) -> list[WeightedSample]:
+        return [
+            make_weighted_sample(entries, weights, domain)
+            for (entries,), weights in self._draws([self.resolved_entry_range(domain)])
+        ]
 
     def sample_pairs(
         self,
@@ -114,26 +124,12 @@ class SamplePlan:
     ) -> list[tuple[WeightedSample, WeightedSample]]:
         """Pairs sharing length and weights (second entries drawn right after
         the first in the same stream)."""
-        lo, hi = self.resolved_entry_range(domain)
-        lo2, hi2 = second_range if second_range is not None else (lo, hi)
+        first_range = self.resolved_entry_range(domain)
         dom2 = second_domain or domain
-        rng = random.Random(self.seed)
-        out = []
-        for i in range(self.n_samples):
-            n = rng.randint(*self.n_range)
-            first = [rng.uniform(lo, hi) for _ in range(n)]
-            second = [rng.uniform(lo2, hi2) for _ in range(n)]
-            weights = [rng.uniform(*self.weight_range) for _ in range(n)]
-            if i % 20 == 19:
-                first = [first[0]] * n
-                second = [second[0]] * n
-            out.append(
-                (
-                    make_weighted_sample(first, weights, domain),
-                    make_weighted_sample(second, weights, dom2),
-                )
-            )
-        return out
+        return [
+            (make_weighted_sample(first, weights, domain), make_weighted_sample(second, weights, dom2))
+            for (first, second), weights in self._draws([first_range, second_range or first_range])
+        ]
 
 
 # --- report structure -----------------------------------------------------------------
@@ -523,7 +519,7 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     profiles share one scan per node, and both local scans of a sample share
     its scaled solves.
     """
-    cfg = cfg or SemidevMeanConfig(grid_size=64)
+    cfg = cfg or PROFILE_SUITE_CONFIG
     try:
         star = normalize_kernel(kernel)
     except NotNormalizable as exc:
@@ -579,7 +575,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     the profile mean with both local homogenizations of the deviation mean;
     coordinatewise monotonicity of the deviation mean.
     """
-    cfg = cfg or SemidevMeanConfig(grid_size=64)
+    cfg = cfg or PROFILE_SUITE_CONFIG
     try:
         star = normalize_kernel(kernel)
     except NotNormalizable as exc:

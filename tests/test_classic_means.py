@@ -19,6 +19,7 @@ from meankit import (
     scaling_ratio_limit,
     shifted_power_generator,
 )
+from meankit.classic_means import bisect
 from meankit.domain import open_interval, positive_reals
 from meankit.errors import (
     Diverged,
@@ -336,3 +337,15 @@ class TestScalingRatioLimit:
         est = scaling_ratio_limit(wobble, 3.0)
         assert not est.converged
         assert est.spread > 0.01
+
+
+def test_scan_defaults_by_value():
+    # Literal numbers, so that a changed default constant fails here.
+    for est in (qa_local_homogenization(power_generator(2.0)), scaling_ratio_limit(power_generator(2.0), 3.0)):
+        assert (est.window, est.tol) == (8, 1e-6)
+
+
+def test_bisect_stops_after_200_halvings():
+    midpoints = []
+    bisect(0.0, 1e300, lambda y: midpoints.append(y) or False, 0.0)
+    assert len(midpoints) == 200

@@ -242,6 +242,8 @@ VERIFY_WITH_CONFIG = (*VERIFY_MINKOWSKI_3, "--config")
         (VERIFY_WITH_CONFIG, '{"entry_range": [0.5, 8]}'),
         (VERIFY_WITH_CONFIG, '{"n-range": "1,2", "n_range": "2,3"}'),
         ((*VERIFY_MINKOWSKI, "--config"), '{"samples": 2.5}'),
+        (("verify", "--suite", "sandwich", "--kernel", "sign_dev", "--samples", "5",
+          "--entry-range=-4,4", "--domain", "0,10"), None),
     ],
     ids=[
         "compute-grid-1", "kernel-domain", "verify-grid-1",
@@ -249,7 +251,7 @@ VERIFY_WITH_CONFIG = (*VERIFY_MINKOWSKI_3, "--config")
         "samples-0", "samples-negative", "n-range-0", "n-range-float", "n-range-reversed",
         "config-unknown-key", "config-config-key", "config-n-range-0", "config-samples-0",
         "config-domain-one-bound", "config-entry-range-list", "config-repeated-key",
-        "config-samples-float",
+        "config-samples-float", "sign-dev-entry-range-outside-domain",
     ],
 )
 def test_argument_errors_exit_2_without_traceback(args, config, tmp_path):
@@ -266,6 +268,15 @@ def test_argument_errors_exit_2_without_traceback(args, config, tmp_path):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.strip()
+
+
+def test_domain_restricts_ratio_kernel(capsys):
+    code, _, err = run_cli(
+        capsys, "compute", "mean", "--kind", "semidev", "--kernel", "ratio_dev:log",
+        "--x", "1,30", "--w", "1,1", "--domain", "0.5,20",
+    )
+    assert code == 3
+    assert "EntryOutOfDomain" in err
 
 
 MINKOWSKI = ("--suite", "minkowski", "--kernel", "power:2", "--samples", "3")

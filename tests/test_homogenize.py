@@ -431,3 +431,15 @@ def test_deviation_handle_evaluates():
     handle = deviation_handle(arithmetic_kernel())
     s = make_weighted_sample([1, 5], [1, 3], arithmetic_kernel().domain_x)
     assert handle(s) == pytest.approx(4.0, abs=1e-10)
+
+
+def test_scan_defaults_by_value():
+    # Literal numbers, so that a changed default constant fails here.
+    kernel = difference_kernel(power_generator(2.0))
+    local = local_homogenization(power_handle(2.0), _pos_sample([1.0, 3.0], [1.0, 2.0]))
+    assert (local.window, local.tol) == (8, 1e-6)
+    scan = kernel_homogenization(kernel, 2.0)
+    assert (scan.window, scan.tol) == (8, 1e-6)
+    nodes = {}
+    homogenization_profile(kernel, _node_estimates=nodes)(1.5)
+    assert nodes and all((est.window, est.tol) == (4, 1e-5) for est in nodes.values())

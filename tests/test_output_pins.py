@@ -1,0 +1,105 @@
+"""Structured CLI outputs of means, homogenizations and small suites,
+required byte for byte.
+
+``data/output_pins.json`` holds the exit code and the SHA-256 of the
+structured stdout of each call below.  The calls cover every mean kind with
+catalog and ``expr:`` specs, every homogenization target (whose limit
+documents carry the scan's ``window`` and ``tol``), and the suites that draw
+from ``SamplePlan`` streams.  The hashes were recorded at commit 995cf20 by
+running this file as a script against a clean checkout of that commit:
+
+    PYTHONPATH=src python tests/test_output_pins.py
+
+Re-recording is only valid together with an argument that the new outputs
+are at least as accurate as the recorded ones.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from meankit.cli import main
+
+DATA = Path(__file__).parent / "data" / "output_pins.json"
+
+MEAN = ("compute", "mean")
+HOMOGENIZE = ("homogenize",)
+LOCAL = (*HOMOGENIZE, "--target", "mean")
+ENVELOPE = (*LOCAL, "--method", "envelope")
+VERIFY = ("verify", "--samples", "20")
+
+#: id -> argv without ``--format structured``
+CALLS = {
+    "mean-power": (*MEAN, "--kind", "power", "--p", "2", "--x", "1,2,5", "--w", "1,2,0.5"),
+    "mean-qa-catalog": (*MEAN, "--kind", "qa", "--generator", "cosh", "--x", "0.5,1.5,3", "--w", "1,2,1"),
+    "mean-qa-expr": (*MEAN, "--kind", "qa", "--generator", "expr:x^3+x", "--x", "0.5,1.5,3", "--w", "1,2,1"),
+    "mean-semidev-diff": (
+        *MEAN, "--kind", "semidev", "--kernel", "diff_gen:power:2", "--x", "1,2,5", "--w", "1,2,0.5",
+        "--semidev-kind", "upper-strict",
+    ),
+    "mean-semidev-ratio": (*MEAN, "--kind", "semidev", "--kernel", "ratio_dev:log", "--x", "1,3,7", "--w", "1,1,2"),
+    "mean-semidev-sign": (
+        *MEAN, "--kind", "semidev", "--kernel", "sign_dev", "--x=-3,1,4", "--w", "1,1,2", "--domain=-10,10",
+    ),
+    "mean-semidev-expr": (*MEAN, "--kind", "semidev", "--kernel", "expr:x^2-y^2", "--x", "1,2,5", "--w", "1,2,0.5"),
+    "mean-deviation-catalog": (*MEAN, "--kind", "deviation", "--kernel", "diff_gen:log", "--x", "1,4,9", "--w", "1,1,1"),
+    "mean-deviation-expr": (
+        *MEAN, "--kind", "deviation", "--kernel", "expr:log(x)-log(y)", "--x", "1,4,9", "--w", "1,1,1",
+    ),
+    "homogenize-qa-catalog": (*HOMOGENIZE, "--target", "qa", "--generator", "cosh"),
+    "homogenize-qa-expr": (*HOMOGENIZE, "--target", "qa", "--generator", "expr:x^2+x"),
+    "homogenize-kernel-catalog": (*HOMOGENIZE, "--target", "kernel", "--kernel", "diff_gen:cosh", "--ratio", "2"),
+    "homogenize-kernel-expr": (*HOMOGENIZE, "--target", "kernel", "--kernel", "expr:x^3-y^3", "--ratio", "0.5"),
+    "homogenize-local-qa": (*LOCAL, "--mean", "qa", "--generator", "power:3", "--x", "1,2,4", "--w", "1,1,2"),
+    "homogenize-local-semidev": (
+        *LOCAL, "--mean", "semidev", "--kernel", "diff_gen:power:2", "--x", "1,2,4", "--w", "1,1,2",
+        "--semidev-kind", "upper-weak",
+    ),
+    "homogenize-envelope-qa": (*ENVELOPE, "--mean", "qa", "--generator", "cosh", "--x", "0.5,1.5", "--w", "1,1"),
+    "homogenize-envelope-deviation": (
+        *ENVELOPE, "--mean", "deviation", "--kernel", "diff_gen:log", "--x", "1,2,4", "--w", "1,1,2",
+    ),
+    "verify-sandwich-sign": (*VERIFY, "--suite", "sandwich", "--kernel", "sign_dev", "--entry-range=-4,4"),
+    "verify-comparison": (*VERIFY, "--suite", "comparison", "--kernel", "power:2", "--kernel2", "power:1"),
+    "verify-jensen": (*VERIFY, "--suite", "jensen", "--kernel", "power:0.5"),
+    "verify-homi-no-monotone": (
+        *VERIFY, "--suite", "homi", "--kernel", "power:2", "--kernel2", "power:2", "--kernel3", "power:3",
+        "--op", "x+y", "--no-monotone", "--grid", "3",
+    ),
+    "verify-lemma-lim": ("verify", "--suite", "lemma-lim", "--kernel", "diff_gen:cosh", "--x", "1,2"),
+}
+
+
+def report(argv: list[str]) -> tuple[int, str]:
+    """Exit code and SHA-256 of the stdout of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def argv_of(call_id: str) -> list[str]:
+    return [*CALLS[call_id], "--format", "structured"]
+
+
+RECORDED = json.loads(DATA.read_text()) if DATA.exists() else {}
+
+
+@pytest.mark.parametrize("call_id", sorted(RECORDED))
+def test_output_bytes_match_recorded_hash(call_id):
+    assert list(report(argv_of(call_id))) == RECORDED[call_id]
+
+
+def test_every_call_is_recorded():
+    assert sorted(RECORDED) == sorted(CALLS)
+
+
+if __name__ == "__main__":
+    rows = {call_id: list(report(argv_of(call_id))) for call_id in CALLS}
+    DATA.write_text(json.dumps(rows, indent=1) + "\n")
