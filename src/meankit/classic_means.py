@@ -137,8 +137,10 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
         if not generator.strictly_monotone:
             raise GeneratorNotMonotone(f"{generator.name} is declared non-monotone")
         increasing = generator.fn(hi) > generator.fn(lo)
-    target = _weighted_average([generator.fn(x) for x in sample.entries], sample.weights)
-    f_lo, f_hi = generator.fn(lo), generator.fn(hi)
+    values = [generator.fn(x) for x in sample.entries]
+    target = _weighted_average(values, sample.weights)
+    # lo and hi are entries, so their generator values are already known.
+    f_lo, f_hi = values[sample.entries.index(lo)], values[sample.entries.index(hi)]
     low_val, high_val = (f_lo, f_hi) if increasing else (f_hi, f_lo)
     slack = 1e-9 * (1.0 + abs(low_val) + abs(high_val))
     if target < low_val - slack or target > high_val + slack:
@@ -236,11 +238,9 @@ def qa_local_homogenization(generator: ScalarFunction, *, tol: float = LIMIT_TOL
 
 
 def common_power_order(est: LimitEstimate) -> float | None:
-    """The common limit order when a converged estimate's tails agree within
-    LIMIT_TOL (absolute); None otherwise."""
-    if est.converged and est.spread <= LIMIT_TOL:
-        return est.estimate
-    return None
+    """The common limit order when the tails agree, that is when the scan
+    converged within its own ``tol`` (absolute); None otherwise."""
+    return est.estimate if est.converged else None
 
 
 def scaling_ratio_limit(generator: ScalarFunction, x: float) -> LimitEstimate:

@@ -467,8 +467,7 @@ def verify(
         plan_inner = replace(plan, entry_range=(inner_lo + pad, inner_hi - pad))
         report = verify_homi(
             preset["kernel_result"], preset["kernel_first"], preset["kernel_second"],
-            preset["operation"], plan_inner, grid=grid,
-            monotone_mode=preset["monotone_mode"], suite_label=suite,
+            preset["operation"], plan_inner, grid=grid, suite_label=suite,
         )
     elif suite == "homi":
         if not (kernel and kernel2 and kernel3 and operation_text):

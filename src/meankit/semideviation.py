@@ -8,30 +8,35 @@ on the sample hull:
     LOWER_WEAK   = inf{y : D(y) <= 0}      LOWER_STRICT = inf{y : D(y) < 0}
     UPPER_STRICT = sup{y : D(y) >  0}      UPPER_WEAK   = sup{y : D(y) >= 0}
 
-The solver classifies D on a grid over the hull as +/0/- (a zero band of
-width ``zero_band`` absorbs measurement noise; the default 0 keeps exact
-zeros exact, which is what resolves genuine plateaus of sign-based kernels)
-and refines the kind-appropriate boundary cell by bisection on the defining
-predicate.  Distinctions between strict and weak kinds below ``zero_band``
-are not meaningful.
+The solver classifies D on a grid of m points over the hull as +/0/- (a
+zero band of width ``zero_band`` absorbs measurement noise; the default 0
+keeps exact zeros exact, which is what resolves genuine plateaus of
+sign-based kernels).  Distinctions between strict and weak kinds below
+``zero_band`` are not meaningful.
+
+Each kind is one test on the class c plus a side.  The test is c > 0 for
+LOWER_WEAK and UPPER_STRICT and c >= 0 for LOWER_STRICT and UPPER_WEAK.  An
+inf kind's split index b in 0..m is the first grid index where its test
+fails, searched from the left; a sup kind's is one past the last index where
+it holds, searched from the right.  A split at 0 or m gives the hull end lo
+or hi; any other split gives the cell between grid points b - 1 and b, which
+bisection on the same test refines.
 
 One classified grid serves every requested kind (``semideviation_means``),
-and a memo keyed by y lets the kinds' bisections share the midpoints of a
-common boundary cell; kinds that bisect the same cell on the same test
-(c > 0 or c >= 0) share the whole bisection.  For difference kernels
+and a memo keyed by y lets the kinds' bisections share midpoints; kinds with
+the same test and split share the whole bisection.  For difference kernels
 K(x, y) = f(x) - f(y) (those declaring ``Kernel2.generator``) the deviation
 sum evaluates f(x_i) once per sample instead of once per term and point;
 the terms, and so every value of D, are the same floats as on the generic
 path.  When that generator is declared strictly monotone and the hull lies
 in its domain, D is monotone and its classes change at most once along the
-grid, so no grid is classified: each kind finds its boundary cell by
-halving over the grid indices, O(log grid) deviation sums, and gets the
-cell, and so the midpoints and the value, that the full scan would give.
-On that path, when D is positive at the lower hull end and negative at the
-upper one, Illinois regula falsi first narrows the sign change to a
-bracket; points outside it take the class of its nearer end without a
-deviation sum.  The narrowing only supplies classes, so the halving and
-the bisection still decide every value.
+grid, so no grid is classified: the split is found by probing both grid
+ends and halving between them, O(log m) deviation sums, and is the one the
+full scan would give.  On that path, when D is positive at the lower hull
+end and negative at the upper one, Illinois regula falsi first narrows the
+sign change to a bracket; points outside it take the class of its nearer
+end without a deviation sum.  The narrowing only supplies classes, so the
+halving and the bisection still decide every value.
 """
 
 from __future__ import annotations
@@ -124,18 +129,9 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
     return total
 
 
-_PREDICATES = {
-    MeanKind.LOWER_WEAK: lambda c: c <= 0,
-    MeanKind.LOWER_STRICT: lambda c: c < 0,
-    MeanKind.UPPER_STRICT: lambda c: c > 0,
-    MeanKind.UPPER_WEAK: lambda c: c >= 0,
-}
-
-
-#: Whether a kind's bisection moves right past y on c > 0 (True) or on
-#: c >= 0: the inf kinds move while their predicate fails, the sup kinds
-#: while it holds.
-_STRICT_BELOW = {
+#: Each kind's test on the class c of D(y): c > 0 (True) or c >= 0 (False).
+#: Its side is ``MeanKind.is_inf_kind`` (see the module docstring).
+_STRICT_TEST = {
     MeanKind.LOWER_WEAK: True,
     MeanKind.LOWER_STRICT: False,
     MeanKind.UPPER_STRICT: True,
@@ -195,33 +191,31 @@ def _alternations(classes: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _boundary(holds: Callable[[int], bool], m: int, first: bool, monotone: bool) -> int | None:
-    """The first (``first``) or last index j < m with holds(j); None when
-    there is none.
+def _split(test: Callable[[int], bool], m: int, from_left: bool, monotone: bool) -> int:
+    """The split index b in 0..m of test(0), ..., test(m - 1): from the left,
+    the first index where the test fails (m when none does); from the right,
+    one past the last index where it holds (0 when none does).
 
-    With ``monotone`` the truth values over 0..m-1 change at most once, so
-    the ends decide the answer or bracket the change, which is then found by
-    halving between an index of each value: O(log m) calls, the index a
-    linear scan would find.  Otherwise every index may be tried.
+    With ``monotone`` the truth values change at most once, so the ends decide
+    the answer or bracket a change from holding to failing, which is then
+    found by halving: O(log m) calls, the index a linear scan would find.
+    Otherwise every index may be tried.
     """
     if not monotone:
-        order = range(m) if first else range(m - 1, -1, -1)
-        return next((j for j in order if holds(j)), None)
-    at_start, at_end = holds(0), holds(m - 1)
-    if first and at_start:
-        return 0
-    if not first and at_end:
-        return m - 1
-    if at_start == at_end:
-        return None
-    a, b = 0, m - 1  # holds(a) == at_start != holds(b)
+        if from_left:
+            return next((j for j in range(m) if not test(j)), m)
+        return next((j + 1 for j in range(m - 1, -1, -1) if test(j)), 0)
+    at_start, at_end = test(0), test(m - 1)
+    if not at_start or at_end:
+        return m if (at_start if from_left else at_end) else 0
+    a, b = 0, m - 1  # the test holds at a and fails at b
     while b - a > 1:
         mid = (a + b) // 2
-        if holds(mid) == at_start:
+        if test(mid):
             a = mid
         else:
             b = mid
-    return b if first else a
+    return b
 
 
 def semideviation_means(
@@ -311,38 +305,27 @@ def semideviation_means(
             # bisections below find most classes already known.
             left, right = _narrow(measure, lo, d_lo, hi, d_hi, tol)
 
-    bisections: dict[tuple[float, float, bool], float] = {}
+    bisections: dict[tuple[int, bool], float] = {}
 
     def refine(kind: MeanKind) -> float:
-        predicate = _PREDICATES[kind]
+        strict = _STRICT_TEST[kind]
+        holds = (lambda c: c > 0) if strict else (lambda c: c >= 0)
         if monotone:
-            holds = lambda j: predicate(classify(point(j)))
+            test = lambda j: holds(classify(point(j)))
         else:
-            holds = lambda j: predicate(classes[j])
-        j = _boundary(holds, m, kind.is_inf_kind, monotone)
-        if kind.is_inf_kind:
-            if j is None:
-                # Defining set is empty inside the hull; outside it the sum is
-                # negative right of the hull, so its infimum clamps to max(x).
-                return hi
-            if j == 0:
-                return lo
-            a, b = point(j - 1), point(j)  # predicate False at a, True at b
-        else:
-            if j is None:
-                # Mirror of the empty inf-kind case: the sum is positive left
-                # of the hull, so the supremum clamps to min(x).
-                return lo
-            if j == m - 1:
-                return hi
-            a, b = point(j), point(j + 1)  # predicate True at a, False at b
-        # The sought point lies right of y when c > 0 (strict) or c >= 0 at
-        # y, so kinds with the same test and cell share one bisection.
-        strict = _STRICT_BELOW[kind]
-        key = (a, b, strict)
+            test = lambda j: holds(classes[j])
+        b = _split(test, m, kind.is_inf_kind, monotone)
+        # Outside the hull D is positive on the left and negative on the
+        # right, so a split at either end clamps the mean to that end.
+        if b == 0:
+            return lo
+        if b == m:
+            return hi
+        # The test holds at point(b - 1) and fails at point(b); kinds with the
+        # same test and cell share one bisection.
+        key = (b, strict)
         if key not in bisections:
-            below = (lambda y: classify(y) > 0) if strict else (lambda y: classify(y) >= 0)
-            bisections[key] = bisect(a, b, below, tol)
+            bisections[key] = bisect(point(b - 1), point(b), lambda y: holds(classify(y)), tol)
         return bisections[key]
 
     return {kind: refine(kind) for kind in kinds}

@@ -673,7 +673,6 @@ def verify_homi(
     plan: SamplePlan,
     grid: int = 10,
     monotone_mode: bool = True,
-    second_range: tuple[float, float] | None = None,
     cfg: SemidevMeanConfig | None = None,
     suite_label: str = "homi",
 ) -> Report:
@@ -694,11 +693,7 @@ def verify_homi(
     except NotNormalizable as exc:
         return _inconclusive(suite_label, str(exc))
     lo_j, hi_j = plan.resolved_entry_range(kernel_first.domain_x)
-    lo_k, hi_k = (
-        second_range
-        if second_range is not None
-        else plan.resolved_entry_range(kernel_second.domain_x)
-    )
+    lo_k, hi_k = plan.resolved_entry_range(kernel_second.domain_x)
     pts_j = [lo_j + j * (hi_j - lo_j) / (grid - 1) for j in range(grid)]
     pts_k = [lo_k + j * (hi_k - lo_k) / (grid - 1) for j in range(grid)]
 
@@ -852,7 +847,6 @@ def minkowski_preset(
         "kernel_first": difference_kernel(gen, domain_j),
         "kernel_second": difference_kernel(gen, domain_j),
         "operation": _sum_operation(domain_j, domain_j),
-        "monotone_mode": True,
     }
 
 
@@ -870,5 +864,4 @@ def hoelder_preset(
         "kernel_first": difference_kernel(gen, domain_j),
         "kernel_second": difference_kernel(gen, domain_j),
         "operation": _product_operation(domain_j, domain_j),
-        "monotone_mode": True,
     }

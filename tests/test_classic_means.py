@@ -4,6 +4,7 @@ import random
 import pytest
 
 from meankit import (
+    ScalarFunction,
     common_power_order,
     compare_quasiarithmetic,
     cosh_generator,
@@ -19,7 +20,7 @@ from meankit import (
     scaling_ratio_limit,
     shifted_power_generator,
 )
-from meankit.classic_means import bisect
+from meankit.classic_means import MONOTONE_PROBE_POINTS, bisect
 from meankit.domain import open_interval, positive_reals
 from meankit.errors import (
     Diverged,
@@ -142,7 +143,6 @@ class TestQuasiarithmetic:
             quasiarithmetic_mean(s, wiggle)
 
     def test_lying_monotone_flag_surfaces_as_solver_failure(self):
-        from meankit import ScalarFunction
         from meankit.errors import SolverFailure
 
         # Declared monotone but actually wiggling: the generator average can
@@ -157,6 +157,26 @@ class TestQuasiarithmetic:
         s = make_weighted_sample([0.5, 1.0, 1.5], [1, 1, 1], open_interval(0, 2))
         with pytest.raises(SolverFailure):
             quasiarithmetic_mean(s, liar)
+
+    @pytest.mark.parametrize("declared", [True, None])
+    def test_hull_ends_are_evaluated_once(self, declared):
+        # A declared generator is called at hi and lo first, for the
+        # direction; an undeclared one on its probe grid.  Then each entry
+        # once, and the bisection only strictly inside the hull.
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        gen = ScalarFunction("square", square, POS, strictly_monotone=declared)
+        entries = [2.0, 0.5, 3.0, 1.25]
+        assert quasiarithmetic_mean(_sample(entries, [1, 2, 1, 1]), gen) == pytest.approx(
+            math.sqrt((4.0 + 0.5 + 9.0 + 1.5625) / 5.0), rel=1e-11
+        )
+        head = [3.0, 0.5] if declared else calls[:MONOTONE_PROBE_POINTS]
+        assert calls[: len(head) + len(entries)] == head + entries
+        assert all(0.5 < y < 3.0 for y in calls[len(head) + len(entries) :])
 
     def test_mean_value_property(self):
         for s in _random_samples(13, 50):

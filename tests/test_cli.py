@@ -75,6 +75,20 @@ def test_homogenize_qa_reports_power_order(capsys):
     assert doc["power_order"] == pytest.approx(2.0, abs=1e-4)
 
 
+def test_homogenize_qa_power_order_follows_tol(capsys):
+    # A scan that converges within a loose --tol reports its estimate as the
+    # order instead of "tails disagree".
+    code, out, _ = run_cli(
+        capsys, "homogenize", "--target", "qa", "--generator", "cosh", "--tol", "1e-3",
+        "--format", "structured",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert 1e-6 < doc["tail_max"] - doc["tail_min"] <= 1e-3
+    assert doc["power_order"] == doc["estimate"] == pytest.approx(2.0, abs=1e-3)
+
+
 def test_homogenize_mean_table(capsys):
     code, out, _ = run_cli(
         capsys, "homogenize", "--target", "mean", "--mean", "qa", "--generator", "cosh",

@@ -28,6 +28,7 @@ from meankit import (
     sign_kernel,
 )
 import meankit.semideviation as semideviation
+from meankit.cli import resolve_kernel
 from meankit.domain import all_reals, open_interval, positive_reals
 from meankit.errors import (
     AmbiguousClassification,
@@ -471,6 +472,8 @@ def test_shared_scan_raises_on_unresolvable_oscillation():
 def _full_scan(kernel: Kernel2) -> Kernel2:
     """The same deviation sums without the monotonicity promise, so every grid
     point is classified."""
+    if kernel.generator is None:
+        return kernel  # already scanned in full
     return dataclasses.replace(
         kernel, generator=dataclasses.replace(kernel.generator, strictly_monotone=None)
     )
@@ -563,6 +566,28 @@ def test_halving_evaluates_few_deviation_sums(monkeypatch):
             calls[0] = 0
             semideviation_means(_full_scan(kernel), s, KINDS, cfg)
             assert calls[0] >= 1024, (gen.name, s)
+
+
+#: Closed-form cases where each inf kind and its sup partner lie in different
+#: cells, so a kind searched from the wrong side gets the wrong hull end.
+SIDES = [
+    # D(y) = 19/6 - 3.5/y increases: the inf kinds are lo, the sup kinds hi.
+    ("diff_gen:power:-1", [0.5, 2.0, 3.0], [1.0, 2.0, 0.5], 0.5, 3.0, 0.0),
+    # D(y) = (y - 3)(7 - 2y) is -, +, - with roots 3 and 3.5.
+    ("expr:(x - y) * (y - 3)", [1.0, 6.0], [1.0, 1.0], 1.0, 3.5, 1e-10),
+]
+
+
+@pytest.mark.parametrize("path", [lambda k: k, _full_scan], ids=["default", "full-scan"])
+@pytest.mark.parametrize("grid", [64, 1024])
+@pytest.mark.parametrize("spec, entries, weights, inf_mean, sup_mean, tol", SIDES, ids=[c[0] for c in SIDES])
+def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, inf_mean, sup_mean, tol, grid, path):
+    kernel = path(resolve_kernel(spec))
+    s = make_weighted_sample(entries, weights, POS)
+    means = semideviation_means(kernel, s, KINDS, SemidevMeanConfig(grid_size=grid))
+    assert means[MeanKind.LOWER_WEAK] == means[MeanKind.LOWER_STRICT] == inf_mean
+    for kind in (MeanKind.UPPER_STRICT, MeanKind.UPPER_WEAK):
+        assert means[kind] == pytest.approx(sup_mean, rel=0.0, abs=tol), kind
 
 
 # --- monotone generators: the sign change narrowed by regula falsi -------------------
