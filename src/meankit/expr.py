@@ -12,12 +12,20 @@ than unary minus):
 Functions: exp, log, cosh, sinh, sqrt, abs, sign (unary); min, max (binary).
 sign(0) = 0, so a sign-based kernel vanishes on the diagonal.  Evaluation is
 IEEE-flavoured but never returns a non-finite number silently: overflow and
-NaN raise ``NonFinite``, out-of-domain arguments raise ``DomainError``.
+NaN raise ``NonFinite``, out-of-domain arguments raise ``DomainError``.  A NaN
+operand of min, max, sign or ^ raises ``NonFinite`` too, since those would
+turn it into a plausible number (max(1, nan) = 1, nan ^ 0 = 1).
+
+A function handle compiles its expression once, when it is built, into nested
+closures; free variables other than the handle's own are rejected then.
+``evaluate`` compiles on every call and raises ``UnboundVariable`` only when
+evaluation reaches a name missing from its bindings.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Union
 
@@ -271,76 +279,159 @@ def to_source(node: ExprAst) -> str:
 
 
 # --- evaluation ----------------------------------------------------------------
+#
+# An AST is compiled once into nested closures (closure compilation: Feeley &
+# Lapalme, Computer Languages 12(1), 1987).  Each closure takes the tuple of
+# bound values, indexed by the slots handed to the compiler, and performs its
+# node's float operations, left operand first.
+
+_Closure = Callable[[tuple], float]
 
 
-def _apply_unary(func: str, v: float) -> float:
-    try:
-        if func == "exp":
-            return math.exp(v)
-        if func == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of nonpositive value {v}")
-            return math.log(v)
-        if func == "cosh":
-            return math.cosh(v)
-        if func == "sinh":
-            return math.sinh(v)
-        if func == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
-        if func == "abs":
-            return abs(v)
-        if func == "sign":
-            return float(sign(v))
-    except OverflowError as exc:
-        raise NonFinite(f"{func}({v}) overflowed") from exc
-    raise UnknownFunction(func)
+def _log(v: float) -> float:
+    if v <= 0.0:
+        raise DomainError(f"log of nonpositive value {v}")
+    return math.log(v)
 
 
-def _eval(node: ExprAst, bindings: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
+
+
+def _sign(v: float) -> float:
+    if v != v:
+        raise NonFinite(f"NaN operand in sign({v})")
+    return float(sign(v))
+
+
+# Unary functions; an OverflowError from any of them becomes NonFinite.
+_UNARY: dict[str, Callable[[float], float]] = {
+    "exp": math.exp,
+    "log": _log,
+    "cosh": math.cosh,
+    "sinh": math.sinh,
+    "sqrt": _sqrt,
+    "abs": abs,
+    "sign": _sign,
+}
+
+
+def _compile_call(func: str, args: list[_Closure]) -> _Closure:
+    op = _UNARY.get(func)
+    if op is not None and len(args) == 1:
+        (arg,) = args
+
+        def unary(env: tuple) -> float:
+            v = arg(env)
+            try:
+                return op(v)
+            except OverflowError as exc:
+                raise NonFinite(f"{func}({v}) overflowed") from exc
+
+        return unary
+    pick = {"min": min, "max": max}.get(func)
+    if pick is not None and len(args) == 2:
+        first, second = args
+
+        def binary(env: tuple) -> float:
+            a = first(env)
+            b = second(env)
+            if a != a or b != b:
+                raise NonFinite(f"NaN operand in {func}({a}, {b})")
+            return pick(a, b)
+
+        return binary
+
+    # An AST built by hand may carry another arity or an unknown name: every
+    # argument is still evaluated, left to right, before the call applies or
+    # fails, and a unary function takes the first.
+    def call(env: tuple) -> float:
+        values = [a(env) for a in args]
+        if pick is not None:
+            if any(v != v for v in values):
+                raise NonFinite(f"NaN operand in {func}{tuple(values)}")
+            return pick(values)
+        if op is None:
+            raise UnknownFunction(func)
+        v = values[0]
         try:
-            return float(bindings[node.name])
-        except KeyError:
-            raise UnboundVariable(f"variable {node.name!r} is not bound") from None
+            return op(v)
+        except OverflowError as exc:
+            raise NonFinite(f"{func}({v}) overflowed") from exc
+
+    return call
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile_binop(op: str, left: _Closure, right: _Closure) -> _Closure:
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
+
+        def binop(env: tuple) -> float:
+            a = left(env)
+            b = right(env)
+            try:
+                return arithmetic(a, b)
+            except ZeroDivisionError as exc:
+                raise NonFinite(f"division by zero: {a} / {b}") from exc
+            except OverflowError as exc:
+                raise NonFinite(f"overflow in {a} {op} {b}") from exc
+
+        return binop
+
+    def power(env: tuple) -> float:
+        a = left(env)
+        b = right(env)
+        if a != a or b != b:
+            raise NonFinite(f"NaN operand in {a} ^ {b}")
+        try:
+            return math.pow(a, b)
+        except OverflowError as exc:
+            raise NonFinite(f"overflow in {a} ^ {b}") from exc
+        except ValueError as exc:
+            raise DomainError(f"invalid power {a} ^ {b}") from exc
+
+    return power
+
+
+def _compile_node(node: ExprAst, slots: Mapping[str, int]) -> _Closure:
+    if isinstance(node, Num):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, Var):
+        name = node.name
+        if name not in slots:
+
+            def unbound(env: tuple) -> float:
+                raise UnboundVariable(f"variable {name!r} is not bound")
+
+            return unbound
+        i = slots[name]
+        return lambda env: float(env[i])
     if isinstance(node, Neg):
-        return -_eval(node.operand, bindings)
+        operand = _compile_node(node.operand, slots)
+        return lambda env: -operand(env)
     if isinstance(node, Call):
-        args = [_eval(a, bindings) for a in node.args]
-        if node.func == "min":
-            return min(args)
-        if node.func == "max":
-            return max(args)
-        return _apply_unary(node.func, args[0])
-    left = _eval(node.left, bindings)
-    right = _eval(node.right, bindings)
-    try:
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        return math.pow(left, right)
-    except ZeroDivisionError as exc:
-        raise NonFinite(f"division by zero: {left} / {right}") from exc
-    except OverflowError as exc:
-        raise NonFinite(f"overflow in {left} {node.op} {right}") from exc
-    except ValueError as exc:
-        raise DomainError(f"invalid power {left} ^ {right}") from exc
+        return _compile_call(node.func, [_compile_node(a, slots) for a in node.args])
+    return _compile_binop(node.op, _compile_node(node.left, slots), _compile_node(node.right, slots))
+
+
+def _nonfinite_result(v: float) -> NonFinite:
+    return NonFinite(f"expression evaluated to {v}")
 
 
 def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
-    """Evaluate an AST; raises instead of returning inf or NaN."""
-    v = _eval(node, bindings)
-    if not math.isfinite(v):
-        raise NonFinite(f"expression evaluated to {v}")
-    return v
+    """Evaluate an AST; raises instead of returning inf or NaN.  A variable
+    missing from ``bindings`` raises ``UnboundVariable`` when it is reached."""
+    closure = _compile_node(node, {name: i for i, name in enumerate(bindings)})
+    v = closure(tuple(bindings.values()))
+    if math.isfinite(v):
+        return v
+    raise _nonfinite_result(v)
 
 
 # --- numeric differentiation ----------------------------------------------------
@@ -449,11 +540,25 @@ def _compile(text: str | None, variables: tuple[str, ...]) -> Callable[..., floa
     extra = free_variables(ast) - set(variables)
     if extra:
         raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {text!r}")
+    closure = _compile_node(ast, {name: i for i, name in enumerate(variables)})
+    isfinite = math.isfinite
     if len(variables) == 1:
-        (v,) = variables
-        return lambda x: evaluate(ast, {v: x})
-    u, v = variables
-    return lambda x, y: evaluate(ast, {u: x, v: y})
+
+        def fn(x: float) -> float:
+            v = closure((x,))
+            if isfinite(v):
+                return v
+            raise _nonfinite_result(v)
+
+        return fn
+
+    def kernel(x: float, y: float) -> float:
+        v = closure((x, y))
+        if isfinite(v):
+            return v
+        raise _nonfinite_result(v)
+
+    return kernel
 
 
 def scalar_from_expression(

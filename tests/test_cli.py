@@ -188,6 +188,23 @@ def test_numerical_failure_exit_code(capsys):
     assert "EntryOutOfDomain" in err
 
 
+@pytest.mark.parametrize(
+    "generator, x, w, message",
+    [
+        ("expr:log(x-1)", "0.5,2,3", "1,1,1", "DomainError: log of nonpositive value -0.5"),
+        ("expr:1/(x-2)", "2,3", "1,1", "NonFinite: division by zero: 1.0 / 0.0"),
+        ("expr:x^400", "1,10", "1,1", "NonFinite: overflow in 6.0 ^ 400.0"),
+    ],
+)
+def test_expression_error_exit_message(generator, x, w, message, capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "mean", "--kind", "qa", "--generator", generator, f"--x={x}", f"--w={w}"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_structured_output_is_byte_identical_across_runs(capsys):
     args = (
         "verify", "--suite", "jensen", "--kernel", "power:0.5", "--seed", "11",
