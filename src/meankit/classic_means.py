@@ -1,8 +1,10 @@
 """Power means, quasiarithmetic means, and their comparison and scaling limits.
 
-The quasiarithmetic inverse is computed by bracketed bisection on the sample
-hull, which the mean-value property guarantees to contain the result; no
-derivative of the generator is needed.
+A generator that declares its ``inverse`` (the catalog ones) gives the
+quasiarithmetic mean in closed form, f^-1 of the weighted average of f(x_i).
+For any other generator the inverse is computed by bracketed bisection on the
+sample hull, which the mean-value property guarantees to contain the result;
+no derivative of the generator is needed.
 """
 
 from __future__ import annotations
@@ -71,6 +73,23 @@ def _weighted_average(values: list[float], weights: tuple[float, ...]) -> float:
     return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
 
 
+def inverse_of_average(generator: ScalarFunction, sample: WeightedSample, values: list[float]) -> float:
+    """``generator.inverse`` of the weighted average of ``values``, the
+    generator at each entry, clamped to the sample hull.
+
+    Raises NonFinite when the average is not finite, which is never clamped:
+    an overflowed average says nothing about where the mean lies.
+    """
+    try:
+        target = _weighted_average(values, sample.weights)
+    except (OverflowError, ValueError) as exc:  # fsum: intermediate overflow, inf - inf
+        raise NonFinite(f"weighted average of {generator.name} values overflowed") from exc
+    if not math.isfinite(target):
+        raise NonFinite(f"weighted average of {generator.name} values is {target}")
+    lo, hi = sample.hull()
+    return min(max(generator.inverse(target), lo), hi)
+
+
 def power_mean(sample: WeightedSample, exponent: float) -> float:
     """Weighted power mean; exponent 0 is geometric, +/-inf max/min over
     positive-weight coordinates.  Entries must be positive."""
@@ -131,6 +150,8 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
     lo, hi = sample.hull()
     if lo == hi:
         return lo
+    if generator.inverse is not None:
+        return inverse_of_average(generator, sample, [generator.fn(x) for x in sample.entries])
     if generator.strictly_monotone is None:
         increasing = _probe_monotone_direction(generator, lo, hi)
     else:

@@ -282,9 +282,19 @@ def compute() -> None:
 )
 @click.option("--domain", callback=_parse_domain, help="lo,hi (open interval).")
 @click.option(
-    "--grid", type=click.IntRange(min=2), default=1024, show_default=True, help="Sign-scan grid size."
+    "--grid",
+    type=click.IntRange(min=2),
+    default=1024,
+    show_default=True,
+    help="Sign-scan grid size; no effect on kernels solved in closed form "
+    "(diff_gen with an increasing catalog generator).",
 )
-@click.option("--refine-tol", default=1e-12, show_default=True)
+@click.option(
+    "--refine-tol",
+    default=1e-12,
+    show_default=True,
+    help="Relative bisection tolerance; no effect on kernels solved in closed form.",
+)
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def compute_mean(
     kind, exponent, generator, kernel, entries_text, weights_text,

@@ -485,8 +485,11 @@ class ScalarFunction:
     float implementation, monotone over ``domain`` in floating point (ties
     allowed where the function is flat in floats): the sign-change solver
     then locates its boundary cell by halving in O(log grid) steps and would
-    miss extra sign changes of a non-monotone ``fn``.  A function built from
-    expression text keeps that text only as its default ``name``.
+    miss extra sign changes of a non-monotone ``fn``.  ``inverse`` is a
+    catalog promise too: the inverse function of ``fn`` on its range, which
+    quasiarithmetic and difference-kernel means then apply in closed form
+    instead of bisecting.  A function built from expression text keeps that
+    text only as its default ``name``.
     """
 
     name: str
@@ -495,6 +498,7 @@ class ScalarFunction:
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
     strictly_monotone: bool | None = None
+    inverse: Callable[[float], float] | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -652,6 +656,15 @@ def kernel_from_expression(
 
 
 # --- built-in catalog -----------------------------------------------------------------
+#
+# Catalog generators are stored free of cancellation (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., ch. 1): cosh as cosh - 1 =
+# 2 sinh(x/2)^2, which stays accurate near 0 where cosh(x) == 1.0 in floats.
+# Quasiarithmetic and difference-kernel means do not change under
+# f -> a f + b; the derivatives are those of the textbook form.  exp stays
+# exp: expm1 would keep e^x only to an absolute 1.1e-16 and lose the digits
+# of qa(exp) on entries below about -20.  Every stored form and inverse
+# raises instead of returning a non-finite value.
 
 
 def _pow(x: float, p: float) -> float:
@@ -661,6 +674,25 @@ def _pow(x: float, p: float) -> float:
         raise NonFinite(f"{x}^{p} overflowed") from exc
     except ValueError as exc:
         raise DomainError(f"invalid power {x}^{p}") from exc
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise NonFinite(f"exp({x}) overflowed") from exc
+
+
+def _cosh_minus_one(x: float) -> float:
+    # 2 sinh(x/2)^2 = cosh(x) - 1.  The doubling can overflow to inf without
+    # raising, where sinh and the square still fit.
+    try:
+        v = 2.0 * math.sinh(0.5 * x) ** 2
+    except OverflowError as exc:
+        raise NonFinite(f"cosh({x}) overflowed") from exc
+    if v == math.inf:
+        raise NonFinite(f"cosh({x}) overflowed")
+    return v
 
 
 def power_generator(p: float) -> ScalarFunction:
@@ -673,6 +705,7 @@ def power_generator(p: float) -> ScalarFunction:
             deriv1=lambda x: 1.0 / x,
             deriv2=lambda x: -1.0 / (x * x),
             strictly_monotone=True,
+            inverse=_exp,
         )
     return ScalarFunction(
         f"power({p:g})",
@@ -681,6 +714,7 @@ def power_generator(p: float) -> ScalarFunction:
         deriv1=lambda x: p * _pow(x, p - 1.0),
         deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
         strictly_monotone=True,
+        inverse=lambda v: _pow(v, 1.0 / p),
     )
 
 
@@ -689,26 +723,28 @@ def log_generator() -> ScalarFunction:
 
 
 def exp_generator() -> ScalarFunction:
-    def _exp(x: float) -> float:
-        try:
-            return math.exp(x)
-        except OverflowError as exc:
-            raise NonFinite(f"exp({x}) overflowed") from exc
-
     return ScalarFunction(
-        "exp", _exp, all_reals(), deriv1=_exp, deriv2=_exp, strictly_monotone=True
+        "exp",
+        _exp,
+        all_reals(),
+        deriv1=_exp,
+        deriv2=_exp,
+        strictly_monotone=True,
+        inverse=_log,
     )
 
 
 def cosh_generator() -> ScalarFunction:
-    # Restricted to the positive half-line, where cosh is strictly increasing.
+    """cosh on the positive half-line, where it is strictly increasing,
+    stored as cosh(x) - 1 = 2 sinh(x/2)^2."""
     return ScalarFunction(
         "cosh",
-        math.cosh,
+        _cosh_minus_one,
         positive_reals(),
         deriv1=math.sinh,
         deriv2=math.cosh,
         strictly_monotone=True,
+        inverse=lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v)),
     )
 
 
@@ -723,6 +759,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
             deriv1=lambda x: 1.0 / (x + c),
             deriv2=lambda x: -1.0 / ((x + c) * (x + c)),
             strictly_monotone=True,
+            inverse=lambda v: _exp(v) - c,
         )
     return ScalarFunction(
         f"shifted_power({q:g},{c:g})",
@@ -731,6 +768,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
         deriv1=lambda x: q * _pow(x + c, q - 1.0),
         deriv2=lambda x: q * (q - 1.0) * _pow(x + c, q - 2.0),
         strictly_monotone=True,
+        inverse=lambda v: _pow(v, 1.0 / q) - c,
     )
 
 
@@ -766,5 +804,6 @@ def arithmetic_kernel() -> Kernel2:
         deriv1=lambda x: 1.0,
         deriv2=lambda x: 0.0,
         strictly_monotone=True,
+        inverse=lambda v: v,
     )
     return difference_kernel(f)

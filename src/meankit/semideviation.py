@@ -22,21 +22,34 @@ it holds, searched from the right.  A split at 0 or m gives the hull end lo
 or hi; any other split gives the cell between grid points b - 1 and b, which
 bisection on the same test refines.
 
-One classified grid serves every requested kind (``semideviation_means``),
-and a memo keyed by y lets the kinds' bisections share midpoints; kinds with
-the same test and split share the whole bisection.  For difference kernels
-K(x, y) = f(x) - f(y) (those declaring ``Kernel2.generator``) the deviation
-sum evaluates f(x_i) once per sample instead of once per term and point;
-the terms, and so every value of D, are the same floats as on the generic
-path.  When that generator is declared strictly monotone and the hull lies
-in its domain, D is monotone and its classes change at most once along the
-grid, so no grid is classified: the split is found by probing both grid
-ends and halving between them, O(log m) deviation sums, and is the one the
-full scan would give.  On that path, when D is positive at the lower hull
-end and negative at the upper one, Illinois regula falsi first narrows the
-sign change to a bracket; points outside it take the class of its nearer
-end without a deviation sum.  The narrowing only supplies classes, so the
-halving and the bisection still decide every value.
+A kernel with the sign property has D(lo) >= 0 >= D(hi) on the hull
+[lo, hi]; a sum negative beyond ``zero_band`` at lo, or positive beyond it at
+hi, shows that the kernel lacks the property, and the solvers raise
+NoSignChange instead of returning a hull end.
+
+A difference kernel K(x, y) = f(x) - f(y) whose generator declares its
+``inverse`` and increases on the hull needs no scan at all (Daróczy, Publ.
+Math. Debrecen 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes only at
+y* = f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which every kind
+and ``deviation_mean`` return in closed form when ``zero_band`` is 0.  The
+grid size and the refinement tolerance then have no effect.
+
+Otherwise one classified grid serves every requested kind
+(``semideviation_means``), and a memo keyed by y lets the kinds' bisections
+share midpoints; kinds with the same test and split share the whole
+bisection.  For difference kernels K(x, y) = f(x) - f(y) (those declaring
+``Kernel2.generator``) the deviation sum evaluates f(x_i) once per sample
+instead of once per term and point; the terms, and so every value of D, are
+the same floats as on the generic path.  When that generator is declared
+strictly monotone and the hull lies in its domain, D is monotone and its
+classes change at most once along the grid, so no grid is classified: the
+split is found by probing both grid ends and halving between them, O(log m)
+deviation sums, and is the one the full scan would give.  On that path, when
+D is positive at the lower hull end and negative at the upper one, Illinois
+regula falsi first narrows the sign change to a bracket; points outside it
+take the class of its nearer end without a deviation sum.  The narrowing
+only supplies classes, so the halving and the bisection still decide every
+value.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .classic_means import ComparisonVerdict, bisect
+from .classic_means import ComparisonVerdict, bisect, inverse_of_average
 from .domain import (
     IntervalDomain,
     MeanKind,
@@ -218,6 +231,30 @@ def _split(test: Callable[[int], bool], m: int, from_left: bool, monotone: bool)
     return b
 
 
+def _closed_form(kernel: Kernel2, sample: WeightedSample, cfg: SemidevMeanConfig) -> float | None:
+    """The quasiarithmetic mean of the kernel's generator, which every kind
+    equals, or None when the kernel does not qualify for the closed form (see
+    the module docstring)."""
+    f = kernel.generator
+    if f is None or f.inverse is None or cfg.zero_band != 0.0:
+        return None
+    lo, hi = sample.hull()
+    if not (f.domain.contains(lo) and f.domain.contains(hi)):
+        return None
+    entries = sample.entries
+    try:
+        values = [f.fn(x) for x in entries]
+    except _KERNEL_ERRORS:
+        return None  # the deviation sum raises with the offending pair
+    if not values[entries.index(hi)] > values[entries.index(lo)]:
+        return None  # a decreasing f gives no deviation kernel
+    return inverse_of_average(f, sample, values)
+
+
+def _no_sign_change(at_lo: float, at_hi: float) -> NoSignChange:
+    return NoSignChange(f"deviation sum has signs ({sign(at_lo)}, {sign(at_hi)}) at the hull ends")
+
+
 def semideviation_means(
     kernel: Kernel2,
     sample: WeightedSample,
@@ -225,17 +262,23 @@ def semideviation_means(
     cfg: SemidevMeanConfig | None = None,
 ) -> dict[MeanKind, float]:
     """Locate several sign-change means of ``kernel`` on ``sample`` from one
-    sign scan of the deviation sum.
+    sign scan of the deviation sum, or in closed form for difference kernels
+    with an invertible generator.
 
     The kernel is assumed (or should be checked via ``check_semideviation``)
     to have the off-diagonal sign of x - y; with that, each defining set is
     clamped by the hull and each returned value obeys the mean-value
-    property.  Every kind gets the value ``semideviation_mean`` gives alone.
+    property.  Raises NoSignChange when the deviation sum is negative at the
+    lower hull end or positive at the upper one (beyond ``zero_band``).
+    Every kind gets the value ``semideviation_mean`` gives alone.
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
     if lo == hi:
         return {kind: lo for kind in kinds}
+    closed = _closed_form(kernel, sample, cfg)
+    if closed is not None:
+        return {kind: closed for kind in kinds}
     dsum = deviation_sum(kernel, sample)
     memo: dict[float, int] = {}
     # On a monotone sum, D is positive on y <= left and negative on
@@ -277,6 +320,8 @@ def semideviation_means(
     if not monotone:
         grid = [lo + j * step for j in range(m - 1)] + [hi]
         classes = [classify(y) for y in grid]
+        if classes[0] < 0 or classes[-1] > 0:
+            raise _no_sign_change(classes[0], classes[-1])
         base_alt = _alternations(classes)
         if base_alt > 1:
             # A single +/- alternation is the clean shape; re-check a doubled
@@ -300,6 +345,8 @@ def semideviation_means(
 
     if monotone:
         (d_lo, c_lo), (d_hi, c_hi) = measure(lo), measure(hi)
+        if c_lo < 0 or c_hi > 0:
+            raise _no_sign_change(c_lo, c_hi)
         if c_lo > 0 > c_hi:
             # Narrow the sign change first, so that the grid halving and the
             # bisections below find most classes already known.
@@ -359,12 +406,13 @@ def deviation_mean(
     lo, hi = sample.hull()
     if lo == hi:
         return lo
+    closed = _closed_form(kernel, sample, cfg)
+    if closed is not None:
+        return closed
     dsum = deviation_sum(kernel, sample)
     at_lo, at_hi = dsum(lo), dsum(hi)
     if at_lo < 0.0 or at_hi > 0.0:
-        raise NoSignChange(
-            f"deviation sum has signs ({sign(at_lo)}, {sign(at_hi)}) at the hull ends"
-        )
+        raise _no_sign_change(at_lo, at_hi)
     if at_lo == 0.0:
         return lo
     if at_hi == 0.0:

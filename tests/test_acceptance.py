@@ -32,6 +32,7 @@ from meankit import (
     quasiarithmetic_handle,
     quasiarithmetic_mean,
     semideviation_mean,
+    semideviation_means,
     shuffle_merge,
     sign_kernel,
     translated_power_handle,
@@ -114,6 +115,13 @@ def test_comparison_round_trip():
     forward = verify_comparison(linear, square, plan)
     assert forward.overall == "pass"
     assert all(c.holds for c in forward.conditions)
+    # The suite's means on its own samples are the arithmetic and quadratic
+    # power means.
+    for s in plan.samples(linear.domain_x):
+        for kernel, p in ((linear, 1.0), (square, 2.0)):
+            want = power_mean(s, p)
+            for value in semideviation_means(kernel, s, KINDS).values():
+                assert abs(value - want) <= 1e-12 * want, (p, s)
 
     swapped = verify_comparison(square, linear, plan)
     assert swapped.overall == "fail"
@@ -242,8 +250,10 @@ def test_axiom_suite():
 def test_envelope_homogenization_ordering():
     dom = open_interval(0, 2)
     rng = random.Random(209)
-    generators = (exp_generator().restricted(dom), cosh_generator().restricted(dom))
-    for gen in generators:
+    # Each generator with the power order of its t -> 0 limit: the arithmetic
+    # mean for exp, the quadratic mean for cosh.
+    generators = ((exp_generator().restricted(dom), 1.0), (cosh_generator().restricted(dom), 2.0))
+    for gen, order in generators:
         handle = quasiarithmetic_handle(gen)
         for _ in range(200):
             n = rng.randint(1, 4)
@@ -253,6 +263,7 @@ def test_envelope_homogenization_ordering():
             s_pos = make_weighted_sample(entries, weights, POS)
             lower, upper = envelope_pair(handle, s_dom)
             est = local_homogenization(handle, s_pos)
+            assert lower >= power_mean(s_pos, order) - 1e-6, (gen.name, entries, weights)
             assert lower <= est.tail_min + 1e-6, (gen.name, entries, weights)
             assert est.tail_min <= est.tail_max
             assert est.tail_max <= upper + 1e-6, (gen.name, entries, weights)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from meankit.domain import open_interval, positive_reals
 from meankit.errors import (
     Diverged,
     GeneratorNotMonotone,
+    NonFinite,
     NonPositiveEntry,
     VanishingFirstDerivative,
 )
@@ -36,15 +39,16 @@ def _sample(entries, weights):
     return make_weighted_sample(entries, weights, POS)
 
 
-def _random_samples(seed, count, lo=0.2, hi=6.0, n_max=6, weight_hi=3.0):
+def _random_samples(seed, count, lo=0.2, hi=6.0, n_max=6, weight_hi=3.0, domain=POS):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         n = rng.randint(1, n_max)
         out.append(
-            _sample(
+            make_weighted_sample(
                 [rng.uniform(lo, hi) for _ in range(n)],
                 [rng.uniform(0.1, weight_hi) for _ in range(n)],
+                domain,
             )
         )
     return out
@@ -183,6 +187,97 @@ class TestQuasiarithmetic:
             v = quasiarithmetic_mean(s, cosh_generator())
             lo, hi = s.hull()
             assert lo - 1e-12 <= v <= hi + 1e-12
+
+
+#: Catalog generators that declare an inverse, each with an entry range in
+#: its domain.
+INVERTIBLE = [
+    (power_generator(2), (0.2, 6.0)),
+    (power_generator(0.5), (0.2, 6.0)),
+    (power_generator(0), (0.2, 6.0)),
+    (power_generator(-1), (0.2, 6.0)),
+    (power_generator(3), (0.2, 6.0)),
+    (exp_generator(), (-4.0, 4.0)),
+    (cosh_generator(), (0.05, 4.0)),
+    (shifted_power_generator(0.5, 1.0), (-0.9, 3.0)),
+    (shifted_power_generator(0.0, 1.0), (-0.9, 3.0)),
+]
+
+
+def _bisection(gen: ScalarFunction) -> ScalarFunction:
+    """The same generator without its inverse: its means are bisected."""
+    return dataclasses.replace(gen, inverse=None)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("gen, bounds", INVERTIBLE, ids=[g.name for g, _ in INVERTIBLE])
+    def test_matches_the_bisection(self, gen, bounds):
+        assert gen.inverse is not None
+        for s in _random_samples(len(gen.name), 60, *bounds, domain=gen.domain):
+            closed = quasiarithmetic_mean(s, gen)
+            solved = quasiarithmetic_mean(s, _bisection(gen))
+            lo, hi = s.hull()
+            assert lo <= closed <= hi
+            assert abs(closed - solved) <= 1e-11 * max(abs(lo), abs(hi)), (gen.name, s)
+
+    @pytest.mark.parametrize("p", [-1, 1, 2, 3])
+    def test_integer_exponents_against_exact_rationals(self, p):
+        # The exact power average A is a rational; the mean y solves y^p = A.
+        # Within 1e-15 relative means (y (1 - d))^p and (y (1 + d))^p, in
+        # exact arithmetic, bracket A for d = 1e-15; bisection to a relative
+        # 1e-12 would not.
+        d = Fraction(1, 10**15)
+        gen = power_generator(p)
+        for s in _random_samples(61 + p, 80):
+            y = Fraction(quasiarithmetic_mean(s, gen))
+            a = sum(Fraction(w) * Fraction(x) ** p for x, w in zip(s.entries, s.weights))
+            a /= sum(Fraction(w) for w in s.weights)
+            ends = sorted((((1 - d) * y) ** p, ((1 + d) * y) ** p))
+            assert ends[0] <= a <= ends[1], (p, s)
+
+    def test_geometric_mean_is_multiplicative(self):
+        # G(x y) = G(x) G(y) for entrywise products under shared weights.
+        rng = random.Random(67)
+        log = log_generator()
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+            xs = [rng.uniform(0.2, 6.0) for _ in range(n)]
+            ys = [rng.uniform(0.2, 6.0) for _ in range(n)]
+            gx, gy, gxy = (
+                quasiarithmetic_mean(_sample(e, weights), log)
+                for e in (xs, ys, [a * b for a, b in zip(xs, ys)])
+            )
+            assert abs(gxy - gx * gy) <= 1e-14 * gx * gy, (xs, ys, weights)
+
+    @pytest.mark.parametrize("x", [710.5, 711.0, 711.2, 1419.9, 1420.0, 1420.9, 1425.0])
+    def test_cosh_stored_form_raises_instead_of_overflowing(self, x):
+        # 2 sinh(x/2)^2: near 710.5 only the doubling overflows, which gives
+        # inf without an exception; past 711.2 the square, past 1420.4 sinh.
+        with pytest.raises(NonFinite):
+            cosh_generator().fn(x)
+
+    @pytest.mark.parametrize("x", [1e-150, 1e-9, 0.5, 30.0, 700.0, 710.4])
+    def test_cosh_stored_form_is_cosh_minus_one(self, x):
+        # Against the series and cosh itself where each is accurate.
+        want = x * x / 2 * (1 + x * x / 12) if x < 1e-4 else math.cosh(x) - 1
+        assert cosh_generator().fn(x) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "gen, entries, weights",
+        [
+            (cosh_generator(), [710.0, 1.0], [3.0, 1.0]),
+            (exp_generator(), [709.0, 0.0], [3.0, 1.0]),
+            (power_generator(2), [1e154, 1e153], [2.0, 1.0]),
+        ],
+        ids=["cosh", "exp", "power(2)"],
+    )
+    def test_overflowing_average_raises_instead_of_clamping(self, gen, entries, weights):
+        # Every generator value is finite but the weighted sum is not: the
+        # upper hull end would be a plausible wrong mean.
+        s = make_weighted_sample(entries, weights, gen.domain)
+        with pytest.raises(NonFinite):
+            quasiarithmetic_mean(s, gen)
 
 
 class TestLocalPowerOrder:

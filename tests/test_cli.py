@@ -366,3 +366,53 @@ def test_verify_explicit_flag_beats_config(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", *MINKOWSKI, "--format", "structured", "--config", str(path))
     assert code == 0
     assert json.loads(out)["samples"] == 3
+
+
+@pytest.mark.parametrize("kind", ["semidev", "deviation"])
+def test_ratio_dev_power_is_not_a_deviation_kernel(kind, capsys):
+    # sqrt(x / y) > 0 everywhere, so the deviation sum never changes sign:
+    # a typed error, not the upper hull end 4.0.
+    code, out, err = run_cli(
+        capsys, "compute", "mean", "--kind", kind, "--kernel", "ratio_dev:power:0.5",
+        "--x=1,2,4", "--w=1,1,1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: NoSignChange: deviation sum has signs (1, 1) at the hull ends\n"
+
+
+@pytest.mark.parametrize(
+    "generator, upper",
+    # 60-digit values of M(t x) / t at the scale where each upper envelope is
+    # reached, t ~ 136.4, next to where cosh(t max(x)) overflows.
+    [("cosh", 5.2001426256926394615), ("exp", 5.2001383661410759899)],
+)
+def test_upper_envelope_next_to_overflow(generator, upper, capsys):
+    # A stored generator form that returned inf there instead of raising made
+    # the upper envelope max(x) = 5.2045.
+    code, out, _ = run_cli(
+        capsys, "homogenize", "--target", "mean", "--method", "envelope", "--mean", "qa",
+        "--generator", generator, "--x=5.2045,0.2298,4.9476", "--w=2.044,0.58,1.079",
+        "--format", "structured",
+    )
+    assert code == 0
+    assert json.loads(out)["upper"] == pytest.approx(upper, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "x, w", [("0.5,1.5", "1.0,1.0"), ("0.3,1.1,1.8", "2.0,1.0,0.5")], ids=["two", "three"]
+)
+def test_cosh_lower_envelope_on_a_bounded_domain_stays_above_its_limit(x, w, capsys):
+    # The scan reaches t ~ 2^-28, where the textbook cosh is 1.0 in floats;
+    # the lower envelope must not fall below the t -> 0 limit, the quadratic
+    # mean.
+    code, out, _ = run_cli(
+        capsys, "homogenize", "--target", "mean", "--method", "envelope", "--mean", "qa",
+        "--generator", "cosh", f"--x={x}", f"--w={w}", "--domain", "0,2", "--format", "structured",
+    )
+    assert code == 0
+    xs, ws = [float(v) for v in x.split(",")], [float(v) for v in w.split(",")]
+    quadratic = (sum(b * a * a for a, b in zip(xs, ws)) / sum(ws)) ** 0.5
+    doc = json.loads(out)
+    assert doc["lower"] >= quadratic - 1e-6
+    assert doc["lower"] <= doc["upper"]

@@ -28,6 +28,7 @@ from meankit import (
     translated_power_handle,
 )
 import meankit.homogenize as homogenize
+from meankit.cli import resolve_kernel
 from meankit.domain import open_interval, positive_reals, sign
 from meankit.errors import AllEvaluationsFailed, NotConverged, SignPropertyViolated
 from meankit.limits import largest_halving_start
@@ -313,19 +314,30 @@ class TestProfileTable:
         with pytest.raises(ValueError):
             h(r)
 
+    def test_catalog_cosh_nodes_converge_up_to_r_1000(self):
+        # The catalog stores cosh as 2 sinh(x/2)^2, free of cancellation, so
+        # the normalized kernel's limit scan settles at every node; with the
+        # textbook cosh, 67 nodes in (25, 1000) missed the tolerance.
+        h = homogenization_profile(difference_kernel(cosh_generator()))
+        for k in range(-160, 160):  # r = 2^(k/16) from 1/1000 to 1000
+            r = 2.0 ** (k / 16)
+            closed = (r**2 - 1) / 2
+            assert abs(h(r) - closed) <= 1e-5 * max(1.0, abs(closed)), k
+
     def test_estimate_raises_exactly_when_a_needed_node_fails(self):
-        # Past r ~ 25 the cosh profile's tail spread exceeds the absolute
-        # tolerance: the node at 2^(75/16) ~ 25.77 does not converge, while
-        # nodes 71-74 do.  A query between nodes k and k+1 needs nodes k-1 to
-        # k+2; a query at a node needs only that node.
-        kernel = difference_kernel(cosh_generator())
+        # The expression spelling evaluates cosh(x) - cosh(y) as written, so
+        # past r ~ 7 the tail spread exceeds the absolute tolerance: the node
+        # at 2^(46/16) ~ 7.336 does not converge, while nodes 42-45 do.  A
+        # query between nodes k and k+1 needs nodes k-1 to k+2; a query at a
+        # node needs only that node.
+        kernel = resolve_kernel("expr:cosh(x)-cosh(y)")
         h = homogenization_profile(kernel)
-        bad = 2.0 ** (75 / 16)
+        bad = 2.0 ** (46 / 16)
         with pytest.raises(NotConverged, match=f"r={bad}"):
             h(bad)
         with pytest.raises(NotConverged, match=f"r={bad}"):
-            h(2.0 ** (73.5 / 16))
-        for r in (2.0 ** (74 / 16), math.nextafter(2.0 ** (73 / 16), 0.0)):
+            h(2.0 ** (44.5 / 16))
+        for r in (2.0 ** (45 / 16), math.nextafter(2.0 ** (44 / 16), 0.0)):
             assert h(r) == pytest.approx((r**2 - 1) / 2, rel=1e-5)
         assert homogenization_profile(kernel, "upper")(bad) == pytest.approx(
             (bad**2 - 1) / 2, rel=1e-6

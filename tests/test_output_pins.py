@@ -10,7 +10,11 @@ running this file as a script against a clean checkout of that commit:
 
     PYTHONPATH=src python tests/test_output_pins.py
 
-Re-recording is only valid together with an argument that the new outputs
+The nine calls whose values come from catalog qa and difference-kernel means
+were re-recorded when those means moved to the closed form
+f^-1(sum_i w_i f(x_i) / W) and the catalog stored cosh and exp as cosh - 1
+and exp - 1; CHANGES.md gives each value's error against 60-digit references
+before and after.  Re-recording is only valid together with an argument that the new outputs
 are at least as accurate as the recorded ones.
 """
 

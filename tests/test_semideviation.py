@@ -352,6 +352,14 @@ def _generic(kernel: Kernel2) -> Kernel2:
     return dataclasses.replace(kernel, generator=None)
 
 
+def _bisection(kernel: Kernel2) -> Kernel2:
+    """The same kernel with its generator's inverse dropped, so that its means
+    are solved by the sign scan and bisection instead of in closed form."""
+    if kernel.generator is None:
+        return kernel
+    return dataclasses.replace(kernel, generator=dataclasses.replace(kernel.generator, inverse=None))
+
+
 def _seeded_samples(domain, lo, hi, seed, count=30):
     rng = random.Random(seed)
     out = []
@@ -392,6 +400,49 @@ def test_separable_sum_equals_generic_bit_for_bit(gen, bounds):
             assert fast(y).hex() == slow(y).hex(), (gen.name, s.entries, y)
 
 
+@pytest.mark.parametrize("gen, bounds", CATALOG, ids=[g.name for g, _ in CATALOG])
+def test_closed_form_matches_the_bisection(gen, bounds):
+    # Each kind and the deviation mean of a difference kernel with an
+    # increasing invertible generator are its quasiarithmetic mean.
+    kernel = difference_kernel(gen)
+    for s in _seeded_samples(gen.domain, *bounds, seed=3 + len(gen.name)):
+        lo, hi = s.hull()
+        if gen.name == power_generator(-1).name and lo < hi:
+            # A decreasing generator gives no deviation kernel.
+            with pytest.raises(NoSignChange):
+                semideviation_means(kernel, s, KINDS)
+            with pytest.raises(NoSignChange):
+                deviation_mean(kernel, s)
+            continue
+        qa = quasiarithmetic_mean(s, gen)
+        closed = semideviation_means(kernel, s, KINDS)
+        solved = semideviation_means(_bisection(kernel), s, KINDS)
+        assert deviation_mean(kernel, s) == qa
+        assert abs(deviation_mean(_bisection(kernel), s) - qa) <= 1e-11 * max(abs(lo), abs(hi))
+        for kind in KINDS:
+            assert closed[kind] == qa
+            assert abs(solved[kind] - qa) <= 1e-11 * max(abs(lo), abs(hi)), (gen.name, kind, s)
+
+
+def test_closed_form_needs_a_zero_band_of_zero(monkeypatch):
+    # With a zero band the kinds may differ, so the sign scan decides them.
+    calls = []
+    original = semideviation.deviation_sum
+
+    def recording(kernel, sample):
+        calls.append(kernel)
+        return original(kernel, sample)
+
+    monkeypatch.setattr(semideviation, "deviation_sum", recording)
+    kernel = difference_kernel(power_generator(2))
+    s = make_weighted_sample([1.0, 2.0, 4.0], [1.0, 2.0, 0.5], POS)
+    semideviation_means(kernel, s, KINDS)
+    deviation_mean(kernel, s)
+    assert calls == []
+    semideviation_means(kernel, s, KINDS, SemidevMeanConfig(zero_band=1e-9))
+    assert calls == [kernel]
+
+
 def test_failing_generator_raises_the_generic_message():
     log_kernel = difference_kernel(log_generator())
     s = make_weighted_sample([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], POS)
@@ -423,8 +474,8 @@ def test_generator_failing_at_an_entry_falls_back_to_the_generic_sum():
     "kernel, domain, bounds, cfg",
     [
         (sign_kernel(), REALS, (1.0, 4.0), SemidevMeanConfig(grid_size=64)),
-        (arithmetic_kernel(), REALS, (-3.0, 3.0), SemidevMeanConfig(grid_size=128)),
-        (difference_kernel(cosh_generator()), POS, (0.1, 4.0), SemidevMeanConfig()),
+        (_bisection(arithmetic_kernel()), REALS, (-3.0, 3.0), SemidevMeanConfig(grid_size=128)),
+        (_bisection(difference_kernel(cosh_generator())), POS, (0.1, 4.0), SemidevMeanConfig()),
         (difference_kernel(cosh_generator()), POS, (0.1, 4.0), SemidevMeanConfig(zero_band=1e-9)),
         (ratio_kernel(log_generator()), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
     ],
@@ -479,10 +530,18 @@ def _full_scan(kernel: Kernel2) -> Kernel2:
     )
 
 
+def _means_or_error(kernel, s, cfg):
+    try:
+        return {k: repr(v) for k, v in semideviation_means(kernel, s, KINDS, cfg).items()}
+    except NoSignChange:
+        return NoSignChange
+
+
 def _assert_same_means(kernel, s, cfg):
-    fast = semideviation_means(kernel, s, KINDS, cfg)
-    slow = semideviation_means(_full_scan(kernel), s, KINDS, cfg)
-    assert {k: repr(v) for k, v in fast.items()} == {k: repr(v) for k, v in slow.items()}, s
+    """Halving and the full scan give the same means, or both find no sign
+    change; the closed form is left out on both sides."""
+    kernel = _bisection(kernel)
+    assert _means_or_error(kernel, s, cfg) == _means_or_error(_full_scan(kernel), s, cfg), s
 
 
 MONOTONE = [
@@ -490,7 +549,8 @@ MONOTONE = [
     (power_generator(0), (0.2, 5.0)),
     (exp_generator(), (-4.0, 4.0)),
     (cosh_generator(), (0.05, 4.0)),
-    # Decreasing generator: D increases, so the classes run - ... 0 ... +.
+    # Decreasing generator: D increases, so the classes run - ... 0 ... +
+    # and both paths find no sign change.
     (power_generator(-1), (0.2, 5.0)),
 ]
 
@@ -506,9 +566,10 @@ def test_halving_finds_the_cell_of_the_full_scan(gen, bounds, band, grid):
 
 
 def test_halving_on_a_sum_that_is_zero_in_floats():
-    # cosh(x) == 1.0 for x ~ 1e-9, so D == 0 on the whole grid and every
-    # kind clamps to a hull end.
-    kernel = difference_kernel(cosh_generator())
+    # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 on the
+    # whole grid and every kind clamps to a hull end.
+    flat = dataclasses.replace(cosh_generator(), fn=math.cosh, inverse=None)
+    kernel = difference_kernel(flat)
     for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):
         tiny = s.scaled(1e-9)
         assert deviation_sum(kernel, tiny)(tiny.hull()[0]) == 0.0
@@ -555,39 +616,57 @@ def test_halving_evaluates_few_deviation_sums(monkeypatch):
 
     monkeypatch.setattr(semideviation, "deviation_sum", counting)
     cfg = SemidevMeanConfig(grid_size=1024)
+
+    def _sums(kernel, s):
+        calls[0] = 0
+        try:
+            semideviation_means(kernel, s, KINDS, cfg)
+        except NoSignChange:
+            assert kernel.generator.name == power_generator(-1).name
+        return calls[0]
+
     for gen, bounds in MONOTONE:
-        kernel = difference_kernel(gen)
+        kernel = _bisection(difference_kernel(gen))
         for s in _seeded_samples(gen.domain, *bounds, seed=47, count=10):
             if s.is_constant():
                 continue
-            calls[0] = 0
-            semideviation_means(kernel, s, KINDS, cfg)
-            assert calls[0] < 100, (gen.name, s)
-            calls[0] = 0
-            semideviation_means(_full_scan(kernel), s, KINDS, cfg)
-            assert calls[0] >= 1024, (gen.name, s)
+            assert _sums(kernel, s) < 100, (gen.name, s)
+            assert _sums(_full_scan(kernel), s) >= 1024, (gen.name, s)
 
 
-#: Closed-form cases where each inf kind and its sup partner lie in different
-#: cells, so a kind searched from the wrong side gets the wrong hull end.
+#: Kernels whose deviation sum changes sign more than once, or has the wrong
+#: sign at a hull end.  Each inf kind and its sup partner lie in different
+#: cells, so a kind searched from the wrong side gets another crossing.  A
+#: sum negative at lo or positive at hi shows a kernel without the sign
+#: property: every kind raises NoSignChange (inf and sup means None).
 SIDES = [
-    # D(y) = 19/6 - 3.5/y increases: the inf kinds are lo, the sup kinds hi.
-    ("diff_gen:power:-1", [0.5, 2.0, 3.0], [1.0, 2.0, 0.5], 0.5, 3.0, 0.0),
-    # D(y) = (y - 3)(7 - 2y) is -, +, - with roots 3 and 3.5.
-    ("expr:(x - y) * (y - 3)", [1.0, 6.0], [1.0, 1.0], 1.0, 3.5, 1e-10),
+    # D(y) = 19/6 - 3.5/y increases: negative at lo.
+    ("diff_gen:power:-1", [0.5, 2.0, 3.0], [1.0, 2.0, 0.5], None, None),
+    # D(y) = (y - 3)(7 - 2y) is -, +, - with roots 3 and 3.5: negative at lo.
+    ("expr:(x - y) * (y - 3)", [1.0, 6.0], [1.0, 1.0], None, None),
+    # D(y) = (1 - y) e^(0.3 y) + 0.005 (6 - y) e^(1.8 y) is +, -, +, - with
+    # roots 1.1331714813508592, 3.5690448810447667 and 5.8501086353126786
+    # (mpmath, 40 digits).
+    ("expr:(x - y) * exp(0.3 * x * y)", [1.0, 6.0], [1.0, 0.005], 1.1331714813508592, 5.8501086353126786),
 ]
 
 
 @pytest.mark.parametrize("path", [lambda k: k, _full_scan], ids=["default", "full-scan"])
 @pytest.mark.parametrize("grid", [64, 1024])
-@pytest.mark.parametrize("spec, entries, weights, inf_mean, sup_mean, tol", SIDES, ids=[c[0] for c in SIDES])
-def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, inf_mean, sup_mean, tol, grid, path):
+@pytest.mark.parametrize("spec, entries, weights, inf_mean, sup_mean", SIDES, ids=[c[0] for c in SIDES])
+def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, inf_mean, sup_mean, grid, path):
     kernel = path(resolve_kernel(spec))
     s = make_weighted_sample(entries, weights, POS)
-    means = semideviation_means(kernel, s, KINDS, SemidevMeanConfig(grid_size=grid))
-    assert means[MeanKind.LOWER_WEAK] == means[MeanKind.LOWER_STRICT] == inf_mean
-    for kind in (MeanKind.UPPER_STRICT, MeanKind.UPPER_WEAK):
-        assert means[kind] == pytest.approx(sup_mean, rel=0.0, abs=tol), kind
+    cfg = SemidevMeanConfig(grid_size=grid)
+    if inf_mean is None:
+        for kind in KINDS:
+            with pytest.raises(NoSignChange):
+                semideviation_mean(kernel, s, kind, cfg)
+        return
+    means = semideviation_means(kernel, s, KINDS, cfg)
+    for kind in KINDS:
+        want = inf_mean if kind.is_inf_kind else sup_mean
+        assert means[kind] == pytest.approx(want, rel=0.0, abs=1e-10), kind
 
 
 # --- monotone generators: the sign change narrowed by regula falsi -------------------
@@ -618,7 +697,7 @@ def test_narrowing_keeps_the_means_of_the_full_scan(band, grid, monkeypatch):
 
     monkeypatch.setattr(semideviation, "_narrow", recording)
     cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
-    kernel = difference_kernel(power_generator(1))
+    kernel = _bisection(difference_kernel(power_generator(1)))
     split = False  # a weak and a strict kind tell the band's two edges apart
     for s in _seeded_samples(POS, 0.2, 5.0, seed=59, count=25):
         _assert_same_means(kernel, s, cfg)
@@ -669,17 +748,19 @@ def test_narrowing_evaluates_fewer_deviation_sums(monkeypatch):
         return counts["sums"]
 
     for gen, bounds in MONOTONE:
-        kernel = difference_kernel(gen)
+        kernel = _bisection(difference_kernel(gen))
         for s in _seeded_samples(gen.domain, *bounds, seed=47, count=10):
             if s.is_constant():
                 continue
-            sums = solve(kernel, s)
             if gen.name == power_generator(-1).name:
-                # D increases: the hull ends decide every kind.
-                assert sums == 2, s
+                # D increases: the hull ends show that no sign change exists.
+                counts.update(sums=0, bisections=0)
+                with pytest.raises(NoSignChange):
+                    semideviation_means(kernel, s, KINDS, cfg)
+                assert counts == {"sums": 2, "bisections": 0}, s
             else:
-                assert sums <= 25, (gen.name, s)
-    kernel = difference_kernel(EXP_WIDE[0])
+                assert solve(kernel, s) <= 25, (gen.name, s)
+    kernel = _bisection(difference_kernel(EXP_WIDE[0]))
     sums = [solve(kernel, s) for s in _exp_wide_samples() if not s.is_constant()]
     # The parent solver made 42.6 sums per call on these samples, 43 at most.
     assert max(sums) <= 43 + semideviation.NARROW_STEPS

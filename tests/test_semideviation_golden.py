@@ -7,6 +7,10 @@ this file as a script against that commit's ``src``:
 
     PYTHONPATH=src python tests/test_semideviation_golden.py
 
+The cases of difference kernels with a catalog generator (arithmetic and
+diff_gen:power:2, power:0, exp and cosh without a zero band) were re-recorded
+when those means moved to the closed form f^-1(sum_i w_i f(x_i) / W); CHANGES.md
+gives each case's error against 60-digit references before and after.
 Re-recording is only valid together with an argument that the new values are
 at least as accurate as the recorded ones.
 """
@@ -36,6 +40,7 @@ from meankit import (
     sign_kernel,
 )
 from meankit.domain import all_reals, positive_reals
+from meankit.errors import NoSignChange
 
 DATA = Path(__file__).parent / "data" / "semideviation_golden.json"
 SAMPLES_PER_CASE = 40
@@ -59,9 +64,13 @@ KERNELS = {
     "ratio_dev:log": (lambda: ratio_kernel(log_generator()), (0.5, 4.0), False),
 }
 
+#: sqrt(x / y) > 0 everywhere: not a deviation kernel, so no case is recorded
+#: for it; ``test_ratio_dev_power_has_no_sign_change`` takes its samples.
+NOT_A_DEVIATION_KERNEL = "ratio_dev:power:0.5"
+
 #: (kernel name, SemidevMeanConfig keyword arguments, seed)
 CASES = [
-    *((name, {}, seed) for seed, name in enumerate(KERNELS)),
+    *((name, {}, seed) for seed, name in enumerate(KERNELS) if name != NOT_A_DEVIATION_KERNEL),
     ("diff_gen:power:2", {"grid_size": 128}, 100),
     ("diff_gen:cosh", {"zero_band": 1e-9}, 101),
 ]
@@ -120,6 +129,21 @@ def test_four_means_match_recorded_values(case):
         sample = make_weighted_sample(row["entries"], row["weights"], _domain(case["kernel"]))
         means = semideviation_means(kernel, sample, MeanKind, cfg)
         assert {k.value: repr(v) for k, v in means.items()} == row["means"], row
+
+
+def test_ratio_dev_power_has_no_sign_change():
+    # D(y) = sum_i w_i sqrt(x_i / y) > 0 on the whole hull, so every kind
+    # raises instead of returning the upper hull end.
+    kernel = KERNELS[NOT_A_DEVIATION_KERNEL][0]()
+    seed = list(KERNELS).index(NOT_A_DEVIATION_KERNEL)
+    for entries, weights in case_samples(NOT_A_DEVIATION_KERNEL, seed):
+        sample = make_weighted_sample(entries, weights, positive_reals())
+        if sample.is_constant():
+            assert semideviation_means(kernel, sample, MeanKind) == {k: entries[0] for k in MeanKind}
+            continue
+        for kind in MeanKind:
+            with pytest.raises(NoSignChange):
+                semideviation_mean(kernel, sample, kind)
 
 
 def test_every_case_is_recorded():

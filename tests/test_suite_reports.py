@@ -9,7 +9,11 @@ commit:
 
     PYTHONPATH=src python tests/test_suite_reports.py
 
-Re-recording is only valid together with an argument that the new reports
+The two hoelder runs were re-recorded when geometric means moved to the
+closed form exp(sum_i w_i log x_i / W): their only change is every
+``max_excess``, which measures solver error because Hoelder's inequality is
+an equality for geometric means (6.3e-12 -> 2.7e-15 at seed 0, 9.5e-12 ->
+3.6e-15 at seed 1).  Re-recording is only valid together with an argument that the new reports
 are at least as accurate as the recorded ones.
 """
 
