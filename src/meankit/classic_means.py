@@ -73,9 +73,11 @@ def _weighted_average(values: list[float], weights: tuple[float, ...]) -> float:
     return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
 
 
-def inverse_of_average(generator: ScalarFunction, sample: WeightedSample, values: list[float]) -> float:
+def inverse_of_average(
+    generator: ScalarFunction, sample: WeightedSample, values: list[float], lo: float, hi: float
+) -> float:
     """``generator.inverse`` of the weighted average of ``values``, the
-    generator at each entry, clamped to the sample hull.
+    generator at each entry, clamped to the sample hull ``lo, hi``.
 
     Raises NonFinite when the average is not finite, which is never clamped:
     an overflowed average says nothing about where the mean lies.
@@ -86,7 +88,6 @@ def inverse_of_average(generator: ScalarFunction, sample: WeightedSample, values
         raise NonFinite(f"weighted average of {generator.name} values overflowed") from exc
     if not math.isfinite(target):
         raise NonFinite(f"weighted average of {generator.name} values is {target}")
-    lo, hi = sample.hull()
     return min(max(generator.inverse(target), lo), hi)
 
 
@@ -151,7 +152,8 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
     if lo == hi:
         return lo
     if generator.inverse is not None:
-        return inverse_of_average(generator, sample, [generator.fn(x) for x in sample.entries])
+        values = [generator.fn(x) for x in sample.entries]
+        return inverse_of_average(generator, sample, values, lo, hi)
     if generator.strictly_monotone is None:
         increasing = _probe_monotone_direction(generator, lo, hi)
     else:

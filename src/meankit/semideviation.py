@@ -231,14 +231,15 @@ def _split(test: Callable[[int], bool], m: int, from_left: bool, monotone: bool)
     return b
 
 
-def _closed_form(kernel: Kernel2, sample: WeightedSample, cfg: SemidevMeanConfig) -> float | None:
+def _closed_form(
+    kernel: Kernel2, sample: WeightedSample, lo: float, hi: float, cfg: SemidevMeanConfig
+) -> float | None:
     """The quasiarithmetic mean of the kernel's generator, which every kind
     equals, or None when the kernel does not qualify for the closed form (see
-    the module docstring)."""
+    the module docstring).  ``lo, hi`` is the sample hull."""
     f = kernel.generator
     if f is None or f.inverse is None or cfg.zero_band != 0.0:
         return None
-    lo, hi = sample.hull()
     if not (f.domain.contains(lo) and f.domain.contains(hi)):
         return None
     entries = sample.entries
@@ -248,7 +249,7 @@ def _closed_form(kernel: Kernel2, sample: WeightedSample, cfg: SemidevMeanConfig
         return None  # the deviation sum raises with the offending pair
     if not values[entries.index(hi)] > values[entries.index(lo)]:
         return None  # a decreasing f gives no deviation kernel
-    return inverse_of_average(f, sample, values)
+    return inverse_of_average(f, sample, values, lo, hi)
 
 
 def _no_sign_change(at_lo: float, at_hi: float) -> NoSignChange:
@@ -276,7 +277,7 @@ def semideviation_means(
     lo, hi = sample.hull()
     if lo == hi:
         return {kind: lo for kind in kinds}
-    closed = _closed_form(kernel, sample, cfg)
+    closed = _closed_form(kernel, sample, lo, hi, cfg)
     if closed is not None:
         return {kind: closed for kind in kinds}
     dsum = deviation_sum(kernel, sample)
@@ -406,7 +407,7 @@ def deviation_mean(
     lo, hi = sample.hull()
     if lo == hi:
         return lo
-    closed = _closed_form(kernel, sample, cfg)
+    closed = _closed_form(kernel, sample, lo, hi, cfg)
     if closed is not None:
         return closed
     dsum = deviation_sum(kernel, sample)
@@ -424,6 +425,11 @@ def deviation_mean(
 # --- normalization ---------------------------------------------------------------
 
 
+#: Entry cap of a normalized kernel's slope memo, which is emptied when full
+#: so that a long-lived kernel evaluated at ever new y keeps bounded memory.
+SLOPE_MEMO_SIZE = 4096
+
+
 def _diagonal_slope(kernel: Kernel2, y: float) -> float:
     if kernel.deriv2 is not None:
         return kernel.deriv2(y, y)
@@ -438,8 +444,13 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
     Admission requires the diagonal slope to exist and be strictly negative,
     probed on a 17-point interior grid; kernels without analytic partials
     also get a step-halving stability check so jump kernels are rejected.
+    The rescaled kernel and its first partial share a memo of -dK/dy(y, y)
+    keyed by y (at most SLOPE_MEMO_SIZE entries), seeded with the probed
+    slopes, so each distinct y costs one slope evaluation; the quotients are
+    the same floats as without it.
     """
     analytic = kernel.deriv2 is not None
+    slopes: dict[float, float] = {}
     for y in probe_points(kernel.domain_y, 17):
         try:
             d = _diagonal_slope(kernel, y)
@@ -461,11 +472,20 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
             raise NotNormalizable(
                 f"diagonal slope of {kernel.name} is {d} at y={y}; need strictly negative"
             )
+        slopes[y] = -d
+
+    def slope(y: float) -> float:
+        s = slopes.get(y)
+        if s is None:
+            if len(slopes) >= SLOPE_MEMO_SIZE:
+                slopes.clear()
+            s = slopes[y] = -_diagonal_slope(kernel, y)
+        return s
 
     def scaled(x: float, y: float) -> float:
-        return kernel.fn(x, y) / (-_diagonal_slope(kernel, y))
+        return kernel.fn(x, y) / slope(y)
 
-    d1 = (lambda x, y: kernel.deriv1(x, y) / (-_diagonal_slope(kernel, y))) if kernel.deriv1 is not None else None
+    d1 = (lambda x, y: kernel.deriv1(x, y) / slope(y)) if kernel.deriv1 is not None else None
     return Kernel2(
         name=f"normalized({kernel.name})",
         fn=scaled,

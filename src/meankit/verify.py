@@ -59,6 +59,9 @@ SUITE_CONFIG = SemidevMeanConfig(grid_size=128)
 #: Default solver configuration of the scale-profile suites (tei, cei).
 PROFILE_SUITE_CONFIG = SemidevMeanConfig(grid_size=64)
 
+#: Marks a lattice value f(a, b) outside the result domain (``verify_homi``).
+_OUTSIDE = object()
+
 KINDS = (MeanKind.LOWER_WEAK, MeanKind.LOWER_STRICT, MeanKind.UPPER_STRICT, MeanKind.UPPER_WEAK)
 
 
@@ -684,6 +687,11 @@ def verify_homi(
     kind-aligned inequalities; otherwise the lower-weak mean of the result
     against all sixteen kind pairs.  A mean-level failure while the pointwise
     condition holds is an implication-consistency defect.
+
+    The lattice evaluates f, its two partials, K_J* and K_K* once per grid
+    pair (grid^2 evaluations each, shared with the monotonicity probe) and
+    only K_I*(f(p, q), f(u, v)) at each of the grid^4 points; its memory is
+    O(grid^2).
     """
     cfg = cfg or SUITE_CONFIG
     try:
@@ -697,13 +705,30 @@ def verify_homi(
     pts_j = [lo_j + j * (hi_j - lo_j) / (grid - 1) for j in range(grid)]
     pts_k = [lo_k + j * (hi_k - lo_k) / (grid - 1) for j in range(grid)]
 
+    # Lattice tables indexed by grid index: f(a, b) (_OUTSIDE when it leaves
+    # the result domain), the partials at (u, v), K_J*(p, u) and K_K*(q, v).
+    # Each entry is filled on first use, at the lattice point and in the
+    # order where a per-point evaluation would first make that call, so an
+    # operation or kernel that raises does so where it would without them.
+    op_values: list[list[Any]] = [[None] * grid for _ in pts_j]
+    d1s: list[list[Any]] = [[None] * grid for _ in pts_j]
+    d2s: list[list[Any]] = [[None] * grid for _ in pts_j]
+    k_first: list[list[Any]] = [[None] * grid for _ in pts_j]
+    k_second: list[list[Any]] = [[None] * grid for _ in pts_k]
+    result_domain = kernel_result.domain_x
+
+    def combine(i: int, j: int) -> Any:
+        value = operation.fn(pts_j[i], pts_k[j])
+        op_values[i][j] = value = value if result_domain.contains(value) else _OUTSIDE
+        return value
+
     conditions: list[Condition] = []
     if monotone_mode:
         partials = new_condition("operation_monotone", "partials >= 0, sum > 0 on the grid")
-        for u in pts_j:
-            for v in pts_k:
-                d1 = operation.partial1(u, v)
-                d2 = operation.partial2(u, v)
+        for iu, u in enumerate(pts_j):
+            for iv, v in enumerate(pts_k):
+                d1 = d1s[iu][iv] = operation.partial1(u, v)
+                d2 = d2s[iu][iv] = operation.partial2(u, v)
                 partials.record(
                     d1 >= -KERNEL_TOL and d2 >= -KERNEL_TOL and d1 + d2 > KERNEL_TOL,
                     lambda: {"u": u, "v": v, "d1": d1, "d2": d2},
@@ -711,18 +736,35 @@ def verify_homi(
         conditions.append(partials)
 
     pointwise = new_condition("pointwise", "normalized-kernel inequality on the grid^4 lattice")
-    result_domain = kernel_result.domain_x
-    for p in pts_j:
-        for u in pts_j:
-            for q in pts_k:
-                for v in pts_k:
-                    fp, fu = operation.fn(p, q), operation.fn(u, v)
-                    if not (result_domain.contains(fp) and result_domain.contains(fu)):
+    for ip, p in enumerate(pts_j):
+        kj_row = k_first[ip]
+        for iu, u in enumerate(pts_j):
+            fu_row, d1_row, d2_row = op_values[iu], d1s[iu], d2s[iu]
+            for iq, q in enumerate(pts_k):
+                fp = op_values[ip][iq]
+                if fp is None:
+                    fp = combine(ip, iq)
+                kk_row = k_second[iq]
+                for iv, v in enumerate(pts_k):
+                    fu = fu_row[iv]
+                    if fu is None:
+                        fu = combine(iu, iv)
+                    if fp is _OUTSIDE or fu is _OUTSIDE:
                         continue
                     lhs = star_result.fn(fp, fu)
-                    rhs = operation.partial1(u, v) * star_first.fn(p, u) + operation.partial2(
-                        u, v
-                    ) * star_second.fn(q, v)
+                    d1 = d1_row[iv]
+                    if d1 is None:
+                        d1 = d1_row[iv] = operation.partial1(u, v)
+                    kj = kj_row[iu]
+                    if kj is None:
+                        kj = kj_row[iu] = star_first.fn(p, u)
+                    d2 = d2_row[iv]
+                    if d2 is None:
+                        d2 = d2_row[iv] = operation.partial2(u, v)
+                    kk = kk_row[iv]
+                    if kk is None:
+                        kk = kk_row[iv] = star_second.fn(q, v)
+                    rhs = d1 * kj + d2 * kk
                     pointwise.record(
                         lhs <= rhs + KERNEL_TOL,
                         lambda: {"p": p, "q": q, "u": u, "v": v, "lhs": lhs, "rhs": rhs},

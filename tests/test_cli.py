@@ -205,6 +205,20 @@ def test_expression_error_exit_message(generator, x, w, message, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_homi_raising_operation_fails_at_its_first_lattice_point(capsys):
+    # f(p, q) fails at the lattice's first point, p = 0.6.  The numeric
+    # partial at u = 0.6 fails too, at log(-0.39999...): a partials table
+    # filled before the lattice would report that error instead.
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "homi", "--kernel", "power:2", "--kernel2", "power:2",
+        "--kernel3", "power:2", "--op", "log(x-1)+y", "--domain", "0.5,4", "--entry-range", "0.6,3",
+        "--no-monotone", "--grid", "4", "--samples", "5",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: DomainError: log of nonpositive value -0.4\n"
+
+
 def test_structured_output_is_byte_identical_across_runs(capsys):
     args = (
         "verify", "--suite", "jensen", "--kernel", "power:0.5", "--seed", "11",

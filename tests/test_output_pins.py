@@ -15,7 +15,9 @@ were re-recorded when those means moved to the closed form
 f^-1(sum_i w_i f(x_i) / W) and the catalog stored cosh and exp as cosh - 1
 and exp - 1; CHANGES.md gives each value's error against 60-digit references
 before and after.  Re-recording is only valid together with an argument that the new outputs
-are at least as accurate as the recorded ones.
+are at least as accurate as the recorded ones.  The two ``verify-homi-*``
+calls on a 4-point lattice were recorded at commit 6df010c, before the
+lattice evaluated each per-pair quantity once, and pin that change's output.
 """
 
 from __future__ import annotations
@@ -77,6 +79,16 @@ CALLS = {
         "--op", "x+y", "--no-monotone", "--grid", "3",
     ),
     "verify-lemma-lim": ("verify", "--suite", "lemma-lim", "--kernel", "diff_gen:cosh", "--x", "1,2"),
+    # The pointwise condition fails, with witness p = q = u = 0.8, v = 5.8666...
+    "verify-homi-pointwise-fail": (
+        "verify", "--suite", "homi", "--kernel", "power:3", "--kernel2", "power:1", "--kernel3", "power:1",
+        "--op", "x+y", "--grid", "4", "--samples", "10",
+    ),
+    # Numeric partials of max(x, y), some taken at its kink x = y.
+    "verify-homi-kink-partials": (
+        "verify", "--suite", "homi", "--kernel", "power:0", "--kernel2", "power:1", "--kernel3", "power:1",
+        "--op", "max(x,y)", "--grid", "4", "--samples", "10",
+    ),
 }
 
 

@@ -150,6 +150,27 @@ class TestNormalize:
             x, y = rng.uniform(0.3, 4), rng.uniform(0.3, 4)
             assert abs(twice(x, y) - scaled(x, y)) <= 1e-9 * (1 + abs(scaled(x, y)))
 
+    def test_slope_memo_keeps_quotients_and_evaluates_each_y_once(self, monkeypatch):
+        kernel = difference_kernel(cosh_generator())
+        scaled = normalize_kernel(kernel)
+        slopes = []
+        diagonal_slope = semideviation._diagonal_slope
+
+        def slope(k, y):
+            slopes.append(y)
+            return diagonal_slope(k, y)
+
+        monkeypatch.setattr(semideviation, "_diagonal_slope", slope)
+        monkeypatch.setattr(semideviation, "SLOPE_MEMO_SIZE", 8)
+        ys = [0.25 * j for j in range(1, 11)]
+        for x in (0.5, 2.0, 4.5):
+            for y in ys:
+                assert scaled(x, y) == kernel.fn(x, y) / -diagonal_slope(kernel, y)
+                assert scaled.partial1(x, y) == kernel.deriv1(x, y) / -diagonal_slope(kernel, y)
+        # Capped at 8 entries, the memo is emptied as it fills, so slopes are
+        # evaluated again (bounded memory), but at most once per y and pass.
+        assert len(ys) < len(slopes) <= 3 * len(ys)
+
     def test_sign_kernel_not_normalizable(self):
         with pytest.raises(NotNormalizable):
             normalize_kernel(sign_kernel())

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+from collections import Counter
 
 import pytest
 
 from meankit import (
+    Kernel2,
     MeanKind,
     SamplePlan,
     SemidevMeanConfig,
@@ -27,6 +30,7 @@ from meankit import (
     verify_tei,
 )
 import meankit.homogenize as homogenize
+import meankit.semideviation as semideviation
 import meankit.verify as verify
 from meankit.domain import all_reals, positive_reals
 from meankit.verify import hoelder_preset, minkowski_preset
@@ -353,6 +357,51 @@ class TestOperationSuites:
         assert report.overall == "pass"
         pair_conditions = [c for c in report.conditions if c.name.startswith("pair_")]
         assert len(pair_conditions) == 16
+
+    @pytest.mark.parametrize("monotone_mode", [True, False])
+    def test_lattice_evaluates_each_pair_quantity_once(self, monotone_mode, monkeypatch):
+        # Partials and K_J*, K_K* have grid^2 distinct arguments; the diagonal
+        # slope of each normalized kernel is taken once per distinct y (probe
+        # points and lattice arguments together).
+        grid = 6
+        if monotone_mode:
+            preset = minkowski_preset(power_generator(2))
+            kernels = [preset["kernel_result"], preset["kernel_first"], preset["kernel_second"]]
+            operation = preset["operation"]
+        else:
+            kernels = [difference_kernel(power_generator(p)) for p in (2, 2, 3)]
+            operation = kernel_from_expression("x+y", POS, name="operation")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        first, second = (
+            dataclasses.replace(k, fn=counted(name, k.fn))
+            for k, name in zip(kernels[1:], ("first", "second"))
+        )
+        # Only the operation's partials are taken during the suite.
+        for method in ("partial1", "partial2"):
+            monkeypatch.setattr(Kernel2, method, counted(method, getattr(Kernel2, method)))
+        slopes = Counter()
+        diagonal_slope = semideviation._diagonal_slope
+
+        def slope(kernel, y):
+            slopes[(id(kernel), y)] += 1
+            return diagonal_slope(kernel, y)
+
+        monkeypatch.setattr(semideviation, "_diagonal_slope", slope)
+        plan = SamplePlan(seed=24, n_samples=5, n_range=(1, 4), entry_range=(0.6, 3.9))
+        report = verify_homi(kernels[0], first, second, operation, plan, grid=grid, monotone_mode=monotone_mode)
+
+        assert report.condition("pointwise").checked == grid**4
+        for name in ("partial1", "partial2", "first", "second"):
+            assert 0 < calls[name] <= grid**2, name
+        assert slopes and max(slopes.values()) == 1
 
 
 class TestReports:
