@@ -154,12 +154,7 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
     if generator.inverse is not None:
         values = [generator.fn(x) for x in sample.entries]
         return inverse_of_average(generator, sample, values, lo, hi)
-    if generator.strictly_monotone is None:
-        increasing = _probe_monotone_direction(generator, lo, hi)
-    else:
-        if not generator.strictly_monotone:
-            raise GeneratorNotMonotone(f"{generator.name} is declared non-monotone")
-        increasing = generator.fn(hi) > generator.fn(lo)
+    increasing = _probe_monotone_direction(generator, lo, hi)
     values = [generator.fn(x) for x in sample.entries]
     target = _weighted_average(values, sample.weights)
     # lo and hi are entries, so their generator values are already known.

@@ -217,6 +217,11 @@ class MeanKind(Enum):
     def is_inf_kind(self) -> bool:
         return self in (MeanKind.LOWER_WEAK, MeanKind.LOWER_STRICT)
 
+    @property
+    def has_strict_test(self) -> bool:
+        """The kind's test on the class c of D(y): c > 0 (True) or c >= 0."""
+        return self in (MeanKind.LOWER_WEAK, MeanKind.UPPER_STRICT)
+
     @classmethod
     def from_label(cls, label: str) -> "MeanKind":
         for kind in cls:

@@ -480,16 +480,11 @@ def numeric_derivative(
 class ScalarFunction:
     """One-variable function with optional analytic first/second derivatives.
 
-    ``strictly_monotone`` is a catalog promise; when None, consumers that need
-    monotonicity probe it on a grid themselves.  True must also hold for the
-    float implementation, monotone over ``domain`` in floating point (ties
-    allowed where the function is flat in floats): the sign-change solver
-    then locates its boundary cell by halving in O(log grid) steps and would
-    miss extra sign changes of a non-monotone ``fn``.  ``inverse`` is a
-    catalog promise too: the inverse function of ``fn`` on its range, which
-    quasiarithmetic and difference-kernel means then apply in closed form
-    instead of bisecting.  A function built from expression text keeps that
-    text only as its default ``name``.
+    ``inverse`` is a catalog promise: the inverse function of ``fn`` on its
+    range, which quasiarithmetic and difference-kernel means then apply in
+    closed form instead of bisecting.  Without it, consumers that need
+    monotonicity probe it on a grid themselves.  A function built from
+    expression text keeps that text only as its default ``name``.
     """
 
     name: str
@@ -497,7 +492,6 @@ class ScalarFunction:
     domain: IntervalDomain
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
-    strictly_monotone: bool | None = None
     inverse: Callable[[float], float] | None = None
 
     def __call__(self, x: float) -> float:
@@ -511,7 +505,7 @@ class ScalarFunction:
         return numeric_derivative(self.fn, x, order, self.domain)
 
     def restricted(self, domain: IntervalDomain) -> "ScalarFunction":
-        """The same function on a sub-domain (monotonicity promises carry over)."""
+        """The same function on a sub-domain (the inverse carries over)."""
         return replace(self, domain=domain)
 
 
@@ -704,7 +698,6 @@ def power_generator(p: float) -> ScalarFunction:
             positive_reals(),
             deriv1=lambda x: 1.0 / x,
             deriv2=lambda x: -1.0 / (x * x),
-            strictly_monotone=True,
             inverse=_exp,
         )
     return ScalarFunction(
@@ -713,7 +706,6 @@ def power_generator(p: float) -> ScalarFunction:
         positive_reals(),
         deriv1=lambda x: p * _pow(x, p - 1.0),
         deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
-        strictly_monotone=True,
         inverse=lambda v: _pow(v, 1.0 / p),
     )
 
@@ -729,7 +721,6 @@ def exp_generator() -> ScalarFunction:
         all_reals(),
         deriv1=_exp,
         deriv2=_exp,
-        strictly_monotone=True,
         inverse=_log,
     )
 
@@ -743,7 +734,6 @@ def cosh_generator() -> ScalarFunction:
         positive_reals(),
         deriv1=math.sinh,
         deriv2=math.cosh,
-        strictly_monotone=True,
         inverse=lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v)),
     )
 
@@ -758,7 +748,6 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
             dom,
             deriv1=lambda x: 1.0 / (x + c),
             deriv2=lambda x: -1.0 / ((x + c) * (x + c)),
-            strictly_monotone=True,
             inverse=lambda v: _exp(v) - c,
         )
     return ScalarFunction(
@@ -767,7 +756,6 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
         dom,
         deriv1=lambda x: q * _pow(x + c, q - 1.0),
         deriv2=lambda x: q * (q - 1.0) * _pow(x + c, q - 2.0),
-        strictly_monotone=True,
         inverse=lambda v: _pow(v, 1.0 / q) - c,
     )
 
@@ -803,7 +791,6 @@ def arithmetic_kernel() -> Kernel2:
         all_reals(),
         deriv1=lambda x: 1.0,
         deriv2=lambda x: 0.0,
-        strictly_monotone=True,
         inverse=lambda v: v,
     )
     return difference_kernel(f)

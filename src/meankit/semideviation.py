@@ -15,7 +15,8 @@ sign-based kernels).  Distinctions between strict and weak kinds below
 ``zero_band`` are not meaningful.
 
 Each kind is one test on the class c plus a side.  The test is c > 0 for
-LOWER_WEAK and UPPER_STRICT and c >= 0 for LOWER_STRICT and UPPER_WEAK.  An
+LOWER_WEAK and UPPER_STRICT and c >= 0 for LOWER_STRICT and UPPER_WEAK
+(``MeanKind.has_strict_test``); the side is ``MeanKind.is_inf_kind``.  An
 inf kind's split index b in 0..m is the first grid index where its test
 fails, searched from the left; a sup kind's is one past the last index where
 it holds, searched from the right.  A split at 0 or m gives the hull end lo
@@ -40,16 +41,7 @@ share midpoints; kinds with the same test and split share the whole
 bisection.  For difference kernels K(x, y) = f(x) - f(y) (those declaring
 ``Kernel2.generator``) the deviation sum evaluates f(x_i) once per sample
 instead of once per term and point; the terms, and so every value of D, are
-the same floats as on the generic path.  When that generator is declared
-strictly monotone and the hull lies in its domain, D is monotone and its
-classes change at most once along the grid, so no grid is classified: the
-split is found by probing both grid ends and halving between them, O(log m)
-deviation sums, and is the one the full scan would give.  On that path, when
-D is positive at the lower hull end and negative at the upper one, Illinois
-regula falsi first narrows the sign change to a bracket; points outside it
-take the class of its nearer end without a deviation sum.  The narrowing
-only supplies classes, so the halving and the bisection still decide every
-value.
+the same floats as on the generic path.
 """
 
 from __future__ import annotations
@@ -142,57 +134,6 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
     return total
 
 
-#: Each kind's test on the class c of D(y): c > 0 (True) or c >= 0 (False).
-#: Its side is ``MeanKind.is_inf_kind`` (see the module docstring).
-_STRICT_TEST = {
-    MeanKind.LOWER_WEAK: True,
-    MeanKind.LOWER_STRICT: False,
-    MeanKind.UPPER_STRICT: True,
-    MeanKind.UPPER_WEAK: False,
-}
-
-#: Step cap of the regula falsi narrowing (``_narrow``).
-NARROW_STEPS = 12
-
-
-def _narrow(
-    measure: Callable[[float], tuple[float, int]],
-    a: float,
-    fa: float,
-    b: float,
-    fb: float,
-    tol: float,
-) -> tuple[float, float]:
-    """Shrink [a, b], D positive at a and negative at b, by Illinois regula
-    falsi (Dowell & Jarratt, BIT 11, 1971) and return the last bracket.
-
-    ``measure(y)`` gives D(y) and its class.  A secant point that is not
-    strictly inside the bracket is replaced by the midpoint.  Stops when the
-    bracket is at most ``tol`` wide, when a step lands on class 0, or after
-    NARROW_STEPS steps.  The bracket only supplies knowledge (the class at
-    its ends), so where it stops changes no value.
-    """
-    side = 0  # which end the previous step moved: 1 for a, -1 for b
-    for _ in range(NARROW_STEPS):
-        if b - a <= tol:
-            break
-        y = a + (b - a) * (fa / (fa - fb))
-        if not a < y < b:
-            y = 0.5 * (a + b)
-        fy, c = measure(y)
-        if c == 0:
-            break
-        if c > 0:
-            if side == 1:
-                fb *= 0.5  # a moved twice: halve the stale end's weight
-            a, fa, side = y, fy, 1
-        else:
-            if side == -1:
-                fa *= 0.5
-            b, fb, side = y, fy, -1
-    return a, b
-
-
 def _classify(value: float, zero_band: float) -> int:
     if abs(value) <= zero_band:
         return 0
@@ -204,31 +145,13 @@ def _alternations(classes: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _split(test: Callable[[int], bool], m: int, from_left: bool, monotone: bool) -> int:
+def _split(test: Callable[[int], bool], m: int, from_left: bool) -> int:
     """The split index b in 0..m of test(0), ..., test(m - 1): from the left,
     the first index where the test fails (m when none does); from the right,
-    one past the last index where it holds (0 when none does).
-
-    With ``monotone`` the truth values change at most once, so the ends decide
-    the answer or bracket a change from holding to failing, which is then
-    found by halving: O(log m) calls, the index a linear scan would find.
-    Otherwise every index may be tried.
-    """
-    if not monotone:
-        if from_left:
-            return next((j for j in range(m) if not test(j)), m)
-        return next((j + 1 for j in range(m - 1, -1, -1) if test(j)), 0)
-    at_start, at_end = test(0), test(m - 1)
-    if not at_start or at_end:
-        return m if (at_start if from_left else at_end) else 0
-    a, b = 0, m - 1  # the test holds at a and fails at b
-    while b - a > 1:
-        mid = (a + b) // 2
-        if test(mid):
-            a = mid
-        else:
-            b = mid
-    return b
+    one past the last index where it holds (0 when none does)."""
+    if from_left:
+        return next((j for j in range(m) if not test(j)), m)
+    return next((j + 1 for j in range(m - 1, -1, -1) if test(j)), 0)
 
 
 def _closed_form(
@@ -282,98 +205,56 @@ def semideviation_means(
         return {kind: closed for kind in kinds}
     dsum = deviation_sum(kernel, sample)
     memo: dict[float, int] = {}
-    # On a monotone sum, D is positive on y <= left and negative on
-    # y >= right once the narrowing below has moved these bounds inward.
-    left, right = -math.inf, math.inf
-
-    def measure(y: float) -> tuple[float, int]:
-        value = dsum(y)
-        c = memo[y] = _classify(value, cfg.zero_band)
-        return value, c
 
     def classify(y: float) -> int:
-        if y <= left:
-            return 1
-        if y >= right:
-            return -1
         c = memo.get(y)
         if c is None:
-            c = measure(y)[1]
+            c = memo[y] = _classify(dsum(y), cfg.zero_band)
         return c
 
     m = cfg.grid_size
     step = (hi - lo) / (m - 1)
-
-    def point(j: int) -> float:
-        return hi if j == m - 1 else lo + j * step
-
-    # A strictly monotone generator f on the hull makes D(y) = sum_i w_i
-    # (f(x_i) - f(y)) monotone in floats (each rounding step is monotone),
-    # so the classes change at most once across the grid: each kind's cell
-    # is found by halving, classifying only the points it touches.
-    f = kernel.generator
-    monotone = (
-        f is not None
-        and f.strictly_monotone is True
-        and f.domain.contains(lo)
-        and f.domain.contains(hi)
-    )
-    if not monotone:
-        grid = [lo + j * step for j in range(m - 1)] + [hi]
-        classes = [classify(y) for y in grid]
-        if classes[0] < 0 or classes[-1] > 0:
-            raise _no_sign_change(classes[0], classes[-1])
-        base_alt = _alternations(classes)
-        if base_alt > 1:
-            # A single +/- alternation is the clean shape; re-check a doubled
-            # grid and refuse when the alternation count is still moving
-            # (features at or below grid resolution cannot be bracketed).
-            merged: list[int] = []
-            for a, b, c in zip(grid, grid[1:], classes):
-                merged.append(c)
-                merged.append(classify(0.5 * (a + b)))
-            merged.append(classes[-1])
-            refined_alt = _alternations(merged)
-            if refined_alt != base_alt:
-                raise AmbiguousClassification(
-                    f"sign classification oscillates {base_alt} times on the base grid "
-                    f"but {refined_alt} times when doubled; increase grid_size"
-                )
+    grid = [lo + j * step for j in range(m - 1)] + [hi]
+    classes = [classify(y) for y in grid]
+    if classes[0] < 0 or classes[-1] > 0:
+        raise _no_sign_change(classes[0], classes[-1])
+    base_alt = _alternations(classes)
+    if base_alt > 1:
+        # A single +/- alternation is the clean shape; re-check a doubled
+        # grid and refuse when the alternation count is still moving
+        # (features at or below grid resolution cannot be bracketed).
+        merged: list[int] = []
+        for a, b, c in zip(grid, grid[1:], classes):
+            merged.append(c)
+            merged.append(classify(0.5 * (a + b)))
+        merged.append(classes[-1])
+        refined_alt = _alternations(merged)
+        if refined_alt != base_alt:
+            raise AmbiguousClassification(
+                f"sign classification oscillates {base_alt} times on the base grid "
+                f"but {refined_alt} times when doubled; increase grid_size"
+            )
 
     # Hull-scale tolerance (no absolute floor), so scaled-down samples keep
     # constant relative accuracy under t -> 0 limits.
     tol = cfg.refine_tol * max(abs(lo), abs(hi))
-
-    if monotone:
-        (d_lo, c_lo), (d_hi, c_hi) = measure(lo), measure(hi)
-        if c_lo < 0 or c_hi > 0:
-            raise _no_sign_change(c_lo, c_hi)
-        if c_lo > 0 > c_hi:
-            # Narrow the sign change first, so that the grid halving and the
-            # bisections below find most classes already known.
-            left, right = _narrow(measure, lo, d_lo, hi, d_hi, tol)
-
     bisections: dict[tuple[int, bool], float] = {}
 
     def refine(kind: MeanKind) -> float:
-        strict = _STRICT_TEST[kind]
+        strict = kind.has_strict_test
         holds = (lambda c: c > 0) if strict else (lambda c: c >= 0)
-        if monotone:
-            test = lambda j: holds(classify(point(j)))
-        else:
-            test = lambda j: holds(classes[j])
-        b = _split(test, m, kind.is_inf_kind, monotone)
+        b = _split(lambda j: holds(classes[j]), m, kind.is_inf_kind)
         # Outside the hull D is positive on the left and negative on the
         # right, so a split at either end clamps the mean to that end.
         if b == 0:
             return lo
         if b == m:
             return hi
-        # The test holds at point(b - 1) and fails at point(b); kinds with the
+        # The test holds at grid[b - 1] and fails at grid[b]; kinds with the
         # same test and cell share one bisection.
         key = (b, strict)
         if key not in bisections:
-            bisections[key] = bisect(point(b - 1), point(b), lambda y: holds(classify(y)), tol)
+            bisections[key] = bisect(grid[b - 1], grid[b], lambda y: holds(classify(y)), tol)
         return bisections[key]
 
     return {kind: refine(kind) for kind in kinds}

@@ -111,7 +111,7 @@ class TestPowerMean:
             for a, b in zip(values, values[1:]):
                 assert a <= b + 1e-10 * (1 + abs(b))
 
-    def test_strictly_monotone_for_nonconstant_positive_weights(self):
+    def test_strictly_increasing_in_exponent_for_distinct_entries(self):
         s = _sample([1, 2, 5], [1, 1, 1])
         values = [power_mean(s, p) for p in (-2, 0, 1, 2, 3)]
         for a, b in zip(values, values[1:]):
@@ -146,39 +146,37 @@ class TestQuasiarithmetic:
         with pytest.raises(GeneratorNotMonotone):
             quasiarithmetic_mean(s, wiggle)
 
-    def test_lying_monotone_flag_surfaces_as_solver_failure(self):
+    def test_spike_between_probe_points_raises_solver_failure(self):
         from meankit.errors import SolverFailure
 
-        # Declared monotone but actually wiggling: the generator average can
-        # escape the endpoint range, which the solver must report rather than
-        # return a bogus root.
-        liar = ScalarFunction(
-            "liar",
-            lambda x: x + 2.0 * math.sin(5.0 * x),
+        # Increasing at all 64 probe points of the hull [0.5, 1.5], but with a
+        # spike at the entry 1.0, half a probe step from its neighbours: the
+        # generator average escapes the endpoint range, which the solver must
+        # report rather than return a bogus root.
+        spiky = ScalarFunction(
+            "spiky",
+            lambda x: x + 100.0 * math.exp(-(((x - 1.0) / 1e-4) ** 2)),
             open_interval(0, 2),
-            strictly_monotone=True,
         )
         s = make_weighted_sample([0.5, 1.0, 1.5], [1, 1, 1], open_interval(0, 2))
         with pytest.raises(SolverFailure):
-            quasiarithmetic_mean(s, liar)
+            quasiarithmetic_mean(s, spiky)
 
-    @pytest.mark.parametrize("declared", [True, None])
-    def test_hull_ends_are_evaluated_once(self, declared):
-        # A declared generator is called at hi and lo first, for the
-        # direction; an undeclared one on its probe grid.  Then each entry
-        # once, and the bisection only strictly inside the hull.
+    def test_hull_ends_are_evaluated_once(self):
+        # The generator is called on its probe grid, for the direction, then
+        # at each entry once, and the bisection only strictly inside the hull.
         calls = []
 
         def square(x):
             calls.append(x)
             return x * x
 
-        gen = ScalarFunction("square", square, POS, strictly_monotone=declared)
+        gen = ScalarFunction("square", square, POS)
         entries = [2.0, 0.5, 3.0, 1.25]
         assert quasiarithmetic_mean(_sample(entries, [1, 2, 1, 1]), gen) == pytest.approx(
             math.sqrt((4.0 + 0.5 + 9.0 + 1.5625) / 5.0), rel=1e-11
         )
-        head = [3.0, 0.5] if declared else calls[:MONOTONE_PROBE_POINTS]
+        head = calls[:MONOTONE_PROBE_POINTS]
         assert calls[: len(head) + len(entries)] == head + entries
         assert all(0.5 < y < 3.0 for y in calls[len(head) + len(entries) :])
 
@@ -387,7 +385,6 @@ class TestQaLocalHomogenization:
             POS,
             deriv1=lambda x: 1.0,
             deriv2=lambda x: x**-3.0,
-            strictly_monotone=True,
         )
         with pytest.raises(Diverged):
             qa_local_homogenization(stub)
@@ -434,7 +431,7 @@ class TestScalingRatioLimit:
         from meankit import ScalarFunction
         from meankit.errors import DegenerateDenominator
 
-        flat = ScalarFunction("flat", lambda x: 7.0, POS, strictly_monotone=True)
+        flat = ScalarFunction("flat", lambda x: 7.0, POS)
         with pytest.raises(DegenerateDenominator):
             scaling_ratio_limit(flat, 3.0)
 
@@ -447,7 +444,6 @@ class TestScalingRatioLimit:
             "wobble",
             lambda x: x * (2.0 + math.sin(math.log(x))),
             POS,
-            strictly_monotone=True,
         )
         est = scaling_ratio_limit(wobble, 3.0)
         assert not est.converged

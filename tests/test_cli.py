@@ -395,6 +395,19 @@ def test_ratio_dev_power_is_not_a_deviation_kernel(kind, capsys):
     assert err == "error: NoSignChange: deviation sum has signs (1, 1) at the hull ends\n"
 
 
+@pytest.mark.parametrize("kind", ["semidev", "deviation"])
+def test_decreasing_difference_generator_is_not_a_deviation_kernel(kind, capsys):
+    # 1/x decreases, so D(y) = sum_i w_i (1/x_i - 1/y) rises from negative at
+    # the lower hull end to positive at the upper one.
+    code, out, err = run_cli(
+        capsys, "compute", "mean", "--kind", kind, "--kernel", "diff_gen:power:-1",
+        "--x=1,2,4", "--w=1,1,1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: NoSignChange: deviation sum has signs (-1, 1) at the hull ends\n"
+
+
 @pytest.mark.parametrize(
     "generator, upper",
     # 60-digit values of M(t x) / t at the scale where each upper envelope is

@@ -538,17 +538,7 @@ def test_shared_scan_raises_on_unresolvable_oscillation():
             semideviation_means(k, s, KINDS, SemidevMeanConfig(grid_size=16))
 
 
-# --- monotone generators: the boundary cell found by halving ---------------------------
-
-
-def _full_scan(kernel: Kernel2) -> Kernel2:
-    """The same deviation sums without the monotonicity promise, so every grid
-    point is classified."""
-    if kernel.generator is None:
-        return kernel  # already scanned in full
-    return dataclasses.replace(
-        kernel, generator=dataclasses.replace(kernel.generator, strictly_monotone=None)
-    )
+# --- inputs at the edges of the closed form and the sign scan ------------------------
 
 
 def _means_or_error(kernel, s, cfg):
@@ -558,48 +548,8 @@ def _means_or_error(kernel, s, cfg):
         return NoSignChange
 
 
-def _assert_same_means(kernel, s, cfg):
-    """Halving and the full scan give the same means, or both find no sign
-    change; the closed form is left out on both sides."""
-    kernel = _bisection(kernel)
-    assert _means_or_error(kernel, s, cfg) == _means_or_error(_full_scan(kernel), s, cfg), s
-
-
-MONOTONE = [
-    (power_generator(2), (0.2, 5.0)),
-    (power_generator(0), (0.2, 5.0)),
-    (exp_generator(), (-4.0, 4.0)),
-    (cosh_generator(), (0.05, 4.0)),
-    # Decreasing generator: D increases, so the classes run - ... 0 ... +
-    # and both paths find no sign change.
-    (power_generator(-1), (0.2, 5.0)),
-]
-
-
-@pytest.mark.parametrize("grid", [2, 3, 128, 1024])
-@pytest.mark.parametrize("band", [0.0, 1e-9])
-@pytest.mark.parametrize("gen, bounds", MONOTONE, ids=[g.name for g, _ in MONOTONE])
-def test_halving_finds_the_cell_of_the_full_scan(gen, bounds, band, grid):
-    kernel = difference_kernel(gen)
-    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
-    for s in _seeded_samples(gen.domain, *bounds, seed=31 + grid, count=25):
-        _assert_same_means(kernel, s, cfg)
-
-
-def test_halving_on_a_sum_that_is_zero_in_floats():
-    # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 on the
-    # whole grid and every kind clamps to a hull end.
-    flat = dataclasses.replace(cosh_generator(), fn=math.cosh, inverse=None)
-    kernel = difference_kernel(flat)
-    for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):
-        tiny = s.scaled(1e-9)
-        assert deviation_sum(kernel, tiny)(tiny.hull()[0]) == 0.0
-        for grid in (2, 3, 1024):
-            _assert_same_means(kernel, tiny, SemidevMeanConfig(grid_size=grid))
-
-
 @pytest.mark.parametrize("grid", [2, 3, 1024])
-def test_halving_on_degenerate_samples(grid):
+def test_closed_form_on_degenerate_samples(grid):
     kernel = difference_kernel(power_generator(2))
     cfg = SemidevMeanConfig(grid_size=grid)
     x = 1.5
@@ -611,48 +561,46 @@ def test_halving_on_degenerate_samples(grid):
         ([1.0, 4.0], [1e-12, 1.0]),
         ([1.0, 4.0], [1.0, 1e-12]),
     ):
-        _assert_same_means(kernel, make_weighted_sample(entries, weights, POS), cfg)
+        s = make_weighted_sample(entries, weights, POS)
+        lo, hi = s.hull()
+        closed = semideviation_means(kernel, s, KINDS, cfg)
+        solved = semideviation_means(_bisection(kernel), s, KINDS, cfg)
+        for kind in KINDS:
+            assert lo <= closed[kind] <= hi, (kind, s)
+            assert abs(closed[kind] - solved[kind]) <= 1e-11 * max(abs(lo), abs(hi)), (kind, s)
 
 
 def test_full_scan_outside_the_generator_domain():
-    # x^2 is promised monotone on (0, inf) only; on a hull reaching below 0,
-    # D is not monotone and the grid must be scanned in full.
+    # x^2 increases on (0, inf) only; on a hull reaching 0 or below the
+    # closed form does not apply, and the separable sum, scanned in full,
+    # gives the means of the generic sum.
     kernel = difference_kernel(power_generator(2), REALS)
-    for s in _seeded_samples(REALS, -3.0, 3.0, seed=43, count=30):
-        _assert_same_means(kernel, s, SemidevMeanConfig(grid_size=64))
+    cfg = SemidevMeanConfig(grid_size=64)
+    outside = [s for s in _seeded_samples(REALS, -3.0, 3.0, seed=43, count=30) if s.hull()[0] <= 0.0]
+    assert len(outside) >= 20
+    for s in outside:
+        assert _means_or_error(kernel, s, cfg) == _means_or_error(_generic(kernel), s, cfg), s
 
 
-def test_halving_evaluates_few_deviation_sums(monkeypatch):
-    calls = [0]
-    original = semideviation.deviation_sum
-
-    def counting(kernel, sample):
-        dsum = original(kernel, sample)
-
-        def counted(y):
-            calls[0] += 1
-            return dsum(y)
-
-        return counted
-
-    monkeypatch.setattr(semideviation, "deviation_sum", counting)
-    cfg = SemidevMeanConfig(grid_size=1024)
-
-    def _sums(kernel, s):
-        calls[0] = 0
-        try:
-            semideviation_means(kernel, s, KINDS, cfg)
-        except NoSignChange:
-            assert kernel.generator.name == power_generator(-1).name
-        return calls[0]
-
-    for gen, bounds in MONOTONE:
-        kernel = _bisection(difference_kernel(gen))
-        for s in _seeded_samples(gen.domain, *bounds, seed=47, count=10):
-            if s.is_constant():
-                continue
-            assert _sums(kernel, s) < 100, (gen.name, s)
-            assert _sums(_full_scan(kernel), s) >= 1024, (gen.name, s)
+def test_full_scan_of_a_sum_that_is_zero_in_floats():
+    # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 on the
+    # whole grid: the tests c > 0 and c >= 0 never and always hold, and every
+    # kind clamps to a hull end.
+    flat = dataclasses.replace(cosh_generator(), fn=math.cosh, inverse=None)
+    kernel = difference_kernel(flat)
+    for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):
+        tiny = s.scaled(1e-9)
+        lo, hi = tiny.hull()
+        assert deviation_sum(kernel, tiny)(lo) == 0.0
+        for grid in (2, 3, 1024):
+            cfg = SemidevMeanConfig(grid_size=grid)
+            assert semideviation_means(kernel, tiny, KINDS, cfg) == {
+                MeanKind.LOWER_WEAK: lo,
+                MeanKind.LOWER_STRICT: hi,
+                MeanKind.UPPER_STRICT: lo,
+                MeanKind.UPPER_WEAK: hi,
+            }
+            assert _means_or_error(kernel, tiny, cfg) == _means_or_error(_generic(kernel), tiny, cfg)
 
 
 #: Kernels whose deviation sum changes sign more than once, or has the wrong
@@ -672,11 +620,10 @@ SIDES = [
 ]
 
 
-@pytest.mark.parametrize("path", [lambda k: k, _full_scan], ids=["default", "full-scan"])
 @pytest.mark.parametrize("grid", [64, 1024])
 @pytest.mark.parametrize("spec, entries, weights, inf_mean, sup_mean", SIDES, ids=[c[0] for c in SIDES])
-def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, inf_mean, sup_mean, grid, path):
-    kernel = path(resolve_kernel(spec))
+def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, inf_mean, sup_mean, grid):
+    kernel = resolve_kernel(spec)
     s = make_weighted_sample(entries, weights, POS)
     cfg = SemidevMeanConfig(grid_size=grid)
     if inf_mean is None:
@@ -688,101 +635,3 @@ def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, in
     for kind in KINDS:
         want = inf_mean if kind.is_inf_kind else sup_mean
         assert means[kind] == pytest.approx(want, rel=0.0, abs=1e-10), kind
-
-
-# --- monotone generators: the sign change narrowed by regula falsi -------------------
-
-#: exp on entries in +-30: D is far from linear, the hardest case for the secant.
-EXP_WIDE = (exp_generator(), (-30.0, 30.0))
-
-
-def _exp_wide_samples():
-    return _seeded_samples(REALS, *EXP_WIDE[1], seed=53, count=200)
-
-
-@pytest.mark.parametrize("grid", [2, 3, 64, 1024])
-@pytest.mark.parametrize("band", [0.0, 1e-9])
-def test_narrowing_keeps_the_means_of_the_full_scan(band, grid, monkeypatch):
-    # D is linear for f(x) = x, so a secant step lands on its root, within
-    # 1e-9 of 0 in floats: the narrowing then stops on class 0.
-    steps = []
-    narrow = semideviation._narrow
-
-    def recording(measure, *args):
-        def spy(y):
-            value, c = measure(y)
-            steps.append(c)
-            return value, c
-
-        return narrow(spy, *args)
-
-    monkeypatch.setattr(semideviation, "_narrow", recording)
-    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
-    kernel = _bisection(difference_kernel(power_generator(1)))
-    split = False  # a weak and a strict kind tell the band's two edges apart
-    for s in _seeded_samples(POS, 0.2, 5.0, seed=59, count=25):
-        _assert_same_means(kernel, s, cfg)
-        means = semideviation_means(kernel, s, KINDS, cfg)
-        # Kinds that share a bisection get what each gets alone.
-        alone = {k: repr(semideviation_mean(kernel, s, k, cfg)) for k in KINDS}
-        assert {k: repr(v) for k, v in means.items()} == alone, s
-        split |= means[MeanKind.LOWER_WEAK] < means[MeanKind.LOWER_STRICT]
-    if band:
-        assert 0 in steps
-        assert split
-
-
-@pytest.mark.parametrize("grid", [64, 1024])
-@pytest.mark.parametrize("band", [0.0, 1e-9])
-def test_narrowing_on_a_sum_far_from_linear(band, grid):
-    kernel = difference_kernel(EXP_WIDE[0])
-    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
-    for s in _exp_wide_samples():
-        _assert_same_means(kernel, s, cfg)
-
-
-def test_narrowing_evaluates_fewer_deviation_sums(monkeypatch):
-    counts = {"sums": 0, "bisections": 0}
-    original_sum, original_bisect = semideviation.deviation_sum, semideviation.bisect
-
-    def counting_sum(kernel, sample):
-        dsum = original_sum(kernel, sample)
-
-        def counted(y):
-            counts["sums"] += 1
-            return dsum(y)
-
-        return counted
-
-    def counting_bisect(*args):
-        counts["bisections"] += 1
-        return original_bisect(*args)
-
-    monkeypatch.setattr(semideviation, "deviation_sum", counting_sum)
-    monkeypatch.setattr(semideviation, "bisect", counting_bisect)
-    cfg = SemidevMeanConfig(grid_size=1024)
-
-    def solve(kernel, s):
-        counts.update(sums=0, bisections=0)
-        semideviation_means(kernel, s, KINDS, cfg)
-        assert counts["bisections"] <= 2, (kernel.name, s)
-        return counts["sums"]
-
-    for gen, bounds in MONOTONE:
-        kernel = _bisection(difference_kernel(gen))
-        for s in _seeded_samples(gen.domain, *bounds, seed=47, count=10):
-            if s.is_constant():
-                continue
-            if gen.name == power_generator(-1).name:
-                # D increases: the hull ends show that no sign change exists.
-                counts.update(sums=0, bisections=0)
-                with pytest.raises(NoSignChange):
-                    semideviation_means(kernel, s, KINDS, cfg)
-                assert counts == {"sums": 2, "bisections": 0}, s
-            else:
-                assert solve(kernel, s) <= 25, (gen.name, s)
-    kernel = _bisection(difference_kernel(EXP_WIDE[0]))
-    sums = [solve(kernel, s) for s in _exp_wide_samples() if not s.is_constant()]
-    # The parent solver made 42.6 sums per call on these samples, 43 at most.
-    assert max(sums) <= 43 + semideviation.NARROW_STEPS
-    assert sum(sums) < 35 * len(sums)
