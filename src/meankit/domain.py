@@ -133,9 +133,15 @@ class WeightedSample:
         return min(self.entries) == max(self.entries)
 
     def scaled(self, t: float, domain: IntervalDomain | None = None) -> "WeightedSample":
-        return make_weighted_sample(
-            [t * x for x in self.entries], self.weights, domain or self.domain
-        )
+        """Entries t x_i with the same weights, checked against ``domain``
+        (default: this sample's).  The weights were validated when this
+        sample was made, so only the scaled entries are checked."""
+        dom = domain or self.domain
+        entries = tuple([t * x for x in self.entries])
+        for x in entries:
+            if not dom.contains(x):
+                raise EntryOutOfDomain(f"entry {x} outside {dom}")
+        return WeightedSample(entries, self.weights, dom)
 
     def rescaled_weights(self, t: float) -> "WeightedSample":
         return make_weighted_sample(self.entries, [t * w for w in self.weights], self.domain)
@@ -212,6 +218,10 @@ class MeanKind(Enum):
     LOWER_STRICT = "lower-strict"
     UPPER_STRICT = "upper-strict"
     UPPER_WEAK = "upper-weak"
+
+    # Members are singletons compared by identity, so the object hash is a
+    # valid hash and avoids Enum's Python-level one on every dict lookup.
+    __hash__ = object.__hash__
 
     @property
     def is_inf_kind(self) -> bool:

@@ -598,6 +598,12 @@ class Kernel2:
     and expression kernels) leave it None, as must a ``dataclasses.replace``
     that gives a difference kernel an ``fn`` breaking the identity.  A kernel
     built from expression text keeps that text only as its default ``name``.
+
+    ``ratio``, when set, declares ratio structure the same way: for every
+    (x, y) ``fn(x, y) == ratio(x / y)``, bit for bit, so solvers may call
+    ``ratio`` on the quotient instead of ``fn``.  Only ``ratio_kernel`` and
+    ``homogenize.ratio_kernel_from_profile`` set it; a ``dataclasses.replace``
+    that changes ``fn`` must drop it, as for ``generator``.
     """
 
     name: str
@@ -607,6 +613,7 @@ class Kernel2:
     deriv1: Callable[[float, float], float] | None = None
     deriv2: Callable[[float, float], float] | None = None
     generator: ScalarFunction | None = None
+    ratio: Callable[[float], float] | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -780,7 +787,7 @@ def ratio_kernel(f: ScalarFunction) -> Kernel2:
     dom = positive_reals()
     d1 = (lambda x, y: f.deriv1(x / y) / y) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
-    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2)
+    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, ratio=f.fn)
 
 
 def arithmetic_kernel() -> Kernel2:

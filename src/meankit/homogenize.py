@@ -331,6 +331,11 @@ def _node_ratio(k: int) -> float:
     return 2.0 ** (k / PROFILE_NODES_PER_OCTAVE)
 
 
+#: A memoized profile cell: (r_k, r_k+1, r_k+1 - r_k, h_k, slope_k, h_k+1,
+#: slope_k+1).
+_Cell = tuple[float, float, float, float, float, float, float]
+
+
 def homogenization_profile(
     kernel: Kernel2,
     mode: Literal["estimate", "lower", "upper"] = "estimate",
@@ -356,8 +361,12 @@ def homogenization_profile(
     harmonic mean of the neighbouring secants, 0 where those change sign)
     from nodes k-1 to k+2.
     So "estimate" raises exactly when one of the nodes a query needs fails.
-    Node values and each cell's end values and slopes are memoized, so a
-    repeated cell costs one Hermite sum.
+    Node values and each cell's end ratios, values and slopes are memoized, so
+    a repeated cell costs one Hermite sum: when the cell at k =
+    floor(16 log2 r) is memoized and r_k < r < r_k+1 strictly, the query
+    evaluates it at once; any other query (at a node, across a rounding of
+    log2, or in a new cell) settles k by the exact node search first.  Both
+    routes evaluate the same Hermite sum on the same cell.
     The cubic reproduces profiles linear in r exactly (the arithmetic
     kernel's h = r - 1) and keeps the node values' monotonicity; for smooth
     profiles its error shrinks as the cube of the node spacing
@@ -408,29 +417,32 @@ def homogenization_profile(
         w_prev, w_next = 2.0 * h_next + h_prev, h_next + 2.0 * h_prev
         return (w_prev + w_next) / (w_prev / d_prev + w_next / d_next)
 
-    cells: dict[int, tuple[float, float, float, float, float, float]] = {}
+    cells: dict[int, _Cell] = {}
 
-    def cell(k: int) -> tuple[float, float, float, float, float, float]:
-        # (r_k, r_k+1 - r_k, h_k, slope_k, h_k+1, slope_k+1), computed in the
-        # order the Hermite sum reads them, so the same node raises first.
+    def cell(k: int) -> _Cell:
+        # Computed in the order the Hermite sum reads them, so the same node
+        # raises first.
         c = cells.get(k)
         if c is None:
-            r0 = _node_ratio(k)
-            c = cells[k] = (r0, _node_ratio(k + 1) - r0, node(k), slope(k), node(k + 1), slope(k + 1))
+            r0, r1 = _node_ratio(k), _node_ratio(k + 1)
+            c = cells[k] = (r0, r1, r1 - r0, node(k), slope(k), node(k + 1), slope(k + 1))
         return c
 
     def profile(r: float) -> float:
         if not 0.0 < r < math.inf:
             raise ValueError("ratio must be positive and finite")
         k = math.floor(PROFILE_NODES_PER_OCTAVE * math.log2(r))
-        # log2 can round across a node: settle r_k <= r < r_k+1 exactly.
-        while _node_ratio(k) > r:
-            k -= 1
-        while _node_ratio(k + 1) <= r:
-            k += 1
-        if r == _node_ratio(k):
-            return node(k)
-        r0, width, h0, m0, h1, m1 = cell(k)
+        c = cells.get(k)
+        if c is None or not c[0] < r < c[1]:
+            # log2 can round across a node: settle r_k <= r < r_k+1 exactly.
+            while _node_ratio(k) > r:
+                k -= 1
+            while _node_ratio(k + 1) <= r:
+                k += 1
+            if r == _node_ratio(k):
+                return node(k)
+            c = cell(k)
+        r0, _, width, h0, m0, h1, m1 = c
         s = (r - r0) / width
         u = 1.0 - s
         return (
@@ -466,9 +478,10 @@ def sign_probe_failure(
 
 
 def ratio_kernel_from_profile(name: str, profile: Callable[[float], float]) -> Kernel2:
-    """Degree-0 homogeneous kernel (x, y) -> h(x / y) on the positive quadrant."""
+    """Degree-0 homogeneous kernel (x, y) -> h(x / y) on the positive quadrant,
+    declaring h as its ``ratio``."""
     dom = positive_reals()
-    return Kernel2(name, lambda x, y: profile(x / y), dom, dom)
+    return Kernel2(name, lambda x, y: profile(x / y), dom, dom, ratio=profile)
 
 
 def homogeneous_semidev_mean(

@@ -26,7 +26,9 @@ bisection on the same test refines.
 A kernel with the sign property has D(lo) >= 0 >= D(hi) on the hull
 [lo, hi]; a sum negative beyond ``zero_band`` at lo, or positive beyond it at
 hi, shows that the kernel lacks the property, and the solvers raise
-NoSignChange instead of returning a hull end.
+NoSignChange instead of returning a hull end.  Both solvers evaluate D at lo
+and hi before any interior point, so that refusal costs two deviation sums and
+comes before any kernel failure inside the hull.
 
 A difference kernel K(x, y) = f(x) - f(y) whose generator declares its
 ``inverse`` and increases on the hull needs no scan at all (Daróczy, Publ.
@@ -41,7 +43,11 @@ share midpoints; kinds with the same test and split share the whole
 bisection.  For difference kernels K(x, y) = f(x) - f(y) (those declaring
 ``Kernel2.generator``) the deviation sum evaluates f(x_i) once per sample
 instead of once per term and point; the terms, and so every value of D, are
-the same floats as on the generic path.
+the same floats as on the generic path.  For ratio kernels K(x, y) = h(x / y)
+(those declaring ``Kernel2.ratio``, such as the scale-profile kernels of the
+homogenization) each term calls h on the quotient directly, again the same
+floats; a term that raises sends that point through the generic sum, which
+reports the first failing pair as it always does.
 """
 
 from __future__ import annotations
@@ -95,6 +101,9 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
 
     A kernel declaring a ``generator`` f gets f(x_i) evaluated once, here;
     each term stays w_i * (f(x_i) - f(y)), the same floats as w_i * K(x_i, y).
+    A kernel declaring a ``ratio`` h gets each term as w_i * h(x_i / y), the
+    same floats, without the call through ``fn``; when a term raises, the
+    generic sum is evaluated instead, so the error names the same pair.
     """
     entries, weights = sample.entries, sample.weights
 
@@ -131,7 +140,19 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
                 raise failure(x, y, exc) from exc
         return math.fsum(terms)
 
-    return total
+    h = kernel.ratio
+    if h is None:
+        return total
+    pairs = list(zip(entries, weights))
+
+    def ratio_sum(y: float) -> float:
+        try:
+            return math.fsum([w * h(x / y) for x, w in pairs])
+        except _KERNEL_ERRORS:
+            pass  # the generic sum raises with the offending pair
+        return total(y)
+
+    return ratio_sum
 
 
 def _classify(value: float, zero_band: float) -> int:
@@ -215,9 +236,12 @@ def semideviation_means(
     m = cfg.grid_size
     step = (hi - lo) / (m - 1)
     grid = [lo + j * step for j in range(m - 1)] + [hi]
+    # The hull ends first: a kernel without the sign property is refused
+    # after two deviation sums, before any interior point is evaluated.
+    at_lo, at_hi = classify(lo), classify(hi)
+    if at_lo < 0 or at_hi > 0:
+        raise _no_sign_change(at_lo, at_hi)
     classes = [classify(y) for y in grid]
-    if classes[0] < 0 or classes[-1] > 0:
-        raise _no_sign_change(classes[0], classes[-1])
     base_alt = _alternations(classes)
     if base_alt > 1:
         # A single +/- alternation is the clean shape; re-check a doubled

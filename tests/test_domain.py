@@ -116,6 +116,15 @@ def test_mean_kind_labels_round_trip():
         MeanKind.from_label("sideways")
 
 
+def test_mean_kinds_hash_by_identity():
+    # Members are singletons, so the object hash (no Python-level __hash__)
+    # keys them; a kind found by label or by value finds the same entry.
+    assert MeanKind.__hash__ is object.__hash__
+    table = {kind: kind.value for kind in MeanKind}
+    for kind in MeanKind:
+        assert table[MeanKind.from_label(kind.value)] == table[MeanKind(kind.value)] == kind.value
+
+
 def test_probe_points_stay_interior():
     for dom in (positive_reals(), all_reals(), open_interval(0, 2), open_interval(-3, -1)):
         pts = probe_points(dom, 17)
@@ -130,3 +139,21 @@ def test_scaled_sample_revalidates():
     assert s.scaled(0.5).entries == (0.25, 0.5)
     with pytest.raises(EntryOutOfDomain):
         s.scaled(3.0)
+
+
+def test_scaled_sample_keeps_the_weights_and_checks_each_entry():
+    dom = open_interval(0, 2)
+    s = make_weighted_sample([0.5, 1.0, 1.5], [1.0, 0.0, 2.5], dom)
+    assert s.scaled(1.25) == make_weighted_sample([0.625, 1.25, 1.875], s.weights, dom)
+    assert s.scaled(2.0, positive_reals()) == make_weighted_sample([1.0, 2.0, 3.0], s.weights, positive_reals())
+    # An entry leaving the domain, or overflowing to inf (outside every
+    # domain), raises what validating the scaled entries from scratch raises.
+    huge = make_weighted_sample([1.0, 1e308], [1.0, 1.0], all_reals())
+    for sample, t, domain in ((s, 2.0, None), (s, -1.0, None), (huge, 10.0, None), (s, 3.0, open_interval(0, 4))):
+        with pytest.raises(EntryOutOfDomain) as scaled:
+            sample.scaled(t, domain)
+        with pytest.raises(EntryOutOfDomain) as made:
+            make_weighted_sample([t * x for x in sample.entries], sample.weights, domain or sample.domain)
+        assert str(scaled.value) == str(made.value)
+    with pytest.raises(EntryOutOfDomain, match="entry inf outside"):
+        huge.scaled(10.0)

@@ -343,6 +343,36 @@ class TestProfileTable:
             (bad**2 - 1) / 2, rel=1e-6
         )
 
+    @pytest.mark.parametrize("mode", ["estimate", "lower"])
+    def test_memoized_cells_give_the_node_search_values(self, mode):
+        # A query inside a memoized cell skips the node search.  Every value,
+        # on a first and on a repeated query, must be the one a fresh
+        # profile's node search gives: at the nodes, one ulp to either side
+        # of them (where log2 may round across the node), and at random
+        # ratios.  The node table must not grow on the repeated queries.
+        kernel = difference_kernel(cosh_generator())
+        star = normalize_kernel(kernel)
+        table: dict = {}
+        h = homogenization_profile(kernel, mode, normalized=star, _node_estimates=table)
+        nodes = [2.0 ** (k / 16) for k in range(-70, 70)]
+        rng = random.Random(47)
+        ratios = [
+            *nodes,
+            *(math.nextafter(r, -math.inf) for r in nodes),
+            *(math.nextafter(r, math.inf) for r in nodes),
+            *(math.exp(rng.uniform(math.log(1 / 20), math.log(20))) for _ in range(10_000)),
+        ]
+        first = [h(r).hex() for r in ratios]
+        scanned = len(table)
+        repeated = [h(r).hex() for r in ratios]
+        assert len(table) == scanned
+        searched = [
+            homogenization_profile(kernel, mode, normalized=star, _node_estimates=table)(r).hex()
+            for r in ratios
+        ]
+        assert first == searched
+        assert repeated == searched
+
     def test_queries_share_a_bounded_set_of_node_scans(self, monkeypatch):
         scans = []
 

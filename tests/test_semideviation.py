@@ -37,6 +37,7 @@ from meankit.errors import (
     NotNormalizable,
 )
 from meankit.expr import Kernel2, ScalarFunction
+from meankit.homogenize import homogenization_profile, ratio_kernel_from_profile
 
 POS = positive_reals()
 REALS = all_reals()
@@ -370,7 +371,9 @@ CATALOG = [
 
 
 def _generic(kernel: Kernel2) -> Kernel2:
-    return dataclasses.replace(kernel, generator=None)
+    """The same kernel without its declared structure, so that the deviation
+    sum calls ``fn`` for every term."""
+    return dataclasses.replace(kernel, generator=None, ratio=None)
 
 
 def _bisection(kernel: Kernel2) -> Kernel2:
@@ -489,6 +492,123 @@ def test_generator_failing_at_an_entry_falls_back_to_the_generic_sum():
     message = _failure(deviation_sum(kernel, s), 2.0)
     assert message == _failure(deviation_sum(_generic(kernel), s), 2.0)
     assert "(4.0, 2.0)" in message
+
+
+def _profile_kernel(spec: str, mode: str) -> Kernel2:
+    kernel = resolve_kernel(spec)
+    profile = homogenization_profile(kernel, mode)
+    return ratio_kernel_from_profile(f"scale_profile({kernel.name})", profile)
+
+
+def test_only_ratio_kernels_declare_a_ratio():
+    log = log_generator()
+    assert ratio_kernel(log).ratio is log.fn
+    profile = homogenization_profile(difference_kernel(cosh_generator()))
+    assert ratio_kernel_from_profile("h", profile).ratio is profile
+    for kernel in (
+        sign_kernel(),
+        difference_kernel(cosh_generator()),
+        kernel_from_expression("log(x / y)", POS),
+        normalize_kernel(ratio_kernel(log)),
+    ):
+        assert kernel.ratio is None
+
+
+#: Ratio kernels: a catalog one, and scale-profile kernels in the two profile
+#: modes the suites solve with (tei's "lower", cei's "estimate").
+RATIO_KERNELS = {
+    "ratio_dev:log": lambda: ratio_kernel(log_generator()),
+    "profile-cosh-lower": lambda: _profile_kernel("diff_gen:cosh", "lower"),
+    "profile-sqrt-estimate": lambda: _profile_kernel("power:0.5", "estimate"),
+}
+
+
+@pytest.mark.parametrize("make", list(RATIO_KERNELS.values()), ids=list(RATIO_KERNELS))
+def test_ratio_sum_equals_generic_bit_for_bit(make):
+    kernel = make()
+    generic = dataclasses.replace(kernel, ratio=None)
+    samples = _seeded_samples(POS, 0.5, 4.0, seed=19, count=20)
+    for s in samples:
+        fast, slow = deviation_sum(kernel, s), deviation_sum(generic, s)
+        for j in range(41):
+            y = 0.5 + j * 3.5 / 40
+            assert repr(fast(y)) == repr(slow(y)), (kernel.name, s.entries, y)
+    for s in samples[:5]:
+        fast, slow = semideviation_means(kernel, s, KINDS), semideviation_means(generic, s, KINDS)
+        assert {k: repr(v) for k, v in fast.items()} == {k: repr(v) for k, v in slow.items()}
+
+
+def test_raising_ratio_gives_the_generic_error():
+    # The expression spelling's "estimate" profile raises NotConverged at the
+    # node 2^(46/16) ~ 7.34 (tests/test_homogenize.py); 1e300 / 1e-10
+    # overflows to inf, which no profile accepts; y = 0 divides by zero; log
+    # rejects a negative ratio.
+    bad = 2.0 ** (46 / 16)
+    cosh_expr = _profile_kernel("expr:cosh(x)-cosh(y)", "estimate")
+    cosh_lower = _profile_kernel("diff_gen:cosh", "lower")
+    cases = [
+        (cosh_expr, [1.0, bad, 2.0 * bad], 1.0, f"({bad}, 1.0)"),
+        (cosh_expr, [1e300, 2.0], 1e-10, "(1e+300, 1e-10)"),
+        (cosh_lower, [2.0, 1e300], 1e-10, "(1e+300, 1e-10)"),
+        (cosh_lower, [2.0, 3.0], 0.0, "(2.0, 0.0)"),
+        (ratio_kernel(log_generator()), [2.0, 3.0], -1.0, "(2.0, -1.0)"),
+    ]
+    for kernel, entries, y, pair in cases:
+        s = make_weighted_sample(entries, [1.0] * len(entries), POS)
+        errors = []
+        for k in (kernel, dataclasses.replace(kernel, ratio=None)):
+            with pytest.raises(KernelEvaluationError) as info:
+                deviation_sum(k, s)(y)
+            errors.append((str(info.value), type(info.value.__cause__)))
+        assert errors[0] == errors[1], (kernel.name, entries, y)
+        assert f"failed at {pair}: " in errors[0][0], errors[0]
+
+
+# --- the hull ends before the interior ------------------------------------------------
+
+
+def test_wrong_signed_hull_ends_are_refused_after_two_sums(monkeypatch):
+    # 1/x decreases, so D(y) = sum_i (1/x_i - 1/y) is negative at the lower
+    # hull end: no interior point is evaluated.
+    points: list[float] = []
+    original = semideviation.deviation_sum
+
+    def recording(kernel, sample):
+        dsum = original(kernel, sample)
+
+        def wrapped(y):
+            points.append(y)
+            return dsum(y)
+
+        return wrapped
+
+    monkeypatch.setattr(semideviation, "deviation_sum", recording)
+    s = make_weighted_sample([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], POS)
+    with pytest.raises(NoSignChange, match=r"signs \(-1, 1\) at the hull ends"):
+        semideviation_means(resolve_kernel("diff_gen:power:-1"), s, KINDS)
+    assert points == [1.0, 4.0]
+
+
+def test_wrong_signed_hull_ends_are_reported_before_an_interior_failure():
+    # K(x, y) = y - x has the reversed sign and fails for y in (1.5, 3.5),
+    # inside the hull [1, 4]: the hull ends decide, so every kind and the
+    # deviation mean raise NoSignChange rather than KernelEvaluationError.
+    def reversed_with_a_hole(x: float, y: float) -> float:
+        if 1.5 < y < 3.5:
+            raise ValueError(f"hole at {y}")
+        return y - x
+
+    kernel = Kernel2("reversed_with_a_hole", reversed_with_a_hole, REALS, REALS)
+    s = make_weighted_sample([1.0, 2.0, 4.0], [1.0, 1.0, 1.0], REALS)
+    assert "hole at 2.0" in _failure(deviation_sum(kernel, s), 2.0)
+    message = "deviation sum has signs (-1, 1) at the hull ends"
+    for kind in KINDS:
+        with pytest.raises(NoSignChange) as info:
+            semideviation_mean(kernel, s, kind, SemidevMeanConfig(grid_size=64))
+        assert str(info.value) == message
+    with pytest.raises(NoSignChange) as info:
+        deviation_mean(kernel, s)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
