@@ -10,6 +10,7 @@ no derivative of the generator is needed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -139,9 +140,8 @@ def _probe_monotone_direction(f: ScalarFunction, lo: float, hi: float) -> bool:
     True for increasing.  Raises GeneratorNotMonotone on a tie or reversal."""
     step = (hi - lo) / (MONOTONE_PROBE_POINTS - 1)
     values = [f.fn(lo + j * step) for j in range(MONOTONE_PROBE_POINTS)]
-    increasing = all(a < b for a, b in zip(values, values[1:]))
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
-    if not (increasing or decreasing):
+    increasing = all(map(operator.lt, values, values[1:]))
+    if not (increasing or all(map(operator.gt, values, values[1:]))):
         raise GeneratorNotMonotone(f"{f.name} is not strictly monotone on [{lo}, {hi}]")
     return increasing
 

@@ -16,17 +16,21 @@ NaN raise ``NonFinite``, out-of-domain arguments raise ``DomainError``.  A NaN
 operand of min, max, sign or ^ raises ``NonFinite`` too, since those would
 turn it into a plausible number (max(1, nan) = 1, nan ^ 0 = 1).
 
-A function handle compiles its expression once, when it is built, into nested
-closures; free variables other than the handle's own are rejected then.
-``evaluate`` compiles on every call and raises ``UnboundVariable`` only when
-evaluation reaches a name missing from its bindings.
+A function handle compiles its expression, when it is built, into the source
+of one straight-line Python function, and its ``fn`` is that function; free
+variables other than the handle's own are rejected then.  Compiled functions
+are memoized by text and variables, and ``evaluate`` memoizes by AST and
+binding names; it raises ``UnboundVariable`` only when evaluation reaches a
+name missing from its bindings.  Text nested deeper than ``MAX_DEPTH`` raises
+``ExprSyntaxError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass, replace
+from string import Template
 from typing import Callable, Mapping, Union
 
 from .domain import IntervalDomain, all_reals, positive_reals, probe_points, sign
@@ -90,6 +94,13 @@ FUNCTION_ARITY = {
 
 _OPERATORS = set("+-*/^(),")
 
+#: Limit of ``parse`` on two depths: the parentheses, unary minuses and ^
+#: operators open around any point of the text, each a level of the parser's
+#: recursion, and the AST's height (nodes on a path from the root to a leaf),
+#: a level of recursion for the compiler and the AST's hash.  Deeper text
+#: raises ``ExprSyntaxError`` instead of exhausting the interpreter's stack.
+MAX_DEPTH = 100
+
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -134,11 +145,20 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# A parsed node and its height.
+_Parsed = tuple[ExprAst, int]
+
+
+def _too_deep(offset: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", offset)
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -148,11 +168,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def accept_op(self, *ops: str) -> str | None:
-        kind, text, _ = self.peek()
+    def accept_op(self, *ops: str) -> tuple[str, int] | None:
+        """The next token's operator and offset, consumed, if it is in ``ops``."""
+        kind, text, offset = self.peek()
         if kind == "op" and text in ops:
             self.advance()
-            return text
+            return text, offset
         return None
 
     def expect_op(self, op: str) -> None:
@@ -161,62 +182,86 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", offset)
         self.advance()
 
+    def open(self, offset: int) -> None:
+        """Enter a parenthesis, unary minus or ^ operand at ``offset``."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise _too_deep(offset)
+
+    @staticmethod
+    def grown(node: ExprAst, offset: int, *children: _Parsed) -> _Parsed:
+        height = 1 + max(h for _, h in children)
+        if height > MAX_DEPTH:
+            raise _too_deep(offset)
+        return node, height
+
     def parse(self) -> ExprAst:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {text!r}", offset)
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def expr(self) -> _Parsed:
+        parsed = self.term()
         while (op := self.accept_op("+", "-")) is not None:
-            node = BinOp(op, node, self.term())
-        return node
+            right = self.term()
+            parsed = self.grown(BinOp(op[0], parsed[0], right[0]), op[1], parsed, right)
+        return parsed
 
-    def term(self) -> ExprAst:
-        node = self.factor()
+    def term(self) -> _Parsed:
+        parsed = self.factor()
         while (op := self.accept_op("*", "/")) is not None:
-            node = BinOp(op, node, self.factor())
-        return node
+            right = self.factor()
+            parsed = self.grown(BinOp(op[0], parsed[0], right[0]), op[1], parsed, right)
+        return parsed
 
-    def factor(self) -> ExprAst:
-        if self.accept_op("-") is not None:
-            return Neg(self.factor())
+    def factor(self) -> _Parsed:
+        if (op := self.accept_op("-")) is not None:
+            self.open(op[1])
+            operand = self.factor()
+            self.nesting -= 1
+            return self.grown(Neg(operand[0]), op[1], operand)
         return self.power()
 
-    def power(self) -> ExprAst:
-        node = self.atom()
-        if self.accept_op("^") is not None:
-            node = BinOp("^", node, self.factor())
-        return node
+    def power(self) -> _Parsed:
+        parsed = self.atom()
+        if (op := self.accept_op("^")) is not None:
+            self.open(op[1])
+            right = self.factor()
+            self.nesting -= 1
+            parsed = self.grown(BinOp("^", parsed[0], right[0]), op[1], parsed, right)
+        return parsed
 
-    def atom(self) -> ExprAst:
+    def atom(self) -> _Parsed:
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "name":
             self.advance()
-            if self.accept_op("(") is not None:
+            if (paren := self.accept_op("(")) is not None:
                 if text not in FUNCTION_ARITY:
                     raise UnknownFunction(f"unknown function {text!r} at offset {offset}")
+                self.open(paren[1])
                 args = [self.expr()]
                 while self.accept_op(",") is not None:
                     args.append(self.expr())
                 self.expect_op(")")
+                self.nesting -= 1
                 if len(args) != FUNCTION_ARITY[text]:
                     raise ExprSyntaxError(
                         f"{text} takes {FUNCTION_ARITY[text]} argument(s), got {len(args)}",
                         offset,
                     )
-                return Call(text, tuple(args))
-            return Var(text)
-        if kind == "op" and text == "(":
-            self.advance()
-            node = self.expr()
+                return self.grown(Call(text, tuple(node for node, _ in args)), offset, *args)
+            return Var(text), 1
+        if (paren := self.accept_op("(")) is not None:
+            self.open(paren[1])
+            parsed = self.expr()
             self.expect_op(")")
-            return node
+            self.nesting -= 1
+            return parsed
         raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
 
 
@@ -280,12 +325,13 @@ def to_source(node: ExprAst) -> str:
 
 # --- evaluation ----------------------------------------------------------------
 #
-# An AST is compiled once into nested closures (closure compilation: Feeley &
-# Lapalme, Computer Languages 12(1), 1987).  Each closure takes the tuple of
-# bound values, indexed by the slots handed to the compiler, and performs its
-# node's float operations, left operand first.
-
-_Closure = Callable[[tuple], float]
+# An AST is compiled into the source of one Python function, one statement per
+# node in evaluation order (left operand first), and ``exec`` turns that source
+# into the function itself.  The function's positional parameters a0, a1, ...
+# are the variables; literals and the strings that name something in the AST
+# are bound as c0, c1, ... in its global namespace, next to the helpers below.
+# So the source is built only from the emitter's own identifiers, and no
+# character of the expression text reaches it.
 
 
 def _log(v: float) -> float:
@@ -317,121 +363,183 @@ _UNARY: dict[str, Callable[[float], float]] = {
     "sign": _sign,
 }
 
+_PICK = {"min": min, "max": max}
 
-def _compile_call(func: str, args: list[_Closure]) -> _Closure:
+
+def _apply(func: str, values: list[float]) -> float:
+    """A call that an AST built by hand gives another arity or an unknown
+    name.  Every argument has been evaluated, left to right, before the call
+    applies or fails, and a unary function takes the first."""
+    pick = _PICK.get(func)
+    if pick is not None:
+        if any(v != v for v in values):
+            raise NonFinite(f"NaN operand in {func}{tuple(values)}")
+        return pick(values)
     op = _UNARY.get(func)
-    if op is not None and len(args) == 1:
-        (arg,) = args
-
-        def unary(env: tuple) -> float:
-            v = arg(env)
-            try:
-                return op(v)
-            except OverflowError as exc:
-                raise NonFinite(f"{func}({v}) overflowed") from exc
-
-        return unary
-    pick = {"min": min, "max": max}.get(func)
-    if pick is not None and len(args) == 2:
-        first, second = args
-
-        def binary(env: tuple) -> float:
-            a = first(env)
-            b = second(env)
-            if a != a or b != b:
-                raise NonFinite(f"NaN operand in {func}({a}, {b})")
-            return pick(a, b)
-
-        return binary
-
-    # An AST built by hand may carry another arity or an unknown name: every
-    # argument is still evaluated, left to right, before the call applies or
-    # fails, and a unary function takes the first.
-    def call(env: tuple) -> float:
-        values = [a(env) for a in args]
-        if pick is not None:
-            if any(v != v for v in values):
-                raise NonFinite(f"NaN operand in {func}{tuple(values)}")
-            return pick(values)
-        if op is None:
-            raise UnknownFunction(func)
-        v = values[0]
-        try:
-            return op(v)
-        except OverflowError as exc:
-            raise NonFinite(f"{func}({v}) overflowed") from exc
-
-    return call
+    if op is None:
+        raise UnknownFunction(func)
+    v = values[0]
+    try:
+        return op(v)
+    except OverflowError as exc:
+        raise NonFinite(f"{func}({v}) overflowed") from exc
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# The global namespace of every generated function, besides its literals.
+_HELPERS = {
+    **_UNARY,
+    "power": math.pow,
+    "apply": _apply,
+    "isfinite": math.isfinite,
+    "NonFinite": NonFinite,
+    "DomainError": DomainError,
+    "UnboundVariable": UnboundVariable,
+}
+
+# One template per kind of node; $v is the node's value, $a and $b its operands.
+_FLOAT = Template("    $v = float($a)\n")
+_NEG = Template("    $v = -$a\n")
+_APPLY = Template("    $v = apply($func, [$args])\n")
+_UNBOUND = Template("    raise UnboundVariable($message)\n")
+
+_UNARY_CALL = Template("""\
+    try:
+        $v = $func($a)
+    except OverflowError as exc:
+        raise NonFinite(f"$func({$a}) overflowed") from exc
+""")
+
+# min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a.
+_PICK_CALL = Template("""\
+    if $a != $a or $b != $b:
+        raise NonFinite(f"NaN operand in $func({$a}, {$b})")
+    $v = $b if $b $compare $a else $a
+""")
+
+_ARITHMETIC = Template("""\
+    try:
+        $v = $a $op $b
+    except OverflowError as exc:
+        raise NonFinite(f"overflow in {$a} $op {$b}") from exc
+""")
+
+_DIVISION = Template("""\
+    try:
+        $v = $a / $b
+    except ZeroDivisionError as exc:
+        raise NonFinite(f"division by zero: {$a} / {$b}") from exc
+    except OverflowError as exc:
+        raise NonFinite(f"overflow in {$a} / {$b}") from exc
+""")
+
+_POWER = Template("""\
+    if $a != $a or $b != $b:
+        raise NonFinite(f"NaN operand in {$a} ^ {$b}")
+    try:
+        $v = power($a, $b)
+    except OverflowError as exc:
+        raise NonFinite(f"overflow in {$a} ^ {$b}") from exc
+    except ValueError as exc:
+        raise DomainError(f"invalid power {$a} ^ {$b}") from exc
+""")
+
+_RESULT = Template("""\
+    if isfinite($v):
+        return $v
+    raise NonFinite(f"expression evaluated to {$v}")
+""")
 
 
-def _compile_binop(op: str, left: _Closure, right: _Closure) -> _Closure:
-    arithmetic = _ARITHMETIC.get(op)
-    if arithmetic is not None:
+class _Emitter:
+    """Source of one function of ``variables`` and the namespace it runs in."""
 
-        def binop(env: tuple) -> float:
-            a = left(env)
-            b = right(env)
-            try:
-                return arithmetic(a, b)
-            except ZeroDivisionError as exc:
-                raise NonFinite(f"division by zero: {a} / {b}") from exc
-            except OverflowError as exc:
-                raise NonFinite(f"overflow in {a} {op} {b}") from exc
+    def __init__(self, variables: tuple[str, ...]):
+        self.params = {name: f"a{i}" for i, name in enumerate(variables)}
+        self.floats: dict[str, str] = {}  # parameter -> its float() value
+        self.namespace = dict(_HELPERS)
+        self.constants = 0
+        self.temps = 0
+        self.lines = [f"def expression({', '.join(self.params.values())}):\n"]
 
-        return binop
+    def bind(self, value: object) -> str:
+        name = f"c{self.constants}"
+        self.constants += 1
+        self.namespace[name] = value
+        return name
 
-    def power(env: tuple) -> float:
-        a = left(env)
-        b = right(env)
-        if a != a or b != b:
-            raise NonFinite(f"NaN operand in {a} ^ {b}")
-        try:
-            return math.pow(a, b)
-        except OverflowError as exc:
-            raise NonFinite(f"overflow in {a} ^ {b}") from exc
-        except ValueError as exc:
-            raise DomainError(f"invalid power {a} ^ {b}") from exc
+    def temp(self) -> str:
+        name = f"v{self.temps}"
+        self.temps += 1
+        return name
 
-    return power
+    def emit(self, template: Template, **fields: str) -> str:
+        v = self.temp()
+        self.lines.append(template.substitute(fields, v=v))
+        return v
+
+    def node(self, node: ExprAst) -> str:
+        """Emit the statements of ``node``; the name holding its value."""
+        if isinstance(node, Num):
+            return self.bind(node.value)
+        if isinstance(node, Var):
+            param = self.params.get(node.name)
+            if param is None:
+                message = self.bind(f"variable {node.name!r} is not bound")
+                self.lines.append(_UNBOUND.substitute(message=message))
+                return self.temp()  # never assigned: the raise comes first
+            if param not in self.floats:
+                self.floats[param] = self.emit(_FLOAT, a=param)
+            return self.floats[param]
+        if isinstance(node, Neg):
+            return self.emit(_NEG, a=self.node(node.operand))
+        if isinstance(node, Call):
+            args = [self.node(a) for a in node.args]
+            if node.func in _UNARY and len(args) == 1:
+                return self.emit(_UNARY_CALL, func=node.func, a=args[0])
+            if node.func in _PICK and len(args) == 2:
+                compare = "<" if node.func == "min" else ">"
+                return self.emit(_PICK_CALL, func=node.func, compare=compare, a=args[0], b=args[1])
+            return self.emit(_APPLY, func=self.bind(node.func), args=", ".join(args))
+        left = self.node(node.left)
+        right = self.node(node.right)
+        if node.op == "/":
+            return self.emit(_DIVISION, a=left, b=right)
+        if node.op in ("+", "-", "*"):
+            return self.emit(_ARITHMETIC, op=node.op, a=left, b=right)
+        return self.emit(_POWER, a=left, b=right)
 
 
-def _compile_node(node: ExprAst, slots: Mapping[str, int]) -> _Closure:
-    if isinstance(node, Num):
-        value = node.value
-        return lambda env: value
-    if isinstance(node, Var):
-        name = node.name
-        if name not in slots:
-
-            def unbound(env: tuple) -> float:
-                raise UnboundVariable(f"variable {name!r} is not bound")
-
-            return unbound
-        i = slots[name]
-        return lambda env: float(env[i])
-    if isinstance(node, Neg):
-        operand = _compile_node(node.operand, slots)
-        return lambda env: -operand(env)
-    if isinstance(node, Call):
-        return _compile_call(node.func, [_compile_node(a, slots) for a in node.args])
-    return _compile_binop(node.op, _compile_node(node.left, slots), _compile_node(node.right, slots))
+def _source(node: ExprAst, variables: tuple[str, ...]) -> tuple[str, dict]:
+    """The source of ``expression(a0, a1, ...)``, which evaluates ``node``
+    with ``variables`` bound to its parameters, and the namespace it needs."""
+    emitter = _Emitter(variables)
+    emitter.lines.append(_RESULT.substitute(v=emitter.node(node)))
+    return "".join(emitter.lines), emitter.namespace
 
 
-def _nonfinite_result(v: float) -> NonFinite:
-    return NonFinite(f"expression evaluated to {v}")
+def _function(node: ExprAst, variables: tuple[str, ...]) -> Callable[..., float]:
+    source, namespace = _source(node, variables)
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["expression"]
+
+
+# Functions kept by each memo.  Compiling one (an exec of its source) costs
+# more than a short CLI call spends evaluating it, so a process that runs many
+# calls compiles each distinct spec once.
+_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _evaluator(node: ExprAst, names: tuple[str, ...], spelled: str) -> Callable[..., float]:
+    # ``spelled`` is repr(node): it keeps apart ASTs that compare equal but
+    # evaluate differently, such as Num(0.0) and Num(-0.0), or Num(1) and Num(1.0).
+    return _function(node, names)
 
 
 def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST; raises instead of returning inf or NaN.  A variable
     missing from ``bindings`` raises ``UnboundVariable`` when it is reached."""
-    closure = _compile_node(node, {name: i for i, name in enumerate(bindings)})
-    v = closure(tuple(bindings.values()))
-    if math.isfinite(v):
-        return v
-    raise _nonfinite_result(v)
+    return _evaluator(node, tuple(bindings), repr(node))(*bindings.values())
 
 
 # --- numeric differentiation ----------------------------------------------------
@@ -529,6 +637,7 @@ def _check_derivative_agreement(
             )
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _compile(text: str | None, variables: tuple[str, ...]) -> Callable[..., float] | None:
     """Parse ``text`` into a function of ``variables``, passed positionally;
     None for None.  Free variables outside ``variables`` are rejected."""
@@ -538,25 +647,7 @@ def _compile(text: str | None, variables: tuple[str, ...]) -> Callable[..., floa
     extra = free_variables(ast) - set(variables)
     if extra:
         raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {text!r}")
-    closure = _compile_node(ast, {name: i for i, name in enumerate(variables)})
-    isfinite = math.isfinite
-    if len(variables) == 1:
-
-        def fn(x: float) -> float:
-            v = closure((x,))
-            if isfinite(v):
-                return v
-            raise _nonfinite_result(v)
-
-        return fn
-
-    def kernel(x: float, y: float) -> float:
-        v = closure((x, y))
-        if isfinite(v):
-            return v
-        raise _nonfinite_result(v)
-
-    return kernel
+    return _function(ast, variables)
 
 
 def scalar_from_expression(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from meankit.cli import main
+from meankit.expr import MAX_DEPTH
 
 
 def run_cli(capsys, *args):
@@ -203,6 +204,26 @@ def test_expression_error_exit_message(generator, x, w, message, capsys):
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "shape, offset",
+    [
+        (lambda n: "+".join(["x"] * n), 2 * MAX_DEPTH - 1),  # AST height n
+        (lambda n: "(" * n + "x" + ")" * n, MAX_DEPTH),  # n nested parentheses
+    ],
+    ids=["sum", "parentheses"],
+)
+def test_expression_depth_limit(shape, offset, capsys):
+    # One level deeper used to exhaust the recursion limit, a traceback that
+    # exited 1; a spec past the limit is a syntax error at its deepest token.
+    argv = ("compute", "mean", "--kind", "qa", "--x=1,4", "--w=1,1", "--format", "structured")
+    code, out, err = run_cli(capsys, *argv, "--generator", f"expr:{shape(MAX_DEPTH)}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == pytest.approx(2.5, rel=1e-11)
+    code, out, err = run_cli(capsys, *argv, "--generator", f"expr:{shape(MAX_DEPTH + 1)}")
+    assert (code, out) == (3, "")
+    assert err == f"error: ExprSyntaxError: expression nested deeper than {MAX_DEPTH} (offset {offset})\n"
 
 
 def test_homi_raising_operation_fails_at_its_first_lattice_point(capsys):

@@ -1,5 +1,7 @@
+import keyword
 import math
 import random
+import re
 
 import pytest
 
@@ -27,11 +29,13 @@ from meankit.errors import (
     UnknownFunction,
 )
 from meankit.expr import (
+    FUNCTION_ARITY,
     BinOp,
     Call,
     Neg,
     Num,
     Var,
+    _source,
     free_variables,
     numeric_derivative,
 )
@@ -114,9 +118,9 @@ def test_parse_print_round_trip_on_random_asts():
         assert parse(to_source(ast)) == ast
 
 
-# --- compiled closures against the tree walker ------------------------------------
+# --- compiled handles against the tree walker ---------------------------------------
 #
-# The tree-walking evaluator that the closure compiler replaced, kept as the
+# The tree-walking evaluator that compiled functions replaced, kept as the
 # oracle.  The lines marked "NaN rule" are its one intended change: min, max,
 # sign and ^ raise NonFinite on a NaN operand instead of swallowing it.
 
@@ -231,12 +235,18 @@ def _kind(outcome) -> str:
     return "overflowed" if message.endswith("overflowed") else message
 
 
+# Variable names that the generated source itself uses, or that name a
+# builtin or a helper there; none of them may reach that source.
+_ODD_NAMES = ("a0", "v1", "c0", "exc", "float", "expression", "isfinite", "exp", "_", "λ")
+
+
 def test_compiled_handles_match_the_tree_walker():
     rng = random.Random(20261018)
     kinds = set()
     for variables, build in (
         (("x",), lambda text: scalar_from_expression(text, all_reals()).fn),
         (("x", "y"), lambda text: kernel_from_expression(text, all_reals()).fn),
+        (("exc",), lambda text: scalar_from_expression(text, all_reals(), variable="exc").fn),
     ):
         for _ in range(1500):
             ast = _random_ast(rng, rng.randint(0, 5), variables)
@@ -261,15 +271,81 @@ def test_compiled_handles_match_the_tree_walker():
 
 def test_evaluate_matches_the_tree_walker():
     rng = random.Random(1811)
-    names = ("x", "y", "t", "p", "c")
-    kinds = set()
-    for _ in range(3000):
-        ast = _random_ast(rng, rng.randint(0, 5))
-        bindings = {n: rng.choice(_BINDING_POOL) for n in names if rng.random() < 0.9}
-        want = _outcome(_reference_evaluate, ast, bindings)
-        assert _outcome(evaluate, ast, bindings) == want, (to_source(ast), bindings)
-        kinds.add(_kind(want))
-    assert {"value", "variable", "NaN operand", "division by zero"} <= kinds
+    for names in (("x", "y", "t", "p", "c"), _ODD_NAMES):
+        kinds = set()
+        for _ in range(3000):
+            ast = _random_ast(rng, rng.randint(0, 5), names)
+            bindings = {n: rng.choice(_BINDING_POOL) for n in names if rng.random() < 0.9}
+            want = _outcome(_reference_evaluate, ast, bindings)
+            assert _outcome(evaluate, ast, bindings) == want, (to_source(ast), bindings)
+            kinds.add(_kind(want))
+        assert {"value", "variable", "NaN operand", "division by zero"} <= kinds, names
+
+
+# Literals that print differently from their text (1e999 is inf, 0.1 is not
+# 1/10), a subnormal, and a NaN made from them; {v} is the variable.
+_LITERAL_TEXTS = (
+    "1e999",
+    "{v} + 1e999",
+    "{v} * 1e999 - 1e999",
+    "min(1e999, {v}) + 0.1",
+    "0.1 + 0.2 * {v}",
+    "1e-320 / {v}",
+    "{v} ^ 0.1 - 2.5e+300 * 1e-300",
+)
+
+
+@pytest.mark.parametrize("text", _LITERAL_TEXTS)
+@pytest.mark.parametrize("variable", ("x",) + _ODD_NAMES)
+def test_literals_and_names_match_the_tree_walker(text, variable):
+    source = text.format(v=variable)
+    ast = parse(source)
+    scalar = scalar_from_expression(source, all_reals(), variable=variable).fn
+    kernel_source = text.format(v="(x - y)")
+    kernel = kernel_from_expression(kernel_source, all_reals()).fn
+    for value in _BINDING_POOL:
+        want = _outcome(_reference_evaluate, ast, {variable: value})
+        assert _outcome(scalar, value) == want, (source, value)
+        assert _outcome(evaluate, ast, {variable: value}) == want, (source, value)
+        want = _outcome(_reference_evaluate, parse(kernel_source), {"x": value, "y": 0.5})
+        assert _outcome(kernel, value, 0.5) == want, (kernel_source, value)
+
+
+# Every identifier the emitter writes: keywords, its helpers, the words of its
+# error messages and slot names (parameters a0, a1, ..., values v0, v1, ...,
+# bound literals and strings c0, c1, ...).
+_EMITTER_WORDS = frozenset(keyword.kwlist) | {
+    "expression", "float", "power", "apply", "isfinite", *FUNCTION_ARITY,
+    "NonFinite", "DomainError", "UnboundVariable", "OverflowError", "ZeroDivisionError", "ValueError",
+    "exc", "f", "NaN", "operand", "overflow", "overflowed", "division", "by", "zero", "invalid", "evaluated", "to",
+}
+_SLOT = re.compile(r"\b[acv][0-9]+\b")
+
+
+def test_generated_source_is_built_from_the_emitters_identifiers():
+    rng = random.Random(701)
+    asts = [_random_ast(rng, rng.randint(0, 6), _ODD_NAMES) for _ in range(500)]
+    asts += [parse(t.format(v=v)) for t in _LITERAL_TEXTS for v in _ODD_NAMES]
+    asts.append(Call("tanh", (Var("λ"), Num(0.1))))  # a hand-built call goes through apply
+    for ast in asts:
+        for variables in (_ODD_NAMES, _ODD_NAMES[:3], ("x", "y")):
+            source, namespace = _source(ast, variables)
+            unslotted = _SLOT.sub("", source)
+            words = set(re.findall(r"[^\W\d]\w*", unslotted))
+            assert words <= _EMITTER_WORDS, (to_source(ast), words - _EMITTER_WORDS)
+            assert not re.search(r"[0-9]", unslotted), to_source(ast)
+            assert {c for c in _SLOT.findall(source) if c[0] == "c"} <= set(namespace)
+
+
+def test_compiled_functions_are_memoized():
+    f = scalar_from_expression("x^2", all_reals())
+    assert f.fn is scalar_from_expression("x^2", positive_reals(), name="square").fn
+    assert f.fn.__code__.co_filename == "<expression>"
+    # Num(0.0) == Num(-0.0) and Num(1.0) == Num(1), yet each keeps its literal.
+    assert repr(evaluate(Num(0.0), {})) == "0.0"
+    assert repr(evaluate(Num(-0.0), {})) == "-0.0"
+    assert repr(evaluate(BinOp("*", Num(1.0), Num(1)), {})) == "1.0"
+    assert repr(evaluate(BinOp("*", Num(1), Num(1)), {})) == "1"
 
 
 def test_error_order_follows_evaluation_order():
