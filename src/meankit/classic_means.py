@@ -153,6 +153,9 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
         return lo
     if generator.inverse is not None:
         values = [generator.fn(x) for x in sample.entries]
+        # Equal values at the hull ends (x^2 underflowing) locate no mean.
+        if values[sample.entries.index(lo)] == values[sample.entries.index(hi)]:
+            raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
         return inverse_of_average(generator, sample, values, lo, hi)
     increasing = _probe_monotone_direction(generator, lo, hi)
     values = [generator.fn(x) for x in sample.entries]

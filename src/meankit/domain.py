@@ -36,12 +36,10 @@ def sign(v: float) -> int:
 
 @dataclass(frozen=True)
 class IntervalDomain:
-    """A real interval; endpoints may be infinite and are open by default."""
+    """An open real interval (lo, hi); endpoints may be infinite."""
 
     lo: float = 0.0
     hi: float = math.inf
-    lo_open: bool = True
-    hi_open: bool = True
 
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi):
@@ -50,32 +48,26 @@ class IntervalDomain:
             raise ValueError(f"empty interval ({self.lo}, {self.hi})")
 
     def contains(self, x: float) -> bool:
-        if math.isnan(x):
-            return False
-        lo_ok = x > self.lo if (self.lo_open or math.isinf(self.lo)) else x >= self.lo
-        hi_ok = x < self.hi if (self.hi_open or math.isinf(self.hi)) else x <= self.hi
-        return lo_ok and hi_ok
+        return self.lo < x < self.hi
 
     @property
     def starts_at_zero(self) -> bool:
-        """True for the canonical scaling domain: open lower endpoint at 0."""
-        return self.lo == 0.0 and self.lo_open
+        """True for the canonical scaling domain: lower endpoint at 0."""
+        return self.lo == 0.0
 
     def inner_lo(self) -> float:
         """Lowest point a solver is allowed to touch."""
         if math.isinf(self.lo):
             return -1e300
-        return self.lo + endpoint_margin(self.lo) if self.lo_open else self.lo
+        return self.lo + endpoint_margin(self.lo)
 
     def inner_hi(self) -> float:
         if math.isinf(self.hi):
             return 1e300
-        return self.hi - endpoint_margin(self.hi) if self.hi_open else self.hi
+        return self.hi - endpoint_margin(self.hi)
 
     def __str__(self) -> str:
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        return f"{left}{self.lo}, {self.hi}{right}"
+        return f"({self.lo}, {self.hi})"
 
 
 def positive_reals() -> IntervalDomain:

@@ -21,8 +21,8 @@ of one straight-line Python function, and its ``fn`` is that function; free
 variables other than the handle's own are rejected then.  Compiled functions
 are memoized by text and variables, and ``evaluate`` memoizes by AST and
 binding names; it raises ``UnboundVariable`` only when evaluation reaches a
-name missing from its bindings.  Text nested deeper than ``MAX_DEPTH`` raises
-``ExprSyntaxError``.
+name missing from its bindings.  Text nested deeper than ``MAX_DEPTH``, and
+an AST handed to ``evaluate`` taller than it, raise ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
@@ -270,16 +270,24 @@ def parse(source: str) -> ExprAst:
     return _Parser(source).parse()
 
 
-def free_variables(node: ExprAst) -> frozenset[str]:
-    if isinstance(node, Num):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset((node.name,))
+def _children(node: ExprAst) -> tuple[ExprAst, ...]:
     if isinstance(node, Neg):
-        return free_variables(node.operand)
+        return (node.operand,)
     if isinstance(node, BinOp):
-        return free_variables(node.left) | free_variables(node.right)
-    return frozenset().union(*(free_variables(a) for a in node.args))
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def free_variables(node: ExprAst) -> frozenset[str]:
+    names, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Var):
+            names.add(n.name)
+        stack.extend(_children(n))
+    return frozenset(names)
 
 
 # --- printer -------------------------------------------------------------------
@@ -538,7 +546,13 @@ def _evaluator(node: ExprAst, names: tuple[str, ...], spelled: str) -> Callable[
 
 def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST; raises instead of returning inf or NaN.  A variable
-    missing from ``bindings`` raises ``UnboundVariable`` when it is reached."""
+    missing from ``bindings`` raises ``UnboundVariable`` when it is reached;
+    an AST taller than MAX_DEPTH, which only code builds, ``ExprSyntaxError``."""
+    level = [node]
+    for _ in range(MAX_DEPTH):  # descends without recursion
+        level = [child for n in level for child in _children(n)]
+    if level:
+        raise _too_deep(0)
     return _evaluator(node, tuple(bindings), repr(node))(*bindings.values())
 
 

@@ -18,9 +18,11 @@ from .errors import AllEvaluationsFailed
 
 UNDERFLOW_FLOOR = 1e-300
 
-#: Default tail window and tolerance of every limit scan at zero.
+#: Default tail window and tolerance of every limit scan at zero, and the
+#: number of halvings of t after which every scan stops.
 LIMIT_WINDOW = 8
 LIMIT_TOL = 1e-6
+LIMIT_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -47,20 +49,16 @@ def limit_at_zero(
     g: Callable[[float], float],
     t0: float,
     *,
-    ratio: float = 0.5,
-    max_steps: int = 60,
     window: int = LIMIT_WINDOW,
     tol: float = LIMIT_TOL,
 ) -> LimitEstimate:
-    """Estimate lim g(t) as t -> 0+ by sampling t_k = t0 * ratio**k.
+    """Estimate lim g(t) as t -> 0+ by sampling t_k = t0 * 0.5**k.
 
     Non-finite values of ``g`` are recorded but excluded from the tail.  The
     iteration stops as soon as the last ``window`` finite values agree within
-    ``tol``; otherwise it runs to ``max_steps`` (or until t underflows) and
+    ``tol``; otherwise it runs to k = LIMIT_STEPS (or until t underflows) and
     reports the lowest-spread window seen, with ``converged`` False.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must be in (0, 1)")
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     if window < 1:
@@ -71,8 +69,8 @@ def limit_at_zero(
     best: tuple[float, tuple[float, ...]] | None = None
     converged = False
     runaway = 0
-    for k in range(max_steps + 1):
-        t = t0 * ratio**k
+    for k in range(LIMIT_STEPS + 1):
+        t = t0 * 0.5**k
         if t < UNDERFLOW_FLOOR:
             break
         try:

@@ -8,11 +8,8 @@ on the sample hull:
     LOWER_WEAK   = inf{y : D(y) <= 0}      LOWER_STRICT = inf{y : D(y) < 0}
     UPPER_STRICT = sup{y : D(y) >  0}      UPPER_WEAK   = sup{y : D(y) >= 0}
 
-The solver classifies D on a grid of m points over the hull as +/0/- (a
-zero band of width ``zero_band`` absorbs measurement noise; the default 0
-keeps exact zeros exact, which is what resolves genuine plateaus of
-sign-based kernels).  Distinctions between strict and weak kinds below
-``zero_band`` are not meaningful.
+The solver classifies D on a grid of m points over the hull by its exact
+sign +/0/- (NaN as -), which resolves genuine plateaus of sign-based kernels.
 
 Each kind is one test on the class c plus a side.  The test is c > 0 for
 LOWER_WEAK and UPPER_STRICT and c >= 0 for LOWER_STRICT and UPPER_WEAK
@@ -23,19 +20,19 @@ it holds, searched from the right.  A split at 0 or m gives the hull end lo
 or hi; any other split gives the cell between grid points b - 1 and b, which
 bisection on the same test refines.
 
-A kernel with the sign property has D(lo) >= 0 >= D(hi) on the hull
-[lo, hi]; a sum negative beyond ``zero_band`` at lo, or positive beyond it at
-hi, shows that the kernel lacks the property, and the solvers raise
-NoSignChange instead of returning a hull end.  Both solvers evaluate D at lo
-and hi before any interior point, so that refusal costs two deviation sums and
-comes before any kernel failure inside the hull.
+A kernel with the sign property has D(lo) >= 0 >= D(hi), not both 0, on a
+hull lo < hi; a sum negative at lo, positive at hi or 0 at both (flat in
+floats) shows that the property is lost, and the solvers raise NoSignChange
+instead of returning a hull end.  Both solvers evaluate D at lo and hi before
+any interior point, so that refusal costs two deviation sums and comes before
+any kernel failure inside the hull.
 
 A difference kernel K(x, y) = f(x) - f(y) whose generator declares its
 ``inverse`` and increases on the hull needs no scan at all (Daróczy, Publ.
 Math. Debrecen 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes only at
 y* = f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which every kind
-and ``deviation_mean`` return in closed form when ``zero_band`` is 0.  The
-grid size and the refinement tolerance then have no effect.
+and ``deviation_mean`` return in closed form.  The grid size and the
+refinement tolerance then have no effect.
 
 Otherwise one classified grid serves every requested kind
 (``semideviation_means``), and a memo keyed by y lets the kinds' bisections
@@ -76,16 +73,16 @@ from .expr import Kernel2, numeric_derivative
 
 @dataclass(frozen=True)
 class SemidevMeanConfig:
-    """Solver knobs for sign-change mean location."""
+    """Sign-scan grid points and bisection tolerance (relative to the hull
+    scale) of sign-change mean location; the closed form uses neither."""
 
     grid_size: int = 1024
     refine_tol: float = 1e-12
-    zero_band: float = 0.0
 
     def __post_init__(self):
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if self.refine_tol < 0.0 or self.zero_band < 0.0:
+        if self.refine_tol < 0.0:
             raise ValueError("tolerances must be nonnegative")
 
 
@@ -155,8 +152,9 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
     return ratio_sum
 
 
-def _classify(value: float, zero_band: float) -> int:
-    if abs(value) <= zero_band:
+def _classify(value: float) -> int:
+    """The exact sign of ``value``, with -0.0 as 0 and NaN as -1."""
+    if value == 0.0:
         return 0
     return 1 if value > 0.0 else -1
 
@@ -175,14 +173,12 @@ def _split(test: Callable[[int], bool], m: int, from_left: bool) -> int:
     return next((j + 1 for j in range(m - 1, -1, -1) if test(j)), 0)
 
 
-def _closed_form(
-    kernel: Kernel2, sample: WeightedSample, lo: float, hi: float, cfg: SemidevMeanConfig
-) -> float | None:
+def _closed_form(kernel: Kernel2, sample: WeightedSample, lo: float, hi: float) -> float | None:
     """The quasiarithmetic mean of the kernel's generator, which every kind
     equals, or None when the kernel does not qualify for the closed form (see
     the module docstring).  ``lo, hi`` is the sample hull."""
     f = kernel.generator
-    if f is None or f.inverse is None or cfg.zero_band != 0.0:
+    if f is None or f.inverse is None:
         return None
     if not (f.domain.contains(lo) and f.domain.contains(hi)):
         return None
@@ -196,8 +192,10 @@ def _closed_form(
     return inverse_of_average(f, sample, values, lo, hi)
 
 
-def _no_sign_change(at_lo: float, at_hi: float) -> NoSignChange:
-    return NoSignChange(f"deviation sum has signs ({sign(at_lo)}, {sign(at_hi)}) at the hull ends")
+def _refuse_hull_ends(at_lo: float, at_hi: float) -> None:
+    """Raise NoSignChange unless D(lo) >= 0 >= D(hi), not both 0 (values or classes)."""
+    if at_lo < 0.0 or at_hi > 0.0 or (at_lo == 0.0 and at_hi == 0.0):
+        raise NoSignChange(f"deviation sum has signs ({sign(at_lo)}, {sign(at_hi)}) at the hull ends")
 
 
 def semideviation_means(
@@ -214,14 +212,14 @@ def semideviation_means(
     to have the off-diagonal sign of x - y; with that, each defining set is
     clamped by the hull and each returned value obeys the mean-value
     property.  Raises NoSignChange when the deviation sum is negative at the
-    lower hull end or positive at the upper one (beyond ``zero_band``).
+    lower hull end, positive at the upper one, or zero at both.
     Every kind gets the value ``semideviation_mean`` gives alone.
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
     if lo == hi:
         return {kind: lo for kind in kinds}
-    closed = _closed_form(kernel, sample, lo, hi, cfg)
+    closed = _closed_form(kernel, sample, lo, hi)
     if closed is not None:
         return {kind: closed for kind in kinds}
     dsum = deviation_sum(kernel, sample)
@@ -230,17 +228,13 @@ def semideviation_means(
     def classify(y: float) -> int:
         c = memo.get(y)
         if c is None:
-            c = memo[y] = _classify(dsum(y), cfg.zero_band)
+            c = memo[y] = _classify(dsum(y))
         return c
 
     m = cfg.grid_size
     step = (hi - lo) / (m - 1)
     grid = [lo + j * step for j in range(m - 1)] + [hi]
-    # The hull ends first: a kernel without the sign property is refused
-    # after two deviation sums, before any interior point is evaluated.
-    at_lo, at_hi = classify(lo), classify(hi)
-    if at_lo < 0 or at_hi > 0:
-        raise _no_sign_change(at_lo, at_hi)
+    _refuse_hull_ends(classify(lo), classify(hi))
     classes = [classify(y) for y in grid]
     base_alt = _alternations(classes)
     if base_alt > 1:
@@ -305,20 +299,19 @@ def deviation_mean(
     Valid for kernels with continuous second argument and strictly increasing
     cross-ratios (see ``check_quasideviation``); for those the four
     sign-change means coincide with this root.  Raises NoSignChange when the
-    sum fails to change sign across the hull, which signals that the
-    admission assumption broke down numerically.
+    sum has the wrong sign at a hull end or is zero at both, which signals
+    that the admission assumption broke down numerically.
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
     if lo == hi:
         return lo
-    closed = _closed_form(kernel, sample, lo, hi, cfg)
+    closed = _closed_form(kernel, sample, lo, hi)
     if closed is not None:
         return closed
     dsum = deviation_sum(kernel, sample)
     at_lo, at_hi = dsum(lo), dsum(hi)
-    if at_lo < 0.0 or at_hi > 0.0:
-        raise _no_sign_change(at_lo, at_hi)
+    _refuse_hull_ends(at_lo, at_hi)
     if at_lo == 0.0:
         return lo
     if at_hi == 0.0:

@@ -275,14 +275,13 @@ def verify_sandwich(
 # --- normalized-kernel limit suite ----------------------------------------------------------
 
 
-def verify_lemma_lim(
-    kernel: Kernel2,
-    x: float,
-    y: float,
-    n_list: Sequence[int] = (10, 100, 1_000, 10_000, 100_000, 1_000_000),
-) -> Report:
+#: Weights n of the second entry in lemma-lim's samples ((x, y), (1, n)).
+LEMMA_LIM_WEIGHTS = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
+
+
+def verify_lemma_lim(kernel: Kernel2, x: float, y: float) -> Report:
     """n * (mean((x, y), (1, n)) - y) must approach the normalized kernel at
-    (x, y), monotonically in error over the weight list."""
+    (x, y), monotonically in error over LEMMA_LIM_WEIGHTS."""
     try:
         scaled = normalize_kernel(kernel)
     except NotNormalizable as exc:
@@ -298,7 +297,7 @@ def verify_lemma_lim(
     tol = 1e-3 * max(1.0, abs(target))
     for cond, kind in ((lower, MeanKind.LOWER_WEAK), (upper, MeanKind.UPPER_WEAK)):
         errors = []
-        for n in n_list:
+        for n in LEMMA_LIM_WEIGHTS:
             sample = make_weighted_sample((x, y), (1.0, float(n)), kernel.domain_x)
             value = semideviation_mean(kernel, sample, kind, cfg)
             errors.append(abs(n * (value - y) - target))
@@ -307,7 +306,7 @@ def verify_lemma_lim(
         )
         cond.record(
             monotone and errors[-1] < tol,
-            lambda: {"x": x, "y": y, "target": target, "errors": errors, "n_list": list(n_list)},
+            lambda: {"x": x, "y": y, "target": target, "errors": errors, "n_list": list(LEMMA_LIM_WEIGHTS)},
         )
     return _assemble("lemma-lim", [lower, upper])
 

@@ -226,6 +226,35 @@ def test_expression_depth_limit(shape, offset, capsys):
     assert err == f"error: ExprSyntaxError: expression nested deeper than {MAX_DEPTH} (offset {offset})\n"
 
 
+#: x^2 underflows to 0 at both entries, so f and D are flat in floats on the
+#: hull; the true mean is the power mean 1.5811388300841897e-170.
+FLAT_HULL = ("--x=1e-170,2e-170", "--w=1,1")
+
+
+@pytest.mark.parametrize(
+    "spec, err",
+    [
+        (
+            ("--kind", "qa", "--generator", "power:2"),
+            "error: GeneratorNotMonotone: power(2) is not strictly monotone on [1e-170, 2e-170]\n",
+        ),
+        (
+            ("--kind", "deviation", "--kernel", "diff_gen:power:2"),
+            "error: NoSignChange: deviation sum has signs (0, 0) at the hull ends\n",
+        ),
+        (
+            ("--kind", "semidev", "--kernel", "diff_gen:power:2"),
+            "error: NoSignChange: deviation sum has signs (0, 0) at the hull ends\n",
+        ),
+    ],
+    ids=["qa", "deviation", "semidev"],
+)
+def test_a_hull_flat_in_floats_returns_no_hull_end(spec, err, capsys):
+    assert run_cli(capsys, "compute", "mean", *spec, *FLAT_HULL) == (3, "", err)
+    code, out, _ = run_cli(capsys, "compute", "mean", "--kind", "power", "--p", "2", *FLAT_HULL)
+    assert (code, out.splitlines()[-1]) == (0, "1.5811388300841897e-170")
+
+
 def test_homi_raising_operation_fails_at_its_first_lattice_point(capsys):
     # f(p, q) fails at the lattice's first point, p = 0.6.  The numeric
     # partial at u = 0.6 fails too, at log(-0.39999...): a partials table

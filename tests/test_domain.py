@@ -54,10 +54,9 @@ def test_entry_outside_domain_rejected():
 
 
 def test_interval_membership_respects_openness():
-    closed = IntervalDomain(0, 1, lo_open=False, hi_open=False)
-    assert closed.contains(0.0) and closed.contains(1.0)
-    half = IntervalDomain(0, 1, lo_open=True, hi_open=False)
-    assert not half.contains(0.0) and half.contains(1.0)
+    unit = IntervalDomain(0, 1)
+    assert not unit.contains(0.0) and not unit.contains(1.0)
+    assert unit.contains(0.5)
     assert positive_reals().starts_at_zero
     assert not open_interval(0.5, 2).starts_at_zero
 

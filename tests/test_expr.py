@@ -30,6 +30,7 @@ from meankit.errors import (
 )
 from meankit.expr import (
     FUNCTION_ARITY,
+    MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -394,6 +395,25 @@ def test_hand_built_calls_evaluate_their_arguments_first():
         evaluate(Call("tanh", (Num(0.0),)), {})
     with pytest.raises(UnboundVariable):
         evaluate(Call("tanh", (Var("q"),)), {})
+
+
+def _left_chain(height: int):
+    """x + 1 + 1 + ..., a left chain of BinOp("+") nodes ``height`` nodes tall."""
+    node = Var("x")
+    for _ in range(height - 1):
+        node = BinOp("+", node, Num(1.0))
+    return node
+
+
+def test_hand_built_asts_taller_than_the_limit_are_syntax_errors():
+    # parse never builds such ASTs; a 2,000-node chain used to exhaust the
+    # recursion limit while the memo hashed it.
+    assert evaluate(_left_chain(MAX_DEPTH), {"x": 1.0}) == 100.0
+    for height in (MAX_DEPTH + 1, 2001):
+        with pytest.raises(ExprSyntaxError) as err:
+            evaluate(_left_chain(height), {"x": 1.0})
+        assert str(err.value) == f"expression nested deeper than {MAX_DEPTH} (offset 0)"
+        assert err.value.offset == 0
 
 
 def test_free_variables():

@@ -61,7 +61,7 @@ class TestLimitAtZero:
             limit_at_zero(lambda t: math.nan, 1.0)
 
     def test_scales_decrease_geometrically(self):
-        est = limit_at_zero(lambda t: t * t, 1.0, ratio=0.5)
+        est = limit_at_zero(lambda t: t * t, 1.0)
         ts = [t for t, _ in est.values]
         assert all(b == pytest.approx(0.5 * a) for a, b in zip(ts, ts[1:]))
         assert est.tail_min <= est.tail_max
@@ -73,7 +73,7 @@ class TestLimitAtZero:
             largest_halving_start(0.0)
 
     def test_underflowing_scales_stop_the_iteration(self):
-        est = limit_at_zero(lambda t: math.sin(1.0 / t), 1e-295, max_steps=60)
+        est = limit_at_zero(lambda t: math.sin(1.0 / t), 1e-295)
         assert not est.converged
         assert est.values[-1][0] >= 1e-300
         assert len(est.values) < 61

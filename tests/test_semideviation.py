@@ -347,13 +347,10 @@ def test_resolved_oscillation_uses_first_and_last_crossing():
     assert 1.0 <= lw <= uw <= 5.0
 
 
-def test_zero_band_collapses_noise_level_distinctions():
-    s = make_weighted_sample([1, 3], [1, 1], REALS)
-    wide = SemidevMeanConfig(zero_band=2.5)
-    # With the band wider than any attainable sum, the weak kinds clamp to
-    # the hull ends.
-    assert semideviation_mean(sign_kernel(), s, MeanKind.LOWER_WEAK, wide) == 1.0
-    assert semideviation_mean(sign_kernel(), s, MeanKind.UPPER_WEAK, wide) == 3.0
+def test_classes_are_exact_signs():
+    # The smallest subnormals keep their signs; a NaN sum counts as negative.
+    for value, c in ((5e-324, 1), (-5e-324, -1), (0.0, 0), (-0.0, 0), (math.nan, -1), (math.inf, 1)):
+        assert semideviation._classify(value) == c, value
 
 
 # --- separable deviation sums and the shared scan ------------------------------------
@@ -448,8 +445,7 @@ def test_closed_form_matches_the_bisection(gen, bounds):
             assert abs(solved[kind] - qa) <= 1e-11 * max(abs(lo), abs(hi)), (gen.name, kind, s)
 
 
-def test_closed_form_needs_a_zero_band_of_zero(monkeypatch):
-    # With a zero band the kinds may differ, so the sign scan decides them.
+def test_closed_form_evaluates_no_deviation_sum(monkeypatch):
     calls = []
     original = semideviation.deviation_sum
 
@@ -463,8 +459,6 @@ def test_closed_form_needs_a_zero_band_of_zero(monkeypatch):
     semideviation_means(kernel, s, KINDS)
     deviation_mean(kernel, s)
     assert calls == []
-    semideviation_means(kernel, s, KINDS, SemidevMeanConfig(zero_band=1e-9))
-    assert calls == [kernel]
 
 
 def test_failing_generator_raises_the_generic_message():
@@ -617,10 +611,9 @@ def test_wrong_signed_hull_ends_are_reported_before_an_interior_failure():
         (sign_kernel(), REALS, (1.0, 4.0), SemidevMeanConfig(grid_size=64)),
         (_bisection(arithmetic_kernel()), REALS, (-3.0, 3.0), SemidevMeanConfig(grid_size=128)),
         (_bisection(difference_kernel(cosh_generator())), POS, (0.1, 4.0), SemidevMeanConfig()),
-        (difference_kernel(cosh_generator()), POS, (0.1, 4.0), SemidevMeanConfig(zero_band=1e-9)),
         (ratio_kernel(log_generator()), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
     ],
-    ids=["sign_dev", "arithmetic", "cosh", "cosh-zero-band", "ratio-log"],
+    ids=["sign_dev", "arithmetic", "cosh", "ratio-log"],
 )
 def test_shared_scan_equals_per_kind_solves(kernel, domain, bounds, cfg):
     rng = random.Random(17)
@@ -681,20 +674,17 @@ MONOTONE = [
 
 
 @pytest.mark.parametrize("grid", [2, 3, 128, 1024])
-@pytest.mark.parametrize("band", [0.0, 1e-9])
 @pytest.mark.parametrize("gen, bounds", MONOTONE, ids=[g.name for g, _ in MONOTONE])
-def test_halving_finds_the_cell_of_the_full_scan(gen, bounds, band, grid):
+def test_halving_finds_the_cell_of_the_full_scan(gen, bounds, grid):
     # The name is kept from the halving search these generators took before
-    # the closed form covered them.  With a zero band of 0 each kind's closed
-    # form lies within the bisection tolerance of the full scan's mean, at
-    # every grid size; with a wider band the closed form steps aside and the
-    # kernel gets the means of the generic sum, bit for bit.
+    # the closed form covered them.  Each kind's closed form lies within the
+    # bisection tolerance of the full scan's mean, at every grid size.
     kernel = difference_kernel(gen)
-    cfg = SemidevMeanConfig(grid_size=grid, zero_band=band)
+    cfg = SemidevMeanConfig(grid_size=grid)
     for s in _seeded_samples(gen.domain, *bounds, seed=31 + grid, count=25):
         scan = _means_or_error(_generic(kernel), s, cfg)
         assert _means_or_error(_bisection(kernel), s, cfg) == scan, s
-        if band or scan is NoSignChange:
+        if scan is NoSignChange:
             assert _means_or_error(kernel, s, cfg) == scan, s
             continue
         lo, hi = s.hull()
@@ -738,24 +728,23 @@ def test_full_scan_outside_the_generator_domain():
 
 
 def test_full_scan_of_a_sum_that_is_zero_in_floats():
-    # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 on the
-    # whole grid: the tests c > 0 and c >= 0 never and always hold, and every
-    # kind clamps to a hull end.
+    # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 at both
+    # hull ends: no hull end is returned as a mean, on either sum.
     flat = dataclasses.replace(cosh_generator(), fn=math.cosh, inverse=None)
     kernel = difference_kernel(flat)
+    refused = r"signs \(0, 0\) at the hull ends"
     for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):
         tiny = s.scaled(1e-9)
         lo, hi = tiny.hull()
-        assert deviation_sum(kernel, tiny)(lo) == 0.0
-        for grid in (2, 3, 1024):
-            cfg = SemidevMeanConfig(grid_size=grid)
-            assert semideviation_means(kernel, tiny, KINDS, cfg) == {
-                MeanKind.LOWER_WEAK: lo,
-                MeanKind.LOWER_STRICT: hi,
-                MeanKind.UPPER_STRICT: lo,
-                MeanKind.UPPER_WEAK: hi,
-            }
-            assert _means_or_error(kernel, tiny, cfg) == _means_or_error(_generic(kernel), tiny, cfg)
+        if lo == hi:
+            continue  # a constant sample's means are its entry, before any sum
+        assert deviation_sum(kernel, tiny)(lo) == deviation_sum(kernel, tiny)(hi) == 0.0
+        for k in (kernel, _generic(kernel)):
+            for grid in (2, 3, 1024):
+                with pytest.raises(NoSignChange, match=refused):
+                    semideviation_means(k, tiny, KINDS, SemidevMeanConfig(grid_size=grid))
+            with pytest.raises(NoSignChange, match=refused):
+                deviation_mean(k, tiny)
 
 
 #: Kernels whose deviation sum changes sign more than once, or has the wrong

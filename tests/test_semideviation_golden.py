@@ -2,21 +2,25 @@
 
 ``data/semideviation_golden.json`` holds the ``repr`` of all four kinds on
 seeded samples, recorded with the per-kind grid-scan solver at commit
-99aadd2 (before the shared scan and the separable deviation sums), by running
-this file as a script against that commit's ``src``:
+99aadd2 (before the shared scan and the separable deviation sums).  Running
+this file as a script records the cases of ``CASES`` that the file lacks,
+with the ``src`` on the path, and leaves every recorded case as it is:
 
     PYTHONPATH=src python tests/test_semideviation_golden.py
 
-The cases of difference kernels with a catalog generator (arithmetic and
-diff_gen:power:2, power:0, exp and cosh without a zero band) were re-recorded
-when those means moved to the closed form f^-1(sum_i w_i f(x_i) / W); CHANGES.md
-gives each case's error against 60-digit references before and after.
-Re-recording is only valid together with an argument that the new values are
-at least as accurate as the recorded ones.
+Record a new case with a commit before the change under test, so that the
+case checks the change instead of repeating it.  The cases of difference
+kernels with a catalog generator (arithmetic and diff_gen:power:2, power:0,
+exp and cosh) were re-recorded when those means moved to the closed form
+f^-1(sum_i w_i f(x_i) / W); CHANGES.md gives each case's error against
+60-digit references before and after.  Re-recording is only valid together
+with an argument that the new values are at least as accurate as the
+recorded ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -45,6 +49,10 @@ from meankit.errors import NoSignChange
 DATA = Path(__file__).parent / "data" / "semideviation_golden.json"
 SAMPLES_PER_CASE = 40
 
+#: The catalog cosh kernel without its generator's inverse: solved by the
+#: sign scan over the separable deviation sum, not in closed form.
+COSH_SCAN = "diff_gen:cosh without inverse"
+
 #: kernel name -> (factory, entry range, integer entries and weights)
 KERNELS = {
     # Small integer entries and weights give exact zero plateaus of D, where
@@ -62,6 +70,11 @@ KERNELS = {
     ),
     "ratio_dev:power:0.5": (lambda: ratio_kernel(power_generator(0.5)), (0.5, 4.0), False),
     "ratio_dev:log": (lambda: ratio_kernel(log_generator()), (0.5, 4.0), False),
+    COSH_SCAN: (
+        lambda: difference_kernel(dataclasses.replace(cosh_generator(), inverse=None)),
+        (0.1, 4.0),
+        False,
+    ),
 }
 
 #: sqrt(x / y) > 0 everywhere: not a deviation kernel, so no case is recorded
@@ -70,9 +83,13 @@ NOT_A_DEVIATION_KERNEL = "ratio_dev:power:0.5"
 
 #: (kernel name, SemidevMeanConfig keyword arguments, seed)
 CASES = [
-    *((name, {}, seed) for seed, name in enumerate(KERNELS) if name != NOT_A_DEVIATION_KERNEL),
+    *(
+        (name, {}, seed)
+        for seed, name in enumerate(KERNELS)
+        if name not in (NOT_A_DEVIATION_KERNEL, COSH_SCAN)
+    ),
     ("diff_gen:power:2", {"grid_size": 128}, 100),
-    ("diff_gen:cosh", {"zero_band": 1e-9}, 101),
+    (COSH_SCAN, {}, 101),
 ]
 
 
@@ -99,9 +116,9 @@ def _domain(name: str):
     return all_reals() if name in ("sign_dev", "arithmetic", "diff_gen:exp") else positive_reals()
 
 
-def record() -> dict:
+def record(missing: list[tuple[str, dict, int]]) -> list[dict]:
     cases = []
-    for name, config, seed in CASES:
+    for name, config, seed in missing:
         kernel = KERNELS[name][0]()
         cfg = SemidevMeanConfig(**config)
         rows = []
@@ -110,7 +127,7 @@ def record() -> dict:
             means = {k.value: repr(semideviation_mean(kernel, sample, k, cfg)) for k in MeanKind}
             rows.append({"entries": entries, "weights": weights, "means": means})
         cases.append({"kernel": name, "config": config, "seed": seed, "samples": rows})
-    return {"cases": cases}
+    return cases
 
 
 GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else {"cases": []}
@@ -153,8 +170,9 @@ def test_every_case_is_recorded():
 
 
 if __name__ == "__main__":
+    recorded = [(c["kernel"], c["config"], c["seed"]) for c in GOLDEN["cases"]]
+    cases = GOLDEN["cases"] + record([case for case in CASES if case not in recorded])
     # One sample per line keeps the file small and its diffs readable.
-    cases = record()["cases"]
     lines = ['{"cases": [']
     for i, case in enumerate(cases):
         head = json.dumps({k: v for k, v in case.items() if k != "samples"})
