@@ -607,6 +607,14 @@ class ScalarFunction:
     closed form instead of bisecting.  Without it, consumers that need
     monotonicity probe it on a grid themselves.  A function built from
     expression text keeps that text only as its default ``name``.
+
+    ``local_order`` is a catalog promise too: the local power order q at 0+,
+    that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
+    tends to q).  The scale profile of the difference kernel of f is then
+    (r^q - 1)/q, log r at q = 0, which ``homogenization_profile`` returns in
+    closed form.  Only the catalog constructors set it: power:p sets p (log
+    0), cosh 2, exp and the identity 1; ``shifted_power`` and expression
+    generators leave it None.  Both promises carry over to ``restricted``.
     """
 
     name: str
@@ -615,6 +623,7 @@ class ScalarFunction:
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
     inverse: Callable[[float], float] | None = None
+    local_order: float | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -627,7 +636,8 @@ class ScalarFunction:
         return numeric_derivative(self.fn, x, order, self.domain)
 
     def restricted(self, domain: IntervalDomain) -> "ScalarFunction":
-        """The same function on a sub-domain (the inverse carries over)."""
+        """The same function on a sub-domain (the inverse and the local
+        order carry over)."""
         return replace(self, domain=domain)
 
 
@@ -709,6 +719,14 @@ class Kernel2:
     ``ratio`` on the quotient instead of ``fn``.  Only ``ratio_kernel`` and
     ``homogenize.ratio_kernel_from_profile`` set it; a ``dataclasses.replace``
     that changes ``fn`` must drop it, as for ``generator``.
+
+    ``power_order``, when set to q, declares that in exact arithmetic
+    ``fn(x, y) == y^-q (g_q(x) - g_q(y))`` with g_q the Box-Cox map
+    (x^q - 1)/q (log x at q = 0), so every sign-change mean and the
+    deviation mean are the power mean P_q, which solvers return in closed
+    form.  Only ``homogenize.ratio_kernel_from_profile`` sets it, from a
+    closed-form scale profile; a ``dataclasses.replace`` that changes ``fn``
+    must drop it.
     """
 
     name: str
@@ -719,6 +737,7 @@ class Kernel2:
     deriv2: Callable[[float, float], float] | None = None
     generator: ScalarFunction | None = None
     ratio: Callable[[float], float] | None = None
+    power_order: float | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -811,6 +830,7 @@ def power_generator(p: float) -> ScalarFunction:
             deriv1=lambda x: 1.0 / x,
             deriv2=lambda x: -1.0 / (x * x),
             inverse=_exp,
+            local_order=0.0,
         )
     return ScalarFunction(
         f"power({p:g})",
@@ -819,6 +839,7 @@ def power_generator(p: float) -> ScalarFunction:
         deriv1=lambda x: p * _pow(x, p - 1.0),
         deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
         inverse=lambda v: _pow(v, 1.0 / p),
+        local_order=float(p),
     )
 
 
@@ -834,6 +855,7 @@ def exp_generator() -> ScalarFunction:
         deriv1=_exp,
         deriv2=_exp,
         inverse=_log,
+        local_order=1.0,
     )
 
 
@@ -847,6 +869,7 @@ def cosh_generator() -> ScalarFunction:
         deriv1=math.sinh,
         deriv2=math.cosh,
         inverse=lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v)),
+        local_order=2.0,
     )
 
 
@@ -904,5 +927,6 @@ def arithmetic_kernel() -> Kernel2:
         deriv1=lambda x: 1.0,
         deriv2=lambda x: 0.0,
         inverse=lambda v: v,
+        local_order=1.0,
     )
     return difference_kernel(f)

@@ -30,6 +30,7 @@ from .errors import (
     EmptyAdmissibleSet,
     AllEvaluationsFailed,
     MeanKitError,
+    NonFinite,
     NotConverged,
     SignPropertyViolated,
 )
@@ -64,9 +65,11 @@ ENVELOPE_GRID = 256
 
 #: Octaves explored around the admissible range when an endpoint is missing.
 #: 2^-28 is not above the cancellation floor of every solver-based mean: a
-#: generator that is flat in floating point near 0 (cosh, where cosh(x) ==
-#: 1.0 below about 1e-8) makes M(t x) / t a hull endpoint at the small end of
-#: the scan, so qa(cosh) envelopes can be wrong (ROADMAP item 4).
+#: generator that is flat in floating point near 0 makes M(t x) / t a hull
+#: endpoint at the small end of the scan.  The catalog stores cosh as
+#: 2 sinh(x/2)^2, which is not flat there, so its qa envelopes are right;
+#: the text spelling ``expr:cosh(x)`` evaluates cosh(x) == 1.0 below about
+#: 1e-8, and its qa envelopes can still be wrong (ROADMAP items 3 and 5).
 ENVELOPE_OCTAVES = 28
 
 #: Nodes per octave of the tabulated scale profile: h is computed at
@@ -336,6 +339,27 @@ def _node_ratio(k: int) -> float:
 _Cell = tuple[float, float, float, float, float, float, float]
 
 
+def _power_profile(q: float) -> Callable[[float], float]:
+    """The closed-form scale profile r -> (r^q - 1)/q (log r at q = 0),
+    carrying q as its attribute ``order`` (see ``homogenization_profile``)."""
+
+    def profile(r: float) -> float:
+        if not 0.0 < r < math.inf:
+            raise ValueError("ratio must be positive and finite")
+        if q == 0.0:
+            return math.log(r)
+        try:
+            value = math.expm1(q * math.log(r)) / q
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NonFinite(f"scale profile (r^{q} - 1)/{q} overflowed at r={r}")
+        return value
+
+    profile.order = q
+    return profile
+
+
 def homogenization_profile(
     kernel: Kernel2,
     mode: Literal["estimate", "lower", "upper"] = "estimate",
@@ -343,11 +367,25 @@ def homogenization_profile(
     normalized: Kernel2 | None = None,
     _node_estimates: dict[int, LimitEstimate] | None = None,
 ) -> Callable[[float], float]:
-    """Tabulated scale profile r -> h(r) of a deviation kernel.
+    """Scale profile r -> h(r) of a deviation kernel: in closed form when
+    the kernel's generator declares its local power order, tabulated
+    otherwise.
 
-    h is computed only at the nodes r_k = 2^(k/16), k an integer, each by one
-    ``kernel_homogenization`` scan (window PROFILE_WINDOW, tolerance
-    PROFILE_TOL) made the first time a query needs it and memoized by k.
+    The kernel is normalized first (unless ``normalized`` is given), so a
+    kernel that cannot be normalized raises NotNormalizable on both paths.
+    When ``kernel.generator.local_order`` is some q and the kernel's y-domain
+    starts at 0, h(r) = (r^q - 1)/q (log r at q = 0) in every mode,
+    evaluated as expm1(q log r)/q, which keeps its digits near r = 1; it
+    raises ValueError outside 0 < r < inf and NonFinite when the value
+    overflows.  The returned function carries q as its attribute ``order``,
+    from which ``ratio_kernel_from_profile`` declares the ratio kernel's
+    ``power_order``; the attribute survives a ``functools.wraps`` wrapper
+    but not a plain closure.  ``_node_estimates`` is not used on this path.
+
+    Otherwise h is computed only at the nodes r_k = 2^(k/16), k an integer,
+    each by one ``kernel_homogenization`` scan (window PROFILE_WINDOW,
+    tolerance PROFILE_TOL) made the first time a query needs it and
+    memoized by k.
     Profiles of one kernel and normalized kernel may share that memo (the
     scans' LimitEstimates, without their sampled tables) by passing the same
     dict as ``_node_estimates``; within the package, tei's lower and upper
@@ -378,6 +416,9 @@ def homogenization_profile(
     achievable window spread.
     """
     base = normalized if normalized is not None else normalize_kernel(kernel)
+    f = kernel.generator
+    if f is not None and f.local_order is not None and kernel.domain_y.starts_at_zero:
+        return _power_profile(f.local_order)
     estimates = {} if _node_estimates is None else _node_estimates
     nodes: dict[int, float] = {}
 
@@ -479,9 +520,16 @@ def sign_probe_failure(
 
 def ratio_kernel_from_profile(name: str, profile: Callable[[float], float]) -> Kernel2:
     """Degree-0 homogeneous kernel (x, y) -> h(x / y) on the positive quadrant,
-    declaring h as its ``ratio``."""
+    declaring h as its ``ratio``.
+
+    A closed-form profile (one carrying the attribute ``order`` q, see
+    ``homogenization_profile``) makes the kernel declare ``power_order`` q,
+    so its sign-change and deviation means are the power mean P_q in closed
+    form; any other profile leaves it None and its means take the sign scan.
+    """
     dom = positive_reals()
-    return Kernel2(name, lambda x, y: profile(x / y), dom, dom, ratio=profile)
+    order = getattr(profile, "order", None)
+    return Kernel2(name, lambda x, y: profile(x / y), dom, dom, ratio=profile, power_order=order)
 
 
 def homogeneous_semidev_mean(

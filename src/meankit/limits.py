@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Literal
 
 from .errors import AllEvaluationsFailed
 
@@ -24,17 +24,27 @@ LIMIT_WINDOW = 8
 LIMIT_TOL = 1e-6
 LIMIT_STEPS = 60
 
+#: Why a scan stopped: its tail window met the tolerance ("converged"), the
+#: window spread kept growing past the best one ("runaway"), t fell below
+#: UNDERFLOW_FLOOR ("underflow"), or it sampled k = LIMIT_STEPS ("step_cap").
+StopReason = Literal["converged", "runaway", "underflow", "step_cap"]
+
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """Sampled values of g(t) for t -> 0+ and their tail window statistics."""
+    """Sampled values of g(t) for t -> 0+, their tail window statistics and
+    the reason the scan stopped."""
 
     values: tuple[tuple[float, float], ...]
     tail_min: float
     tail_max: float
-    converged: bool
+    stop_reason: StopReason
     window: int
     tol: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def estimate(self) -> float:
@@ -57,7 +67,10 @@ def limit_at_zero(
     Non-finite values of ``g`` are recorded but excluded from the tail.  The
     iteration stops as soon as the last ``window`` finite values agree within
     ``tol``; otherwise it runs to k = LIMIT_STEPS (or until t underflows) and
-    reports the lowest-spread window seen, with ``converged`` False.
+    reports the lowest-spread window seen, with ``converged`` False.  A
+    spread that grows past both 100 times the best spread and 10 times
+    ``tol`` for ``window`` consecutive finite values stops the scan early
+    (``stop_reason`` "runaway"); non-finite values do not count toward it.
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
@@ -67,11 +80,12 @@ def limit_at_zero(
     pairs: list[tuple[float, float]] = []
     finite: list[float] = []
     best: tuple[float, tuple[float, ...]] | None = None
-    converged = False
+    stop_reason: StopReason = "step_cap"
     runaway = 0
     for k in range(LIMIT_STEPS + 1):
         t = t0 * 0.5**k
         if t < UNDERFLOW_FLOOR:
+            stop_reason = "underflow"
             break
         try:
             v = float(g(t))
@@ -87,7 +101,7 @@ def limit_at_zero(
                     best = (spread, tail)
                     runaway = 0
                 if spread <= tol:
-                    converged = True
+                    stop_reason = "converged"
                     break
                 # Once rounding noise takes over, the spread only grows and the
                 # values eventually freeze at a spurious constant; stop before a
@@ -95,6 +109,7 @@ def limit_at_zero(
                 if spread > max(100.0 * best[0], 10.0 * tol):
                     runaway += 1
                     if runaway >= window:
+                        stop_reason = "runaway"
                         break
                 else:
                     runaway = 0
@@ -105,7 +120,7 @@ def limit_at_zero(
         values=tuple(pairs),
         tail_min=min(tail),
         tail_max=max(tail),
-        converged=converged,
+        stop_reason=stop_reason,
         window=window,
         tol=tol,
     )

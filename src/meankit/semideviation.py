@@ -31,8 +31,12 @@ A difference kernel K(x, y) = f(x) - f(y) whose generator declares its
 ``inverse`` and increases on the hull needs no scan at all (Daróczy, Publ.
 Math. Debrecen 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes only at
 y* = f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which every kind
-and ``deviation_mean`` return in closed form.  The grid size and the
-refinement tolerance then have no effect.
+and ``deviation_mean`` return in closed form.  Likewise a kernel declaring
+``Kernel2.power_order`` q, such as the ratio kernel of a closed-form scale
+profile (r^q - 1)/q, has D(y) = y^-q sum_i w_i (g_q(x_i) - g_q(y)) with g_q
+the Box-Cox map (x^q - 1)/q, which vanishes only at the power mean P_q; on a
+positive sample every kind returns P_q, clamped to the hull.  The grid size
+and the refinement tolerance then have no effect.
 
 Otherwise one classified grid serves every requested kind
 (``semideviation_means``), and a memo keyed by y lets the kinds' bisections
@@ -53,7 +57,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .classic_means import ComparisonVerdict, bisect, inverse_of_average
+from .classic_means import ComparisonVerdict, bisect, inverse_of_average, power_mean
 from .domain import (
     IntervalDomain,
     MeanKind,
@@ -174,9 +178,13 @@ def _split(test: Callable[[int], bool], m: int, from_left: bool) -> int:
 
 
 def _closed_form(kernel: Kernel2, sample: WeightedSample, lo: float, hi: float) -> float | None:
-    """The quasiarithmetic mean of the kernel's generator, which every kind
-    equals, or None when the kernel does not qualify for the closed form (see
-    the module docstring).  ``lo, hi`` is the sample hull."""
+    """The mean every kind equals, or None when the kernel does not qualify
+    for a closed form (see the module docstring): the power mean P_q of a
+    kernel declaring ``power_order`` q, or the quasiarithmetic mean of the
+    kernel's generator, clamped to the sample hull ``lo, hi``."""
+    q = kernel.power_order
+    if q is not None and lo > 0.0:
+        return min(max(power_mean(sample, q), lo), hi)
     f = kernel.generator
     if f is None or f.inverse is None:
         return None
@@ -206,7 +214,7 @@ def semideviation_means(
 ) -> dict[MeanKind, float]:
     """Locate several sign-change means of ``kernel`` on ``sample`` from one
     sign scan of the deviation sum, or in closed form for difference kernels
-    with an invertible generator.
+    with an invertible generator and kernels declaring a power order.
 
     The kernel is assumed (or should be checked via ``check_semideviation``)
     to have the off-diagonal sign of x - y; with that, each defining set is

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 
@@ -22,3 +24,11 @@ def pytest_runtest_logreport(report):
     line = getattr(report, "_acceptance", None)
     if line is not None:
         print(f"\n{line}", flush=True)
+
+
+def numeric_profile_kernel(kernel):
+    """A catalog difference kernel whose generator declares no local order,
+    so that ``homogenization_profile`` builds its node table for it instead
+    of the closed form."""
+    generator = dataclasses.replace(kernel.generator, local_order=None)
+    return dataclasses.replace(kernel, generator=generator)

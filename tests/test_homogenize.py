@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 
@@ -25,13 +26,26 @@ from meankit import (
     power_mean,
     quasiarithmetic_handle,
     semideviation_handle,
+    semideviation_means,
+    shifted_power_generator,
     translated_power_handle,
 )
 import meankit.homogenize as homogenize
 from meankit.cli import resolve_kernel
 from meankit.domain import open_interval, positive_reals, sign
-from meankit.errors import AllEvaluationsFailed, NotConverged, SignPropertyViolated
+from meankit.errors import (
+    AllEvaluationsFailed,
+    NonFinite,
+    NotConverged,
+    NotNormalizable,
+    SignPropertyViolated,
+)
+from meankit.expr import ScalarFunction
+from meankit.homogenize import ratio_kernel_from_profile
 from meankit.limits import largest_halving_start
+from meankit.semideviation import SemidevMeanConfig, deviation_mean
+
+from conftest import numeric_profile_kernel
 
 POS = positive_reals()
 
@@ -71,6 +85,34 @@ class TestLimitAtZero:
         assert largest_halving_start(0.3) == 0.25
         with pytest.raises(ValueError):
             largest_halving_start(0.0)
+
+    # Stop reasons, each on a synthetic g.  Sampled at t = 2^-k, the parity
+    # of k gives values that never settle and never spread further.
+
+    @staticmethod
+    def _parity(t):
+        return float(round(-math.log2(t)) % 2)
+
+    def test_stop_reason_converged(self):
+        est = limit_at_zero(lambda t: 1.0 + t * t, 1.0)
+        assert (est.stop_reason, est.converged) == ("converged", True)
+
+    def test_stop_reason_runaway(self):
+        # The window spread grows with 1/t, so the scan stops long before
+        # the step cap.
+        est = limit_at_zero(lambda t: 1.0 / t, 1.0)
+        assert (est.stop_reason, est.converged) == ("runaway", False)
+        assert len(est.values) < 30
+
+    def test_stop_reason_underflow(self):
+        est = limit_at_zero(self._parity, 2.0**-990)
+        assert (est.stop_reason, est.converged) == ("underflow", False)
+        assert est.values[-1][0] >= 1e-300 > 0.5 * est.values[-1][0]
+
+    def test_stop_reason_step_cap(self):
+        est = limit_at_zero(self._parity, 1.0)
+        assert (est.stop_reason, est.converged) == ("step_cap", False)
+        assert len(est.values) == 61
 
     def test_underflowing_scales_stop_the_iteration(self):
         est = limit_at_zero(lambda t: math.sin(1.0 / t), 1e-295)
@@ -255,8 +297,8 @@ class TestKernelHomogenization:
 
     def test_profile_structure_for_concave_normalization(self):
         # sqrt difference kernel: profile 2 (sqrt r - 1); concave, increasing,
-        # sign of r - 1.
-        kernel = difference_kernel(power_generator(0.5))
+        # sign of r - 1.  The node table's, not the closed form's.
+        kernel = numeric_profile_kernel(difference_kernel(power_generator(0.5)))
         h = homogenization_profile(kernel)
         grid = [0.1 + 0.1 * k for k in range(40)]
         values = [h(r) for r in grid]
@@ -271,7 +313,7 @@ def _closed_profile(p: float, r: float) -> float:
     return math.log(r) if p == 0.0 else (r**p - 1.0) / p
 
 
-#: (kernel, p) with scale profile (r^p - 1) / p (log r at p = 0).
+#: (catalog kernel, p) with scale profile (r^p - 1) / p (log r at p = 0).
 CLOSED_PROFILES = [
     *((difference_kernel(power_generator(p)), p) for p in (0.0, 0.5, 1.0, 2.0, 3.0)),
     (difference_kernel(cosh_generator()), 2.0),
@@ -280,25 +322,31 @@ PROFILE_MODES = ("estimate", "lower", "upper")
 
 
 class TestProfileTable:
+    # The catalog kernels' profiles are closed forms; these tests run the
+    # node table on the same kernels with the generator's order dropped.
+
     @pytest.mark.parametrize("mode", PROFILE_MODES)
     @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
     def test_matches_closed_form(self, kernel, p, mode):
-        h = homogenization_profile(kernel, mode)
+        # The node table is the oracle of the generator's declared order.
+        q = kernel.generator.local_order
+        assert q == p
+        h = homogenization_profile(numeric_profile_kernel(kernel), mode)
         rng = random.Random(41)
         for _ in range(300):
             r = math.exp(rng.uniform(math.log(1 / 20), math.log(20)))
-            closed = _closed_profile(p, r)
+            closed = _closed_profile(q, r)
             assert abs(h(r) - closed) <= 1e-5 * (1.0 + abs(closed)), (r, closed)
 
     @pytest.mark.parametrize("mode", PROFILE_MODES)
     @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
     def test_sign_near_one(self, kernel, p, mode):
-        h = homogenization_profile(kernel, mode)
+        h = homogenization_profile(numeric_profile_kernel(kernel), mode)
         for r in (1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3):
             assert sign(h(r)) == sign(r - 1.0), r
 
     def test_nodes_are_kernel_homogenization_values(self):
-        kernel = difference_kernel(cosh_generator())
+        kernel = numeric_profile_kernel(difference_kernel(cosh_generator()))
         star = normalize_kernel(kernel)
         tables = {mode: homogenization_profile(kernel, mode) for mode in PROFILE_MODES}
         for k in (-40, -17, -1, 0, 1, 5, 16, 33, 60):
@@ -310,15 +358,17 @@ class TestProfileTable:
 
     @pytest.mark.parametrize("r", [0.0, -1.0, -math.inf, math.nan, math.inf])
     def test_ratio_outside_the_positive_reals_raises(self, r):
-        h = homogenization_profile(difference_kernel(power_generator(2)))
-        with pytest.raises(ValueError):
-            h(r)
+        kernel = difference_kernel(power_generator(2))
+        for k in (kernel, numeric_profile_kernel(kernel)):
+            h = homogenization_profile(k)
+            with pytest.raises(ValueError):
+                h(r)
 
     def test_catalog_cosh_nodes_converge_up_to_r_1000(self):
         # The catalog stores cosh as 2 sinh(x/2)^2, free of cancellation, so
         # the normalized kernel's limit scan settles at every node; with the
         # textbook cosh, 67 nodes in (25, 1000) missed the tolerance.
-        h = homogenization_profile(difference_kernel(cosh_generator()))
+        h = homogenization_profile(numeric_profile_kernel(difference_kernel(cosh_generator())))
         for k in range(-160, 160):  # r = 2^(k/16) from 1/1000 to 1000
             r = 2.0 ** (k / 16)
             closed = (r**2 - 1) / 2
@@ -350,7 +400,7 @@ class TestProfileTable:
         # profile's node search gives: at the nodes, one ulp to either side
         # of them (where log2 may round across the node), and at random
         # ratios.  The node table must not grow on the repeated queries.
-        kernel = difference_kernel(cosh_generator())
+        kernel = numeric_profile_kernel(difference_kernel(cosh_generator()))
         star = normalize_kernel(kernel)
         table: dict = {}
         h = homogenization_profile(kernel, mode, normalized=star, _node_estimates=table)
@@ -381,14 +431,14 @@ class TestProfileTable:
             return limit_at_zero(g, t0, **kwargs)
 
         monkeypatch.setattr(homogenize, "limit_at_zero", counting)
-        h = homogenization_profile(difference_kernel(cosh_generator()), "lower")
+        h = homogenization_profile(numeric_profile_kernel(difference_kernel(cosh_generator())), "lower")
         rng = random.Random(43)
         for _ in range(2000):
             h(math.exp(rng.uniform(math.log(1 / 20), math.log(20))))
         assert 0 < len(scans) <= 150
 
     def test_profiles_sharing_a_node_table_give_the_same_values(self, monkeypatch):
-        kernel = difference_kernel(cosh_generator())
+        kernel = numeric_profile_kernel(difference_kernel(cosh_generator()))
         star = normalize_kernel(kernel)
         ratios = [math.exp(u / 7.0) for u in range(-20, 21)]
         separate = {
@@ -407,6 +457,100 @@ class TestProfileTable:
             h = homogenization_profile(kernel, mode, normalized=star, _node_estimates=table)
             assert [h(r).hex() for r in ratios] == [v.hex() for v in separate[mode]]
         assert len(scans) == len(table)
+
+
+class TestClosedFormProfile:
+    @pytest.mark.parametrize("mode", PROFILE_MODES)
+    @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
+    def test_catalog_profile_is_the_closed_form(self, kernel, p, mode, monkeypatch):
+        scans = []
+        monkeypatch.setattr(homogenize, "limit_at_zero", lambda *a, **k: scans.append(a))
+        h = homogenization_profile(kernel, mode)
+        assert h.order == p
+        for r in (1e-3, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 1e3):
+            expected = math.log(r) if p == 0 else math.expm1(p * math.log(r)) / p
+            assert h(r) == expected
+            assert sign(h(r)) == sign(r - 1.0)
+        assert h(4.0) == pytest.approx(_closed_profile(p, 4.0), rel=1e-15)
+        assert scans == []
+
+    @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
+    def test_power_means_equal_the_sign_scan(self, kernel, p):
+        # The declared P_q against the sign scan over the same profile.
+        closed = ratio_kernel_from_profile("h", homogenization_profile(kernel))
+        assert closed.power_order == p
+        scanned = dataclasses.replace(closed, power_order=None)
+        cfg = SemidevMeanConfig(grid_size=64)
+        kinds = list(MeanKind)
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            s = _pos_sample(
+                [rng.uniform(0.1, 10.0) for _ in range(n)],
+                [rng.uniform(0.1, 3.0) for _ in range(n)],
+            )
+            lo, hi = s.hull()
+            expected = min(max(power_mean(s, p), lo), hi)
+            means = semideviation_means(closed, s, kinds, cfg)
+            assert means == {kind: expected for kind in kinds}
+            assert deviation_mean(closed, s, cfg) == expected
+            for kind, value in semideviation_means(scanned, s, kinds, cfg).items():
+                assert abs(value - expected) <= 1e-11 * expected, (kind, s)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            resolve_kernel("expr:cosh(x)-cosh(y)"),
+            difference_kernel(shifted_power_generator(2, 1).restricted(POS)),
+            difference_kernel(
+                ScalarFunction("square", lambda x: x * x, POS, lambda x: 2 * x, lambda x: 2.0)
+            ),
+        ],
+        ids=lambda k: k.name,
+    )
+    def test_undeclared_orders_build_the_node_table(self, kernel, monkeypatch):
+        calls = []
+        original = homogenize.kernel_homogenization
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(homogenize, "kernel_homogenization", counting)
+        h = homogenization_profile(kernel)
+        assert not hasattr(h, "order")
+        assert calls == []  # nodes are scanned on the first query
+        h(2.0)
+        assert calls
+        assert ratio_kernel_from_profile("h", h).power_order is None
+
+    def test_only_a_closed_form_profile_declares_a_power_order(self):
+        h = homogenization_profile(difference_kernel(cosh_generator()))
+        assert ratio_kernel_from_profile("h", h).power_order == 2.0
+        # A functools.wraps wrapper keeps the promise; any other wrapper,
+        # which may change the values, drops it.
+        wrapped = functools.wraps(h)(lambda r: h(r))
+        assert ratio_kernel_from_profile("h", wrapped).power_order == 2.0
+        assert ratio_kernel_from_profile("h", lambda r: h(r**1.05)).power_order is None
+
+    def test_unnormalizable_kernel_still_raises(self):
+        with pytest.raises(NotNormalizable):
+            homogenization_profile(resolve_kernel("diff_gen:power:-1"))
+
+    def test_declared_order_needs_a_domain_starting_at_zero(self):
+        h = homogenization_profile(resolve_kernel("diff_gen:exp"))
+        with pytest.raises(ValueError, match="infimum 0"):
+            h(2.0)
+        h = homogenization_profile(resolve_kernel("diff_gen:exp", open_interval(0, 5)))
+        assert h.order == 1.0
+        for r in (0.25, 0.5, 2.0, 3.0):
+            assert h(r) == pytest.approx(r - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("spec,r", [("power:2", 1e200), ("cosh", 1e160), ("power:3", 1e103)])
+    def test_overflowing_ratio_raises_non_finite(self, spec, r):
+        h = homogenization_profile(resolve_kernel(spec))
+        with pytest.raises(NonFinite):
+            h(r)
 
 
 class TestHomogeneousSemidevMean:
@@ -483,5 +627,5 @@ def test_scan_defaults_by_value():
     scan = kernel_homogenization(kernel, 2.0)
     assert (scan.window, scan.tol) == (8, 1e-6)
     nodes = {}
-    homogenization_profile(kernel, _node_estimates=nodes)(1.5)
+    homogenization_profile(numeric_profile_kernel(kernel), _node_estimates=nodes)(1.5)
     assert nodes and all((est.window, est.tol) == (4, 1e-5) for est in nodes.values())

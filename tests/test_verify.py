@@ -35,6 +35,8 @@ import meankit.verify as verify
 from meankit.domain import all_reals, positive_reals
 from meankit.verify import hoelder_preset, minkowski_preset
 
+from conftest import numeric_profile_kernel
+
 POS = positive_reals()
 REALS = all_reals()
 
@@ -281,7 +283,7 @@ class TestScaleProfileSuites:
             return original(kernel, ratio_value, **kwargs)
 
         monkeypatch.setattr(homogenize, "kernel_homogenization", counting)
-        kernel = difference_kernel(cosh_generator())
+        kernel = numeric_profile_kernel(difference_kernel(cosh_generator()))
         plan = SamplePlan(seed=28, n_samples=6, n_range=(1, 4), entry_range=(0.5, 3.0))
         shared = verify_tei(kernel, plan)
         assert shared.overall == "pass"
