@@ -446,7 +446,14 @@ SUITES = ("sandwich", "lemma-lim", "comparison", "jensen", "tei", "cei", "minkow
 @click.option("--op", "operation_text", default=None, help="expr:TEXT operation in x, y (homi).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--grid", type=click.IntRange(min=2), default=10, show_default=True)
+@click.option(
+    "--grid",
+    type=click.IntRange(min=2),
+    default=10,
+    show_default=True,
+    help="Lattice points per axis: minkowski, hoelder and homi check grid^4 points, "
+    "comparison max(grid, 12) per axis; the other suites ignore it.",
+)
 @click.option("--x", "point_text", default=None, help="Point pair x,y for lemma-lim.")
 @click.option("--n-range", default="1,6", show_default=True, callback=_parse_count_range)
 @click.option("--entry-range", callback=_parse_range)
@@ -463,7 +470,8 @@ def verify(
     suite, kernel, kernel2, kernel3, operation_text, seed, samples, grid,
     point_text, n_range, entry_range, weight_range, domain_text, monotone, output_format,
 ):
-    """Run one verification suite; exit 0 on pass, 1 on fail/inconclusive."""
+    """Run one verification suite; exit 0 on pass, 1 on fail/inconclusive,
+    2 on a usage or configuration error, 3 on a numerical failure."""
     plan = SamplePlan(
         seed=seed, n_samples=samples, n_range=n_range, entry_range=entry_range, weight_range=weight_range
     )

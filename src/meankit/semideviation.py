@@ -353,7 +353,9 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
     The rescaled kernel and its first partial share a memo of -dK/dy(y, y)
     keyed by y (at most SLOPE_MEMO_SIZE entries), seeded with the probed
     slopes, so each distinct y costs one slope evaluation; the quotients are
-    the same floats as without it.
+    the same floats as without it.  The rescaled ``fn`` carries that memoized
+    divisor as its attribute ``slope``, for callers that tabulate K(x, y)
+    themselves and divide as ``fn`` does.
     """
     analytic = kernel.deriv2 is not None
     slopes: dict[float, float] = {}
@@ -391,6 +393,7 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
     def scaled(x: float, y: float) -> float:
         return kernel.fn(x, y) / slope(y)
 
+    scaled.slope = slope
     d1 = (lambda x, y: kernel.deriv1(x, y) / slope(y)) if kernel.deriv1 is not None else None
     return Kernel2(
         name=f"normalized({kernel.name})",

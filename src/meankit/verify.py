@@ -101,21 +101,21 @@ class SamplePlan:
 
     def _draws(
         self, ranges: Sequence[tuple[float, float]]
-    ) -> Iterator[tuple[list[list[float]], list[float]]]:
+    ) -> Iterator[tuple[list[list[float]], tuple[float, ...]]]:
         """Per sample, from one stream: its length, then one entry list per
         range, then the shared weights."""
         rng = random.Random(self.seed)
         for i in range(self.n_samples):
             n = rng.randint(*self.n_range)
             entry_lists = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in ranges]
-            weights = [rng.uniform(*self.weight_range) for _ in range(n)]
+            weights = tuple([rng.uniform(*self.weight_range) for _ in range(n)])
             if i % 20 == 19:
                 entry_lists = [[entries[0]] * n for entries in entry_lists]
             yield entry_lists, weights
 
     def samples(self, domain: IntervalDomain) -> list[WeightedSample]:
         return [
-            make_weighted_sample(entries, weights, domain)
+            _drawn_sample(entries, weights, domain)
             for (entries,), weights in self._draws([self.resolved_entry_range(domain)])
         ]
 
@@ -126,13 +126,35 @@ class SamplePlan:
         second_domain: IntervalDomain | None = None,
     ) -> list[tuple[WeightedSample, WeightedSample]]:
         """Pairs sharing length and weights (second entries drawn right after
-        the first in the same stream)."""
+        the first in the same stream); the two samples share one weights
+        tuple."""
         first_range = self.resolved_entry_range(domain)
         dom2 = second_domain or domain
         return [
-            (make_weighted_sample(first, weights, domain), make_weighted_sample(second, weights, dom2))
+            (_drawn_sample(first, weights, domain), _drawn_sample(second, weights, dom2))
             for (first, second), weights in self._draws([first_range, second_range or first_range])
         ]
+
+
+def _drawn_sample(
+    entries: list[float], weights: tuple[float, ...], domain: IntervalDomain
+) -> WeightedSample:
+    """The sample of computed floats ``entries`` and ``weights``, with the
+    checks of ``make_weighted_sample`` reduced to its hull ends lying in
+    ``domain``, a positive least weight and a finite sum of both (``min`` and
+    ``max`` skip a NaN that is not first).  A sample failing them goes
+    through ``make_weighted_sample``, which raises its error for the first
+    offending value or accepts what the reduced checks refuse (zero or
+    infinite weights, sums overflowing)."""
+    if (
+        entries
+        and domain.lo < min(entries)
+        and max(entries) < domain.hi
+        and min(weights) > 0.0
+        and math.isfinite(sum(entries) + sum(weights))
+    ):
+        return WeightedSample(tuple(entries), weights, domain)
+    return make_weighted_sample(entries, weights, domain)
 
 
 # --- report structure -----------------------------------------------------------------
@@ -688,8 +710,14 @@ def verify_homi(
     condition holds is an implication-consistency defect.
 
     The lattice evaluates f, its two partials, K_J* and K_K* once per grid
-    pair (grid^2 evaluations each, shared with the monotonicity probe) and
-    only K_I*(f(p, q), f(u, v)) at each of the grid^4 points; its memory is
+    pair (grid^2 evaluations each, shared with the monotonicity probe).  A
+    result kernel declaring a ``generator`` g also gets g(f(a, b)) and its
+    diagonal slope at f(a, b) once per grid pair, so each of the grid^4
+    points costs (g(f(p, q)) - g(f(u, v))) / slope(f(u, v)), the floats of
+    K_I*; any other result kernel evaluates K_I*(f(p, q), f(u, v)) at each
+    point.  Every table entry is filled where a per-point evaluation would
+    first make that call, so a kernel or operation that raises does so at
+    the same point with the same message.  The lattice's memory is
     O(grid^2).
     """
     cfg = cfg or SUITE_CONFIG
@@ -735,12 +763,23 @@ def verify_homi(
         conditions.append(partials)
 
     pointwise = new_condition("pointwise", "normalized-kernel inequality on the grid^4 lattice")
+    # g(f) and the result kernel's slope at f per grid pair (see above).  The
+    # count, the largest excess and the first witness stay in locals and are
+    # written to ``pointwise`` once, as ``record`` would write them.
+    g = kernel_result.generator.fn if kernel_result.generator is not None else None
+    slope = star_result.fn.slope
+    g_values: list[list[Any]] = [[None] * grid for _ in pts_j]
+    slopes: list[list[Any]] = [[None] * grid for _ in pts_j]
+    checked = 0
+    max_excess: float | None = None
+    witness: dict[str, Any] | None = None
     for ip, p in enumerate(pts_j):
-        kj_row = k_first[ip]
+        kj_row, fp_row, gp_row = k_first[ip], op_values[ip], g_values[ip]
         for iu, u in enumerate(pts_j):
             fu_row, d1_row, d2_row = op_values[iu], d1s[iu], d2s[iu]
+            gu_row, su_row = g_values[iu], slopes[iu]
             for iq, q in enumerate(pts_k):
-                fp = op_values[ip][iq]
+                fp = fp_row[iq]
                 if fp is None:
                     fp = combine(ip, iq)
                 kk_row = k_second[iq]
@@ -750,7 +789,19 @@ def verify_homi(
                         fu = combine(iu, iv)
                     if fp is _OUTSIDE or fu is _OUTSIDE:
                         continue
-                    lhs = star_result.fn(fp, fu)
+                    if g is None:
+                        lhs = star_result.fn(fp, fu)
+                    else:
+                        gp = gp_row[iq]
+                        if gp is None:
+                            gp = gp_row[iq] = g(fp)
+                        gu = gu_row[iv]
+                        if gu is None:
+                            gu = gu_row[iv] = g(fu)
+                        su = su_row[iv]
+                        if su is None:
+                            su = su_row[iv] = slope(fu)
+                        lhs = (gp - gu) / su
                     d1 = d1_row[iv]
                     if d1 is None:
                         d1 = d1_row[iv] = operation.partial1(u, v)
@@ -764,11 +815,15 @@ def verify_homi(
                     if kk is None:
                         kk = kk_row[iv] = star_second.fn(q, v)
                     rhs = d1 * kj + d2 * kk
-                    pointwise.record(
-                        lhs <= rhs + KERNEL_TOL,
-                        lambda: {"p": p, "q": q, "u": u, "v": v, "lhs": lhs, "rhs": rhs},
-                        excess=lhs - rhs,
-                    )
+                    checked += 1
+                    excess = lhs - rhs
+                    if max_excess is None or excess > max_excess:
+                        max_excess = excess
+                    if witness is None and not lhs <= rhs + KERNEL_TOL:
+                        witness = {"p": p, "q": q, "u": u, "v": v, "lhs": lhs, "rhs": rhs}
+    pointwise.checked, pointwise.max_excess = checked, max_excess
+    if witness is not None:
+        pointwise.holds, pointwise.witness = False, witness
     conditions.append(pointwise)
 
     pairs = plan.sample_pairs(
@@ -793,7 +848,7 @@ def verify_homi(
 
     for idx, (sx, sy_k) in enumerate(pairs):
         combined_entries = [operation.fn(a, b) for a, b in zip(sx.entries, sy_k.entries)]
-        combined = make_weighted_sample(combined_entries, sx.weights, result_domain)
+        combined = _drawn_sample(combined_entries, sx.weights, result_domain)
         first_means = semideviation_means(kernel_first, sx, KINDS, cfg)
         second_means = semideviation_means(kernel_second, sy_k, KINDS, cfg)
         if monotone_mode:

@@ -171,6 +171,29 @@ def test_verify_sandwich_sign_kernel(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # x + y of two entries in (0.5, 16) leaves the result domain.
+        (
+            ["--suite", "homi", "--kernel", "diff_gen:power:2", "--kernel2", "diff_gen:power:2",
+             "--kernel3", "diff_gen:power:2", "--op", "x+y", "--domain", "0.5,16", "--samples", "50"],
+            "EntryOutOfDomain: entry 18.772295138450495 outside (0.5, 16.0)",
+        ),
+        (
+            ["--suite", "minkowski", "--kernel", "power:2", "--samples", "50", "--weight-range=-1,1"],
+            "NegativeWeight: weight -0.43632431120059234 is negative or NaN",
+        ),
+    ],
+    ids=["combined-entry-outside", "negative-weight"],
+)
+def test_verify_sample_errors_exit_3(args, message, capsys):
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "compute", "mean", "--kind", "power", "--x", "1,2", "--w", "1,1")
     assert code == 2  # missing --p

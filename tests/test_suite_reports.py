@@ -15,6 +15,14 @@ closed form exp(sum_i w_i log x_i / W): their only change is every
 an equality for geometric means (6.3e-12 -> 2.7e-15 at seed 0, 9.5e-12 ->
 3.6e-15 at seed 1).  Re-recording is only valid together with an argument that the new reports
 are at least as accurate as the recorded ones.
+
+The ``MORE_RUNS`` entries (200 samples) were appended later, recorded the
+same way at commit 41a5a82, before the Minkowski/Hoelder lattice read
+difference kernels from per-pair tables and plan samples skipped
+re-validation: a failing minkowski run (its witness and ``max_excess``), a
+failing hoelder run, an ``expr:`` generator, and a homi run whose result
+kernel is not a difference kernel, so its lattice evaluates the normalized
+kernel at every point.
 """
 
 from __future__ import annotations
@@ -40,12 +48,28 @@ SUITES = [
 ]
 SEEDS = (0, 1)
 
+_HOMI_KERNEL = "expr:(x-y)*(x+y)"
+
+#: (suite, kernel, flags after --seed); 200 samples per run.
+MORE_RUNS = [
+    ("minkowski", "power:0.5", []),
+    ("hoelder", "power:3", []),
+    ("minkowski", "expr:x^2", []),
+    ("homi", _HOMI_KERNEL, ["--kernel2", _HOMI_KERNEL, "--kernel3", _HOMI_KERNEL, "--op", "x+y",
+                            "--domain", "0,inf", "--entry-range", "0.5,4"]),
+]
+
 
 def runs() -> list[list[str]]:
     return [
         ["verify", "--suite", suite, "--kernel", kernel, "--samples", str(samples),
          "--seed", str(seed), "--format", "structured"]
         for suite, kernel, samples in SUITES
+        for seed in SEEDS
+    ] + [
+        ["verify", "--suite", suite, "--kernel", kernel, "--samples", "200",
+         "--seed", str(seed), *flags, "--format", "structured"]
+        for suite, kernel, flags in MORE_RUNS
         for seed in SEEDS
     ]
 
@@ -72,8 +96,12 @@ def test_every_run_is_recorded():
 
 
 if __name__ == "__main__":
-    rows = []
+    # Keeps the recorded rows and appends the runs not recorded yet.
+    recorded = [r["argv"] for r in RECORDED["runs"]]
+    rows = [json.dumps(r) for r in RECORDED["runs"]]
     for argv in runs():
+        if argv in recorded:
+            continue
         code, digest = report(argv)
         rows.append(json.dumps({"argv": argv, "exit_code": code, "sha256": digest}))
     DATA.write_text('{"runs": [\n' + ",\n".join(rows) + "\n]}\n")

@@ -15,9 +15,12 @@ from meankit import (
     difference_kernel,
     kernel_from_expression,
     local_homogenization,
+    log_generator,
     make_weighted_sample,
     normalize_kernel,
+    open_interval,
     power_generator,
+    scalar_from_expression,
     semideviation_handle,
     semideviation_mean,
     sign_kernel,
@@ -33,12 +36,23 @@ import meankit.homogenize as homogenize
 import meankit.semideviation as semideviation
 import meankit.verify as verify
 from meankit.domain import all_reals, positive_reals
+from meankit.errors import AllWeightsZero, EntryOutOfDomain, LengthMismatch, NegativeWeight, NonFinite
 from meankit.verify import hoelder_preset, minkowski_preset
 
 from conftest import numeric_profile_kernel
 
 POS = positive_reals()
 REALS = all_reals()
+
+
+def counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
 
 
 class TestSamplePlan:
@@ -65,6 +79,51 @@ class TestSamplePlan:
         plan = SamplePlan(seed=3, n_samples=5, entry_range=(-1.0, 4.0))
         with pytest.raises(ValueError):
             plan.samples(POS)
+
+    @staticmethod
+    def _outcome(build):
+        """(entries, weights, domain) of every sample ``build`` returns, or
+        the type and message of the error it raises."""
+        try:
+            samples = build()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return [(s.entries, s.weights, s.domain) for s in samples]
+
+    @pytest.mark.parametrize(
+        "plan, second_range, error",
+        [
+            (SamplePlan(seed=2, n_samples=60, entry_range=(0.5, 3.9)), None, None),
+            (SamplePlan(seed=2, n_samples=60, entry_range=(0.5, 3.9), weight_range=(0.0, 1e-300)), None, None),
+            (SamplePlan(seed=4, n_samples=30, n_range=(0, 2), entry_range=(0.5, 3.9)), None, LengthMismatch),
+            (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9), weight_range=(-1.0, 1.0)), None, NegativeWeight),
+            (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9), weight_range=(0.0, 0.0)), None, AllWeightsZero),
+            # The second range is not checked against the second domain, so
+            # its draws reach past the domain end.
+            (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9)), (3.0, 4.5), EntryOutOfDomain),
+        ],
+        ids=["valid", "tiny-weights", "empty", "negative-weight", "zero-weights", "entry-outside"],
+    )
+    def test_samples_equal_the_validated_constructor(self, plan, second_range, error, monkeypatch):
+        # Plans build their samples from the drawn floats with a reduced
+        # check; every sample, and every error with its first offending
+        # value, must be what make_weighted_sample gives on the same draws.
+        domain = open_interval(0.25, 4.0)
+
+        def outcomes():
+            return (
+                self._outcome(lambda: [s for pair in plan.sample_pairs(domain, second_range) for s in pair]),
+                self._outcome(lambda: plan.samples(domain)),
+            )
+
+        drawn = outcomes()
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_drawn_sample", make_weighted_sample)
+            assert drawn == outcomes()
+        if error is None:
+            assert all(s1.weights is s2.weights for s1, s2 in plan.sample_pairs(domain))
+        else:
+            assert drawn[0][0] is error
 
 
 class TestSandwich:
@@ -404,6 +463,117 @@ class TestOperationSuites:
         for name in ("partial1", "partial2", "first", "second"):
             assert 0 < calls[name] <= grid**2, name
         assert slopes and max(slopes.values()) == 1
+
+    @pytest.mark.parametrize("suite", ["minkowski", "hoelder"])
+    @pytest.mark.parametrize(
+        "generator",
+        [power_generator(2), power_generator(0.5), power_generator(3), log_generator(), cosh_generator(),
+         scalar_from_expression("x^3+x", POS)],
+        ids=["power:2", "power:0.5", "power:3", "log", "cosh", "expr:x^3+x"],
+    )
+    def test_tabulated_lattice_matches_per_point(self, suite, generator):
+        # Without its generator the result kernel is evaluated at every
+        # lattice point; with it, from per-pair tables.  The plan draws no
+        # samples, so the reports hold only lattice conditions; 9 of the 12
+        # cases fail the pointwise one, so their witnesses are compared too.
+        preset = (minkowski_preset if suite == "minkowski" else hoelder_preset)(generator)
+        result = preset["kernel_result"]
+        args = (preset["kernel_first"], preset["kernel_second"], preset["operation"],
+                SamplePlan(seed=25, n_samples=0, entry_range=(0.6, 3.9)))
+        tabulated = verify_homi(result, *args, grid=7, suite_label=suite)
+        per_point = verify_homi(dataclasses.replace(result, generator=None), *args, grid=7, suite_label=suite)
+        assert tabulated.to_json() == per_point.to_json()
+        assert tabulated.condition("pointwise").checked == 7**4
+
+    def test_nan_combined_entry_raises_entry_out_of_domain(self):
+        # The operation returns NaN from x = 2 on.  min and max skip a NaN
+        # that is not the first entry, yet the combined sample must refuse it
+        # as make_weighted_sample does (the lattice skips such values).
+        preset = minkowski_preset(power_generator(2))
+        operation = dataclasses.replace(preset["operation"], fn=lambda x, y: x + y if x < 2.0 else math.nan)
+        plan = SamplePlan(seed=5, n_samples=20, n_range=(3, 5), entry_range=(0.6, 3.9))
+        first = plan.sample_pairs(preset["kernel_first"].domain_x)[0][0]
+        assert first.entries[0] < 2.0 <= max(first.entries)
+        with pytest.raises(EntryOutOfDomain, match=r"^entry nan outside \(1.0, 8.0\)$"):
+            verify_homi(preset["kernel_result"], preset["kernel_first"], preset["kernel_second"], operation, plan)
+
+    def test_difference_result_kernel_calls_its_generator_per_grid_pair(self):
+        grid = 6
+        calls = Counter()
+        base = power_generator(2)
+        preset = minkowski_preset(base)
+        generator = dataclasses.replace(base, fn=counted(calls, "result", base.fn))
+        result = difference_kernel(generator, preset["kernel_result"].domain_x)
+        plan = SamplePlan(seed=24, n_samples=0, entry_range=(0.6, 3.9))
+        report = verify_homi(
+            result, preset["kernel_first"], preset["kernel_second"], preset["operation"], plan, grid=grid
+        )
+        assert report.condition("pointwise").checked == grid**4
+        assert 0 < calls["result"] <= 2 * grid**2
+
+    def test_lattice_of_a_result_kernel_without_generator(self, monkeypatch):
+        # x^2 - y^2 written as a product declares no generator, so the lattice
+        # evaluates it at every point; the per-pair quantities and the slope
+        # memo are shared as for a difference kernel.
+        grid = 6
+        preset = minkowski_preset(power_generator(2))
+        result = kernel_from_expression("(x-y)*(x+y)", POS)
+        assert result.generator is None
+        calls = Counter()
+        result = dataclasses.replace(result, fn=counted(calls, "result", result.fn))
+        first, second = (
+            dataclasses.replace(preset[key], fn=counted(calls, name, preset[key].fn))
+            for key, name in (("kernel_first", "first"), ("kernel_second", "second"))
+        )
+        for method in ("partial1", "partial2"):
+            monkeypatch.setattr(Kernel2, method, counted(calls, method, getattr(Kernel2, method)))
+        slopes = Counter()
+        diagonal_slope = semideviation._diagonal_slope
+
+        def slope(kernel, y):
+            slopes[(id(kernel), y)] += 1
+            return diagonal_slope(kernel, y)
+
+        monkeypatch.setattr(semideviation, "_diagonal_slope", slope)
+        plan = SamplePlan(seed=24, n_samples=0, entry_range=(0.6, 3.9))
+        report = verify_homi(result, first, second, preset["operation"], plan, grid=grid)
+
+        assert report.overall == "pass"
+        assert report.condition("pointwise").checked == grid**4
+        assert calls["result"] >= grid**4
+        for name in ("partial1", "partial2", "first", "second"):
+            assert 0 < calls[name] <= grid**2, name
+        assert slopes and max(slopes.values()) == 1
+
+    def test_raising_generator_fails_alike_on_both_lattices(self):
+        # The generator refuses one value of f(a, b) = a + b on the lattice.
+        # Both paths must raise the same error at the same lattice point,
+        # which fills the per-pair tables of K_J* and K_K* with the same calls.
+        grid, lo, hi = 6, 0.6, 3.9
+        pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
+        refused = pts[2] + pts[3]
+        base = power_generator(2)
+
+        def fn(x):
+            if x == refused:
+                raise NonFinite(f"refusing {x}")
+            return base.fn(x)
+
+        preset = minkowski_preset(base)
+        result = difference_kernel(dataclasses.replace(base, fn=fn), preset["kernel_result"].domain_x)
+        plan = SamplePlan(seed=24, n_samples=3, entry_range=(lo, hi))
+        outcomes = []
+        for kernel in (result, dataclasses.replace(result, generator=None)):
+            calls = Counter()
+            first, second = (
+                dataclasses.replace(preset[key], fn=counted(calls, key, preset[key].fn))
+                for key in ("kernel_first", "kernel_second")
+            )
+            with pytest.raises(NonFinite) as excinfo:
+                verify_homi(kernel, first, second, preset["operation"], plan, grid=grid)
+            outcomes.append((str(excinfo.value), dict(calls)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == f"refusing {refused}"
 
 
 class TestReports:
