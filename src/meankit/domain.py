@@ -155,23 +155,62 @@ def make_weighted_sample(
     """Validate and freeze a weighted sample.
 
     Weights must be nonnegative with a positive total; entries must lie in
-    ``domain``.  Weights are stored exactly as given.
+    ``domain``.  Weights are stored exactly as given.  After the length
+    checks, entries and weights are converted with ``float`` and checked by
+    ``float_sample``.
     """
+    _check_lengths(entries, weights)
+    return float_sample(tuple(map(float, entries)), tuple(map(float, weights)), domain)
+
+
+def float_sample(
+    entries: tuple[float, ...], weights: tuple[float, ...], domain: IntervalDomain
+) -> WeightedSample:
+    """``make_weighted_sample`` for tuples of floats, which are stored as
+    given: the same checks and errors without the conversion.
+
+    A sample whose hull ends lie in ``domain``, whose least weight is
+    positive and whose entry and weight sums are finite passes every check
+    and is returned at once (``min`` and ``max`` skip a NaN that is not
+    first; the sums do not).  Any other sample goes through
+    ``_checked_sample``, which raises for the first offending value or
+    accepts what the reduced check refuses (zero or infinite weights, sums
+    overflowing).
+    """
+    if (
+        entries
+        and len(entries) == len(weights)
+        and domain.lo < min(entries)
+        and max(entries) < domain.hi
+        and min(weights) > 0.0
+        and math.isfinite(sum(entries) + sum(weights))
+    ):
+        return WeightedSample(entries, weights, domain)
+    return _checked_sample(entries, weights, domain)
+
+
+def _checked_sample(
+    entries: tuple[float, ...], weights: tuple[float, ...], domain: IntervalDomain
+) -> WeightedSample:
+    """``float_sample`` checking the lengths, then every weight, then every
+    entry, each error naming the first offending value."""
+    _check_lengths(entries, weights)
+    for w in weights:
+        if math.isnan(w) or w < 0.0:
+            raise NegativeWeight(f"weight {w} is negative or NaN")
+    if all(w == 0.0 for w in weights):
+        raise AllWeightsZero("at least one weight must be positive")
+    for x in entries:
+        if not domain.contains(x):
+            raise EntryOutOfDomain(f"entry {x} outside {domain}")
+    return WeightedSample(entries, weights, domain)
+
+
+def _check_lengths(entries: Sequence[float], weights: Sequence[float]) -> None:
     if len(entries) != len(weights):
         raise LengthMismatch(f"{len(entries)} entries vs {len(weights)} weights")
     if len(entries) == 0:
         raise LengthMismatch("sample must not be empty")
-    ent = tuple(float(x) for x in entries)
-    wts = tuple(float(w) for w in weights)
-    for w in wts:
-        if math.isnan(w) or w < 0.0:
-            raise NegativeWeight(f"weight {w} is negative or NaN")
-    if all(w == 0.0 for w in wts):
-        raise AllWeightsZero("at least one weight must be positive")
-    for x in ent:
-        if not domain.contains(x):
-            raise EntryOutOfDomain(f"entry {x} outside {domain}")
-    return WeightedSample(ent, wts, domain)
 
 
 def shuffle_merge(s1: WeightedSample, s2: WeightedSample) -> WeightedSample:

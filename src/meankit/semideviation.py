@@ -354,8 +354,9 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
     keyed by y (at most SLOPE_MEMO_SIZE entries), seeded with the probed
     slopes, so each distinct y costs one slope evaluation; the quotients are
     the same floats as without it.  The rescaled ``fn`` carries that memoized
-    divisor as its attribute ``slope``, for callers that tabulate K(x, y)
-    themselves and divide as ``fn`` does.
+    divisor as its attribute ``slope``: ``fn(x, y)`` is exactly
+    ``kernel.fn(x, y) / fn.slope(y)``, so callers that tabulate K(x, y)
+    themselves get the same floats by dividing by it.
     """
     analytic = kernel.deriv2 is not None
     slopes: dict[float, float] = {}

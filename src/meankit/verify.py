@@ -22,6 +22,7 @@ from .domain import (
     IntervalDomain,
     MeanKind,
     WeightedSample,
+    float_sample,
     make_weighted_sample,
     open_interval,
     positive_reals,
@@ -101,21 +102,21 @@ class SamplePlan:
 
     def _draws(
         self, ranges: Sequence[tuple[float, float]]
-    ) -> Iterator[tuple[list[list[float]], tuple[float, ...]]]:
-        """Per sample, from one stream: its length, then one entry list per
+    ) -> Iterator[tuple[list[tuple[float, ...]], tuple[float, ...]]]:
+        """Per sample, from one stream: its length, then one entry tuple per
         range, then the shared weights."""
         rng = random.Random(self.seed)
         for i in range(self.n_samples):
             n = rng.randint(*self.n_range)
-            entry_lists = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in ranges]
+            entry_tuples = [tuple([rng.uniform(lo, hi) for _ in range(n)]) for lo, hi in ranges]
             weights = tuple([rng.uniform(*self.weight_range) for _ in range(n)])
             if i % 20 == 19:
-                entry_lists = [[entries[0]] * n for entries in entry_lists]
-            yield entry_lists, weights
+                entry_tuples = [(entries[0],) * n for entries in entry_tuples]
+            yield entry_tuples, weights
 
     def samples(self, domain: IntervalDomain) -> list[WeightedSample]:
         return [
-            _drawn_sample(entries, weights, domain)
+            float_sample(entries, weights, domain)
             for (entries,), weights in self._draws([self.resolved_entry_range(domain)])
         ]
 
@@ -131,30 +132,9 @@ class SamplePlan:
         first_range = self.resolved_entry_range(domain)
         dom2 = second_domain or domain
         return [
-            (_drawn_sample(first, weights, domain), _drawn_sample(second, weights, dom2))
+            (float_sample(first, weights, domain), float_sample(second, weights, dom2))
             for (first, second), weights in self._draws([first_range, second_range or first_range])
         ]
-
-
-def _drawn_sample(
-    entries: list[float], weights: tuple[float, ...], domain: IntervalDomain
-) -> WeightedSample:
-    """The sample of computed floats ``entries`` and ``weights``, with the
-    checks of ``make_weighted_sample`` reduced to its hull ends lying in
-    ``domain``, a positive least weight and a finite sum of both (``min`` and
-    ``max`` skip a NaN that is not first).  A sample failing them goes
-    through ``make_weighted_sample``, which raises its error for the first
-    offending value or accepts what the reduced checks refuse (zero or
-    infinite weights, sums overflowing)."""
-    if (
-        entries
-        and domain.lo < min(entries)
-        and max(entries) < domain.hi
-        and min(weights) > 0.0
-        and math.isfinite(sum(entries) + sum(weights))
-    ):
-        return WeightedSample(tuple(entries), weights, domain)
-    return make_weighted_sample(entries, weights, domain)
 
 
 # --- report structure -----------------------------------------------------------------
@@ -763,11 +743,14 @@ def verify_homi(
         conditions.append(partials)
 
     pointwise = new_condition("pointwise", "normalized-kernel inequality on the grid^4 lattice")
-    # g(f) and the result kernel's slope at f per grid pair (see above).  The
-    # count, the largest excess and the first witness stay in locals and are
-    # written to ``pointwise`` once, as ``record`` would write them.
-    g = kernel_result.generator.fn if kernel_result.generator is not None else None
-    slope = star_result.fn.slope
+    # g(f) and the result kernel's slope at f per grid pair (see above):
+    # normalize_kernel's fn(x, y) is kernel.fn(x, y) / fn.slope(y), and a
+    # difference kernel's fn(x, y) is g(x) - g(y).  The count, the largest
+    # excess and the first witness stay in locals and are written to
+    # ``pointwise`` once, as ``record`` would write them.
+    g = slope = None
+    if kernel_result.generator is not None:
+        g, slope = kernel_result.generator.fn, star_result.fn.slope
     g_values: list[list[Any]] = [[None] * grid for _ in pts_j]
     slopes: list[list[Any]] = [[None] * grid for _ in pts_j]
     checked = 0
@@ -848,7 +831,7 @@ def verify_homi(
 
     for idx, (sx, sy_k) in enumerate(pairs):
         combined_entries = [operation.fn(a, b) for a, b in zip(sx.entries, sy_k.entries)]
-        combined = _drawn_sample(combined_entries, sx.weights, result_domain)
+        combined = make_weighted_sample(combined_entries, sx.weights, result_domain)
         first_means = semideviation_means(kernel_first, sx, KINDS, cfg)
         second_means = semideviation_means(kernel_second, sy_k, KINDS, cfg)
         if monotone_mode:

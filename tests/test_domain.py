@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import meankit.domain as domain_module
 from meankit import (
     IntervalDomain,
     MeanKind,
@@ -51,6 +52,37 @@ def test_entry_outside_domain_rejected():
         make_weighted_sample([-1, 2], [1, 1], positive_reals())
     with pytest.raises(EntryOutOfDomain):
         make_weighted_sample([0.0, 2], [1, 1], positive_reals())  # open at 0
+
+
+@pytest.mark.parametrize(
+    "entries, weights, domain",
+    [
+        ([1, 2.5, 3], [1, 2, 0.5], positive_reals()),
+        ([2.0, math.nan, 3.0], [1, 1, 1], positive_reals()),
+        ([math.nan, 2.0], [1, 1], positive_reals()),
+        ([1.0, 2.0], [1, math.nan], positive_reals()),
+        ([1.0, 2.0], [0.0, 1.0], positive_reals()),
+        ([1.0, 2.0], [math.inf, 1.0], positive_reals()),
+        ([1e308, 1e308], [1, 1], positive_reals()),
+        ([1.0, 2.0], [1e308, 1e308], positive_reals()),
+        ([1.0, math.inf], [1, 1], all_reals()),
+        ([3.0, 5.0, -1.0, 9.0], [1, -2, 1, 1], open_interval(0.0, 4.0)),
+        ([3.0, 5.0, -1.0, 9.0], [1, 1, 1, 1], open_interval(0.0, 4.0)),
+        ([1.0, 2.0], [0, 0], positive_reals()),
+    ],
+)
+def test_reduced_check_agrees_with_value_by_value(entries, weights, domain):
+    # float_sample returns at once from a hull-end, least-weight and
+    # finite-sum check; the value-by-value checks must give the same sample
+    # or raise the same error for the same value.
+    def outcome(make):
+        try:
+            s = make(tuple(map(float, entries)), tuple(map(float, weights)), domain)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return repr((s.entries, s.weights, s.domain))
+
+    assert outcome(domain_module.float_sample) == outcome(domain_module._checked_sample)
 
 
 def test_interval_membership_respects_openness():

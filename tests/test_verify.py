@@ -32,6 +32,7 @@ from meankit import (
     verify_sandwich,
     verify_tei,
 )
+import meankit.domain as domain_module
 import meankit.homogenize as homogenize
 import meankit.semideviation as semideviation
 import meankit.verify as verify
@@ -105,9 +106,9 @@ class TestSamplePlan:
         ids=["valid", "tiny-weights", "empty", "negative-weight", "zero-weights", "entry-outside"],
     )
     def test_samples_equal_the_validated_constructor(self, plan, second_range, error, monkeypatch):
-        # Plans build their samples from the drawn floats with a reduced
-        # check; every sample, and every error with its first offending
-        # value, must be what make_weighted_sample gives on the same draws.
+        # float_sample returns at once from a reduced check; every plan
+        # sample, and every error with its first offending value, must be
+        # what its value-by-value check gives on the same draws.
         domain = open_interval(0.25, 4.0)
 
         def outcomes():
@@ -118,7 +119,7 @@ class TestSamplePlan:
 
         drawn = outcomes()
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_drawn_sample", make_weighted_sample)
+            patch.setattr(verify, "float_sample", domain_module._checked_sample)
             assert drawn == outcomes()
         if error is None:
             assert all(s1.weights is s2.weights for s1, s2 in plan.sample_pairs(domain))
