@@ -54,6 +54,7 @@ from .homogenize import (
 from .limits import LIMIT_TOL
 from .semideviation import SemidevMeanConfig, deviation_mean, semideviation_mean
 from .verify import (
+    FACTOR_RANGE,
     Report,
     SamplePlan,
     hoelder_preset,
@@ -478,7 +479,7 @@ def verify(
 
     if suite in ("minkowski", "hoelder"):
         generator = resolve_generator(kernel) if kernel else None
-        factor_range = entry_range or (0.5, 4.0)
+        factor_range = entry_range or FACTOR_RANGE
         preset = (minkowski_preset if suite == "minkowski" else hoelder_preset)(generator, factor_range)
         inner_lo, inner_hi = factor_range
         pad = 0.05 * (inner_hi - inner_lo)
@@ -516,7 +517,7 @@ def verify(
         if suite == "sandwich":
             report = verify_sandwich(kern, plan)
         elif suite == "jensen":
-            report = verify_jensen(kern, plan, grid=max(grid, 12))
+            report = verify_jensen(kern, plan)
         elif suite == "tei":
             report = verify_tei(kern, plan)
         else:

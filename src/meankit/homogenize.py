@@ -536,7 +536,6 @@ def homogeneous_semidev_mean(
     kernel: Kernel2,
     sample: WeightedSample,
     kind: MeanKind,
-    cfg: SemidevMeanConfig | None = None,
     *,
     profile: Callable[[float], float] | None = None,
 ) -> float:
@@ -559,4 +558,4 @@ def homogeneous_semidev_mean(
         )
     ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
     positive_sample = sample.with_domain(positive_reals())
-    return semideviation_mean(ratio_k, positive_sample, kind, cfg)
+    return semideviation_mean(ratio_k, positive_sample, kind)

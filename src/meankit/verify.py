@@ -53,15 +53,20 @@ MEAN_TOL = 1e-7
 KERNEL_TOL = 1e-9
 LIMIT_TOL = 1e-4
 
-#: Default solver configuration for suites (accuracy set by refine_tol, not
+#: Solver configuration of the suites (accuracy set by refine_tol, not
 #: the grid, for the single-crossing kernels the suites use).
 SUITE_CONFIG = SemidevMeanConfig(grid_size=128)
 
-#: Default solver configuration of the scale-profile suites (tei, cei).
+#: Solver configuration of the scale-profile suites (tei, cei).
 PROFILE_SUITE_CONFIG = SemidevMeanConfig(grid_size=64)
 
-#: Marks a lattice value f(a, b) outside the result domain (``verify_homi``).
-_OUTSIDE = object()
+#: Solver configuration of lemma-lim, whose samples weigh one entry 10^6
+#: times the other.
+LEMMA_LIM_CONFIG = SemidevMeanConfig(grid_size=256, refine_tol=1e-15)
+
+#: Default range of the factor domains J = K of the minkowski and hoelder
+#: presets.
+FACTOR_RANGE = (0.5, 4.0)
 
 KINDS = (MeanKind.LOWER_WEAK, MeanKind.LOWER_STRICT, MeanKind.UPPER_STRICT, MeanKind.UPPER_WEAK)
 
@@ -121,19 +126,16 @@ class SamplePlan:
         ]
 
     def sample_pairs(
-        self,
-        domain: IntervalDomain,
-        second_range: tuple[float, float] | None = None,
-        second_domain: IntervalDomain | None = None,
+        self, domain: IntervalDomain, second_domain: IntervalDomain | None = None
     ) -> list[tuple[WeightedSample, WeightedSample]]:
-        """Pairs sharing length and weights (second entries drawn right after
-        the first in the same stream); the two samples share one weights
-        tuple."""
-        first_range = self.resolved_entry_range(domain)
+        """Pairs sharing length and weights (second entries, in
+        ``second_domain`` or else ``domain``, drawn right after the first in
+        the same stream); the two samples share one weights tuple."""
         dom2 = second_domain or domain
+        ranges = [self.resolved_entry_range(domain), self.resolved_entry_range(dom2)]
         return [
             (float_sample(first, weights, domain), float_sample(second, weights, dom2))
-            for (first, second), weights in self._draws([first_range, second_range or first_range])
+            for (first, second), weights in self._draws(ranges)
         ]
 
 
@@ -231,11 +233,8 @@ def _sample_witness(index: int, sample: WeightedSample, **extra: Any) -> dict[st
 # --- ordering / symmetry suite -----------------------------------------------------------
 
 
-def verify_sandwich(
-    kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None = None
-) -> Report:
+def verify_sandwich(kernel: Kernel2, plan: SamplePlan) -> Report:
     """Mean-value sandwich and symmetry of the four sign-change means."""
-    cfg = cfg or SUITE_CONFIG
     admission = check_semideviation(kernel, kernel.domain_x, grid=16)
     if not admission.holds:
         return _inconclusive(
@@ -247,7 +246,7 @@ def verify_sandwich(
     symmetry = new_condition("symmetry", "invariant under entry/weight permutation")
     perm_rng = random.Random(plan.seed * 1_000_003 + 1)
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
-        means = semideviation_means(kernel, sample, KINDS, cfg)
+        means = semideviation_means(kernel, sample, KINDS, SUITE_CONFIG)
         lw, ls = means[MeanKind.LOWER_WEAK], means[MeanKind.LOWER_STRICT]
         us, uw = means[MeanKind.UPPER_STRICT], means[MeanKind.UPPER_WEAK]
         mn, mx = sample.hull()
@@ -263,7 +262,7 @@ def verify_sandwich(
         order = list(range(len(sample)))
         perm_rng.shuffle(order)
         permuted = sample.permuted(order)
-        perm_means = semideviation_means(kernel, permuted, KINDS, cfg)
+        perm_means = semideviation_means(kernel, permuted, KINDS, SUITE_CONFIG)
         symmetry.record(
             all(abs(perm_means[k] - means[k]) <= mean_tol(means[k]) for k in KINDS),
             lambda: _sample_witness(
@@ -295,13 +294,12 @@ def verify_lemma_lim(kernel: Kernel2, x: float, y: float) -> Report:
         for cond in (lower, upper):
             cond.record(True, dict)
         return _assemble("lemma-lim", [lower, upper])
-    cfg = SemidevMeanConfig(grid_size=256, refine_tol=1e-15)
     tol = 1e-3 * max(1.0, abs(target))
     for cond, kind in ((lower, MeanKind.LOWER_WEAK), (upper, MeanKind.UPPER_WEAK)):
         errors = []
         for n in LEMMA_LIM_WEIGHTS:
             sample = make_weighted_sample((x, y), (1.0, float(n)), kernel.domain_x)
-            value = semideviation_mean(kernel, sample, kind, cfg)
+            value = semideviation_mean(kernel, sample, kind, LEMMA_LIM_CONFIG)
             errors.append(abs(n * (value - y) - target))
         monotone = all(
             b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(errors, errors[1:])
@@ -317,11 +315,7 @@ def verify_lemma_lim(kernel: Kernel2, x: float, y: float) -> Report:
 
 
 def verify_comparison(
-    kernel_low: Kernel2,
-    kernel_high: Kernel2,
-    plan: SamplePlan,
-    grid: int = 24,
-    cfg: SemidevMeanConfig | None = None,
+    kernel_low: Kernel2, kernel_high: Kernel2, plan: SamplePlan, grid: int = 24
 ) -> Report:
     """Pointwise order of normalized kernels against the order of their means.
 
@@ -331,7 +325,6 @@ def verify_comparison(
     weakest link).  A sample violating B while A holds (or C while B holds)
     is flagged as an implication-consistency defect, i.e. a solver bug.
     """
-    cfg = cfg or SUITE_CONFIG
     try:
         low_star = normalize_kernel(kernel_low)
         high_star = normalize_kernel(kernel_high)
@@ -354,8 +347,8 @@ def verify_comparison(
     means_cond = new_condition("mean_inequalities", "all four kinds ordered on samples")
     weakest = new_condition("weakest_link", "lower-weak(first) <= upper-weak(second)")
     for idx, sample in enumerate(plan.samples(domain)):
-        low_means = semideviation_means(kernel_low, sample, KINDS, cfg)
-        high_means = semideviation_means(kernel_high, sample, KINDS, cfg)
+        low_means = semideviation_means(kernel_low, sample, KINDS, SUITE_CONFIG)
+        high_means = semideviation_means(kernel_high, sample, KINDS, SUITE_CONFIG)
         ok = all(low_means[k] <= high_means[k] + mean_tol(high_means[k]) for k in KINDS)
         means_cond.record(
             ok,
@@ -405,9 +398,7 @@ def _midpoint_concave_on_box(
     return True
 
 
-def verify_jensen(
-    kernel: Kernel2, plan: SamplePlan, grid: int = 24, cfg: SemidevMeanConfig | None = None
-) -> Report:
+def verify_jensen(kernel: Kernel2, plan: SamplePlan) -> Report:
     """Computable faces of the concavity equivalence on shared inputs.
 
     Face "kernel_midpoint_concavity": the normalized kernel on random
@@ -417,7 +408,6 @@ def verify_jensen(
     whose hull satisfies the kernel face but violates a mean face beyond
     tolerance is a solver defect.
     """
-    cfg = cfg or SUITE_CONFIG
     try:
         star = normalize_kernel(kernel)
     except NotNormalizable as exc:
@@ -446,9 +436,9 @@ def verify_jensen(
         midpoint = make_weighted_sample(
             [0.5 * (a + b) for a, b in zip(s1.entries, s2.entries)], s1.weights, domain
         )
-        means1 = semideviation_means(kernel, s1, KINDS, cfg)
-        means2 = semideviation_means(kernel, s2, KINDS, cfg)
-        means_mid = semideviation_means(kernel, midpoint, KINDS, cfg)
+        means1 = semideviation_means(kernel, s1, KINDS, SUITE_CONFIG)
+        means2 = semideviation_means(kernel, s2, KINDS, SUITE_CONFIG)
+        means_mid = semideviation_means(kernel, midpoint, KINDS, SUITE_CONFIG)
         lw1, lw2 = means1[MeanKind.LOWER_WEAK], means2[MeanKind.LOWER_WEAK]
         uw_mid = means_mid[MeanKind.UPPER_WEAK]
         pair_violation = False
@@ -490,9 +480,7 @@ def verify_jensen(
 # --- scale-profile suites -------------------------------------------------------------------
 
 
-def _strict_pair_handles(
-    kernel: Kernel2, cfg: SemidevMeanConfig
-) -> tuple[MeanHandle, MeanHandle, Callable[[], None]]:
+def _strict_pair_handles(kernel: Kernel2) -> tuple[MeanHandle, MeanHandle, Callable[[], None]]:
     """Upper-strict and lower-strict mean handles backed by one solve per
     sample (``semideviation_means`` gives each kind the value it gives alone),
     and the function that empties their shared memo."""
@@ -502,7 +490,7 @@ def _strict_pair_handles(
     def means(s: WeightedSample) -> dict[MeanKind, float]:
         found = memo.get(s)
         if found is None:
-            found = memo[s] = semideviation_means(kernel, s, kinds, cfg)
+            found = memo[s] = semideviation_means(kernel, s, kinds, PROFILE_SUITE_CONFIG)
         return found
 
     def handle(kind: MeanKind) -> MeanHandle:
@@ -513,7 +501,7 @@ def _strict_pair_handles(
     return handle(MeanKind.UPPER_STRICT), handle(MeanKind.LOWER_STRICT), memo.clear
 
 
-def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None = None) -> Report:
+def verify_tei(kernel: Kernel2, plan: SamplePlan) -> Report:
     """Scale-profile bounds on the local homogenizations of sign-change means.
 
     With h_low / h_high the liminf / limsup scale profiles of the normalized
@@ -523,7 +511,6 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     profiles share one scan per node, and both local scans of a sample share
     its scaled solves.
     """
-    cfg = cfg or PROFILE_SUITE_CONFIG
     try:
         star = normalize_kernel(kernel)
     except NotNormalizable as exc:
@@ -544,7 +531,7 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
         )
     low_ratio = ratio_kernel_from_profile(f"scale_profile_low({kernel.name})", h_low)
     high_ratio = ratio_kernel_from_profile(f"scale_profile_high({kernel.name})", h_high)
-    upper_handle, lower_handle, clear_memo = _strict_pair_handles(kernel, cfg)
+    upper_handle, lower_handle, clear_memo = _strict_pair_handles(kernel)
     lower_bound = new_condition(
         "lower_bound", "profile mean <= lower homogenization of upper-strict mean"
     )
@@ -554,13 +541,13 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
         clear_memo()
         positive = sample.with_domain(positive_reals())
-        lhs = semideviation_mean(low_ratio, positive, MeanKind.LOWER_WEAK, cfg)
+        lhs = semideviation_mean(low_ratio, positive, MeanKind.LOWER_WEAK, PROFILE_SUITE_CONFIG)
         low_est = local_homogenization(upper_handle, positive)
         lower_bound.record(
             lhs <= low_est.tail_min + limit_tol(low_est.tail_min),
             lambda: _sample_witness(idx, sample, profile_mean=lhs, homogenization=low_est.tail_min),
         )
-        rhs = semideviation_mean(high_ratio, positive, MeanKind.UPPER_WEAK, cfg)
+        rhs = semideviation_mean(high_ratio, positive, MeanKind.UPPER_WEAK, PROFILE_SUITE_CONFIG)
         high_est = local_homogenization(lower_handle, positive)
         upper_bound.record(
             high_est.tail_max <= rhs + limit_tol(rhs),
@@ -569,7 +556,7 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     return _assemble("tei", [lower_bound, upper_bound])
 
 
-def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None = None) -> Report:
+def verify_cei(kernel: Kernel2, plan: SamplePlan) -> Report:
     """Collapse of the scale construction for kernels with concave normalization.
 
     Hypotheses (probed; failure makes the report inconclusive): the
@@ -579,7 +566,6 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     the profile mean with both local homogenizations of the deviation mean;
     coordinatewise monotonicity of the deviation mean.
     """
-    cfg = cfg or PROFILE_SUITE_CONFIG
     try:
         star = normalize_kernel(kernel)
     except NotNormalizable as exc:
@@ -637,7 +623,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
     matches = new_condition("profile_mean_matches", "profile mean equals the homogenization")
     monotone = new_condition("mean_monotone", "deviation mean nondecreasing per coordinate")
     ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
-    dev_handle = deviation_handle(kernel, cfg)
+    dev_handle = deviation_handle(kernel, PROFILE_SUITE_CONFIG)
     bump_rng = random.Random(plan.seed * 1_000_003 + 41)
     for idx, sample in enumerate(plan.samples(domain)):
         positive = sample.with_domain(positive_reals())
@@ -646,7 +632,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan, cfg: SemidevMeanConfig | None 
             est.spread <= limit_tol(est.estimate),
             lambda: _sample_witness(idx, sample, tail_min=est.tail_min, tail_max=est.tail_max),
         )
-        profile_mean = semideviation_mean(ratio_k, positive, MeanKind.LOWER_WEAK, cfg)
+        profile_mean = semideviation_mean(ratio_k, positive, MeanKind.LOWER_WEAK, PROFILE_SUITE_CONFIG)
         matches.record(
             abs(profile_mean - est.estimate) <= limit_tol(est.estimate),
             lambda: _sample_witness(
@@ -677,7 +663,6 @@ def verify_homi(
     plan: SamplePlan,
     grid: int = 10,
     monotone_mode: bool = True,
-    cfg: SemidevMeanConfig | None = None,
     suite_label: str = "homi",
 ) -> Report:
     """Pointwise characterization of operation-subadditivity of means.
@@ -689,18 +674,18 @@ def verify_homi(
     against all sixteen kind pairs.  A mean-level failure while the pointwise
     condition holds is an implication-consistency defect.
 
-    The lattice evaluates f, its two partials, K_J* and K_K* once per grid
-    pair (grid^2 evaluations each, shared with the monotonicity probe).  A
-    result kernel declaring a ``generator`` g also gets g(f(a, b)) and its
-    diagonal slope at f(a, b) once per grid pair, so each of the grid^4
+    Before the lattice loop, per-pair tables (grid^2 evaluations each) are
+    built in this order: the two partials of f (which the monotonicity probe
+    reads), f itself, K_J* and K_K*.  A result kernel declaring a
+    ``generator`` g then gets g(f(a, b)) and its diagonal slope at f(a, b)
+    at every pair where f stays in the result domain, so each of the grid^4
     points costs (g(f(p, q)) - g(f(u, v))) / slope(f(u, v)), the floats of
     K_I*; any other result kernel evaluates K_I*(f(p, q), f(u, v)) at each
-    point.  Every table entry is filled where a per-point evaluation would
-    first make that call, so a kernel or operation that raises does so at
-    the same point with the same message.  The lattice's memory is
-    O(grid^2).
+    point.  A kernel or operation that raises at several pairs therefore
+    names the first pair in table order, and every table entry is evaluated,
+    also at pairs whose lattice points are all skipped because f leaves the
+    result domain.  The lattice's memory is O(grid^2).
     """
-    cfg = cfg or SUITE_CONFIG
     try:
         star_result = normalize_kernel(kernel_result)
         star_first = normalize_kernel(kernel_first)
@@ -712,91 +697,53 @@ def verify_homi(
     pts_j = [lo_j + j * (hi_j - lo_j) / (grid - 1) for j in range(grid)]
     pts_k = [lo_k + j * (hi_k - lo_k) / (grid - 1) for j in range(grid)]
 
-    # Lattice tables indexed by grid index: f(a, b) (_OUTSIDE when it leaves
-    # the result domain), the partials at (u, v), K_J*(p, u) and K_K*(q, v).
-    # Each entry is filled on first use, at the lattice point and in the
-    # order where a per-point evaluation would first make that call, so an
-    # operation or kernel that raises does so where it would without them.
-    op_values: list[list[Any]] = [[None] * grid for _ in pts_j]
-    d1s: list[list[Any]] = [[None] * grid for _ in pts_j]
-    d2s: list[list[Any]] = [[None] * grid for _ in pts_j]
-    k_first: list[list[Any]] = [[None] * grid for _ in pts_j]
-    k_second: list[list[Any]] = [[None] * grid for _ in pts_k]
+    # Lattice tables indexed by grid index: the partials at (u, v), f(a, b)
+    # (None when it leaves the result domain), K_J*(p, u) and K_K*(q, v).
+    d1s = [[operation.partial1(u, v) for v in pts_k] for u in pts_j]
+    d2s = [[operation.partial2(u, v) for v in pts_k] for u in pts_j]
     result_domain = kernel_result.domain_x
-
-    def combine(i: int, j: int) -> Any:
-        value = operation.fn(pts_j[i], pts_k[j])
-        op_values[i][j] = value = value if result_domain.contains(value) else _OUTSIDE
-        return value
+    op_values = [[operation.fn(a, b) for b in pts_k] for a in pts_j]
+    op_values = [[f if result_domain.contains(f) else None for f in row] for row in op_values]
+    k_first = [[star_first.fn(p, u) for u in pts_j] for p in pts_j]
+    k_second = [[star_second.fn(q, v) for v in pts_k] for q in pts_k]
+    # normalize_kernel's fn(x, y) is kernel.fn(x, y) / fn.slope(y), and a
+    # difference kernel's fn(x, y) is g(x) - g(y).
+    tabulated = kernel_result.generator is not None
+    if tabulated:
+        g, slope = kernel_result.generator.fn, star_result.fn.slope
+        g_values = [[None if f is None else g(f) for f in row] for row in op_values]
+        slopes = [[None if f is None else slope(f) for f in row] for row in op_values]
+    else:
+        g_values = slopes = op_values  # read only when tabulated
 
     conditions: list[Condition] = []
     if monotone_mode:
         partials = new_condition("operation_monotone", "partials >= 0, sum > 0 on the grid")
-        for iu, u in enumerate(pts_j):
-            for iv, v in enumerate(pts_k):
-                d1 = d1s[iu][iv] = operation.partial1(u, v)
-                d2 = d2s[iu][iv] = operation.partial2(u, v)
+        for u, d1_row, d2_row in zip(pts_j, d1s, d2s):
+            for v, d1, d2 in zip(pts_k, d1_row, d2_row):
                 partials.record(
                     d1 >= -KERNEL_TOL and d2 >= -KERNEL_TOL and d1 + d2 > KERNEL_TOL,
                     lambda: {"u": u, "v": v, "d1": d1, "d2": d2},
                 )
         conditions.append(partials)
 
+    # The count, the largest excess and the first witness stay in locals and
+    # are written to ``pointwise`` once, as ``record`` would write them.
     pointwise = new_condition("pointwise", "normalized-kernel inequality on the grid^4 lattice")
-    # g(f) and the result kernel's slope at f per grid pair (see above):
-    # normalize_kernel's fn(x, y) is kernel.fn(x, y) / fn.slope(y), and a
-    # difference kernel's fn(x, y) is g(x) - g(y).  The count, the largest
-    # excess and the first witness stay in locals and are written to
-    # ``pointwise`` once, as ``record`` would write them.
-    g = slope = None
-    if kernel_result.generator is not None:
-        g, slope = kernel_result.generator.fn, star_result.fn.slope
-    g_values: list[list[Any]] = [[None] * grid for _ in pts_j]
-    slopes: list[list[Any]] = [[None] * grid for _ in pts_j]
     checked = 0
     max_excess: float | None = None
     witness: dict[str, Any] | None = None
-    for ip, p in enumerate(pts_j):
-        kj_row, fp_row, gp_row = k_first[ip], op_values[ip], g_values[ip]
-        for iu, u in enumerate(pts_j):
-            fu_row, d1_row, d2_row = op_values[iu], d1s[iu], d2s[iu]
-            gu_row, su_row = g_values[iu], slopes[iu]
-            for iq, q in enumerate(pts_k):
-                fp = fp_row[iq]
+    for p, kj_row, fp_row, gp_row in zip(pts_j, k_first, op_values, g_values):
+        for u, kj, fu_row, gu_row, su_row, d1_row, d2_row in zip(
+            pts_j, kj_row, op_values, g_values, slopes, d1s, d2s
+        ):
+            for q, fp, gp, kk_row in zip(pts_k, fp_row, gp_row, k_second):
                 if fp is None:
-                    fp = combine(ip, iq)
-                kk_row = k_second[iq]
-                for iv, v in enumerate(pts_k):
-                    fu = fu_row[iv]
+                    continue
+                for v, fu, gu, su, d1, d2, kk in zip(pts_k, fu_row, gu_row, su_row, d1_row, d2_row, kk_row):
                     if fu is None:
-                        fu = combine(iu, iv)
-                    if fp is _OUTSIDE or fu is _OUTSIDE:
                         continue
-                    if g is None:
-                        lhs = star_result.fn(fp, fu)
-                    else:
-                        gp = gp_row[iq]
-                        if gp is None:
-                            gp = gp_row[iq] = g(fp)
-                        gu = gu_row[iv]
-                        if gu is None:
-                            gu = gu_row[iv] = g(fu)
-                        su = su_row[iv]
-                        if su is None:
-                            su = su_row[iv] = slope(fu)
-                        lhs = (gp - gu) / su
-                    d1 = d1_row[iv]
-                    if d1 is None:
-                        d1 = d1_row[iv] = operation.partial1(u, v)
-                    kj = kj_row[iu]
-                    if kj is None:
-                        kj = kj_row[iu] = star_first.fn(p, u)
-                    d2 = d2_row[iv]
-                    if d2 is None:
-                        d2 = d2_row[iv] = operation.partial2(u, v)
-                    kk = kk_row[iv]
-                    if kk is None:
-                        kk = kk_row[iv] = star_second.fn(q, v)
+                    lhs = (gp - gu) / su if tabulated else star_result.fn(fp, fu)
                     rhs = d1 * kj + d2 * kk
                     checked += 1
                     excess = lhs - rhs
@@ -809,9 +756,7 @@ def verify_homi(
         pointwise.holds, pointwise.witness = False, witness
     conditions.append(pointwise)
 
-    pairs = plan.sample_pairs(
-        kernel_first.domain_x, (lo_k, hi_k), second_domain=kernel_second.domain_x
-    )
+    pairs = plan.sample_pairs(kernel_first.domain_x, kernel_second.domain_x)
     mean_conditions: list[Condition] = []
     any_mean_violation = False
     if monotone_mode:
@@ -832,10 +777,10 @@ def verify_homi(
     for idx, (sx, sy_k) in enumerate(pairs):
         combined_entries = [operation.fn(a, b) for a, b in zip(sx.entries, sy_k.entries)]
         combined = make_weighted_sample(combined_entries, sx.weights, result_domain)
-        first_means = semideviation_means(kernel_first, sx, KINDS, cfg)
-        second_means = semideviation_means(kernel_second, sy_k, KINDS, cfg)
+        first_means = semideviation_means(kernel_first, sx, KINDS, SUITE_CONFIG)
+        second_means = semideviation_means(kernel_second, sy_k, KINDS, SUITE_CONFIG)
         if monotone_mode:
-            result_means = semideviation_means(kernel_result, combined, KINDS, cfg)
+            result_means = semideviation_means(kernel_result, combined, KINDS, SUITE_CONFIG)
             for kind in KINDS:
                 bound = operation.fn(first_means[kind], second_means[kind])
                 ok = result_means[kind] <= bound + mean_tol(bound)
@@ -862,7 +807,7 @@ def verify_homi(
                 excess=lhs - bound,
             )
         else:
-            lhs = semideviation_mean(kernel_result, combined, MeanKind.LOWER_WEAK, cfg)
+            lhs = semideviation_mean(kernel_result, combined, MeanKind.LOWER_WEAK, SUITE_CONFIG)
             for mk in KINDS:
                 for nk in KINDS:
                     bound = operation.fn(first_means[mk], second_means[nk])
@@ -914,7 +859,7 @@ def _product_operation(domain_j: IntervalDomain, domain_k: IntervalDomain) -> Ke
 
 def minkowski_preset(
     generator: ScalarFunction | None = None,
-    factor_range: tuple[float, float] = (0.5, 4.0),
+    factor_range: tuple[float, float] = FACTOR_RANGE,
 ) -> dict[str, Any]:
     """Additivity setup: same difference kernel on J, K, and I = J + K."""
     gen = generator or power_generator(1.0)
@@ -931,7 +876,7 @@ def minkowski_preset(
 
 def hoelder_preset(
     generator: ScalarFunction | None = None,
-    factor_range: tuple[float, float] = (0.5, 4.0),
+    factor_range: tuple[float, float] = FACTOR_RANGE,
 ) -> dict[str, Any]:
     """Multiplicativity setup: same difference kernel on J, K, and I = J * K."""
     gen = generator or power_generator(0.0)

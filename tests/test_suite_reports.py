@@ -22,7 +22,9 @@ difference kernels from per-pair tables and plan samples skipped
 re-validation: a failing minkowski run (its witness and ``max_excess``), a
 failing hoelder run, an ``expr:`` generator, and a homi run whose result
 kernel is not a difference kernel, so its lattice evaluates the normalized
-kernel at every point.
+kernel at every point.  The sandwich, comparison and jensen entries were
+appended at commit bfa710f, before the lattice tables were built ahead of
+the loop and the suites lost their per-call solver configs.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ MORE_RUNS = [
     ("minkowski", "expr:x^2", []),
     ("homi", _HOMI_KERNEL, ["--kernel2", _HOMI_KERNEL, "--kernel3", _HOMI_KERNEL, "--op", "x+y",
                             "--domain", "0,inf", "--entry-range", "0.5,4"]),
+    ("sandwich", "sign_dev", ["--entry-range", "0.5,4"]),
+    ("comparison", "power:1", ["--kernel2", "power:2"]),
+    ("comparison", "expr:x-y", ["--kernel2", "expr:x^2-y^2"]),
+    ("jensen", "diff_gen:power:0.5", []),
 ]
 
 

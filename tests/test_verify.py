@@ -92,20 +92,19 @@ class TestSamplePlan:
         return [(s.entries, s.weights, s.domain) for s in samples]
 
     @pytest.mark.parametrize(
-        "plan, second_range, error",
+        "plan, second_domain, error",
         [
             (SamplePlan(seed=2, n_samples=60, entry_range=(0.5, 3.9)), None, None),
             (SamplePlan(seed=2, n_samples=60, entry_range=(0.5, 3.9), weight_range=(0.0, 1e-300)), None, None),
             (SamplePlan(seed=4, n_samples=30, n_range=(0, 2), entry_range=(0.5, 3.9)), None, LengthMismatch),
             (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9), weight_range=(-1.0, 1.0)), None, NegativeWeight),
             (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9), weight_range=(0.0, 0.0)), None, AllWeightsZero),
-            # The second range is not checked against the second domain, so
-            # its draws reach past the domain end.
-            (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9)), (3.0, 4.5), EntryOutOfDomain),
+            # The entry range is checked against the second domain too.
+            (SamplePlan(seed=4, n_samples=30, entry_range=(0.5, 3.9)), open_interval(0.25, 3.0), ValueError),
         ],
-        ids=["valid", "tiny-weights", "empty", "negative-weight", "zero-weights", "entry-outside"],
+        ids=["valid", "tiny-weights", "empty", "negative-weight", "zero-weights", "second-domain"],
     )
-    def test_samples_equal_the_validated_constructor(self, plan, second_range, error, monkeypatch):
+    def test_samples_equal_the_validated_constructor(self, plan, second_domain, error, monkeypatch):
         # float_sample returns at once from a reduced check; every plan
         # sample, and every error with its first offending value, must be
         # what its value-by-value check gives on the same draws.
@@ -113,7 +112,7 @@ class TestSamplePlan:
 
         def outcomes():
             return (
-                self._outcome(lambda: [s for pair in plan.sample_pairs(domain, second_range) for s in pair]),
+                self._outcome(lambda: [s for pair in plan.sample_pairs(domain, second_domain) for s in pair]),
                 self._outcome(lambda: plan.samples(domain)),
             )
 
@@ -307,7 +306,7 @@ class TestScaleProfileSuites:
 
     def test_tei_shared_local_scans_match_separate_scans(self, monkeypatch):
         kernel = difference_kernel(cosh_generator())
-        cfg = SemidevMeanConfig(grid_size=64)
+        cfg = verify.PROFILE_SUITE_CONFIG
         scans = []
 
         def recording(handle, sample):
@@ -317,7 +316,7 @@ class TestScaleProfileSuites:
 
         monkeypatch.setattr(verify, "local_homogenization", recording)
         plan = SamplePlan(seed=27, n_samples=8, n_range=(1, 4), entry_range=(0.5, 3.0))
-        assert verify_tei(kernel, plan, cfg).overall == "pass"
+        assert verify_tei(kernel, plan).overall == "pass"
         separate_handles = {
             handle.name: handle
             for handle in (
@@ -366,8 +365,8 @@ class TestScaleProfileSuites:
         # Two entries of equal weight put a zero plateau between them into the
         # sign kernel's deviation sum, so the strict lower and upper means differ.
         kernel = sign_kernel().with_domains(POS)
-        cfg = SemidevMeanConfig(grid_size=64)
-        upper, lower, _ = verify._strict_pair_handles(kernel, cfg)
+        cfg = verify.PROFILE_SUITE_CONFIG
+        upper, lower, _ = verify._strict_pair_handles(kernel)
         s = make_weighted_sample([1.0, 3.0], [1.0, 1.0], POS)
         for shared, kind, expected in (
             (upper, MeanKind.UPPER_STRICT, 1.0),
@@ -548,8 +547,8 @@ class TestOperationSuites:
 
     def test_raising_generator_fails_alike_on_both_lattices(self):
         # The generator refuses one value of f(a, b) = a + b on the lattice.
-        # Both paths must raise the same error at the same lattice point,
-        # which fills the per-pair tables of K_J* and K_K* with the same calls.
+        # Both paths must raise the same error; the per-pair tables of K_J*
+        # and K_K* are built in full before the lattice on both.
         grid, lo, hi = 6, 0.6, 3.9
         pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
         refused = pts[2] + pts[3]
@@ -575,6 +574,52 @@ class TestOperationSuites:
             outcomes.append((str(excinfo.value), dict(calls)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == f"refusing {refused}"
+
+    def test_lattice_skips_pairs_whose_operation_leaves_the_result_domain(self):
+        # x * y leaves (0.5, 16) at some grid pairs.  Both lattices skip every
+        # point where f(p, q) or f(u, v) is outside, so they check the square
+        # of the number of inside pairs.
+        grid = 6
+        dom = open_interval(0.5, 16.0)
+        kernel = difference_kernel(power_generator(2), dom)
+        operation = kernel_from_expression("x*y", dom, name="operation")
+        plan = SamplePlan(seed=3, n_samples=0)
+        tabulated = verify_homi(kernel, kernel, kernel, operation, plan, grid=grid)
+        per_point = verify_homi(
+            dataclasses.replace(kernel, generator=None), kernel, kernel, operation, plan, grid=grid
+        )
+        assert tabulated.to_json() == per_point.to_json()
+        lo, hi = plan.resolved_entry_range(dom)
+        pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
+        inside = sum(dom.contains(a * b) for a in pts for b in pts)
+        assert 0 < inside < grid**2
+        assert tabulated.condition("pointwise").checked == inside**2
+
+    def test_operation_raising_at_two_pairs_names_the_first_in_table_order(self):
+        # f is refused at grid pairs (1, 0) and (0, 5).  Its table is built
+        # before the lattice, row by row (a over the first grid, b over the
+        # second), so both lattices in both modes name (0, 5).
+        grid, lo, hi = 6, 0.6, 3.9
+        pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
+        refused = {(pts[1], pts[0]), (pts[0], pts[5])}
+
+        def fn(x, y):
+            if (x, y) in refused:
+                raise NonFinite(f"refusing f({x}, {y})")
+            return x + y
+
+        preset = minkowski_preset(power_generator(2))
+        operation = dataclasses.replace(preset["operation"], fn=fn)
+        result = preset["kernel_result"]
+        plan = SamplePlan(seed=24, n_samples=3, entry_range=(lo, hi))
+        for kernel in (result, dataclasses.replace(result, generator=None)):
+            for monotone_mode in (True, False):
+                with pytest.raises(NonFinite) as excinfo:
+                    verify_homi(
+                        kernel, preset["kernel_first"], preset["kernel_second"], operation, plan,
+                        grid=grid, monotone_mode=monotone_mode,
+                    )
+                assert str(excinfo.value) == f"refusing f({pts[0]}, {pts[5]})"
 
 
 class TestReports:
