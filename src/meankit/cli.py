@@ -287,8 +287,10 @@ def compute() -> None:
     type=click.IntRange(min=2),
     default=1024,
     show_default=True,
-    help="Sign-scan grid size; no effect on kernels solved in closed form "
-    "(diff_gen with an increasing catalog generator).",
+    help="Sign-scan grid size of --kind semidev; no effect on kernels solved in "
+    "closed form (diff_gen with an increasing catalog generator).  --kind power, "
+    "qa and deviation ignore it (deviation bisects the whole hull and reads only "
+    "--refine-tol).",
 )
 @click.option(
     "--refine-tol",

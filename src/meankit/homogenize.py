@@ -37,7 +37,6 @@ from .errors import (
 from .expr import Kernel2, ScalarFunction
 from .limits import LIMIT_TOL, LIMIT_WINDOW, LimitEstimate, largest_halving_start, limit_at_zero
 from .semideviation import (
-    SemidevMeanConfig,
     deviation_mean,
     normalize_kernel,
     semideviation_mean,
@@ -135,21 +134,17 @@ def translated_power_handle(
     return MeanHandle(f"translated_power({exponent:g},{shift:g})", dom, fn)
 
 
-def semideviation_handle(
-    kernel: Kernel2, kind: MeanKind, cfg: SemidevMeanConfig | None = None
-) -> MeanHandle:
+def semideviation_handle(kernel: Kernel2, kind: MeanKind) -> MeanHandle:
     return MeanHandle(
         f"semidev({kernel.name},{kind.value})",
         kernel.domain_x,
-        lambda s: semideviation_mean(kernel, s, kind, cfg),
+        lambda s: semideviation_mean(kernel, s, kind),
     )
 
 
-def deviation_handle(kernel: Kernel2, cfg: SemidevMeanConfig | None = None) -> MeanHandle:
+def deviation_handle(kernel: Kernel2) -> MeanHandle:
     return MeanHandle(
-        f"deviation({kernel.name})",
-        kernel.domain_x,
-        lambda s: deviation_mean(kernel, s, cfg),
+        f"deviation({kernel.name})", kernel.domain_x, lambda s: deviation_mean(kernel, s)
     )
 
 

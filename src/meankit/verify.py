@@ -212,12 +212,9 @@ def _assemble(theorem_id: str, conditions: list[Condition]) -> Report:
     return Report(theorem_id, overall, _default_tolerances(), conditions)
 
 
-def _inconclusive(theorem_id: str, reason: str, conditions: list[Condition] | None = None) -> Report:
-    report = Report(theorem_id, "inconclusive", _default_tolerances(), conditions or [])
-    report.conditions.append(
-        Condition(name="admission", holds=False, checked=1, note=reason)
-    )
-    return report
+def _inconclusive(theorem_id: str, reason: str) -> Report:
+    admission = Condition(name="admission", holds=False, checked=1, note=reason)
+    return Report(theorem_id, "inconclusive", _default_tolerances(), [admission])
 
 
 def _sample_witness(index: int, sample: WeightedSample, **extra: Any) -> dict[str, Any]:
@@ -383,10 +380,9 @@ def verify_comparison(
 # --- concavity suite ----------------------------------------------------------------------
 
 
-def _midpoint_concave_on_box(
-    kernel: Kernel2, lo: float, hi: float, grid: int = 6
-) -> bool:
-    pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
+def _midpoint_concave_on_box(kernel: Kernel2, lo: float, hi: float) -> bool:
+    """Midpoint concavity of ``kernel`` on a 6-point grid of [lo, hi]^2."""
+    pts = [lo + j * (hi - lo) / 5 for j in range(6)]
     for x in pts:
         for u in pts:
             for y in pts:
@@ -623,7 +619,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan) -> Report:
     matches = new_condition("profile_mean_matches", "profile mean equals the homogenization")
     monotone = new_condition("mean_monotone", "deviation mean nondecreasing per coordinate")
     ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
-    dev_handle = deviation_handle(kernel, PROFILE_SUITE_CONFIG)
+    dev_handle = deviation_handle(kernel)
     bump_rng = random.Random(plan.seed * 1_000_003 + 41)
     for idx, sample in enumerate(plan.samples(domain)):
         positive = sample.with_domain(positive_reals())
@@ -668,23 +664,27 @@ def verify_homi(
     """Pointwise characterization of operation-subadditivity of means.
 
     Condition "pointwise": K_I*(f(p, q), f(u, v)) <= d1f(u, v) K_J*(p, u)
-    + d2f(u, v) K_K*(q, v) on a grid^4 lattice.  Mean-level conditions: in
-    ``monotone_mode`` (operation nondecreasing in each slot, probed) the five
-    kind-aligned inequalities; otherwise the lower-weak mean of the result
-    against all sixteen kind pairs.  A mean-level failure while the pointwise
-    condition holds is an implication-consistency defect.
+    + d2f(u, v) K_K*(q, v) on a grid^4 lattice.  Each mean-level condition
+    compares one kind of the result's mean with f of one kind of each
+    argument's mean: in ``monotone_mode`` (operation nondecreasing in each
+    slot, probed) the four kind-aligned inequalities and lower-weak against
+    upper-weak; otherwise the lower-weak mean of the result against all
+    sixteen kind pairs.  A mean-level failure while the pointwise condition
+    holds is an implication-consistency defect.
 
     Before the lattice loop, per-pair tables (grid^2 evaluations each) are
     built in this order: the two partials of f (which the monotonicity probe
-    reads), f itself, K_J* and K_K*.  A result kernel declaring a
-    ``generator`` g then gets g(f(a, b)) and its diagonal slope at f(a, b)
-    at every pair where f stays in the result domain, so each of the grid^4
-    points costs (g(f(p, q)) - g(f(u, v))) / slope(f(u, v)), the floats of
-    K_I*; any other result kernel evaluates K_I*(f(p, q), f(u, v)) at each
-    point.  A kernel or operation that raises at several pairs therefore
-    names the first pair in table order, and every table entry is evaluated,
-    also at pairs whose lattice points are all skipped because f leaves the
-    result domain.  The lattice's memory is O(grid^2).
+    reads), f itself, K_J*, K_K*, then, at every pair where f stays in the
+    result domain, g(f(a, b)) if the result kernel declares a ``generator``
+    g, and the result kernel's diagonal slope at f(a, b).  Each of the
+    grid^4 points then costs (g(f(p, q)) - g(f(u, v))) / slope(f(u, v)), or
+    K_I(f(p, q), f(u, v)) / slope(f(u, v)) without a generator: both are the
+    floats of K_I*.  A result kernel without a generator thus evaluates its
+    slopes in the table, before the loop.  A kernel or operation that raises
+    at several pairs therefore names the first pair in table order, and
+    every table entry is evaluated, also at pairs whose lattice points are
+    all skipped because f leaves the result domain.  The lattice's memory is
+    O(grid^2).
     """
     try:
         star_result = normalize_kernel(kernel_result)
@@ -698,7 +698,10 @@ def verify_homi(
     pts_k = [lo_k + j * (hi_k - lo_k) / (grid - 1) for j in range(grid)]
 
     # Lattice tables indexed by grid index: the partials at (u, v), f(a, b)
-    # (None when it leaves the result domain), K_J*(p, u) and K_K*(q, v).
+    # (None when it leaves the result domain), K_J*(p, u), K_K*(q, v), and
+    # g and the result kernel's slope at f(a, b).  normalize_kernel's
+    # fn(x, y) is kernel.fn(x, y) / fn.slope(y), and a difference kernel's
+    # fn(x, y) is g(x) - g(y).
     d1s = [[operation.partial1(u, v) for v in pts_k] for u in pts_j]
     d2s = [[operation.partial2(u, v) for v in pts_k] for u in pts_j]
     result_domain = kernel_result.domain_x
@@ -706,15 +709,10 @@ def verify_homi(
     op_values = [[f if result_domain.contains(f) else None for f in row] for row in op_values]
     k_first = [[star_first.fn(p, u) for u in pts_j] for p in pts_j]
     k_second = [[star_second.fn(q, v) for v in pts_k] for q in pts_k]
-    # normalize_kernel's fn(x, y) is kernel.fn(x, y) / fn.slope(y), and a
-    # difference kernel's fn(x, y) is g(x) - g(y).
-    tabulated = kernel_result.generator is not None
-    if tabulated:
-        g, slope = kernel_result.generator.fn, star_result.fn.slope
-        g_values = [[None if f is None else g(f) for f in row] for row in op_values]
-        slopes = [[None if f is None else slope(f) for f in row] for row in op_values]
-    else:
-        g_values = slopes = op_values  # read only when tabulated
+    g = kernel_result.generator.fn if kernel_result.generator is not None else None
+    g_values = [[None if f is None or g is None else g(f) for f in row] for row in op_values]
+    slope = star_result.fn.slope
+    slopes = [[None if f is None else slope(f) for f in row] for row in op_values]
 
     conditions: list[Condition] = []
     if monotone_mode:
@@ -743,7 +741,7 @@ def verify_homi(
                 for v, fu, gu, su, d1, d2, kk in zip(pts_k, fu_row, gu_row, su_row, d1_row, d2_row, kk_row):
                     if fu is None:
                         continue
-                    lhs = (gp - gu) / su if tabulated else star_result.fn(fp, fu)
+                    lhs = (gp - gu if g is not None else kernel_result.fn(fp, fu)) / su
                     rhs = d1 * kj + d2 * kk
                     checked += 1
                     excess = lhs - rhs
@@ -756,71 +754,45 @@ def verify_homi(
         pointwise.holds, pointwise.witness = False, witness
     conditions.append(pointwise)
 
-    pairs = plan.sample_pairs(kernel_first.domain_x, kernel_second.domain_x)
-    mean_conditions: list[Condition] = []
-    any_mean_violation = False
+    # (condition, result kind, first kind, second kind, witness fields)
+    lower_weak, upper_weak = MeanKind.LOWER_WEAK, MeanKind.UPPER_WEAK
     if monotone_mode:
-        aligned = {
-            kind: new_condition(f"aligned_{kind.value}", "same kind on both sides")
-            for kind in KINDS
-        }
-        weakest = new_condition("weakest_pair", "lower-weak result vs upper-weak arguments")
-        mean_conditions = [*aligned.values(), weakest]
+        result_kinds = KINDS
+        checks = [
+            (new_condition(f"aligned_{k.value}", "same kind on both sides"), k, k, k, {"kind": k.value})
+            for k in KINDS
+        ]
+        checks.append(
+            (new_condition("weakest_pair", "lower-weak result vs upper-weak arguments"),
+             lower_weak, upper_weak, upper_weak, {})
+        )
     else:
-        pair_conditions = {
-            (mk, nk): new_condition(f"pair_{mk.value}__{nk.value}")
-            for mk in KINDS
-            for nk in KINDS
-        }
-        mean_conditions = list(pair_conditions.values())
-
-    for idx, (sx, sy_k) in enumerate(pairs):
+        result_kinds = (lower_weak,)
+        checks = [
+            (new_condition(f"pair_{m.value}__{n.value}"), lower_weak, m, n, {"kinds": [m.value, n.value]})
+            for m in KINDS
+            for n in KINDS
+        ]
+    any_mean_violation = False
+    for idx, (sx, sy_k) in enumerate(plan.sample_pairs(kernel_first.domain_x, kernel_second.domain_x)):
         combined_entries = [operation.fn(a, b) for a, b in zip(sx.entries, sy_k.entries)]
         combined = make_weighted_sample(combined_entries, sx.weights, result_domain)
         first_means = semideviation_means(kernel_first, sx, KINDS, SUITE_CONFIG)
         second_means = semideviation_means(kernel_second, sy_k, KINDS, SUITE_CONFIG)
-        if monotone_mode:
-            result_means = semideviation_means(kernel_result, combined, KINDS, SUITE_CONFIG)
-            for kind in KINDS:
-                bound = operation.fn(first_means[kind], second_means[kind])
-                ok = result_means[kind] <= bound + mean_tol(bound)
-                any_mean_violation |= not ok
-                aligned[kind].record(
-                    ok,
-                    lambda: _sample_witness(
-                        idx, sx, entries_second=list(sy_k.entries), kind=kind.value,
-                        result_mean=result_means[kind], bound=bound,
-                    ),
-                    excess=result_means[kind] - bound,
-                )
-            bound = operation.fn(
-                first_means[MeanKind.UPPER_WEAK], second_means[MeanKind.UPPER_WEAK]
-            )
-            lhs = result_means[MeanKind.LOWER_WEAK]
-            ok = lhs <= bound + mean_tol(bound)
+        result_means = semideviation_means(kernel_result, combined, result_kinds, SUITE_CONFIG)
+        for cond, r, m, n, fields in checks:
+            value = result_means[r]
+            bound = operation.fn(first_means[m], second_means[n])
+            ok = value <= bound + mean_tol(bound)
             any_mean_violation |= not ok
-            weakest.record(
+            cond.record(
                 ok,
                 lambda: _sample_witness(
-                    idx, sx, entries_second=list(sy_k.entries), result_mean=lhs, bound=bound
+                    idx, sx, entries_second=list(sy_k.entries), **fields, result_mean=value, bound=bound
                 ),
-                excess=lhs - bound,
+                excess=value - bound if monotone_mode else None,
             )
-        else:
-            lhs = semideviation_mean(kernel_result, combined, MeanKind.LOWER_WEAK, SUITE_CONFIG)
-            for mk in KINDS:
-                for nk in KINDS:
-                    bound = operation.fn(first_means[mk], second_means[nk])
-                    ok = lhs <= bound + mean_tol(bound)
-                    any_mean_violation |= not ok
-                    pair_conditions[(mk, nk)].record(
-                        ok,
-                        lambda: _sample_witness(
-                            idx, sx, entries_second=list(sy_k.entries),
-                            kinds=[mk.value, nk.value], result_mean=lhs, bound=bound,
-                        ),
-                    )
-    conditions.extend(mean_conditions)
+    conditions.extend(cond for cond, *_ in checks)
     consistency = new_condition(
         "implication_consistency", "mean-level failure while the pointwise condition holds"
     )
@@ -835,57 +807,46 @@ def verify_homi(
 # --- operation presets -------------------------------------------------------------------------
 
 
-def _sum_operation(domain_j: IntervalDomain, domain_k: IntervalDomain) -> Kernel2:
-    return Kernel2(
-        "sum",
-        lambda x, y: x + y,
-        domain_j,
-        domain_k,
-        deriv1=lambda x, y: 1.0,
-        deriv2=lambda x, y: 1.0,
-    )
-
-
-def _product_operation(domain_j: IntervalDomain, domain_k: IntervalDomain) -> Kernel2:
-    return Kernel2(
-        "product",
-        lambda x, y: x * y,
-        domain_j,
-        domain_k,
-        deriv1=lambda x, y: y,
-        deriv2=lambda x, y: x,
-    )
+def _preset(
+    generator: ScalarFunction,
+    factor_range: tuple[float, float],
+    name: str,
+    fn: Callable[[float, float], float],
+    deriv1: Callable[[float, float], float],
+    deriv2: Callable[[float, float], float],
+) -> dict[str, Any]:
+    """The difference kernel of ``generator`` on J = K = ``factor_range`` and
+    on I = (fn(lo, lo), fn(hi, hi)), and the operation fn from J x K to I."""
+    lo, hi = factor_range
+    domain_j = open_interval(lo, hi)
+    domain_i = open_interval(fn(lo, lo), fn(hi, hi))
+    return {
+        "kernel_result": difference_kernel(generator, domain_i),
+        "kernel_first": difference_kernel(generator, domain_j),
+        "kernel_second": difference_kernel(generator, domain_j),
+        "operation": Kernel2(name, fn, domain_j, domain_j, deriv1=deriv1, deriv2=deriv2),
+    }
 
 
 def minkowski_preset(
     generator: ScalarFunction | None = None,
     factor_range: tuple[float, float] = FACTOR_RANGE,
 ) -> dict[str, Any]:
-    """Additivity setup: same difference kernel on J, K, and I = J + K."""
-    gen = generator or power_generator(1.0)
-    lo, hi = factor_range
-    domain_j = open_interval(lo, hi)
-    domain_i = open_interval(2 * lo, 2 * hi)
-    return {
-        "kernel_result": difference_kernel(gen, domain_i),
-        "kernel_first": difference_kernel(gen, domain_j),
-        "kernel_second": difference_kernel(gen, domain_j),
-        "operation": _sum_operation(domain_j, domain_j),
-    }
+    """Additivity setup: same difference kernel on J, K, and I = J + K
+    (default generator: the identity, power:1)."""
+    return _preset(
+        generator or power_generator(1.0), factor_range, "sum",
+        lambda x, y: x + y, lambda x, y: 1.0, lambda x, y: 1.0,
+    )
 
 
 def hoelder_preset(
     generator: ScalarFunction | None = None,
     factor_range: tuple[float, float] = FACTOR_RANGE,
 ) -> dict[str, Any]:
-    """Multiplicativity setup: same difference kernel on J, K, and I = J * K."""
-    gen = generator or power_generator(0.0)
-    lo, hi = factor_range
-    domain_j = open_interval(lo, hi)
-    domain_i = open_interval(lo * lo, hi * hi)
-    return {
-        "kernel_result": difference_kernel(gen, domain_i),
-        "kernel_first": difference_kernel(gen, domain_j),
-        "kernel_second": difference_kernel(gen, domain_j),
-        "operation": _product_operation(domain_j, domain_j),
-    }
+    """Multiplicativity setup: same difference kernel on J, K, and I = J * K
+    (default generator: log, power:0)."""
+    return _preset(
+        generator or power_generator(0.0), factor_range, "product",
+        lambda x, y: x * y, lambda x, y: y, lambda x, y: x,
+    )

@@ -24,7 +24,9 @@ failing hoelder run, an ``expr:`` generator, and a homi run whose result
 kernel is not a difference kernel, so its lattice evaluates the normalized
 kernel at every point.  The sandwich, comparison and jensen entries were
 appended at commit bfa710f, before the lattice tables were built ahead of
-the loop and the suites lost their per-call solver configs.
+the loop and the suites lost their per-call solver configs.  The failing
+``--no-monotone`` homi entry, whose witnesses are kind pairs, was appended
+at commit ab7993b, before homi read its mean-level checks from one list.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ MORE_RUNS = [
     ("comparison", "power:1", ["--kernel2", "power:2"]),
     ("comparison", "expr:x-y", ["--kernel2", "expr:x^2-y^2"]),
     ("jensen", "diff_gen:power:0.5", []),
+    ("homi", "power:3", ["--kernel2", "power:1", "--kernel3", "power:1", "--op", "x+y", "--no-monotone",
+                         "--domain", "0,inf", "--entry-range", "0.5,4"]),
 ]
 
 

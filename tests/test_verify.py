@@ -7,6 +7,7 @@ import pytest
 
 from meankit import (
     Kernel2,
+    MeanHandle,
     MeanKind,
     SamplePlan,
     SemidevMeanConfig,
@@ -21,7 +22,6 @@ from meankit import (
     open_interval,
     power_generator,
     scalar_from_expression,
-    semideviation_handle,
     semideviation_mean,
     sign_kernel,
     verify_cei,
@@ -44,6 +44,16 @@ from conftest import numeric_profile_kernel
 
 POS = positive_reals()
 REALS = all_reals()
+
+
+def profile_suite_handle(kernel, kind):
+    """The handle ``semideviation_handle`` builds, solving with the
+    scale-profile suites' config."""
+    return MeanHandle(
+        f"semidev({kernel.name},{kind.value})",
+        kernel.domain_x,
+        lambda s: semideviation_mean(kernel, s, kind, verify.PROFILE_SUITE_CONFIG),
+    )
 
 
 def counted(calls, name, fn):
@@ -306,7 +316,6 @@ class TestScaleProfileSuites:
 
     def test_tei_shared_local_scans_match_separate_scans(self, monkeypatch):
         kernel = difference_kernel(cosh_generator())
-        cfg = verify.PROFILE_SUITE_CONFIG
         scans = []
 
         def recording(handle, sample):
@@ -320,8 +329,8 @@ class TestScaleProfileSuites:
         separate_handles = {
             handle.name: handle
             for handle in (
-                semideviation_handle(kernel, MeanKind.UPPER_STRICT, cfg),
-                semideviation_handle(kernel, MeanKind.LOWER_STRICT, cfg),
+                profile_suite_handle(kernel, MeanKind.UPPER_STRICT),
+                profile_suite_handle(kernel, MeanKind.LOWER_STRICT),
             )
         }
         assert [name for name, _, _ in scans] == list(separate_handles) * plan.n_samples
@@ -365,7 +374,6 @@ class TestScaleProfileSuites:
         # Two entries of equal weight put a zero plateau between them into the
         # sign kernel's deviation sum, so the strict lower and upper means differ.
         kernel = sign_kernel().with_domains(POS)
-        cfg = verify.PROFILE_SUITE_CONFIG
         upper, lower, _ = verify._strict_pair_handles(kernel)
         s = make_weighted_sample([1.0, 3.0], [1.0, 1.0], POS)
         for shared, kind, expected in (
@@ -373,7 +381,7 @@ class TestScaleProfileSuites:
             (lower, MeanKind.LOWER_STRICT, 3.0),
         ):
             est = local_homogenization(shared, s)
-            separate = local_homogenization(semideviation_handle(kernel, kind, cfg), s)
+            separate = local_homogenization(profile_suite_handle(kernel, kind), s)
             assert est.values == separate.values
             assert est.estimate == pytest.approx(expected)
 
@@ -545,22 +553,29 @@ class TestOperationSuites:
             assert 0 < calls[name] <= grid**2, name
         assert slopes and max(slopes.values()) == 1
 
-    def test_raising_generator_fails_alike_on_both_lattices(self):
-        # The generator refuses one value of f(a, b) = a + b on the lattice.
-        # Both paths must raise the same error; the per-pair tables of K_J*
-        # and K_K* are built in full before the lattice on both.
+    # pts[2] + pts[3] = 4.5 is one of normalize_kernel's probe points, so a
+    # derivative refusing it would make the kernel inadmissible instead.
+    @pytest.mark.parametrize("refusing, index", [("fn", 2), ("deriv1", 1)])
+    def test_raising_generator_fails_alike_on_both_lattices(self, refusing, index):
+        # The result generator (or its derivative, so the diagonal slope)
+        # refuses one value of f(a, b) = a + b on the lattice.  Both paths
+        # must raise the same error; the per-pair tables of K_J* and K_K* are
+        # built in full before the lattice on both.
         grid, lo, hi = 6, 0.6, 3.9
         pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
-        refused = pts[2] + pts[3]
+        refused = pts[index] + pts[3]
         base = power_generator(2)
+        original = getattr(base, refusing)
 
-        def fn(x):
+        def refuse(x):
             if x == refused:
                 raise NonFinite(f"refusing {x}")
-            return base.fn(x)
+            return original(x)
 
         preset = minkowski_preset(base)
-        result = difference_kernel(dataclasses.replace(base, fn=fn), preset["kernel_result"].domain_x)
+        result = difference_kernel(
+            dataclasses.replace(base, **{refusing: refuse}), preset["kernel_result"].domain_x
+        )
         plan = SamplePlan(seed=24, n_samples=3, entry_range=(lo, hi))
         outcomes = []
         for kernel in (result, dataclasses.replace(result, generator=None)):
