@@ -357,7 +357,13 @@ def compute_mean(
 @click.option("--w", "weights_text", default=None)
 @click.option("--ratio", default=None, help="Argument r of the kernel scale profile.")
 @click.option("--domain", callback=_parse_domain)
-@click.option("--tol", default=LIMIT_TOL, show_default=True, help="Tail-window tolerance.")
+@click.option(
+    "--tol",
+    default=LIMIT_TOL,
+    show_default=True,
+    help="Limit-scan tolerance: the spread of the tail window, and the distance "
+    "from an extrapolated limit to the last sampled value.",
+)
 @click.option("--csv", "csv_path", default=None, help="Write the t,value table (use - for stdout).")
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def homogenize(

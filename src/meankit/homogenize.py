@@ -53,6 +53,7 @@ __all__ = [
     "deviation_handle",
     "envelope",
     "envelope_pair",
+    "local_limit",
     "local_homogenization",
     "kernel_homogenization",
     "homogenization_profile",
@@ -270,26 +271,52 @@ def envelope(
 # --- local homogenization ------------------------------------------------------------
 
 
+def local_limit(
+    mean_at: Callable[[float], float],
+    sample: WeightedSample,
+    domain: IntervalDomain,
+    *,
+    tol: float = LIMIT_TOL,
+) -> LimitEstimate:
+    """Limit estimate of mean_at(t) / t as t -> 0+, where mean_at(t) is a
+    mean of the sample scaled by t into ``domain``.
+
+    The start scale is the largest power of 1/2 that keeps the scaled
+    entries inside ``domain``, which must have infimum 0.  A MeanKitError,
+    OverflowError or ZeroDivisionError raised by mean_at makes that value
+    NaN.  Callers that need several means of each scaled sample can solve
+    them once per t and read one of them in each scan.
+    """
+    if not domain.starts_at_zero:
+        raise ValueError(f"domain {domain} must have infimum 0")
+    xmin, xmax = sample.hull()
+    if xmin <= 0.0:
+        raise ValueError("local homogenization needs positive entries")
+    t0 = largest_halving_start(domain.inner_hi() / xmax)
+
+    def g(t: float) -> float:
+        try:
+            return mean_at(t) / t
+        except (MeanKitError, OverflowError, ZeroDivisionError):
+            return math.nan
+
+    return limit_at_zero(g, t0, tol=tol)
+
+
 def local_homogenization(
     handle: MeanHandle,
     sample: WeightedSample,
     *,
     tol: float = LIMIT_TOL,
 ) -> LimitEstimate:
-    """Limit estimate of M(t x, w) / t as t -> 0+.
+    """Limit estimate of M(t x, w) / t as t -> 0+ (``local_limit`` of the
+    handle's mean on its domain).
 
     tail_min proxies the lower homogenization (liminf), tail_max the upper
-    one (limsup).  The start scale is the largest power of 1/2 that keeps the
-    scaled entries inside the handle's domain, which must have infimum 0.
-    Entries may lie anywhere on the positive half-line.
+    one (limsup).  Entries may lie anywhere on the positive half-line.
     """
-    if not handle.domain.starts_at_zero:
-        raise ValueError(f"domain {handle.domain} must have infimum 0")
-    xmin, xmax = sample.hull()
-    if xmin <= 0.0:
-        raise ValueError("local homogenization needs positive entries")
-    t0 = largest_halving_start(handle.domain.inner_hi() / xmax)
-    return limit_at_zero(lambda t: _scaled_ratio(handle, sample, t), t0, tol=tol)
+    dom = handle.domain
+    return local_limit(lambda t: handle.fn(sample.scaled(t, dom)), sample, dom, tol=tol)
 
 
 # --- kernel scale profile --------------------------------------------------------------

@@ -1,11 +1,32 @@
-"""Limit estimation at zero along geometric sequences, with tail diagnostics.
+"""Limit estimation at zero along the halving grid, with tail diagnostics.
 
-A true liminf/limsup at 0 is not computable; the proxy here is the min/max of
-a trailing window of sampled values.  When the requested tolerance is never
-met (typically because floating-point cancellation takes over below some
-scale), the reported tail is the sampled window with the smallest spread, so
-the estimate degrades gracefully instead of descending into noise.  The full
-(t, value) table is always retained for inspection.
+A scan samples g at t_k = t0 * 2^-k and stops at the first step where one of
+three candidate limits passes an off-grid check:
+
+* rounding: the last three values agree to a few ulp, as for homogeneous
+  means, whose scaled ratio does not depend on t; the limit is the last
+  value;
+* extrapolation: the differences of consecutive values decay geometrically
+  with a stable ratio, and the diagonal of a Richardson (Neville) table that
+  removes error terms t^1 .. t^RICHARDSON_ORDER has settled to 1e-12
+  relative and lies within ``tol`` of the last value; the limit is that
+  diagonal entry (Sidi, Practical Extrapolation Methods, CUP 2003, ch. 1-2);
+* window: the last ``window`` finite values agree within ``tol``; the tail is
+  that window.
+
+The grid alone cannot see behaviour that repeats with period 1 in log2 t:
+g(t) = L + p(log2 t) with p 1-periodic looks constant on it.  So before a candidate
+counts as converged, g is evaluated at two off-grid scales inside the last
+octave, t_k 2^(1/3) and t_k 2^(2/3).  Both values must lie within the last
+octave's grid values, widened by tol + LIMIT_REL_TOL * (1 + |g_k|);
+otherwise the scan stops "aliased", with the off-grid values folded into its
+tail.  A true liminf/limsup at 0 is not computable, and the tail min/max
+remain its proxies.  When no candidate is met (typically because
+floating-point cancellation takes over below some scale), the reported tail
+is the sampled window with the smallest spread, so the estimate degrades
+gracefully instead of descending into noise.  The (t, value) table of the
+grid samples is always retained for inspection; off-grid values are not in
+it.
 """
 
 from __future__ import annotations
@@ -24,16 +45,27 @@ LIMIT_WINDOW = 8
 LIMIT_TOL = 1e-6
 LIMIT_STEPS = 60
 
-#: Why a scan stopped: its tail window met the tolerance ("converged"), the
-#: window spread kept growing past the best one ("runaway"), t fell below
-#: UNDERFLOW_FLOOR ("underflow"), or it sampled k = LIMIT_STEPS ("step_cap").
-StopReason = Literal["converged", "runaway", "underflow", "step_cap"]
+#: Relative tolerance between limit estimates: the suites compare them
+#: within LIMIT_REL_TOL * (1 + |value|), and the off-grid check widens the
+#: last octave by as much beyond ``tol``.  Numeric-derivative scans carry
+#: noise well above ``tol``, which a narrower band would take for aliasing.
+LIMIT_REL_TOL = 1e-4
+
+#: Highest error power t^j that the Richardson table removes.
+RICHARDSON_ORDER = 6
+
+#: Why a scan stopped: a candidate limit passed the off-grid check
+#: ("converged"), it failed that check ("aliased"), the window spread (or a
+#: run of non-finite values) kept growing past the best window ("runaway"),
+#: t fell below UNDERFLOW_FLOOR ("underflow"), or it sampled k = LIMIT_STEPS
+#: ("step_cap").
+StopReason = Literal["converged", "aliased", "runaway", "underflow", "step_cap"]
 
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """Sampled values of g(t) for t -> 0+, their tail window statistics and
-    the reason the scan stopped."""
+    """Sampled values of g(t) for t -> 0+, their tail statistics and the
+    reason the scan stopped."""
 
     values: tuple[tuple[float, float], ...]
     tail_min: float
@@ -55,6 +87,17 @@ class LimitEstimate:
         return self.tail_max - self.tail_min
 
 
+#: Divisors 2^j - 1 of the Neville table's columns j = 1 .. RICHARDSON_ORDER.
+_DIVISORS = tuple(2.0**j - 1.0 for j in range(1, RICHARDSON_ORDER + 1))
+
+#: The last three values "agree to rounding" when both their differences are
+#: at most this times the last value's magnitude (about 4 ulp).
+_ROUNDING = 4.0 * 2.0**-52
+
+#: Factors placing the off-grid scales inside the last octave (t_k, 2 t_k).
+_OFF_GRID = (2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
+
+
 def limit_at_zero(
     g: Callable[[float], float],
     t0: float,
@@ -64,13 +107,19 @@ def limit_at_zero(
 ) -> LimitEstimate:
     """Estimate lim g(t) as t -> 0+ by sampling t_k = t0 * 0.5**k.
 
-    Non-finite values of ``g`` are recorded but excluded from the tail.  The
-    iteration stops as soon as the last ``window`` finite values agree within
-    ``tol``; otherwise it runs to k = LIMIT_STEPS (or until t underflows) and
-    reports the lowest-spread window seen, with ``converged`` False.  A
-    spread that grows past both 100 times the best spread and 10 times
-    ``tol`` for ``window`` consecutive finite values stops the scan early
-    (``stop_reason`` "runaway"); non-finite values do not count toward it.
+    Non-finite values of ``g`` are recorded but excluded from the tail; each
+    one restarts the run of consecutive values that the rounding and
+    extrapolation rules read.  At each step the candidate limit comes from
+    the rounding rule, else the extrapolation rule (both only while the scan
+    is not running away), else the window rule (see the module docstring).
+    A candidate at k >= 1 ends the scan: "converged" when it passes the
+    off-grid check, with tail_min = tail_max = the limit or, for the window
+    rule, the window's min and max; "aliased" when it fails it.  Without a
+    candidate the scan runs to k = LIMIT_STEPS (or until t underflows) and
+    reports the lowest-spread window seen, with ``converged`` False.  Once a
+    window exists, a value that is not finite, or whose window spreads past
+    both 100 times the best spread and 10 times ``tol``, counts toward the
+    runaway stop; ``window`` such values in a row stop the scan ("runaway").
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
@@ -79,8 +128,14 @@ def limit_at_zero(
 
     pairs: list[tuple[float, float]] = []
     finite: list[float] = []
+    # The current run of consecutive finite values: its last two before v
+    # (NaN where the run is shorter), the ratio of its last two differences,
+    # and the Neville row of its last value.
+    g1 = g2 = prev_ratio = math.nan
+    row: list[float] = []
     best: tuple[float, tuple[float, ...]] | None = None
     stop_reason: StopReason = "step_cap"
+    tail: tuple[float, ...] | None = None
     runaway = 0
     for k in range(LIMIT_STEPS + 1):
         t = t0 * 0.5**k
@@ -92,30 +147,69 @@ def limit_at_zero(
         except (OverflowError, ZeroDivisionError):
             v = math.nan
         pairs.append((t, v))
-        if math.isfinite(v):
-            finite.append(v)
-            if len(finite) >= window:
-                tail = tuple(finite[-window:])
-                spread = max(tail) - min(tail)
-                if best is None or spread < best[0]:
-                    best = (spread, tail)
-                    runaway = 0
-                if spread <= tol:
-                    stop_reason = "converged"
+        if not math.isfinite(v):
+            g1 = g2 = prev_ratio = math.nan
+            row = []
+            if best is not None:
+                runaway += 1
+                if runaway >= window:
+                    stop_reason = "runaway"
                     break
-                # Once rounding noise takes over, the spread only grows and the
-                # values eventually freeze at a spurious constant; stop before a
-                # frozen window can masquerade as convergence.
-                if spread > max(100.0 * best[0], 10.0 * tol):
-                    runaway += 1
-                    if runaway >= window:
-                        stop_reason = "runaway"
-                        break
-                else:
-                    runaway = 0
+            continue
+        finite.append(v)
+        prev_row, row, entry = row, [v], v
+        for above, divisor in zip(prev_row, _DIVISORS):
+            entry += (entry - above) / divisor
+            row.append(entry)
+        d1, d2 = v - g1, g1 - g2
+        ratio = d1 / d2 if d2 != 0.0 else math.nan
+        windowed = len(finite) >= window
+        if windowed:
+            window_tail = tuple(finite[-window:])
+            spread = max(window_tail) - min(window_tail)
+            if best is None or spread < best[0]:
+                best = (spread, window_tail)
+                runaway = 0
+        candidate: tuple[float, ...] | None = None
+        if runaway == 0 and abs(d1) <= _ROUNDING * abs(v) and abs(d2) <= _ROUNDING * abs(v):
+            candidate = (v,)
+        elif (
+            runaway == 0
+            and 0.0 < ratio < 0.75
+            and abs(ratio - prev_ratio) <= 0.1 * prev_ratio
+            and abs(entry - prev_row[-1]) <= 1e-12 * max(1.0, abs(entry))
+            and abs(v - entry) <= tol
+        ):
+            candidate = (entry,)
+        elif windowed and spread <= tol:
+            candidate = window_tail
+        if candidate is not None and k > 0:
+            probes = [_value(g, t * factor) for factor in _OFF_GRID]
+            octave = (v, pairs[-2][1]) if math.isfinite(pairs[-2][1]) else (v,)
+            slack = tol + LIMIT_REL_TOL * (1.0 + abs(v))
+            low, high = min(octave) - slack, max(octave) + slack
+            if all(low <= p <= high for p in probes):
+                stop_reason, tail = "converged", candidate
+            else:
+                stop_reason = "aliased"
+                tail = candidate + tuple(p for p in probes if math.isfinite(p))
+            break
+        # Once rounding noise takes over, the spread only grows and the
+        # values eventually freeze at a spurious constant; stop before a
+        # frozen window can masquerade as convergence.
+        if windowed:
+            if spread > max(100.0 * best[0], 10.0 * tol):
+                runaway += 1
+                if runaway >= window:
+                    stop_reason = "runaway"
+                    break
+            else:
+                runaway = 0
+        g1, g2, prev_ratio = v, g1, ratio
     if not finite:
         raise AllEvaluationsFailed(f"no finite value of g on ({pairs[-1][0] if pairs else t0}, {t0}]")
-    tail = best[1] if best is not None else tuple(finite)
+    if tail is None:
+        tail = best[1] if best is not None else tuple(finite)
     return LimitEstimate(
         values=tuple(pairs),
         tail_min=min(tail),
@@ -124,6 +218,14 @@ def limit_at_zero(
         window=window,
         tol=tol,
     )
+
+
+def _value(g: Callable[[float], float], t: float) -> float:
+    """g(t) at an off-grid scale, with NaN where the grid samples get NaN."""
+    try:
+        return float(g(t))
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
 
 def largest_halving_start(upper: float) -> float:

@@ -34,13 +34,14 @@ from .expr import Kernel2, ScalarFunction, difference_kernel, power_generator
 from .homogenize import (
     SIGN_PROBE_RATIOS,
     LimitEstimate,
-    MeanHandle,
     deviation_handle,
     homogenization_profile,
     local_homogenization,
+    local_limit,
     ratio_kernel_from_profile,
     sign_probe_failure,
 )
+from .limits import LIMIT_REL_TOL
 from .semideviation import (
     SemidevMeanConfig,
     check_semideviation,
@@ -51,7 +52,6 @@ from .semideviation import (
 
 MEAN_TOL = 1e-7
 KERNEL_TOL = 1e-9
-LIMIT_TOL = 1e-4
 
 #: Solver configuration of the suites (accuracy set by refine_tol, not
 #: the grid, for the single-crossing kernels the suites use).
@@ -76,7 +76,7 @@ def mean_tol(value: float) -> float:
 
 
 def limit_tol(value: float) -> float:
-    return LIMIT_TOL * (1.0 + abs(value))
+    return LIMIT_REL_TOL * (1.0 + abs(value))
 
 
 # --- deterministic sample plans ----------------------------------------------------
@@ -204,7 +204,7 @@ class Report:
 
 
 def _default_tolerances() -> dict[str, float]:
-    return {"mean_rel": MEAN_TOL, "kernel_abs": KERNEL_TOL, "limit_rel": LIMIT_TOL}
+    return {"mean_rel": MEAN_TOL, "kernel_abs": KERNEL_TOL, "limit_rel": LIMIT_REL_TOL}
 
 
 def _assemble(theorem_id: str, conditions: list[Condition]) -> Report:
@@ -476,25 +476,26 @@ def verify_jensen(kernel: Kernel2, plan: SamplePlan) -> Report:
 # --- scale-profile suites -------------------------------------------------------------------
 
 
-def _strict_pair_handles(kernel: Kernel2) -> tuple[MeanHandle, MeanHandle, Callable[[], None]]:
-    """Upper-strict and lower-strict mean handles backed by one solve per
-    sample (``semideviation_means`` gives each kind the value it gives alone),
-    and the function that empties their shared memo."""
-    kinds = (MeanKind.UPPER_STRICT, MeanKind.LOWER_STRICT)
-    memo: dict[WeightedSample, dict[MeanKind, float]] = {}
+#: The strict kinds whose local homogenizations tei bounds.
+_STRICT_KINDS = (MeanKind.UPPER_STRICT, MeanKind.LOWER_STRICT)
 
-    def means(s: WeightedSample) -> dict[MeanKind, float]:
-        found = memo.get(s)
+
+def _strict_means_by_scale(
+    kernel: Kernel2, sample: WeightedSample
+) -> Callable[[float], dict[MeanKind, float]]:
+    """t -> the upper-strict and lower-strict means of the sample scaled by
+    t into the kernel's domain, from one solve per t (``semideviation_means``
+    gives each kind the value it gives alone), memoized by t."""
+    solves: dict[float, dict[MeanKind, float]] = {}
+
+    def means(t: float) -> dict[MeanKind, float]:
+        found = solves.get(t)
         if found is None:
-            found = memo[s] = semideviation_means(kernel, s, kinds, PROFILE_SUITE_CONFIG)
+            scaled = sample.scaled(t, kernel.domain_x)
+            found = solves[t] = semideviation_means(kernel, scaled, _STRICT_KINDS, PROFILE_SUITE_CONFIG)
         return found
 
-    def handle(kind: MeanKind) -> MeanHandle:
-        return MeanHandle(
-            f"semidev({kernel.name},{kind.value})", kernel.domain_x, lambda s: means(s)[kind]
-        )
-
-    return handle(MeanKind.UPPER_STRICT), handle(MeanKind.LOWER_STRICT), memo.clear
+    return means
 
 
 def verify_tei(kernel: Kernel2, plan: SamplePlan) -> Report:
@@ -504,8 +505,8 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan) -> Report:
     kernel: lower-weak mean of h_low's ratio kernel <= lower homogenization
     of the upper-strict mean, and the upper homogenization of the
     lower-strict mean <= upper-weak mean of h_high's ratio kernel.  The two
-    profiles share one scan per node, and both local scans of a sample share
-    its scaled solves.
+    profiles share one scan per node, and both local scans of a sample read
+    one solve of both strict means per scale.
     """
     try:
         star = normalize_kernel(kernel)
@@ -527,7 +528,6 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan) -> Report:
         )
     low_ratio = ratio_kernel_from_profile(f"scale_profile_low({kernel.name})", h_low)
     high_ratio = ratio_kernel_from_profile(f"scale_profile_high({kernel.name})", h_high)
-    upper_handle, lower_handle, clear_memo = _strict_pair_handles(kernel)
     lower_bound = new_condition(
         "lower_bound", "profile mean <= lower homogenization of upper-strict mean"
     )
@@ -535,16 +535,16 @@ def verify_tei(kernel: Kernel2, plan: SamplePlan) -> Report:
         "upper_bound", "upper homogenization of lower-strict mean <= profile mean"
     )
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
-        clear_memo()
         positive = sample.with_domain(positive_reals())
+        means = _strict_means_by_scale(kernel, positive)
         lhs = semideviation_mean(low_ratio, positive, MeanKind.LOWER_WEAK, PROFILE_SUITE_CONFIG)
-        low_est = local_homogenization(upper_handle, positive)
+        low_est = local_limit(lambda t: means(t)[MeanKind.UPPER_STRICT], positive, kernel.domain_x)
         lower_bound.record(
             lhs <= low_est.tail_min + limit_tol(low_est.tail_min),
             lambda: _sample_witness(idx, sample, profile_mean=lhs, homogenization=low_est.tail_min),
         )
         rhs = semideviation_mean(high_ratio, positive, MeanKind.UPPER_WEAK, PROFILE_SUITE_CONFIG)
-        high_est = local_homogenization(lower_handle, positive)
+        high_est = local_limit(lambda t: means(t)[MeanKind.LOWER_STRICT], positive, kernel.domain_x)
         upper_bound.record(
             high_est.tail_max <= rhs + limit_tol(rhs),
             lambda: _sample_witness(idx, sample, homogenization=high_est.tail_max, profile_mean=rhs),

@@ -77,17 +77,33 @@ def test_homogenize_qa_reports_power_order(capsys):
 
 
 def test_homogenize_qa_power_order_follows_tol(capsys):
-    # A scan that converges within a loose --tol reports its estimate as the
-    # order instead of "tails disagree".
+    # A loose --tol stops the scan earlier, and the converged scan reports its
+    # estimate as the order instead of "tails disagree".
+    docs = {}
+    for tol in ("1e-3", None):
+        argv = ["homogenize", "--target", "qa", "--generator", "cosh", "--format", "structured"]
+        code, out, _ = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+        assert code == 0
+        docs[tol] = json.loads(out)
+    loose = docs["1e-3"]
+    assert loose["converged"] is True
+    assert len(loose["table"]) < len(docs[None]["table"])
+    assert loose["power_order"] == loose["estimate"] == pytest.approx(2.0, abs=1e-3)
+
+
+def test_homogenize_scan_that_turns_nan_stops_as_runaway(capsys):
+    # The deviation sum of cosh(x) - cosh(y) fails below t ~ 4e-9; once a
+    # window exists, each failed value counts toward the runaway stop.
     code, out, _ = run_cli(
-        capsys, "homogenize", "--target", "qa", "--generator", "cosh", "--tol", "1e-3",
+        capsys, "homogenize", "--target", "mean", "--mean", "deviation",
+        "--kernel", "expr:cosh(x)-cosh(y)", "--x=1.6033,3.6177", "--w=1.659,0.483",
         "--format", "structured",
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["converged"] is True
-    assert 1e-6 < doc["tail_max"] - doc["tail_min"] <= 1e-3
-    assert doc["power_order"] == doc["estimate"] == pytest.approx(2.0, abs=1e-3)
+    assert doc["converged"] is False
+    assert len(doc["table"]) < 40
+    assert doc["table"][-1][1] is None
 
 
 def test_homogenize_mean_table(capsys):

@@ -42,7 +42,7 @@ from meankit.errors import (
 )
 from meankit.expr import ScalarFunction
 from meankit.homogenize import ratio_kernel_from_profile
-from meankit.limits import largest_halving_start
+from meankit.limits import LIMIT_WINDOW, largest_halving_start
 from meankit.semideviation import SemidevMeanConfig, deviation_mean
 
 from conftest import numeric_profile_kernel
@@ -119,6 +119,64 @@ class TestLimitAtZero:
         assert not est.converged
         assert est.values[-1][0] >= 1e-300
         assert len(est.values) < 61
+
+    # Early stops: extrapolated and rounding-level limits, and the off-grid
+    # check that keeps them from being fooled by the grid.
+
+    def test_quadratic_error_extrapolates_in_few_halvings(self):
+        est = limit_at_zero(lambda t: 1.5 + 2e-5 * t + 1e-6 * t * t, 1.0)
+        assert est.converged
+        assert len(est.values) <= 6
+        assert est.tail_min == est.tail_max
+        assert est.estimate == pytest.approx(1.5, abs=1e-14)
+
+    def test_constant_stops_after_three_halvings(self):
+        est = limit_at_zero(lambda t: -0.625, 1.0)
+        assert (est.stop_reason, len(est.values)) == ("converged", 3)
+        assert est.tail_min == est.tail_max == -0.625
+
+    def test_jitter_never_extrapolates(self):
+        # Values that never settle below 1e-7 take the window rule: the tail
+        # is the first window of 8, as before any extrapolation existed.
+        for phase in (0.0, 0.5, 1.0, 2.0, 3.0):
+            est = limit_at_zero(lambda t: 1.5 + 1e-7 * math.sin(1e3 * math.log(t) + phase), 1.0)
+            window = [v for _, v in est.values]
+            assert est.converged and len(window) == 8
+            assert (est.tail_min, est.tail_max) == (min(window), max(window))
+        est = limit_at_zero(lambda t: 1.5 + 1e-7 * math.sin(1e3 * math.log(t)), 1.0)
+        assert est.estimate == 1.4999999880729094
+
+    def test_square_root_error_stays_within_tol(self):
+        # Integer error powers cannot remove sqrt(t); the extrapolation gates
+        # must leave such a scan to the window rule.
+        for limit in (0.0, 1.5, -3.0, 100.0):
+            for c in (1e-3, 0.1, 1.0, 10.0):
+                for t0 in (1.0, 0.75, 0.3):
+                    est = limit_at_zero(lambda t: limit + c * math.sqrt(t), t0)
+                    assert est.converged
+                    assert abs(est.estimate - limit) <= est.tol
+
+    def test_off_grid_check_stops_an_aliased_scan(self):
+        # f(x/2) = f(x)/2, so the qa mean's ratio M(t x)/t is the same at
+        # every t = 2^-k, while over one octave of t it ranges over
+        # [1.88, 2.16]: the lower and upper homogenizations differ.
+        def f(x):
+            return x * (2.0 + 0.1 * math.sin(2.0 * math.pi * math.log2(x)))
+
+        handle = quasiarithmetic_handle(ScalarFunction("log_periodic", f, POS))
+        est = local_homogenization(handle, _pos_sample([1.0, 3.0], [1.0, 1.0]))
+        assert (est.stop_reason, est.converged) == ("aliased", False)
+        assert est.spread >= 0.1
+        assert 1.88 <= est.tail_min < est.tail_max <= 2.17
+        # The table holds only the halving grid.
+        ts = [t for t, _ in est.values]
+        assert all(b == 0.5 * a for a, b in zip(ts, ts[1:]))
+
+    def test_non_finite_values_count_toward_runaway(self):
+        est = limit_at_zero(lambda t: 1.0 + t if t > 2.0**-12 else math.nan, 1.0)
+        assert (est.stop_reason, est.converged) == ("runaway", False)
+        # 12 finite values (t >= 2^-11), then LIMIT_WINDOW failures.
+        assert len(est.values) == 12 + LIMIT_WINDOW
 
 
 class TestEnvelopes:

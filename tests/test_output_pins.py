@@ -18,6 +18,14 @@ before and after.  Re-recording is only valid together with an argument that the
 are at least as accurate as the recorded ones.  The two ``verify-homi-*``
 calls on a 4-point lattice were recorded at commit 6df010c, before the
 lattice evaluated each per-pair quantity once, and pin that change's output.
+The five ``homogenize-*`` limit calls whose scans stop early (the qa orders
+of cosh and ``expr:x^2+x``, the cosh kernel profile and both homogeneous
+local homogenizations) were re-recorded when limit scans began to stop on an
+extrapolated or rounding-level limit: their tables got shorter and their
+estimates moved to within a few ulp of the exact values.
+``test_limit_pin_estimate_within_oracle_budget`` checks each limit call's
+estimate against ``oracle.py`` within a ulp budget; CHANGES.md gives each
+estimate's error before and after.
 """
 
 from __future__ import annotations
@@ -26,8 +34,10 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import oracle
 import pytest
 
 from meankit.cli import main
@@ -92,12 +102,33 @@ CALLS = {
 }
 
 
-def report(argv: list[str]) -> tuple[int, str]:
-    """Exit code and SHA-256 of the stdout of one CLI call."""
+#: Limit call id -> (exact limit from ``oracle``, error budget of the printed
+#: estimate in ulps of that limit).  The budgets are the errors measured when
+#: the pins were last recorded and are never widened.  The expr kernel is
+#: normalized with numeric derivatives, which leave about 1e-7 relative.
+F = Fraction
+LIMIT_REFERENCES = {
+    # cosh - 1 = x^2/2 + x^4/24 + ...
+    "homogenize-qa-catalog": (float(oracle.local_order([(F(2), F(1, 2)), (F(4), F(1, 24))])), 1),
+    "homogenize-qa-expr": (float(oracle.local_order([(F(1), F(1)), (F(2), F(1))])), 10),
+    "homogenize-kernel-catalog": (float(oracle.power_profile(F(2), F(2))), 4),
+    "homogenize-kernel-expr": (float(oracle.power_profile(F(1, 2), F(3))), 526_122_261),
+    "homogenize-local-qa": (oracle.power_mean([1.0, 2.0, 4.0], [1.0, 1.0, 2.0], 3), 0),
+    "homogenize-local-semidev": (oracle.power_mean([1.0, 2.0, 4.0], [1.0, 1.0, 2.0], 2), 0),
+}
+
+
+def stdout_of(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, out.getvalue()
+
+
+def report(argv: list[str]) -> tuple[int, str]:
+    """Exit code and SHA-256 of the stdout of one CLI call."""
+    code, text = stdout_of(argv)
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def argv_of(call_id: str) -> list[str]:
@@ -114,6 +145,19 @@ def test_output_bytes_match_recorded_hash(call_id):
 
 def test_every_call_is_recorded():
     assert sorted(RECORDED) == sorted(CALLS)
+
+
+@pytest.mark.parametrize("call_id", sorted(LIMIT_REFERENCES))
+def test_limit_pin_estimate_within_oracle_budget(call_id):
+    reference, budget = LIMIT_REFERENCES[call_id]
+    code, text = stdout_of(argv_of(call_id))
+    assert code == 0
+    assert oracle.ulps(json.loads(text)["estimate"], reference) <= budget
+
+
+def test_every_limit_pin_has_a_reference():
+    limits = [c for c in CALLS if c.startswith("homogenize-") and not c.startswith("homogenize-envelope-")]
+    assert sorted(limits) == sorted(LIMIT_REFERENCES)
 
 
 if __name__ == "__main__":

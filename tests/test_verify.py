@@ -38,6 +38,7 @@ import meankit.semideviation as semideviation
 import meankit.verify as verify
 from meankit.domain import all_reals, positive_reals
 from meankit.errors import AllWeightsZero, EntryOutOfDomain, LengthMismatch, NegativeWeight, NonFinite
+from meankit.homogenize import local_limit
 from meankit.verify import hoelder_preset, minkowski_preset
 
 from conftest import numeric_profile_kernel
@@ -54,6 +55,10 @@ def profile_suite_handle(kernel, kind):
         kernel.domain_x,
         lambda s: semideviation_mean(kernel, s, kind, verify.PROFILE_SUITE_CONFIG),
     )
+
+
+def _overflowing_profile(r):
+    raise NonFinite("profile overflowed")
 
 
 def counted(calls, name, fn):
@@ -315,27 +320,23 @@ class TestScaleProfileSuites:
         assert suite(kernel, plan).overall == "fail"
 
     def test_tei_shared_local_scans_match_separate_scans(self, monkeypatch):
+        # Both local scans of a sample read one solve per scale; each must
+        # equal the scan of its own handle, solving alone.
         kernel = difference_kernel(cosh_generator())
         scans = []
 
-        def recording(handle, sample):
-            est = local_homogenization(handle, sample)
-            scans.append((handle.name, sample, est))
+        def recording(mean_at, sample, domain, **kwargs):
+            est = local_limit(mean_at, sample, domain, **kwargs)
+            scans.append((sample, est))
             return est
 
-        monkeypatch.setattr(verify, "local_homogenization", recording)
+        monkeypatch.setattr(verify, "local_limit", recording)
         plan = SamplePlan(seed=27, n_samples=8, n_range=(1, 4), entry_range=(0.5, 3.0))
         assert verify_tei(kernel, plan).overall == "pass"
-        separate_handles = {
-            handle.name: handle
-            for handle in (
-                profile_suite_handle(kernel, MeanKind.UPPER_STRICT),
-                profile_suite_handle(kernel, MeanKind.LOWER_STRICT),
-            )
-        }
-        assert [name for name, _, _ in scans] == list(separate_handles) * plan.n_samples
-        for name, sample, est in scans:
-            separate = local_homogenization(separate_handles[name], sample)
+        kinds = [MeanKind.UPPER_STRICT, MeanKind.LOWER_STRICT] * plan.n_samples
+        assert len(scans) == len(kinds)
+        for (sample, est), kind in zip(scans, kinds):
+            separate = local_homogenization(profile_suite_handle(kernel, kind), sample)
             assert (est.tail_min.hex(), est.tail_max.hex()) == (
                 separate.tail_min.hex(),
                 separate.tail_max.hex(),
@@ -370,20 +371,35 @@ class TestScaleProfileSuites:
         assert verify_tei(kernel, plan).to_json() == shared.to_json()
         assert len(ratios) == 2 * distinct
 
-    def test_shared_strict_handles_keep_their_kinds_apart(self):
+    def test_shared_strict_solves_keep_their_kinds_apart(self):
         # Two entries of equal weight put a zero plateau between them into the
         # sign kernel's deviation sum, so the strict lower and upper means differ.
         kernel = sign_kernel().with_domains(POS)
-        upper, lower, _ = verify._strict_pair_handles(kernel)
         s = make_weighted_sample([1.0, 3.0], [1.0, 1.0], POS)
-        for shared, kind, expected in (
-            (upper, MeanKind.UPPER_STRICT, 1.0),
-            (lower, MeanKind.LOWER_STRICT, 3.0),
-        ):
-            est = local_homogenization(shared, s)
+        means = verify._strict_means_by_scale(kernel, s)
+        for kind, expected in ((MeanKind.UPPER_STRICT, 1.0), (MeanKind.LOWER_STRICT, 3.0)):
+            est = local_limit(lambda t: means(t)[kind], s, kernel.domain_x)
             separate = local_homogenization(profile_suite_handle(kernel, kind), s)
             assert est.values == separate.values
             assert est.estimate == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "profile,reason",
+        [
+            (_overflowing_profile, "scale profile failed at ratio 0.25: profile overflowed"),
+            (lambda r: math.nan, "scale profile not finite at ratio 0.25"),
+            (lambda r: 1.0 - r, "sign property violated at ratio 0.25: profile values (0.75, 0.75)"),
+        ],
+    )
+    def test_tei_sign_probe_failures_are_inconclusive(self, profile, reason, monkeypatch):
+        def failing(kernel, mode, **kwargs):
+            return lambda r: profile(r) if r < 1.0 else r - 1.0
+
+        monkeypatch.setattr(verify, "homogenization_profile", failing)
+        plan = SamplePlan(seed=29, n_samples=4, n_range=(1, 3), entry_range=(0.5, 3.0))
+        report = verify_tei(difference_kernel(cosh_generator()), plan)
+        assert report.overall == "inconclusive"
+        assert report.conditions[0].note == reason
 
 
 class TestOperationSuites:
