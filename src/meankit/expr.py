@@ -646,9 +646,10 @@ def _check_derivative_agreement(
     analytic: Callable[[float], float],
     domain: IntervalDomain,
     order: int,
-    label: str,
+    what: str,
 ) -> None:
-    # Relative 1e-5 agreement with central differences on a probe grid.
+    # Relative 1e-5 agreement with central differences on a probe grid;
+    # ``what`` names the derivative in the error.
     for x in probe_points(domain, 9):
         try:
             numeric = numeric_derivative(fn, x, order, domain)
@@ -656,9 +657,7 @@ def _check_derivative_agreement(
         except StencilOutsideDomain:
             continue
         if abs(exact - numeric) > 1e-5 * max(1.0, abs(exact)):
-            raise DerivativeMismatch(
-                f"{label}: order-{order} derivative at {x}: analytic {exact}, numeric {numeric}"
-            )
+            raise DerivativeMismatch(f"{what} at {x}: analytic {exact}, numeric {numeric}")
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -693,9 +692,9 @@ def scalar_from_expression(
     d2 = _compile(deriv2_source, (variable,))
     label = name or source
     if d1 is not None:
-        _check_derivative_agreement(fn, d1, domain, 1, label)
+        _check_derivative_agreement(fn, d1, domain, 1, f"{label}: order-1 derivative")
     if d2 is not None:
-        _check_derivative_agreement(fn, d2, domain, 2, label)
+        _check_derivative_agreement(fn, d2, domain, 2, f"{label}: order-2 derivative")
     return ScalarFunction(label, fn, domain, d1, d2)
 
 
@@ -703,30 +702,37 @@ def scalar_from_expression(
 
 
 @dataclass(frozen=True)
+class Difference:
+    """Difference structure: ``fn(x, y) == f.fn(x) - f.fn(y)`` for every
+    (x, y), bit for bit.  ``difference_kernel`` declares it."""
+
+    f: ScalarFunction
+
+
+@dataclass(frozen=True)
+class Ratio:
+    """Ratio structure: ``fn(x, y) == h(x / y)`` for every (x, y), bit for
+    bit.  ``order`` q, when set, also promises that in exact arithmetic
+    ``fn(x, y) == y^-q (g_q(x) - g_q(y))`` with g_q the Box-Cox map
+    (x^q - 1)/q (log x at q = 0), so every sign-change mean and the
+    deviation mean are the power mean P_q.  ``ratio_kernel`` declares it
+    without an order, ``homogenize.ratio_kernel_from_profile`` with the
+    order of a closed-form scale profile."""
+
+    h: Callable[[float], float]
+    order: float | None = None
+
+
+@dataclass(frozen=True)
 class Kernel2:
     """Two-variable kernel K(x, y) with optional analytic partials.
 
-    ``generator``, when set, declares difference structure: for every (x, y)
-    ``fn(x, y) == generator.fn(x) - generator.fn(y)``, bit for bit, and solvers
-    may evaluate the generator instead of ``fn``.  Only ``difference_kernel``
-    sets it; constructors that build a new ``fn`` (``normalize_kernel``, ratio
-    and expression kernels) leave it None, as must a ``dataclasses.replace``
-    that gives a difference kernel an ``fn`` breaking the identity.  A kernel
-    built from expression text keeps that text only as its default ``name``.
-
-    ``ratio``, when set, declares ratio structure the same way: for every
-    (x, y) ``fn(x, y) == ratio(x / y)``, bit for bit, so solvers may call
-    ``ratio`` on the quotient instead of ``fn``.  Only ``ratio_kernel`` and
-    ``homogenize.ratio_kernel_from_profile`` set it; a ``dataclasses.replace``
-    that changes ``fn`` must drop it, as for ``generator``.
-
-    ``power_order``, when set to q, declares that in exact arithmetic
-    ``fn(x, y) == y^-q (g_q(x) - g_q(y))`` with g_q the Box-Cox map
-    (x^q - 1)/q (log x at q = 0), so every sign-change mean and the
-    deviation mean are the power mean P_q, which solvers return in closed
-    form.  Only ``homogenize.ratio_kernel_from_profile`` sets it, from a
-    closed-form scale profile; a ``dataclasses.replace`` that changes ``fn``
-    must drop it.
+    ``structure``, when set, is a ``Difference`` or ``Ratio`` promise about
+    the values of ``fn``, so solvers may use it instead of calling ``fn``.
+    Constructors that build a new ``fn`` (``normalize_kernel``, sign and
+    expression kernels) leave it None, and a ``dataclasses.replace`` that
+    gives ``fn`` other values must drop it.  A kernel built from expression
+    text keeps that text only as its default ``name``.
     """
 
     name: str
@@ -735,9 +741,7 @@ class Kernel2:
     domain_y: IntervalDomain
     deriv1: Callable[[float, float], float] | None = None
     deriv2: Callable[[float, float], float] | None = None
-    generator: ScalarFunction | None = None
-    ratio: Callable[[float], float] | None = None
-    power_order: float | None = None
+    structure: Difference | Ratio | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -773,10 +777,12 @@ def kernel_from_expression(
     label = name or source
     if d1 is not None:
         probe_y = probe_points(domain_y, 3)[1]
-        _check_derivative_agreement(lambda x: fn(x, probe_y), lambda x: d1(x, probe_y), domain_x, 1, label)
+        what = f"{label}: partial derivative in x (y = {probe_y})"
+        _check_derivative_agreement(lambda x: fn(x, probe_y), lambda x: d1(x, probe_y), domain_x, 1, what)
     if d2 is not None:
         probe_x = probe_points(domain_x, 3)[1]
-        _check_derivative_agreement(lambda y: fn(probe_x, y), lambda y: d2(probe_x, y), domain_y, 1, label)
+        what = f"{label}: partial derivative in y (x = {probe_x})"
+        _check_derivative_agreement(lambda y: fn(probe_x, y), lambda y: d2(probe_x, y), domain_y, 1, what)
     return Kernel2(label, fn, domain_x, domain_y, d1, d2)
 
 
@@ -906,7 +912,7 @@ def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -
     d1 = (lambda x, y: f.deriv1(x)) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(y)) if f.deriv1 is not None else None
     return Kernel2(
-        f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, d1, d2, generator=f
+        f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, d1, d2, Difference(f)
     )
 
 
@@ -915,7 +921,7 @@ def ratio_kernel(f: ScalarFunction) -> Kernel2:
     dom = positive_reals()
     d1 = (lambda x, y: f.deriv1(x / y) / y) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
-    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, ratio=f.fn)
+    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, Ratio(f.fn))
 
 
 def arithmetic_kernel() -> Kernel2:

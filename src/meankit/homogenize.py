@@ -34,7 +34,7 @@ from .errors import (
     NotConverged,
     SignPropertyViolated,
 )
-from .expr import Kernel2, ScalarFunction
+from .expr import Difference, Kernel2, Ratio, ScalarFunction
 from .limits import LIMIT_TOL, LIMIT_WINDOW, LimitEstimate, largest_halving_start, limit_at_zero
 from .semideviation import (
     deviation_mean,
@@ -390,19 +390,19 @@ def homogenization_profile(
     _node_estimates: dict[int, LimitEstimate] | None = None,
 ) -> Callable[[float], float]:
     """Scale profile r -> h(r) of a deviation kernel: in closed form when
-    the kernel's generator declares its local power order, tabulated
-    otherwise.
+    the kernel's structure is ``Difference(f)`` with f declaring its local
+    power order, tabulated otherwise.
 
     The kernel is normalized first (unless ``normalized`` is given), so a
     kernel that cannot be normalized raises NotNormalizable on both paths.
-    When ``kernel.generator.local_order`` is some q and the kernel's y-domain
-    starts at 0, h(r) = (r^q - 1)/q (log r at q = 0) in every mode,
-    evaluated as expm1(q log r)/q, which keeps its digits near r = 1; it
-    raises ValueError outside 0 < r < inf and NonFinite when the value
-    overflows.  The returned function carries q as its attribute ``order``,
-    from which ``ratio_kernel_from_profile`` declares the ratio kernel's
-    ``power_order``; the attribute survives a ``functools.wraps`` wrapper
-    but not a plain closure.  ``_node_estimates`` is not used on this path.
+    When ``f.local_order`` is some q and the kernel's y-domain starts at 0,
+    h(r) = (r^q - 1)/q (log r at q = 0) in every mode, evaluated as
+    expm1(q log r)/q, which keeps its digits near r = 1; it raises
+    ValueError outside 0 < r < inf and NonFinite when the value overflows.
+    The returned function carries q as its attribute ``order``, from which
+    ``ratio_kernel_from_profile`` declares ``Ratio(h, q)``; the attribute
+    survives a ``functools.wraps`` wrapper but not a plain closure.
+    ``_node_estimates`` is not used on this path.
 
     Otherwise h is computed only at the nodes r_k = 2^(k/16), k an integer,
     each by one ``kernel_homogenization`` scan (window PROFILE_WINDOW,
@@ -438,7 +438,7 @@ def homogenization_profile(
     achievable window spread.
     """
     base = normalized if normalized is not None else normalize_kernel(kernel)
-    f = kernel.generator
+    f = kernel.structure.f if isinstance(kernel.structure, Difference) else None
     if f is not None and f.local_order is not None and kernel.domain_y.starts_at_zero:
         return _power_profile(f.local_order)
     estimates = {} if _node_estimates is None else _node_estimates
@@ -542,16 +542,16 @@ def sign_probe_failure(
 
 def ratio_kernel_from_profile(name: str, profile: Callable[[float], float]) -> Kernel2:
     """Degree-0 homogeneous kernel (x, y) -> h(x / y) on the positive quadrant,
-    declaring h as its ``ratio``.
+    declaring ``Ratio(h, order)``.
 
     A closed-form profile (one carrying the attribute ``order`` q, see
-    ``homogenization_profile``) makes the kernel declare ``power_order`` q,
-    so its sign-change and deviation means are the power mean P_q in closed
-    form; any other profile leaves it None and its means take the sign scan.
+    ``homogenization_profile``) gives the order q, so the kernel's
+    sign-change and deviation means are the power mean P_q in closed form;
+    any other profile gives None and its means take the sign scan.
     """
     dom = positive_reals()
-    order = getattr(profile, "order", None)
-    return Kernel2(name, lambda x, y: profile(x / y), dom, dom, ratio=profile, power_order=order)
+    structure = Ratio(profile, getattr(profile, "order", None))
+    return Kernel2(name, lambda x, y: profile(x / y), dom, dom, structure=structure)
 
 
 def homogeneous_semidev_mean(

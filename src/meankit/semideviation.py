@@ -27,28 +27,22 @@ instead of returning a hull end.  Both solvers evaluate D at lo and hi before
 any interior point, so that refusal costs two deviation sums and comes before
 any kernel failure inside the hull.
 
-A difference kernel K(x, y) = f(x) - f(y) whose generator declares its
-``inverse`` and increases on the hull needs no scan at all (Daróczy, Publ.
-Math. Debrecen 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes only at
-y* = f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which every kind
-and ``deviation_mean`` return in closed form.  Likewise a kernel declaring
-``Kernel2.power_order`` q, such as the ratio kernel of a closed-form scale
-profile (r^q - 1)/q, has D(y) = y^-q sum_i w_i (g_q(x_i) - g_q(y)) with g_q
-the Box-Cox map (x^q - 1)/q, which vanishes only at the power mean P_q; on a
-positive sample every kind returns P_q, clamped to the hull.  The grid size
-and the refinement tolerance then have no effect.
+A kernel whose ``Kernel2.structure`` is ``Difference(f)``, with f declaring
+its ``inverse`` and increasing on the hull, needs no scan at all (Daróczy,
+Publ. Math. Debrecen 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes
+only at y* = f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which
+every kind and ``deviation_mean`` return in closed form.  Likewise
+``Ratio(h, q)`` with an order q has D(y) = y^-q sum_i w_i (g_q(x_i) -
+g_q(y)), which vanishes only at the power mean P_q; on a positive sample
+every kind returns P_q, clamped to the hull.  The grid size and the
+refinement tolerance then have no effect.
 
 Otherwise one classified grid serves every requested kind
 (``semideviation_means``), and a memo keyed by y lets the kinds' bisections
 share midpoints; kinds with the same test and split share the whole
-bisection.  For difference kernels K(x, y) = f(x) - f(y) (those declaring
-``Kernel2.generator``) the deviation sum evaluates f(x_i) once per sample
-instead of once per term and point; the terms, and so every value of D, are
-the same floats as on the generic path.  For ratio kernels K(x, y) = h(x / y)
-(those declaring ``Kernel2.ratio``, such as the scale-profile kernels of the
-homogenization) each term calls h on the quotient directly, again the same
-floats; a term that raises sends that point through the generic sum, which
-reports the first failing pair as it always does.
+bisection.  The deviation sum evaluates the f(x_i) of ``Difference(f)`` once
+per sample and calls the h of ``Ratio(h, q)`` on each quotient, with the
+same floats as the generic sum (see ``deviation_sum``).
 """
 
 from __future__ import annotations
@@ -72,7 +66,7 @@ from .errors import (
     NoSignChange,
     NotNormalizable,
 )
-from .expr import Kernel2, numeric_derivative
+from .expr import Difference, Kernel2, Ratio, numeric_derivative
 
 
 @dataclass(frozen=True)
@@ -100,37 +94,16 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
     """The function y -> sum_i w_i K(x_i, y); kernel failures are re-raised
     with the offending (x_i, y) pair attached.
 
-    A kernel declaring a ``generator`` f gets f(x_i) evaluated once, here;
-    each term stays w_i * (f(x_i) - f(y)), the same floats as w_i * K(x_i, y).
-    A kernel declaring a ``ratio`` h gets each term as w_i * h(x_i / y), the
-    same floats, without the call through ``fn``; when a term raises, the
-    generic sum is evaluated instead, so the error names the same pair.
+    A kernel declaring ``Difference(f)`` gets f(x_i) evaluated once, here;
+    ``Ratio(h, q)`` gets each term as w_i * h(x_i / y) without the call
+    through ``fn``.  Both give the same floats as w_i * K(x_i, y), and a
+    failure names the same pair as the generic sum.
     """
     entries, weights = sample.entries, sample.weights
+    k = kernel.fn
 
     def failure(x: float, y: float, exc: Exception) -> KernelEvaluationError:
         return KernelEvaluationError(f"kernel {kernel.name} failed at ({x}, {y}): {exc}")
-
-    f = kernel.generator
-    if f is not None:
-        try:
-            fxs = [f.fn(x) for x in entries]
-        except _KERNEL_ERRORS:
-            f = None  # the generic sum raises with the offending pair
-    if f is not None:
-        g = f.fn
-
-        def separable(y: float) -> float:
-            try:
-                fy = g(y)
-            except _KERNEL_ERRORS as exc:
-                # The generic sum fails at its first term: f(x_0) is fine.
-                raise failure(entries[0], y, exc) from exc
-            return math.fsum([w * (fx - fy) for fx, w in zip(fxs, weights)])
-
-        return separable
-
-    k = kernel.fn
 
     def total(y: float) -> float:
         terms = []
@@ -141,19 +114,36 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
                 raise failure(x, y, exc) from exc
         return math.fsum(terms)
 
-    h = kernel.ratio
-    if h is None:
-        return total
-    pairs = list(zip(entries, weights))
-
-    def ratio_sum(y: float) -> float:
+    structure = kernel.structure
+    if isinstance(structure, Difference):
+        g = structure.f.fn
         try:
-            return math.fsum([w * h(x / y) for x, w in pairs])
+            fxs = [g(x) for x in entries]
         except _KERNEL_ERRORS:
-            pass  # the generic sum raises with the offending pair
-        return total(y)
+            return total  # it raises with the offending pair
 
-    return ratio_sum
+        def separable(y: float) -> float:
+            try:
+                fy = g(y)
+            except _KERNEL_ERRORS as exc:
+                # The generic sum fails at its first term: f(x_0) is fine.
+                raise failure(entries[0], y, exc) from exc
+            return math.fsum([w * (fx - fy) for fx, w in zip(fxs, weights)])
+
+        return separable
+    if isinstance(structure, Ratio):
+        h = structure.h
+        pairs = list(zip(entries, weights))
+
+        def ratio_sum(y: float) -> float:
+            try:
+                return math.fsum([w * h(x / y) for x, w in pairs])
+            except _KERNEL_ERRORS:
+                pass  # the generic sum raises with the offending pair
+            return total(y)
+
+        return ratio_sum
+    return total
 
 
 def _classify(value: float) -> int:
@@ -178,26 +168,26 @@ def _split(test: Callable[[int], bool], m: int, from_left: bool) -> int:
 
 
 def _closed_form(kernel: Kernel2, sample: WeightedSample, lo: float, hi: float) -> float | None:
-    """The mean every kind equals, or None when the kernel does not qualify
-    for a closed form (see the module docstring): the power mean P_q of a
-    kernel declaring ``power_order`` q, or the quasiarithmetic mean of the
-    kernel's generator, clamped to the sample hull ``lo, hi``."""
-    q = kernel.power_order
-    if q is not None and lo > 0.0:
-        return min(max(power_mean(sample, q), lo), hi)
-    f = kernel.generator
-    if f is None or f.inverse is None:
-        return None
-    if not (f.domain.contains(lo) and f.domain.contains(hi)):
-        return None
-    entries = sample.entries
-    try:
-        values = [f.fn(x) for x in entries]
-    except _KERNEL_ERRORS:
-        return None  # the deviation sum raises with the offending pair
-    if not values[entries.index(hi)] > values[entries.index(lo)]:
-        return None  # a decreasing f gives no deviation kernel
-    return inverse_of_average(f, sample, values, lo, hi)
+    """The mean every kind equals, or None when the kernel's structure gives
+    no closed form (see the module docstring): the quasiarithmetic mean of
+    the f of ``Difference(f)``, or the power mean P_q of ``Ratio(h, q)``,
+    clamped to the sample hull ``lo, hi``."""
+    structure = kernel.structure
+    if isinstance(structure, Difference):
+        f = structure.f
+        if f.inverse is None or not (f.domain.contains(lo) and f.domain.contains(hi)):
+            return None
+        entries = sample.entries
+        try:
+            values = [f.fn(x) for x in entries]
+        except _KERNEL_ERRORS:
+            return None  # the deviation sum raises with the offending pair
+        if not values[entries.index(hi)] > values[entries.index(lo)]:
+            return None  # a decreasing f gives no deviation kernel
+        return inverse_of_average(f, sample, values, lo, hi)
+    if isinstance(structure, Ratio) and structure.order is not None and lo > 0.0:
+        return min(max(power_mean(sample, structure.order), lo), hi)
+    return None
 
 
 def _refuse_hull_ends(at_lo: float, at_hi: float) -> None:
@@ -213,8 +203,8 @@ def semideviation_means(
     cfg: SemidevMeanConfig | None = None,
 ) -> dict[MeanKind, float]:
     """Locate several sign-change means of ``kernel`` on ``sample`` from one
-    sign scan of the deviation sum, or in closed form for difference kernels
-    with an invertible generator and kernels declaring a power order.
+    sign scan of the deviation sum, or in closed form when the kernel's
+    ``structure`` gives one (see ``_closed_form``).
 
     The kernel is assumed (or should be checked via ``check_semideviation``)
     to have the off-diagonal sign of x - y; with that, each defining set is

@@ -30,7 +30,7 @@ from .domain import (
     sign,
 )
 from .errors import MeanKitError, NotNormalizable
-from .expr import Kernel2, ScalarFunction, difference_kernel, power_generator
+from .expr import Difference, Kernel2, ScalarFunction, difference_kernel, power_generator
 from .homogenize import (
     SIGN_PROBE_RATIOS,
     LimitEstimate,
@@ -675,12 +675,12 @@ def verify_homi(
     Before the lattice loop, per-pair tables (grid^2 evaluations each) are
     built in this order: the two partials of f (which the monotonicity probe
     reads), f itself, K_J*, K_K*, then, at every pair where f stays in the
-    result domain, g(f(a, b)) if the result kernel declares a ``generator``
-    g, and the result kernel's diagonal slope at f(a, b).  Each of the
-    grid^4 points then costs (g(f(p, q)) - g(f(u, v))) / slope(f(u, v)), or
-    K_I(f(p, q), f(u, v)) / slope(f(u, v)) without a generator: both are the
-    floats of K_I*.  A result kernel without a generator thus evaluates its
-    slopes in the table, before the loop.  A kernel or operation that raises
+    result domain, g(f(a, b)) if the result kernel's structure is
+    ``Difference(g)``, and the result kernel's diagonal slope at f(a, b).
+    Each of the grid^4 points then costs (g(f(p, q)) - g(f(u, v))) /
+    slope(f(u, v)), or K_I(f(p, q), f(u, v)) / slope(f(u, v)) without that
+    structure: both are the floats of K_I*.  Any other result kernel thus
+    evaluates its slopes in the table, before the loop.  A kernel or operation that raises
     at several pairs therefore names the first pair in table order, and
     every table entry is evaluated, also at pairs whose lattice points are
     all skipped because f leaves the result domain.  The lattice's memory is
@@ -709,7 +709,7 @@ def verify_homi(
     op_values = [[f if result_domain.contains(f) else None for f in row] for row in op_values]
     k_first = [[star_first.fn(p, u) for u in pts_j] for p in pts_j]
     k_second = [[star_second.fn(q, v) for v in pts_k] for q in pts_k]
-    g = kernel_result.generator.fn if kernel_result.generator is not None else None
+    g = kernel_result.structure.f.fn if isinstance(kernel_result.structure, Difference) else None
     g_values = [[None if f is None or g is None else g(f) for f in row] for row in op_values]
     slope = star_result.fn.slope
     slopes = [[None if f is None else slope(f) for f in row] for row in op_values]

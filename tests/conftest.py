@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from meankit import Difference
+
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -30,5 +32,5 @@ def numeric_profile_kernel(kernel):
     """A catalog difference kernel whose generator declares no local order,
     so that ``homogenization_profile`` builds its node table for it instead
     of the closed form."""
-    generator = dataclasses.replace(kernel.generator, local_order=None)
-    return dataclasses.replace(kernel, generator=generator)
+    generator = dataclasses.replace(kernel.structure.f, local_order=None)
+    return dataclasses.replace(kernel, structure=Difference(generator))

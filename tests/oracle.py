@@ -1,8 +1,9 @@
 """Reference values for accuracy checks, computed without meankit and with
 the standard library only.
 
-Power means are evaluated in ``decimal`` arithmetic at 50 significant digits
-from the exact values of the float inputs, then rounded once to a float.
+Power means and the quasiarithmetic means of catalog generators are
+evaluated in ``decimal`` arithmetic at 50 significant digits from the exact
+values of the float inputs, then rounded once to a float.
 Scale profiles (r^q - 1)/q and local power orders are exact rationals
 (``fractions.Fraction``) for rational q and r.
 """
@@ -31,6 +32,30 @@ def power_mean(entries: Sequence[float], weights: Sequence[float], q: float) -> 
             exponent = Decimal(q)
             value = (sum(w * x**exponent for x, w in zip(xs, ws)) / total) ** (1 / exponent)
         return float(value)
+
+
+#: Catalog generators f and their inverses in ``decimal`` arithmetic, by the
+#: name of the difference kernel's generator; cosh is inverted as
+#: arccosh v = ln(v + sqrt(v^2 - 1)) on the positive half-line.
+GENERATORS = {
+    "identity": (lambda x: x, lambda v: v),
+    "power:2": (lambda x: x * x, lambda v: v.sqrt()),
+    "log": (lambda x: x.ln(), lambda v: v.exp()),
+    "exp": (lambda x: x.exp(), lambda v: v.ln()),
+    "cosh": (lambda x: (x.exp() + (-x).exp()) / 2, lambda v: (v + (v * v - 1).sqrt()).ln()),
+}
+
+
+def qa_mean(entries: Sequence[float], weights: Sequence[float], generator: str) -> float:
+    """f^-1(sum w_i f(x_i) / sum w_i) for a generator f of ``GENERATORS``:
+    the quasiarithmetic mean, which is also every sign-change mean and the
+    deviation mean of the difference kernel f(x) - f(y)."""
+    f, inverse = GENERATORS[generator]
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        xs = [Decimal(x) for x in entries]
+        ws = [Decimal(w) for w in weights]
+        return float(inverse(sum(w * f(x) for x, w in zip(xs, ws)) / sum(ws)))
 
 
 def power_profile(r: Fraction, q: Fraction) -> Fraction:

@@ -215,6 +215,33 @@ def test_usage_error_exit_code(capsys):
     assert code == 2  # missing --p
 
 
+def test_compute_qa_with_shifted_power_generator(capsys):
+    # (x + 1)^(1/2) on (-0.5, 5): ((sqrt(2) + sqrt(3)) / 2)^2 - 1.
+    code, out, _ = run_cli(
+        capsys, "compute", "mean", "--kind", "qa", "--generator", "shifted_power:0.5,1",
+        "--x=1,2", "--w=1,1", "--domain=-0.5,5",
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "1.4747448713915894"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("shifted_power:1", "shifted_power takes two parameters: q,c"),
+        ("shifted_power:a,b", "shifted_power parameters: cannot parse 'a' as a number"),
+    ],
+)
+def test_shifted_power_parameter_errors_exit_2(spec, message, capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "mean", "--kind", "qa", "--generator", spec,
+        "--x=1,2", "--w=1,1", "--domain=-0.5,5",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"Error: {message}\n" in err
+
+
 def test_unknown_option_exit_code(capsys):
     code, _, _ = run_cli(capsys, "compute", "mean", "--kind", "power", "--p", "2", "--x", "1", "--w", "1", "--bogus")
     assert code == 2

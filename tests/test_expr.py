@@ -474,6 +474,23 @@ def test_analytic_derivative_validated_at_construction():
     assert good.derivative(4.0, 1) == 8.0
 
 
+def test_analytic_second_derivative_validated_at_construction():
+    good = scalar_from_expression("x^3", positive_reals(), deriv2_source="6*x")
+    assert good.derivative(2.0, 2) == 12.0
+    with pytest.raises(DerivativeMismatch, match=r"^x\^3: order-2 derivative at "):
+        scalar_from_expression("x^3", positive_reals(), deriv2_source="5*x")
+
+
+def test_kernel_partials_validated_at_construction():
+    good = kernel_from_expression("x^2-y^2", positive_reals(), deriv1_source="2*x", deriv2_source="-2*y")
+    assert (good.partial1(3.0, 2.0), good.partial2(3.0, 2.0)) == (6.0, -4.0)
+    # Each wrong partial is named in the message, with the other held fixed.
+    with pytest.raises(DerivativeMismatch, match=r"partial derivative in x \(y = "):
+        kernel_from_expression("x^2-y^2", positive_reals(), deriv1_source="3*x", deriv2_source="-2*y")
+    with pytest.raises(DerivativeMismatch, match=r"partial derivative in y \(x = "):
+        kernel_from_expression("x^2-y^2", positive_reals(), deriv1_source="2*x", deriv2_source="2*y")
+
+
 def test_sign_kernel_vanishes_on_diagonal():
     S = sign_kernel()
     assert S(2.0, 2.0) == 0.0

@@ -40,7 +40,7 @@ from meankit.errors import (
     NotNormalizable,
     SignPropertyViolated,
 )
-from meankit.expr import ScalarFunction
+from meankit.expr import Ratio, ScalarFunction
 from meankit.homogenize import ratio_kernel_from_profile
 from meankit.limits import LIMIT_WINDOW, largest_halving_start
 from meankit.semideviation import SemidevMeanConfig, deviation_mean
@@ -387,7 +387,7 @@ class TestProfileTable:
     @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
     def test_matches_closed_form(self, kernel, p, mode):
         # The node table is the oracle of the generator's declared order.
-        q = kernel.generator.local_order
+        q = kernel.structure.f.local_order
         assert q == p
         h = homogenization_profile(numeric_profile_kernel(kernel), mode)
         rng = random.Random(41)
@@ -536,8 +536,8 @@ class TestClosedFormProfile:
     def test_power_means_equal_the_sign_scan(self, kernel, p):
         # The declared P_q against the sign scan over the same profile.
         closed = ratio_kernel_from_profile("h", homogenization_profile(kernel))
-        assert closed.power_order == p
-        scanned = dataclasses.replace(closed, power_order=None)
+        assert closed.structure.order == p
+        scanned = dataclasses.replace(closed, structure=Ratio(closed.structure.h))
         cfg = SemidevMeanConfig(grid_size=64)
         kinds = list(MeanKind)
         rng = random.Random(53)
@@ -580,16 +580,16 @@ class TestClosedFormProfile:
         assert calls == []  # nodes are scanned on the first query
         h(2.0)
         assert calls
-        assert ratio_kernel_from_profile("h", h).power_order is None
+        assert ratio_kernel_from_profile("h", h).structure.order is None
 
     def test_only_a_closed_form_profile_declares_a_power_order(self):
         h = homogenization_profile(difference_kernel(cosh_generator()))
-        assert ratio_kernel_from_profile("h", h).power_order == 2.0
+        assert ratio_kernel_from_profile("h", h).structure.order == 2.0
         # A functools.wraps wrapper keeps the promise; any other wrapper,
         # which may change the values, drops it.
         wrapped = functools.wraps(h)(lambda r: h(r))
-        assert ratio_kernel_from_profile("h", wrapped).power_order == 2.0
-        assert ratio_kernel_from_profile("h", lambda r: h(r**1.05)).power_order is None
+        assert ratio_kernel_from_profile("h", wrapped).structure.order == 2.0
+        assert ratio_kernel_from_profile("h", lambda r: h(r**1.05)).structure.order is None
 
     def test_unnormalizable_kernel_still_raises(self):
         with pytest.raises(NotNormalizable):

@@ -36,8 +36,9 @@ from meankit.errors import (
     NoSignChange,
     NotNormalizable,
 )
-from meankit.expr import Kernel2, ScalarFunction
+from meankit.expr import Difference, Kernel2, Ratio, ScalarFunction
 from meankit.homogenize import homogenization_profile, ratio_kernel_from_profile
+from meankit.verify import minkowski_preset
 
 from conftest import numeric_profile_kernel
 
@@ -372,15 +373,16 @@ CATALOG = [
 def _generic(kernel: Kernel2) -> Kernel2:
     """The same kernel without its declared structure, so that the deviation
     sum calls ``fn`` for every term."""
-    return dataclasses.replace(kernel, generator=None, ratio=None)
+    return dataclasses.replace(kernel, structure=None)
 
 
 def _bisection(kernel: Kernel2) -> Kernel2:
     """The same kernel with its generator's inverse dropped, so that its means
     are solved by the sign scan and bisection instead of in closed form."""
-    if kernel.generator is None:
+    if not isinstance(kernel.structure, Difference):
         return kernel
-    return dataclasses.replace(kernel, generator=dataclasses.replace(kernel.generator, inverse=None))
+    f = dataclasses.replace(kernel.structure.f, inverse=None)
+    return dataclasses.replace(kernel, structure=Difference(f))
 
 
 def _seeded_samples(domain, lo, hi, seed, count=30):
@@ -398,18 +400,6 @@ def _failure(dsum, y):
     with pytest.raises(KernelEvaluationError) as info:
         dsum(y)
     return str(info.value)
-
-
-def test_only_difference_kernels_declare_a_generator():
-    assert difference_kernel(cosh_generator()).generator is not None
-    assert arithmetic_kernel().generator is not None
-    for kernel in (
-        sign_kernel(),
-        ratio_kernel(power_generator(0.5)),
-        kernel_from_expression("cosh(x) - cosh(y)", POS),
-        normalize_kernel(difference_kernel(power_generator(2))),
-    ):
-        assert kernel.generator is None
 
 
 @pytest.mark.parametrize("gen, bounds", CATALOG, ids=[g.name for g, _ in CATALOG])
@@ -500,18 +490,65 @@ def _profile_kernel(spec: str, mode: str, *, numeric: bool = False) -> Kernel2:
     return ratio_kernel_from_profile(f"scale_profile({kernel.name})", profile)
 
 
-def test_only_ratio_kernels_declare_a_ratio():
-    log = log_generator()
-    assert ratio_kernel(log).ratio is log.fn
-    profile = homogenization_profile(difference_kernel(cosh_generator()))
-    assert ratio_kernel_from_profile("h", profile).ratio is profile
-    for kernel in (
-        sign_kernel(),
-        difference_kernel(cosh_generator()),
-        kernel_from_expression("log(x / y)", POS),
-        normalize_kernel(ratio_kernel(log)),
-    ):
-        assert kernel.ratio is None
+#: Every kernel constructor (and the CLI's catalog spellings of them), with
+#: the type of the structure it declares.
+CONSTRUCTORS = {
+    "difference_kernel": (lambda: difference_kernel(cosh_generator()), Difference),
+    "arithmetic_kernel": (arithmetic_kernel, Difference),
+    "diff_gen:exp": (lambda: resolve_kernel("diff_gen:exp"), Difference),
+    "power:0.5": (lambda: resolve_kernel("power:0.5"), Difference),
+    "preset": (lambda: minkowski_preset()["kernel_result"], Difference),
+    "ratio_kernel": (lambda: ratio_kernel(log_generator()), Ratio),
+    "ratio_dev:power:2": (lambda: resolve_kernel("ratio_dev:power:2"), Ratio),
+    "profile-cosh": (lambda: _profile_kernel("diff_gen:cosh", "lower"), Ratio),
+    "profile-log": (lambda: _profile_kernel("log", "estimate"), Ratio),
+    "profile-table": (lambda: _profile_kernel("power:0.5", "estimate", numeric=True), Ratio),
+    "sign_kernel": (sign_kernel, type(None)),
+    "kernel_from_expression": (lambda: kernel_from_expression("cosh(x) - cosh(y)", POS), type(None)),
+    "expr:log(x/y)": (lambda: resolve_kernel("expr:log(x/y)"), type(None)),
+    "normalize_kernel": (lambda: normalize_kernel(difference_kernel(power_generator(2))), type(None)),
+    "normalized-ratio": (lambda: normalize_kernel(ratio_kernel(log_generator())), type(None)),
+    "operation": (lambda: minkowski_preset()["operation"], type(None)),
+}
+STRUCTURED = {name: make for name, (make, kind) in CONSTRUCTORS.items() if kind is not type(None)}
+
+
+@pytest.mark.parametrize("make, kind", list(CONSTRUCTORS.values()), ids=list(CONSTRUCTORS))
+def test_each_constructor_declares_its_structure(make, kind):
+    assert type(make().structure) is kind
+
+
+def test_structure_holds_the_constructor_arguments():
+    cosh, log = cosh_generator(), log_generator()
+    assert difference_kernel(cosh).structure == Difference(cosh)
+    assert ratio_kernel(log).structure == Ratio(log.fn)
+    profile = homogenization_profile(difference_kernel(cosh))
+    assert ratio_kernel_from_profile("h", profile).structure == Ratio(profile, 2.0)
+    profile = homogenization_profile(numeric_profile_kernel(difference_kernel(cosh)))
+    assert ratio_kernel_from_profile("h", profile).structure == Ratio(profile)
+
+
+@pytest.mark.parametrize("make", list(STRUCTURED.values()), ids=list(STRUCTURED))
+def test_declared_structure_gives_the_values_of_fn(make):
+    # The one rule of Kernel2.structure: fn(x, y) is the structure's formula
+    # bit for bit; a Ratio's order q adds y^-q (g_q(x) - g_q(y)) in exact
+    # arithmetic, which floats meet to rounding.
+    kernel = make()
+    structure = kernel.structure
+    dom = kernel.domain_x
+    lo, hi = max(dom.lo, 0.5 if dom.starts_at_zero else -3.0), min(dom.hi, 4.0)
+    rng = random.Random(23)
+    for _ in range(50):
+        x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        value = kernel.fn(x, y)
+        if isinstance(structure, Difference):
+            assert repr(value) == repr(structure.f.fn(x) - structure.f.fn(y)), (kernel.name, x, y)
+            continue
+        assert repr(value) == repr(structure.h(x / y)), (kernel.name, x, y)
+        q = structure.order
+        if q is not None:
+            g = math.log if q == 0.0 else (lambda v: (v**q - 1.0) / q)
+            assert value == pytest.approx(y**-q * (g(x) - g(y)), rel=1e-12, abs=1e-15)
 
 
 #: Ratio kernels: a catalog one, node-table scale-profile kernels in the two
@@ -529,8 +566,9 @@ RATIO_KERNELS = {
 def test_ratio_sum_equals_generic_bit_for_bit(make):
     # Without its power order the closed-form kernel's means take the sign
     # scan, over the ratio sum on one side and the generic sum on the other.
-    kernel = dataclasses.replace(make(), power_order=None)
-    generic = dataclasses.replace(kernel, ratio=None)
+    kernel = make()
+    kernel = dataclasses.replace(kernel, structure=Ratio(kernel.structure.h))
+    generic = dataclasses.replace(kernel, structure=None)
     samples = _seeded_samples(POS, 0.5, 4.0, seed=19, count=20)
     for s in samples:
         fast, slow = deviation_sum(kernel, s), deviation_sum(generic, s)
@@ -560,7 +598,7 @@ def test_raising_ratio_gives_the_generic_error():
     for kernel, entries, y, pair in cases:
         s = make_weighted_sample(entries, [1.0] * len(entries), POS)
         errors = []
-        for k in (kernel, dataclasses.replace(kernel, ratio=None)):
+        for k in (kernel, dataclasses.replace(kernel, structure=None)):
             with pytest.raises(KernelEvaluationError) as info:
                 deviation_sum(k, s)(y)
             errors.append((str(info.value), type(info.value.__cause__)))

@@ -13,9 +13,10 @@ case checks the change instead of repeating it.  The cases of difference
 kernels with a catalog generator (arithmetic and diff_gen:power:2, power:0,
 exp and cosh) were re-recorded when those means moved to the closed form
 f^-1(sum_i w_i f(x_i) / W); CHANGES.md gives each case's error against
-60-digit references before and after.  Re-recording is only valid together
-with an argument that the new values are at least as accurate as the
-recorded ones.
+60-digit references before and after, and
+``test_closed_form_means_within_oracle_budget`` holds them to ulp budgets
+against ``oracle.py``.  Re-recording is only valid together with an argument
+that the new values are at least as accurate as the recorded ones.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from meankit import (
 )
 from meankit.domain import all_reals, positive_reals
 from meankit.errors import NoSignChange
+
+import oracle
 
 DATA = Path(__file__).parent / "data" / "semideviation_golden.json"
 SAMPLES_PER_CASE = 40
@@ -146,6 +149,32 @@ def test_four_means_match_recorded_values(case):
         sample = make_weighted_sample(row["entries"], row["weights"], _domain(case["kernel"]))
         means = semideviation_means(kernel, sample, MeanKind, cfg)
         assert {k.value: repr(v) for k, v in means.items()} == row["means"], row
+
+
+#: Closed-form catalog kernel -> (its generator in ``oracle.GENERATORS``, ulp
+#: budget).  Each budget is the largest error of a recorded mean of any kind
+#: against ``oracle.qa_mean`` when it was set; exp and arithmetic have means
+#: near 0, where an ulp of the reference is small.  A budget is never widened.
+ORACLE_BUDGETS = {
+    "arithmetic": ("identity", 3),
+    "diff_gen:power:2": ("power:2", 1),
+    "diff_gen:power:0": ("log", 1),
+    "diff_gen:exp": ("exp", 44),
+    "diff_gen:cosh": ("cosh", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in GOLDEN["cases"] if c["kernel"] in ORACLE_BUDGETS],
+    ids=lambda c: f"{c['kernel']}-{c['seed']}",
+)
+def test_closed_form_means_within_oracle_budget(case):
+    generator, budget = ORACLE_BUDGETS[case["kernel"]]
+    for row in case["samples"]:
+        reference = oracle.qa_mean(row["entries"], row["weights"], generator)
+        for kind, value in row["means"].items():
+            assert oracle.ulps(float(value), reference) <= budget, (kind, row, reference)
 
 
 def test_ratio_dev_power_has_no_sign_change():

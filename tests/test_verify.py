@@ -237,6 +237,25 @@ class TestComparison:
         report = verify_comparison(sign_kernel(), arithmetic_kernel(), plan)
         assert report.overall == "inconclusive"
 
+    def test_perturbed_means_break_implication_consistency(self, monkeypatch):
+        # A solver defect on a passing pair: the first kernel's means move up
+        # by 1, so they break the order that the kernels keep.
+        low, high = difference_kernel(power_generator(1)), difference_kernel(power_generator(2))
+        original = verify.semideviation_means
+
+        def perturbed(kernel, sample, kinds, cfg=None):
+            means = original(kernel, sample, kinds, cfg)
+            return {k: v + 1.0 for k, v in means.items()} if kernel is low else means
+
+        monkeypatch.setattr(verify, "semideviation_means", perturbed)
+        report = verify_comparison(low, high, SamplePlan(seed=9, n_samples=80, entry_range=(0.5, 8.0)))
+        assert report.condition("kernel_pointwise").holds
+        consistency = report.condition("implication_consistency")
+        assert not consistency.holds
+        assert consistency.witness == {
+            "kernel_pointwise": True, "mean_inequalities": False, "weakest_link": False,
+        }
+
 
 class TestJensen:
     def test_affine_kernel_passes_all_faces(self):
@@ -263,6 +282,30 @@ class TestJensen:
         assert lhs < rhs - 1e-9
         # Faces must agree: coupling holds even though the suite fails.
         assert report.condition("face_coupling").holds
+
+    def test_perturbed_midpoint_means_break_face_coupling(self, monkeypatch):
+        # A solver defect on a passing kernel: each pair's midpoint means,
+        # solved after the means of its two samples, drop by 1, so a mean face
+        # fails on a pair whose hull passes the kernel face.
+        original = verify.semideviation_means
+        calls = []
+
+        def perturbed(kernel, sample, kinds, cfg=None):
+            calls.append(sample)
+            means = original(kernel, sample, kinds, cfg)
+            return {k: v - 1.0 for k, v in means.items()} if len(calls) % 3 == 0 else means
+
+        monkeypatch.setattr(verify, "semideviation_means", perturbed)
+        plan = SamplePlan(seed=12, n_samples=60, entry_range=(0.5, 8.0))
+        report = verify_jensen(difference_kernel(power_generator(0.5)), plan)
+        assert report.condition("kernel_midpoint_concavity").holds
+        coupling = report.condition("face_coupling")
+        assert not coupling.holds
+        witness = coupling.witness
+        assert set(witness) == {"sample_index", "entries", "weights", "entries_second", "note"}
+        assert witness["note"] == "mean face violated although the kernel face holds on the hull"
+        midpoint = [0.5 * (a + b) for a, b in zip(witness["entries"], witness["entries_second"])]
+        assert list(calls[3 * witness["sample_index"] + 2].entries) == midpoint
 
 
 class TestScaleProfileSuites:
@@ -496,7 +539,7 @@ class TestOperationSuites:
         ids=["power:2", "power:0.5", "power:3", "log", "cosh", "expr:x^3+x"],
     )
     def test_tabulated_lattice_matches_per_point(self, suite, generator):
-        # Without its generator the result kernel is evaluated at every
+        # Without its structure the result kernel is evaluated at every
         # lattice point; with it, from per-pair tables.  The plan draws no
         # samples, so the reports hold only lattice conditions; 9 of the 12
         # cases fail the pointwise one, so their witnesses are compared too.
@@ -505,7 +548,7 @@ class TestOperationSuites:
         args = (preset["kernel_first"], preset["kernel_second"], preset["operation"],
                 SamplePlan(seed=25, n_samples=0, entry_range=(0.6, 3.9)))
         tabulated = verify_homi(result, *args, grid=7, suite_label=suite)
-        per_point = verify_homi(dataclasses.replace(result, generator=None), *args, grid=7, suite_label=suite)
+        per_point = verify_homi(dataclasses.replace(result, structure=None), *args, grid=7, suite_label=suite)
         assert tabulated.to_json() == per_point.to_json()
         assert tabulated.condition("pointwise").checked == 7**4
 
@@ -536,13 +579,13 @@ class TestOperationSuites:
         assert 0 < calls["result"] <= 2 * grid**2
 
     def test_lattice_of_a_result_kernel_without_generator(self, monkeypatch):
-        # x^2 - y^2 written as a product declares no generator, so the lattice
+        # x^2 - y^2 written as a product declares no structure, so the lattice
         # evaluates it at every point; the per-pair quantities and the slope
         # memo are shared as for a difference kernel.
         grid = 6
         preset = minkowski_preset(power_generator(2))
         result = kernel_from_expression("(x-y)*(x+y)", POS)
-        assert result.generator is None
+        assert result.structure is None
         calls = Counter()
         result = dataclasses.replace(result, fn=counted(calls, "result", result.fn))
         first, second = (
@@ -594,7 +637,7 @@ class TestOperationSuites:
         )
         plan = SamplePlan(seed=24, n_samples=3, entry_range=(lo, hi))
         outcomes = []
-        for kernel in (result, dataclasses.replace(result, generator=None)):
+        for kernel in (result, dataclasses.replace(result, structure=None)):
             calls = Counter()
             first, second = (
                 dataclasses.replace(preset[key], fn=counted(calls, key, preset[key].fn))
@@ -617,7 +660,7 @@ class TestOperationSuites:
         plan = SamplePlan(seed=3, n_samples=0)
         tabulated = verify_homi(kernel, kernel, kernel, operation, plan, grid=grid)
         per_point = verify_homi(
-            dataclasses.replace(kernel, generator=None), kernel, kernel, operation, plan, grid=grid
+            dataclasses.replace(kernel, structure=None), kernel, kernel, operation, plan, grid=grid
         )
         assert tabulated.to_json() == per_point.to_json()
         lo, hi = plan.resolved_entry_range(dom)
@@ -643,7 +686,7 @@ class TestOperationSuites:
         operation = dataclasses.replace(preset["operation"], fn=fn)
         result = preset["kernel_result"]
         plan = SamplePlan(seed=24, n_samples=3, entry_range=(lo, hi))
-        for kernel in (result, dataclasses.replace(result, generator=None)):
+        for kernel in (result, dataclasses.replace(result, structure=None)):
             for monotone_mode in (True, False):
                 with pytest.raises(NonFinite) as excinfo:
                     verify_homi(
