@@ -19,7 +19,6 @@ from .errors import (
     AllEvaluationsFailed,
     Diverged,
     DegenerateDenominator,
-    DomainError,
     GeneratorNotMonotone,
     NonFinite,
     NonPositiveEntry,
@@ -27,7 +26,7 @@ from .errors import (
     VanishingFirstDerivative,
 )
 from .expr import ScalarFunction
-from .limits import LIMIT_TOL, LimitEstimate, largest_halving_start, limit_at_zero
+from .limits import LIMIT_TOL, LimitEstimate, limit_at_zero, start_scale
 
 #: First-derivative magnitude below which the order operator refuses to divide.
 DERIVATIVE_GUARD = 1e-14
@@ -239,20 +238,11 @@ def qa_local_homogenization(generator: ScalarFunction, *, tol: float = LIMIT_TOL
     tail_min / tail_max proxy the liminf / limsup of the order operator; when
     they agree (see ``common_power_order``) the scaling limit of the
     quasiarithmetic mean is the power mean of that common order.
-    Requires a generator domain with infimum 0.
+    Requires a generator domain with infimum 0; a scale at which the order
+    operator fails is a NaN row of the scan (see ``limit_at_zero``).
     """
-    dom = generator.domain
-    if not dom.starts_at_zero:
-        raise ValueError(f"generator domain {dom} must have infimum 0")
-    t0 = largest_halving_start(dom.inner_hi())
-
-    def g(t: float) -> float:
-        try:
-            return local_power_order(generator, t)
-        except (NonFinite, DomainError, ZeroDivisionError, OverflowError):
-            return math.nan
-
-    est = limit_at_zero(g, t0, tol=tol)
+    t0 = start_scale(generator.domain, 1.0)
+    est = limit_at_zero(lambda t: local_power_order(generator, t), t0, tol=tol)
     if _diverged(est):
         raise Diverged(f"order operator of {generator.name} leaves every bounded window at 0")
     return est
@@ -274,23 +264,17 @@ def scaling_ratio_limit(generator: ScalarFunction, x: float) -> LimitEstimate:
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
-    dom = generator.domain
-    if not dom.starts_at_zero:
-        raise ValueError(f"generator domain {dom} must have infimum 0")
-    t0 = largest_halving_start(dom.inner_hi() / max(x, 2.0))
+    t0 = start_scale(generator.domain, max(x, 2.0))
     hit_zero_denominator = False
 
     def g(t: float) -> float:
         nonlocal hit_zero_denominator
-        try:
-            base = generator.fn(t)
-            den = generator.fn(2.0 * t) - base
-            if den == 0.0:
-                hit_zero_denominator = True
-                return math.nan
-            return (generator.fn(t * x) - base) / den
-        except (NonFinite, DomainError, OverflowError, ZeroDivisionError):
+        base = generator.fn(t)
+        den = generator.fn(2.0 * t) - base
+        if den == 0.0:
+            hit_zero_denominator = True
             return math.nan
+        return (generator.fn(t * x) - base) / den
 
     try:
         est = limit_at_zero(g, t0)

@@ -42,7 +42,6 @@ from .expr import (
     sign_kernel,
 )
 from .homogenize import (
-    LimitEstimate,
     deviation_handle,
     envelope_pair,
     kernel_homogenization,
@@ -52,7 +51,7 @@ from .homogenize import (
     semideviation_handle,
 )
 from .limits import LIMIT_TOL
-from .semideviation import SemidevMeanConfig, deviation_mean, semideviation_mean
+from .semideviation import DEFAULT_CONFIG, SemidevMeanConfig, deviation_mean, semideviation_mean
 from .verify import (
     FACTOR_RANGE,
     Report,
@@ -222,40 +221,6 @@ def _emit(doc: dict[str, Any], human_lines: list[str], output_format: str) -> No
             click.echo(line)
 
 
-def _limit_table_lines(est: LimitEstimate) -> list[str]:
-    lines = [f"{'t':>24}  {'value':>24}"]
-    for t, v in est.values:
-        lines.append(f"{t!r:>24}  {v!r:>24}")
-    lines.append(
-        f"tail_min={est.tail_min!r} tail_max={est.tail_max!r} "
-        f"converged={est.converged} window={est.window} tol={est.tol!r}"
-    )
-    return lines
-
-
-def _limit_doc(est: LimitEstimate) -> dict[str, Any]:
-    # Failed evaluations are NaN internally; emit strict-JSON null instead.
-    return {
-        "table": [[t, v if math.isfinite(v) else None] for t, v in est.values],
-        "tail_min": est.tail_min,
-        "tail_max": est.tail_max,
-        "estimate": est.estimate,
-        "converged": est.converged,
-        "window": est.window,
-        "tol": est.tol,
-    }
-
-
-def _write_csv(est: LimitEstimate, path: str) -> None:
-    rows = ["t,value"] + [f"{t!r},{v!r}" for t, v in est.values]
-    text = "\n".join(rows) + "\n"
-    if path == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 # --- command group ----------------------------------------------------------------------
 
 
@@ -285,7 +250,7 @@ def compute() -> None:
 @click.option(
     "--grid",
     type=click.IntRange(min=2),
-    default=1024,
+    default=DEFAULT_CONFIG.grid_size,
     show_default=True,
     help="Sign-scan grid size of --kind semidev; no effect on kernels solved in "
     "closed form (diff_gen with an increasing catalog generator).  --kind power, "
@@ -294,7 +259,7 @@ def compute() -> None:
 )
 @click.option(
     "--refine-tol",
-    default=1e-12,
+    default=DEFAULT_CONFIG.refine_tol,
     show_default=True,
     help="Relative bisection tolerance; no effect on kernels solved in closed form.",
 )
@@ -373,75 +338,85 @@ def homogenize(
     """Estimate scaling limits: generator order, mean homogenization, or
     kernel scale profile."""
     doc: dict[str, Any] = {"command": "homogenize", "target": target}
+    # Each scan target states its scan, header, and extra key and lines; the
+    # limit document, table and CSV below are shared.
+    extra: dict[str, Any] = {}
+    tail: list[str] = []
     if target == "qa":
         if generator is None:
             raise click.UsageError("--target qa requires --generator")
         gen = resolve_generator(generator, domain or positive_reals())
         est = qa_local_homogenization(gen, tol=tol)
         order = common_power_order(est)
-        doc.update({"generator": gen.name, **_limit_doc(est), "power_order": order})
-        lines = [f"# local power order of {gen.name} at 0+"] + _limit_table_lines(est)
-        lines.append(f"power_order={order!r}" if order is not None else "power_order=none (tails disagree)")
-        _emit(doc, lines, output_format)
-        if csv_path:
-            _write_csv(est, csv_path)
-        return
-
-    if target == "kernel":
+        doc["generator"] = gen.name
+        header = f"# local power order of {gen.name} at 0+"
+        extra = {"power_order": order}
+        tail = [f"power_order={order!r}" if order is not None else "power_order=none (tails disagree)"]
+    elif target == "kernel":
         if kernel is None or ratio is None:
             raise click.UsageError("--target kernel requires --kernel and --ratio")
         kern = resolve_kernel(kernel, domain)
         r = _parse_float(ratio, "--ratio")
         est = kernel_homogenization(kern, r, tol=tol)
-        doc.update({"kernel": kern.name, "ratio": r, **_limit_doc(est)})
-        lines = [f"# scale profile of normalized {kern.name} at ratio {r!r}"] + _limit_table_lines(est)
-        _emit(doc, lines, output_format)
-        if csv_path:
-            _write_csv(est, csv_path)
-        return
-
-    if entries_text is None or weights_text is None or mean_kind is None:
-        raise click.UsageError("--target mean requires --mean, --x and --w")
-    entries = _parse_vector(entries_text, "--x")
-    weights = _parse_vector(weights_text, "--w")
-    if mean_kind == "power":
-        if exponent is None:
-            raise click.UsageError("--mean power requires --p")
-        handle = power_handle(_parse_float(exponent, "--p"), domain or positive_reals())
-    elif mean_kind == "qa":
-        if generator is None:
-            raise click.UsageError("--mean qa requires --generator")
-        handle = quasiarithmetic_handle(resolve_generator(generator, domain or positive_reals()))
-    elif mean_kind == "semidev":
-        if kernel is None:
-            raise click.UsageError("--mean semidev requires --kernel")
-        kern = resolve_kernel(kernel, domain)
-        handle = semideviation_handle(kern, MeanKind.from_label(semidev_kind))
+        doc.update({"kernel": kern.name, "ratio": r})
+        header = f"# scale profile of normalized {kern.name} at ratio {r!r}"
     else:
-        if kernel is None:
-            raise click.UsageError("--mean deviation requires --kernel")
-        kern = resolve_kernel(kernel, domain)
-        handle = deviation_handle(kern)
-    sample = make_weighted_sample(entries, weights, positive_reals())
-    doc.update({"mean": handle.name, "entries": entries, "weights": weights, "method": method})
-    if method == "envelope":
-        domain_sample = make_weighted_sample(entries, weights, handle.domain)
-        lower, upper = envelope_pair(handle, domain_sample)
-        doc.update({"lower": lower, "upper": upper})
-        _emit(
-            doc,
-            [f"# homogeneous envelopes of {handle.name}", f"lower={lower!r}", f"upper={upper!r}"],
-            output_format,
-        )
-        return
-    est = local_homogenization(handle, sample, tol=tol)
-    doc.update(_limit_doc(est))
-    lines = [f"# local homogenization of {handle.name}: M(t x, w)/t for t -> 0+"]
-    lines += _limit_table_lines(est)
-    lines.append(f"estimate={est.estimate!r}")
-    _emit(doc, lines, output_format)
+        if entries_text is None or weights_text is None or mean_kind is None:
+            raise click.UsageError("--target mean requires --mean, --x and --w")
+        entries = _parse_vector(entries_text, "--x")
+        weights = _parse_vector(weights_text, "--w")
+        if mean_kind == "power":
+            if exponent is None:
+                raise click.UsageError("--mean power requires --p")
+            handle = power_handle(_parse_float(exponent, "--p"), domain or positive_reals())
+        elif mean_kind == "qa":
+            if generator is None:
+                raise click.UsageError("--mean qa requires --generator")
+            handle = quasiarithmetic_handle(resolve_generator(generator, domain or positive_reals()))
+        elif mean_kind == "semidev":
+            if kernel is None:
+                raise click.UsageError("--mean semidev requires --kernel")
+            handle = semideviation_handle(resolve_kernel(kernel, domain), MeanKind.from_label(semidev_kind))
+        else:
+            if kernel is None:
+                raise click.UsageError("--mean deviation requires --kernel")
+            handle = deviation_handle(resolve_kernel(kernel, domain))
+        sample = make_weighted_sample(entries, weights, positive_reals())
+        doc.update({"mean": handle.name, "entries": entries, "weights": weights, "method": method})
+        if method == "envelope":
+            domain_sample = make_weighted_sample(entries, weights, handle.domain)
+            lower, upper = envelope_pair(handle, domain_sample)
+            doc.update({"lower": lower, "upper": upper})
+            lines = [f"# homogeneous envelopes of {handle.name}", f"lower={lower!r}", f"upper={upper!r}"]
+            _emit(doc, lines, output_format)
+            return
+        est = local_homogenization(handle, sample, tol=tol)
+        header = f"# local homogenization of {handle.name}: M(t x, w)/t for t -> 0+"
+        tail = [f"estimate={est.estimate!r}"]
+    # Failed evaluations are NaN internally; emit strict-JSON null instead.
+    doc.update({
+        "table": [[t, v if math.isfinite(v) else None] for t, v in est.values],
+        "tail_min": est.tail_min,
+        "tail_max": est.tail_max,
+        "estimate": est.estimate,
+        "converged": est.converged,
+        "window": est.window,
+        "tol": est.tol,
+        **extra,
+    })
+    lines = [header, f"{'t':>24}  {'value':>24}", *(f"{t!r:>24}  {v!r:>24}" for t, v in est.values)]
+    lines.append(
+        f"tail_min={est.tail_min!r} tail_max={est.tail_max!r} "
+        f"converged={est.converged} window={est.window} tol={est.tol!r}"
+    )
+    _emit(doc, lines + tail, output_format)
     if csv_path:
-        _write_csv(est, csv_path)
+        text = "t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in est.values)
+        if csv_path == "-":
+            click.echo(text, nl=False)
+        else:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 SUITES = ("sandwich", "lemma-lim", "comparison", "jensen", "tei", "cei", "minkowski", "hoelder", "homi")

@@ -35,7 +35,7 @@ from .errors import (
     SignPropertyViolated,
 )
 from .expr import Difference, Kernel2, Ratio, ScalarFunction
-from .limits import LIMIT_TOL, LIMIT_WINDOW, LimitEstimate, largest_halving_start, limit_at_zero
+from .limits import LIMIT_TOL, LIMIT_WINDOW, LimitEstimate, limit_at_zero, start_scale
 from .semideviation import (
     deviation_mean,
     normalize_kernel,
@@ -281,26 +281,18 @@ def local_limit(
     """Limit estimate of mean_at(t) / t as t -> 0+, where mean_at(t) is a
     mean of the sample scaled by t into ``domain``.
 
-    The start scale is the largest power of 1/2 that keeps the scaled
-    entries inside ``domain``, which must have infimum 0.  A MeanKitError,
-    OverflowError or ZeroDivisionError raised by mean_at makes that value
-    NaN.  Callers that need several means of each scaled sample can solve
-    them once per t and read one of them in each scan.
+    The entries must be positive.  The start scale is the largest power of
+    1/2 that keeps the scaled entries inside ``domain``, which must have
+    infimum 0.  A MeanKitError, OverflowError or ZeroDivisionError raised by
+    mean_at makes that value NaN, and a scan without a finite value raises
+    AllEvaluationsFailed naming the first such error (``limit_at_zero``).
+    Callers that need several means of each scaled sample can solve them
+    once per t and read one of them in each scan.
     """
-    if not domain.starts_at_zero:
-        raise ValueError(f"domain {domain} must have infimum 0")
     xmin, xmax = sample.hull()
     if xmin <= 0.0:
         raise ValueError("local homogenization needs positive entries")
-    t0 = largest_halving_start(domain.inner_hi() / xmax)
-
-    def g(t: float) -> float:
-        try:
-            return mean_at(t) / t
-        except (MeanKitError, OverflowError, ZeroDivisionError):
-            return math.nan
-
-    return limit_at_zero(g, t0, tol=tol)
+    return limit_at_zero(lambda t: mean_at(t) / t, start_scale(domain, xmax), tol=tol)
 
 
 def local_homogenization(
@@ -334,21 +326,18 @@ def kernel_homogenization(
 
     tail_min / tail_max proxy the lower / upper scale profile of the kernel
     at ratio r.  Pass ``normalized`` to reuse an already-normalized kernel.
+    The kernel's y-domain must start at 0 (``start_scale``).  A
+    MeanKitError, OverflowError or ZeroDivisionError raised by the kernel
+    makes that value NaN, and a scan without a finite value raises
+    AllEvaluationsFailed naming the first such error (``limit_at_zero``).
     """
     if ratio_value <= 0.0:
         raise ValueError("ratio must be positive")
-    if not kernel.domain_y.starts_at_zero:
-        raise ValueError(f"kernel domain {kernel.domain_y} must have infimum 0")
+    t0 = start_scale(kernel.domain_y, max(ratio_value, 1.0))
     scaled_kernel = normalized if normalized is not None else normalize_kernel(kernel)
-    t0 = largest_halving_start(kernel.domain_y.inner_hi() / max(ratio_value, 1.0))
-
-    def g(t: float) -> float:
-        try:
-            return scaled_kernel.fn(ratio_value * t, t) / t
-        except (MeanKitError, OverflowError, ZeroDivisionError):
-            return math.nan
-
-    return limit_at_zero(g, t0, window=window, tol=tol)
+    return limit_at_zero(
+        lambda t: scaled_kernel.fn(ratio_value * t, t) / t, t0, window=window, tol=tol
+    )
 
 
 @functools.cache
@@ -393,7 +382,8 @@ def homogenization_profile(
     the kernel's structure is ``Difference(f)`` with f declaring its local
     power order, tabulated otherwise.
 
-    The kernel is normalized first (unless ``normalized`` is given), so a
+    A ``mode`` other than "estimate", "lower" or "upper" raises ValueError,
+    and the kernel is normalized next (unless ``normalized`` is given), so a
     kernel that cannot be normalized raises NotNormalizable on both paths.
     When ``f.local_order`` is some q and the kernel's y-domain starts at 0,
     h(r) = (r^q - 1)/q (log r at q = 0) in every mode, evaluated as
@@ -437,6 +427,8 @@ def homogenization_profile(
     ranges where cancellation noise in the scaled kernel sets a floor on the
     achievable window spread.
     """
+    if mode not in ("estimate", "lower", "upper"):
+        raise ValueError(f"mode must be 'estimate', 'lower' or 'upper', got {mode!r}")
     base = normalized if normalized is not None else normalize_kernel(kernel)
     f = kernel.structure.f if isinstance(kernel.structure, Difference) else None
     if f is not None and f.local_order is not None and kernel.domain_y.starts_at_zero:

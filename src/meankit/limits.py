@@ -27,6 +27,14 @@ is the sampled window with the smallest spread, so the estimate degrades
 gracefully instead of descending into noise.  The (t, value) table of the
 grid samples is always retained for inspection; off-grid values are not in
 it.
+
+Every scan shares one failure rule: a MeanKitError, OverflowError or
+ZeroDivisionError raised by g, on the grid or off it, makes that value NaN;
+when no grid value is finite the scan raises AllEvaluationsFailed, naming
+the first failure.  Each entry point only states its g and its reach (the
+largest multiple of t at which g evaluates), from which ``start_scale``
+picks t0 on a domain with infimum 0.  The tolerance must satisfy
+0 <= tol < inf.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .errors import AllEvaluationsFailed
+from .domain import IntervalDomain
+from .errors import AllEvaluationsFailed, MeanKitError
 
 UNDERFLOW_FLOOR = 1e-300
 
@@ -97,6 +106,9 @@ _ROUNDING = 4.0 * 2.0**-52
 #: Factors placing the off-grid scales inside the last octave (t_k, 2 t_k).
 _OFF_GRID = (2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
 
+#: Errors of g that make its value NaN instead of ending the scan.
+_FAILURES = (MeanKitError, OverflowError, ZeroDivisionError)
+
 
 def limit_at_zero(
     g: Callable[[float], float],
@@ -107,6 +119,8 @@ def limit_at_zero(
 ) -> LimitEstimate:
     """Estimate lim g(t) as t -> 0+ by sampling t_k = t0 * 0.5**k.
 
+    A MeanKitError, OverflowError or ZeroDivisionError raised by ``g`` makes
+    its value NaN, at the grid scales and at the off-grid checks alike.
     Non-finite values of ``g`` are recorded but excluded from the tail; each
     one restarts the run of consecutive values that the rounding and
     extrapolation rules read.  At each step the candidate limit comes from
@@ -120,11 +134,27 @@ def limit_at_zero(
     window exists, a value that is not finite, or whose window spreads past
     both 100 times the best spread and 10 times ``tol``, counts toward the
     runaway stop; ``window`` such values in a row stop the scan ("runaway").
+    When no grid value is finite it raises AllEvaluationsFailed, whose
+    message names the class and message of the first error ``g`` raised
+    (chained as its cause).  Raises ValueError unless t0 > 0, window >= 1
+    and 0 <= tol < inf.
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
     if window < 1:
         raise ValueError("window must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    first_failure: BaseException | None = None
+
+    def value(t: float) -> float:
+        nonlocal first_failure
+        try:
+            return float(g(t))
+        except _FAILURES as exc:
+            if first_failure is None:
+                first_failure = exc
+            return math.nan
 
     pairs: list[tuple[float, float]] = []
     finite: list[float] = []
@@ -142,10 +172,7 @@ def limit_at_zero(
         if t < UNDERFLOW_FLOOR:
             stop_reason = "underflow"
             break
-        try:
-            v = float(g(t))
-        except (OverflowError, ZeroDivisionError):
-            v = math.nan
+        v = value(t)
         pairs.append((t, v))
         if not math.isfinite(v):
             g1 = g2 = prev_ratio = math.nan
@@ -184,7 +211,7 @@ def limit_at_zero(
         elif windowed and spread <= tol:
             candidate = window_tail
         if candidate is not None and k > 0:
-            probes = [_value(g, t * factor) for factor in _OFF_GRID]
+            probes = [value(t * factor) for factor in _OFF_GRID]
             octave = (v, pairs[-2][1]) if math.isfinite(pairs[-2][1]) else (v,)
             slack = tol + LIMIT_REL_TOL * (1.0 + abs(v))
             low, high = min(octave) - slack, max(octave) + slack
@@ -207,7 +234,10 @@ def limit_at_zero(
                 runaway = 0
         g1, g2, prev_ratio = v, g1, ratio
     if not finite:
-        raise AllEvaluationsFailed(f"no finite value of g on ({pairs[-1][0] if pairs else t0}, {t0}]")
+        message = f"no finite value of g on ({pairs[-1][0] if pairs else t0}, {t0}]"
+        if first_failure is not None:
+            message += f"; first failure: {type(first_failure).__name__}: {first_failure}"
+        raise AllEvaluationsFailed(message) from first_failure
     if tail is None:
         tail = best[1] if best is not None else tuple(finite)
     return LimitEstimate(
@@ -220,18 +250,17 @@ def limit_at_zero(
     )
 
 
-def _value(g: Callable[[float], float], t: float) -> float:
-    """g(t) at an off-grid scale, with NaN where the grid samples get NaN."""
-    try:
-        return float(g(t))
-    except (OverflowError, ZeroDivisionError):
-        return math.nan
+def start_scale(domain: IntervalDomain, reach: float) -> float:
+    """Start scale t0 of a scan at 0 whose g evaluates at scales up to
+    reach * t: the largest power of 1/2, at most 1, with reach * t0 <=
+    ``domain.inner_hi()``.
 
-
-def largest_halving_start(upper: float) -> float:
-    """Largest power of 1/2 that is <= upper (and <= 1)."""
-    if upper <= 0.0:
-        raise ValueError("no admissible starting scale")
+    Raises ValueError unless ``domain`` has infimum 0, and when no such
+    power of 1/2 is above UNDERFLOW_FLOOR.
+    """
+    if not domain.starts_at_zero:
+        raise ValueError(f"domain {domain} must have infimum 0")
+    upper = domain.inner_hi() / reach
     t0 = 1.0
     while t0 > upper:
         t0 *= 0.5

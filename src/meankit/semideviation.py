@@ -66,7 +66,7 @@ from .errors import (
     NoSignChange,
     NotNormalizable,
 )
-from .expr import Difference, Kernel2, Ratio, numeric_derivative
+from .expr import _H1, Difference, Kernel2, Ratio, numeric_derivative
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ class SemidevMeanConfig:
     def __post_init__(self):
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if self.refine_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if not 0.0 <= self.refine_tol < math.inf:
+            raise ValueError(f"refine_tol must be finite and nonnegative, got {self.refine_tol!r}")
 
 
 DEFAULT_CONFIG = SemidevMeanConfig()
@@ -355,8 +355,7 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
             d = _diagonal_slope(kernel, y)
             if not analytic:
                 fn = lambda v, _y=y: kernel.fn(_y, v)
-                eps = 2.220446049250313e-16
-                h = eps ** (1.0 / 3.0) * max(1.0, abs(y)) / 2.0
+                h = _H1 * max(1.0, abs(y)) / 2.0
                 d_half = (fn(y + h) - fn(y - h)) / (2.0 * h)
                 if abs(d_half - d) > 0.25 * max(1e-12, abs(d_half)):
                     raise NotNormalizable(

@@ -84,7 +84,8 @@ def limit_tol(value: float) -> float:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded description of a random sample stream; one seed, one stream.
+    """Seeded description of a random sample stream; one seed, one stream
+    of samples, and ``stream(k)`` for each suite's other draws.
 
     Every 20th sample (index 19 mod 20) is degenerate (all entries equal) to
     exercise boundary behavior.
@@ -118,6 +119,10 @@ class SamplePlan:
             if i % 20 == 19:
                 entry_tuples = [(entries[0],) * n for entries in entry_tuples]
             yield entry_tuples, weights
+
+    def stream(self, k: int) -> random.Random:
+        """Stream k of the plan's seed, for draws beside the samples."""
+        return random.Random(self.seed * 1_000_003 + k)
 
     def samples(self, domain: IntervalDomain) -> list[WeightedSample]:
         return [
@@ -241,7 +246,7 @@ def verify_sandwich(kernel: Kernel2, plan: SamplePlan) -> Report:
     chain = new_condition("ordering_chain", "min <= lower-weak <= upper-weak <= max")
     inner = new_condition("inner_bounds", "strict kinds inside [lower-weak, upper-weak]")
     symmetry = new_condition("symmetry", "invariant under entry/weight permutation")
-    perm_rng = random.Random(plan.seed * 1_000_003 + 1)
+    perm_rng = plan.stream(1)
     for idx, sample in enumerate(plan.samples(kernel.domain_x)):
         means = semideviation_means(kernel, sample, KINDS, SUITE_CONFIG)
         lw, ls = means[MeanKind.LOWER_WEAK], means[MeanKind.LOWER_STRICT]
@@ -410,7 +415,7 @@ def verify_jensen(kernel: Kernel2, plan: SamplePlan) -> Report:
         return _inconclusive("jensen", str(exc))
     domain = kernel.domain_x
     lo, hi = plan.resolved_entry_range(domain)
-    quad_rng = random.Random(plan.seed * 1_000_003 + 7)
+    quad_rng = plan.stream(7)
     kernel_face = new_condition("kernel_midpoint_concavity", "normalized kernel, random quadruples")
     for _ in range(max(plan.n_samples, 100)):
         x, y = quad_rng.uniform(lo, hi), quad_rng.uniform(lo, hi)
@@ -568,7 +573,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan) -> Report:
         return _inconclusive("cei", str(exc))
     domain = kernel.domain_x
     lo, hi = plan.resolved_entry_range(domain)
-    probe_rng = random.Random(plan.seed * 1_000_003 + 23)
+    probe_rng = plan.stream(23)
     for _ in range(200):
         x, y = probe_rng.uniform(lo, hi), probe_rng.uniform(lo, hi)
         u, v = probe_rng.uniform(lo, hi), probe_rng.uniform(lo, hi)
@@ -620,7 +625,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan) -> Report:
     monotone = new_condition("mean_monotone", "deviation mean nondecreasing per coordinate")
     ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
     dev_handle = deviation_handle(kernel)
-    bump_rng = random.Random(plan.seed * 1_000_003 + 41)
+    bump_rng = plan.stream(41)
     for idx, sample in enumerate(plan.samples(domain)):
         positive = sample.with_domain(positive_reals())
         est = local_homogenization(dev_handle, positive)

@@ -3,7 +3,9 @@ the standard library only.
 
 Power means and the quasiarithmetic means of catalog generators are
 evaluated in ``decimal`` arithmetic at 50 significant digits from the exact
-values of the float inputs, then rounded once to a float.
+values of the float inputs, then rounded once to a float; so are the
+quasiarithmetic means of generators without an inverse, by bisection.
+Weighted medians compare exact ``fractions.Fraction`` weight sums.
 Scale profiles (r^q - 1)/q and local power orders are exact rationals
 (``fractions.Fraction``) for rational q and r.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 DIGITS = 50
 
@@ -56,6 +58,47 @@ def qa_mean(entries: Sequence[float], weights: Sequence[float], generator: str) 
         xs = [Decimal(x) for x in entries]
         ws = [Decimal(w) for w in weights]
         return float(inverse(sum(w * f(x) for x, w in zip(xs, ws)) / sum(ws)))
+
+
+def qa_mean_by_bisection(
+    entries: Sequence[float], weights: Sequence[float], f: Callable[[Decimal], Decimal]
+) -> float:
+    """The quasiarithmetic mean of an increasing generator f without an
+    inverse: the point of the sample hull where f takes the weighted
+    average of the f(x_i), bisected to DIGITS digits."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        xs = [Decimal(x) for x in entries]
+        ws = [Decimal(w) for w in weights]
+        target = sum(w * f(x) for x, w in zip(xs, ws)) / sum(ws)
+        lo, hi = min(xs), max(xs)
+        while hi - lo > hi.copy_abs() * Decimal(10) ** (5 - DIGITS):
+            mid = (lo + hi) / 2
+            if f(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def weighted_medians(entries: Sequence[float], weights: Sequence[float]) -> tuple[float, float]:
+    """(lower, upper) weighted median: the least entry x with weight
+    W(x_i <= x) >= W/2 and the greatest with W(x_i >= x) >= W/2, the
+    weights summed as exact fractions."""
+    pairs = sorted(zip(entries, map(Fraction, weights)))
+    half = sum(w for _, w in pairs) / 2
+    below = 0
+    for x, w in pairs:
+        below += w
+        if below >= half:
+            lower = x
+            break
+    above = 0
+    for x, w in reversed(pairs):
+        above += w
+        if above >= half:
+            return lower, x
+    raise ValueError("weights must have a positive sum")
 
 
 def power_profile(r: Fraction, q: Fraction) -> Fraction:

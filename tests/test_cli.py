@@ -106,6 +106,62 @@ def test_homogenize_scan_that_turns_nan_stops_as_runaway(capsys):
     assert doc["table"][-1][1] is None
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homogenize", "--target", "qa", "--generator", "expr:x^2+x", "--tol"),
+        ("homogenize", "--target", "kernel", "--kernel", "diff_gen:cosh", "--ratio", "2", "--tol"),
+        ("homogenize", "--target", "mean", "--mean", "power", "--p", "2", "--x", "1,2", "--w", "1,1", "--tol"),
+        ("compute", "mean", "--kind", "deviation", "--kernel", "expr:x^3-y^3", "--x", "1,2,4", "--w", "1,1,1",
+         "--refine-tol"),
+    ],
+    ids=["qa", "kernel", "mean", "refine-tol"],
+)
+def test_tolerance_not_finite_or_negative_exits_2(argv, tol, capsys):
+    # An infinite tol once made any window "converged" (power_order 1.34 for
+    # an order-1 generator), and refine_tol inf returned the hull midpoint.
+    code, out, err = run_cli(capsys, *argv, tol)
+    assert (code, out) == (2, "")
+    assert "must be finite and nonnegative" in err
+
+
+def test_homogenize_qa_scan_keeps_failed_scales_as_nan_rows(capsys):
+    # At tol 0 the scan of expr:x^2+x reaches scales where its numeric
+    # derivative stencil leaves the domain; those scales are null rows
+    # instead of ending the call.
+    code, out, _ = run_cli(
+        capsys, "homogenize", "--target", "qa", "--generator", "expr:x^2+x", "--tol", "0",
+        "--format", "structured",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["table"]) == 48
+    assert doc["table"][-1][1] is None
+    assert doc["converged"] is False and doc["power_order"] is None
+    assert doc["estimate"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, first_failure",
+    [
+        (
+            ("--target", "qa", "--generator", "expr:5+0*x"),
+            "VanishingFirstDerivative: first derivative of 5+0*x vanishes at 1.0",
+        ),
+        (
+            ("--target", "mean", "--mean", "semidev", "--kernel", "expr:y-x", "--x", "1,2", "--w", "1,1"),
+            "NoSignChange: deviation sum has signs (-1, 1) at the hull ends",
+        ),
+    ],
+)
+def test_scan_without_a_finite_value_names_its_first_failure(argv, first_failure, capsys):
+    code, out, err = run_cli(capsys, "homogenize", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: AllEvaluationsFailed: no finite value of g on (")
+    assert err.rstrip().endswith(f"; first failure: {first_failure}")
+
+
 def test_homogenize_mean_table(capsys):
     code, out, _ = run_cli(
         capsys, "homogenize", "--target", "mean", "--mean", "qa", "--generator", "cosh",

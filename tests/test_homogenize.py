@@ -42,7 +42,7 @@ from meankit.errors import (
 )
 from meankit.expr import Ratio, ScalarFunction
 from meankit.homogenize import ratio_kernel_from_profile
-from meankit.limits import LIMIT_WINDOW, largest_halving_start
+from meankit.limits import LIMIT_WINDOW, start_scale
 from meankit.semideviation import SemidevMeanConfig, deviation_mean
 
 from conftest import numeric_profile_kernel
@@ -80,11 +80,57 @@ class TestLimitAtZero:
         assert all(b == pytest.approx(0.5 * a) for a, b in zip(ts, ts[1:]))
         assert est.tail_min <= est.tail_max
 
-    def test_largest_halving_start(self):
-        assert largest_halving_start(3.7) == 1.0
-        assert largest_halving_start(0.3) == 0.25
-        with pytest.raises(ValueError):
-            largest_halving_start(0.0)
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            limit_at_zero(lambda t: 1.0, 1.0, tol=tol)
+
+    def test_errors_of_g_on_the_grid_become_nan_rows(self):
+        def g(t):
+            k = -math.log2(t)
+            if k == round(k) and round(k) % 2:
+                raise NonFinite(f"fails at {t}")
+            return 2.0
+
+        est = limit_at_zero(g, 1.0, window=4)
+        assert [math.isnan(v) for _, v in est.values] == [k % 2 == 1 for k in range(7)]
+        assert est.converged and est.estimate == 2.0
+
+    def test_errors_of_g_off_the_grid_are_nan_probes(self):
+        # A probe that fails cannot confirm the candidate: the scan stops
+        # "aliased" instead of raising.
+        def g(t):
+            if -math.log2(t) != round(-math.log2(t)):
+                raise NonFinite(f"fails at {t}")
+            return 2.0
+
+        est = limit_at_zero(g, 1.0)
+        assert est.stop_reason == "aliased"
+        assert est.tail_min == est.tail_max == 2.0
+
+    def test_all_failures_name_the_first_error(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            raise (NonFinite if len(calls) == 1 else ZeroDivisionError)(f"failed at t={t}")
+
+        with pytest.raises(AllEvaluationsFailed, match=r"; first failure: NonFinite: failed at t=1.0$") as info:
+            limit_at_zero(g, 1.0)
+        assert isinstance(info.value.__cause__, NonFinite)
+        with pytest.raises(AllEvaluationsFailed, match=r"\]$") as info:
+            limit_at_zero(lambda t: math.nan, 1.0)
+        assert info.value.__cause__ is None
+
+    def test_start_scale(self):
+        assert start_scale(open_interval(0, 3.7), 1.0) == 1.0
+        assert start_scale(open_interval(0, 3.7), 3.7 / 0.3) == 0.25
+        assert start_scale(POS, 2.0**10) == 1.0
+        for reach in (-1.0, 1e301):
+            with pytest.raises(ValueError, match="admissible scales underflow"):
+                start_scale(open_interval(0, 1), reach)
+        with pytest.raises(ValueError, match=r"domain \(0.5, 2\) must have infimum 0"):
+            start_scale(open_interval(0.5, 2), 1.0)
 
     # Stop reasons, each on a synthetic g.  Sampled at t = 2^-k, the parity
     # of k gives values that never settle and never spread further.
@@ -329,8 +375,26 @@ class TestLocalHomogenization:
                 assert est.tail_min <= est.tail_max
                 assert est.tail_max <= upper + 1e-6
 
+    def test_positive_entries_are_checked_before_the_domain(self):
+        # With both arguments wrong the sample's check comes first; the
+        # domain's is the shared start-scale check.
+        s = make_weighted_sample([-1.0, 2.0], [1, 1], open_interval(-5, 5))
+        with pytest.raises(ValueError, match="needs positive entries"):
+            homogenize.local_limit(lambda t: t, s, open_interval(-5, 5))
+        with pytest.raises(ValueError, match="must have infimum 0"):
+            homogenize.local_limit(lambda t: t, _pos_sample([1, 2], [1, 1]), open_interval(0.5, 5))
+
 
 class TestKernelHomogenization:
+    def test_start_scale_is_checked_before_normalizing(self):
+        # A ratio whose admissible scales underflow is refused before the
+        # kernel is normalized, so it wins over NotNormalizable.
+        kernel = resolve_kernel("diff_gen:power:-1", open_interval(0, 1))
+        with pytest.raises(NotNormalizable):
+            kernel_homogenization(kernel, 2.0)
+        with pytest.raises(ValueError, match="admissible scales underflow"):
+            kernel_homogenization(kernel, 1e301)
+
     def test_cosh_kernel_profile(self):
         kernel = difference_kernel(cosh_generator())
         est = kernel_homogenization(kernel, 3.0)
@@ -590,6 +654,16 @@ class TestClosedFormProfile:
         wrapped = functools.wraps(h)(lambda r: h(r))
         assert ratio_kernel_from_profile("h", wrapped).structure.order == 2.0
         assert ratio_kernel_from_profile("h", lambda r: h(r**1.05)).structure.order is None
+
+    @pytest.mark.parametrize(
+        "kernel", [difference_kernel(cosh_generator()), numeric_profile_kernel(difference_kernel(cosh_generator()))],
+        ids=["closed form", "table"],
+    )
+    def test_unknown_mode_raises(self, kernel):
+        # The table once answered "bogus" with the "upper" value and the
+        # closed form ignored the mode.
+        with pytest.raises(ValueError, match="mode must be 'estimate', 'lower' or 'upper', got 'bogus'"):
+            homogenization_profile(kernel, "bogus")
 
     def test_unnormalizable_kernel_still_raises(self):
         with pytest.raises(NotNormalizable):

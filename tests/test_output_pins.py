@@ -25,7 +25,8 @@ extrapolated or rounding-level limit: their tables got shorter and their
 estimates moved to within a few ulp of the exact values.
 ``test_limit_pin_estimate_within_oracle_budget`` checks each limit call's
 estimate against ``oracle.py`` within a ulp budget; CHANGES.md gives each
-estimate's error before and after.
+estimate's error before and after.  ``test_mean_pin_value_within_oracle_budget``
+does the same for the value of each ``mean-*`` call.
 """
 
 from __future__ import annotations
@@ -118,6 +119,26 @@ LIMIT_REFERENCES = {
 }
 
 
+#: Mean call id -> (exact value from ``oracle``, error budget of the printed
+#: value in ulps of it), measured when the budgets were set and never
+#: widened.  Closed-form means are exact or within an ulp; the sign-scan
+#: means (x^3 + x without an inverse, the ratio, sign and expr: kernels)
+#: carry the bisection tolerance, 1e-12 of the hull scale.
+MEAN_REFERENCES = {
+    "mean-power": (oracle.power_mean([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], 2), 0),
+    "mean-qa-catalog": (oracle.qa_mean([0.5, 1.5, 3.0], [1.0, 2.0, 1.0], "cosh"), 0),
+    "mean-qa-expr": (oracle.qa_mean_by_bisection([0.5, 1.5, 3.0], [1.0, 2.0, 1.0], lambda x: x**3 + x), 1_673),
+    "mean-semidev-diff": (oracle.qa_mean([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], "power:2"), 0),
+    # log(x / y) = log x - log y: the geometric mean.
+    "mean-semidev-ratio": (oracle.qa_mean([1.0, 3.0, 7.0], [1.0, 1.0, 2.0], "log"), 1_015),
+    # The lower-weak mean of sign(x - y) is the lower weighted median.
+    "mean-semidev-sign": (oracle.weighted_medians([-3.0, 1.0, 4.0], [1.0, 1.0, 2.0])[0], 5_125),
+    "mean-semidev-expr": (oracle.qa_mean([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], "power:2"), 3_956),
+    "mean-deviation-catalog": (oracle.qa_mean([1.0, 4.0, 9.0], [1.0, 1.0, 1.0], "log"), 1),
+    "mean-deviation-expr": (oracle.qa_mean([1.0, 4.0, 9.0], [1.0, 1.0, 1.0], "log"), 4_220),
+}
+
+
 def stdout_of(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -158,6 +179,18 @@ def test_limit_pin_estimate_within_oracle_budget(call_id):
 def test_every_limit_pin_has_a_reference():
     limits = [c for c in CALLS if c.startswith("homogenize-") and not c.startswith("homogenize-envelope-")]
     assert sorted(limits) == sorted(LIMIT_REFERENCES)
+
+
+@pytest.mark.parametrize("call_id", sorted(MEAN_REFERENCES))
+def test_mean_pin_value_within_oracle_budget(call_id):
+    reference, budget = MEAN_REFERENCES[call_id]
+    code, text = stdout_of(argv_of(call_id))
+    assert code == 0
+    assert oracle.ulps(json.loads(text)["value"], reference) <= budget
+
+
+def test_every_mean_pin_has_a_reference():
+    assert sorted(c for c in CALLS if c.startswith("mean-")) == sorted(MEAN_REFERENCES)
 
 
 if __name__ == "__main__":

@@ -201,6 +201,13 @@ class TestNormalize:
                 assert abs(a - b) <= max(2 * cfg.refine_tol * max(map(abs, s.hull())), 1e-10)
 
 
+@pytest.mark.parametrize("refine_tol", [math.inf, math.nan, -1.0])
+def test_refine_tol_must_be_finite_and_nonnegative(refine_tol):
+    # An infinite tolerance once returned the hull midpoint as the mean.
+    with pytest.raises(ValueError, match="refine_tol must be finite and nonnegative"):
+        SemidevMeanConfig(refine_tol=refine_tol)
+
+
 class TestAdmissionChecks:
     def test_sign_kernel_is_semideviation(self):
         assert check_semideviation(sign_kernel(), REALS).holds

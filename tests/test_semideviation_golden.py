@@ -13,9 +13,9 @@ case checks the change instead of repeating it.  The cases of difference
 kernels with a catalog generator (arithmetic and diff_gen:power:2, power:0,
 exp and cosh) were re-recorded when those means moved to the closed form
 f^-1(sum_i w_i f(x_i) / W); CHANGES.md gives each case's error against
-60-digit references before and after, and
-``test_closed_form_means_within_oracle_budget`` holds them to ulp budgets
-against ``oracle.py``.  Re-recording is only valid together with an argument
+60-digit references before and after.
+``test_recorded_means_within_oracle_budget`` holds every case to a ulp
+budget against ``oracle.py``.  Re-recording is only valid together with an argument
 that the new values are at least as accurate as the recorded ones.
 """
 
@@ -151,29 +151,43 @@ def test_four_means_match_recorded_values(case):
         assert {k.value: repr(v) for k, v in means.items()} == row["means"], row
 
 
-#: Closed-form catalog kernel -> (its generator in ``oracle.GENERATORS``, ulp
+def _qa(generator: str):
+    return lambda row, kind: oracle.qa_mean(row["entries"], row["weights"], generator)
+
+
+def _median(row: dict, kind: str) -> float:
+    # D(y) = W(x_i > y) - W(x_i < y): lower-weak and upper-strict are the
+    # lower weighted median, lower-strict and upper-weak the upper one.
+    lower, upper = oracle.weighted_medians(row["entries"], row["weights"])
+    return lower if kind in (MeanKind.LOWER_WEAK.value, MeanKind.UPPER_STRICT.value) else upper
+
+
+#: Kernel -> (reference of a recorded mean from its row and kind, ulp
 #: budget).  Each budget is the largest error of a recorded mean of any kind
-#: against ``oracle.qa_mean`` when it was set; exp and arithmetic have means
-#: near 0, where an ulp of the reference is small.  A budget is never widened.
+#: against ``oracle.py`` when it was set; exp and arithmetic have means near
+#: 0, where an ulp of the reference is small, and the kernels solved by the
+#: sign scan carry its bisection tolerance, 1e-12 of the hull scale.  A
+#: budget is never widened.
 ORACLE_BUDGETS = {
-    "arithmetic": ("identity", 3),
-    "diff_gen:power:2": ("power:2", 1),
-    "diff_gen:power:0": ("log", 1),
-    "diff_gen:exp": ("exp", 44),
-    "diff_gen:cosh": ("cosh", 2),
+    "sign_dev": (_median, 10_250),
+    "arithmetic": (_qa("identity"), 3),
+    "diff_gen:power:2": (_qa("power:2"), 1),
+    "diff_gen:power:0": (_qa("log"), 1),
+    "diff_gen:exp": (_qa("exp"), 44),
+    "diff_gen:cosh": (_qa("cosh"), 2),
+    "expr:cosh(x) - cosh(y)": (_qa("cosh"), 4_611),
+    # log(x / y) = log x - log y: the geometric mean.
+    "ratio_dev:log": (_qa("log"), 4_243),
+    COSH_SCAN: (_qa("cosh"), 3_372),
 }
 
 
-@pytest.mark.parametrize(
-    "case",
-    [c for c in GOLDEN["cases"] if c["kernel"] in ORACLE_BUDGETS],
-    ids=lambda c: f"{c['kernel']}-{c['seed']}",
-)
-def test_closed_form_means_within_oracle_budget(case):
-    generator, budget = ORACLE_BUDGETS[case["kernel"]]
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: f"{c['kernel']}-{c['seed']}")
+def test_recorded_means_within_oracle_budget(case):
+    reference_of, budget = ORACLE_BUDGETS[case["kernel"]]
     for row in case["samples"]:
-        reference = oracle.qa_mean(row["entries"], row["weights"], generator)
         for kind, value in row["means"].items():
+            reference = reference_of(row, kind)
             assert oracle.ulps(float(value), reference) <= budget, (kind, row, reference)
 
 
