@@ -55,7 +55,6 @@ from .homogenize import (
     LimitEstimate,
     MeanHandle,
     deviation_handle,
-    envelope,
     envelope_pair,
     homogeneous_semidev_mean,
     homogenization_profile,

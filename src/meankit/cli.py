@@ -124,6 +124,13 @@ def _parse_range(ctx: click.Context, param: click.Parameter, text: str | None) -
     return parts[0], parts[1]
 
 
+def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
+    # ``limit_at_zero`` makes the same check, but only once a scan starts.
+    if not 0.0 <= tol < math.inf:
+        raise click.BadParameter(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def _parse_count_range(ctx: click.Context, param: click.Parameter, text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(s) for s in text.split(","))
@@ -326,6 +333,7 @@ def compute_mean(
     "--tol",
     default=LIMIT_TOL,
     show_default=True,
+    callback=_check_tol,
     help="Limit-scan tolerance: the spread of the tail window, and the distance "
     "from an extrapolated limit to the last sampled value.",
 )
@@ -337,6 +345,8 @@ def homogenize(
 ):
     """Estimate scaling limits: generator order, mean homogenization, or
     kernel scale profile."""
+    if method == "envelope" and (target != "mean" or csv_path):
+        raise click.UsageError("--method envelope works only with --target mean and without --csv")
     doc: dict[str, Any] = {"command": "homogenize", "target": target}
     # Each scan target states its scan, header, and extra key and lines; the
     # limit document, table and CSV below are shared.

@@ -2,13 +2,14 @@
 
 Three constructions attach a homogeneous mean to a given one:
 
-* the lower/upper envelopes inf/sup over all admissible scalings t of
-  M(t x, w) / t, the tightest homogeneous means sandwiching M;
-* the local homogenization, the t -> 0 limit of the same ratio (requires the
-  mean's domain to have infimum 0);
-* for deviation kernels, the scale profile h(r) = lim K*(r t, t) / t of the
-  normalized kernel, whose ratio kernel h(x / y) generates the homogeneous
-  counterpart of the kernel's mean.
+* ``envelope_pair``: the lower and upper envelopes, inf/sup over all
+  admissible scalings t of M(t x, w) / t, the tightest homogeneous means
+  sandwiching M, from one shared scan;
+* ``local_homogenization``: the t -> 0 limit of the same ratio (requires
+  the mean's domain to have infimum 0);
+* ``homogenization_profile``: for deviation kernels, the scale profile
+  h(r) = lim K*(r t, t) / t of the normalized kernel, whose ratio kernel
+  h(x / y) generates the homogeneous counterpart of the kernel's mean.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .domain import (
     IntervalDomain,
     MeanKind,
     WeightedSample,
+    float_sample,
     positive_reals,
     sign,
 )
@@ -35,7 +37,7 @@ from .errors import (
     SignPropertyViolated,
 )
 from .expr import Difference, Kernel2, Ratio, ScalarFunction
-from .limits import LIMIT_TOL, LIMIT_WINDOW, LimitEstimate, limit_at_zero, start_scale
+from .limits import LIMIT_TOL, LIMIT_WINDOW, SCAN_FAILURES, LimitEstimate, limit_at_zero, start_scale
 from .semideviation import (
     deviation_mean,
     normalize_kernel,
@@ -51,7 +53,6 @@ __all__ = [
     "translated_power_handle",
     "semideviation_handle",
     "deviation_handle",
-    "envelope",
     "envelope_pair",
     "local_limit",
     "local_homogenization",
@@ -112,25 +113,19 @@ def quasiarithmetic_handle(generator: ScalarFunction) -> MeanHandle:
 def translated_power_handle(
     exponent: float, shift: float, domain: IntervalDomain | None = None
 ) -> MeanHandle:
-    """Power mean of shifted entries, shifted back: entries x -> x + shift.
+    """Power mean of shifted entries, shifted back: P_p(x + shift) - shift.
 
-    Evaluated in closed form (no inversion solver).  Concave in the entries
+    Evaluated by ``power_mean`` (no inversion solver); a shifted entry
+    outside (0, inf) raises EntryOutOfDomain.  Concave in the entries
     whenever exponent <= 1, which makes it the catalog example of a concave
     non-homogeneous mean.
     """
     dom = domain or positive_reals()
+    shifted_domain = positive_reals()
 
     def fn(s: WeightedSample) -> float:
-        total = s.total_weight()
-        if exponent == 0.0:
-            avg = math.fsum(
-                w * math.log(x + shift) for x, w in zip(s.entries, s.weights)
-            )
-            return math.exp(avg / total) - shift
-        avg = math.fsum(
-            w * (x + shift) ** exponent for x, w in zip(s.entries, s.weights)
-        )
-        return (avg / total) ** (1.0 / exponent) - shift
+        shifted = float_sample(tuple([x + shift for x in s.entries]), s.weights, shifted_domain)
+        return power_mean(shifted, exponent) - shift
 
     return MeanHandle(f"translated_power({exponent:g},{shift:g})", dom, fn)
 
@@ -155,7 +150,7 @@ def deviation_handle(kernel: Kernel2) -> MeanHandle:
 def _scaled_ratio(handle: MeanHandle, sample: WeightedSample, t: float) -> float:
     try:
         return handle.fn(sample.scaled(t, handle.domain)) / t
-    except (MeanKitError, OverflowError, ZeroDivisionError):
+    except SCAN_FAILURES:
         return math.nan
 
 
@@ -203,20 +198,6 @@ def _golden_refine(fun: Callable[[float], float], a: float, b: float) -> float:
     return best
 
 
-def _envelope_scan(handle: MeanHandle, sample: WeightedSample) -> tuple[list[float], list[float]]:
-    """Scales t and values M(t x, w) / t of the shared envelope grid."""
-    t_lo, t_hi = _admissible_scales(handle, sample)
-    log_lo, log_hi = math.log(t_lo), math.log(t_hi)
-    ts = [math.exp(log_lo + j * (log_hi - log_lo) / (ENVELOPE_GRID - 1)) for j in range(ENVELOPE_GRID)]
-    if t_lo <= 1.0 <= t_hi:
-        ts.append(1.0)
-    ts.sort()
-    values = [_scaled_ratio(handle, sample, t) for t in ts]
-    if all(math.isnan(v) for v in values):
-        raise AllEvaluationsFailed("scaled mean ratio failed at every sampled scale")
-    return ts, values
-
-
 def _envelope_refine(
     handle: MeanHandle,
     sample: WeightedSample,
@@ -244,28 +225,23 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
     (t = 1 is always included, so the defining inequalities lower <= M(x, w)
     <= upper hold numerically) and refines each extremum by golden section.
     The scan assumes a profile without needle-thin basins; the grid density
-    is the guard against missing one.
+    is the guard against missing one.  An error in ``SCAN_FAILURES`` at a
+    scale makes that value NaN, and a grid without a finite value raises
+    AllEvaluationsFailed.
     """
-    ts, values = _envelope_scan(handle, sample)
+    t_lo, t_hi = _admissible_scales(handle, sample)
+    log_lo, log_hi = math.log(t_lo), math.log(t_hi)
+    ts = [math.exp(log_lo + j * (log_hi - log_lo) / (ENVELOPE_GRID - 1)) for j in range(ENVELOPE_GRID)]
+    if t_lo <= 1.0 <= t_hi:
+        ts.append(1.0)
+    ts.sort()
+    values = [_scaled_ratio(handle, sample, t) for t in ts]
+    if all(math.isnan(v) for v in values):
+        raise AllEvaluationsFailed("scaled mean ratio failed at every sampled scale")
     return (
         _envelope_refine(handle, sample, ts, values, 1.0),
         _envelope_refine(handle, sample, ts, values, -1.0),
     )
-
-
-def envelope(
-    handle: MeanHandle, sample: WeightedSample, which: Literal["lower", "upper"]
-) -> float:
-    """Lower or upper homogeneous envelope estimate: the matching element of
-    ``envelope_pair``, without refining the other extremum."""
-    if which == "lower":
-        direction = 1.0
-    elif which == "upper":
-        direction = -1.0
-    else:
-        raise ValueError("which must be 'lower' or 'upper'")
-    ts, values = _envelope_scan(handle, sample)
-    return _envelope_refine(handle, sample, ts, values, direction)
 
 
 # --- local homogenization ------------------------------------------------------------

@@ -106,8 +106,9 @@ _ROUNDING = 4.0 * 2.0**-52
 #: Factors placing the off-grid scales inside the last octave (t_k, 2 t_k).
 _OFF_GRID = (2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
 
-#: Errors of g that make its value NaN instead of ending the scan.
-_FAILURES = (MeanKitError, OverflowError, ZeroDivisionError)
+#: Errors of g that make its value NaN instead of ending the scan; the
+#: envelope scan (``homogenize.envelope_pair``) applies the same rule.
+SCAN_FAILURES = (MeanKitError, OverflowError, ZeroDivisionError)
 
 
 def limit_at_zero(
@@ -151,7 +152,7 @@ def limit_at_zero(
         nonlocal first_failure
         try:
             return float(g(t))
-        except _FAILURES as exc:
+        except SCAN_FAILURES as exc:
             if first_failure is None:
                 first_failure = exc
             return math.nan

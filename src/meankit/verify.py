@@ -385,6 +385,12 @@ def verify_comparison(
 # --- concavity suite ----------------------------------------------------------------------
 
 
+def _midpoint_sides(kernel: Kernel2, x: float, y: float, u: float, v: float) -> tuple[float, float]:
+    """The two sides of midpoint concavity of ``kernel`` at (x, u) and (y, v):
+    K((x + y)/2, (u + v)/2) and (K(x, u) + K(y, v))/2."""
+    return kernel.fn(0.5 * (x + y), 0.5 * (u + v)), 0.5 * (kernel.fn(x, u) + kernel.fn(y, v))
+
+
 def _midpoint_concave_on_box(kernel: Kernel2, lo: float, hi: float) -> bool:
     """Midpoint concavity of ``kernel`` on a 6-point grid of [lo, hi]^2."""
     pts = [lo + j * (hi - lo) / 5 for j in range(6)]
@@ -392,8 +398,7 @@ def _midpoint_concave_on_box(kernel: Kernel2, lo: float, hi: float) -> bool:
         for u in pts:
             for y in pts:
                 for v in pts:
-                    lhs = kernel.fn(0.5 * (x + y), 0.5 * (u + v))
-                    rhs = 0.5 * (kernel.fn(x, u) + kernel.fn(y, v))
+                    lhs, rhs = _midpoint_sides(kernel, x, y, u, v)
                     if lhs < rhs - KERNEL_TOL:
                         return False
     return True
@@ -420,8 +425,7 @@ def verify_jensen(kernel: Kernel2, plan: SamplePlan) -> Report:
     for _ in range(max(plan.n_samples, 100)):
         x, y = quad_rng.uniform(lo, hi), quad_rng.uniform(lo, hi)
         u, v = quad_rng.uniform(lo, hi), quad_rng.uniform(lo, hi)
-        lhs = star.fn(0.5 * (x + y), 0.5 * (u + v))
-        rhs = 0.5 * (star.fn(x, u) + star.fn(y, v))
+        lhs, rhs = _midpoint_sides(star, x, y, u, v)
         kernel_face.record(
             lhs >= rhs - KERNEL_TOL,
             lambda: {"x": x, "y": y, "u": u, "v": v, "lhs": lhs, "rhs": rhs},
@@ -577,8 +581,7 @@ def verify_cei(kernel: Kernel2, plan: SamplePlan) -> Report:
     for _ in range(200):
         x, y = probe_rng.uniform(lo, hi), probe_rng.uniform(lo, hi)
         u, v = probe_rng.uniform(lo, hi), probe_rng.uniform(lo, hi)
-        lhs = star.fn(0.5 * (x + y), 0.5 * (u + v))
-        rhs = 0.5 * (star.fn(x, u) + star.fn(y, v))
+        lhs, rhs = _midpoint_sides(star, x, y, u, v)
         if lhs < rhs - KERNEL_TOL:
             return _inconclusive(
                 "cei",

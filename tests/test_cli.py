@@ -115,8 +115,13 @@ def test_homogenize_scan_that_turns_nan_stops_as_runaway(capsys):
         ("homogenize", "--target", "mean", "--mean", "power", "--p", "2", "--x", "1,2", "--w", "1,1", "--tol"),
         ("compute", "mean", "--kind", "deviation", "--kernel", "expr:x^3-y^3", "--x", "1,2,4", "--w", "1,1,1",
          "--refine-tol"),
+        # Refused before normalization, which fails for sign_dev (exit 3).
+        ("homogenize", "--target", "kernel", "--kernel", "sign_dev", "--domain", "0,inf", "--ratio", "2", "--tol"),
+        # Envelopes run no limit scan, yet the flag is still checked.
+        ("homogenize", "--target", "mean", "--method", "envelope", "--mean", "qa", "--generator", "log",
+         "--x", "1,2", "--w", "1,1", "--tol"),
     ],
-    ids=["qa", "kernel", "mean", "refine-tol"],
+    ids=["qa", "kernel", "mean", "refine-tol", "kernel-not-normalizable", "envelope"],
 )
 def test_tolerance_not_finite_or_negative_exits_2(argv, tol, capsys):
     # An infinite tol once made any window "converged" (power_order 1.34 for
@@ -124,6 +129,46 @@ def test_tolerance_not_finite_or_negative_exits_2(argv, tol, capsys):
     code, out, err = run_cli(capsys, *argv, tol)
     assert (code, out) == (2, "")
     assert "must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--target", "mean", "--mean", "power", "--p", "2", "--x", "1,2", "--w", "1,1", "--csv", "-"),
+        ("--target", "qa", "--generator", "cosh"),
+        ("--target", "kernel", "--kernel", "diff_gen:cosh", "--ratio", "2"),
+    ],
+    ids=["csv", "qa", "kernel"],
+)
+def test_homogenize_envelope_refuses_flags_it_would_ignore(argv, capsys):
+    # Envelopes have no t,value table, and only --target mean has envelopes;
+    # these calls once wrote no table or ran the local scan instead.
+    code, out, err = run_cli(capsys, "homogenize", "--method", "envelope", *argv)
+    assert (code, out) == (2, "")
+    assert "--method envelope" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, exact, refine_tols",
+    [
+        (("--kind", "deviation", "--kernel", "expr:x^3-y^3"), ("--refine-tol", "0.01"), (73 / 3) ** (1 / 3),
+         (1e-12, 0.01)),
+        (("--kind", "semidev", "--kernel", "sign_dev", "--semidev-kind", "upper-weak"), ("--grid", "2"), 2.0,
+         (1e-12, 1e-12)),
+    ],
+    ids=["refine-tol", "grid"],
+)
+def test_compute_mean_solver_flags_reach_the_solver(argv, flag, exact, refine_tols, capsys):
+    # The root of x^3 - y^3 on 1, 2, 4 is (73/3)^(1/3); the upper-weak
+    # median is 2.  Bisection stops within refine_tol * max|hull| of it.
+    values = []
+    for extra in ((), flag):
+        code, out, _ = run_cli(capsys, "compute", "mean", *argv, "--x", "1,2,4", "--w", "1,1,1", *extra)
+        assert code == 0
+        values.append(float(out.splitlines()[-1]))
+    assert values[0] != values[1]
+    for value, refine_tol in zip(values, refine_tols):
+        assert abs(value - exact) <= refine_tol * 4.0
 
 
 def test_homogenize_qa_scan_keeps_failed_scales_as_nan_rows(capsys):
