@@ -25,7 +25,7 @@ from .classic_means import (
     qa_local_homogenization,
     quasiarithmetic_mean,
 )
-from .domain import IntervalDomain, MeanKind, make_weighted_sample, positive_reals
+from .domain import IntervalDomain, MeanKind, check_tolerance, make_weighted_sample, positive_reals
 from .errors import MeanKitError
 from .expr import (
     Kernel2,
@@ -126,9 +126,10 @@ def _parse_range(ctx: click.Context, param: click.Parameter, text: str | None) -
 
 def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
     # ``limit_at_zero`` makes the same check, but only once a scan starts.
-    if not 0.0 <= tol < math.inf:
-        raise click.BadParameter(f"tol must be finite and nonnegative, got {tol!r}")
-    return tol
+    try:
+        return check_tolerance("tol", tol)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _parse_count_range(ctx: click.Context, param: click.Parameter, text: str) -> tuple[int, int]:

@@ -29,6 +29,14 @@ def endpoint_margin(value: float) -> float:
     return ENDPOINT_MARGIN * max(1.0, abs(value))
 
 
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` when 0 <= value < inf; otherwise ValueError, naming the
+    tolerance ``name``."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def sign(v: float) -> int:
     """Sign with sign(0) = 0."""
     return (v > 0.0) - (v < 0.0)
@@ -38,8 +46,8 @@ def sign(v: float) -> int:
 class IntervalDomain:
     """An open real interval (lo, hi); endpoints may be infinite."""
 
-    lo: float = 0.0
-    hi: float = math.inf
+    lo: float
+    hi: float
 
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi):

@@ -57,10 +57,6 @@ class StencilOutsideDomain(MeanKitError):
     pass
 
 
-class DerivativeMismatch(MeanKitError):
-    """Supplied analytic derivative disagrees with central differences."""
-
-
 # --- classical means --------------------------------------------------------
 
 class NonPositiveEntry(MeanKitError):

@@ -18,11 +18,14 @@ turn it into a plausible number (max(1, nan) = 1, nan ^ 0 = 1).
 
 A function handle compiles its expression, when it is built, into the source
 of one straight-line Python function, and its ``fn`` is that function; free
-variables other than the handle's own are rejected then.  Compiled functions
-are memoized by text and variables, and ``evaluate`` memoizes by AST and
-binding names; it raises ``UnboundVariable`` only when evaluation reaches a
-name missing from its bindings.  Text nested deeper than ``MAX_DEPTH``, and
-an AST handed to ``evaluate`` taller than it, raise ``ExprSyntaxError``.
+variables other than the handle's own are rejected then.  A generator's
+variable is x, a kernel's x and y, and the handle's default name is its text;
+its derivatives come from central differences (``numeric_derivative``).
+Compiled functions are memoized by text and variables.  ``evaluate``
+compiles its AST afresh on each call and raises ``UnboundVariable`` only
+when evaluation reaches a name missing from its bindings.  Text nested
+deeper than ``MAX_DEPTH``, and an AST handed to ``evaluate`` taller than it,
+raise ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from dataclasses import dataclass, replace
 from string import Template
 from typing import Callable, Mapping, Union
 
-from .domain import IntervalDomain, all_reals, positive_reals, probe_points, sign
+from .domain import IntervalDomain, all_reals, positive_reals, sign
 from .errors import (
-    DerivativeMismatch,
     DomainError,
     ExprSyntaxError,
     NonFinite,
@@ -531,19 +533,6 @@ def _function(node: ExprAst, variables: tuple[str, ...]) -> Callable[..., float]
     return namespace["expression"]
 
 
-# Functions kept by each memo.  Compiling one (an exec of its source) costs
-# more than a short CLI call spends evaluating it, so a process that runs many
-# calls compiles each distinct spec once.
-_MEMO_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _evaluator(node: ExprAst, names: tuple[str, ...], spelled: str) -> Callable[..., float]:
-    # ``spelled`` is repr(node): it keeps apart ASTs that compare equal but
-    # evaluate differently, such as Num(0.0) and Num(-0.0), or Num(1) and Num(1.0).
-    return _function(node, names)
-
-
 def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST; raises instead of returning inf or NaN.  A variable
     missing from ``bindings`` raises ``UnboundVariable`` when it is reached;
@@ -553,7 +542,7 @@ def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
         level = [child for n in level for child in _children(n)]
     if level:
         raise _too_deep(0)
-    return _evaluator(node, tuple(bindings), repr(node))(*bindings.values())
+    return _function(node, tuple(bindings))(*bindings.values())
 
 
 # --- numeric differentiation ----------------------------------------------------
@@ -602,11 +591,15 @@ def numeric_derivative(
 class ScalarFunction:
     """One-variable function with optional analytic first/second derivatives.
 
+    Only the catalog constructors set ``deriv1`` and ``deriv2``; without
+    them ``derivative`` takes central differences (``numeric_derivative``),
+    as it does for every function built from expression text, whose name is
+    that text.
+
     ``inverse`` is a catalog promise: the inverse function of ``fn`` on its
     range, which quasiarithmetic and difference-kernel means then apply in
     closed form instead of bisecting.  Without it, consumers that need
-    monotonicity probe it on a grid themselves.  A function built from
-    expression text keeps that text only as its default ``name``.
+    monotonicity probe it on a grid themselves.
 
     ``local_order`` is a catalog promise too: the local power order q at 0+,
     that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
@@ -641,31 +634,16 @@ class ScalarFunction:
         return replace(self, domain=domain)
 
 
-def _check_derivative_agreement(
-    fn: Callable[[float], float],
-    analytic: Callable[[float], float],
-    domain: IntervalDomain,
-    order: int,
-    what: str,
-) -> None:
-    # Relative 1e-5 agreement with central differences on a probe grid;
-    # ``what`` names the derivative in the error.
-    for x in probe_points(domain, 9):
-        try:
-            numeric = numeric_derivative(fn, x, order, domain)
-            exact = analytic(x)
-        except StencilOutsideDomain:
-            continue
-        if abs(exact - numeric) > 1e-5 * max(1.0, abs(exact)):
-            raise DerivativeMismatch(f"{what} at {x}: analytic {exact}, numeric {numeric}")
+# Functions kept by the memo.  Compiling one (an exec of its source) costs
+# more than a short CLI call spends evaluating it, so a process that runs many
+# calls compiles each distinct spec once.
+_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _compile(text: str | None, variables: tuple[str, ...]) -> Callable[..., float] | None:
-    """Parse ``text`` into a function of ``variables``, passed positionally;
-    None for None.  Free variables outside ``variables`` are rejected."""
-    if text is None:
-        return None
+def _compile(text: str, variables: tuple[str, ...]) -> Callable[..., float]:
+    """Parse ``text`` into a function of ``variables``, passed positionally.
+    Free variables outside ``variables`` are rejected."""
     ast = parse(text)
     extra = free_variables(ast) - set(variables)
     if extra:
@@ -673,29 +651,9 @@ def _compile(text: str | None, variables: tuple[str, ...]) -> Callable[..., floa
     return _function(ast, variables)
 
 
-def scalar_from_expression(
-    source: str,
-    domain: IntervalDomain,
-    *,
-    name: str | None = None,
-    deriv1_source: str | None = None,
-    deriv2_source: str | None = None,
-    variable: str = "x",
-) -> ScalarFunction:
-    """Build a one-variable function from expression text.
-
-    Analytic derivative expressions, when supplied, are validated against
-    central differences at construction.
-    """
-    fn = _compile(source, (variable,))
-    d1 = _compile(deriv1_source, (variable,))
-    d2 = _compile(deriv2_source, (variable,))
-    label = name or source
-    if d1 is not None:
-        _check_derivative_agreement(fn, d1, domain, 1, f"{label}: order-1 derivative")
-    if d2 is not None:
-        _check_derivative_agreement(fn, d2, domain, 2, f"{label}: order-2 derivative")
-    return ScalarFunction(label, fn, domain, d1, d2)
+def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
+    """Build a function of x, named by its text, from expression text."""
+    return ScalarFunction(source, _compile(source, ("x",)), domain)
 
 
 # --- two-variable kernel handle -----------------------------------------------------
@@ -756,8 +714,9 @@ class Kernel2:
             return self.deriv2(x, y)
         return numeric_derivative(lambda v: self.fn(x, v), y, 1, self.domain_y)
 
-    def with_domains(self, domain_x: IntervalDomain, domain_y: IntervalDomain | None = None) -> "Kernel2":
-        return replace(self, domain_x=domain_x, domain_y=domain_y or domain_x)
+    def with_domains(self, domain: IntervalDomain) -> "Kernel2":
+        """The same kernel with ``domain`` for both arguments."""
+        return replace(self, domain_x=domain, domain_y=domain)
 
 
 def kernel_from_expression(
@@ -766,24 +725,10 @@ def kernel_from_expression(
     domain_y: IntervalDomain | None = None,
     *,
     name: str | None = None,
-    deriv1_source: str | None = None,
-    deriv2_source: str | None = None,
 ) -> Kernel2:
-    """Build a kernel in variables (x, y) from expression text."""
-    domain_y = domain_y or domain_x
-    fn = _compile(source, ("x", "y"))
-    d1 = _compile(deriv1_source, ("x", "y"))
-    d2 = _compile(deriv2_source, ("x", "y"))
-    label = name or source
-    if d1 is not None:
-        probe_y = probe_points(domain_y, 3)[1]
-        what = f"{label}: partial derivative in x (y = {probe_y})"
-        _check_derivative_agreement(lambda x: fn(x, probe_y), lambda x: d1(x, probe_y), domain_x, 1, what)
-    if d2 is not None:
-        probe_x = probe_points(domain_x, 3)[1]
-        what = f"{label}: partial derivative in y (x = {probe_x})"
-        _check_derivative_agreement(lambda y: fn(probe_x, y), lambda y: d2(probe_x, y), domain_y, 1, what)
-    return Kernel2(label, fn, domain_x, domain_y, d1, d2)
+    """Build a kernel in variables (x, y) from expression text, named by
+    ``name`` or else by its text."""
+    return Kernel2(name or source, _compile(source, ("x", "y")), domain_x, domain_y or domain_x)
 
 
 # --- built-in catalog -----------------------------------------------------------------

@@ -30,14 +30,13 @@ from .domain import (
 )
 from .errors import (
     EmptyAdmissibleSet,
-    AllEvaluationsFailed,
     MeanKitError,
     NonFinite,
     NotConverged,
     SignPropertyViolated,
 )
 from .expr import Difference, Kernel2, Ratio, ScalarFunction
-from .limits import LIMIT_TOL, LIMIT_WINDOW, SCAN_FAILURES, LimitEstimate, limit_at_zero, start_scale
+from .limits import LIMIT_TOL, LIMIT_WINDOW, FailureRule, LimitEstimate, limit_at_zero, start_scale
 from .semideviation import (
     deviation_mean,
     normalize_kernel,
@@ -110,21 +109,18 @@ def quasiarithmetic_handle(generator: ScalarFunction) -> MeanHandle:
     )
 
 
-def translated_power_handle(
-    exponent: float, shift: float, domain: IntervalDomain | None = None
-) -> MeanHandle:
+def translated_power_handle(exponent: float, shift: float) -> MeanHandle:
     """Power mean of shifted entries, shifted back: P_p(x + shift) - shift.
 
     Evaluated by ``power_mean`` (no inversion solver); a shifted entry
     outside (0, inf) raises EntryOutOfDomain.  Concave in the entries
     whenever exponent <= 1, which makes it the catalog example of a concave
-    non-homogeneous mean.
+    non-homogeneous mean.  Its domain is the positive half-line.
     """
-    dom = domain or positive_reals()
-    shifted_domain = positive_reals()
+    dom = positive_reals()
 
     def fn(s: WeightedSample) -> float:
-        shifted = float_sample(tuple([x + shift for x in s.entries]), s.weights, shifted_domain)
+        shifted = float_sample(tuple([x + shift for x in s.entries]), s.weights, dom)
         return power_mean(shifted, exponent) - shift
 
     return MeanHandle(f"translated_power({exponent:g},{shift:g})", dom, fn)
@@ -145,13 +141,6 @@ def deviation_handle(kernel: Kernel2) -> MeanHandle:
 
 
 # --- envelopes ------------------------------------------------------------------------
-
-
-def _scaled_ratio(handle: MeanHandle, sample: WeightedSample, t: float) -> float:
-    try:
-        return handle.fn(sample.scaled(t, handle.domain)) / t
-    except SCAN_FAILURES:
-        return math.nan
 
 
 def _admissible_scales(handle: MeanHandle, sample: WeightedSample) -> tuple[float, float]:
@@ -199,19 +188,18 @@ def _golden_refine(fun: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _envelope_refine(
-    handle: MeanHandle,
-    sample: WeightedSample,
+    ratio: Callable[[float], float],
     ts: list[float],
     values: list[float],
     direction: float,
 ) -> float:
     """Golden-section refinement of the scanned minimum (direction +1) or
-    maximum (direction -1)."""
+    maximum (direction -1) of ``ratio``, which gives ``values`` at ``ts``."""
     keyed = [direction * v if not math.isnan(v) else math.inf for v in values]
     best_idx = min(range(len(ts)), key=keyed.__getitem__)
     lo_idx, hi_idx = max(best_idx - 1, 0), min(best_idx + 1, len(ts) - 1)
     refined = _golden_refine(
-        lambda u: direction * _scaled_ratio(handle, sample, math.exp(u)),
+        lambda u: direction * ratio(math.exp(u)),
         math.log(ts[lo_idx]),
         math.log(ts[hi_idx]),
     )
@@ -225,9 +213,10 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
     (t = 1 is always included, so the defining inequalities lower <= M(x, w)
     <= upper hold numerically) and refines each extremum by golden section.
     The scan assumes a profile without needle-thin basins; the grid density
-    is the guard against missing one.  An error in ``SCAN_FAILURES`` at a
+    is the guard against missing one.  The scan follows the limit scans'
+    failure rule (``limits.FailureRule``): an error in ``SCAN_FAILURES`` at a
     scale makes that value NaN, and a grid without a finite value raises
-    AllEvaluationsFailed.
+    AllEvaluationsFailed, naming the first failure.
     """
     t_lo, t_hi = _admissible_scales(handle, sample)
     log_lo, log_hi = math.log(t_lo), math.log(t_hi)
@@ -235,12 +224,13 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
     if t_lo <= 1.0 <= t_hi:
         ts.append(1.0)
     ts.sort()
-    values = [_scaled_ratio(handle, sample, t) for t in ts]
+    rule = FailureRule(lambda t: handle.fn(sample.scaled(t, handle.domain)) / t)
+    values = [rule.value(t) for t in ts]
     if all(math.isnan(v) for v in values):
-        raise AllEvaluationsFailed("scaled mean ratio failed at every sampled scale")
+        rule.all_failed("scaled mean ratio failed at every sampled scale")
     return (
-        _envelope_refine(handle, sample, ts, values, 1.0),
-        _envelope_refine(handle, sample, ts, values, -1.0),
+        _envelope_refine(rule.value, ts, values, 1.0),
+        _envelope_refine(rule.value, ts, values, -1.0),
     )
 
 

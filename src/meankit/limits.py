@@ -28,22 +28,22 @@ gracefully instead of descending into noise.  The (t, value) table of the
 grid samples is always retained for inspection; off-grid values are not in
 it.
 
-Every scan shares one failure rule: a MeanKitError, OverflowError or
-ZeroDivisionError raised by g, on the grid or off it, makes that value NaN;
-when no grid value is finite the scan raises AllEvaluationsFailed, naming
-the first failure.  Each entry point only states its g and its reach (the
-largest multiple of t at which g evaluates), from which ``start_scale``
-picks t0 on a domain with infimum 0.  The tolerance must satisfy
-0 <= tol < inf.
+Every scan shares one failure rule (``FailureRule``): a MeanKitError,
+OverflowError or ZeroDivisionError raised by g, on the grid or off it, makes
+that value NaN; when no grid value is finite the scan raises
+AllEvaluationsFailed, naming the first failure.  Each entry point only
+states its g and its reach (the largest multiple of t at which g
+evaluates), from which ``start_scale`` picks t0 on a domain with infimum 0.
+The tolerance must satisfy 0 <= tol < inf (``domain.check_tolerance``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NoReturn
 
-from .domain import IntervalDomain
+from .domain import IntervalDomain, check_tolerance
 from .errors import AllEvaluationsFailed, MeanKitError
 
 UNDERFLOW_FLOOR = 1e-300
@@ -111,6 +111,31 @@ _OFF_GRID = (2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
 SCAN_FAILURES = (MeanKitError, OverflowError, ZeroDivisionError)
 
 
+class FailureRule:
+    """The failure rule of every scan over g: ``value(t)`` is float(g(t)),
+    or NaN when g raises one of SCAN_FAILURES, the first of which it keeps;
+    ``all_failed`` then raises AllEvaluationsFailed naming that first
+    failure, chained as its cause."""
+
+    def __init__(self, g: Callable[[float], float]):
+        self.g = g
+        self.first: BaseException | None = None
+
+    def value(self, t: float) -> float:
+        try:
+            return float(self.g(t))
+        except SCAN_FAILURES as exc:
+            if self.first is None:
+                self.first = exc
+            return math.nan
+
+    def all_failed(self, message: str) -> NoReturn:
+        first = self.first
+        if first is not None:
+            message += f"; first failure: {type(first).__name__}: {first}"
+        raise AllEvaluationsFailed(message) from first
+
+
 def limit_at_zero(
     g: Callable[[float], float],
     t0: float,
@@ -144,18 +169,9 @@ def limit_at_zero(
         raise ValueError("t0 must be positive")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    first_failure: BaseException | None = None
-
-    def value(t: float) -> float:
-        nonlocal first_failure
-        try:
-            return float(g(t))
-        except SCAN_FAILURES as exc:
-            if first_failure is None:
-                first_failure = exc
-            return math.nan
+    check_tolerance("tol", tol)
+    rule = FailureRule(g)
+    value = rule.value
 
     pairs: list[tuple[float, float]] = []
     finite: list[float] = []
@@ -235,10 +251,7 @@ def limit_at_zero(
                 runaway = 0
         g1, g2, prev_ratio = v, g1, ratio
     if not finite:
-        message = f"no finite value of g on ({pairs[-1][0] if pairs else t0}, {t0}]"
-        if first_failure is not None:
-            message += f"; first failure: {type(first_failure).__name__}: {first_failure}"
-        raise AllEvaluationsFailed(message) from first_failure
+        rule.all_failed(f"no finite value of g on ({pairs[-1][0] if pairs else t0}, {t0}]")
     if tail is None:
         tail = best[1] if best is not None else tuple(finite)
     return LimitEstimate(

@@ -56,6 +56,7 @@ from .domain import (
     IntervalDomain,
     MeanKind,
     WeightedSample,
+    check_tolerance,
     probe_points,
     sign,
 )
@@ -80,11 +81,17 @@ class SemidevMeanConfig:
     def __post_init__(self):
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if not 0.0 <= self.refine_tol < math.inf:
-            raise ValueError(f"refine_tol must be finite and nonnegative, got {self.refine_tol!r}")
+        check_tolerance("refine_tol", self.refine_tol)
 
 
 DEFAULT_CONFIG = SemidevMeanConfig()
+
+#: A zero set of the deviation sum at most this many ulps of the hull's
+#: magnitude wide is what float rounding makes of a single root (sqrt(x) -
+#: sqrt(y) on 9, 25 vanishes at 16 and the next float), so ``deviation_mean``
+#: does not call it a plateau, whatever ``refine_tol`` asks; the default
+#: refine_tol is at least 4,503 ulps.
+PLATEAU_ULPS = 256
 
 
 _KERNEL_ERRORS = (MeanKitError, ValueError, OverflowError, ZeroDivisionError)
@@ -299,6 +306,14 @@ def deviation_mean(
     sign-change means coincide with this root.  Raises NoSignChange when the
     sum has the wrong sign at a hull end or is zero at both, which signals
     that the admission assumption broke down numerically.
+
+    Bisection finds the left end of the sum's zero set (D > 0 to its left,
+    a NaN counting as positive).  When a midpoint's D is exactly 0, a second
+    bisection from there finds the right end, and when the two ends lie
+    farther apart than the tolerance plus PLATEAU_ULPS ulps of the hull's
+    magnitude, D is 0 on a whole interval with no unique root in it:
+    AmbiguousClassification, instead of a plausible number (``sign_dev`` on
+    1, 2 with equal weights).  A root of D at a hull end is returned exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
@@ -314,8 +329,25 @@ def deviation_mean(
         return lo
     if at_hi == 0.0:
         return hi
-    tol = cfg.refine_tol * max(abs(lo), abs(hi))
-    return bisect(lo, hi, lambda y: not dsum(y) <= 0.0, tol)
+    scale = max(abs(lo), abs(hi))
+    tol = cfg.refine_tol * scale
+    zeros: list[float] = []
+
+    def positive(y: float) -> bool:
+        value = dsum(y)
+        if value == 0.0:
+            zeros.append(y)
+        return not value <= 0.0
+
+    root = bisect(lo, hi, positive, tol)
+    if zeros:
+        right = bisect(max(zeros), hi, lambda y: not dsum(y) < 0.0, tol)
+        if right - root > tol + PLATEAU_ULPS * math.ulp(scale):
+            raise AmbiguousClassification(
+                f"deviation sum of {kernel.name} vanishes on [{root!r}, {right!r}], "
+                "so its root is not unique"
+            )
+    return root
 
 
 # --- normalization ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,24 @@ def test_compute_deviation_mean(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "entries, weights, printed",
+    [("1,2", "1,1", None), ("1,2", "0,1", "2.0"), ("1,2,3", "1,1,1", "1.9999999999990905")],
+    ids=["plateau", "root-at-hull-end", "isolated-root"],
+)
+def test_deviation_mean_refuses_a_zero_plateau(entries, weights, printed, capsys):
+    # Every y in (1, 2) is a root of sign(1 - y) + sign(2 - y).
+    code, out, err = run_cli(
+        capsys, "compute", "mean", "--kind", "deviation", "--kernel", "sign_dev", "--x", entries, "--w", weights,
+    )
+    if printed is None:
+        assert (code, out) == (3, "")
+        assert err.startswith("error: AmbiguousClassification: deviation sum of sign_dev vanishes on [")
+    else:
+        assert code == 0
+        assert out.splitlines()[-1] == printed
 
 
 def test_compute_qa_with_expression_generator(capsys):
@@ -187,24 +206,51 @@ def test_homogenize_qa_scan_keeps_failed_scales_as_nan_rows(capsys):
     assert doc["estimate"] == pytest.approx(1.0, abs=1e-9)
 
 
+_NO_LIMIT = "error: AllEvaluationsFailed: no finite value of g on ("
+_NO_ENVELOPE = "error: AllEvaluationsFailed: scaled mean ratio failed at every sampled scale; "
+
+
 @pytest.mark.parametrize(
-    "argv, first_failure",
+    "argv, prefix, first_failure",
     [
         (
             ("--target", "qa", "--generator", "expr:5+0*x"),
+            _NO_LIMIT,
             "VanishingFirstDerivative: first derivative of 5+0*x vanishes at 1.0",
         ),
         (
             ("--target", "mean", "--mean", "semidev", "--kernel", "expr:y-x", "--x", "1,2", "--w", "1,1"),
+            _NO_LIMIT,
             "NoSignChange: deviation sum has signs (-1, 1) at the hull ends",
         ),
+        (
+            ("--target", "mean", "--method", "envelope", "--mean", "qa", "--generator", "expr:5+0*x",
+             "--x", "1,2", "--w", "1,1"),
+            _NO_ENVELOPE,
+            "GeneratorNotMonotone: 5+0*x is not strictly monotone on [1.0, 2.0]",
+        ),
+        (
+            ("--target", "mean", "--method", "envelope", "--mean", "deviation", "--kernel", "sign_dev",
+             "--x", "1,2", "--w", "1,1"),
+            _NO_ENVELOPE,
+            re.compile(
+                r"AmbiguousClassification: deviation sum of sign_dev vanishes on "
+                r"\[1\.0000000000\d+, 1\.9999999999\d+\], so its root is not unique"
+            ),
+        ),
     ],
+    ids=["qa", "semidev", "envelope-qa", "envelope-deviation"],
 )
-def test_scan_without_a_finite_value_names_its_first_failure(argv, first_failure, capsys):
+def test_scan_without_a_finite_value_names_its_first_failure(argv, prefix, first_failure, capsys):
     code, out, err = run_cli(capsys, "homogenize", *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("error: AllEvaluationsFailed: no finite value of g on (")
-    assert err.rstrip().endswith(f"; first failure: {first_failure}")
+    head, sep, tail = err.rstrip().partition("; first failure: ")
+    assert sep and (head + sep).startswith(prefix)
+    # A string is the whole rest of the message; a pattern must match all of it.
+    if isinstance(first_failure, str):
+        assert tail == first_failure
+    else:
+        assert first_failure.fullmatch(tail)
 
 
 def test_homogenize_mean_table(capsys):

@@ -13,7 +13,7 @@ from meankit import (
     positive_reals,
     shuffle_merge,
 )
-from meankit.domain import probe_points
+from meankit.domain import check_tolerance, probe_points
 from meankit.errors import (
     AllWeightsZero,
     EntryOutOfDomain,
@@ -98,6 +98,20 @@ def test_interval_rejects_empty_or_nan():
         IntervalDomain(2, 1)
     with pytest.raises(ValueError):
         IntervalDomain(math.nan, 1)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1e-300, 1e-6, 1e300])
+def test_tolerance_rule_passes_finite_nonnegative_values(value):
+    assert check_tolerance("tol", value) is value
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, -1e-300])
+def test_tolerance_rule_names_the_tolerance(value):
+    # limit_at_zero, SemidevMeanConfig and the CLI's --tol word their
+    # refusals through this one rule.
+    with pytest.raises(ValueError) as err:
+        check_tolerance("refine_tol", value)
+    assert str(err.value) == f"refine_tol must be finite and nonnegative, got {value!r}"
 
 
 def test_shuffle_merge_interleaves():

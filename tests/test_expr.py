@@ -20,7 +20,6 @@ from meankit import (
 )
 from meankit.domain import all_reals, open_interval, positive_reals, probe_points, sign
 from meankit.errors import (
-    DerivativeMismatch,
     DomainError,
     ExprSyntaxError,
     NonFinite,
@@ -247,7 +246,7 @@ def test_compiled_handles_match_the_tree_walker():
     for variables, build in (
         (("x",), lambda text: scalar_from_expression(text, all_reals()).fn),
         (("x", "y"), lambda text: kernel_from_expression(text, all_reals()).fn),
-        (("exc",), lambda text: scalar_from_expression(text, all_reals(), variable="exc").fn),
+        (("exc",), lambda text: lambda value: evaluate(parse(text), {"exc": value})),
     ):
         for _ in range(1500):
             ast = _random_ast(rng, rng.randint(0, 5), variables)
@@ -301,13 +300,15 @@ _LITERAL_TEXTS = (
 def test_literals_and_names_match_the_tree_walker(text, variable):
     source = text.format(v=variable)
     ast = parse(source)
-    scalar = scalar_from_expression(source, all_reals(), variable=variable).fn
+    scalar_source = text.format(v="x")
+    scalar = scalar_from_expression(scalar_source, all_reals()).fn
     kernel_source = text.format(v="(x - y)")
     kernel = kernel_from_expression(kernel_source, all_reals()).fn
     for value in _BINDING_POOL:
         want = _outcome(_reference_evaluate, ast, {variable: value})
-        assert _outcome(scalar, value) == want, (source, value)
         assert _outcome(evaluate, ast, {variable: value}) == want, (source, value)
+        want = _outcome(_reference_evaluate, parse(scalar_source), {"x": value})
+        assert _outcome(scalar, value) == want, (scalar_source, value)
         want = _outcome(_reference_evaluate, parse(kernel_source), {"x": value, "y": 0.5})
         assert _outcome(kernel, value, 0.5) == want, (kernel_source, value)
 
@@ -340,7 +341,8 @@ def test_generated_source_is_built_from_the_emitters_identifiers():
 
 def test_compiled_functions_are_memoized():
     f = scalar_from_expression("x^2", all_reals())
-    assert f.fn is scalar_from_expression("x^2", positive_reals(), name="square").fn
+    assert f.fn is scalar_from_expression("x^2", positive_reals()).fn
+    assert f.fn is not kernel_from_expression("x^2", all_reals()).fn
     assert f.fn.__code__.co_filename == "<expression>"
     # Num(0.0) == Num(-0.0) and Num(1.0) == Num(1), yet each keeps its literal.
     assert repr(evaluate(Num(0.0), {})) == "0.0"
@@ -463,32 +465,6 @@ def test_catalog_derivatives_match_central_differences():
                     x,
                     order,
                 )
-
-
-def test_analytic_derivative_validated_at_construction():
-    with pytest.raises(DerivativeMismatch):
-        scalar_from_expression(
-            "x^2", positive_reals(), deriv1_source="3*x"
-        )
-    good = scalar_from_expression("x^2", positive_reals(), deriv1_source="2*x")
-    assert good.derivative(4.0, 1) == 8.0
-
-
-def test_analytic_second_derivative_validated_at_construction():
-    good = scalar_from_expression("x^3", positive_reals(), deriv2_source="6*x")
-    assert good.derivative(2.0, 2) == 12.0
-    with pytest.raises(DerivativeMismatch, match=r"^x\^3: order-2 derivative at "):
-        scalar_from_expression("x^3", positive_reals(), deriv2_source="5*x")
-
-
-def test_kernel_partials_validated_at_construction():
-    good = kernel_from_expression("x^2-y^2", positive_reals(), deriv1_source="2*x", deriv2_source="-2*y")
-    assert (good.partial1(3.0, 2.0), good.partial2(3.0, 2.0)) == (6.0, -4.0)
-    # Each wrong partial is named in the message, with the other held fixed.
-    with pytest.raises(DerivativeMismatch, match=r"partial derivative in x \(y = "):
-        kernel_from_expression("x^2-y^2", positive_reals(), deriv1_source="3*x", deriv2_source="-2*y")
-    with pytest.raises(DerivativeMismatch, match=r"partial derivative in y \(x = "):
-        kernel_from_expression("x^2-y^2", positive_reals(), deriv1_source="2*x", deriv2_source="2*y")
 
 
 def test_sign_kernel_vanishes_on_diagonal():

@@ -253,6 +253,23 @@ class TestEnvelopes:
         with pytest.raises(EmptyAdmissibleSet):
             envelope_pair(handle, s)
 
+    def test_all_failures_name_the_first_error(self):
+        # The envelope scan shares limit_at_zero's failure rule.
+        calls = []
+
+        def fn(sample):
+            calls.append(sample)
+            raise (NonFinite if len(calls) == 1 else ZeroDivisionError)(f"failed on {sample.entries}")
+
+        handle = homogenize.MeanHandle("failing", POS, fn)
+        with pytest.raises(
+            AllEvaluationsFailed,
+            match=r"^scaled mean ratio failed at every sampled scale; first failure: NonFinite: failed on \(1\.0, 2\.0\)$",
+        ) as info:
+            envelope_pair(handle, _pos_sample([1, 2], [1, 1]))
+        assert isinstance(info.value.__cause__, NonFinite)
+        assert len(calls) == homogenize.ENVELOPE_GRID + 1
+
     def test_exp_lower_envelope_dominates_arithmetic(self):
         # The exponential generator's order operator is >= 1 on (0, 2), so
         # its mean dominates the arithmetic mean at every scale.

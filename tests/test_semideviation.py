@@ -265,6 +265,45 @@ class TestDeviationMean:
             for kind in KINDS:
                 assert abs(semideviation_mean(kernel, s, kind) - dev) <= 1e-10 * (1 + abs(dev))
 
+    def test_zero_plateau_has_no_unique_root(self):
+        # sign(1 - y) + sign(2 - y) is 0 on all of (1, 2); the parent code
+        # returned 1.0000000000009095 as the root.
+        s = make_weighted_sample([1, 2], [1, 1], REALS)
+        with pytest.raises(AmbiguousClassification, match=r"^deviation sum of sign_dev vanishes on \[1\.0"):
+            deviation_mean(sign_kernel(), s)
+
+    @pytest.mark.parametrize(
+        "spec, entries, weights, refine_tol, root",
+        [
+            ("sign_dev", [1, 2], [0, 1], 1e-12, 2.0),  # D(hi) = 0: the hull end, exactly
+            ("sign_dev", [1, 2, 3], [1, 1, 1], 1e-12, 1.9999999999990905),  # D(y) = 0 only at y = 2
+            ("sign_dev", [1, 2, 3], [1, 1, 1], 0.0, 2.0),
+            # Rounding makes D exactly 0 at 16 and at the next float; that is
+            # one root, not a plateau, also when no tolerance is allowed.
+            ("expr:sqrt(x)-sqrt(y)", [9, 25], [1, 1], 0.0, 16.0),
+        ],
+    )
+    def test_isolated_zero_is_the_root(self, spec, entries, weights, refine_tol, root):
+        domain = POS if spec.startswith("expr:") else REALS
+        kernel = sign_kernel() if spec == "sign_dev" else kernel_from_expression(spec[5:], domain)
+        s = make_weighted_sample(entries, weights, domain)
+        cfg = SemidevMeanConfig(refine_tol=refine_tol)
+        assert repr(deviation_mean(kernel, s, cfg)) == repr(root)
+
+    def test_plateau_check_costs_nothing_without_a_zero_midpoint(self, monkeypatch):
+        calls = []
+        original = semideviation.deviation_sum
+
+        def counting(kernel, sample):
+            dsum = original(kernel, sample)
+            return lambda y: calls.append(y) or dsum(y)
+
+        monkeypatch.setattr(semideviation, "deviation_sum", counting)
+        s = make_weighted_sample([1, 2, 4], [1, 1, 1], POS)
+        deviation_mean(kernel_from_expression("x^3-y^3", POS), s)
+        # The two hull ends, then halvings of 3 down to 1e-12 * 4.
+        assert len(calls) == 2 + math.ceil(math.log2(3 / 4e-12))
+
     def test_no_sign_change_detected(self):
         shifted = kernel_from_expression("x - y + 3", REALS)
         s = make_weighted_sample([1, 2], [1, 1], REALS)
