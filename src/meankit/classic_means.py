@@ -2,15 +2,20 @@
 
 A generator that declares its ``inverse`` (the catalog ones) gives the
 quasiarithmetic mean in closed form, f^-1 of the weighted average of f(x_i).
-For any other generator the inverse is computed by bracketed bisection on the
-sample hull, which the mean-value property guarantees to contain the result;
-no derivative of the generator is needed.
+So does an ``expr:`` chain, in which x occurs once, wherever its
+``hull_inverse`` certifies it strictly monotone on the sample hull and the
+inversion is well conditioned.  For any other generator, and wherever a
+chain's closed form is refused, the inverse is computed by bracketed
+bisection on the sample hull, which the mean-value property guarantees to
+contain the result, after a grid probe of the generator's direction; no
+derivative of the generator is needed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -20,6 +25,7 @@ from .errors import (
     Diverged,
     DegenerateDenominator,
     GeneratorNotMonotone,
+    MeanKitError,
     NonFinite,
     NonPositiveEntry,
     SolverFailure,
@@ -39,6 +45,12 @@ MAX_BISECT = 200
 
 #: Grid size of the strict-monotonicity admission probe.
 MONOTONE_PROBE_POINTS = 64
+
+#: Largest eps * kappa, kappa the condition number of inverting a chain
+#: generator at its mean (``HullInverse.condition``), at which the chain's
+#: closed form is taken; the error it admits is about this relative to the
+#: mean.  Above it the mean is bisected.
+CONDITION_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,8 +157,39 @@ def _probe_monotone_direction(f: ScalarFunction, lo: float, hi: float) -> bool:
     return increasing
 
 
+def _chain_mean(generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float) -> float | None:
+    """The chain generator's inverse of the weighted average of its values,
+    clamped to the hull, when its ``hull_inverse`` certifies it strictly
+    monotone on [lo, hi], the average is finite, the values at the hull ends
+    differ and eps * kappa <= CONDITION_LIMIT; None otherwise, also when a
+    step or ``fn`` raises, so that the bisection path reports that failure
+    as it always has."""
+    try:
+        inverse = generator.hull_inverse(lo, hi)
+        if inverse is None:
+            return None
+        values = [generator.fn(x) for x in sample.entries]
+        if values[sample.entries.index(lo)] == values[sample.entries.index(hi)]:
+            return None
+        target = _weighted_average(values, sample.weights)
+        if not math.isfinite(target):
+            return None
+        mean = inverse(target)
+        if sys.float_info.epsilon * inverse.condition(mean) > CONDITION_LIMIT:
+            return None
+        return mean
+    except (MeanKitError, ArithmeticError, ValueError):
+        return None
+
+
 def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> float:
-    """Generator-inverse of the weighted average of generator values."""
+    """Generator-inverse of the weighted average of generator values.
+
+    In closed form for a generator with an ``inverse``, and for a chain
+    generator wherever ``_chain_mean`` takes it; otherwise bisected on the
+    hull after a MONOTONE_PROBE_POINTS-point probe of the direction, which
+    raises GeneratorNotMonotone on a tie or reversal.
+    """
     lo, hi = sample.hull()
     if lo == hi:
         return lo
@@ -156,6 +199,10 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
         if values[sample.entries.index(lo)] == values[sample.entries.index(hi)]:
             raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
         return inverse_of_average(generator, sample, values, lo, hi)
+    if generator.hull_inverse is not None:
+        mean = _chain_mean(generator, sample, lo, hi)
+        if mean is not None:
+            return mean
     increasing = _probe_monotone_direction(generator, lo, hi)
     values = [generator.fn(x) for x in sample.entries]
     target = _weighted_average(values, sample.weights)

@@ -21,11 +21,14 @@ of one straight-line Python function, and its ``fn`` is that function; free
 variables other than the handle's own are rejected then.  A generator's
 variable is x, a kernel's x and y, and the handle's default name is its text;
 its derivatives come from central differences (``numeric_derivative``).
-Compiled functions are memoized by text and variables.  ``evaluate``
-compiles its AST afresh on each call and raises ``UnboundVariable`` only
-when evaluation reaches a name missing from its bindings.  Text nested
-deeper than ``MAX_DEPTH``, and an AST handed to ``evaluate`` taller than it,
-raise ``ExprSyntaxError``.
+When x occurs once in a generator's text, the same parse also unwinds the
+AST from the root into a chain of invertible steps, which gives the handle
+its ``hull_inverse``: an inverse certified, hull by hull, by carrying the
+hull's ends through the steps.  Compiled functions and chains are memoized
+by text and variables.  ``evaluate`` compiles its AST afresh on each call
+and raises ``UnboundVariable`` only when evaluation reaches a name missing
+from its bindings.  Text nested deeper than ``MAX_DEPTH``, and an AST
+handed to ``evaluate`` taller than it, raise ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from string import Template
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .domain import IntervalDomain, all_reals, positive_reals, sign
 from .errors import (
     DomainError,
     ExprSyntaxError,
+    MeanKitError,
     NonFinite,
     StencilOutsideDomain,
     UnboundVariable,
@@ -584,6 +588,191 @@ def numeric_derivative(
     return d
 
 
+# --- single-occurrence chains ------------------------------------------------------
+#
+# A generator in which x occurs once is a chain f = s_n o ... o s_1 of
+# one-argument steps, read off the AST from the root along the one path that
+# holds x.  Every subtree off that path has no variable and is folded once
+# into the constant c of its step.  Each step computes what the compiled
+# function computes for its node (u - c as u + (-c), which IEEE arithmetic
+# rounds alike), and has an inverse, a derivative and a condition under
+# which it is strictly monotone on an interval [a, b].
+
+
+class _Step(NamedTuple):
+    forward: Callable[[float, float], float]  # (u, c) -> s(u)
+    inverse: Callable[[float, float, float], float]  # (v, c, a) -> u with s(u) = v, u >= a
+    derivative: Callable[[float, float], float]  # (u, c) -> s'(u)
+    monotone: Callable[[float, float, float], bool]  # (a, b, c) -> strictly monotone on [a, b]
+
+
+def _always(a: float, b: float, c: float) -> bool:
+    return True
+
+
+def _nonzero_constant(a: float, b: float, c: float) -> bool:
+    return c != 0.0
+
+
+_STEPS = {
+    "add": _Step(lambda u, c: u + c, lambda v, c, a: v - c, lambda u, c: 1.0, _always),
+    "rsub": _Step(lambda u, c: c - u, lambda v, c, a: c - v, lambda u, c: -1.0, _always),
+    "mul": _Step(lambda u, c: u * c, lambda v, c, a: v / c, lambda u, c: c, _nonzero_constant),
+    "div": _Step(lambda u, c: u / c, lambda v, c, a: v * c, lambda u, c: 1.0 / c, _nonzero_constant),
+    "rdiv": _Step(
+        lambda u, c: c / u,
+        lambda v, c, a: c / v,
+        lambda u, c: -c / (u * u),
+        lambda a, b, c: c != 0.0 and (a > 0.0 or b < 0.0),
+    ),
+    "pow": _Step(
+        math.pow,
+        lambda v, c, a: math.pow(v, 1.0 / c),
+        lambda u, c: c * math.pow(u, c - 1.0),
+        lambda a, b, c: a > 0.0 and c != 0.0,
+    ),
+    "rpow": _Step(
+        lambda u, c: math.pow(c, u),
+        lambda v, c, a: math.log(v) / math.log(c),
+        lambda u, c: math.log(c) * math.pow(c, u),
+        lambda a, b, c: c > 0.0 and c != 1.0,
+    ),
+    "neg": _Step(lambda u, c: -u, lambda v, c, a: -v, lambda u, c: -1.0, _always),
+    "exp": _Step(lambda u, c: math.exp(u), lambda v, c, a: math.log(v), lambda u, c: math.exp(u), _always),
+    "log": _Step(
+        lambda u, c: math.log(u), lambda v, c, a: math.exp(v), lambda u, c: 1.0 / u, lambda a, b, c: a > 0.0
+    ),
+    "sqrt": _Step(
+        lambda u, c: math.sqrt(u),
+        lambda v, c, a: v * v,
+        lambda u, c: 0.5 / math.sqrt(u),
+        lambda a, b, c: a >= 0.0,
+    ),
+    "sinh": _Step(lambda u, c: math.sinh(u), lambda v, c, a: math.asinh(v), lambda u, c: math.cosh(u), _always),
+    "cosh": _Step(
+        lambda u, c: math.cosh(u),
+        lambda v, c, a: math.acosh(v) if a >= 0.0 else -math.acosh(v),
+        lambda u, c: math.sinh(u),
+        lambda a, b, c: a >= 0.0 or b <= 0.0,
+    ),
+}
+
+#: (left operand holds x, right operand holds x) -> step kind, per operator.
+_BINARY_STEPS = {
+    "+": ("add", "add"),
+    "-": ("add", "rsub"),
+    "*": ("mul", "mul"),
+    "/": ("div", "rdiv"),
+    "^": ("pow", "rpow"),
+}
+
+# A step of a chain: its kind and its constant (0.0 where it has none).
+_Link = tuple[str, float]
+
+
+def _fold(node: ExprAst) -> float:
+    """The value of a subtree without variables, as the compiled function
+    computes it; raises like it too."""
+    return node.value if isinstance(node, Num) else _function(node, ())()
+
+
+def _chain(node: ExprAst, variable: str) -> tuple[_Link, ...] | None:
+    """The steps, innermost first, of ``node`` as a chain in ``variable``;
+    None unless the variable occurs once, only under the chain's steps, and
+    every constant folds to a finite number."""
+    links = []
+    try:
+        while not isinstance(node, Var):
+            if isinstance(node, Neg):
+                links.append(("neg", 0.0))
+                node = node.operand
+            elif isinstance(node, Call) and node.func in _STEPS and len(node.args) == 1:
+                links.append((node.func, 0.0))
+                node = node.args[0]
+            elif isinstance(node, BinOp):
+                left_holds, right_holds = (variable in free_variables(n) for n in (node.left, node.right))
+                if left_holds == right_holds:
+                    return None
+                kind = _BINARY_STEPS[node.op][right_holds]
+                c = _fold(node.right if left_holds else node.left)
+                if not math.isfinite(c):
+                    return None
+                links.append((kind, -c if node.op == "-" and left_holds else c))
+                node = node.left if left_holds else node.right
+            else:
+                return None
+    except MeanKitError:  # a constant that does not evaluate
+        return None
+    return tuple(reversed(links)) if node.name == variable else None
+
+
+@dataclass(frozen=True)
+class HullInverse:
+    """The inverse of a chain on the image of a hull on which every step
+    is strictly monotone (see ``hull_inverse``).
+
+    ``images[k]`` is the interval (low, high) that the hull's ends span
+    after the first k steps, so ``images[0]`` is the hull.
+    """
+
+    links: tuple[_Link, ...]
+    images: tuple[tuple[float, float], ...]
+
+    def __call__(self, v: float) -> float:
+        """The point of the hull where the chain takes the value ``v``.
+
+        Each step inverts a value clamped to its own image, so every step
+        stays inside the interval it is monotone on, and the result inside
+        the hull.
+        """
+        for (kind, c), (a, _), (low, high) in zip(
+            reversed(self.links), reversed(self.images[:-1]), reversed(self.images[1:])
+        ):
+            v = _STEPS[kind].inverse(min(max(v, low), high), c, a)
+        low, high = self.images[0]
+        return min(max(v, low), high)
+
+    def condition(self, y: float) -> float:
+        """The largest relative condition number of inverting a prefix of
+        the chain at y: max over k of max(|u_k(lo)|, |u_k(hi)|) / |y u_k'(y)|,
+        with u_k the first k steps and u_k' from the chain rule (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 1).  The
+        last k gives the chain's own; an earlier one is larger where a step
+        cancels what a former step added.  Infinite where y or u_k'(y) is 0,
+        or u_k'(y) is not finite.
+        """
+        if y == 0.0:
+            return math.inf
+        u, slope, kappa = y, 1.0, 0.0
+        for (kind, c), (low, high) in zip(self.links, self.images[1:]):
+            step = _STEPS[kind]
+            slope *= step.derivative(u, c)
+            u = step.forward(u, c)
+            if not 0.0 < abs(slope) < math.inf:
+                return math.inf
+            # Divided one factor at a time: y u_k'(y) alone may overflow.
+            kappa = max(kappa, max(abs(low), abs(high)) / abs(slope) / abs(y))
+        return kappa
+
+
+def _hull_inverse(links: tuple[_Link, ...], lo: float, hi: float) -> HullInverse | None:
+    """The chain's inverse on [lo, hi] when the images of the ends, carried
+    step by step, are finite and each step's condition holds on the
+    interval they span; None otherwise.  Raises what a step raises
+    (OverflowError, ValueError, ZeroDivisionError)."""
+    images = [(lo, hi)]
+    for kind, c in links:
+        step = _STEPS[kind]
+        a, b = images[-1]
+        if not step.monotone(a, b, c):
+            return None
+        fa, fb = step.forward(a, c), step.forward(b, c)
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            return None
+        images.append((fa, fb) if fa <= fb else (fb, fa))
+    return HullInverse(links, tuple(images))
+
+
 # --- one-variable function handle -------------------------------------------------
 
 
@@ -601,13 +790,20 @@ class ScalarFunction:
     closed form instead of bisecting.  Without it, consumers that need
     monotonicity probe it on a grid themselves.
 
+    ``hull_inverse`` is a promise that holds only on a given hull, set by
+    ``scalar_from_expression`` for text in which x occurs once under the
+    chain's steps (+, -, *, / and ^ with a constant side, negation, exp,
+    log, sqrt, sinh, cosh).  ``hull_inverse(lo, hi)`` returns None, or a
+    ``HullInverse`` that certifies ``fn`` strictly monotone on [lo, hi] and
+    inverts it there; only ``quasiarithmetic_mean`` reads it.
+
     ``local_order`` is a catalog promise too: the local power order q at 0+,
     that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
     tends to q).  The scale profile of the difference kernel of f is then
     (r^q - 1)/q, log r at q = 0, which ``homogenization_profile`` returns in
     closed form.  Only the catalog constructors set it: power:p sets p (log
     0), cosh 2, exp and the identity 1; ``shifted_power`` and expression
-    generators leave it None.  Both promises carry over to ``restricted``.
+    generators leave it None.  Every promise carries over to ``restricted``.
     """
 
     name: str
@@ -617,6 +813,7 @@ class ScalarFunction:
     deriv2: Callable[[float], float] | None = None
     inverse: Callable[[float], float] | None = None
     local_order: float | None = None
+    hull_inverse: Callable[[float, float], HullInverse | None] | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -629,8 +826,7 @@ class ScalarFunction:
         return numeric_derivative(self.fn, x, order, self.domain)
 
     def restricted(self, domain: IntervalDomain) -> "ScalarFunction":
-        """The same function on a sub-domain (the inverse and the local
-        order carry over)."""
+        """The same function on a sub-domain (its promises carry over)."""
         return replace(self, domain=domain)
 
 
@@ -641,19 +837,25 @@ _MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _compile(text: str, variables: tuple[str, ...]) -> Callable[..., float]:
-    """Parse ``text`` into a function of ``variables``, passed positionally.
-    Free variables outside ``variables`` are rejected."""
+def _compile(
+    text: str, variables: tuple[str, ...]
+) -> tuple[Callable[..., float], Callable[[float, float], HullInverse | None] | None]:
+    """Parse ``text`` into a function of ``variables``, passed positionally,
+    and, for one variable that occurs once, its ``hull_inverse``.  Free
+    variables outside ``variables`` are rejected."""
     ast = parse(text)
     extra = free_variables(ast) - set(variables)
     if extra:
         raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {text!r}")
-    return _function(ast, variables)
+    links = _chain(ast, variables[0]) if len(variables) == 1 else None
+    return _function(ast, variables), None if links is None else functools.partial(_hull_inverse, links)
 
 
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
-    """Build a function of x, named by its text, from expression text."""
-    return ScalarFunction(source, _compile(source, ("x",)), domain)
+    """Build a function of x, named by its text, from expression text; a
+    chain in x also gets its ``hull_inverse``."""
+    fn, hull_inverse = _compile(source, ("x",))
+    return ScalarFunction(source, fn, domain, hull_inverse=hull_inverse)
 
 
 # --- two-variable kernel handle -----------------------------------------------------
@@ -728,7 +930,7 @@ def kernel_from_expression(
 ) -> Kernel2:
     """Build a kernel in variables (x, y) from expression text, named by
     ``name`` or else by its text."""
-    return Kernel2(name or source, _compile(source, ("x", "y")), domain_x, domain_y or domain_x)
+    return Kernel2(name or source, _compile(source, ("x", "y"))[0], domain_x, domain_y or domain_x)
 
 
 # --- built-in catalog -----------------------------------------------------------------

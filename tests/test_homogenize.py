@@ -108,6 +108,24 @@ class TestLimitAtZero:
         assert est.stop_reason == "aliased"
         assert est.tail_min == est.tail_max == 2.0
 
+    @pytest.mark.parametrize(
+        "a, reason", [(1e-5, "converged"), (1e-3, "aliased"), (1e-2, "aliased"), (0.5, "aliased")]
+    )
+    def test_exact_repeats_on_the_grid_meet_the_off_grid_check(self, a, reason):
+        # 1 + a sin^2(pi log2(t / t0)) is exactly 1 at every grid point, so
+        # three rows pass the rounding rule.  The off-grid probes read
+        # 1 + 0.75 a: inside the check's band (about 2e-4) the rounding-level
+        # limit 1 stands, outside it the scan stops "aliased" with the probes
+        # in its tail.
+        t0 = 0.375
+        est = limit_at_zero(lambda t: 1.0 + a * math.sin(math.pi * math.log2(t / t0)) ** 2, t0)
+        assert [v for _, v in est.values] == [1.0, 1.0, 1.0]
+        assert est.stop_reason == reason
+        if reason == "converged":
+            assert est.tail_min == est.tail_max == 1.0
+        else:
+            assert est.tail_min == 1.0 and est.tail_max >= 1.0 + 0.75 * a
+
     def test_all_failures_name_the_first_error(self):
         calls = []
 

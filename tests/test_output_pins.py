@@ -23,6 +23,10 @@ of cosh and ``expr:x^2+x``, the cosh kernel profile and both homogeneous
 local homogenizations) were re-recorded when limit scans began to stop on an
 extrapolated or rounding-level limit: their tables got shorter and their
 estimates moved to within a few ulp of the exact values.
+The two ``mean-qa-expr-*`` calls on chains in which x occurs once were
+added, with no other pin re-recorded, when such chains took the closed form;
+their budgets are their errors then (the bisection had left 2,700 and 226
+ulps).
 ``test_limit_pin_estimate_within_oracle_budget`` checks each limit call's
 estimate against ``oracle.py`` within a ulp budget; CHANGES.md gives each
 estimate's error before and after.  ``test_mean_pin_value_within_oracle_budget``
@@ -56,6 +60,8 @@ CALLS = {
     "mean-power": (*MEAN, "--kind", "power", "--p", "2", "--x", "1,2,5", "--w", "1,2,0.5"),
     "mean-qa-catalog": (*MEAN, "--kind", "qa", "--generator", "cosh", "--x", "0.5,1.5,3", "--w", "1,2,1"),
     "mean-qa-expr": (*MEAN, "--kind", "qa", "--generator", "expr:x^3+x", "--x", "0.5,1.5,3", "--w", "1,2,1"),
+    "mean-qa-expr-reciprocal": (*MEAN, "--kind", "qa", "--generator", "expr:1/x", "--x", "0.5,1.5,3", "--w", "1,2,1"),
+    "mean-qa-expr-exp": (*MEAN, "--kind", "qa", "--generator", "expr:exp(x)", "--x", "0.5,1.5,3", "--w", "1,2,1"),
     "mean-semidev-diff": (
         *MEAN, "--kind", "semidev", "--kernel", "diff_gen:power:2", "--x", "1,2,5", "--w", "1,2,0.5",
         "--semidev-kind", "upper-strict",
@@ -128,6 +134,9 @@ MEAN_REFERENCES = {
     "mean-power": (oracle.power_mean([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], 2), 0),
     "mean-qa-catalog": (oracle.qa_mean([0.5, 1.5, 3.0], [1.0, 2.0, 1.0], "cosh"), 0),
     "mean-qa-expr": (oracle.qa_mean_by_bisection([0.5, 1.5, 3.0], [1.0, 2.0, 1.0], lambda x: x**3 + x), 1_673),
+    # Chains in which x occurs once take the closed form.
+    "mean-qa-expr-reciprocal": (oracle.power_mean([0.5, 1.5, 3.0], [1.0, 2.0, 1.0], -1), 1),
+    "mean-qa-expr-exp": (oracle.qa_mean([0.5, 1.5, 3.0], [1.0, 2.0, 1.0], "exp"), 0),
     "mean-semidev-diff": (oracle.qa_mean([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], "power:2"), 0),
     # log(x / y) = log x - log y: the geometric mean.
     "mean-semidev-ratio": (oracle.qa_mean([1.0, 3.0, 7.0], [1.0, 1.0, 2.0], "log"), 1_015),

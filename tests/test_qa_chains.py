@@ -1,0 +1,265 @@
+"""Closed-form quasiarithmetic means of ``expr:`` chains, in which x occurs once.
+
+Wherever ``quasiarithmetic_mean`` takes a chain's closed form, it must agree
+with the probe-and-bisection path and with ``oracle.qa_mean_by_bisection``;
+wherever it refuses it, the call must behave exactly as that path does, with
+the same value or the same error and message.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import random
+import sys
+from decimal import Decimal
+
+import oracle
+import pytest
+
+from meankit import make_weighted_sample, quasiarithmetic_mean, scalar_from_expression
+from meankit.classic_means import CONDITION_LIMIT
+from meankit.cli import main
+from meankit.domain import all_reals, positive_reals
+
+#: Chain steps: the text around an operand u and a constant c, and the step
+#: in ``decimal`` arithmetic.
+STEPS = {
+    "add": ("({u})+{c}", lambda u, c: u + c),
+    "sub": ("({u})-{c}", lambda u, c: u - c),
+    "rsub": ("{c}-({u})", lambda u, c: c - u),
+    "mul": ("{c}*({u})", lambda u, c: u * c),
+    "div": ("({u})/{c}", lambda u, c: u / c),
+    "rdiv": ("{c}/({u})", lambda u, c: c / u),
+    "pow": ("({u})^{c}", lambda u, c: u**c),
+    "rpow": ("{c}^({u})", lambda u, c: c**u),
+    "neg": ("-({u})", lambda u, c: -u),
+    "exp": ("exp({u})", lambda u, c: u.exp()),
+    "log": ("log({u})", lambda u, c: u.ln()),
+    "sqrt": ("sqrt({u})", lambda u, c: u.sqrt()),
+    "sinh": ("sinh({u})", lambda u, c: (u.exp() - (-u).exp()) / 2),
+    "cosh": ("cosh({u})", lambda u, c: (u.exp() + (-u).exp()) / 2),
+}
+
+
+def _constant(rng: random.Random, kind: str) -> tuple[float, str]:
+    """A constant and its text: a literal, or a subtree that folds to it."""
+    if kind in ("add", "sub", "rsub"):
+        c = rng.uniform(-3.0, 3.0)
+    elif kind == "pow":
+        c = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, rng.uniform(-3.0, 3.0)])
+    elif kind == "rpow":
+        c = rng.choice([0.5, 2.0, 3.0, rng.uniform(0.2, 4.0)])
+    else:
+        c = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+    form = rng.randrange(3)
+    if form == 0:
+        return c, f"({c!r})"
+    if form == 1:
+        return c, f"({-c!r}*-1)"
+    return c, f"(2*{c / 2!r})"
+
+
+def _random_chain(rng: random.Random):
+    """Text of a chain of 1 to 5 steps in x, and the chain in ``decimal``."""
+    text, links = "x", []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(list(STEPS))
+        template, step = STEPS[kind]
+        c, c_text = _constant(rng, kind) if "{c}" in template else (0.0, "")
+        text = template.format(u=text, c=c_text)
+        links.append((step, Decimal(c)))
+
+    def f(u: Decimal) -> Decimal:
+        for step, c in links:
+            u = step(u, c)
+        return u
+
+    return text, f
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("seed, domain, low, high", [(5, positive_reals(), 0.05, 8.0), (6, all_reals(), -4.0, 8.0)])
+def test_random_chains_against_the_bisection_and_the_oracle(seed, domain, low, high):
+    rng = random.Random(seed)
+    taken = 0
+    for _ in range(150):
+        text, f = _random_chain(rng)
+        gen = scalar_from_expression(text, domain)
+        assert gen.hull_inverse is not None, text
+        n = rng.randint(2, 6)
+        entries = [rng.uniform(low, high) for _ in range(n)]
+        weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        sample = make_weighted_sample(entries, weights, domain)
+        calls = []
+        counted = dataclasses.replace(gen, fn=lambda x: calls.append(x) or gen.fn(x))
+        new = _outcome(lambda: quasiarithmetic_mean(sample, counted))
+        old = _outcome(lambda: quasiarithmetic_mean(sample, dataclasses.replace(gen, hull_inverse=None)))
+        if calls != entries:
+            # Refused: the probe-and-bisection path, bit for bit, or the
+            # same error with the same message.
+            assert new == old, (text, entries, weights)
+            continue
+        taken += 1
+        mean = new[1]
+        lo, hi = sample.hull()
+        assert lo <= mean <= hi
+        bound = 1e-12 * max(abs(lo), abs(hi)) + CONDITION_LIMIT * abs(mean)
+        # The probe sees ties where values underflow to 0 at the upper
+        # hull end, which the closed form does not need to separate.
+        assert old[0] == "value" or old[0] == "GeneratorNotMonotone", (text, entries, old)
+        if old[0] == "value":
+            assert abs(mean - old[1]) <= bound, (text, entries, weights, mean, old)
+        increasing = gen.fn(lo) < gen.fn(hi)
+        reference = oracle.qa_mean_by_bisection(entries, weights, f if increasing else lambda u: -f(u))
+        assert abs(mean - reference) <= bound, (text, entries, weights, mean, reference)
+    assert taken >= 60
+
+
+#: Chains that spell catalog generators, and their exact means.
+TWINS = {
+    "x^2": lambda xs, ws: oracle.power_mean(xs, ws, 2),
+    "sqrt(x)": lambda xs, ws: oracle.power_mean(xs, ws, 0.5),
+    "x^3": lambda xs, ws: oracle.power_mean(xs, ws, 3),
+    "1/x": lambda xs, ws: oracle.power_mean(xs, ws, -1),
+    "log(x)": lambda xs, ws: oracle.power_mean(xs, ws, 0),
+    "exp(x)": lambda xs, ws: oracle.qa_mean(xs, ws, "exp"),
+    "cosh(x)": lambda xs, ws: oracle.qa_mean(xs, ws, "cosh"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(TWINS))
+def test_one_step_chains_are_within_a_few_ulps_of_the_exact_mean(text):
+    # The bisection leaves up to about 5e4 ulps on these samples.
+    gen = scalar_from_expression(text, positive_reals())
+    rng = random.Random(text)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        entries = [rng.uniform(0.1, 8.0) for _ in range(n)]
+        weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        mean = quasiarithmetic_mean(make_weighted_sample(entries, weights, positive_reals()), gen)
+        assert oracle.ulps(mean, TWINS[text](entries, weights)) <= 4, (text, entries, weights)
+
+
+@pytest.mark.parametrize(
+    "text, chain",
+    [
+        ("1/x", True),
+        ("exp(x)", True),
+        ("2^x", True),
+        ("-(3-x)^2/4+1", True),
+        ("log(sinh(x/2))", True),
+        ("x^(1/3)", True),
+        ("x^3+x", False),  # x occurs twice
+        ("x*x", False),
+        ("abs(x)", False),
+        ("sign(x)", False),
+        ("max(x,1)", False),
+        ("5", False),  # no x at all
+        ("x^(1/0)", False),  # a constant that does not evaluate
+        ("x+1e400", False),  # an infinite constant
+    ],
+)
+def test_only_single_occurrence_chains_get_a_hull_inverse(text, chain):
+    assert (scalar_from_expression(text, positive_reals()).hull_inverse is not None) is chain
+
+
+@pytest.mark.parametrize(
+    "text, lo, hi",
+    [
+        ("x^2", -1.0, 1.5),  # base not positive
+        ("cosh(x)", -1.0, 1.5),  # not one-signed
+        ("5+0*x", 1.0, 2.0),  # * 0
+        ("x/0.0", 1.0, 2.0),  # / 0
+        ("1^x", 1.0, 2.0),  # 1 ^ u
+        ("(-2)^x", 1.0, 2.0),  # negative base
+        ("x^0", 1.0, 2.0),  # u ^ 0
+        ("0/x", 1.0, 2.0),  # 0 / u
+        ("1/(x-1.5)", 1.0, 2.0),  # 0 inside the interval
+        ("log(x-3)", 1.0, 5.0),
+        ("sqrt(x-3)", 1.0, 5.0),
+        ("x*1e308", 1.0, 7.0),  # an end's image is infinite
+    ],
+)
+def test_no_certificate_where_a_step_is_not_monotone(text, lo, hi):
+    assert scalar_from_expression(text, all_reals()).hull_inverse(lo, hi) is None
+
+
+def test_certificate_carries_the_hull_through_the_steps():
+    inverse = scalar_from_expression("1/(x-3)", all_reals()).hull_inverse(4.0, 5.0)
+    assert inverse.images == ((4.0, 5.0), (1.0, 2.0), (0.5, 1.0))
+    assert inverse(0.75) == 3.0 + 1.0 / 0.75
+    # Clamped to each step's image, so to the hull.
+    assert inverse(7.0) == 4.0 and inverse(-7.0) == 5.0
+    on_negative = scalar_from_expression("cosh(x)", all_reals()).hull_inverse(-2.0, -1.0)
+    assert on_negative(math.cosh(1.5)) == pytest.approx(-1.5, rel=1e-15)
+
+
+def test_condition_number_covers_every_step():
+    # (x + 1e10) - 1e10 is x, but its first step rounds x to ulp(1e10):
+    # kappa of the first step, not the chain's own 1.0, sends it back.
+    inverse = scalar_from_expression("(x+1e10)-1e10", positive_reals()).hull_inverse(1.0, 2.0)
+    assert inverse.condition(1.5) > CONDITION_LIMIT / sys.float_info.epsilon
+    assert scalar_from_expression("2*x", positive_reals()).hull_inverse(1.0, 2.0).condition(1.5) == 2.0 / 1.5
+
+
+@pytest.mark.parametrize(
+    "text, entries, taken",
+    [
+        ("x^2", [1.0, 2.0, 5.0], True),
+        ("(x+1e10)-1e10", [1.0, 2.0], False),
+        ("cosh(x)", [1e-5, 2e-5], False),  # eps * kappa about 1e-6
+        ("exp(x)", [709.0, 0.5], False),  # the average overflows
+        ("x^0.001", [1.0, 1.000000000000001], False),  # equal end values, kappa 1000
+    ],
+)
+def test_closed_form_is_taken_only_when_well_conditioned_and_finite(text, entries, taken):
+    gen = scalar_from_expression(text, positive_reals())
+    calls = []
+    counted = dataclasses.replace(gen, fn=lambda x: calls.append(x) or gen.fn(x))
+    sample = make_weighted_sample(entries, [3.0, 1.0, 1.0][: len(entries)], positive_reals())
+    new = _outcome(lambda: quasiarithmetic_mean(sample, counted))
+    assert (calls == entries) is taken
+    if not taken:
+        assert new == _outcome(lambda: quasiarithmetic_mean(sample, dataclasses.replace(gen, hull_inverse=None)))
+
+
+#: CLI calls whose closed form is refused, with the exit code and stderr of
+#: the probe-and-bisection path, recorded before chains had a closed form.
+REFUSALS = [
+    (["expr:x^2", "--domain=-2,2", "--x=-1,0.5,1.5", "--w", "1,1,1"], 3,
+     "error: GeneratorNotMonotone: x^2 is not strictly monotone on [-1.0, 1.5]\n"),
+    (["expr:cosh(x)", "--domain=-2,2", "--x=-1,0.5,1.5", "--w", "1,1,1"], 3,
+     "error: GeneratorNotMonotone: cosh(x) is not strictly monotone on [-1.0, 1.5]\n"),
+    (["expr:5+0*x", "--x", "1,2", "--w", "1,1"], 3,
+     "error: GeneratorNotMonotone: 5+0*x is not strictly monotone on [1.0, 2.0]\n"),
+    (["expr:1^x", "--x", "1,2", "--w", "1,1"], 3,
+     "error: GeneratorNotMonotone: 1^x is not strictly monotone on [1.0, 2.0]\n"),
+    (["expr:sign(x)", "--x", "1,2", "--w", "1,1"], 3,
+     "error: GeneratorNotMonotone: sign(x) is not strictly monotone on [1.0, 2.0]\n"),
+    (["expr:log(x-3)", "--x", "1,2,5", "--w", "1,1,1"], 3, "error: DomainError: log of nonpositive value -2.0\n"),
+    (["expr:cosh(x)", "--x=1e-9,2e-9", "--w", "1,1"], 3,
+     "error: GeneratorNotMonotone: cosh(x) is not strictly monotone on [1e-09, 2e-09]\n"),
+    (["expr:exp(x)", "--x", "700,710", "--w", "1,1"], 3, "error: NonFinite: exp(709.8412698412699) overflowed\n"),
+    (["expr:2^x", "--x", "1000,1100", "--w", "1,1"], 3,
+     "error: NonFinite: overflow in 2.0 ^ 1025.3968253968253\n"),
+    (["expr:exp(x)", "--x", "709,0", "--w", "3,1", "--domain=-1000,1000"], 3,
+     "error: SolverFailure: average inf escapes the generator range [1.0, 8.218407461554972e+307]\n"),
+    # x occurs twice: no chain, and the bisected value.
+    (["expr:x^3+x", "--x", "0.5,1.5,3", "--w", "1,2,1"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("args, code, err", REFUSALS, ids=[" ".join(a[:2]) for a, _, _ in REFUSALS])
+def test_refused_chains_keep_exit_code_and_message(capsys, args, code, err):
+    assert main(["compute", "mean", "--kind", "qa", "--generator", *args]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        assert captured.out.strip().splitlines()[-1] == "2.007187665648644"
