@@ -81,8 +81,13 @@ def bisect(a: float, b: float, below: Callable[[float], bool], tol: float) -> fl
     return 0.5 * (a + b)
 
 
-def _weighted_average(values: list[float], weights: tuple[float, ...]) -> float:
-    return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
+def _weighted_average(generator: ScalarFunction, values: list[float], weights: tuple[float, ...]) -> float:
+    """The weighted average of ``values``, the generator at each entry;
+    NonFinite where ``fsum`` overflows or meets inf - inf."""
+    try:
+        return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
+    except (OverflowError, ValueError) as exc:
+        raise NonFinite(f"weighted average of {generator.name} values overflowed") from exc
 
 
 def inverse_of_average(
@@ -94,10 +99,7 @@ def inverse_of_average(
     Raises NonFinite when the average is not finite, which is never clamped:
     an overflowed average says nothing about where the mean lies.
     """
-    try:
-        target = _weighted_average(values, sample.weights)
-    except (OverflowError, ValueError) as exc:  # fsum: intermediate overflow, inf - inf
-        raise NonFinite(f"weighted average of {generator.name} values overflowed") from exc
+    target = _weighted_average(generator, values, sample.weights)
     if not math.isfinite(target):
         raise NonFinite(f"weighted average of {generator.name} values is {target}")
     return min(max(generator.inverse(target), lo), hi)
@@ -162,8 +164,9 @@ def _chain_mean(generator: ScalarFunction, sample: WeightedSample, lo: float, hi
     clamped to the hull, when its ``hull_inverse`` certifies it strictly
     monotone on [lo, hi], the average is finite, the values at the hull ends
     differ and eps * kappa <= CONDITION_LIMIT; None otherwise, also when a
-    step or ``fn`` raises, so that the bisection path reports that failure
-    as it always has."""
+    step or ``fn`` raises, so that the caller's other path reports that
+    failure as it always has: the bisection of ``quasiarithmetic_mean``, or
+    the sign scan of a difference kernel's means."""
     try:
         inverse = generator.hull_inverse(lo, hi)
         if inverse is None:
@@ -171,7 +174,7 @@ def _chain_mean(generator: ScalarFunction, sample: WeightedSample, lo: float, hi
         values = [generator.fn(x) for x in sample.entries]
         if values[sample.entries.index(lo)] == values[sample.entries.index(hi)]:
             return None
-        target = _weighted_average(values, sample.weights)
+        target = _weighted_average(generator, values, sample.weights)
         if not math.isfinite(target):
             return None
         mean = inverse(target)
@@ -205,7 +208,7 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
             return mean
     increasing = _probe_monotone_direction(generator, lo, hi)
     values = [generator.fn(x) for x in sample.entries]
-    target = _weighted_average(values, sample.weights)
+    target = _weighted_average(generator, values, sample.weights)
     # lo and hi are entries, so their generator values are already known.
     f_lo, f_hi = values[sample.entries.index(lo)], values[sample.entries.index(hi)]
     low_val, high_val = (f_lo, f_hi) if increasing else (f_hi, f_lo)

@@ -261,15 +261,18 @@ def compute() -> None:
     default=DEFAULT_CONFIG.grid_size,
     show_default=True,
     help="Sign-scan grid size of --kind semidev; no effect on kernels solved in "
-    "closed form (diff_gen with an increasing catalog generator).  --kind power, "
-    "qa and deviation ignore it (deviation bisects the whole hull and reads only "
-    "--refine-tol).",
+    "closed form: the difference of a generator increasing on the hull with a "
+    "catalog inverse or a certified expr: chain (diff_gen, and expr:A(x)-A(y) with "
+    "x once in A), ratio_dev:log, and sign_dev and expr:sign(x-y), whose means are "
+    "the exact weighted medians.  --kind power, qa and deviation ignore it "
+    "(deviation bisects the whole hull and reads only --refine-tol).",
 )
 @click.option(
     "--refine-tol",
     default=DEFAULT_CONFIG.refine_tol,
     show_default=True,
-    help="Relative bisection tolerance; no effect on kernels solved in closed form.",
+    help="Relative bisection tolerance; no effect on kernels solved in closed form "
+    "(see --grid), but the deviation mean of a sign kernel is still bisected.",
 )
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def compute_mean(

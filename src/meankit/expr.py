@@ -24,10 +24,13 @@ its derivatives come from central differences (``numeric_derivative``).
 When x occurs once in a generator's text, the same parse also unwinds the
 AST from the root into a chain of invertible steps, which gives the handle
 its ``hull_inverse``: an inverse certified, hull by hull, by carrying the
-hull's ends through the steps.  Compiled functions and chains are memoized
-by text and variables.  ``evaluate`` compiles its AST afresh on each call
-and raises ``UnboundVariable`` only when evaluation reaches a name missing
-from its bindings.  Text nested deeper than ``MAX_DEPTH``, and an AST
+hull's ends through the steps.  A kernel's parse shows its structure: text
+A - B, where A has only x free and B is A with x renamed to y, declares
+``Difference`` of A as a generator (with its ``hull_inverse`` when x occurs
+once in A), and sign(x - y) declares ``Sign``.  Compiled functions, chains
+and structures are memoized by text and variables.  ``evaluate`` compiles
+its AST afresh on each call and raises ``UnboundVariable`` only when
+evaluation reaches a name missing from its bindings.  Text nested deeper than ``MAX_DEPTH``, and an AST
 handed to ``evaluate`` taller than it, raise ``ExprSyntaxError``.
 """
 
@@ -790,12 +793,15 @@ class ScalarFunction:
     closed form instead of bisecting.  Without it, consumers that need
     monotonicity probe it on a grid themselves.
 
-    ``hull_inverse`` is a promise that holds only on a given hull, set by
-    ``scalar_from_expression`` for text in which x occurs once under the
-    chain's steps (+, -, *, / and ^ with a constant side, negation, exp,
-    log, sqrt, sinh, cosh).  ``hull_inverse(lo, hi)`` returns None, or a
-    ``HullInverse`` that certifies ``fn`` strictly monotone on [lo, hi] and
-    inverts it there; only ``quasiarithmetic_mean`` reads it.
+    ``hull_inverse`` is a promise that holds only on a given hull, set for
+    text in which x occurs once under the chain's steps (+, -, *, / and ^
+    with a constant side, negation, exp, log, sqrt, sinh, cosh): by
+    ``scalar_from_expression``, and by ``kernel_from_expression`` on the
+    generator of a difference it recognises.  ``hull_inverse(lo, hi)``
+    returns None, or a ``HullInverse`` that certifies ``fn`` strictly
+    monotone on [lo, hi] and inverts it there; ``quasiarithmetic_mean`` and
+    the closed form of difference-kernel means read it
+    (``classic_means._chain_mean``).
 
     ``local_order`` is a catalog promise too: the local power order q at 0+,
     that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
@@ -836,26 +842,69 @@ class ScalarFunction:
 _MEMO_SIZE = 256
 
 
+class _Compiled(NamedTuple):
+    """A compiled function and what its parse shows of its shape."""
+
+    fn: Callable[..., float]
+    #: A function of x in which x occurs once: its ``hull_inverse``.
+    hull_inverse: Callable[[float, float], HullInverse | None] | None = None
+    #: A kernel A(x) - A(y): A compiled as a function of x, and its text.
+    difference: tuple["_Compiled", str] | None = None
+    #: A kernel sign(x - y).
+    sign: bool = False
+
+
+#: The kernel whose structure is ``Sign``.
+_SIGN = Call("sign", (BinOp("-", Var("x"), Var("y")),))
+
+
+def _renamed(node: ExprAst, old: str, new: str) -> ExprAst:
+    """``node`` with every variable ``old`` renamed to ``new``."""
+    if isinstance(node, Var):
+        return Var(new) if node.name == old else node
+    if isinstance(node, Neg):
+        return Neg(_renamed(node.operand, old, new))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _renamed(node.left, old, new), _renamed(node.right, old, new))
+    if isinstance(node, Call):
+        return Call(node.func, tuple(_renamed(a, old, new) for a in node.args))
+    return node
+
+
+def _compiled(ast: ExprAst, variables: tuple[str, ...]) -> _Compiled:
+    fn = _function(ast, variables)
+    if variables == ("x",):
+        links = _chain(ast, "x")
+        return _Compiled(fn, hull_inverse=None if links is None else functools.partial(_hull_inverse, links))
+    if ast == _SIGN:
+        return _Compiled(fn, sign=True)
+    if (
+        isinstance(ast, BinOp)
+        and ast.op == "-"
+        and free_variables(ast.left) == {"x"}
+        and ast.right == _renamed(ast.left, "x", "y")
+    ):
+        return _Compiled(fn, difference=(_compiled(ast.left, ("x",)), to_source(ast.left)))
+    return _Compiled(fn)
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _compile(
-    text: str, variables: tuple[str, ...]
-) -> tuple[Callable[..., float], Callable[[float, float], HullInverse | None] | None]:
-    """Parse ``text`` into a function of ``variables``, passed positionally,
-    and, for one variable that occurs once, its ``hull_inverse``.  Free
-    variables outside ``variables`` are rejected."""
+def _compile(text: str, variables: tuple[str, ...]) -> _Compiled:
+    """Parse ``text`` into a function of ``variables`` (("x",) or ("x",
+    "y")), passed positionally, with what the parse shows of its shape (see
+    ``_Compiled``).  Free variables outside ``variables`` are rejected."""
     ast = parse(text)
     extra = free_variables(ast) - set(variables)
     if extra:
         raise UnboundVariable(f"unexpected free variables {sorted(extra)} in {text!r}")
-    links = _chain(ast, variables[0]) if len(variables) == 1 else None
-    return _function(ast, variables), None if links is None else functools.partial(_hull_inverse, links)
+    return _compiled(ast, variables)
 
 
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
     """Build a function of x, named by its text, from expression text; a
     chain in x also gets its ``hull_inverse``."""
-    fn, hull_inverse = _compile(source, ("x",))
-    return ScalarFunction(source, fn, domain, hull_inverse=hull_inverse)
+    compiled = _compile(source, ("x",))
+    return ScalarFunction(source, compiled.fn, domain, hull_inverse=compiled.hull_inverse)
 
 
 # --- two-variable kernel handle -----------------------------------------------------
@@ -863,8 +912,13 @@ def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunctio
 
 @dataclass(frozen=True)
 class Difference:
-    """Difference structure: ``fn(x, y) == f.fn(x) - f.fn(y)`` for every
-    (x, y), bit for bit.  ``difference_kernel`` declares it."""
+    """Difference structure: ``fn(x, y) == f.fn(x) - f.fn(y)``, bit for bit,
+    wherever that difference is finite.  Where f raises at x or y, or the
+    difference is not finite, ``fn`` may raise instead (an expression
+    kernel raises ``NonFinite`` on an infinite result), so a consumer of f
+    calls ``fn`` there.  ``difference_kernel`` declares it, and so does
+    ``kernel_from_expression`` for text A - B with B the A of x renamed
+    to y."""
 
     f: ScalarFunction
 
@@ -884,15 +938,26 @@ class Ratio:
 
 
 @dataclass(frozen=True)
+class Sign:
+    """Sign structure: ``fn(x, y) == float(sign(x - y))`` for every (x, y),
+    bit for bit, so the sign-change means are the weighted lower and upper
+    medians.  ``sign_kernel`` declares it, and so does the expression
+    sign(x - y) itself; sign(A(x) - A(y)) with another A does not, since it
+    is not sign(x - y) where A is flat in floats."""
+
+
+@dataclass(frozen=True)
 class Kernel2:
     """Two-variable kernel K(x, y) with optional analytic partials.
 
-    ``structure``, when set, is a ``Difference`` or ``Ratio`` promise about
-    the values of ``fn``, so solvers may use it instead of calling ``fn``.
-    Constructors that build a new ``fn`` (``normalize_kernel``, sign and
-    expression kernels) leave it None, and a ``dataclasses.replace`` that
-    gives ``fn`` other values must drop it.  A kernel built from expression
-    text keeps that text only as its default ``name``.
+    ``structure``, when set, is a ``Difference``, ``Ratio`` or ``Sign``
+    promise about the values of ``fn``, so solvers may use it instead of
+    calling ``fn``.  Expression kernels declare the ``Difference`` or
+    ``Sign`` their parse shows (see ``kernel_from_expression``) and leave it
+    None otherwise; ``normalize_kernel`` leaves it None, and a
+    ``dataclasses.replace`` that gives ``fn`` other values must drop it.  A
+    kernel built from expression text keeps that text only as its default
+    ``name``.
     """
 
     name: str
@@ -901,7 +966,7 @@ class Kernel2:
     domain_y: IntervalDomain
     deriv1: Callable[[float, float], float] | None = None
     deriv2: Callable[[float, float], float] | None = None
-    structure: Difference | Ratio | None = None
+    structure: Difference | Ratio | Sign | None = None
 
     def __call__(self, x: float, y: float) -> float:
         return self.fn(x, y)
@@ -929,8 +994,20 @@ def kernel_from_expression(
     name: str | None = None,
 ) -> Kernel2:
     """Build a kernel in variables (x, y) from expression text, named by
-    ``name`` or else by its text."""
-    return Kernel2(name or source, _compile(source, ("x", "y"))[0], domain_x, domain_y or domain_x)
+    ``name`` or else by its text.
+
+    Text A - B, where A has only x free and B is A with x renamed to y,
+    declares ``Difference(f)`` with f the function A of x on ``domain_x``,
+    named by A's canonical text, with its ``hull_inverse`` when x occurs
+    once in A; the text sign(x - y) declares ``Sign``.  ``fn`` is the
+    compiled function of the whole text either way.
+    """
+    compiled = _compile(source, ("x", "y"))
+    structure = Sign() if compiled.sign else None
+    if compiled.difference is not None:
+        part, text = compiled.difference
+        structure = Difference(ScalarFunction(text, part.fn, domain_x, hull_inverse=part.hull_inverse))
+    return Kernel2(name or source, compiled.fn, domain_x, domain_y or domain_x, structure=structure)
 
 
 # --- built-in catalog -----------------------------------------------------------------
@@ -1050,7 +1127,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
 
 def sign_kernel() -> Kernel2:
     """K(x, y) = sign(x - y); generates the weighted lower/upper medians."""
-    return Kernel2("sign_dev", lambda x, y: float(sign(x - y)), all_reals(), all_reals())
+    return Kernel2("sign_dev", lambda x, y: float(sign(x - y)), all_reals(), all_reals(), structure=Sign())
 
 
 def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -> Kernel2:
@@ -1064,11 +1141,16 @@ def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -
 
 
 def ratio_kernel(f: ScalarFunction) -> Kernel2:
-    """K(x, y) = f(x / y) on the positive quadrant; homogeneous of degree 0."""
+    """K(x, y) = f(x / y) on the positive quadrant; homogeneous of degree 0.
+
+    The catalog log declares ``Ratio(log, 0.0)``: log(x / y) = log x - log y,
+    so every mean is the geometric mean.  No other f gets an order.
+    """
     dom = positive_reals()
     d1 = (lambda x, y: f.deriv1(x / y) / y) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
-    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, Ratio(f.fn))
+    structure = Ratio(f.fn, 0.0 if f.fn is math.log else None)
+    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, structure)
 
 
 def arithmetic_kernel() -> Kernel2:

@@ -27,15 +27,20 @@ instead of returning a hull end.  Both solvers evaluate D at lo and hi before
 any interior point, so that refusal costs two deviation sums and comes before
 any kernel failure inside the hull.
 
-A kernel whose ``Kernel2.structure`` is ``Difference(f)``, with f declaring
-its ``inverse`` and increasing on the hull, needs no scan at all (Daróczy,
-Publ. Math. Debrecen 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes
-only at y* = f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which
-every kind and ``deviation_mean`` return in closed form.  Likewise
-``Ratio(h, q)`` with an order q has D(y) = y^-q sum_i w_i (g_q(x_i) -
-g_q(y)), which vanishes only at the power mean P_q; on a positive sample
-every kind returns P_q, clamped to the hull.  The grid size and the
-refinement tolerance then have no effect.
+A kernel whose ``Kernel2.structure`` is ``Difference(f)``, with f
+increasing on the hull, needs no scan at all (Daróczy, Publ. Math. Debrecen
+19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes only at y* =
+f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which every kind and
+``deviation_mean`` return in closed form when f declares its ``inverse``,
+or when its ``hull_inverse`` certifies a chain on the hull and
+``quasiarithmetic_mean`` would take the chain's closed form there
+(``classic_means._chain_mean``).  Likewise ``Ratio(h, q)`` with an order q
+has D(y) = y^-q sum_i w_i (g_q(x_i) - g_q(y)), which vanishes only at the
+power mean P_q; on a positive sample every kind returns P_q, clamped to the
+hull.  For ``Sign``, D(y) = W(x_i > y) - W(x_i < y) is constant between
+entries, and ``semideviation_means`` returns the weighted medians exactly
+(``_medians``).  The grid size and the refinement tolerance then have no
+effect, except on the bisection of a sign kernel's ``deviation_mean``.
 
 Otherwise one classified grid serves every requested kind
 (``semideviation_means``), and a memo keyed by y lets the kinds' bisections
@@ -48,10 +53,11 @@ same floats as the generic sum (see ``deviation_sum``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .classic_means import ComparisonVerdict, bisect, inverse_of_average, power_mean
+from .classic_means import ComparisonVerdict, _chain_mean, bisect, inverse_of_average, power_mean
 from .domain import (
     IntervalDomain,
     MeanKind,
@@ -67,7 +73,7 @@ from .errors import (
     NoSignChange,
     NotNormalizable,
 )
-from .expr import _H1, Difference, Kernel2, Ratio, numeric_derivative
+from .expr import _H1, Difference, Kernel2, Ratio, Sign, numeric_derivative
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,10 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
 
     A kernel declaring ``Difference(f)`` gets f(x_i) evaluated once, here;
     ``Ratio(h, q)`` gets each term as w_i * h(x_i / y) without the call
-    through ``fn``.  Both give the same floats as w_i * K(x_i, y), and a
-    failure names the same pair as the generic sum.
+    through ``fn``.  Both give the same floats as w_i * K(x_i, y).  Where f
+    or h raises, or a difference sum is not finite (where ``fn`` may raise
+    instead), the point goes through the generic sum, so a failure is the
+    generic sum's, naming the same pair.
     """
     entries, weights = sample.entries, sample.weights
     k = kernel.fn
@@ -132,10 +140,11 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
         def separable(y: float) -> float:
             try:
                 fy = g(y)
-            except _KERNEL_ERRORS as exc:
-                # The generic sum fails at its first term: f(x_0) is fine.
-                raise failure(entries[0], y, exc) from exc
-            return math.fsum([w * (fx - fy) for fx, w in zip(fxs, weights)])
+                value = math.fsum([w * (fx - fy) for fx, w in zip(fxs, weights)])
+            except _KERNEL_ERRORS:
+                return total(y)
+            # A finite sum has finite terms, each fn's value.
+            return value if math.isfinite(value) else total(y)
 
         return separable
     if isinstance(structure, Ratio):
@@ -182,6 +191,10 @@ def _closed_form(kernel: Kernel2, sample: WeightedSample, lo: float, hi: float) 
     structure = kernel.structure
     if isinstance(structure, Difference):
         f = structure.f
+        if f.inverse is None and f.hull_inverse is not None:
+            mean = _chain_mean(f, sample, lo, hi)
+            # _chain_mean has evaluated f at both hull ends without a failure.
+            return mean if mean is not None and f.fn(lo) < f.fn(hi) else None
         if f.inverse is None or not (f.domain.contains(lo) and f.domain.contains(hi)):
             return None
         entries = sample.entries
@@ -195,6 +208,33 @@ def _closed_form(kernel: Kernel2, sample: WeightedSample, lo: float, hi: float) 
     if isinstance(structure, Ratio) and structure.order is not None and lo > 0.0:
         return min(max(power_mean(sample, structure.order), lo), hi)
     return None
+
+
+def _medians(sample: WeightedSample, kinds: Iterable[MeanKind]) -> dict[MeanKind, float]:
+    """Each kind of a ``Sign`` kernel, exactly.
+
+    With the entries sorted, x_(1) <= ... <= x_(n), the class of D between
+    x_(k) and x_(k+1) is c_k = sign(sum_{i > k} w_(i) - sum_{i <= k} w_(i)),
+    one ``fsum``, so exact; it does not increase with k, from c_0 = 1 to
+    c_n = -1.  Each kind is the entry x_(k) at which its test on c_k first
+    fails: the least entry where it fails just right of it, for an inf
+    kind, and the greatest where it holds just left of it, for a sup kind,
+    which is the same entry (``tests/oracle.py::weighted_medians``).
+    """
+    pairs = sorted(zip(sample.entries, sample.weights))
+    weights = [w for _, w in pairs]
+    negated = [-w for w in weights]
+
+    def median(strict: bool) -> float:
+        def fails(k: int) -> bool:
+            c = _classify(math.fsum(weights[k:] + negated[:k]))
+            return not (c > 0 if strict else c >= 0)
+
+        # x_(k) is pairs[k - 1], and the search over k = 1..n finds k - 1.
+        return pairs[bisect_left(range(1, len(pairs) + 1), True, key=fails)][0]
+
+    medians = {strict: median(strict) for strict in (True, False)}
+    return {kind: medians[kind.has_strict_test] for kind in kinds}
 
 
 def _refuse_hull_ends(at_lo: float, at_hi: float) -> None:
@@ -218,12 +258,15 @@ def semideviation_means(
     clamped by the hull and each returned value obeys the mean-value
     property.  Raises NoSignChange when the deviation sum is negative at the
     lower hull end, positive at the upper one, or zero at both.
-    Every kind gets the value ``semideviation_mean`` gives alone.
+    Every kind gets the value ``semideviation_mean`` gives alone; a ``Sign``
+    kernel gets the weighted medians (``_medians``).
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
     if lo == hi:
         return {kind: lo for kind in kinds}
+    if isinstance(kernel.structure, Sign):
+        return _medians(sample, kinds)
     closed = _closed_form(kernel, sample, lo, hi)
     if closed is not None:
         return {kind: closed for kind in kinds}

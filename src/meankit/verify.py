@@ -687,7 +687,8 @@ def verify_homi(
     ``Difference(g)``, and the result kernel's diagonal slope at f(a, b).
     Each of the grid^4 points then costs (g(f(p, q)) - g(f(u, v))) /
     slope(f(u, v)), or K_I(f(p, q), f(u, v)) / slope(f(u, v)) without that
-    structure: both are the floats of K_I*.  Any other result kernel thus
+    structure or where some difference of the g table is not finite: both
+    are the floats of K_I*.  Any other result kernel thus
     evaluates its slopes in the table, before the loop.  A kernel or operation that raises
     at several pairs therefore names the first pair in table order, and
     every table entry is evaluated, also at pairs whose lattice points are
@@ -719,6 +720,10 @@ def verify_homi(
     k_second = [[star_second.fn(q, v) for v in pts_k] for q in pts_k]
     g = kernel_result.structure.f.fn if isinstance(kernel_result.structure, Difference) else None
     g_values = [[None if f is None or g is None else g(f) for f in row] for row in op_values]
+    g_finite = [v for row in g_values for v in row if v is not None]
+    if g_finite and not math.isfinite(max(g_finite) - min(g_finite)):
+        # Some g(f(p, q)) - g(f(u, v)) is not finite, where K_I may raise.
+        g = None
     slope = star_result.fn.slope
     slopes = [[None if f is None else slope(f) for f in row] for row in op_values]
 

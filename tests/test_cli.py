@@ -77,6 +77,49 @@ def test_deviation_mean_refuses_a_zero_plateau(entries, weights, printed, capsys
         assert out.splitlines()[-1] == printed
 
 
+#: Entries whose x^3 is finite but whose fsum overflows: calls, exit code,
+#: last stdout line and stderr.  The qa calls printed a Python traceback
+#: (exit 1); the chain x^3 refuses the overflowed average and is bisected.
+OVERFLOWING_AVERAGES = [
+    (("--kind", "qa", "--generator", "expr:x^3+x"), 3, None,
+     "error: NonFinite: weighted average of x^3+x values overflowed\n"),
+    (("--kind", "qa", "--generator", "expr:x^3"), 3, None,
+     "error: NonFinite: weighted average of x^3 values overflowed\n"),
+    # The differences stay finite, so the sign scan finds the mean.
+    (("--kind", "semidev", "--kernel", "expr:x^3-y^3"), 0, "5.550450413896249e+102", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, printed, err", OVERFLOWING_AVERAGES, ids=["x^3+x", "x^3", "x^3-y^3"])
+def test_overflowing_weighted_average_exits_3(argv, code, printed, err, capsys):
+    got = run_cli(capsys, "compute", "mean", *argv, "--x", "5.5e102,5.6e102", "--w", "1,1")
+    assert (got[0], got[2]) == (code, err)
+    assert (got[1].splitlines()[-1] if printed else got[1]) == (printed or "")
+
+
+@pytest.mark.parametrize("kernel", ["sign_dev", "expr:sign(x-y)"])
+def test_medians_of_a_hull_wider_than_the_largest_float(kernel, capsys):
+    # x - y overflows to inf, whose sign is 1, so both kernels are sign(x -
+    # y) here too.  The grid's first point, lo + 0 * inf, is NaN: it printed
+    # -1e+308 for sign_dev and raised NonFinite for expr:sign(x-y).
+    code, out, err = run_cli(
+        capsys, "compute", "mean", "--kind", "semidev", "--kernel", kernel,
+        "--x=-1e308,1e308,5", "--w", "1,1,1", "--domain=-inf,inf",
+    )
+    assert (code, out.splitlines()[-1], err) == (0, "5.0", "")
+
+
+def test_homi_lattice_difference_that_overflows_raises_like_the_kernel(capsys):
+    # g(0.95) - g(-0.95) overflows for g = x * 1e308: the lattice calls the
+    # compiled kernel there, which raises, instead of subtracting g's table.
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "homi", "--kernel", "expr:x*1e308-y*1e308", "--kernel2", "expr:x-y",
+        "--kernel3", "expr:x-y", "--op", "x-y", "--domain=-1,1", "--entry-range=-0.95,0.95", "--grid", "3",
+        "--samples", "5",
+    )
+    assert (code, out, err) == (3, "", "error: NonFinite: expression evaluated to -inf\n")
+
+
 def test_compute_qa_with_expression_generator(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "mean", "--kind", "qa", "--generator", "expr:log(x)",
@@ -170,16 +213,18 @@ def test_homogenize_envelope_refuses_flags_it_would_ignore(argv, capsys):
 @pytest.mark.parametrize(
     "argv, flag, exact, refine_tols",
     [
-        (("--kind", "deviation", "--kernel", "expr:x^3-y^3"), ("--refine-tol", "0.01"), (73 / 3) ** (1 / 3),
+        (("--kind", "deviation", "--kernel", "expr:x*x*x-y*y*y"), ("--refine-tol", "0.01"), (73 / 3) ** (1 / 3),
          (1e-12, 0.01)),
-        (("--kind", "semidev", "--kernel", "sign_dev", "--semidev-kind", "upper-weak"), ("--grid", "2"), 2.0,
-         (1e-12, 1e-12)),
+        (("--kind", "semidev", "--kernel", "expr:sign(x^3-y^3)", "--semidev-kind", "upper-weak"), ("--grid", "2"),
+         2.0, (1e-12, 1e-12)),
     ],
     ids=["refine-tol", "grid"],
 )
 def test_compute_mean_solver_flags_reach_the_solver(argv, flag, exact, refine_tols, capsys):
-    # The root of x^3 - y^3 on 1, 2, 4 is (73/3)^(1/3); the upper-weak
-    # median is 2.  Bisection stops within refine_tol * max|hull| of it.
+    # Kernels that the closed forms leave to the solver: x occurs three
+    # times in x*x*x, and sign(x^3 - y^3) is not sign(x - y) in floats.  The
+    # root of x^3 - y^3 on 1, 2, 4 is (73/3)^(1/3); the upper-weak median is
+    # 2.  Bisection stops within refine_tol * max|hull| of it.
     values = []
     for extra in ((), flag):
         code, out, _ = run_cli(capsys, "compute", "mean", *argv, "--x", "1,2,4", "--w", "1,1,1", *extra)

@@ -32,8 +32,10 @@ from meankit.expr import (
     MAX_DEPTH,
     BinOp,
     Call,
+    Difference,
     Neg,
     Num,
+    Sign,
     Var,
     _source,
     free_variables,
@@ -356,6 +358,91 @@ def test_error_order_follows_evaluation_order():
         evaluate(parse("log(x) + q"), {"x": -1.0})
     with pytest.raises(UnboundVariable, match="variable 'q' is not bound"):
         evaluate(parse("q + log(x)"), {"x": -1.0})
+
+
+# --- difference and sign kernels ------------------------------------------------------
+
+
+def _raw(f, v: float) -> float:
+    """The value of the compiled f at v before its last check, which turns a
+    value that is not finite into NonFinite; any other error is raised."""
+    try:
+        return f(v)
+    except NonFinite as exc:
+        match = re.fullmatch(r"expression evaluated to (.*)", str(exc))
+        if match is None:
+            raise
+        return float(match.group(1))
+
+
+def _difference_outcome(f, x: float, y: float):
+    """What A(x) - A(y) compiled as one function gives: A at x, then A at y,
+    their difference, then the check that it is finite."""
+    try:
+        d = _raw(f, x) - _raw(f, y)
+    except (DomainError, NonFinite) as exc:
+        return type(exc), str(exc)
+    return repr(d) if math.isfinite(d) else (NonFinite, f"expression evaluated to {d}")
+
+
+#: Differences whose values overflow: at (1.5, -1.5) for the first; A of the
+#: second is inf in floats before its last check, and exp overflows.
+_OVERFLOWING_DIFFERENCES = ("x*1e308", "x*1e308*10", "exp(x)")
+
+
+def test_recognised_differences_are_their_generators_difference():
+    # A - B, with B the A of x renamed to y, declares Difference(f) with f
+    # the A of x: fn(x, y) is f(x) - f(y) bit for bit where that is finite,
+    # and raises the same error type and message elsewhere.
+    rng = random.Random(20261019)
+    cases = [(text, 1.5, -1.5) for text in _OVERFLOWING_DIFFERENCES]
+    while len(cases) < 1500:
+        a = _random_ast(rng, rng.randint(1, 5), ("x",))
+        if free_variables(a) == {"x"}:
+            cases.append((to_source(a), rng.choice(_BINDING_POOL), rng.choice(_BINDING_POOL)))
+    kinds = set()
+    for a_text, x, y in cases:
+        b_text = re.sub(r"\bx\b", "y", a_text)
+        text = f"({a_text}) - ({b_text})"
+        kernel = kernel_from_expression(text, all_reals())
+        assert isinstance(kernel.structure, Difference), text
+        f = kernel.structure.f
+        assert parse(f.name) == parse(a_text)
+        chain = scalar_from_expression(a_text, all_reals()).hull_inverse
+        assert (f.hull_inverse is None) == (chain is None), text
+        want = _difference_outcome(f.fn, x, y)
+        assert _outcome(kernel.fn, x, y) == want, (text, x, y)
+        kinds.add(_kind(want))
+    assert kinds >= {"value", "expression evaluated", "overflowed", "log of", "overflow in"}
+
+
+@pytest.mark.parametrize(
+    "text, structure",
+    [
+        ("x^2 - y^2", Difference),
+        ("x*x - y*y", Difference),
+        ("x - y", Difference),
+        ("sign(x - y)", Sign),
+        ("sign((x)-(y))", Sign),
+        ("x^2 - y^3", type(None)),  # B is not A of y
+        ("y^2 - x^2", type(None)),  # A holds y
+        ("x*y - y*y", type(None)),
+        ("3 - 3", type(None)),  # no x
+        ("(x - y) * (1 + x*y)", type(None)),
+        ("x - y + 3", type(None)),
+        ("sign(x^3 - y^3)", type(None)),  # not sign(x - y) where x^3 is flat
+        ("sign(y - x)", type(None)),
+    ],
+)
+def test_kernel_structure_is_read_off_the_parse(text, structure):
+    assert type(kernel_from_expression(text, all_reals()).structure) is structure
+
+
+def test_expression_sign_kernel_is_sign_of_the_difference_everywhere():
+    # x - y overflows to inf without an error, and sign(inf) is 1.
+    kernel = kernel_from_expression("sign(x - y)", all_reals())
+    for x, y in ((1e308, -1e308), (-1e308, 1e308), (2.0, 2.0), (5e-324, 0.0), (1.0, 3.0)):
+        assert repr(kernel.fn(x, y)) == repr(sign_kernel().fn(x, y)) == repr(float(sign(x - y)))
 
 
 def test_unknown_variable_rejected_when_handle_is_built():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from meankit import (
     power_generator,
     quasiarithmetic_mean,
     ratio_kernel,
+    scalar_from_expression,
     semideviation_mean,
     semideviation_means,
     shifted_power_generator,
@@ -29,18 +31,22 @@ from meankit import (
 )
 import meankit.semideviation as semideviation
 from meankit.cli import resolve_kernel
-from meankit.domain import all_reals, open_interval, positive_reals
+from meankit.domain import all_reals, open_interval, positive_reals, sign
+from meankit.classic_means import CONDITION_LIMIT
 from meankit.errors import (
     AmbiguousClassification,
     KernelEvaluationError,
+    MeanKitError,
     NoSignChange,
     NotNormalizable,
 )
-from meankit.expr import Difference, Kernel2, Ratio, ScalarFunction
+from meankit.expr import Difference, Kernel2, Ratio, ScalarFunction, Sign
 from meankit.homogenize import homogenization_profile, ratio_kernel_from_profile
 from meankit.verify import minkowski_preset
 
+import oracle
 from conftest import numeric_profile_kernel
+from test_qa_chains import _random_chain
 
 POS = positive_reals()
 REALS = all_reals()
@@ -300,7 +306,8 @@ class TestDeviationMean:
 
         monkeypatch.setattr(semideviation, "deviation_sum", counting)
         s = make_weighted_sample([1, 2, 4], [1, 1, 1], POS)
-        deviation_mean(kernel_from_expression("x^3-y^3", POS), s)
+        # x occurs three times in x*x*x: no chain, so no closed form.
+        deviation_mean(kernel_from_expression("x*x*x-y*y*y", POS), s)
         # The two hull ends, then halvings of 3 down to 1e-12 * 4.
         assert len(calls) == 2 + math.ceil(math.log2(3 / 4e-12))
 
@@ -423,12 +430,16 @@ def _generic(kernel: Kernel2) -> Kernel2:
 
 
 def _bisection(kernel: Kernel2) -> Kernel2:
-    """The same kernel with its generator's inverse dropped, so that its means
-    are solved by the sign scan and bisection instead of in closed form."""
-    if not isinstance(kernel.structure, Difference):
-        return kernel
-    f = dataclasses.replace(kernel.structure.f, inverse=None)
-    return dataclasses.replace(kernel, structure=Difference(f))
+    """The same kernel with its generator's inverse and certified chain
+    dropped, or its ratio's order, so that its means are solved by the sign
+    scan and bisection instead of in closed form."""
+    structure = kernel.structure
+    if isinstance(structure, Difference):
+        f = dataclasses.replace(structure.f, inverse=None, hull_inverse=None)
+        return dataclasses.replace(kernel, structure=Difference(f))
+    if isinstance(structure, Ratio):
+        return dataclasses.replace(kernel, structure=Ratio(structure.h))
+    return kernel
 
 
 def _seeded_samples(domain, lo, hi, seed, count=30):
@@ -526,6 +537,37 @@ def test_generator_failing_at_an_entry_falls_back_to_the_generic_sum():
     assert "(4.0, 2.0)" in message
 
 
+def _of_y(text: str) -> str:
+    """Expression text in x with x renamed to y."""
+    return re.sub(r"\bx\b", "y", text)
+
+
+#: Differences of expressions whose terms overflow where the compiled kernel
+#: raises NonFinite, or whose generator raises at y: (A, entries, y).
+OVERFLOWING = [
+    ("x*1e308", [1.5, 0.5], -1.5),  # 1.5e308 - (-1.5e308) is inf
+    ("x*1e308", [1.5, 1.5], 0.5),  # finite terms, an fsum that overflows
+    ("x*1e308*10", [1.0, 2.0], 0.5),  # A(x) is inf before its last check
+    ("exp(x)", [0.5, 1.0], 1000.0),  # exp(y) overflows
+    ("log(x)", [0.5, 1.0], -1.0),
+]
+
+
+@pytest.mark.parametrize("a, entries, y", OVERFLOWING)
+def test_expression_difference_sum_fails_like_the_generic_sum(a, entries, y):
+    kernel = kernel_from_expression(f"{a} - {_of_y(a)}", REALS)
+    assert isinstance(kernel.structure, Difference)
+    s = make_weighted_sample(entries, [1.0] * len(entries), REALS)
+    outcomes = []
+    for k in (kernel, _generic(kernel)):
+        try:
+            outcomes.append(repr(deviation_sum(k, s)(y)))
+        except (KernelEvaluationError, OverflowError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert not isinstance(outcomes[0], str)
+
+
 def _profile_kernel(spec: str, mode: str, *, numeric: bool = False) -> Kernel2:
     """The ratio kernel of the spec's scale profile; ``numeric`` drops the
     generator's local order, so that the profile is the node table."""
@@ -549,9 +591,14 @@ CONSTRUCTORS = {
     "profile-cosh": (lambda: _profile_kernel("diff_gen:cosh", "lower"), Ratio),
     "profile-log": (lambda: _profile_kernel("log", "estimate"), Ratio),
     "profile-table": (lambda: _profile_kernel("power:0.5", "estimate", numeric=True), Ratio),
-    "sign_kernel": (sign_kernel, type(None)),
-    "kernel_from_expression": (lambda: kernel_from_expression("cosh(x) - cosh(y)", POS), type(None)),
+    "sign_kernel": (sign_kernel, Sign),
+    "kernel_from_expression": (lambda: kernel_from_expression("cosh(x) - cosh(y)", POS), Difference),
+    "expr:x*x-y*y": (lambda: resolve_kernel("expr:x*x-y*y"), Difference),
+    "expr:sign(x-y)": (lambda: resolve_kernel("expr:sign(x-y)"), Sign),
     "expr:log(x/y)": (lambda: resolve_kernel("expr:log(x/y)"), type(None)),
+    "expr:(x-y)*(1+x*y)": (lambda: resolve_kernel("expr:(x-y)*(1+x*y)"), type(None)),
+    "expr:sign(x^3-y^3)": (lambda: resolve_kernel("expr:sign(x^3-y^3)"), type(None)),
+    "expr:x^2-y^3": (lambda: resolve_kernel("expr:x^2-y^3"), type(None)),
     "normalize_kernel": (lambda: normalize_kernel(difference_kernel(power_generator(2))), type(None)),
     "normalized-ratio": (lambda: normalize_kernel(ratio_kernel(log_generator())), type(None)),
     "operation": (lambda: minkowski_preset()["operation"], type(None)),
@@ -567,7 +614,11 @@ def test_each_constructor_declares_its_structure(make, kind):
 def test_structure_holds_the_constructor_arguments():
     cosh, log = cosh_generator(), log_generator()
     assert difference_kernel(cosh).structure == Difference(cosh)
-    assert ratio_kernel(log).structure == Ratio(log.fn)
+    # log(x / y) = log x - log y: the catalog log alone gets the order 0.
+    assert ratio_kernel(log).structure == Ratio(log.fn, 0.0)
+    square = power_generator(2)
+    assert ratio_kernel(square).structure == Ratio(square.fn)
+    assert sign_kernel().structure == Sign()
     profile = homogenization_profile(difference_kernel(cosh))
     assert ratio_kernel_from_profile("h", profile).structure == Ratio(profile, 2.0)
     profile = homogenization_profile(numeric_profile_kernel(difference_kernel(cosh)))
@@ -587,6 +638,9 @@ def test_declared_structure_gives_the_values_of_fn(make):
     for _ in range(50):
         x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
         value = kernel.fn(x, y)
+        if isinstance(structure, Sign):
+            assert repr(value) == repr(float(sign(x - y))), (kernel.name, x, y)
+            continue
         if isinstance(structure, Difference):
             assert repr(value) == repr(structure.f.fn(x) - structure.f.fn(y)), (kernel.name, x, y)
             continue
@@ -702,10 +756,12 @@ def test_wrong_signed_hull_ends_are_reported_before_an_interior_failure():
 @pytest.mark.parametrize(
     "kernel, domain, bounds, cfg",
     [
-        (sign_kernel(), REALS, (1.0, 4.0), SemidevMeanConfig(grid_size=64)),
+        # Without their structures, so that they scan: the medians and the
+        # geometric mean have closed forms.
+        (_generic(sign_kernel()), REALS, (1.0, 4.0), SemidevMeanConfig(grid_size=64)),
         (_bisection(arithmetic_kernel()), REALS, (-3.0, 3.0), SemidevMeanConfig(grid_size=128)),
         (_bisection(difference_kernel(cosh_generator())), POS, (0.1, 4.0), SemidevMeanConfig()),
-        (ratio_kernel(log_generator()), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
+        (_bisection(ratio_kernel(log_generator())), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
     ],
     ids=["sign_dev", "arithmetic", "cosh", "ratio-log"],
 )
@@ -874,3 +930,131 @@ def test_inf_and_sup_kinds_search_from_their_own_side(spec, entries, weights, in
     for kind in KINDS:
         want = inf_mean if kind.is_inf_kind else sup_mean
         assert means[kind] == pytest.approx(want, rel=0.0, abs=1e-10), kind
+
+
+# --- expression difference kernels and exact medians -----------------------------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except MeanKitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed, domain, low, high", [(7, POS, 0.05, 8.0), (8, REALS, -4.0, 8.0)])
+def test_chain_differences_against_the_grid_and_the_oracle(seed, domain, low, high):
+    # Where the closed form is taken, every kind and the deviation mean are
+    # the chain's qa mean, within the bisection tolerance of the grid and
+    # the oracle; elsewhere the separable sum meets the grid, with the
+    # generic sum's means or error.
+    rng = random.Random(seed)
+    cfg = SemidevMeanConfig(grid_size=128)
+    taken = refused = 0
+    for _ in range(100):
+        text, f = _random_chain(rng)
+        kernel = kernel_from_expression(f"({text}) - ({_of_y(text)})", domain)
+        assert kernel.structure.f.hull_inverse is not None, text
+        n = rng.randint(2, 6)
+        entries = [rng.uniform(low, high) for _ in range(n)]
+        weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        s = make_weighted_sample(entries, weights, domain)
+        lo, hi = s.hull()
+        new = _outcome(lambda: semideviation_means(kernel, s, KINDS, cfg))
+        old = _outcome(lambda: semideviation_means(_generic(kernel), s, KINDS, cfg))
+        closed = semideviation._closed_form(kernel, s, lo, hi)
+        if closed is None:
+            refused += 1
+            assert new == old, (text, entries, weights)
+            assert _outcome(lambda: deviation_mean(kernel, s)) == _outcome(
+                lambda: deviation_mean(_generic(kernel), s)
+            )
+            continue
+        taken += 1
+        assert new == {kind: closed for kind in KINDS}
+        assert deviation_mean(kernel, s) == closed
+        assert closed == quasiarithmetic_mean(s, scalar_from_expression(text, domain))
+        bound = 1e-12 * max(abs(lo), abs(hi)) + CONDITION_LIMIT * abs(closed)
+        for kind in KINDS:
+            assert abs(closed - old[kind]) <= bound, (text, entries, weights, kind)
+        assert abs(closed - deviation_mean(_generic(kernel), s)) <= bound
+        reference = oracle.qa_mean_by_bisection(entries, weights, f)
+        assert abs(closed - reference) <= bound, (text, entries, weights)
+    assert taken >= 30 and refused >= 10
+
+
+@pytest.mark.parametrize(
+    "spec, entries",
+    [
+        ("expr:x*x-y*y", [1.0, 2.0, 5.0]),  # x occurs twice: no chain
+        ("expr:(x-y)*(1+x*y)", [0.5, 2.0, 4.0]),  # not a difference
+        ("expr:1/x-1/y", [1.0, 2.0, 5.0]),  # decreasing
+        ("expr:x^2-y^2", [1e-170, 2e-170]),  # x^2 underflows to 0 at both ends
+    ],
+)
+def test_other_expression_kernels_still_meet_the_grid(monkeypatch, spec, entries):
+    sums = []
+    original = semideviation.deviation_sum
+
+    def recording(kernel, sample):
+        dsum = original(kernel, sample)
+        return lambda y: sums.append(y) or dsum(y)
+
+    monkeypatch.setattr(semideviation, "deviation_sum", recording)
+    kernel = resolve_kernel(spec)
+    s = make_weighted_sample(entries, [1.0, 2.0, 0.5][: len(entries)], POS)
+    cfg = SemidevMeanConfig(grid_size=64)
+    new = _outcome(lambda: semideviation_means(kernel, s, KINDS, cfg))
+    assert new == _outcome(lambda: semideviation_means(_generic(kernel), s, KINDS, cfg))
+    if spec == "expr:1/x-1/y":
+        assert new == (NoSignChange, "deviation sum has signs (-1, 1) at the hull ends")
+        assert sums == [1.0, 5.0] * 2
+    elif spec == "expr:x^2-y^2":
+        assert new == (NoSignChange, "deviation sum has signs (0, 0) at the hull ends")
+    else:
+        assert len(sums) >= 2 * (64 + 2)  # the grid and the hull ends, on each sum
+
+
+def _median_samples(rng: random.Random, count: int = 300):
+    for i in range(count):
+        n = rng.randint(1, 7)
+        if i % 3 == 0:
+            # Integer entries and weights: plateaus of D, where the kinds differ.
+            entries = [float(rng.randint(-9, 9)) for _ in range(n)]
+            weights = [float(rng.randint(0, 3)) for _ in range(n)]
+        else:
+            entries = [rng.uniform(-9.5, 9.5) for _ in range(n)]
+            weights = [rng.choice([0.0, rng.uniform(0.1, 3.0)]) for _ in range(n)]
+        if any(weights):
+            yield entries, weights
+
+
+@pytest.mark.parametrize("make", [sign_kernel, lambda: resolve_kernel("expr:sign(x-y)")], ids=["sign_dev", "expr"])
+def test_exact_medians_against_the_oracle_and_the_grid(make):
+    kernel = make()
+    assert isinstance(kernel.structure, Sign)
+    rng = random.Random(2026)
+    domain = open_interval(-10.0, 10.0)
+    cfg = SemidevMeanConfig(grid_size=64)
+    zero_weights = 0
+    for entries, weights in _median_samples(rng):
+        s = make_weighted_sample(entries, weights, domain)
+        lower, upper = oracle.weighted_medians(entries, weights)
+        means = semideviation_means(kernel, s, KINDS, cfg)
+        for kind in KINDS:
+            assert means[kind] == (lower if kind.has_strict_test else upper), (entries, weights, kind)
+        grid = semideviation_means(_generic(kernel), s, KINDS, cfg)
+        lo, hi = s.hull()
+        for kind in KINDS:
+            assert abs(grid[kind] - means[kind]) <= 1e-12 * max(abs(lo), abs(hi)), (entries, weights, kind)
+        zero_weights += 0.0 in weights
+    assert zero_weights >= 50
+
+
+def test_ratio_dev_log_is_the_geometric_mean():
+    # log(x / y) = log x - log y, so no sum is scanned.
+    kernel = ratio_kernel(log_generator())
+    for s in _seeded_samples(POS, 0.5, 4.0, seed=29, count=20):
+        mean = deviation_mean(kernel, s)
+        assert semideviation_means(kernel, s, KINDS) == {kind: mean for kind in KINDS}
+        assert oracle.ulps(mean, oracle.power_mean(s.entries, s.weights, 0)) <= 2, s

@@ -13,7 +13,11 @@ case checks the change instead of repeating it.  The cases of difference
 kernels with a catalog generator (arithmetic and diff_gen:power:2, power:0,
 exp and cosh) were re-recorded when those means moved to the closed form
 f^-1(sum_i w_i f(x_i) / W); CHANGES.md gives each case's error against
-60-digit references before and after.
+60-digit references before and after.  The cases of ``sign_dev`` (exact
+weighted medians), ``expr:cosh(x) - cosh(y)`` (a recognised difference
+kernel of a chain, in closed form) and ``ratio_dev:log`` (the geometric
+mean) were re-recorded in place when those kernels left the sign scan; each
+budget below was cut to the new largest error.
 ``test_recorded_means_within_oracle_budget`` holds every case to a ulp
 budget against ``oracle.py``.  Re-recording is only valid together with an argument
 that the new values are at least as accurate as the recorded ones.
@@ -165,19 +169,19 @@ def _median(row: dict, kind: str) -> float:
 #: Kernel -> (reference of a recorded mean from its row and kind, ulp
 #: budget).  Each budget is the largest error of a recorded mean of any kind
 #: against ``oracle.py`` when it was set; exp and arithmetic have means near
-#: 0, where an ulp of the reference is small, and the kernels solved by the
-#: sign scan carry its bisection tolerance, 1e-12 of the hull scale.  A
+#: 0, where an ulp of the reference is small, and the kernel solved by the
+#: sign scan carries its bisection tolerance, 1e-12 of the hull scale.  A
 #: budget is never widened.
 ORACLE_BUDGETS = {
-    "sign_dev": (_median, 10_250),
+    "sign_dev": (_median, 0),
     "arithmetic": (_qa("identity"), 3),
     "diff_gen:power:2": (_qa("power:2"), 1),
     "diff_gen:power:0": (_qa("log"), 1),
     "diff_gen:exp": (_qa("exp"), 44),
     "diff_gen:cosh": (_qa("cosh"), 2),
-    "expr:cosh(x) - cosh(y)": (_qa("cosh"), 4_611),
+    "expr:cosh(x) - cosh(y)": (_qa("cosh"), 1),
     # log(x / y) = log x - log y: the geometric mean.
-    "ratio_dev:log": (_qa("log"), 4_243),
+    "ratio_dev:log": (_qa("log"), 2),
     COSH_SCAN: (_qa("cosh"), 3_372),
 }
 
