@@ -33,9 +33,7 @@ from .expr import (
     to_source,
 )
 from .classic_means import (
-    ComparisonVerdict,
     common_power_order,
-    compare_quasiarithmetic,
     local_power_order,
     power_mean,
     qa_local_homogenization,
@@ -43,8 +41,8 @@ from .classic_means import (
     scaling_ratio_limit,
 )
 from .semideviation import (
+    ComparisonVerdict,
     SemidevMeanConfig,
-    check_quasideviation,
     check_semideviation,
     deviation_mean,
     deviation_sum,

@@ -1,4 +1,4 @@
-"""Power means, quasiarithmetic means, and their comparison and scaling limits.
+"""Power means, quasiarithmetic means, and their scaling limits.
 
 A generator that declares its ``inverse`` (the catalog ones) gives the
 quasiarithmetic mean in closed form, f^-1 of the weighted average of f(x_i).
@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from .domain import IntervalDomain, WeightedSample, probe_points
+from .domain import WeightedSample
 from .errors import (
     AllEvaluationsFailed,
     Diverged,
@@ -51,15 +50,6 @@ MONOTONE_PROBE_POINTS = 64
 #: closed form is taken; the error it admits is about this relative to the
 #: mean.  Above it the mean is bisected.
 CONDITION_LIMIT = 1e-8
-
-
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Outcome of a pointwise comparison check; failures carry a witness."""
-
-    holds: bool
-    checked_points: int
-    witness: dict[str, Any] | None = field(default=None)
 
 
 def bisect(a: float, b: float, below: Callable[[float], bool], tol: float) -> float:
@@ -231,43 +221,14 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
 def local_power_order(generator: ScalarFunction, x: float) -> float:
     """x * f''(x) / f'(x) + 1: the local power-mean order of a generator.
 
-    Constant p for the pure power generator of exponent p; drives both the
-    comparison criterion and the power-scale embedding of quasiarithmetic
-    means.
+    Constant p for the pure power generator of exponent p; drives the
+    power-scale embedding of quasiarithmetic means.
     """
     d1 = generator.derivative(x, 1)
     if abs(d1) <= DERIVATIVE_GUARD:
         raise VanishingFirstDerivative(f"first derivative of {generator.name} vanishes at {x}")
     d2 = generator.derivative(x, 2)
     return x * d2 / d1 + 1.0
-
-
-def compare_quasiarithmetic(
-    f: ScalarFunction, g: ScalarFunction, domain: IntervalDomain
-) -> ComparisonVerdict:
-    """Check f''/f' <= g''/g' on a uniform 64-point interior grid of ``domain``.
-
-    When this holds everywhere the f-mean is dominated by the g-mean on that
-    domain; the first failing point is returned as a witness.
-    """
-    checked = 0
-    for x in probe_points(domain, 64):
-        d1f = f.derivative(x, 1)
-        if abs(d1f) <= DERIVATIVE_GUARD:
-            raise VanishingFirstDerivative(f"{f.name}: first derivative vanishes at {x}")
-        d1g = g.derivative(x, 1)
-        if abs(d1g) <= DERIVATIVE_GUARD:
-            raise VanishingFirstDerivative(f"{g.name}: first derivative vanishes at {x}")
-        rf = f.derivative(x, 2) / d1f
-        rg = g.derivative(x, 2) / d1g
-        checked += 1
-        if rf > rg + 1e-12 * (1.0 + abs(rf) + abs(rg)):
-            return ComparisonVerdict(
-                holds=False,
-                checked_points=checked,
-                witness={"x": x, "ratio_f": rf, "ratio_g": rg},
-            )
-    return ComparisonVerdict(holds=True, checked_points=checked)
 
 
 def _diverged(est: LimitEstimate) -> bool:

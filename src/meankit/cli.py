@@ -265,14 +265,13 @@ def compute() -> None:
     "catalog inverse or a certified expr: chain (diff_gen, and expr:A(x)-A(y) with "
     "x once in A), ratio_dev:log, and sign_dev and expr:sign(x-y), whose means are "
     "the exact weighted medians.  --kind power, qa and deviation ignore it "
-    "(deviation bisects the whole hull and reads only --refine-tol).",
+    "(deviation bisects the whole hull of any other kernel and reads only --refine-tol).",
 )
 @click.option(
     "--refine-tol",
     default=DEFAULT_CONFIG.refine_tol,
     show_default=True,
-    help="Relative bisection tolerance; no effect on kernels solved in closed form "
-    "(see --grid), but the deviation mean of a sign kernel is still bisected.",
+    help="Relative bisection tolerance; no effect on kernels solved in closed form (see --grid).",
 )
 @click.option("--format", "output_format", type=click.Choice(["human", "structured"]), default="human")
 def compute_mean(

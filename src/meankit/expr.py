@@ -380,33 +380,10 @@ _UNARY: dict[str, Callable[[float], float]] = {
     "sign": _sign,
 }
 
-_PICK = {"min": min, "max": max}
-
-
-def _apply(func: str, values: list[float]) -> float:
-    """A call that an AST built by hand gives another arity or an unknown
-    name.  Every argument has been evaluated, left to right, before the call
-    applies or fails, and a unary function takes the first."""
-    pick = _PICK.get(func)
-    if pick is not None:
-        if any(v != v for v in values):
-            raise NonFinite(f"NaN operand in {func}{tuple(values)}")
-        return pick(values)
-    op = _UNARY.get(func)
-    if op is None:
-        raise UnknownFunction(func)
-    v = values[0]
-    try:
-        return op(v)
-    except OverflowError as exc:
-        raise NonFinite(f"{func}({v}) overflowed") from exc
-
-
 # The global namespace of every generated function, besides its literals.
 _HELPERS = {
     **_UNARY,
     "power": math.pow,
-    "apply": _apply,
     "isfinite": math.isfinite,
     "NonFinite": NonFinite,
     "DomainError": DomainError,
@@ -416,7 +393,6 @@ _HELPERS = {
 # One template per kind of node; $v is the node's value, $a and $b its operands.
 _FLOAT = Template("    $v = float($a)\n")
 _NEG = Template("    $v = -$a\n")
-_APPLY = Template("    $v = apply($func, [$args])\n")
 _UNBOUND = Template("    raise UnboundVariable($message)\n")
 
 _UNARY_CALL = Template("""\
@@ -510,13 +486,16 @@ class _Emitter:
         if isinstance(node, Neg):
             return self.emit(_NEG, a=self.node(node.operand))
         if isinstance(node, Call):
+            arity = FUNCTION_ARITY.get(node.func)
+            if arity is None:
+                raise UnknownFunction(f"unknown function {node.func!r}")
+            if len(node.args) != arity:
+                raise ExprSyntaxError(f"{node.func} takes {arity} argument(s), got {len(node.args)}", 0)
             args = [self.node(a) for a in node.args]
-            if node.func in _UNARY and len(args) == 1:
+            if arity == 1:
                 return self.emit(_UNARY_CALL, func=node.func, a=args[0])
-            if node.func in _PICK and len(args) == 2:
-                compare = "<" if node.func == "min" else ">"
-                return self.emit(_PICK_CALL, func=node.func, compare=compare, a=args[0], b=args[1])
-            return self.emit(_APPLY, func=self.bind(node.func), args=", ".join(args))
+            compare = "<" if node.func == "min" else ">"
+            return self.emit(_PICK_CALL, func=node.func, compare=compare, a=args[0], b=args[1])
         left = self.node(node.left)
         right = self.node(node.right)
         if node.op == "/":
@@ -542,8 +521,11 @@ def _function(node: ExprAst, variables: tuple[str, ...]) -> Callable[..., float]
 
 def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST; raises instead of returning inf or NaN.  A variable
-    missing from ``bindings`` raises ``UnboundVariable`` when it is reached;
-    an AST taller than MAX_DEPTH, which only code builds, ``ExprSyntaxError``."""
+    missing from ``bindings`` raises ``UnboundVariable`` when it is reached.
+    Before anything is evaluated, ASTs that only code builds are refused as
+    ``parse`` refuses their text: a call to a name outside FUNCTION_ARITY
+    with ``UnknownFunction``, a call with another number of arguments or an
+    AST taller than MAX_DEPTH with ``ExprSyntaxError`` (offset 0)."""
     level = [node]
     for _ in range(MAX_DEPTH):  # descends without recursion
         level = [child for n in level for child in _children(n)]
@@ -958,6 +940,10 @@ class Kernel2:
     ``dataclasses.replace`` that gives ``fn`` other values must drop it.  A
     kernel built from expression text keeps that text only as its default
     ``name``.
+
+    Only the operations of ``verify._preset`` set ``deriv1``;
+    ``difference_kernel`` and ``ratio_kernel`` set ``deriv2``, the diagonal
+    slope that ``normalize_kernel`` reads.
     """
 
     name: str
@@ -1133,10 +1119,9 @@ def sign_kernel() -> Kernel2:
 def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -> Kernel2:
     """K(x, y) = f(x) - f(y) for a strictly increasing f."""
     dom = domain or f.domain
-    d1 = (lambda x, y: f.deriv1(x)) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(y)) if f.deriv1 is not None else None
     return Kernel2(
-        f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, d1, d2, Difference(f)
+        f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, deriv2=d2, structure=Difference(f)
     )
 
 
@@ -1147,10 +1132,9 @@ def ratio_kernel(f: ScalarFunction) -> Kernel2:
     so every mean is the geometric mean.  No other f gets an order.
     """
     dom = positive_reals()
-    d1 = (lambda x, y: f.deriv1(x / y) / y) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
     structure = Ratio(f.fn, 0.0 if f.fn is math.log else None)
-    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, structure)
+    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, deriv2=d2, structure=structure)
 
 
 def arithmetic_kernel() -> Kernel2:

@@ -39,8 +39,9 @@ has D(y) = y^-q sum_i w_i (g_q(x_i) - g_q(y)), which vanishes only at the
 power mean P_q; on a positive sample every kind returns P_q, clamped to the
 hull.  For ``Sign``, D(y) = W(x_i > y) - W(x_i < y) is constant between
 entries, and ``semideviation_means`` returns the weighted medians exactly
-(``_medians``).  The grid size and the refinement tolerance then have no
-effect, except on the bisection of a sign kernel's ``deviation_mean``.
+(``_medians``); ``deviation_mean`` returns the median when the lower and
+upper ones agree.  The grid size and the refinement tolerance then have no
+effect.
 
 Otherwise one classified grid serves every requested kind
 (``semideviation_means``), and a memo keyed by y lets the kinds' bisections
@@ -54,10 +55,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
-from .classic_means import ComparisonVerdict, _chain_mean, bisect, inverse_of_average, power_mean
+from .classic_means import _chain_mean, bisect, inverse_of_average, power_mean
 from .domain import (
     IntervalDomain,
     MeanKind,
@@ -71,6 +72,7 @@ from .errors import (
     KernelEvaluationError,
     MeanKitError,
     NoSignChange,
+    NonFinite,
     NotNormalizable,
 )
 from .expr import _H1, Difference, Kernel2, Ratio, Sign, numeric_derivative
@@ -112,7 +114,8 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
     through ``fn``.  Both give the same floats as w_i * K(x_i, y).  Where f
     or h raises, or a difference sum is not finite (where ``fn`` may raise
     instead), the point goes through the generic sum, so a failure is the
-    generic sum's, naming the same pair.
+    generic sum's, naming the same pair.  A sum whose finite terms overflow
+    together raises NonFinite naming the kernel and y.
     """
     entries, weights = sample.entries, sample.weights
     k = kernel.fn
@@ -127,7 +130,10 @@ def deviation_sum(kernel: Kernel2, sample: WeightedSample) -> Callable[[float], 
                 terms.append(w * k(x, y))
             except _KERNEL_ERRORS as exc:
                 raise failure(x, y, exc) from exc
-        return math.fsum(terms)
+        try:
+            return math.fsum(terms)
+        except OverflowError as exc:
+            raise NonFinite(f"deviation sum of {kernel.name} overflowed at y={y}") from exc
 
     structure = kernel.structure
     if isinstance(structure, Difference):
@@ -345,23 +351,33 @@ def deviation_mean(
     """The unique root of the weighted deviation sum on the hull.
 
     Valid for kernels with continuous second argument and strictly increasing
-    cross-ratios (see ``check_quasideviation``); for those the four
+    cross-ratios t -> K(y, t) / K(x, t) on (x, y); for those the four
     sign-change means coincide with this root.  Raises NoSignChange when the
     sum has the wrong sign at a hull end or is zero at both, which signals
     that the admission assumption broke down numerically.
 
-    Bisection finds the left end of the sum's zero set (D > 0 to its left,
-    a NaN counting as positive).  When a midpoint's D is exactly 0, a second
-    bisection from there finds the right end, and when the two ends lie
-    farther apart than the tolerance plus PLATEAU_ULPS ulps of the hull's
-    magnitude, D is 0 on a whole interval with no unique root in it:
-    AmbiguousClassification, instead of a plausible number (``sign_dev`` on
-    1, 2 with equal weights).  A root of D at a hull end is returned exactly.
+    A kernel whose ``structure`` gives a closed form takes it
+    (``_closed_form``).  A ``Sign`` kernel's root is the weighted median
+    when the lower and upper medians agree (``_medians``); otherwise D is 0
+    between them, and AmbiguousClassification names them (``sign_dev`` on
+    1, 2 with equal weights).  Any other kernel is bisected: bisection finds
+    the left end of the sum's zero set (D > 0 to its left, a NaN counting as
+    positive).  When a midpoint's D is exactly 0, a second bisection from
+    there finds the right end, and when the two ends lie farther apart than
+    the tolerance plus PLATEAU_ULPS ulps of the hull's magnitude, D is 0 on
+    a whole interval with no unique root in it: AmbiguousClassification,
+    instead of a plausible number.  A root of D at a hull end is returned
+    exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     lo, hi = sample.hull()
     if lo == hi:
         return lo
+    if isinstance(kernel.structure, Sign):
+        lower, upper = _medians(sample, (MeanKind.LOWER_WEAK, MeanKind.UPPER_WEAK)).values()
+        if lower != upper:
+            raise _plateau(kernel, lower, upper)
+        return lower
     closed = _closed_form(kernel, sample, lo, hi)
     if closed is not None:
         return closed
@@ -386,11 +402,14 @@ def deviation_mean(
     if zeros:
         right = bisect(max(zeros), hi, lambda y: not dsum(y) < 0.0, tol)
         if right - root > tol + PLATEAU_ULPS * math.ulp(scale):
-            raise AmbiguousClassification(
-                f"deviation sum of {kernel.name} vanishes on [{root!r}, {right!r}], "
-                "so its root is not unique"
-            )
+            raise _plateau(kernel, root, right)
     return root
+
+
+def _plateau(kernel: Kernel2, left: float, right: float) -> AmbiguousClassification:
+    return AmbiguousClassification(
+        f"deviation sum of {kernel.name} vanishes on [{left!r}, {right!r}], so its root is not unique"
+    )
 
 
 # --- normalization ---------------------------------------------------------------
@@ -415,11 +434,11 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
     Admission requires the diagonal slope to exist and be strictly negative,
     probed on a 17-point interior grid; kernels without analytic partials
     also get a step-halving stability check so jump kernels are rejected.
-    The rescaled kernel and its first partial share a memo of -dK/dy(y, y)
-    keyed by y (at most SLOPE_MEMO_SIZE entries), seeded with the probed
-    slopes, so each distinct y costs one slope evaluation; the quotients are
-    the same floats as without it.  The rescaled ``fn`` carries that memoized
-    divisor as its attribute ``slope``: ``fn(x, y)`` is exactly
+    The rescaled kernel keeps a memo of -dK/dy(y, y) keyed by y (at most
+    SLOPE_MEMO_SIZE entries), seeded with the probed slopes, so each
+    distinct y costs one slope evaluation; the quotients are the same floats
+    as without it.  The rescaled ``fn`` carries that memoized divisor as its
+    attribute ``slope``: ``fn(x, y)`` is exactly
     ``kernel.fn(x, y) / fn.slope(y)``, so callers that tabulate K(x, y)
     themselves get the same floats by dividing by it.
     """
@@ -459,17 +478,24 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
         return kernel.fn(x, y) / slope(y)
 
     scaled.slope = slope
-    d1 = (lambda x, y: kernel.deriv1(x, y) / slope(y)) if kernel.deriv1 is not None else None
     return Kernel2(
         name=f"normalized({kernel.name})",
         fn=scaled,
         domain_x=kernel.domain_x,
         domain_y=kernel.domain_y,
-        deriv1=d1,
     )
 
 
 # --- admission checks ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComparisonVerdict:
+    """Outcome of a pointwise admission check; failures carry a witness."""
+
+    holds: bool
+    checked_points: int
+    witness: dict[str, Any] | None = field(default=None)
 
 
 def check_semideviation(
@@ -492,54 +518,5 @@ def check_semideviation(
                     holds=False,
                     checked_points=checked,
                     witness={"x": x, "y": y, "value": value},
-                )
-    return ComparisonVerdict(holds=True, checked_points=checked)
-
-
-def check_quasideviation(kernel: Kernel2, domain: IntervalDomain | None = None) -> ComparisonVerdict:
-    """Probe the two quasideviation requirements beyond the sign property:
-    continuity in the second argument (finite-oscillation heuristic) and
-    strictly increasing ratios t -> K(y, t) / K(x, t) on (x, y), on a
-    10-point probe grid.
-
-    A grid heuristic: it can certify failure with a witness but only report
-    "no counterexample found" for success.
-    """
-    dom = domain or kernel.domain_x
-    admission = check_semideviation(kernel, dom, grid=10)
-    if not admission.holds:
-        return admission
-    pts = probe_points(dom, 10)
-    checked = admission.checked_points
-
-    # Continuity probe: the largest jump between adjacent samples of
-    # y -> K(x, y) must shrink under grid refinement.
-    for x in (pts[0], pts[len(pts) // 2], pts[-1]):
-        coarse = probe_points(dom, 129)
-        fine = probe_points(dom, 257)
-        jump = lambda ys: max(
-            abs(kernel.fn(x, b) - kernel.fn(x, a)) for a, b in zip(ys, ys[1:])
-        )
-        j_coarse, j_fine = jump(coarse), jump(fine)
-        checked += 1
-        scale = max(abs(kernel.fn(x, coarse[0])), abs(kernel.fn(x, coarse[-1])), 1.0)
-        if j_coarse > 1e-9 * scale and j_fine > 0.6 * j_coarse:
-            return ComparisonVerdict(
-                holds=False,
-                checked_points=checked,
-                witness={"x": x, "jump_coarse": j_coarse, "jump_fine": j_fine},
-            )
-
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            inner = [x + (y - x) * (k + 1) / 10.0 for k in range(9)]
-            ratios = [kernel.fn(y, t) / kernel.fn(x, t) for t in inner]
-            checked += 1
-            strict = all(a < b for a, b in zip(ratios, ratios[1:]))
-            if not strict:
-                return ComparisonVerdict(
-                    holds=False,
-                    checked_points=checked,
-                    witness={"x": x, "y": y, "ratios": ratios},
                 )
     return ComparisonVerdict(holds=True, checked_points=checked)

@@ -8,7 +8,6 @@ import pytest
 from meankit import (
     ScalarFunction,
     common_power_order,
-    compare_quasiarithmetic,
     cosh_generator,
     exp_generator,
     local_power_order,
@@ -308,25 +307,10 @@ class TestLocalPowerOrder:
 
 
 class TestComparison:
-    def test_log_below_identity(self):
-        verdict = compare_quasiarithmetic(log_generator(), power_generator(1), open_interval(0, 10))
-        assert verdict.holds and verdict.witness is None
-
-    def test_square_not_below_identity(self):
-        verdict = compare_quasiarithmetic(power_generator(2), power_generator(1), open_interval(0, 10))
-        assert not verdict.holds
-        w = verdict.witness
-        assert w is not None and w["ratio_f"] > w["ratio_g"]
-
-    def test_reflexive(self):
-        gen = cosh_generator()
-        assert compare_quasiarithmetic(gen, gen, open_interval(0, 5)).holds
-
     def test_comparison_implies_mean_order(self):
-        # Pointwise criterion holding on the domain forces the mean order on
-        # every sample drawn from it.
+        # log''/log' = -1/x <= 0 = x''/x' on the whole domain, which forces
+        # the mean order on every sample drawn from it.
         f, g = log_generator(), power_generator(1)
-        assert compare_quasiarithmetic(f, g, open_interval(0.1, 10)).holds
         for s in _random_samples(23, 1000, lo=0.2, hi=9.0):
             qa_f = quasiarithmetic_mean(s, f)
             qa_g = quasiarithmetic_mean(s, g)

@@ -319,7 +319,7 @@ def test_literals_and_names_match_the_tree_walker(text, variable):
 # error messages and slot names (parameters a0, a1, ..., values v0, v1, ...,
 # bound literals and strings c0, c1, ...).
 _EMITTER_WORDS = frozenset(keyword.kwlist) | {
-    "expression", "float", "power", "apply", "isfinite", *FUNCTION_ARITY,
+    "expression", "float", "power", "isfinite", *FUNCTION_ARITY,
     "NonFinite", "DomainError", "UnboundVariable", "OverflowError", "ZeroDivisionError", "ValueError",
     "exc", "f", "NaN", "operand", "overflow", "overflowed", "division", "by", "zero", "invalid", "evaluated", "to",
 }
@@ -330,7 +330,6 @@ def test_generated_source_is_built_from_the_emitters_identifiers():
     rng = random.Random(701)
     asts = [_random_ast(rng, rng.randint(0, 6), _ODD_NAMES) for _ in range(500)]
     asts += [parse(t.format(v=v)) for t in _LITERAL_TEXTS for v in _ODD_NAMES]
-    asts.append(Call("tanh", (Var("λ"), Num(0.1))))  # a hand-built call goes through apply
     for ast in asts:
         for variables in (_ODD_NAMES, _ODD_NAMES[:3], ("x", "y")):
             source, namespace = _source(ast, variables)
@@ -476,14 +475,20 @@ def test_nan_operand_raises_instead_of_vanishing(source, message):
     assert str(err.value) == message
 
 
-def test_hand_built_calls_evaluate_their_arguments_first():
-    three = Call("max", (Num(1.0), Num(3.0), Num(2.0)))
-    assert evaluate(three, {}) == 3.0
-    assert evaluate(Call("exp", (Num(0.0), Num(5.0))), {}) == 1.0
-    with pytest.raises(UnknownFunction):
-        evaluate(Call("tanh", (Num(0.0),)), {})
-    with pytest.raises(UnboundVariable):
+def test_hand_built_calls_are_refused_before_evaluation():
+    # parse never builds these; evaluate refuses them as parse refuses their
+    # text, before an unbound variable or a failing argument is reached.
+    with pytest.raises(UnknownFunction, match="unknown function 'tanh'"):
         evaluate(Call("tanh", (Var("q"),)), {})
+    for call, message in [
+        (Call("max", (Num(1.0), Num(3.0), Num(2.0))), "max takes 2 argument(s), got 3"),
+        (Call("exp", (Var("q"), Num(5.0))), "exp takes 1 argument(s), got 2"),
+        (BinOp("+", Call("log", (Num(-1.0),)), Call("min", (Var("q"),))), "min takes 2 argument(s), got 1"),
+    ]:
+        with pytest.raises(ExprSyntaxError) as err:
+            evaluate(call, {})
+        assert str(err.value) == f"{message} (offset 0)"
+        assert err.value.offset == 0
 
 
 def _left_chain(height: int):
