@@ -41,7 +41,6 @@ from .classic_means import (
     scaling_ratio_limit,
 )
 from .semideviation import (
-    ComparisonVerdict,
     SemidevMeanConfig,
     check_semideviation,
     deviation_mean,
@@ -55,7 +54,7 @@ from .homogenize import (
     MeanHandle,
     deviation_handle,
     envelope_pair,
-    homogeneous_semidev_mean,
+    homogeneous_kernels,
     homogenization_profile,
     kernel_homogenization,
     limit_at_zero,

@@ -304,7 +304,7 @@ def compute_mean(
             raise click.UsageError("--kind semidev requires --kernel")
         kern = resolve_kernel(kernel, domain)
         sample = make_weighted_sample(entries, weights, kern.domain_x)
-        mean_kind = MeanKind.from_label(semidev_kind)
+        mean_kind = MeanKind(semidev_kind)
         value = semideviation_mean(kern, sample, mean_kind, cfg)
         doc.update({"kernel": kern.name, "semidev_kind": semidev_kind})
         formula = MEAN_FORMULAS[semidev_kind]
@@ -389,7 +389,7 @@ def homogenize(
         elif mean_kind == "semidev":
             if kernel is None:
                 raise click.UsageError("--mean semidev requires --kernel")
-            handle = semideviation_handle(resolve_kernel(kernel, domain), MeanKind.from_label(semidev_kind))
+            handle = semideviation_handle(resolve_kernel(kernel, domain), MeanKind(semidev_kind))
         else:
             if kernel is None:
                 raise click.UsageError("--mean deviation requires --kernel")
@@ -548,8 +548,8 @@ def catalog() -> None:
         ("generator", "shifted_power:Q,C", "(x+C)^Q on (-C, inf)", "analytic f', f''"),
         ("generator", "expr:TEXT", "expression in x", "numeric fallback"),
         ("kernel", "sign_dev", "sign(x - y): weighted medians", "none (not normalizable)"),
-        ("kernel", "diff_gen:GEN", "GEN(x) - GEN(y)", "analytic partials when GEN has them"),
-        ("kernel", "ratio_dev:GEN", "GEN(x / y) on (0, inf)^2", "analytic partials when GEN has them"),
+        ("kernel", "diff_gen:GEN", "GEN(x) - GEN(y)", "analytic dK/dy when GEN has f', numeric dK/dx"),
+        ("kernel", "ratio_dev:GEN", "GEN(x / y) on (0, inf)^2", "analytic dK/dy when GEN has f', numeric dK/dx"),
         ("kernel", "expr:TEXT", "expression in x, y", "numeric fallback"),
     ]
     width = max(len(r[1]) for r in rows)

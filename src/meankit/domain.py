@@ -270,10 +270,3 @@ class MeanKind(Enum):
     def has_strict_test(self) -> bool:
         """The kind's test on the class c of D(y): c > 0 (True) or c >= 0."""
         return self in (MeanKind.LOWER_WEAK, MeanKind.UPPER_STRICT)
-
-    @classmethod
-    def from_label(cls, label: str) -> "MeanKind":
-        for kind in cls:
-            if kind.value == label:
-                return kind
-        raise ValueError(f"unknown mean kind {label!r}")

@@ -9,7 +9,9 @@ Three constructions attach a homogeneous mean to a given one:
   the mean's domain to have infimum 0);
 * ``homogenization_profile``: for deviation kernels, the scale profile
   h(r) = lim K*(r t, t) / t of the normalized kernel, whose ratio kernel
-  h(x / y) generates the homogeneous counterpart of the kernel's mean.
+  h(x / y) generates the homogeneous counterpart of the kernel's mean;
+  ``homogeneous_kernels`` builds the lower and upper ratio kernels after
+  checking that h has the sign of r - 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 from .classic_means import power_mean, quasiarithmetic_mean
 from .domain import (
@@ -57,7 +59,7 @@ __all__ = [
     "local_homogenization",
     "kernel_homogenization",
     "homogenization_profile",
-    "homogeneous_semidev_mean",
+    "homogeneous_kernels",
 ]
 
 #: Log-grid resolution of the envelope search.
@@ -366,13 +368,14 @@ def homogenization_profile(
     memoized by k.
     Profiles of one kernel and normalized kernel may share that memo (the
     scans' LimitEstimates, without their sampled tables) by passing the same
-    dict as ``_node_estimates``; within the package, tei's lower and upper
-    profiles do, so each node is scanned once.  Mode "estimate" returns the
-    node's tail midpoint and raises NotConverged, naming the node's ratio,
-    when that scan does not converge; "lower"/"upper" return the tail
-    min/max (liminf and limsup proxies) without requiring convergence.  A
-    query at a node returns the node's value; elsewhere, with r_k < r <
-    r_k+1, the value is a monotone cubic Hermite in r (not log r) through
+    dict as ``_node_estimates``; the lower and upper profiles of
+    ``homogeneous_kernels`` do, so each node is scanned once.  Mode
+    "estimate" returns the node's tail midpoint and raises NotConverged,
+    naming the node's ratio, when that scan does not converge;
+    "lower"/"upper" return the tail min/max (liminf and limsup proxies)
+    without requiring convergence.  A query at a node returns the node's
+    value; elsewhere, with r_k < r < r_k+1, the value is a monotone cubic
+    Hermite in r (not log r) through
     nodes k and k+1, with Fritsch-Carlson slopes (Brodlie's weighted
     harmonic mean of the neighbouring secants, 0 where those change sign)
     from nodes k-1 to k+2.
@@ -476,28 +479,6 @@ def homogenization_profile(
     return profile
 
 
-def sign_probe_failure(
-    profiles: Sequence[Callable[[float], float]],
-) -> tuple[float, tuple[float, ...], MeanKitError | ValueError | None] | None:
-    """The first probe ratio r at which the profiles break sign(h(r)) =
-    sign(r - 1), as (r, values, error); None when every probe passes.
-
-    A profile breaks the property at r when it raises there (``error`` is the
-    MeanKitError or ValueError, ``values`` the values computed before it) or
-    when one of its values is not finite or has the wrong sign.
-    """
-    for r in SIGN_PROBE_RATIOS:
-        values: list[float] = []
-        try:
-            for h in profiles:
-                values.append(h(r))
-        except (MeanKitError, ValueError) as exc:
-            return r, tuple(values), exc
-        if not all(math.isfinite(v) and sign(v) == sign(r - 1.0) for v in values):
-            return r, tuple(values), None
-    return None
-
-
 def ratio_kernel_from_profile(name: str, profile: Callable[[float], float]) -> Kernel2:
     """Degree-0 homogeneous kernel (x, y) -> h(x / y) on the positive quadrant,
     declaring ``Ratio(h, order)``.
@@ -512,30 +493,37 @@ def ratio_kernel_from_profile(name: str, profile: Callable[[float], float]) -> K
     return Kernel2(name, lambda x, y: profile(x / y), dom, dom, structure=structure)
 
 
-def homogeneous_semidev_mean(
-    kernel: Kernel2,
-    sample: WeightedSample,
-    kind: MeanKind,
-    *,
-    profile: Callable[[float], float] | None = None,
-) -> float:
-    """Sign-change mean of the ratio kernel built from the kernel's scale
-    profile; scaling the sample by t > 0 scales the result by t.
+def homogeneous_kernels(kernel: Kernel2) -> tuple[Kernel2, Kernel2]:
+    """(lower, upper) homogeneous kernels of a deviation kernel: the ratio
+    kernels h(x / y) of its "lower" and "upper" scale profiles.
 
-    The profile must be finite with sign(h(r)) = sign(r - 1) (verified on
-    probe ratios); otherwise the homogeneous construction is not a deviation
-    kernel and SignPropertyViolated is raised.  A profile's own error at a
-    probe ratio propagates.
+    The sign-change means of these kernels are the kernel's lower and upper
+    homogenized means, and scaling a sample by t > 0 scales them by t.  The
+    kernel is normalized first, so one that cannot be raises NotNormalizable;
+    both profiles read one table of node scans.  They are probed at each
+    ratio r of SIGN_PROBE_RATIOS in turn, both at r before the next r, and
+    the first r at which a profile raises a MeanKitError or ValueError, is
+    not finite or breaks sign(h(r)) = sign(r - 1) raises
+    SignPropertyViolated naming r (chained from the profile's error).
     """
-    h = profile if profile is not None else homogenization_profile(kernel)
-    failure = sign_probe_failure([h])
-    if failure is not None:
-        r, values, error = failure
-        if error is not None:
-            raise error
-        raise SignPropertyViolated(
-            f"scale profile has value {values[0]} at ratio {r}; expected sign {sign(r - 1.0)}"
-        )
-    ratio_k = ratio_kernel_from_profile(f"scale_profile({kernel.name})", h)
-    positive_sample = sample.with_domain(positive_reals())
-    return semideviation_mean(ratio_k, positive_sample, kind)
+    base = normalize_kernel(kernel)
+    nodes: dict[int, LimitEstimate] = {}
+    low, high = (
+        homogenization_profile(kernel, mode, normalized=base, _node_estimates=nodes)
+        for mode in ("lower", "upper")
+    )
+    for r in SIGN_PROBE_RATIOS:
+        try:
+            a, b = low(r), high(r)
+        except (MeanKitError, ValueError) as exc:
+            raise SignPropertyViolated(f"scale profile failed at ratio {r}: {exc}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise SignPropertyViolated(f"scale profile not finite at ratio {r}")
+        if not sign(a) == sign(b) == sign(r - 1.0):
+            raise SignPropertyViolated(
+                f"sign property violated at ratio {r}: profile values ({a}, {b})"
+            )
+    return (
+        ratio_kernel_from_profile(f"scale_profile_low({kernel.name})", low),
+        ratio_kernel_from_profile(f"scale_profile_high({kernel.name})", high),
+    )

@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .classic_means import _chain_mean, bisect, inverse_of_average, power_mean
 from .domain import (
@@ -489,34 +489,20 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
 # --- admission checks ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Outcome of a pointwise admission check; failures carry a witness."""
-
-    holds: bool
-    checked_points: int
-    witness: dict[str, Any] | None = field(default=None)
-
-
 def check_semideviation(
     kernel: Kernel2,
     domain: IntervalDomain | None = None,
     grid: int = 24,
-) -> ComparisonVerdict:
-    """Verify sign(K(x, y)) = sign(x - y) on an off-diagonal probe grid."""
+) -> dict[str, float] | None:
+    """Check sign(K(x, y)) = sign(x - y) on an off-diagonal probe grid; the
+    first violation as a witness {"x", "y", "value"}, or None."""
     dom = domain or kernel.domain_x
     pts = probe_points(dom, grid)
-    checked = 0
     for x in pts:
         for y in pts:
             if x == y:
                 continue
-            checked += 1
             value = kernel.fn(x, y)
             if sign(value) != sign(x - y):
-                return ComparisonVerdict(
-                    holds=False,
-                    checked_points=checked,
-                    witness={"x": x, "y": y, "value": value},
-                )
-    return ComparisonVerdict(holds=True, checked_points=checked)
+                return {"x": x, "y": y, "value": value}
+    return None

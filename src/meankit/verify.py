@@ -29,17 +29,16 @@ from .domain import (
     probe_points,
     sign,
 )
-from .errors import MeanKitError, NotNormalizable
+from .errors import MeanKitError, NotNormalizable, SignPropertyViolated
 from .expr import Difference, Kernel2, ScalarFunction, difference_kernel, power_generator
 from .homogenize import (
     SIGN_PROBE_RATIOS,
-    LimitEstimate,
     deviation_handle,
+    homogeneous_kernels,
     homogenization_profile,
     local_homogenization,
     local_limit,
     ratio_kernel_from_profile,
-    sign_probe_failure,
 )
 from .limits import LIMIT_REL_TOL
 from .semideviation import (
@@ -237,11 +236,10 @@ def _sample_witness(index: int, sample: WeightedSample, **extra: Any) -> dict[st
 
 def verify_sandwich(kernel: Kernel2, plan: SamplePlan) -> Report:
     """Mean-value sandwich and symmetry of the four sign-change means."""
-    admission = check_semideviation(kernel, kernel.domain_x, grid=16)
-    if not admission.holds:
+    witness = check_semideviation(kernel, kernel.domain_x, grid=16)
+    if witness is not None:
         return _inconclusive(
-            "sandwich",
-            f"kernel {kernel.name} fails the sign admission: witness {admission.witness}",
+            "sandwich", f"kernel {kernel.name} fails the sign admission: witness {witness}"
         )
     chain = new_condition("ordering_chain", "min <= lower-weak <= upper-weak <= max")
     inner = new_condition("inner_bounds", "strict kinds inside [lower-weak, upper-weak]")
@@ -510,33 +508,19 @@ def _strict_means_by_scale(
 def verify_tei(kernel: Kernel2, plan: SamplePlan) -> Report:
     """Scale-profile bounds on the local homogenizations of sign-change means.
 
-    With h_low / h_high the liminf / limsup scale profiles of the normalized
-    kernel: lower-weak mean of h_low's ratio kernel <= lower homogenization
-    of the upper-strict mean, and the upper homogenization of the
-    lower-strict mean <= upper-weak mean of h_high's ratio kernel.  The two
-    profiles share one scan per node, and both local scans of a sample read
-    one solve of both strict means per scale.
+    With the lower / upper ratio kernels of ``homogeneous_kernels`` (from the
+    liminf / limsup scale profiles of the normalized kernel): lower-weak mean
+    of the lower one <= lower homogenization of the upper-strict mean, and
+    the upper homogenization of the lower-strict mean <= upper-weak mean of
+    the upper one.  A kernel that cannot be normalized, or whose profiles
+    fail the sign probe, makes the report inconclusive with that error's
+    message.  Both local scans of a sample read one solve of both strict
+    means per scale.
     """
     try:
-        star = normalize_kernel(kernel)
-    except NotNormalizable as exc:
+        low_ratio, high_ratio = homogeneous_kernels(kernel)
+    except (NotNormalizable, SignPropertyViolated) as exc:
         return _inconclusive("tei", str(exc))
-    nodes: dict[int, LimitEstimate] = {}
-    h_low = homogenization_profile(kernel, "lower", normalized=star, _node_estimates=nodes)
-    h_high = homogenization_profile(kernel, "upper", normalized=star, _node_estimates=nodes)
-    failure = sign_probe_failure([h_low, h_high])
-    if failure is not None:
-        r, values, error = failure
-        if error is not None:
-            return _inconclusive("tei", f"scale profile failed at ratio {r}: {error}")
-        if not all(math.isfinite(v) for v in values):
-            return _inconclusive("tei", f"scale profile not finite at ratio {r}")
-        a, b = values
-        return _inconclusive(
-            "tei", f"sign property violated at ratio {r}: profile values ({a}, {b})"
-        )
-    low_ratio = ratio_kernel_from_profile(f"scale_profile_low({kernel.name})", h_low)
-    high_ratio = ratio_kernel_from_profile(f"scale_profile_high({kernel.name})", h_high)
     lower_bound = new_condition(
         "lower_bound", "profile mean <= lower homogenization of upper-strict mean"
     )

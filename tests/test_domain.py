@@ -156,18 +156,18 @@ def test_eliminate_zero_weights():
 
 def test_mean_kind_labels_round_trip():
     for kind in MeanKind:
-        assert MeanKind.from_label(kind.value) is kind
+        assert MeanKind(kind.value) is kind
     with pytest.raises(ValueError):
-        MeanKind.from_label("sideways")
+        MeanKind("sideways")
 
 
 def test_mean_kinds_hash_by_identity():
     # Members are singletons, so the object hash (no Python-level __hash__)
-    # keys them; a kind found by label or by value finds the same entry.
+    # keys them; a kind found by its label finds the same entry.
     assert MeanKind.__hash__ is object.__hash__
     table = {kind: kind.value for kind in MeanKind}
     for kind in MeanKind:
-        assert table[MeanKind.from_label(kind.value)] == table[MeanKind(kind.value)] == kind.value
+        assert table[MeanKind(kind.value)] == kind.value
 
 
 def test_probe_points_stay_interior():

@@ -13,7 +13,7 @@ from meankit import (
     difference_kernel,
     envelope_pair,
     exp_generator,
-    homogeneous_semidev_mean,
+    homogeneous_kernels,
     homogenization_profile,
     kernel_homogenization,
     limit_at_zero,
@@ -25,6 +25,7 @@ from meankit import (
     power_mean,
     quasiarithmetic_handle,
     semideviation_handle,
+    semideviation_mean,
     semideviation_means,
     shifted_power_generator,
     translated_power_handle,
@@ -702,57 +703,61 @@ class TestClosedFormProfile:
             h(r)
 
 
-class TestHomogeneousSemidevMean:
+def _homogeneous_means(kernel, sample, kind):
+    """The kind's mean of the sample under both homogeneous kernels."""
+    return [semideviation_mean(k, sample, kind) for k in homogeneous_kernels(kernel)]
+
+
+class TestHomogeneousKernels:
     def test_cosh_kernel_gives_quadratic_mean(self):
         kernel = difference_kernel(cosh_generator())
         s = _pos_sample([1, 7], [1, 1])
-        value = homogeneous_semidev_mean(kernel, s, MeanKind.LOWER_WEAK)
-        assert value == pytest.approx(5.0, rel=1e-4)
+        for value in _homogeneous_means(kernel, s, MeanKind.LOWER_WEAK):
+            assert value == pytest.approx(5.0, rel=1e-4)
 
     def test_arithmetic_kernel_gives_arithmetic_mean(self):
         kernel = arithmetic_kernel().with_domains(POS)
         s = _pos_sample([1, 5], [1, 3])
-        value = homogeneous_semidev_mean(kernel, s, MeanKind.UPPER_WEAK)
-        assert value == pytest.approx(4.0, abs=1e-6)
+        for value in _homogeneous_means(kernel, s, MeanKind.UPPER_WEAK):
+            assert value == pytest.approx(4.0, abs=1e-6)
 
     def test_cubic_kernel_matches_cubic_power_mean(self):
         kernel = difference_kernel(power_generator(3))
         s = _pos_sample([1, 2], [1, 1])
-        value = homogeneous_semidev_mean(kernel, s, MeanKind.LOWER_WEAK)
-        assert value == pytest.approx((9.0 / 2.0) ** (1.0 / 3.0), abs=1e-5)
+        for value in _homogeneous_means(kernel, s, MeanKind.LOWER_WEAK):
+            assert value == pytest.approx((9.0 / 2.0) ** (1.0 / 3.0), abs=1e-5)
 
     def test_sqrt_kernel_matches_half_power_mean(self):
         kernel = difference_kernel(power_generator(0.5))
         s = _pos_sample([0.8, 2.5, 4.0], [1, 2, 1])
-        value = homogeneous_semidev_mean(kernel, s, MeanKind.LOWER_WEAK)
-        assert value == pytest.approx(power_mean(s, 0.5), rel=1e-5)
+        for value in _homogeneous_means(kernel, s, MeanKind.LOWER_WEAK):
+            assert value == pytest.approx(power_mean(s, 0.5), rel=1e-5)
 
     def test_result_scales_with_the_sample(self):
-        kernel = difference_kernel(cosh_generator())
-        h = homogenization_profile(kernel)
+        kernels = homogeneous_kernels(difference_kernel(cosh_generator()))
         s = _pos_sample([0.8, 2.4], [1, 2])
-        base = homogeneous_semidev_mean(kernel, s, MeanKind.LOWER_WEAK, profile=h)
-        for t in (0.5, 2.0):
-            scaled = homogeneous_semidev_mean(kernel, s.scaled(t), MeanKind.LOWER_WEAK, profile=h)
-            assert scaled == pytest.approx(t * base, rel=1e-6)
+        for k in kernels:
+            base = semideviation_mean(k, s, MeanKind.LOWER_WEAK)
+            for t in (0.5, 2.0):
+                scaled = semideviation_mean(k, s.scaled(t), MeanKind.LOWER_WEAK)
+                assert scaled == pytest.approx(t * base, rel=1e-6)
 
-    def test_sign_property_guard(self):
+    def test_sign_property_guard(self, monkeypatch):
         kernel = arithmetic_kernel().with_domains(POS)
-        s = _pos_sample([1, 2], [1, 1])
+        monkeypatch.setattr(homogenize, "homogenization_profile", lambda *a, **kw: lambda r: 1.0 - r)
         with pytest.raises(SignPropertyViolated):
-            homogeneous_semidev_mean(
-                kernel, s, MeanKind.LOWER_WEAK, profile=lambda r: 1.0 - r
-            )
+            homogeneous_kernels(kernel)
 
-    def test_unconverged_profile_raises(self):
+    def test_unconverged_profile_raises(self, monkeypatch):
         kernel = arithmetic_kernel().with_domains(POS)
-        s = _pos_sample([1, 2], [1, 1])
 
         def flaky(r):
             raise NotConverged("no tail")
 
-        with pytest.raises(NotConverged):
-            homogeneous_semidev_mean(kernel, s, MeanKind.LOWER_WEAK, profile=flaky)
+        monkeypatch.setattr(homogenize, "homogenization_profile", lambda *a, **kw: flaky)
+        with pytest.raises(SignPropertyViolated) as info:
+            homogeneous_kernels(kernel)
+        assert isinstance(info.value.__cause__, NotConverged)
 
 
 def test_semideviation_handle_evaluates():

@@ -57,8 +57,10 @@ def profile_suite_handle(kernel, kind):
     )
 
 
-def _overflowing_profile(r):
-    raise NonFinite("profile overflowed")
+def _overflowing_profile(mode, r):
+    if r < 1.0:
+        raise NonFinite("profile overflowed")
+    return r - 1.0
 
 
 def counted(calls, name, fn):
@@ -351,7 +353,7 @@ class TestScaleProfileSuites:
     def test_distorted_profile_fails(self, suite, kernel, monkeypatch):
         # h(r^1.05) moves the profile mean to another power mean; a constant
         # factor on h would leave it unchanged and could not fail the check.
-        original = verify.homogenization_profile
+        original = homogenize.homogenization_profile
 
         def distorted(*args, **kwargs):
             h = original(*args, **kwargs)
@@ -359,6 +361,8 @@ class TestScaleProfileSuites:
 
         plan = SamplePlan(seed=26, n_samples=10, n_range=(2, 4), entry_range=(0.5, 3.0))
         assert suite(kernel, plan).overall == "pass"
+        # tei builds its profiles in homogenize, cei in verify.
+        monkeypatch.setattr(homogenize, "homogenization_profile", distorted)
         monkeypatch.setattr(verify, "homogenization_profile", distorted)
         assert suite(kernel, plan).overall == "fail"
 
@@ -404,12 +408,12 @@ class TestScaleProfileSuites:
 
         # Separate tables (the profiles built without a shared node memo)
         # scan every node twice and give the same report bytes.
-        profile = verify.homogenization_profile
+        profile = homogenize.homogenization_profile
 
         def separate(*args, _node_estimates=None, **kwargs):
             return profile(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "homogenization_profile", separate)
+        monkeypatch.setattr(homogenize, "homogenization_profile", separate)
         ratios.clear()
         assert verify_tei(kernel, plan).to_json() == shared.to_json()
         assert len(ratios) == 2 * distinct
@@ -430,15 +434,21 @@ class TestScaleProfileSuites:
         "profile,reason",
         [
             (_overflowing_profile, "scale profile failed at ratio 0.25: profile overflowed"),
-            (lambda r: math.nan, "scale profile not finite at ratio 0.25"),
-            (lambda r: 1.0 - r, "sign property violated at ratio 0.25: profile values (0.75, 0.75)"),
+            (lambda mode, r: math.nan if r < 1.0 else r - 1.0, "scale profile not finite at ratio 0.25"),
+            (lambda mode, r: abs(r - 1.0), "sign property violated at ratio 0.25: profile values (0.75, 0.75)"),
+            # The lower profile breaks only at 4.0, the upper only at 0.25:
+            # both profiles are probed at a ratio before the next ratio.
+            (
+                lambda mode, r: 1.0 - r if (mode, r) in (("lower", 4.0), ("upper", 0.25)) else r - 1.0,
+                "sign property violated at ratio 0.25: profile values (-0.75, 0.75)",
+            ),
         ],
     )
     def test_tei_sign_probe_failures_are_inconclusive(self, profile, reason, monkeypatch):
         def failing(kernel, mode, **kwargs):
-            return lambda r: profile(r) if r < 1.0 else r - 1.0
+            return lambda r: profile(mode, r)
 
-        monkeypatch.setattr(verify, "homogenization_profile", failing)
+        monkeypatch.setattr(homogenize, "homogenization_profile", failing)
         plan = SamplePlan(seed=29, n_samples=4, n_range=(1, 3), entry_range=(0.5, 3.0))
         report = verify_tei(difference_kernel(cosh_generator()), plan)
         assert report.overall == "inconclusive"
