@@ -24,7 +24,8 @@ its derivatives come from central differences (``numeric_derivative``).
 When x occurs once in a generator's text, the same parse also unwinds the
 AST from the root into a chain of invertible steps, which gives the handle
 its ``hull_inverse``: an inverse certified, hull by hull, by carrying the
-hull's ends through the steps.  A kernel's parse shows its structure: text
+hull's ends through the steps; a chain a x^q + b (a log x + b at q = 0)
+also gives its ``power_order`` q.  A kernel's parse shows its structure: text
 A - B, where A has only x free and B is A with x renamed to y, declares
 ``Difference`` of A as a generator (with its ``hull_inverse`` when x occurs
 once in A), and sign(x - y) declares ``Sign``.  Compiled functions, chains
@@ -655,6 +656,21 @@ _BINARY_STEPS = {
 _Link = tuple[str, float]
 
 
+def _power_order(links: tuple[_Link, ...]) -> float | None:
+    """q when the chain is a x^q + b (a log x + b at q = 0) with a != 0:
+    at most one power-like first step (^ c or c / x with c != 0, sqrt,
+    log), then only affine steps (+ c, c - u, -u, * c or / c with c != 0);
+    q = 1 without a power-like step.  None for any other chain."""
+    q, affine = 1.0, links
+    kind, c = links[0] if links else ("", 0.0)
+    if kind in ("sqrt", "log") or (kind in ("pow", "rdiv") and c != 0.0):
+        q = {"pow": c, "rdiv": -1.0, "sqrt": 0.5, "log": 0.0}[kind]
+        affine = links[1:]
+    if all(k in ("add", "rsub", "neg") or (k in ("mul", "div") and c != 0.0) for k, c in affine):
+        return q
+    return None
+
+
 def _fold(node: ExprAst) -> float:
     """The value of a subtree without variables, as the compiled function
     computes it; raises like it too."""
@@ -785,13 +801,25 @@ class ScalarFunction:
     the closed form of difference-kernel means read it
     (``classic_means._chain_mean``).
 
+    ``power_order`` q promises that the domain lies in (0, inf) and that
+    on it fn = a x^q + b (a log x + b at q = 0) with a != 0, so the
+    quasiarithmetic mean of fn is the power mean P_q, a homogeneous mean,
+    and the difference kernel f(x) - f(y) keeps its sign under x, y ->
+    t x, t y.  power:p sets p (p finite) and log 0;
+    ``scalar_from_expression``, and ``kernel_from_expression`` on the
+    generator of a difference, set it on a domain with lo >= 0 for a chain
+    of at most one power-like step (^ c or c / x with c != 0, sqrt, log)
+    followed only by affine ones (+ c, c - u, -u, * c and / c with c != 0),
+    q = 1 without a power-like step.
+
     ``local_order`` is a catalog promise too: the local power order q at 0+,
     that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
     tends to q).  The scale profile of the difference kernel of f is then
     (r^q - 1)/q, log r at q = 0, which ``homogenization_profile`` returns in
     closed form.  Only the catalog constructors set it: power:p sets p (log
     0), cosh 2, exp and the identity 1; ``shifted_power`` and expression
-    generators leave it None.  Every promise carries over to ``restricted``.
+    generators leave it None.  Every promise carries over to ``restricted``,
+    but ``power_order`` only to a domain with lo >= 0.
     """
 
     name: str
@@ -802,6 +830,7 @@ class ScalarFunction:
     inverse: Callable[[float], float] | None = None
     local_order: float | None = None
     hull_inverse: Callable[[float, float], HullInverse | None] | None = None
+    power_order: float | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -814,8 +843,10 @@ class ScalarFunction:
         return numeric_derivative(self.fn, x, order, self.domain)
 
     def restricted(self, domain: IntervalDomain) -> "ScalarFunction":
-        """The same function on a sub-domain (its promises carry over)."""
-        return replace(self, domain=domain)
+        """The same function on a sub-domain (its promises carry over,
+        ``power_order`` only while the domain stays in (0, inf))."""
+        power_order = self.power_order if domain.lo >= 0.0 else None
+        return replace(self, domain=domain, power_order=power_order)
 
 
 # Functions kept by the memo.  Compiling one (an exec of its source) costs
@@ -830,6 +861,8 @@ class _Compiled(NamedTuple):
     fn: Callable[..., float]
     #: A function of x in which x occurs once: its ``hull_inverse``.
     hull_inverse: Callable[[float, float], HullInverse | None] | None = None
+    #: A chain a x^q + b (a log x + b at q = 0): its q (``_power_order``).
+    power_order: float | None = None
     #: A kernel A(x) - A(y): A compiled as a function of x, and its text.
     difference: tuple["_Compiled", str] | None = None
     #: A kernel sign(x - y).
@@ -857,7 +890,9 @@ def _compiled(ast: ExprAst, variables: tuple[str, ...]) -> _Compiled:
     fn = _function(ast, variables)
     if variables == ("x",):
         links = _chain(ast, "x")
-        return _Compiled(fn, hull_inverse=None if links is None else functools.partial(_hull_inverse, links))
+        if links is None:
+            return _Compiled(fn)
+        return _Compiled(fn, functools.partial(_hull_inverse, links), power_order=_power_order(links))
     if ast == _SIGN:
         return _Compiled(fn, sign=True)
     if (
@@ -882,11 +917,18 @@ def _compile(text: str, variables: tuple[str, ...]) -> _Compiled:
     return _compiled(ast, variables)
 
 
+def _scalar(name: str, compiled: _Compiled, domain: IntervalDomain) -> ScalarFunction:
+    """The compiled function of x on ``domain`` with the promises its chain
+    gives there."""
+    power_order = compiled.power_order if domain.lo >= 0.0 else None
+    return ScalarFunction(name, compiled.fn, domain, hull_inverse=compiled.hull_inverse, power_order=power_order)
+
+
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
     """Build a function of x, named by its text, from expression text; a
-    chain in x also gets its ``hull_inverse``."""
-    compiled = _compile(source, ("x",))
-    return ScalarFunction(source, compiled.fn, domain, hull_inverse=compiled.hull_inverse)
+    chain in x also gets its ``hull_inverse``, and its ``power_order`` on a
+    domain with lo >= 0 when it is a x^q + b or a log x + b."""
+    return _scalar(source, _compile(source, ("x",)), domain)
 
 
 # --- two-variable kernel handle -----------------------------------------------------
@@ -984,15 +1026,16 @@ def kernel_from_expression(
 
     Text A - B, where A has only x free and B is A with x renamed to y,
     declares ``Difference(f)`` with f the function A of x on ``domain_x``,
-    named by A's canonical text, with its ``hull_inverse`` when x occurs
-    once in A; the text sign(x - y) declares ``Sign``.  ``fn`` is the
-    compiled function of the whole text either way.
+    named by A's canonical text, with its ``hull_inverse`` and
+    ``power_order`` as ``scalar_from_expression`` sets them; the text
+    sign(x - y) declares ``Sign``.  ``fn`` is the compiled function of the
+    whole text either way.
     """
     compiled = _compile(source, ("x", "y"))
     structure = Sign() if compiled.sign else None
     if compiled.difference is not None:
         part, text = compiled.difference
-        structure = Difference(ScalarFunction(text, part.fn, domain_x, hull_inverse=part.hull_inverse))
+        structure = Difference(_scalar(text, part, domain_x))
     return Kernel2(name or source, compiled.fn, domain_x, domain_y or domain_x, structure=structure)
 
 
@@ -1047,6 +1090,7 @@ def power_generator(p: float) -> ScalarFunction:
             deriv2=lambda x: -1.0 / (x * x),
             inverse=_exp,
             local_order=0.0,
+            power_order=0.0,
         )
     return ScalarFunction(
         f"power({p:g})",
@@ -1056,6 +1100,7 @@ def power_generator(p: float) -> ScalarFunction:
         deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
         inverse=lambda v: _pow(v, 1.0 / p),
         local_order=float(p),
+        power_order=float(p) if math.isfinite(p) else None,
     )
 
 

@@ -4,7 +4,8 @@ Three constructions attach a homogeneous mean to a given one:
 
 * ``envelope_pair``: the lower and upper envelopes, inf/sup over all
   admissible scalings t of M(t x, w) / t, the tightest homogeneous means
-  sandwiching M, from one shared scan;
+  sandwiching M, from one shared scan; a handle that declares M homogeneous
+  is its own envelope pair, from one evaluation;
 * ``local_homogenization``: the t -> 0 limit of the same ratio (requires
   the mean's domain to have infimum 0);
 * ``homogenization_profile``: for deviation kernels, the scale profile
@@ -88,11 +89,21 @@ SIGN_PROBE_RATIOS = (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)
 
 @dataclass(frozen=True)
 class MeanHandle:
-    """A fixed mean as an opaque sample -> value map with its domain."""
+    """A fixed mean as an opaque sample -> value map with its domain.
+
+    ``homogeneous`` is a promise: M(t x, w) = t M(x, w) for every t > 0
+    that keeps t x in the domain, so the mean is its own lower and upper
+    envelope (``envelope_pair``).  ``power_handle`` sets it;
+    ``quasiarithmetic_handle`` sets it for a generator that declares a
+    ``power_order``, and the semideviation and deviation handles for a
+    kernel whose sign is unchanged by scaling both arguments
+    (``Ratio``, or ``Difference(f)`` with f declaring a ``power_order``).
+    """
 
     name: str
     domain: IntervalDomain
     fn: Callable[[WeightedSample], float]
+    homogeneous: bool = False
 
     def __call__(self, sample: WeightedSample) -> float:
         return self.fn(sample)
@@ -100,7 +111,7 @@ class MeanHandle:
 
 def power_handle(exponent: float, domain: IntervalDomain | None = None) -> MeanHandle:
     dom = domain or positive_reals()
-    return MeanHandle(f"power({exponent:g})", dom, lambda s: power_mean(s, exponent))
+    return MeanHandle(f"power({exponent:g})", dom, lambda s: power_mean(s, exponent), homogeneous=True)
 
 
 def quasiarithmetic_handle(generator: ScalarFunction) -> MeanHandle:
@@ -108,6 +119,7 @@ def quasiarithmetic_handle(generator: ScalarFunction) -> MeanHandle:
         f"qa({generator.name})",
         generator.domain,
         lambda s: quasiarithmetic_mean(s, generator),
+        homogeneous=generator.power_order is not None,
     )
 
 
@@ -128,17 +140,32 @@ def translated_power_handle(exponent: float, shift: float) -> MeanHandle:
     return MeanHandle(f"translated_power({exponent:g},{shift:g})", dom, fn)
 
 
+def _scale_invariant_sign(kernel: Kernel2) -> bool:
+    """Whether the kernel's structure shows that K(t x, t y) has the sign
+    of K(x, y) for t > 0, which makes its sign-change and deviation means
+    homogeneous: h(t x / t y) = h(x / y), and for f = a x^q + b,
+    f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t cancels at q = 0)."""
+    structure = kernel.structure
+    if isinstance(structure, Difference):
+        return structure.f.power_order is not None
+    return isinstance(structure, Ratio)
+
+
 def semideviation_handle(kernel: Kernel2, kind: MeanKind) -> MeanHandle:
     return MeanHandle(
         f"semidev({kernel.name},{kind.value})",
         kernel.domain_x,
         lambda s: semideviation_mean(kernel, s, kind),
+        homogeneous=_scale_invariant_sign(kernel),
     )
 
 
 def deviation_handle(kernel: Kernel2) -> MeanHandle:
     return MeanHandle(
-        f"deviation({kernel.name})", kernel.domain_x, lambda s: deviation_mean(kernel, s)
+        f"deviation({kernel.name})",
+        kernel.domain_x,
+        lambda s: deviation_mean(kernel, s),
+        homogeneous=_scale_invariant_sign(kernel),
     )
 
 
@@ -211,9 +238,18 @@ def _envelope_refine(
 def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, float]:
     """(lower, upper) homogeneous envelope estimates from one shared scan.
 
-    Scans M(t x, w) / t on a 256-point log grid over the admissible scalings
-    (t = 1 is always included, so the defining inequalities lower <= M(x, w)
-    <= upper hold numerically) and refines each extremum by golden section.
+    The admissible scalings are settled first: entries that are not all
+    positive raise ValueError, and a domain that leaves no scaling room
+    raises EmptyAdmissibleSet.  A ``homogeneous`` handle whose admissible
+    scalings include t = 1 then returns (M(x, w), M(x, w)) from one
+    evaluation, the scan's own t = 1 value.  When that value is NaN under
+    the failure rule below, the scan runs as for any other handle, so a
+    failure is reported exactly as the scan reports it.
+
+    Otherwise it scans M(t x, w) / t on a 256-point log grid over the
+    admissible scalings (t = 1 is always included, so the defining
+    inequalities lower <= M(x, w) <= upper hold numerically) and refines
+    each extremum by golden section.
     The scan assumes a profile without needle-thin basins; the grid density
     is the guard against missing one.  The scan follows the limit scans'
     failure rule (``limits.FailureRule``): an error in ``SCAN_FAILURES`` at a
@@ -221,12 +257,20 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
     AllEvaluationsFailed, naming the first failure.
     """
     t_lo, t_hi = _admissible_scales(handle, sample)
+
+    def ratio(t: float) -> float:
+        return handle.fn(sample.scaled(t, handle.domain)) / t
+
+    if handle.homogeneous and t_lo <= 1.0 <= t_hi:
+        value = FailureRule(ratio).value(1.0)
+        if not math.isnan(value):
+            return value, value
     log_lo, log_hi = math.log(t_lo), math.log(t_hi)
     ts = [math.exp(log_lo + j * (log_hi - log_lo) / (ENVELOPE_GRID - 1)) for j in range(ENVELOPE_GRID)]
     if t_lo <= 1.0 <= t_hi:
         ts.append(1.0)
     ts.sort()
-    rule = FailureRule(lambda t: handle.fn(sample.scaled(t, handle.domain)) / t)
+    rule = FailureRule(ratio)
     values = [rule.value(t) for t in ts]
     if all(math.isnan(v) for v in values):
         rule.all_failed("scaled mean ratio failed at every sampled scale")

@@ -359,6 +359,24 @@ def test_homogenize_envelope(capsys):
     assert doc["upper"] == pytest.approx(5.0, abs=1e-8)
 
 
+def test_homogenize_envelope_scans_an_undeclared_homogeneous_mean(capsys):
+    # x*x has no chain, so its qa handle declares nothing and is scanned;
+    # power:2 is declared and is its own envelope.
+    docs = []
+    for generator in ("expr:x*x", "power:2"):
+        code, out, _ = run_cli(
+            capsys, "homogenize", "--target", "mean", "--method", "envelope", "--mean", "qa",
+            "--generator", generator, "--x", "1,7", "--w", "1,1", "--format", "structured",
+        )
+        assert code == 0
+        docs.append(json.loads(out))
+    for doc in docs:
+        assert doc["lower"] == pytest.approx(5.0, abs=1e-9)
+        assert doc["upper"] == pytest.approx(5.0, abs=1e-9)
+    assert docs[0]["lower"] != docs[0]["upper"]
+    assert docs[1]["lower"] == docs[1]["upper"]
+
+
 def test_verify_minkowski_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "minkowski", "--kernel", "power:2",

@@ -24,6 +24,7 @@ from meankit import (
     power_handle,
     power_mean,
     quasiarithmetic_handle,
+    scalar_from_expression,
     semideviation_handle,
     semideviation_mean,
     semideviation_means,
@@ -43,7 +44,7 @@ from meankit.errors import (
 )
 from meankit.expr import Ratio, ScalarFunction
 from meankit.homogenize import ratio_kernel_from_profile
-from meankit.limits import LIMIT_WINDOW, start_scale
+from meankit.limits import LIMIT_WINDOW, SCAN_FAILURES, start_scale
 from meankit.semideviation import SemidevMeanConfig, deviation_mean
 
 from conftest import numeric_profile_kernel
@@ -251,6 +252,105 @@ class TestEnvelopes:
         assert lower == pytest.approx(5.0, abs=1e-9)
         assert upper == pytest.approx(5.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            homogenize.MeanHandle("power(2)", POS, lambda s: power_mean(s, 2.0)),
+            quasiarithmetic_handle(scalar_from_expression("x*x", POS)),  # no chain, no order
+        ],
+        ids=["power", "qa-x*x"],
+    )
+    def test_undeclared_homogeneous_mean_is_scanned_to_tight_envelopes(self, handle):
+        # The scan finds what a declaration states.
+        calls = []
+        counted = dataclasses.replace(handle, fn=lambda s: calls.append(s) or handle.fn(s))
+        lower, upper = envelope_pair(counted, _pos_sample([1, 7], [1, 1]))
+        assert not handle.homogeneous and len(calls) > homogenize.ENVELOPE_GRID
+        assert lower == pytest.approx(5.0, abs=1e-9)
+        assert upper == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            power_handle(2),
+            quasiarithmetic_handle(power_generator(0.5)),
+            quasiarithmetic_handle(scalar_from_expression("3*x^2+1", POS)),
+            quasiarithmetic_handle(scalar_from_expression("2-log(x)", POS)),
+            semideviation_handle(resolve_kernel("ratio_dev:log"), MeanKind.UPPER_WEAK),
+            semideviation_handle(resolve_kernel("diff_gen:power:3"), MeanKind.LOWER_STRICT),
+            deviation_handle(resolve_kernel("diff_gen:log")),
+            deviation_handle(resolve_kernel("expr:sqrt(x)-sqrt(y)")),
+        ],
+        ids=lambda h: h.name,
+    )
+    def test_declared_mean_is_its_own_envelope_from_one_evaluation(self, handle):
+        s = _pos_sample([1, 2, 7], [1, 2, 0.5])
+        calls = []
+        counted = dataclasses.replace(handle, fn=lambda s: calls.append(s) or handle.fn(s))
+        lower, upper = envelope_pair(counted, s)
+        assert handle.homogeneous and len(calls) == 1
+        assert lower.hex() == upper.hex() == handle(s).hex()
+
+    @pytest.mark.parametrize(
+        "handle, declared",
+        [
+            (power_handle(2, open_interval(0.5, 9.0)), True),
+            (quasiarithmetic_handle(power_generator(-1.0)), True),
+            (quasiarithmetic_handle(power_generator(2.0).restricted(open_interval(-2.0, 2.0))), False),
+            (quasiarithmetic_handle(cosh_generator()), False),
+            (quasiarithmetic_handle(scalar_from_expression("x^2", open_interval(-2.0, 2.0))), False),
+            (translated_power_handle(0.5, 1.0), False),
+            (semideviation_handle(resolve_kernel("ratio_dev:exp"), MeanKind.LOWER_WEAK), True),
+            (semideviation_handle(resolve_kernel("diff_gen:cosh"), MeanKind.LOWER_WEAK), False),
+            (semideviation_handle(resolve_kernel("sign_dev"), MeanKind.LOWER_WEAK), False),
+            (deviation_handle(resolve_kernel("expr:x^2-y^2")), True),
+            (deviation_handle(resolve_kernel("expr:x*x-y*y")), False),
+            (deviation_handle(resolve_kernel("diff_gen:shifted_power:2,1")), False),
+        ],
+        ids=lambda v: v.name if isinstance(v, homogenize.MeanHandle) else str(v),
+    )
+    def test_handles_declare_homogeneity_from_their_parts(self, handle, declared):
+        assert handle.homogeneous is declared
+
+    @pytest.mark.parametrize(
+        "handle, entries",
+        [
+            # The qa mean of x^2 overflows, or sees no spread in x^2, at t = 1.
+            (quasiarithmetic_handle(power_generator(2.0)), [1e200, 3e200]),
+            (quasiarithmetic_handle(power_generator(2.0)), [1e-170, 2e-170]),
+            # A decreasing f: its difference kernel has no means.
+            (deviation_handle(resolve_kernel("diff_gen:power:-1")), [1.0, 2.0]),
+            (semideviation_handle(resolve_kernel("diff_gen:power:-1"), MeanKind.LOWER_WEAK), [1.0, 2.0]),
+        ],
+    )
+    def test_declared_path_changes_no_failure(self, handle, entries):
+        s = _pos_sample(entries, [1, 1])
+        with pytest.raises(SCAN_FAILURES):
+            handle(s)
+
+        def outcome(h):
+            try:
+                return envelope_pair(h, s)
+            except Exception as exc:  # compared by type and message
+                return type(exc).__name__, str(exc)
+
+        assert handle.homogeneous
+        assert outcome(handle) == outcome(dataclasses.replace(handle, homogeneous=False))
+
+    def test_decreasing_difference_generator_still_fails_every_scale(self):
+        handle = deviation_handle(resolve_kernel("diff_gen:power:-1"))
+        with pytest.raises(
+            AllEvaluationsFailed,
+            match=r"^scaled mean ratio failed at every sampled scale; first failure: NoSignChange: "
+            r"deviation sum has signs \(-1, 1\) at the hull ends$",
+        ):
+            envelope_pair(handle, _pos_sample([1, 2], [1, 1]))
+
+    def test_declared_handle_still_needs_positive_entries(self):
+        dom = open_interval(-5.0, 5.0)
+        with pytest.raises(ValueError, match="positive entries"):
+            envelope_pair(power_handle(1, dom), make_weighted_sample([-1.0, 2.0], [1, 1], dom))
+
     def test_envelopes_sandwich_the_mean(self):
         dom = open_interval(0, 2)
         gen = exp_generator().restricted(dom)
@@ -263,7 +363,8 @@ class TestEnvelopes:
         assert lower <= value <= upper
 
     def test_empty_admissible_set_on_needle_domain(self):
-        # A domain thinner than the endpoint margins leaves no scaling room.
+        # A domain thinner than the endpoint margins leaves no scaling room;
+        # the power handle's declared homogeneity does not skip that check.
         from meankit.errors import EmptyAdmissibleSet
 
         dom = open_interval(1.0, 1.0 + 1e-13)

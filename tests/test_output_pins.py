@@ -31,7 +31,11 @@ scan, each budget cut to its new error: ``mean-semidev-sign`` (exact
 weighted medians, 5,125 -> 0 ulps), ``mean-semidev-expr`` and
 ``mean-deviation-expr`` (``expr:`` difference kernels of chains, 3,956 -> 0
 and 4,220 -> 1) and ``mean-semidev-ratio`` (``ratio_dev:log`` as the
-geometric mean, 1,015 -> 1).
+geometric mean, 1,015 -> 1).  ``homogenize-envelope-deviation`` was
+re-recorded when handles that declare a homogeneous mean began to return
+the mean itself as both envelopes: ``diff_gen:log`` on 1, 2, 4 gives the
+geometric mean, whose lower and upper envelopes had been 7 and 12 ulps off
+it and are now exact.
 ``test_limit_pin_estimate_within_oracle_budget`` checks each limit call's
 estimate against ``oracle.py`` within a ulp budget; CHANGES.md gives each
 estimate's error before and after.  ``test_mean_pin_value_within_oracle_budget``

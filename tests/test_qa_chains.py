@@ -20,7 +20,7 @@ import pytest
 from meankit import make_weighted_sample, quasiarithmetic_mean, scalar_from_expression
 from meankit.classic_means import CONDITION_LIMIT
 from meankit.cli import main
-from meankit.domain import all_reals, positive_reals
+from meankit.domain import all_reals, open_interval, positive_reals
 
 #: Chain steps: the text around an operand u and a constant c, and the step
 #: in ``decimal`` arithmetic.
@@ -263,3 +263,85 @@ def test_refused_chains_keep_exit_code_and_message(capsys, args, code, err):
     assert captured.err == err
     if code == 0:
         assert captured.out.strip().splitlines()[-1] == "2.007187665648644"
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("x^2", 2.0),
+        ("sqrt(x)", 0.5),
+        ("x^3", 3.0),
+        ("log(x)", 0.0),
+        ("1/x", -1.0),
+        ("3*x^2+1", 2.0),
+        ("2-log(x)", 0.0),
+        ("2*x+1", 1.0),
+        ("x", 1.0),
+    ],
+)
+def test_power_type_chains_declare_their_order(text, order):
+    assert scalar_from_expression(text, positive_reals()).power_order == order
+
+
+@pytest.mark.parametrize(
+    "text, domain",
+    [
+        ("(x+1)^2", positive_reals()),  # an affine step before the power
+        ("x^2*0+1", positive_reals()),  # * 0 is not affine
+        ("exp(x)", positive_reals()),
+        ("cosh(x)", positive_reals()),
+        ("2^x", positive_reals()),
+        ("x^3+x", positive_reals()),  # x occurs twice: no chain
+        ("x*x", positive_reals()),
+        ("x^2", open_interval(-2.0, 2.0)),  # a domain reaching below 0
+    ],
+)
+def test_other_generators_declare_no_order(text, domain):
+    assert scalar_from_expression(text, domain).power_order is None
+
+
+def test_order_is_dropped_on_a_domain_below_zero():
+    gen = scalar_from_expression("x^2", positive_reals())
+    assert gen.restricted(open_interval(0.0, 5.0)).power_order == 2.0
+    assert gen.restricted(open_interval(-2.0, 2.0)).power_order is None
+
+
+#: Power-like first steps of a chain and the order q each gives.
+POWER_STEPS = {"pow": None, "rdiv": -1.0, "sqrt": 0.5, "log": 0.0}
+
+#: Affine steps u -> a u + b with a != 0.
+AFFINE_STEPS = ("add", "sub", "rsub", "mul", "div", "neg")
+
+
+def _random_power_chain(rng: random.Random) -> tuple[str, float]:
+    """Text of a chain a x^q + b (a log x + b at q = 0): an optional
+    power-like step, then 0 to 4 affine steps; and its q."""
+    text, q = "x", 1.0
+    kind = rng.choice([*POWER_STEPS, "none"])
+    if kind != "none":
+        c, c_text = _constant(rng, kind) if kind in ("pow", "rdiv") else (0.0, "")
+        text = STEPS[kind][0].format(u=text, c=c_text)
+        q = c if kind == "pow" else POWER_STEPS[kind]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(AFFINE_STEPS)
+        c, c_text = _constant(rng, kind) if kind != "neg" else (0.0, "")
+        text = STEPS[kind][0].format(u=text, c=c_text)
+    return text, q
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_declared_chains_have_the_power_mean_of_their_order(seed):
+    # The qa mean of a x^q + b is P_q: within the chains' qa budget of it.
+    rng = random.Random(seed)
+    for _ in range(100):
+        text, q = _random_power_chain(rng)
+        gen = scalar_from_expression(text, positive_reals())
+        assert gen.power_order == q, text
+        n = rng.randint(2, 6)
+        entries = [rng.uniform(0.05, 8.0) for _ in range(n)]
+        weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+        mean = quasiarithmetic_mean(make_weighted_sample(entries, weights, positive_reals()), gen)
+        lo, hi = min(entries), max(entries)
+        bound = 1e-12 * max(abs(lo), abs(hi)) + CONDITION_LIMIT * abs(mean)
+        reference = oracle.power_mean(entries, weights, q)
+        assert abs(mean - reference) <= bound, (text, entries, weights, mean, reference)
