@@ -38,7 +38,7 @@ from .errors import (
     NotConverged,
     SignPropertyViolated,
 )
-from .expr import Difference, Kernel2, Ratio, ScalarFunction
+from .expr import Difference, Kernel2, Ratio, ScalarFunction, Sign
 from .limits import LIMIT_TOL, LIMIT_WINDOW, FailureRule, LimitEstimate, limit_at_zero, start_scale
 from .semideviation import (
     deviation_mean,
@@ -96,8 +96,8 @@ class MeanHandle:
     envelope (``envelope_pair``).  ``power_handle`` sets it;
     ``quasiarithmetic_handle`` sets it for a generator that declares a
     ``power_order``, and the semideviation and deviation handles for a
-    kernel whose sign is unchanged by scaling both arguments
-    (``Ratio``, or ``Difference(f)`` with f declaring a ``power_order``).
+    kernel whose sign is unchanged by scaling both arguments (``Sign``,
+    ``Ratio``, or ``Difference(f)`` with f declaring a ``power_order``).
     """
 
     name: str
@@ -143,12 +143,13 @@ def translated_power_handle(exponent: float, shift: float) -> MeanHandle:
 def _scale_invariant_sign(kernel: Kernel2) -> bool:
     """Whether the kernel's structure shows that K(t x, t y) has the sign
     of K(x, y) for t > 0, which makes its sign-change and deviation means
-    homogeneous: h(t x / t y) = h(x / y), and for f = a x^q + b,
-    f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t cancels at q = 0)."""
+    homogeneous: sign(t x - t y) = sign(x - y), h(t x / t y) = h(x / y),
+    and for f = a x^q + b, f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t
+    cancels at q = 0)."""
     structure = kernel.structure
     if isinstance(structure, Difference):
         return structure.f.power_order is not None
-    return isinstance(structure, Ratio)
+    return isinstance(structure, (Sign, Ratio))
 
 
 def semideviation_handle(kernel: Kernel2, kind: MeanKind) -> MeanHandle:

@@ -31,3 +31,19 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
     for module, attributes in zip(MODULES, before):
         changed = [name for name, value in attributes.items() if getattr(module, name) is not value]
         assert changed == [], module.__name__
+
+
+def test_cli_calls_reach_the_patched_names(monkeypatch, capsys):
+    # The command bodies look the patched names up when they run, so a call
+    # records the span of the suite or mean it reaches.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    with tracer.installed():
+        main = tracer.main()
+        assert main(["verify", "--suite", "cei", "--kernel", "log", "--samples", "2"]) == 0
+        after_suite = tracer.counters()["calls"]
+        assert main(["compute", "mean", "--kind", "power", "--p", "2", "--x", "1,7", "--w", "1,1"]) == 0
+    calls = tracer.counters()["calls"]
+    assert after_suite.get("verify.verify_cei") == 1
+    assert calls.get("classic_means.power_mean", 0) == after_suite.get("classic_means.power_mean", 0) + 1
+    assert calls["cli.main"] == 2

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from meankit import homogenize
 from meankit.cli import main
 from meankit.expr import MAX_DEPTH
 
@@ -377,6 +378,24 @@ def test_homogenize_envelope_scans_an_undeclared_homogeneous_mean(capsys):
     assert docs[1]["lower"] == docs[1]["upper"]
 
 
+@pytest.mark.parametrize("kernel", ["sign_dev", "expr:sign(x-y)"])
+@pytest.mark.parametrize(
+    "mean, solver, weights", [("semidev", "semideviation_mean", "1,1,2"), ("deviation", "deviation_mean", "1,1,1")]
+)
+def test_sign_kernel_means_are_their_own_envelopes(kernel, mean, solver, weights, capsys, monkeypatch):
+    # sign(t x - t y) = sign(x - y), so the weighted median of t x is t times
+    # that of x: one evaluation answers, where the scan took over 250.
+    calls = []
+    original = getattr(homogenize, solver)
+    monkeypatch.setattr(homogenize, solver, lambda *args: calls.append(args) or original(*args))
+    code, out, err = run_cli(
+        capsys, "homogenize", "--target", "mean", "--method", "envelope", "--mean", mean, "--kernel", kernel,
+        "--x=1,2,4", f"--w={weights}", "--format", "structured",
+    )
+    doc = json.loads(out)
+    assert (code, err, doc["lower"], doc["upper"], len(calls)) == (0, "", 2.0, 2.0, 1)
+
+
 def test_verify_minkowski_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "minkowski", "--kernel", "power:2",
@@ -728,6 +747,18 @@ def test_verify_explicit_flag_beats_config(tmp_path, capsys):
     assert json.loads(out)["samples"] == 3
 
 
+@pytest.mark.parametrize("flags, code", [((), 2), (("--monotone",), 0), (("--no-monotone",), 0)])
+def test_verify_config_value_a_flag_overrides_is_not_checked(flags, code, tmp_path, capsys):
+    # HOMI gives --grid 3, so the config's bad grid is never read; its
+    # monotone word is read unless --monotone or --no-monotone is given.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": 1, "monotone": "maybe"}))
+    got = run_cli(capsys, "verify", *HOMI, *HOMI_KERNELS, "--op", "x+y", "--config", str(path), *flags)
+    assert got[0] == code
+    if code == 2:
+        assert got[2].startswith("Error: Invalid value for '--monotone': 'maybe' is not a valid boolean.")
+
+
 @pytest.mark.parametrize("kind", ["semidev", "deviation"])
 def test_ratio_dev_power_is_not_a_deviation_kernel(kind, capsys):
     # sqrt(x / y) > 0 everywhere, so the deviation sum never changes sign:
@@ -789,3 +820,51 @@ def test_cosh_lower_envelope_on_a_bounded_domain_stays_above_its_limit(x, w, cap
     doc = json.loads(out)
     assert doc["lower"] >= quadratic - 1e-6
     assert doc["lower"] <= doc["upper"]
+
+
+def test_cli_imports_nothing_outside_the_standard_library():
+    # A fresh interpreter without site-packages hooks (-S); the modules that
+    # importing the CLI adds must be meankit's or the standard library's.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import meankit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = {name.partition(".")[0] for name in done.stdout.split()}
+    assert "meankit" in loaded
+    assert loaded - sys.stdlib_module_names == {"meankit"}
+
+
+def test_long_options_are_not_abbreviated(capsys):
+    code, out, err = run_cli(capsys, "compute", "mean", "--kin", "power", "--p", "2", "--x", "1,7", "--w", "1,1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, printed",
+    [
+        (("compute", "mean", "--kind", "power", "--x", "3,5,2", "--w", "1,0,1"), "--p", "-inf", "2.0"),
+        (("compute", "mean", "--kind", "semidev", "--kernel", "sign_dev", "--w", "1,1", "--domain=-inf,inf"),
+         "--x", "-1e308,1", "-1e+308"),
+        (("verify", "--suite", "sandwich", "--kernel", "sign_dev", "--seed", "3", "--samples", "30",
+          "--domain", "-inf,inf"), "--entry-range", "-4,4", "suite sandwich: PASS"),
+    ],
+    ids=["p", "x", "entry-range"],
+)
+def test_a_value_starting_with_a_dash_may_be_a_separate_token(argv, option, value, printed, capsys):
+    # An option takes the next token as its value, whatever it starts with.
+    separate = run_cli(capsys, *argv, option, value)
+    assert separate == run_cli(capsys, *argv, f"{option}={value}")
+    code, out, err = separate
+    assert (code, err) == (0, "") and printed in out.splitlines()
+
+
+def test_csv_dash_writes_the_table_to_stdout(capsys):
+    code, out, err = run_cli(capsys, "homogenize", "--target", "kernel", "--kernel", "diff_gen:cosh", "--ratio", "3",
+                             "--csv", "-")
+    assert (code, err) == (0, "")
+    table = out[out.index("t,value\n"):].splitlines()
+    assert len(table) > 10 and all(len(row.split(",")) == 2 for row in table)

@@ -302,7 +302,7 @@ class TestEnvelopes:
             (translated_power_handle(0.5, 1.0), False),
             (semideviation_handle(resolve_kernel("ratio_dev:exp"), MeanKind.LOWER_WEAK), True),
             (semideviation_handle(resolve_kernel("diff_gen:cosh"), MeanKind.LOWER_WEAK), False),
-            (semideviation_handle(resolve_kernel("sign_dev"), MeanKind.LOWER_WEAK), False),
+            (semideviation_handle(resolve_kernel("sign_dev"), MeanKind.LOWER_WEAK), True),
             (deviation_handle(resolve_kernel("expr:x^2-y^2")), True),
             (deviation_handle(resolve_kernel("expr:x*x-y*y")), False),
             (deviation_handle(resolve_kernel("diff_gen:shifted_power:2,1")), False),
