@@ -25,7 +25,9 @@ When x occurs once in a generator's text, the same parse also unwinds the
 AST from the root into a chain of invertible steps, which gives the handle
 its ``hull_inverse``: an inverse certified, hull by hull, by carrying the
 hull's ends through the steps; a chain a x^q + b (a log x + b at q = 0)
-also gives its ``power_order`` q.  A kernel's parse shows its structure: text
+also gives its ``power_order`` q, and a chain through exp, cosh or sinh of
+a shape ``_monotone_order`` accepts gives its ``monotone_order``.  A
+kernel's parse shows its structure: text
 A - B, where A has only x free and B is A with x renamed to y, declares
 ``Difference`` of A as a generator (with its ``hull_inverse`` when x occurs
 once in A), and sign(x - y) declares ``Sign``.  Compiled functions, chains
@@ -656,6 +658,16 @@ _BINARY_STEPS = {
 _Link = tuple[str, float]
 
 
+def _scaling(kind: str, c: float) -> bool:
+    """Whether the step is u -> a u with a != 0: -u, * c or / c with c != 0."""
+    return kind == "neg" or (kind in ("mul", "div") and c != 0.0)
+
+
+def _affine(kind: str, c: float) -> bool:
+    """Whether the step is u -> a u + b with a != 0: a scaling, + c or c - u."""
+    return kind in ("add", "rsub") or _scaling(kind, c)
+
+
 def _power_order(links: tuple[_Link, ...]) -> float | None:
     """q when the chain is a x^q + b (a log x + b at q = 0) with a != 0:
     at most one power-like first step (^ c or c / x with c != 0, sqrt,
@@ -666,9 +678,24 @@ def _power_order(links: tuple[_Link, ...]) -> float | None:
     if kind in ("sqrt", "log") or (kind in ("pow", "rdiv") and c != 0.0):
         q = {"pow": c, "rdiv": -1.0, "sqrt": 0.5, "log": 0.0}[kind]
         affine = links[1:]
-    if all(k in ("add", "rsub", "neg") or (k in ("mul", "div") and c != 0.0) for k, c in affine):
+    if all(_affine(k, c) for k, c in affine):
         return q
     return None
+
+
+def _monotone_order(links: tuple[_Link, ...]) -> bool:
+    """Whether the chain's order operator p(u) = u f''(u)/f'(u) + 1 is
+    monotone on (0, inf) by its shape: affine steps, then exp (or b^u with
+    a constant b > 0, b != 1), then affine steps, which is a e^(c x + d) + b
+    with p = c u + 1; or scalings (* c, / c, -u), then cosh or sinh, then
+    affine steps, with p = |c| u coth(|c| u) + 1 or |c| u tanh(|c| u) + 1."""
+    i = next((i for i, link in enumerate(links) if not _affine(*link)), len(links))
+    if i == len(links) or not all(_affine(*link) for link in links[i + 1 :]):
+        return False
+    kind, c = links[i]
+    if kind == "exp" or (kind == "rpow" and c > 0.0 and c != 1.0):
+        return True
+    return kind in ("cosh", "sinh") and all(_scaling(*link) for link in links[:i])
 
 
 def _fold(node: ExprAst) -> float:
@@ -812,6 +839,20 @@ class ScalarFunction:
     followed only by affine ones (+ c, c - u, -u, * c and / c with c != 0),
     q = 1 without a power-like step.
 
+    ``monotone_order`` promises that the order operator p(u) = u f''(u)/f'(u)
+    + 1 is monotone on the part of the domain inside (0, inf).  The
+    quasiarithmetic mean of fn at scale t, M(t x)/t, is the mean of u ->
+    fn(t u), whose f''/f' is (p(t u) - 1)/u; by the comparison theorem for
+    quasiarithmetic means (Mikusinski, Studia Math. 10, 1948) the ratio is
+    then monotone in t, so ``homogenize.envelope_pair`` reads its envelopes
+    at the ends of the admissible scales.  exp (p = u + 1), cosh (p = u
+    coth u + 1) and shifted_power:q,c (p = (q - 1) u/(u + c) + 1, c/(u + c)
+    at q = 0) set it; ``scalar_from_expression``, and
+    ``kernel_from_expression`` on the generator of a difference, set it on
+    a domain with lo >= 0 for the chains ``_monotone_order`` accepts: a
+    e^(c x + d) + b (also through b^u), and a cosh(c x) + b or a sinh(c x)
+    + b.
+
     ``local_order`` is a catalog promise too: the local power order q at 0+,
     that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
     tends to q).  The scale profile of the difference kernel of f is then
@@ -831,6 +872,7 @@ class ScalarFunction:
     local_order: float | None = None
     hull_inverse: Callable[[float, float], HullInverse | None] | None = None
     power_order: float | None = None
+    monotone_order: bool = False
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -863,6 +905,8 @@ class _Compiled(NamedTuple):
     hull_inverse: Callable[[float, float], HullInverse | None] | None = None
     #: A chain a x^q + b (a log x + b at q = 0): its q (``_power_order``).
     power_order: float | None = None
+    #: A chain whose order operator is monotone (``_monotone_order``).
+    monotone_order: bool = False
     #: A kernel A(x) - A(y): A compiled as a function of x, and its text.
     difference: tuple["_Compiled", str] | None = None
     #: A kernel sign(x - y).
@@ -892,7 +936,12 @@ def _compiled(ast: ExprAst, variables: tuple[str, ...]) -> _Compiled:
         links = _chain(ast, "x")
         if links is None:
             return _Compiled(fn)
-        return _Compiled(fn, functools.partial(_hull_inverse, links), power_order=_power_order(links))
+        return _Compiled(
+            fn,
+            functools.partial(_hull_inverse, links),
+            power_order=_power_order(links),
+            monotone_order=_monotone_order(links),
+        )
     if ast == _SIGN:
         return _Compiled(fn, sign=True)
     if (
@@ -920,14 +969,22 @@ def _compile(text: str, variables: tuple[str, ...]) -> _Compiled:
 def _scalar(name: str, compiled: _Compiled, domain: IntervalDomain) -> ScalarFunction:
     """The compiled function of x on ``domain`` with the promises its chain
     gives there."""
-    power_order = compiled.power_order if domain.lo >= 0.0 else None
-    return ScalarFunction(name, compiled.fn, domain, hull_inverse=compiled.hull_inverse, power_order=power_order)
+    positive = domain.lo >= 0.0
+    return ScalarFunction(
+        name,
+        compiled.fn,
+        domain,
+        hull_inverse=compiled.hull_inverse,
+        power_order=compiled.power_order if positive else None,
+        monotone_order=compiled.monotone_order and positive,
+    )
 
 
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
     """Build a function of x, named by its text, from expression text; a
-    chain in x also gets its ``hull_inverse``, and its ``power_order`` on a
-    domain with lo >= 0 when it is a x^q + b or a log x + b."""
+    chain in x also gets its ``hull_inverse``, and on a domain with lo >= 0
+    its ``power_order`` when it is a x^q + b or a log x + b, and its
+    ``monotone_order`` when ``_monotone_order`` accepts its shape."""
     return _scalar(source, _compile(source, ("x",)), domain)
 
 
@@ -1026,8 +1083,8 @@ def kernel_from_expression(
 
     Text A - B, where A has only x free and B is A with x renamed to y,
     declares ``Difference(f)`` with f the function A of x on ``domain_x``,
-    named by A's canonical text, with its ``hull_inverse`` and
-    ``power_order`` as ``scalar_from_expression`` sets them; the text
+    named by A's canonical text, with its ``hull_inverse``, ``power_order``
+    and ``monotone_order`` as ``scalar_from_expression`` sets them; the text
     sign(x - y) declares ``Sign``.  ``fn`` is the compiled function of the
     whole text either way.
     """
@@ -1117,6 +1174,7 @@ def exp_generator() -> ScalarFunction:
         deriv2=_exp,
         inverse=_log,
         local_order=1.0,
+        monotone_order=True,
     )
 
 
@@ -1131,6 +1189,7 @@ def cosh_generator() -> ScalarFunction:
         deriv2=math.cosh,
         inverse=lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v)),
         local_order=2.0,
+        monotone_order=True,
     )
 
 
@@ -1145,6 +1204,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
             deriv1=lambda x: 1.0 / (x + c),
             deriv2=lambda x: -1.0 / ((x + c) * (x + c)),
             inverse=lambda v: _exp(v) - c,
+            monotone_order=True,
         )
     return ScalarFunction(
         f"shifted_power({q:g},{c:g})",
@@ -1153,6 +1213,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
         deriv1=lambda x: q * _pow(x + c, q - 1.0),
         deriv2=lambda x: q * (q - 1.0) * _pow(x + c, q - 2.0),
         inverse=lambda v: _pow(v, 1.0 / q) - c,
+        monotone_order=True,
     )
 
 

@@ -5,7 +5,9 @@ Three constructions attach a homogeneous mean to a given one:
 * ``envelope_pair``: the lower and upper envelopes, inf/sup over all
   admissible scalings t of M(t x, w) / t, the tightest homogeneous means
   sandwiching M, from one shared scan; a handle that declares M homogeneous
-  is its own envelope pair, from one evaluation;
+  is its own envelope pair, from one evaluation, and one that declares the
+  ratio monotone in t has its envelopes at the ends of the admissible
+  scalings;
 * ``local_homogenization``: the t -> 0 limit of the same ratio (requires
   the mean's domain to have infimum 0);
 * ``homogenization_profile``: for deviation kernels, the scale profile
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
@@ -33,13 +36,22 @@ from .domain import (
 )
 from .errors import (
     EmptyAdmissibleSet,
+    KernelEvaluationError,
     MeanKitError,
     NonFinite,
     NotConverged,
     SignPropertyViolated,
 )
 from .expr import Difference, Kernel2, Ratio, ScalarFunction, Sign
-from .limits import LIMIT_TOL, LIMIT_WINDOW, FailureRule, LimitEstimate, limit_at_zero, start_scale
+from .limits import (
+    LIMIT_TOL,
+    LIMIT_WINDOW,
+    SCAN_FAILURES,
+    FailureRule,
+    LimitEstimate,
+    limit_at_zero,
+    start_scale,
+)
 from .semideviation import (
     deviation_mean,
     normalize_kernel,
@@ -69,10 +81,12 @@ ENVELOPE_GRID = 256
 #: Octaves explored around the admissible range when an endpoint is missing.
 #: 2^-28 is not above the cancellation floor of every solver-based mean: a
 #: generator that is flat in floating point near 0 makes M(t x) / t a hull
-#: endpoint at the small end of the scan.  The catalog stores cosh as
-#: 2 sinh(x/2)^2, which is not flat there, so its qa envelopes are right;
-#: the text spelling ``expr:cosh(x)`` evaluates cosh(x) == 1.0 below about
-#: 1e-8, and its qa envelopes can still be wrong (ROADMAP items 3 and 5).
+#: endpoint at the small end of the range.  The catalog stores cosh as
+#: 2 sinh(x/2)^2, which is not flat there, so its qa envelopes are right.
+#: The text spelling ``expr:cosh(x)`` evaluates cosh(x) == 1.0 below about
+#: 1e-8: on a domain bounded above, the small end of its range refuses the
+#: monotone-ratio path (GeneratorNotMonotone), and the scan that follows can
+#: still return wrong envelopes (ROADMAP items 3 and 5).
 ENVELOPE_OCTAVES = 28
 
 #: Nodes per octave of the tabulated scale profile: h is computed at
@@ -98,12 +112,22 @@ class MeanHandle:
     ``power_order``, and the semideviation and deviation handles for a
     kernel whose sign is unchanged by scaling both arguments (``Sign``,
     ``Ratio``, or ``Difference(f)`` with f declaring a ``power_order``).
+
+    ``monotone_ratio`` is a promise too: M(t x, w) / t is monotone in t
+    over the scalings that keep t x in the domain, so its inf and sup lie at
+    the ends of that range (``envelope_pair``).  ``quasiarithmetic_handle``
+    sets it for a generator that declares ``monotone_order``, and the
+    semideviation and deviation handles for ``Difference(f)`` with such an
+    f, whose means are the quasiarithmetic mean of f.  No catalog generator
+    or ``expr:`` chain declares both orders, so their handles make at most
+    one promise.
     """
 
     name: str
     domain: IntervalDomain
     fn: Callable[[WeightedSample], float]
     homogeneous: bool = False
+    monotone_ratio: bool = False
 
     def __call__(self, sample: WeightedSample) -> float:
         return self.fn(sample)
@@ -120,6 +144,7 @@ def quasiarithmetic_handle(generator: ScalarFunction) -> MeanHandle:
         generator.domain,
         lambda s: quasiarithmetic_mean(s, generator),
         homogeneous=generator.power_order is not None,
+        monotone_ratio=generator.monotone_order,
     )
 
 
@@ -152,12 +177,21 @@ def _scale_invariant_sign(kernel: Kernel2) -> bool:
     return isinstance(structure, (Sign, Ratio))
 
 
+def _monotone_scaled_ratio(kernel: Kernel2) -> bool:
+    """Whether the kernel is ``Difference(f)`` with f declaring
+    ``monotone_order``: its sign-change and deviation means are the
+    quasiarithmetic mean of f, whose scaled ratio is then monotone."""
+    structure = kernel.structure
+    return isinstance(structure, Difference) and structure.f.monotone_order
+
+
 def semideviation_handle(kernel: Kernel2, kind: MeanKind) -> MeanHandle:
     return MeanHandle(
         f"semidev({kernel.name},{kind.value})",
         kernel.domain_x,
         lambda s: semideviation_mean(kernel, s, kind),
         homogeneous=_scale_invariant_sign(kernel),
+        monotone_ratio=_monotone_scaled_ratio(kernel),
     )
 
 
@@ -167,6 +201,7 @@ def deviation_handle(kernel: Kernel2) -> MeanHandle:
         kernel.domain_x,
         lambda s: deviation_mean(kernel, s),
         homogeneous=_scale_invariant_sign(kernel),
+        monotone_ratio=_monotone_scaled_ratio(kernel),
     )
 
 
@@ -236,6 +271,75 @@ def _envelope_refine(
     return direction * min(refined, keyed[best_idx])
 
 
+def _overflowed(exc: BaseException) -> bool:
+    """Whether a failed evaluation overflowed: NonFinite or OverflowError,
+    or a KernelEvaluationError raised from one (a deviation sum names the
+    kernel's pair around its generator's overflow)."""
+    if isinstance(exc, KernelEvaluationError):
+        exc = exc.__cause__
+    return isinstance(exc, (NonFinite, OverflowError))
+
+
+def _float_index(t: float) -> int:
+    """The rank of a positive float among the positive floats: the integer
+    with its bits, which orders positive floats as they compare."""
+    return struct.unpack("<q", struct.pack("<d", t))[0]
+
+
+def _float_at(index: int) -> float:
+    """The positive float of a rank (``_float_index`` inverted)."""
+    return struct.unpack("<d", struct.pack("<q", index))[0]
+
+
+def _monotone_ends(ratio: Callable[[float], float], t_lo: float, t_hi: float) -> tuple[float, float] | None:
+    """(lower, upper) of a ratio monotone in t over [t_lo, t_hi]: the least
+    and greatest of its values at t_lo, at t_hi and at t = 1 when t_lo < 1
+    < t_hi, evaluated in that order.
+
+    An end where the ratio overflows (``_overflowed``) is replaced by the
+    last scale toward it with a finite value: a bisection over the floats
+    between that end and the nearest scale with a finite value, down to two
+    adjacent floats, in which any SCAN_FAILURES error or value that is not
+    finite counts as the overflowing side (an average of finite generator
+    values can overflow too, a SolverFailure).  None, so that the caller
+    scans, when an end fails in any other way (a SCAN_FAILURES error that
+    did not overflow, or a value that is not finite) or no scale has a
+    finite value.
+    """
+
+    def value(t: float) -> float:
+        # inf marks an overflow and NaN any other failure.
+        try:
+            v = ratio(t)
+        except SCAN_FAILURES as exc:
+            return math.inf if _overflowed(exc) else math.nan
+        return v if math.isfinite(v) else math.nan
+
+    scales = [t_lo, t_hi, 1.0] if t_lo < 1.0 < t_hi else [t_lo, t_hi]
+    values = []
+    for t in scales:
+        values.append(value(t))
+        if math.isnan(values[-1]):
+            return None
+    finite = [t for t, v in zip(scales, values) if v != math.inf]
+    if not finite:
+        return None
+    for k, near in ((0, min(finite)), (1, max(finite))):
+        if values[k] != math.inf:
+            continue
+        good, bad = _float_index(near), _float_index(scales[k])
+        values[k] = values[scales.index(near)]
+        while abs(bad - good) > 1:
+            mid = (good + bad) // 2
+            v = value(_float_at(mid))
+            if math.isfinite(v):
+                good, values[k] = mid, v
+            else:
+                bad = mid
+    finite_values = [v for v in values if v != math.inf]
+    return min(finite_values), max(finite_values)
+
+
 def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, float]:
     """(lower, upper) homogeneous envelope estimates from one shared scan.
 
@@ -246,6 +350,14 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
     evaluation, the scan's own t = 1 value.  When that value is NaN under
     the failure rule below, the scan runs as for any other handle, so a
     failure is reported exactly as the scan reports it.
+
+    A ``monotone_ratio`` handle returns the least and greatest of the
+    ratio's values at the two ends of the admissible scalings and at t = 1
+    when it lies between them, so the defining inequalities lower <= M(x,
+    w) <= upper hold exactly (``_monotone_ends``).  An end where the mean
+    overflows gives way to the last float scale toward it at which the mean
+    is finite, found by bisection.  Any other failure, or no finite value,
+    runs the scan, so every error is reported as the scan reports it.
 
     Otherwise it scans M(t x, w) / t on a 256-point log grid over the
     admissible scalings (t = 1 is always included, so the defining
@@ -266,6 +378,10 @@ def envelope_pair(handle: MeanHandle, sample: WeightedSample) -> tuple[float, fl
         value = FailureRule(ratio).value(1.0)
         if not math.isnan(value):
             return value, value
+    if handle.monotone_ratio:
+        ends = _monotone_ends(ratio, t_lo, t_hi)
+        if ends is not None:
+            return ends
     log_lo, log_hi = math.log(t_lo), math.log(t_hi)
     ts = [math.exp(log_lo + j * (log_hi - log_lo) / (ENVELOPE_GRID - 1)) for j in range(ENVELOPE_GRID)]
     if t_lo <= 1.0 <= t_hi:

@@ -785,13 +785,22 @@ def test_decreasing_difference_generator_is_not_a_deviation_kernel(kind, capsys)
     assert err == "error: NoSignChange: deviation sum has signs (-1, 1) at the hull ends\n"
 
 
+#: 60-digit values of M(t* x) / t* at t*, the last float scale before the
+#: generator overflows at t* max(x): the upper envelope of a ratio that
+#: increases in t.
+UPPER_NEXT_TO_OVERFLOW = {
+    "cosh": 5.20014262569870343288915282042313883535183506102929636374141,  # t* = 136.37447428217934
+    "exp": 5.20013836616006197213595737458830499211450723242646389209220,  # t* = 136.24129200135314
+}
+
+
 @pytest.mark.parametrize(
-    "generator, upper",
-    # 60-digit values of M(t x) / t at the scale where each upper envelope is
-    # reached, t ~ 136.4, next to where cosh(t max(x)) overflows.
+    "generator, scanned",
+    # 60-digit values of M(t x) / t where a 257-point scan and golden-section
+    # refinement put the upper envelope, t ~ 136.3744741 and 136.2412914.
     [("cosh", 5.2001426256926394615), ("exp", 5.2001383661410759899)],
 )
-def test_upper_envelope_next_to_overflow(generator, upper, capsys):
+def test_upper_envelope_next_to_overflow(generator, scanned, capsys):
     # A stored generator form that returned inf there instead of raising made
     # the upper envelope max(x) = 5.2045.
     code, out, _ = run_cli(
@@ -800,7 +809,24 @@ def test_upper_envelope_next_to_overflow(generator, upper, capsys):
         "--format", "structured",
     )
     assert code == 0
-    assert json.loads(out)["upper"] == pytest.approx(upper, rel=1e-14)
+    upper = json.loads(out)["upper"]
+    assert upper == pytest.approx(UPPER_NEXT_TO_OVERFLOW[generator], rel=1e-14)
+    # The ratio is nondecreasing in t, and t* lies past the scan's t.
+    assert upper >= scanned
+
+
+def test_envelope_that_overflows_at_every_end_keeps_the_scans_error(capsys):
+    # exp overflows at both ends of t in [1, 2^28]: no finite scale to
+    # bisect from, so the scan runs and reports its first failure.
+    code, out, err = run_cli(
+        capsys, "homogenize", "--target", "mean", "--method", "envelope", "--mean", "qa",
+        "--generator", "exp", "--x=800,900", "--w=1,1",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: AllEvaluationsFailed: scaled mean ratio failed at every sampled scale; "
+        "first failure: NonFinite: exp(800.0) overflowed\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from meankit import (
     exp_generator,
     homogeneous_kernels,
     homogenization_profile,
+    kernel_from_expression,
     kernel_homogenization,
     limit_at_zero,
     local_homogenization,
@@ -32,7 +34,7 @@ from meankit import (
     translated_power_handle,
 )
 import meankit.homogenize as homogenize
-from meankit.cli import resolve_kernel
+from meankit.cli import resolve_generator, resolve_kernel
 from meankit.domain import open_interval, positive_reals, sign
 from meankit.errors import (
     AllEvaluationsFailed,
@@ -404,6 +406,182 @@ class TestEnvelopes:
             lower, _ = envelope_pair(handle, s)
             p1 = power_mean(_pos_sample(entries, weights), 1)
             assert lower >= p1 - 1e-6
+
+
+#: Generators that declare a monotone order operator: catalog specs, and
+#: expr: chains of the shapes ``expr._monotone_order`` accepts.
+MONOTONE_SPECS = (
+    "exp",
+    "cosh",
+    "shifted_power:0.5,1",
+    "shifted_power:3,2",
+    "expr:exp(2*x)+1",
+    "expr:3*exp(-x)",
+    "expr:2^x",
+    "expr:5*cosh(3*x)",
+    "expr:sinh(x)-1",
+)
+
+
+def _scanned(handle):
+    """The handle without its monotone-ratio promise: envelope_pair scans."""
+    return dataclasses.replace(handle, monotone_ratio=False)
+
+
+def _counted(handle, calls):
+    return dataclasses.replace(handle, fn=lambda s: calls.append(s) or handle.fn(s))
+
+
+class TestMonotoneRatioEnvelopes:
+    @pytest.mark.parametrize(
+        "domain", [POS, open_interval(0.05, 8.0), open_interval(0.0, 2.0)], ids=["0,inf", "0.05,8", "0,2"]
+    )
+    @pytest.mark.parametrize("spec", MONOTONE_SPECS)
+    def test_ends_agree_with_the_scan(self, spec, domain):
+        handle = quasiarithmetic_handle(resolve_generator(spec, domain))
+        assert handle.monotone_ratio
+        rng = random.Random(43)
+        for _ in range(3):
+            n = rng.randint(2, 4)
+            entries = [rng.uniform(0.1, 1.8) for _ in range(n)]
+            weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
+            s = make_weighted_sample(entries, weights, domain)
+            ends, scan = envelope_pair(handle, s), envelope_pair(_scanned(handle), s)
+            for got, want in zip(ends, scan):
+                assert abs(got - want) <= 1e-7 * (1.0 + abs(want))
+            assert ends[0] <= handle(s) <= ends[1]
+            if domain is POS:
+                # The ratio increases, and the scan's refinements stay short
+                # of the last finite scale.
+                assert ends[1] >= scan[1]
+
+    @pytest.mark.parametrize("domain", [POS, open_interval(0.0, 2.0)], ids=["0,inf", "0,2"])
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            deviation_handle(resolve_kernel("diff_gen:exp")),
+            semideviation_handle(resolve_kernel("diff_gen:cosh"), MeanKind.UPPER_STRICT),
+            deviation_handle(resolve_kernel("diff_gen:shifted_power:0.5,1")),
+        ],
+        ids=lambda h: h.name,
+    )
+    def test_difference_kernel_ends_agree_with_the_scan(self, handle, domain):
+        # Their means are the qa mean of f; near overflow they fail with a
+        # KernelEvaluationError raised from the generator's NonFinite.
+        handle = dataclasses.replace(handle, domain=domain)
+        s = make_weighted_sample([0.3, 1.1, 1.8], [2, 1, 0.5], domain)
+        calls = []
+        ends = envelope_pair(_counted(handle, calls), s)
+        scan = envelope_pair(_scanned(handle), s)
+        assert handle.monotone_ratio and len(calls) <= 100
+        for got, want in zip(ends, scan):
+            assert abs(got - want) <= 1e-7 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize(
+        "entries, weights",
+        [
+            ([0.14930888808214504, 0.14930888808284107], [1.9150350754974705, 1.0]),
+            ([0.19690158021084292, 0.19690158021276297], [0.534298344879081, 1.0]),
+        ],
+    )
+    def test_ends_bracket_the_mean_exactly(self, entries, weights):
+        # On a sample this narrow the ratio is flat to rounding, and both
+        # ends round to the same side of M(x, w); its value at t = 1 keeps
+        # lower <= M(x, w) <= upper.
+        dom = open_interval(0.05, 8.0)
+        handle = quasiarithmetic_handle(exp_generator().restricted(dom))
+        s = make_weighted_sample(entries, weights, dom)
+        lower, upper = envelope_pair(handle, s)
+        assert lower <= handle(s) <= upper
+
+    @pytest.mark.parametrize(
+        "handle",
+        [
+            quasiarithmetic_handle(cosh_generator()),
+            quasiarithmetic_handle(exp_generator().restricted(open_interval(0.0, 2.0))),
+            quasiarithmetic_handle(scalar_from_expression("5*cosh(3*x)", POS)),
+        ],
+        ids=lambda h: h.name,
+    )
+    def test_ends_take_few_evaluations(self, handle):
+        s = _pos_sample([0.5, 1.5, 3.25], [1, 2, 0.5])
+        ends, scan = [], []
+        envelope_pair(_counted(handle, ends), s)
+        envelope_pair(_scanned(_counted(handle, scan)), s)
+        assert len(ends) <= 100 < homogenize.ENVELOPE_GRID < len(scan)
+
+    @pytest.mark.parametrize(
+        "text, domain, declared",
+        [
+            ("exp(2*x)+1", POS, True),
+            ("3*exp(-x)", POS, True),
+            ("2^x", POS, True),
+            ("5*cosh(3*x)", POS, True),
+            ("sinh(x)-1", POS, True),
+            ("cosh(x+1)", POS, False),  # a shift before cosh
+            ("exp(x)*x", POS, False),  # x occurs twice: no chain
+            ("x+exp(x)", POS, False),
+            ("exp(x^2)", POS, False),  # a power before exp
+            ("sqrt(cosh(x))", POS, False),  # a power after cosh
+            ("1^x", POS, False),  # base 1: a constant
+            ("x^2", POS, False),  # homogeneous instead
+            ("cosh(x)", open_interval(-2.0, 2.0), False),  # a domain reaching below 0
+        ],
+    )
+    def test_chains_declare_a_monotone_order_by_shape(self, text, domain, declared):
+        gen = scalar_from_expression(text, domain)
+        assert gen.monotone_order is declared
+        assert quasiarithmetic_handle(gen).monotone_ratio is declared
+        in_y = re.sub(r"\bx\b", "y", text)
+        kernel = kernel_from_expression(f"{text}-({in_y})", domain)
+        assert deviation_handle(kernel).monotone_ratio is declared
+
+    @pytest.mark.parametrize(
+        "handle, declared",
+        [
+            (quasiarithmetic_handle(exp_generator()), True),
+            (quasiarithmetic_handle(cosh_generator().restricted(open_interval(0.0, 2.0))), True),
+            (quasiarithmetic_handle(shifted_power_generator(0.0, 1.0)), True),
+            (quasiarithmetic_handle(power_generator(2.0)), False),
+            (semideviation_handle(resolve_kernel("diff_gen:cosh"), MeanKind.LOWER_WEAK), True),
+            (deviation_handle(resolve_kernel("diff_gen:shifted_power:2,1")), True),
+            (semideviation_handle(resolve_kernel("ratio_dev:exp"), MeanKind.LOWER_WEAK), False),
+            (deviation_handle(resolve_kernel("diff_gen:power:3")), False),
+            (translated_power_handle(0.5, 1.0), False),
+            (power_handle(2), False),
+        ],
+        ids=lambda v: v.name if isinstance(v, homogenize.MeanHandle) else str(v),
+    )
+    def test_handles_declare_a_monotone_ratio_from_their_parts(self, handle, declared):
+        assert handle.monotone_ratio is declared
+
+    def test_flat_generator_falls_back_to_the_scan(self):
+        # expr:cosh(x) is 1.0 in floats below about 1e-8, so the small end
+        # of (0, 2)'s range fails (GeneratorNotMonotone) and the scan's
+        # floats come out.
+        dom = open_interval(0.0, 2.0)
+        handle = quasiarithmetic_handle(scalar_from_expression("cosh(x)", dom))
+        assert handle.monotone_ratio
+        for entries, weights in (([0.5, 1.5], [1, 1]), ([0.3, 1.1, 1.8], [2, 1, 0.5])):
+            s = make_weighted_sample(entries, weights, dom)
+            assert envelope_pair(handle, s) == envelope_pair(_scanned(handle), s)
+
+    @pytest.mark.parametrize(
+        "domain, end, promised, scanned",
+        [(open_interval(0.0, 4.0), 0, 1.0, 0.7247171), (POS, 1, 1.4293139, 1.4895281)],
+        ids=["lower", "upper"],
+    )
+    def test_a_false_promise_misses_an_interior_extremum(self, domain, end, promised, scanned):
+        # x^3 - 3 x^2 + 4 x is increasing, but its order operator
+        # 1 + x (6 x - 6)/(3 x^2 - 6 x + 4) dips below 1 on (0, 1), so it
+        # declares nothing; forcing the promise reads the ends and misses
+        # the extremum the scan finds inside the range.
+        handle = quasiarithmetic_handle(scalar_from_expression("x^3-3*x^2+4*x", domain))
+        s = make_weighted_sample([0.2, 1.8], [1, 1], domain)
+        assert not handle.monotone_ratio
+        forced = envelope_pair(dataclasses.replace(handle, monotone_ratio=True), s)
+        assert forced[end] == pytest.approx(promised, abs=1e-6)
+        assert envelope_pair(handle, s)[end] == pytest.approx(scanned, abs=1e-6)
 
 
 class TestLocalHomogenization:

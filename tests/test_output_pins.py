@@ -35,7 +35,13 @@ geometric mean, 1,015 -> 1).  ``homogenize-envelope-deviation`` was
 re-recorded when handles that declare a homogeneous mean began to return
 the mean itself as both envelopes: ``diff_gen:log`` on 1, 2, 4 gives the
 geometric mean, whose lower and upper envelopes had been 7 and 12 ulps off
-it and are now exact.
+it and are now exact.  ``homogenize-envelope-qa`` was re-recorded when
+generators that declare a monotone order operator began to take their
+envelopes at the ends of the admissible scales: the lower envelope of
+cosh on 0.5, 1.5 kept its bits, and the upper one, the ratio at the last
+float scale before cosh overflows (t* = 473.65057338262926), rose from
+1.4985365853641213 to 1.4985365853658537, 0 ulps from the 60-digit
+M(t* x) / t*.
 ``test_limit_pin_estimate_within_oracle_budget`` checks each limit call's
 estimate against ``oracle.py`` within a ulp budget; CHANGES.md gives each
 estimate's error before and after.  ``test_mean_pin_value_within_oracle_budget``
