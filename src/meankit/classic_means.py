@@ -1,14 +1,18 @@
 """Power means, quasiarithmetic means, and their scaling limits.
 
-A generator that declares its ``inverse`` (the catalog ones) gives the
-quasiarithmetic mean in closed form, f^-1 of the weighted average of f(x_i).
-So does an ``expr:`` chain, in which x occurs once, wherever its
-``hull_inverse`` certifies it strictly monotone on the sample hull and the
-inversion is well conditioned.  For any other generator, and wherever a
-chain's closed form is refused, the inverse is computed by bracketed
-bisection on the sample hull, which the mean-value property guarantees to
-contain the result, after a grid probe of the generator's direction; no
-derivative of the generator is needed.
+A quasiarithmetic mean is f^-1 of the weighted average of the f(x_i), and
+``closed_form_mean`` is its one closed form, which the means of difference
+kernels share.  For a generator with a ``hull_inverse`` it evaluates f at
+the entries first, and a failure there ends the mean: an error f raises,
+equal values at the hull ends (GeneratorNotMonotone) or an average that is
+not finite (NonFinite).  It then inverts the average wherever the
+``hull_inverse`` certifies f strictly monotone on the sample hull (the
+catalog inverses inside their catalog domain, and ``expr:`` chains, in
+which x occurs once) and, for a chain, the inversion is well conditioned.
+For any other generator, and wherever the certificate is refused, the
+inverse is computed by bracketed bisection on the hull, which the
+mean-value property guarantees to contain the result, after a grid probe of
+the generator's direction; no derivative of the generator is needed.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from .errors import (
     Diverged,
     DegenerateDenominator,
     GeneratorNotMonotone,
-    MeanKitError,
     NonFinite,
     NonPositiveEntry,
     SolverFailure,
     VanishingFirstDerivative,
 )
-from .expr import ScalarFunction
+from .expr import HullInverse, ScalarFunction
 from .limits import LIMIT_TOL, LimitEstimate, limit_at_zero, start_scale
 
 #: First-derivative magnitude below which the order operator refuses to divide.
@@ -80,19 +83,42 @@ def _weighted_average(generator: ScalarFunction, values: list[float], weights: t
         raise NonFinite(f"weighted average of {generator.name} values overflowed") from exc
 
 
-def inverse_of_average(
-    generator: ScalarFunction, sample: WeightedSample, values: list[float], lo: float, hi: float
-) -> float:
-    """``generator.inverse`` of the weighted average of ``values``, the
-    generator at each entry, clamped to the sample hull ``lo, hi``.
+def closed_form_mean(
+    generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float
+) -> tuple[float, bool] | None:
+    """The quasiarithmetic mean of ``generator`` on ``sample``, whose hull
+    is ``lo < hi``, in closed form, and whether the generator increases
+    there; None where it has no ``hull_inverse``, its certificate is
+    refused or raises ArithmeticError or ValueError, or a ``HullInverse``
+    has eps * kappa > CONDITION_LIMIT at the mean.
 
-    Raises NonFinite when the average is not finite, which is never clamped:
-    an overflowed average says nothing about where the mean lies.
+    The generator is evaluated at the entries first, and what fails there
+    raises: an error of ``fn``, GeneratorNotMonotone on equal values at the
+    hull ends (x^2 underflowing locates no mean), and NonFinite on an
+    average that is not finite, which is never clamped, since an
+    overflowed average says nothing about where the mean lies.  The
+    inverse of the average is clamped to the hull.
     """
+    if generator.hull_inverse is None:
+        return None
+    entries = sample.entries
+    values = [generator.fn(x) for x in entries]
+    f_lo, f_hi = values[entries.index(lo)], values[entries.index(hi)]
+    if f_lo == f_hi:
+        raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
     target = _weighted_average(generator, values, sample.weights)
     if not math.isfinite(target):
         raise NonFinite(f"weighted average of {generator.name} values is {target}")
-    return min(max(generator.inverse(target), lo), hi)
+    try:
+        inverse = generator.hull_inverse(lo, hi)
+        if inverse is None:
+            return None
+        mean = min(max(inverse(target), lo), hi)
+        if isinstance(inverse, HullInverse) and sys.float_info.epsilon * inverse.condition(mean) > CONDITION_LIMIT:
+            return None
+    except (ArithmeticError, ValueError):
+        return None
+    return mean, f_lo < f_hi
 
 
 def power_mean(sample: WeightedSample, exponent: float) -> float:
@@ -149,53 +175,20 @@ def _probe_monotone_direction(f: ScalarFunction, lo: float, hi: float) -> bool:
     return increasing
 
 
-def _chain_mean(generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float) -> float | None:
-    """The chain generator's inverse of the weighted average of its values,
-    clamped to the hull, when its ``hull_inverse`` certifies it strictly
-    monotone on [lo, hi], the average is finite, the values at the hull ends
-    differ and eps * kappa <= CONDITION_LIMIT; None otherwise, also when a
-    step or ``fn`` raises, so that the caller's other path reports that
-    failure as it always has: the bisection of ``quasiarithmetic_mean``, or
-    the sign scan of a difference kernel's means."""
-    try:
-        inverse = generator.hull_inverse(lo, hi)
-        if inverse is None:
-            return None
-        values = [generator.fn(x) for x in sample.entries]
-        if values[sample.entries.index(lo)] == values[sample.entries.index(hi)]:
-            return None
-        target = _weighted_average(generator, values, sample.weights)
-        if not math.isfinite(target):
-            return None
-        mean = inverse(target)
-        if sys.float_info.epsilon * inverse.condition(mean) > CONDITION_LIMIT:
-            return None
-        return mean
-    except (MeanKitError, ArithmeticError, ValueError):
-        return None
-
-
 def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> float:
     """Generator-inverse of the weighted average of generator values.
 
-    In closed form for a generator with an ``inverse``, and for a chain
-    generator wherever ``_chain_mean`` takes it; otherwise bisected on the
-    hull after a MONOTONE_PROBE_POINTS-point probe of the direction, which
-    raises GeneratorNotMonotone on a tie or reversal.
+    In closed form wherever ``closed_form_mean`` gives it, or raises;
+    otherwise bisected on the hull after a MONOTONE_PROBE_POINTS-point probe
+    of the direction, which raises GeneratorNotMonotone on a tie or
+    reversal.
     """
     lo, hi = sample.hull()
     if lo == hi:
         return lo
-    if generator.inverse is not None:
-        values = [generator.fn(x) for x in sample.entries]
-        # Equal values at the hull ends (x^2 underflowing) locate no mean.
-        if values[sample.entries.index(lo)] == values[sample.entries.index(hi)]:
-            raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
-        return inverse_of_average(generator, sample, values, lo, hi)
-    if generator.hull_inverse is not None:
-        mean = _chain_mean(generator, sample, lo, hi)
-        if mean is not None:
-            return mean
+    closed = closed_form_mean(generator, sample, lo, hi)
+    if closed is not None:
+        return closed[0]
     increasing = _probe_monotone_direction(generator, lo, hi)
     values = [generator.fn(x) for x in sample.entries]
     target = _weighted_average(generator, values, sample.weights)

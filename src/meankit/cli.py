@@ -573,9 +573,10 @@ def _build_parser() -> tuple[_Parser, set[str]]:
     cmd.option(
         "--grid", parse=_number(int, 2), default=DEFAULT_CONFIG.grid_size, show_default=True,
         help="Sign-scan grid size of --kind semidev; no effect on kernels solved in "
-        "closed form: the difference of a generator increasing on the hull with a "
-        "catalog inverse or a certified expr: chain (diff_gen, and expr:A(x)-A(y) with "
-        "x once in A), ratio_dev:log, and sign_dev and expr:sign(x-y), whose means are "
+        "closed form: the difference of a generator increasing on the hull whose "
+        "inverse is certified there (diff_gen inside its catalog domain, and "
+        "expr:A(x)-A(y) with x once in A) and whose weighted average is finite, "
+        "ratio_dev:log, and sign_dev and expr:sign(x-y), whose means are "
         "the exact weighted medians.  --kind power, qa and deviation ignore it "
         "(deviation bisects the whole hull of any other kernel and reads only --refine-tol).",
     )

@@ -813,20 +813,20 @@ class ScalarFunction:
     as it does for every function built from expression text, whose name is
     that text.
 
-    ``inverse`` is a catalog promise: the inverse function of ``fn`` on its
-    range, which quasiarithmetic and difference-kernel means then apply in
-    closed form instead of bisecting.  Without it, consumers that need
-    monotonicity probe it on a grid themselves.
-
-    ``hull_inverse`` is a promise that holds only on a given hull, set for
-    text in which x occurs once under the chain's steps (+, -, *, / and ^
-    with a constant side, negation, exp, log, sqrt, sinh, cosh): by
-    ``scalar_from_expression``, and by ``kernel_from_expression`` on the
-    generator of a difference it recognises.  ``hull_inverse(lo, hi)``
-    returns None, or a ``HullInverse`` that certifies ``fn`` strictly
-    monotone on [lo, hi] and inverts it there; ``quasiarithmetic_mean`` and
-    the closed form of difference-kernel means read it
-    (``classic_means._chain_mean``).
+    ``hull_inverse`` is the one inverse promise, and it holds only on a
+    given hull: ``hull_inverse(lo, hi)`` returns None, or an inverse of
+    ``fn`` on the image of [lo, hi] that certifies ``fn`` strictly monotone
+    there.  ``classic_means.closed_form_mean`` reads it, for
+    ``quasiarithmetic_mean`` and for the means of difference kernels;
+    without it, the qa mean probes the direction on a grid and bisects.
+    The catalog constructors set it to their textbook inverse on every hull
+    inside the catalog domain (``_inverse_on``), so a ``restricted`` copy on
+    a wider domain is trusted no farther.  ``scalar_from_expression``, and
+    ``kernel_from_expression`` on the generator of a difference it
+    recognises, set it for text in which x occurs once under the chain's
+    steps (+, -, *, / and ^ with a constant side, negation, exp, log, sqrt,
+    sinh, cosh): a ``HullInverse``, which also carries the condition of the
+    inversion.
 
     ``power_order`` q promises that the domain lies in (0, inf) and that
     on it fn = a x^q + b (a log x + b at q = 0) with a != 0, so the
@@ -868,9 +868,8 @@ class ScalarFunction:
     domain: IntervalDomain
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
-    inverse: Callable[[float], float] | None = None
     local_order: float | None = None
-    hull_inverse: Callable[[float, float], HullInverse | None] | None = None
+    hull_inverse: Callable[[float, float], Callable[[float], float] | None] | None = None
     power_order: float | None = None
     monotone_order: bool = False
 
@@ -885,8 +884,10 @@ class ScalarFunction:
         return numeric_derivative(self.fn, x, order, self.domain)
 
     def restricted(self, domain: IntervalDomain) -> "ScalarFunction":
-        """The same function on a sub-domain (its promises carry over,
-        ``power_order`` only while the domain stays in (0, inf))."""
+        """The same function on another domain (its promises carry over,
+        ``power_order`` only while the domain stays in (0, inf); a catalog
+        ``hull_inverse`` still certifies only hulls inside the catalog
+        domain)."""
         power_order = self.power_order if domain.lo >= 0.0 else None
         return replace(self, domain=domain, power_order=power_order)
 
@@ -1105,7 +1106,8 @@ def kernel_from_expression(
 # f -> a f + b; the derivatives are those of the textbook form.  exp stays
 # exp: expm1 would keep e^x only to an absolute 1.1e-16 and lose the digits
 # of qa(exp) on entries below about -20.  Every stored form and inverse
-# raises instead of returning a non-finite value.
+# raises instead of returning a non-finite value, and each inverse is
+# promised only inside the catalog domain (``_inverse_on``).
 
 
 def _pow(x: float, p: float) -> float:
@@ -1136,26 +1138,36 @@ def _cosh_minus_one(x: float) -> float:
     return v
 
 
+def _inverse_on(
+    domain: IntervalDomain, inverse: Callable[[float], float]
+) -> Callable[[float, float], Callable[[float], float] | None]:
+    """A catalog ``hull_inverse``: ``inverse`` on every hull [lo, hi]
+    inside ``domain``, None on any other."""
+    low, high = domain.lo, domain.hi
+    return lambda lo, hi: inverse if low < lo and hi < high else None
+
+
 def power_generator(p: float) -> ScalarFunction:
     """x -> x^p on the positive half-line; p = 0 selects the logarithm."""
+    dom = positive_reals()
     if p == 0.0:
         return ScalarFunction(
             "power(0)",
-            math.log,
-            positive_reals(),
+            _log,
+            dom,
             deriv1=lambda x: 1.0 / x,
             deriv2=lambda x: -1.0 / (x * x),
-            inverse=_exp,
+            hull_inverse=_inverse_on(dom, _exp),
             local_order=0.0,
             power_order=0.0,
         )
     return ScalarFunction(
         f"power({p:g})",
         lambda x: _pow(x, p),
-        positive_reals(),
+        dom,
         deriv1=lambda x: p * _pow(x, p - 1.0),
         deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
-        inverse=lambda v: _pow(v, 1.0 / p),
+        hull_inverse=_inverse_on(dom, lambda v: _pow(v, 1.0 / p)),
         local_order=float(p),
         power_order=float(p) if math.isfinite(p) else None,
     )
@@ -1166,13 +1178,14 @@ def log_generator() -> ScalarFunction:
 
 
 def exp_generator() -> ScalarFunction:
+    dom = all_reals()
     return ScalarFunction(
         "exp",
         _exp,
-        all_reals(),
+        dom,
         deriv1=_exp,
         deriv2=_exp,
-        inverse=_log,
+        hull_inverse=_inverse_on(dom, _log),
         local_order=1.0,
         monotone_order=True,
     )
@@ -1181,13 +1194,14 @@ def exp_generator() -> ScalarFunction:
 def cosh_generator() -> ScalarFunction:
     """cosh on the positive half-line, where it is strictly increasing,
     stored as cosh(x) - 1 = 2 sinh(x/2)^2."""
+    dom = positive_reals()
     return ScalarFunction(
         "cosh",
         _cosh_minus_one,
-        positive_reals(),
+        dom,
         deriv1=math.sinh,
         deriv2=math.cosh,
-        inverse=lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v)),
+        hull_inverse=_inverse_on(dom, lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v))),
         local_order=2.0,
         monotone_order=True,
     )
@@ -1199,11 +1213,11 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
     if q == 0.0:
         return ScalarFunction(
             f"shifted_power(0,{c:g})",
-            lambda x: math.log(x + c),
+            lambda x: _log(x + c),
             dom,
             deriv1=lambda x: 1.0 / (x + c),
             deriv2=lambda x: -1.0 / ((x + c) * (x + c)),
-            inverse=lambda v: _exp(v) - c,
+            hull_inverse=_inverse_on(dom, lambda v: _exp(v) - c),
             monotone_order=True,
         )
     return ScalarFunction(
@@ -1212,7 +1226,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
         dom,
         deriv1=lambda x: q * _pow(x + c, q - 1.0),
         deriv2=lambda x: q * (q - 1.0) * _pow(x + c, q - 2.0),
-        inverse=lambda v: _pow(v, 1.0 / q) - c,
+        hull_inverse=_inverse_on(dom, lambda v: _pow(v, 1.0 / q) - c),
         monotone_order=True,
     )
 
@@ -1239,19 +1253,20 @@ def ratio_kernel(f: ScalarFunction) -> Kernel2:
     """
     dom = positive_reals()
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
-    structure = Ratio(f.fn, 0.0 if f.fn is math.log else None)
+    structure = Ratio(f.fn, 0.0 if f.fn is _log else None)
     return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, deriv2=d2, structure=structure)
 
 
 def arithmetic_kernel() -> Kernel2:
     """K(x, y) = x - y on the reals (already normalized)."""
+    dom = all_reals()
     f = ScalarFunction(
         "identity",
         lambda x: x,
-        all_reals(),
+        dom,
         deriv1=lambda x: 1.0,
         deriv2=lambda x: 0.0,
-        inverse=lambda v: v,
+        hull_inverse=_inverse_on(dom, lambda v: v),
         local_order=1.0,
     )
     return difference_kernel(f)

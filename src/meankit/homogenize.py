@@ -165,44 +165,32 @@ def translated_power_handle(exponent: float, shift: float) -> MeanHandle:
     return MeanHandle(f"translated_power({exponent:g},{shift:g})", dom, fn)
 
 
-def _scale_invariant_sign(kernel: Kernel2) -> bool:
-    """Whether the kernel's structure shows that K(t x, t y) has the sign
-    of K(x, y) for t > 0, which makes its sign-change and deviation means
-    homogeneous: sign(t x - t y) = sign(x - y), h(t x / t y) = h(x / y),
-    and for f = a x^q + b, f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t
-    cancels at q = 0)."""
+def _kernel_handle(name: str, kernel: Kernel2, fn: Callable[[WeightedSample], float]) -> MeanHandle:
+    """A handle on a sign-change or deviation mean of ``kernel``, with the
+    promises its structure shows.  ``Difference(f)`` means are the
+    quasiarithmetic mean of f, so they take f's promises, as
+    ``quasiarithmetic_handle`` does: homogeneous for f = a x^q + b, since
+    f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t cancels at q = 0), and a
+    monotone scaled ratio for f declaring ``monotone_order``.  ``Sign`` and
+    ``Ratio`` means are homogeneous: sign(t x - t y) = sign(x - y) and
+    h(t x / t y) = h(x / y)."""
     structure = kernel.structure
     if isinstance(structure, Difference):
-        return structure.f.power_order is not None
-    return isinstance(structure, (Sign, Ratio))
-
-
-def _monotone_scaled_ratio(kernel: Kernel2) -> bool:
-    """Whether the kernel is ``Difference(f)`` with f declaring
-    ``monotone_order``: its sign-change and deviation means are the
-    quasiarithmetic mean of f, whose scaled ratio is then monotone."""
-    structure = kernel.structure
-    return isinstance(structure, Difference) and structure.f.monotone_order
+        f = structure.f
+        return MeanHandle(
+            name, kernel.domain_x, fn, homogeneous=f.power_order is not None, monotone_ratio=f.monotone_order
+        )
+    return MeanHandle(name, kernel.domain_x, fn, homogeneous=isinstance(structure, (Sign, Ratio)))
 
 
 def semideviation_handle(kernel: Kernel2, kind: MeanKind) -> MeanHandle:
-    return MeanHandle(
-        f"semidev({kernel.name},{kind.value})",
-        kernel.domain_x,
-        lambda s: semideviation_mean(kernel, s, kind),
-        homogeneous=_scale_invariant_sign(kernel),
-        monotone_ratio=_monotone_scaled_ratio(kernel),
+    return _kernel_handle(
+        f"semidev({kernel.name},{kind.value})", kernel, lambda s: semideviation_mean(kernel, s, kind)
     )
 
 
 def deviation_handle(kernel: Kernel2) -> MeanHandle:
-    return MeanHandle(
-        f"deviation({kernel.name})",
-        kernel.domain_x,
-        lambda s: deviation_mean(kernel, s),
-        homogeneous=_scale_invariant_sign(kernel),
-        monotone_ratio=_monotone_scaled_ratio(kernel),
-    )
+    return _kernel_handle(f"deviation({kernel.name})", kernel, lambda s: deviation_mean(kernel, s))
 
 
 # --- envelopes ------------------------------------------------------------------------
@@ -301,10 +289,10 @@ def _monotone_ends(ratio: Callable[[float], float], t_lo: float, t_hi: float) ->
     between that end and the nearest scale with a finite value, down to two
     adjacent floats, in which any SCAN_FAILURES error or value that is not
     finite counts as the overflowing side (an average of finite generator
-    values can overflow too, a SolverFailure).  None, so that the caller
-    scans, when an end fails in any other way (a SCAN_FAILURES error that
-    did not overflow, or a value that is not finite) or no scale has a
-    finite value.
+    values can overflow too, which the qa bisection reports as a
+    SolverFailure).  None, so that the caller scans, when an end fails in
+    any other way (a SCAN_FAILURES error that did not overflow, or a value
+    that is not finite) or no scale has a finite value.
     """
 
     def value(t: float) -> float:

@@ -31,10 +31,10 @@ A kernel whose ``Kernel2.structure`` is ``Difference(f)``, with f
 increasing on the hull, needs no scan at all (Daróczy, Publ. Math. Debrecen
 19, 1972): D(y) = sum_i w_i (f(x_i) - f(y)) vanishes only at y* =
 f^-1(sum_i w_i f(x_i) / W), the quasiarithmetic mean, which every kind and
-``deviation_mean`` return in closed form when f declares its ``inverse``,
-or when its ``hull_inverse`` certifies a chain on the hull and
-``quasiarithmetic_mean`` would take the chain's closed form there
-(``classic_means._chain_mean``).  Likewise ``Ratio(h, q)`` with an order q
+``deviation_mean`` return wherever ``classic_means.closed_form_mean`` gives
+it and says f increases; where that closed form is refused or fails, or f
+decreases, the sign scan below decides, and reports any failure with the
+offending pair.  Likewise ``Ratio(h, q)`` with an order q
 has D(y) = y^-q sum_i w_i (g_q(x_i) - g_q(y)), which vanishes only at the
 power mean P_q; on a positive sample every kind returns P_q, clamped to the
 hull.  For ``Sign``, D(y) = W(x_i > y) - W(x_i < y) is constant between
@@ -58,7 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .classic_means import _chain_mean, bisect, inverse_of_average, power_mean
+from .classic_means import bisect, closed_form_mean, power_mean
 from .domain import (
     IntervalDomain,
     MeanKind,
@@ -196,21 +196,12 @@ def _closed_form(kernel: Kernel2, sample: WeightedSample, lo: float, hi: float) 
     clamped to the sample hull ``lo, hi``."""
     structure = kernel.structure
     if isinstance(structure, Difference):
-        f = structure.f
-        if f.inverse is None and f.hull_inverse is not None:
-            mean = _chain_mean(f, sample, lo, hi)
-            # _chain_mean has evaluated f at both hull ends without a failure.
-            return mean if mean is not None and f.fn(lo) < f.fn(hi) else None
-        if f.inverse is None or not (f.domain.contains(lo) and f.domain.contains(hi)):
-            return None
-        entries = sample.entries
         try:
-            values = [f.fn(x) for x in entries]
+            closed = closed_form_mean(structure.f, sample, lo, hi)
         except _KERNEL_ERRORS:
             return None  # the deviation sum raises with the offending pair
-        if not values[entries.index(hi)] > values[entries.index(lo)]:
-            return None  # a decreasing f gives no deviation kernel
-        return inverse_of_average(f, sample, values, lo, hi)
+        # A decreasing f gives no deviation kernel.
+        return closed[0] if closed is not None and closed[1] else None
     if isinstance(structure, Ratio) and structure.order is not None and lo > 0.0:
         return min(max(power_mean(sample, structure.order), lo), hi)
     return None

@@ -202,14 +202,14 @@ INVERTIBLE = [
 
 
 def _bisection(gen: ScalarFunction) -> ScalarFunction:
-    """The same generator without its inverse: its means are bisected."""
-    return dataclasses.replace(gen, inverse=None)
+    """The same generator without its ``hull_inverse``: its means are bisected."""
+    return dataclasses.replace(gen, hull_inverse=None)
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("gen, bounds", INVERTIBLE, ids=[g.name for g, _ in INVERTIBLE])
     def test_matches_the_bisection(self, gen, bounds):
-        assert gen.inverse is not None
+        assert gen.hull_inverse is not None
         for s in _random_samples(len(gen.name), 60, *bounds, domain=gen.domain):
             closed = quasiarithmetic_mean(s, gen)
             solved = quasiarithmetic_mean(s, _bisection(gen))

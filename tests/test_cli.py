@@ -508,7 +508,7 @@ def test_numerical_failure_exit_code(capsys):
     [
         ("expr:log(x-1)", "0.5,2,3", "1,1,1", "DomainError: log of nonpositive value -0.5"),
         ("expr:1/(x-2)", "2,3", "1,1", "NonFinite: division by zero: 1.0 / 0.0"),
-        ("expr:x^400", "1,10", "1,1", "NonFinite: overflow in 6.0 ^ 400.0"),
+        ("expr:x^400", "1,10", "1,1", "NonFinite: overflow in 10.0 ^ 400.0"),  # the failing entry
     ],
 )
 def test_expression_error_exit_message(generator, x, w, message, capsys):

@@ -2,8 +2,10 @@
 
 Wherever ``quasiarithmetic_mean`` takes a chain's closed form, it must agree
 with the probe-and-bisection path and with ``oracle.qa_mean_by_bisection``;
-wherever it refuses it, the call must behave exactly as that path does, with
-the same value or the same error and message.
+wherever the certificate is refused, the call must behave exactly as that
+path does, with the same value or the same error and message.  A failure at
+the entries ends the mean first, as it does for the catalog generators,
+with the same error class as the catalog twin of the chain.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import oracle
 import pytest
 
 from meankit import make_weighted_sample, quasiarithmetic_mean, scalar_from_expression
-from meankit.classic_means import CONDITION_LIMIT
-from meankit.cli import main
+from meankit.classic_means import CONDITION_LIMIT, INVERSE_REL_TOL
+from meankit.cli import main, resolve_generator
 from meankit.domain import all_reals, open_interval, positive_reals
+from meankit.homogenize import envelope_pair, quasiarithmetic_handle
 
 #: Chain steps: the text around an operand u and a constant c, and the step
 #: in ``decimal`` arithmetic.
@@ -101,10 +104,21 @@ def test_random_chains_against_the_bisection_and_the_oracle(seed, domain, low, h
         counted = dataclasses.replace(gen, fn=lambda x: calls.append(x) or gen.fn(x))
         new = _outcome(lambda: quasiarithmetic_mean(sample, counted))
         old = _outcome(lambda: quasiarithmetic_mean(sample, dataclasses.replace(gen, hull_inverse=None)))
-        if calls != entries:
+        if len(calls) > n:
             # Refused: the probe-and-bisection path, bit for bit, or the
             # same error with the same message.
             assert new == old, (text, entries, weights)
+            continue
+        if new[0] != "value":
+            # Failed at the entries: what fn raises at the first entry where
+            # it fails, or else equal end values or an average that is not
+            # finite; the bisection path fails too.
+            assert old[0] != "value", (text, entries, weights, new, old)
+            failing = next((o for o in (_outcome(lambda: gen.fn(x)) for x in entries) if o[0] != "value"), None)
+            if failing is not None:
+                assert new == failing, (text, entries, new)
+            else:
+                assert new[0] in ("GeneratorNotMonotone", "NonFinite"), (text, entries, new)
             continue
         taken += 1
         mean = new[1]
@@ -210,28 +224,39 @@ def test_condition_number_covers_every_step():
 
 
 @pytest.mark.parametrize(
-    "text, entries, taken",
+    "text, entries, outcome",
     [
-        ("x^2", [1.0, 2.0, 5.0], True),
-        ("(x+1e10)-1e10", [1.0, 2.0], False),
-        ("cosh(x)", [1e-5, 2e-5], False),  # eps * kappa about 1e-6
-        ("exp(x)", [709.0, 0.5], False),  # the average overflows
-        ("x^0.001", [1.0, 1.000000000000001], False),  # equal end values, kappa 1000
+        ("x^2", [1.0, 2.0, 5.0], "taken"),
+        ("(x+1e10)-1e10", [1.0, 2.0], "refused"),
+        ("cosh(x)", [1e-5, 2e-5], "refused"),  # eps * kappa about 1e-6
+        ("exp(x)", [709.0, 0.5], "NonFinite"),  # the average overflows
+        ("x^0.001", [1.0, 1.000000000000001], "GeneratorNotMonotone"),  # equal end values
     ],
 )
-def test_closed_form_is_taken_only_when_well_conditioned_and_finite(text, entries, taken):
+def test_closed_form_is_taken_only_when_well_conditioned_and_finite(text, entries, outcome):
     gen = scalar_from_expression(text, positive_reals())
     calls = []
     counted = dataclasses.replace(gen, fn=lambda x: calls.append(x) or gen.fn(x))
     sample = make_weighted_sample(entries, [3.0, 1.0, 1.0][: len(entries)], positive_reals())
     new = _outcome(lambda: quasiarithmetic_mean(sample, counted))
-    assert (calls == entries) is taken
-    if not taken:
-        assert new == _outcome(lambda: quasiarithmetic_mean(sample, dataclasses.replace(gen, hull_inverse=None)))
+    bisected = _outcome(lambda: quasiarithmetic_mean(sample, dataclasses.replace(gen, hull_inverse=None)))
+    if outcome == "refused":
+        # Past the entries: the probe-and-bisection path, bit for bit.
+        assert len(calls) > len(entries)
+        assert new == bisected
+    else:
+        # The entries alone decide: their closed form, or its error, which
+        # the bisection path meets as an error too.
+        assert calls == entries
+        assert new[0] == ("value" if outcome == "taken" else outcome)
+        assert (bisected[0] == "value") is (outcome == "taken")
 
 
 #: CLI calls whose closed form is refused, with the exit code and stderr of
-#: the probe-and-bisection path, recorded before chains had a closed form.
+#: the probe-and-bisection path, recorded before chains had a closed form;
+#: and calls that fail at the entries, where the closed form ends the mean
+#: as it does for the catalog generators: the first entry where the
+#: generator overflows, or an average that is not finite.
 REFUSALS = [
     (["expr:x^2", "--domain=-2,2", "--x=-1,0.5,1.5", "--w", "1,1,1"], 3,
      "error: GeneratorNotMonotone: x^2 is not strictly monotone on [-1.0, 1.5]\n"),
@@ -246,11 +271,10 @@ REFUSALS = [
     (["expr:log(x-3)", "--x", "1,2,5", "--w", "1,1,1"], 3, "error: DomainError: log of nonpositive value -2.0\n"),
     (["expr:cosh(x)", "--x=1e-9,2e-9", "--w", "1,1"], 3,
      "error: GeneratorNotMonotone: cosh(x) is not strictly monotone on [1e-09, 2e-09]\n"),
-    (["expr:exp(x)", "--x", "700,710", "--w", "1,1"], 3, "error: NonFinite: exp(709.8412698412699) overflowed\n"),
-    (["expr:2^x", "--x", "1000,1100", "--w", "1,1"], 3,
-     "error: NonFinite: overflow in 2.0 ^ 1025.3968253968253\n"),
+    (["expr:exp(x)", "--x", "700,710", "--w", "1,1"], 3, "error: NonFinite: exp(710.0) overflowed\n"),
+    (["expr:2^x", "--x", "1000,1100", "--w", "1,1"], 3, "error: NonFinite: overflow in 2.0 ^ 1100.0\n"),
     (["expr:exp(x)", "--x", "709,0", "--w", "3,1", "--domain=-1000,1000"], 3,
-     "error: SolverFailure: average inf escapes the generator range [1.0, 8.218407461554972e+307]\n"),
+     "error: NonFinite: weighted average of exp(x) values is inf\n"),
     # x occurs twice: no chain, and the bisected value.
     (["expr:x^3+x", "--x", "0.5,1.5,3", "--w", "1,2,1"], 0, ""),
 ]
@@ -263,6 +287,85 @@ def test_refused_chains_keep_exit_code_and_message(capsys, args, code, err):
     assert captured.err == err
     if code == 0:
         assert captured.out.strip().splitlines()[-1] == "2.007187665648644"
+
+
+#: Catalog generators and their ``expr:`` spellings.
+TWIN_SPECS = [
+    ("exp", "expr:exp(x)"),
+    ("cosh", "expr:cosh(x)"),
+    ("power:2", "expr:x^2"),
+    ("power:-1", "expr:1/x"),
+    ("log", "expr:log(x)"),
+    ("shifted_power:0,1", "expr:log(x+1)"),
+]
+
+#: Samples at which a twin fails or may fail: an overflowing entry, an
+#: overflowing average, a hull that straddles 0 inside a widened domain, and
+#: tiny entries.  (The flat hull 1e-9, 2e-9 is left out: catalog cosh is
+#: stored free of cancellation there, and expr:cosh(x) is not.)
+TWIN_SAMPLES = [
+    ["--x", "700,710", "--w", "1,1"],
+    ["--x", "709,0.5", "--w", "3,1", "--domain=-1000,1000"],
+    ["--x=-1,0.5,1.5", "--w", "1,1,1", "--domain=-2,2"],
+    ["--x", "1e-170,2e-170", "--w", "1,1"],
+]
+
+
+def _qa(capsys, generator: str, sample: list[str]) -> tuple[int, str, str]:
+    code = main(["compute", "mean", "--kind", "qa", "--generator", generator, *sample])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("sample", TWIN_SAMPLES, ids=[" ".join(s) for s in TWIN_SAMPLES])
+@pytest.mark.parametrize("catalog, chain", TWIN_SPECS, ids=[c for c, _ in TWIN_SPECS])
+def test_catalog_and_chain_twins_fail_alike(capsys, catalog, chain, sample):
+    # One closed form and one failure rule: the same exit code and error
+    # class, and on an entry that overflows the same line.
+    code, _, err = _qa(capsys, catalog, sample)
+    twin_code, _, twin_err = _qa(capsys, chain, sample)
+    assert code == twin_code, (err, twin_err)
+    assert err.split(":")[:2] == twin_err.split(":")[:2]
+    if catalog == "exp" and sample == TWIN_SAMPLES[0]:
+        assert err == twin_err == "error: NonFinite: exp(710.0) overflowed\n"
+
+
+def test_catalog_generator_on_a_widened_domain_leaves_its_inverse(capsys):
+    # cosh is inverted in closed form only inside (0, inf); on negative
+    # entries of a widened domain the mean is bisected, not a hull end.
+    entries, weights = [-1.8288326019084653, -2.25, -3.5, -2.75], [1.0, 2.0, 0.5, 1.5]
+    sample = ["--domain=-5,1500", "--x=" + ",".join(map(repr, entries)), "--w=" + ",".join(map(repr, weights))]
+    # cosh is even, so the mean on the negative entries is minus theirs;
+    # the bisection's tolerance is relative to the hull's magnitude.
+    reference = -oracle.qa_mean([-x for x in entries], weights, "cosh")
+    for generator in ("cosh", "expr:cosh(x)"):
+        code, out, err = _qa(capsys, generator, sample)
+        assert (code, err) == (0, "")
+        assert abs(float(out.splitlines()[-1]) - reference) <= INVERSE_REL_TOL * 3.5, generator
+
+
+def test_difference_kernel_whose_average_overflows_takes_the_sign_scan(capsys):
+    # The weighted average of exp values overflows, so the closed form fails
+    # and the sign scan locates the root, as for expr:exp(x)-exp(y).
+    for kernel in ("diff_gen:exp", "expr:exp(x)-exp(y)"):
+        argv = ["compute", "mean", "--kind", "deviation", "--kernel", kernel, "--x", "709,709.5", "--w", "3,3"]
+        assert main([*argv, "--domain=-1000,1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "709.2809298036154"
+
+
+@pytest.mark.parametrize("catalog, chain", [("cosh", "expr:cosh(x)"), ("exp", "expr:exp(x)")])
+def test_chain_envelope_costs_what_its_catalog_twin_costs(catalog, chain):
+    # Each mean evaluation toward the overflowing end fails at the entries,
+    # without the 64-point probe a refused certificate runs.
+    sample = make_weighted_sample([0.5, 1.5, 3.0], [1.0, 1.0, 1.0], positive_reals())
+    counts = []
+    for spec in (catalog, chain):
+        gen = resolve_generator(spec)
+        calls = []
+        counted = dataclasses.replace(gen, fn=lambda x, g=gen: calls.append(x) or g.fn(x))
+        envelope_pair(quasiarithmetic_handle(counted), sample)
+        counts.append(len(calls))
+    assert counts[1] == counts[0], counts
 
 
 @pytest.mark.parametrize(

@@ -419,12 +419,12 @@ def _generic(kernel: Kernel2) -> Kernel2:
 
 
 def _bisection(kernel: Kernel2) -> Kernel2:
-    """The same kernel with its generator's inverse and certified chain
-    dropped, or its ratio's order, so that its means are solved by the sign
+    """The same kernel with its generator's ``hull_inverse`` dropped, or its
+    ratio's order, so that its means are solved by the sign
     scan and bisection instead of in closed form."""
     structure = kernel.structure
     if isinstance(structure, Difference):
-        f = dataclasses.replace(structure.f, inverse=None, hull_inverse=None)
+        f = dataclasses.replace(structure.f, hull_inverse=None)
         return dataclasses.replace(kernel, structure=Difference(f))
     if isinstance(structure, Ratio):
         return dataclasses.replace(kernel, structure=Ratio(structure.h))
@@ -869,7 +869,7 @@ def test_full_scan_outside_the_generator_domain():
 def test_full_scan_of_a_sum_that_is_zero_in_floats():
     # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 at both
     # hull ends: no hull end is returned as a mean, on either sum.
-    flat = dataclasses.replace(cosh_generator(), fn=math.cosh, inverse=None)
+    flat = dataclasses.replace(cosh_generator(), fn=math.cosh, hull_inverse=None)
     kernel = difference_kernel(flat)
     refused = r"signs \(0, 0\) at the hull ends"
     for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):

@@ -78,7 +78,7 @@ KERNELS = {
     "ratio_dev:power:0.5": (lambda: ratio_kernel(power_generator(0.5)), (0.5, 4.0), False),
     "ratio_dev:log": (lambda: ratio_kernel(log_generator()), (0.5, 4.0), False),
     COSH_SCAN: (
-        lambda: difference_kernel(dataclasses.replace(cosh_generator(), inverse=None)),
+        lambda: difference_kernel(dataclasses.replace(cosh_generator(), hull_inverse=None)),
         (0.1, 4.0),
         False,
     ),
