@@ -13,6 +13,7 @@ For any other generator, and wherever the certificate is refused, the
 inverse is computed by bracketed bisection on the hull, which the
 mean-value property guarantees to contain the result, after a grid probe of
 the generator's direction; no derivative of the generator is needed.
+``local_power_order`` reads a declared constant order without derivatives.
 """
 
 from __future__ import annotations
@@ -74,17 +75,34 @@ def bisect(a: float, b: float, below: Callable[[float], bool], tol: float) -> fl
     return 0.5 * (a + b)
 
 
-def _weighted_average(generator: ScalarFunction, values: list[float], weights: tuple[float, ...]) -> float:
-    """The weighted average of ``values``, the generator at each entry;
-    NonFinite where ``fsum`` overflows or meets inf - inf."""
+def _entry_average(
+    generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float
+) -> tuple[float, float, float]:
+    """f(lo), f(hi) and the weighted average of f over the entries of
+    ``sample``, whose hull is [lo, hi], from one evaluation of f per entry.
+
+    What fails there raises: an error of ``fn``, GeneratorNotMonotone on
+    f(lo) == f(hi) (x^2 underflowing locates no mean), and NonFinite on an
+    average that is not finite (``fsum`` overflowing or meeting inf - inf),
+    which is never clamped, since an overflowed average says nothing about
+    where the mean lies.
+    """
+    entries = sample.entries
+    values = [generator.fn(x) for x in entries]
+    f_lo, f_hi = values[entries.index(lo)], values[entries.index(hi)]
+    if f_lo == f_hi:
+        raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
     try:
-        return math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
+        target = math.fsum(w * v for w, v in zip(sample.weights, values)) / math.fsum(sample.weights)
     except (OverflowError, ValueError) as exc:
         raise NonFinite(f"weighted average of {generator.name} values overflowed") from exc
+    if not math.isfinite(target):
+        raise NonFinite(f"weighted average of {generator.name} values is {target}")
+    return f_lo, f_hi, target
 
 
 def closed_form_mean(
-    generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float
+    generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float, average: tuple | None = None
 ) -> tuple[float, bool] | None:
     """The quasiarithmetic mean of ``generator`` on ``sample``, whose hull
     is ``lo < hi``, in closed form, and whether the generator increases
@@ -92,23 +110,13 @@ def closed_form_mean(
     refused or raises ArithmeticError or ValueError, or a ``HullInverse``
     has eps * kappa > CONDITION_LIMIT at the mean.
 
-    The generator is evaluated at the entries first, and what fails there
-    raises: an error of ``fn``, GeneratorNotMonotone on equal values at the
-    hull ends (x^2 underflowing locates no mean), and NonFinite on an
-    average that is not finite, which is never clamped, since an
-    overflowed average says nothing about where the mean lies.  The
-    inverse of the average is clamped to the hull.
+    The generator is evaluated at the entries first, unless ``average``
+    holds what ``_entry_average`` returned for them, and what fails there
+    raises.  The inverse of the average is clamped to the hull.
     """
     if generator.hull_inverse is None:
         return None
-    entries = sample.entries
-    values = [generator.fn(x) for x in entries]
-    f_lo, f_hi = values[entries.index(lo)], values[entries.index(hi)]
-    if f_lo == f_hi:
-        raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
-    target = _weighted_average(generator, values, sample.weights)
-    if not math.isfinite(target):
-        raise NonFinite(f"weighted average of {generator.name} values is {target}")
+    f_lo, f_hi, target = average or _entry_average(generator, sample, lo, hi)
     try:
         inverse = generator.hull_inverse(lo, hi)
         if inverse is None:
@@ -181,19 +189,21 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
     In closed form wherever ``closed_form_mean`` gives it, or raises;
     otherwise bisected on the hull after a MONOTONE_PROBE_POINTS-point probe
     of the direction, which raises GeneratorNotMonotone on a tie or
-    reversal.
+    reversal.  f is evaluated once per entry: the bisection reuses the
+    values the closed form computed, and a generator without a
+    ``hull_inverse`` is probed before its entries are evaluated.
     """
     lo, hi = sample.hull()
     if lo == hi:
         return lo
-    closed = closed_form_mean(generator, sample, lo, hi)
-    if closed is not None:
-        return closed[0]
+    average = None
+    if generator.hull_inverse is not None:
+        average = _entry_average(generator, sample, lo, hi)
+        closed = closed_form_mean(generator, sample, lo, hi, average)
+        if closed is not None:
+            return closed[0]
     increasing = _probe_monotone_direction(generator, lo, hi)
-    values = [generator.fn(x) for x in sample.entries]
-    target = _weighted_average(generator, values, sample.weights)
-    # lo and hi are entries, so their generator values are already known.
-    f_lo, f_hi = values[sample.entries.index(lo)], values[sample.entries.index(hi)]
+    f_lo, f_hi, target = average or _entry_average(generator, sample, lo, hi)
     low_val, high_val = (f_lo, f_hi) if increasing else (f_hi, f_lo)
     slack = 1e-9 * (1.0 + abs(low_val) + abs(high_val))
     if target < low_val - slack or target > high_val + slack:
@@ -215,8 +225,13 @@ def local_power_order(generator: ScalarFunction, x: float) -> float:
     """x * f''(x) / f'(x) + 1: the local power-mean order of a generator.
 
     Constant p for the pure power generator of exponent p; drives the
-    power-scale embedding of quasiarithmetic means.
+    power-scale embedding of quasiarithmetic means.  A generator whose
+    ``order_ends`` are (q, q) has order q at every x > 0, returned without
+    a derivative.
     """
+    ends = generator.order_ends
+    if ends is not None and ends[0] == ends[1] and x > 0.0:
+        return ends[0]
     d1 = generator.derivative(x, 1)
     if abs(d1) <= DERIVATIVE_GUARD:
         raise VanishingFirstDerivative(f"first derivative of {generator.name} vanishes at {x}")

@@ -248,7 +248,7 @@ def resolve_generator(spec: str, domain: IntervalDomain | None = None) -> Scalar
         generator = shifted_power_generator(values[0], values[1])
     if generator is None:
         raise UsageError(f"unknown generator {spec!r} (see 'meankit catalog')")
-    return generator.restricted(domain) if domain is not None else generator
+    return replace(generator, domain=domain) if domain is not None else generator
 
 
 def resolve_kernel(spec: str, domain: IntervalDomain | None = None) -> Kernel2:

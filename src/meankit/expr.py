@@ -24,9 +24,9 @@ its derivatives come from central differences (``numeric_derivative``).
 When x occurs once in a generator's text, the same parse also unwinds the
 AST from the root into a chain of invertible steps, which gives the handle
 its ``hull_inverse``: an inverse certified, hull by hull, by carrying the
-hull's ends through the steps; a chain a x^q + b (a log x + b at q = 0)
-also gives its ``power_order`` q, and a chain through exp, cosh or sinh of
-a shape ``_monotone_order`` accepts gives its ``monotone_order``.  A
+hull's ends through the steps; a chain of a shape ``_order_ends``
+accepts (a x^q + b, a log x + b, or one through exp, b^u, cosh or sinh)
+also gives its ``order_ends``, the ends of its monotone order operator.  A
 kernel's parse shows its structure: text
 A - B, where A has only x free and B is A with x renamed to y, declares
 ``Difference`` of A as a generator (with its ``hull_inverse`` when x occurs
@@ -668,34 +668,40 @@ def _affine(kind: str, c: float) -> bool:
     return kind in ("add", "rsub") or _scaling(kind, c)
 
 
-def _power_order(links: tuple[_Link, ...]) -> float | None:
-    """q when the chain is a x^q + b (a log x + b at q = 0) with a != 0:
-    at most one power-like first step (^ c or c / x with c != 0, sqrt,
-    log), then only affine steps (+ c, c - u, -u, * c or / c with c != 0);
-    q = 1 without a power-like step.  None for any other chain."""
-    q, affine = 1.0, links
+def _order_ends(links: tuple[_Link, ...]) -> tuple[float, float] | None:
+    """(p(0+), p(inf)) of the order operator p(u) = u f''(u)/f'(u) + 1 of
+    the chain f, for the shapes that make p monotone on (0, inf); None for
+    any other chain.  Affine steps are + c, c - u, -u, * c and / c with
+    c != 0, which leave p unchanged:
+
+    * at most one power-like first step (^ c or c / x with c != 0, sqrt,
+      log), then affine steps: a x^q + b (a log x + b at q = 0), p = q, so
+      (q, q); q = 1 without a power-like step;
+    * affine steps, then exp (or b^u with a constant b > 0, b != 1), then
+      affine steps: a e^(k x + d) + b, p = k u + 1, so (1, inf) for k > 0
+      and (1, -inf) for k < 0, k the inner slope times log b;
+    * scalings (* c, / c, -u), then cosh or sinh, then affine steps:
+      p = |k| u coth(|k| u) + 1 from 2, or |k| u tanh(|k| u) + 1 from 1,
+      to inf.
+    """
     kind, c = links[0] if links else ("", 0.0)
     if kind in ("sqrt", "log") or (kind in ("pow", "rdiv") and c != 0.0):
         q = {"pow": c, "rdiv": -1.0, "sqrt": 0.5, "log": 0.0}[kind]
-        affine = links[1:]
-    if all(_affine(k, c) for k, c in affine):
-        return q
-    return None
-
-
-def _monotone_order(links: tuple[_Link, ...]) -> bool:
-    """Whether the chain's order operator p(u) = u f''(u)/f'(u) + 1 is
-    monotone on (0, inf) by its shape: affine steps, then exp (or b^u with
-    a constant b > 0, b != 1), then affine steps, which is a e^(c x + d) + b
-    with p = c u + 1; or scalings (* c, / c, -u), then cosh or sinh, then
-    affine steps, with p = |c| u coth(|c| u) + 1 or |c| u tanh(|c| u) + 1."""
+        return (q, q) if all(_affine(*link) for link in links[1:]) else None
     i = next((i for i, link in enumerate(links) if not _affine(*link)), len(links))
-    if i == len(links) or not all(_affine(*link) for link in links[i + 1 :]):
-        return False
+    if i == len(links):
+        return 1.0, 1.0
+    if not all(_affine(*link) for link in links[i + 1 :]):
+        return None
     kind, c = links[i]
+    inner = links[:i]
     if kind == "exp" or (kind == "rpow" and c > 0.0 and c != 1.0):
-        return True
-    return kind in ("cosh", "sinh") and all(_scaling(*link) for link in links[:i])
+        # Affine steps have constant slopes; multiply their signs.
+        slope = math.prod(math.copysign(1.0, _STEPS[k].derivative(0.0, b)) for k, b in inner)
+        return 1.0, math.copysign(math.inf, slope * (math.log(c) if kind == "rpow" else 1.0))
+    if kind in ("cosh", "sinh") and all(_scaling(*link) for link in inner):
+        return (2.0 if kind == "cosh" else 1.0), math.inf
+    return None
 
 
 def _fold(node: ExprAst) -> float:
@@ -820,47 +826,35 @@ class ScalarFunction:
     ``quasiarithmetic_mean`` and for the means of difference kernels;
     without it, the qa mean probes the direction on a grid and bisects.
     The catalog constructors set it to their textbook inverse on every hull
-    inside the catalog domain (``_inverse_on``), so a ``restricted`` copy on
-    a wider domain is trusted no farther.  ``scalar_from_expression``, and
-    ``kernel_from_expression`` on the generator of a difference it
-    recognises, set it for text in which x occurs once under the chain's
-    steps (+, -, *, / and ^ with a constant side, negation, exp, log, sqrt,
-    sinh, cosh): a ``HullInverse``, which also carries the condition of the
-    inversion.
-
-    ``power_order`` q promises that the domain lies in (0, inf) and that
-    on it fn = a x^q + b (a log x + b at q = 0) with a != 0, so the
-    quasiarithmetic mean of fn is the power mean P_q, a homogeneous mean,
-    and the difference kernel f(x) - f(y) keeps its sign under x, y ->
-    t x, t y.  power:p sets p (p finite) and log 0;
+    inside the catalog domain (``_inverse_on``), so a copy on a wider
+    domain (``dataclasses.replace``) is trusted no farther.
     ``scalar_from_expression``, and ``kernel_from_expression`` on the
-    generator of a difference, set it on a domain with lo >= 0 for a chain
-    of at most one power-like step (^ c or c / x with c != 0, sqrt, log)
-    followed only by affine ones (+ c, c - u, -u, * c and / c with c != 0),
-    q = 1 without a power-like step.
+    generator of a difference it recognises, set it for text in which x
+    occurs once under the chain's steps (+, -, *, / and ^ with a constant
+    side, negation, exp, log, sqrt, sinh, cosh): a ``HullInverse``, which
+    also carries the condition of the inversion.
 
-    ``monotone_order`` promises that the order operator p(u) = u f''(u)/f'(u)
-    + 1 is monotone on the part of the domain inside (0, inf).  The
-    quasiarithmetic mean of fn at scale t, M(t x)/t, is the mean of u ->
-    fn(t u), whose f''/f' is (p(t u) - 1)/u; by the comparison theorem for
-    quasiarithmetic means (Mikusinski, Studia Math. 10, 1948) the ratio is
-    then monotone in t, so ``homogenize.envelope_pair`` reads its envelopes
-    at the ends of the admissible scales.  exp (p = u + 1), cosh (p = u
-    coth u + 1) and shifted_power:q,c (p = (q - 1) u/(u + c) + 1, c/(u + c)
-    at q = 0) set it; ``scalar_from_expression``, and
-    ``kernel_from_expression`` on the generator of a difference, set it on
-    a domain with lo >= 0 for the chains ``_monotone_order`` accepts: a
-    e^(c x + d) + b (also through b^u), and a cosh(c x) + b or a sinh(c x)
-    + b.
-
-    ``local_order`` is a catalog promise too: the local power order q at 0+,
-    that is, f' is regularly varying at 0+ with index q - 1 (x f''/f' + 1
-    tends to q).  The scale profile of the difference kernel of f is then
-    (r^q - 1)/q, log r at q = 0, which ``homogenization_profile`` returns in
-    closed form.  Only the catalog constructors set it: power:p sets p (log
-    0), cosh 2, exp and the identity 1; ``shifted_power`` and expression
-    generators leave it None.  Every promise carries over to ``restricted``,
-    but ``power_order`` only to a domain with lo >= 0.
+    ``order_ends`` (p(0+), p(inf)) declares the order operator p(u) =
+    u f''(u)/f'(u) + 1 of fn on the part of the catalog domain inside
+    (0, inf): p is monotone there, between those ends.  p does not change
+    under fn -> a fn + b with a != 0, and the declaration describes fn on
+    (0, inf), so it holds on every domain a copy is given; its consumers
+    see only positive entries.  Equal ends q promise p = q, that is fn =
+    a x^q + b (a log x + b at q = 0): the quasiarithmetic mean of fn is the
+    power mean P_q, a homogeneous mean (``local_power_order`` returns q).
+    Unequal ends promise a monotone p: the quasiarithmetic mean at scale t,
+    M(t x)/t, is the mean of u -> fn(t u), whose f''/f' is (p(t u) - 1)/u,
+    so by the comparison theorem for quasiarithmetic means (Mikusinski,
+    Studia Math. 10, 1948) it is monotone in t.  A finite p(0+) = q makes
+    f' regularly varying at 0+ with index q - 1, so on a kernel domain that
+    starts at 0 the scale profile of the difference kernel of fn is
+    (r^q - 1)/q, log r at q = 0 (``homogenization_profile``).  power:p
+    declares (p, p) (p finite), log (0, 0), exp (1, inf), cosh (2, inf),
+    the identity (1, 1), and shifted_power:q,c, whose p(u) = (q - 1)
+    u/(u + c) + 1, declares (q, q) at c = 0 or q = 1, (1, q) for c > 0 and
+    (+-inf, q), the sign of q - 1, for c < 0.  ``scalar_from_expression``,
+    and ``kernel_from_expression`` on the generator of a difference,
+    declare the ends of the chains ``_order_ends`` accepts.
     """
 
     name: str
@@ -868,10 +862,8 @@ class ScalarFunction:
     domain: IntervalDomain
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
-    local_order: float | None = None
     hull_inverse: Callable[[float, float], Callable[[float], float] | None] | None = None
-    power_order: float | None = None
-    monotone_order: bool = False
+    order_ends: tuple[float, float] | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -882,14 +874,6 @@ class ScalarFunction:
         if order == 2 and self.deriv2 is not None:
             return self.deriv2(x)
         return numeric_derivative(self.fn, x, order, self.domain)
-
-    def restricted(self, domain: IntervalDomain) -> "ScalarFunction":
-        """The same function on another domain (its promises carry over,
-        ``power_order`` only while the domain stays in (0, inf); a catalog
-        ``hull_inverse`` still certifies only hulls inside the catalog
-        domain)."""
-        power_order = self.power_order if domain.lo >= 0.0 else None
-        return replace(self, domain=domain, power_order=power_order)
 
 
 # Functions kept by the memo.  Compiling one (an exec of its source) costs
@@ -904,10 +888,8 @@ class _Compiled(NamedTuple):
     fn: Callable[..., float]
     #: A function of x in which x occurs once: its ``hull_inverse``.
     hull_inverse: Callable[[float, float], HullInverse | None] | None = None
-    #: A chain a x^q + b (a log x + b at q = 0): its q (``_power_order``).
-    power_order: float | None = None
-    #: A chain whose order operator is monotone (``_monotone_order``).
-    monotone_order: bool = False
+    #: A chain whose order operator is monotone: its ends (``_order_ends``).
+    order_ends: tuple[float, float] | None = None
     #: A kernel A(x) - A(y): A compiled as a function of x, and its text.
     difference: tuple["_Compiled", str] | None = None
     #: A kernel sign(x - y).
@@ -937,12 +919,7 @@ def _compiled(ast: ExprAst, variables: tuple[str, ...]) -> _Compiled:
         links = _chain(ast, "x")
         if links is None:
             return _Compiled(fn)
-        return _Compiled(
-            fn,
-            functools.partial(_hull_inverse, links),
-            power_order=_power_order(links),
-            monotone_order=_monotone_order(links),
-        )
+        return _Compiled(fn, functools.partial(_hull_inverse, links), order_ends=_order_ends(links))
     if ast == _SIGN:
         return _Compiled(fn, sign=True)
     if (
@@ -969,23 +946,16 @@ def _compile(text: str, variables: tuple[str, ...]) -> _Compiled:
 
 def _scalar(name: str, compiled: _Compiled, domain: IntervalDomain) -> ScalarFunction:
     """The compiled function of x on ``domain`` with the promises its chain
-    gives there."""
-    positive = domain.lo >= 0.0
+    gives."""
     return ScalarFunction(
-        name,
-        compiled.fn,
-        domain,
-        hull_inverse=compiled.hull_inverse,
-        power_order=compiled.power_order if positive else None,
-        monotone_order=compiled.monotone_order and positive,
+        name, compiled.fn, domain, hull_inverse=compiled.hull_inverse, order_ends=compiled.order_ends
     )
 
 
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
     """Build a function of x, named by its text, from expression text; a
-    chain in x also gets its ``hull_inverse``, and on a domain with lo >= 0
-    its ``power_order`` when it is a x^q + b or a log x + b, and its
-    ``monotone_order`` when ``_monotone_order`` accepts its shape."""
+    chain in x also gets its ``hull_inverse``, and its ``order_ends`` when
+    ``_order_ends`` accepts its shape."""
     return _scalar(source, _compile(source, ("x",)), domain)
 
 
@@ -1084,8 +1054,8 @@ def kernel_from_expression(
 
     Text A - B, where A has only x free and B is A with x renamed to y,
     declares ``Difference(f)`` with f the function A of x on ``domain_x``,
-    named by A's canonical text, with its ``hull_inverse``, ``power_order``
-    and ``monotone_order`` as ``scalar_from_expression`` sets them; the text
+    named by A's canonical text, with its ``hull_inverse`` and
+    ``order_ends`` as ``scalar_from_expression`` sets them; the text
     sign(x - y) declares ``Sign``.  ``fn`` is the compiled function of the
     whole text either way.
     """
@@ -1158,8 +1128,7 @@ def power_generator(p: float) -> ScalarFunction:
             deriv1=lambda x: 1.0 / x,
             deriv2=lambda x: -1.0 / (x * x),
             hull_inverse=_inverse_on(dom, _exp),
-            local_order=0.0,
-            power_order=0.0,
+            order_ends=(0.0, 0.0),
         )
     return ScalarFunction(
         f"power({p:g})",
@@ -1168,8 +1137,7 @@ def power_generator(p: float) -> ScalarFunction:
         deriv1=lambda x: p * _pow(x, p - 1.0),
         deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
         hull_inverse=_inverse_on(dom, lambda v: _pow(v, 1.0 / p)),
-        local_order=float(p),
-        power_order=float(p) if math.isfinite(p) else None,
+        order_ends=(float(p), float(p)) if math.isfinite(p) else None,
     )
 
 
@@ -1186,8 +1154,7 @@ def exp_generator() -> ScalarFunction:
         deriv1=_exp,
         deriv2=_exp,
         hull_inverse=_inverse_on(dom, _log),
-        local_order=1.0,
-        monotone_order=True,
+        order_ends=(1.0, math.inf),
     )
 
 
@@ -1202,14 +1169,17 @@ def cosh_generator() -> ScalarFunction:
         deriv1=math.sinh,
         deriv2=math.cosh,
         hull_inverse=_inverse_on(dom, lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v))),
-        local_order=2.0,
-        monotone_order=True,
+        order_ends=(2.0, math.inf),
     )
 
 
 def shifted_power_generator(q: float, c: float) -> ScalarFunction:
-    """x -> (x + c)^q (logarithm when q = 0) on (-c, inf)."""
+    """x -> (x + c)^q (logarithm when q = 0) on (-c, inf), whose order
+    operator p(u) = (q - 1) u/(u + c) + 1 runs from its value at the lower
+    end of the part of the domain inside (0, inf) to q."""
     dom = IntervalDomain(-c, math.inf)
+    first = q if c == 0.0 or q == 1.0 else 1.0 if c > 0.0 else math.copysign(math.inf, q - 1.0)
+    ends = (float(first), float(q))
     if q == 0.0:
         return ScalarFunction(
             f"shifted_power(0,{c:g})",
@@ -1218,7 +1188,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
             deriv1=lambda x: 1.0 / (x + c),
             deriv2=lambda x: -1.0 / ((x + c) * (x + c)),
             hull_inverse=_inverse_on(dom, lambda v: _exp(v) - c),
-            monotone_order=True,
+            order_ends=ends,
         )
     return ScalarFunction(
         f"shifted_power({q:g},{c:g})",
@@ -1227,7 +1197,7 @@ def shifted_power_generator(q: float, c: float) -> ScalarFunction:
         deriv1=lambda x: q * _pow(x + c, q - 1.0),
         deriv2=lambda x: q * (q - 1.0) * _pow(x + c, q - 2.0),
         hull_inverse=_inverse_on(dom, lambda v: _pow(v, 1.0 / q) - c),
-        monotone_order=True,
+        order_ends=ends,
     )
 
 
@@ -1267,6 +1237,6 @@ def arithmetic_kernel() -> Kernel2:
         deriv1=lambda x: 1.0,
         deriv2=lambda x: 0.0,
         hull_inverse=_inverse_on(dom, lambda v: v),
-        local_order=1.0,
+        order_ends=(1.0, 1.0),
     )
     return difference_kernel(f)

@@ -7,12 +7,15 @@ Three constructions attach a homogeneous mean to a given one:
   sandwiching M, from one shared scan; a handle that declares M homogeneous
   is its own envelope pair, from one evaluation, and one that declares the
   ratio monotone in t has its envelopes at the ends of the admissible
-  scalings;
+  scalings.  Quasiarithmetic and difference-kernel handles read both
+  promises off the generator's ``order_ends``, the ends of its monotone
+  order operator p(u) = u f''(u)/f'(u) + 1 (equal ends: homogeneous);
 * ``local_homogenization``: the t -> 0 limit of the same ratio (requires
   the mean's domain to have infimum 0);
 * ``homogenization_profile``: for deviation kernels, the scale profile
   h(r) = lim K*(r t, t) / t of the normalized kernel, whose ratio kernel
-  h(x / y) generates the homogeneous counterpart of the kernel's mean;
+  h(x / y) generates the homogeneous counterpart of the kernel's mean,
+  in closed form from a finite declared p(0+);
   ``homogeneous_kernels`` builds the lower and upper ratio kernels after
   checking that h has the sign of r - 1.
 """
@@ -107,20 +110,20 @@ class MeanHandle:
 
     ``homogeneous`` is a promise: M(t x, w) = t M(x, w) for every t > 0
     that keeps t x in the domain, so the mean is its own lower and upper
-    envelope (``envelope_pair``).  ``power_handle`` sets it;
-    ``quasiarithmetic_handle`` sets it for a generator that declares a
-    ``power_order``, and the semideviation and deviation handles for a
-    kernel whose sign is unchanged by scaling both arguments (``Sign``,
-    ``Ratio``, or ``Difference(f)`` with f declaring a ``power_order``).
+    envelope (``envelope_pair``).  ``power_handle`` sets it, and so do the
+    semideviation and deviation handles of a kernel whose sign is unchanged
+    by scaling both arguments (``Sign`` or ``Ratio``).
 
     ``monotone_ratio`` is a promise too: M(t x, w) / t is monotone in t
     over the scalings that keep t x in the domain, so its inf and sup lie at
-    the ends of that range (``envelope_pair``).  ``quasiarithmetic_handle``
-    sets it for a generator that declares ``monotone_order``, and the
-    semideviation and deviation handles for ``Difference(f)`` with such an
-    f, whose means are the quasiarithmetic mean of f.  No catalog generator
-    or ``expr:`` chain declares both orders, so their handles make at most
-    one promise.
+    the ends of that range (``envelope_pair``).
+
+    ``quasiarithmetic_handle`` of a generator f that declares
+    ``order_ends``, and the semideviation and deviation handles of
+    ``Difference(f)``, whose means are the quasiarithmetic mean of f, make
+    one of the two promises (``_promises``): homogeneous for equal ends, a
+    monotone ratio for unequal ones.  Envelopes see only positive entries,
+    on which the declaration holds.
     """
 
     name: str
@@ -138,13 +141,22 @@ def power_handle(exponent: float, domain: IntervalDomain | None = None) -> MeanH
     return MeanHandle(f"power({exponent:g})", dom, lambda s: power_mean(s, exponent), homogeneous=True)
 
 
+def _promises(f: ScalarFunction) -> dict[str, bool]:
+    """The ``MeanHandle`` promise of the qa mean of f from its ``order_ends``:
+    homogeneous for a constant order q (the mean is the power mean P_q), a
+    monotone ratio for any other declared order."""
+    if f.order_ends is None:
+        return {}
+    low, high = f.order_ends
+    return {"homogeneous": True} if low == high else {"monotone_ratio": True}
+
+
 def quasiarithmetic_handle(generator: ScalarFunction) -> MeanHandle:
     return MeanHandle(
         f"qa({generator.name})",
         generator.domain,
         lambda s: quasiarithmetic_mean(s, generator),
-        homogeneous=generator.power_order is not None,
-        monotone_ratio=generator.monotone_order,
+        **_promises(generator),
     )
 
 
@@ -168,18 +180,15 @@ def translated_power_handle(exponent: float, shift: float) -> MeanHandle:
 def _kernel_handle(name: str, kernel: Kernel2, fn: Callable[[WeightedSample], float]) -> MeanHandle:
     """A handle on a sign-change or deviation mean of ``kernel``, with the
     promises its structure shows.  ``Difference(f)`` means are the
-    quasiarithmetic mean of f, so they take f's promises, as
-    ``quasiarithmetic_handle`` does: homogeneous for f = a x^q + b, since
-    f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t cancels at q = 0), and a
-    monotone scaled ratio for f declaring ``monotone_order``.  ``Sign`` and
+    quasiarithmetic mean of f, so they take f's promise (``_promises``), as
+    ``quasiarithmetic_handle`` does: homogeneous for a constant order q,
+    where f(t x) - f(t y) = t^q (f(x) - f(y)) (a log t cancels at q = 0),
+    and a monotone scaled ratio for any other declared order.  ``Sign`` and
     ``Ratio`` means are homogeneous: sign(t x - t y) = sign(x - y) and
     h(t x / t y) = h(x / y)."""
     structure = kernel.structure
     if isinstance(structure, Difference):
-        f = structure.f
-        return MeanHandle(
-            name, kernel.domain_x, fn, homogeneous=f.power_order is not None, monotone_ratio=f.monotone_order
-        )
+        return MeanHandle(name, kernel.domain_x, fn, **_promises(structure.f))
     return MeanHandle(name, kernel.domain_x, fn, homogeneous=isinstance(structure, (Sign, Ratio)))
 
 
@@ -496,16 +505,18 @@ def homogenization_profile(
     _node_estimates: dict[int, LimitEstimate] | None = None,
 ) -> Callable[[float], float]:
     """Scale profile r -> h(r) of a deviation kernel: in closed form when
-    the kernel's structure is ``Difference(f)`` with f declaring its local
-    power order, tabulated otherwise.
+    the kernel's structure is ``Difference(f)`` with f declaring a finite
+    order p(0+), tabulated otherwise.
 
     A ``mode`` other than "estimate", "lower" or "upper" raises ValueError,
     and the kernel is normalized next (unless ``normalized`` is given), so a
     kernel that cannot be normalized raises NotNormalizable on both paths.
-    When ``f.local_order`` is some q and the kernel's y-domain starts at 0,
-    h(r) = (r^q - 1)/q (log r at q = 0) in every mode, evaluated as
-    expm1(q log r)/q, which keeps its digits near r = 1; it raises
-    ValueError outside 0 < r < inf and NonFinite when the value overflows.
+    When ``f.order_ends`` starts at a finite q and the kernel's y-domain
+    starts at 0, f' varies regularly at 0+ with index q - 1 (Bingham,
+    Goldie and Teugels, Regular Variation, 1987), and h(r) = (r^q - 1)/q
+    (log r at q = 0) in every mode, evaluated as expm1(q log r)/q, which
+    keeps its digits near r = 1; it raises ValueError outside 0 < r < inf
+    and NonFinite when the value overflows.
     The returned function carries q as its attribute ``order``, from which
     ``ratio_kernel_from_profile`` declares ``Ratio(h, q)``; the attribute
     survives a ``functools.wraps`` wrapper but not a plain closure.
@@ -549,8 +560,9 @@ def homogenization_profile(
         raise ValueError(f"mode must be 'estimate', 'lower' or 'upper', got {mode!r}")
     base = normalized if normalized is not None else normalize_kernel(kernel)
     f = kernel.structure.f if isinstance(kernel.structure, Difference) else None
-    if f is not None and f.local_order is not None and kernel.domain_y.starts_at_zero:
-        return _power_profile(f.local_order)
+    q = f.order_ends[0] if f is not None and f.order_ends is not None else math.inf
+    if math.isfinite(q) and kernel.domain_y.starts_at_zero:
+        return _power_profile(q)
     estimates = {} if _node_estimates is None else _node_estimates
     nodes: dict[int, float] = {}
 

@@ -320,7 +320,7 @@ class TestComparison:
         # On (0, 2) the exponential generator's order lies in [1, 3], so the
         # mean is sandwiched between the power means of those orders.
         dom = open_interval(0, 2)
-        gen = exp_generator().restricted(dom)
+        gen = dataclasses.replace(exp_generator(), domain=dom)
         orders = [local_power_order(gen, x) for x in [0.01 + 0.02 * k for k in range(100)]]
         q, p = min(orders), max(orders)
         rng = random.Random(31)
@@ -341,7 +341,7 @@ class TestQaLocalHomogenization:
         assert common_power_order(est) == pytest.approx(2.0, abs=1e-4)
 
     def test_exp_order_limit_is_one(self):
-        est = qa_local_homogenization(exp_generator().restricted(POS))
+        est = qa_local_homogenization(dataclasses.replace(exp_generator(), domain=POS))
         assert est.estimate == pytest.approx(1.0, abs=1e-4)
 
     def test_power_generator_recovers_exponent(self):
@@ -351,7 +351,7 @@ class TestQaLocalHomogenization:
             assert est.estimate == pytest.approx(p, abs=1e-6)
 
     def test_shifted_power_limit_is_one(self):
-        est = qa_local_homogenization(shifted_power_generator(0.5, 1.0).restricted(POS))
+        est = qa_local_homogenization(dataclasses.replace(shifted_power_generator(0.5, 1.0), domain=POS))
         assert est.estimate == pytest.approx(1.0, abs=1e-4)
 
     def test_requires_zero_infimum(self):

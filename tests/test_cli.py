@@ -164,6 +164,23 @@ def test_homogenize_qa_reports_power_order(capsys):
     assert doc["power_order"] == pytest.approx(2.0, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "generator, order", [("expr:log(x)", 0.0), ("expr:sqrt(x)", 0.5), ("expr:1/x", -1.0), ("power:2", 2.0)]
+)
+def test_homogenize_qa_reads_a_constant_order(capsys, generator, order):
+    # The declared order ends (q, q) give the order operator without a
+    # derivative, so the scan converges on q itself; central differences
+    # once left the tails of expr:log(x) and expr:sqrt(x) apart.
+    code, out, _ = run_cli(
+        capsys, "homogenize", "--target", "qa", "--generator", generator, "--format", "structured"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["power_order"] == doc["estimate"] == order
+    assert all(value == order for _, value in doc["table"])
+
+
 def test_homogenize_qa_power_order_follows_tol(capsys):
     # A loose --tol stops the scan earlier, and the converged scan reports its
     # estimate as the order instead of "tails disagree".

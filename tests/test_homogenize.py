@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import functools
+import io
 import math
 import random
 import re
@@ -34,7 +36,7 @@ from meankit import (
     translated_power_handle,
 )
 import meankit.homogenize as homogenize
-from meankit.cli import resolve_generator, resolve_kernel
+from meankit.cli import main, resolve_generator, resolve_kernel
 from meankit.domain import open_interval, positive_reals, sign
 from meankit.errors import (
     AllEvaluationsFailed,
@@ -49,7 +51,7 @@ from meankit.homogenize import ratio_kernel_from_profile
 from meankit.limits import LIMIT_WINDOW, SCAN_FAILURES, start_scale
 from meankit.semideviation import SemidevMeanConfig, deviation_mean
 
-from conftest import numeric_profile_kernel
+from conftest import COSH_TABLE, numeric_profile_kernel
 
 POS = positive_reals()
 
@@ -298,9 +300,13 @@ class TestEnvelopes:
         [
             (power_handle(2, open_interval(0.5, 9.0)), True),
             (quasiarithmetic_handle(power_generator(-1.0)), True),
-            (quasiarithmetic_handle(power_generator(2.0).restricted(open_interval(-2.0, 2.0))), False),
+            # The declaration describes f on (0, inf), whatever the domain.
+            (quasiarithmetic_handle(dataclasses.replace(power_generator(2), domain=open_interval(-2, 2))), True),
             (quasiarithmetic_handle(cosh_generator()), False),
-            (quasiarithmetic_handle(scalar_from_expression("x^2", open_interval(-2.0, 2.0))), False),
+            (quasiarithmetic_handle(scalar_from_expression("x^2", open_interval(-2.0, 2.0))), True),
+            # shifted_power:1,c is affine, and shifted_power:q,0 is x^q.
+            (quasiarithmetic_handle(shifted_power_generator(1.0, 2.0)), True),
+            (quasiarithmetic_handle(shifted_power_generator(2.0, 0.0)), True),
             (translated_power_handle(0.5, 1.0), False),
             (semideviation_handle(resolve_kernel("ratio_dev:exp"), MeanKind.LOWER_WEAK), True),
             (semideviation_handle(resolve_kernel("diff_gen:cosh"), MeanKind.LOWER_WEAK), False),
@@ -355,7 +361,7 @@ class TestEnvelopes:
 
     def test_envelopes_sandwich_the_mean(self):
         dom = open_interval(0, 2)
-        gen = exp_generator().restricted(dom)
+        gen = dataclasses.replace(exp_generator(), domain=dom)
         handle = quasiarithmetic_handle(gen)
         s = make_weighted_sample([0.5, 1.0], [1, 1], dom)
         lower, upper = envelope_pair(handle, s)
@@ -396,7 +402,7 @@ class TestEnvelopes:
         # The exponential generator's order operator is >= 1 on (0, 2), so
         # its mean dominates the arithmetic mean at every scale.
         dom = open_interval(0, 2)
-        handle = quasiarithmetic_handle(exp_generator().restricted(dom))
+        handle = quasiarithmetic_handle(dataclasses.replace(exp_generator(), domain=dom))
         rng = random.Random(17)
         for _ in range(15):
             n = rng.randint(1, 4)
@@ -408,8 +414,8 @@ class TestEnvelopes:
             assert lower >= p1 - 1e-6
 
 
-#: Generators that declare a monotone order operator: catalog specs, and
-#: expr: chains of the shapes ``expr._monotone_order`` accepts.
+#: Generators that declare a monotone order operator with unequal ends:
+#: catalog specs, and expr: chains of the shapes ``expr._order_ends`` accepts.
 MONOTONE_SPECS = (
     "exp",
     "cosh",
@@ -489,7 +495,7 @@ class TestMonotoneRatioEnvelopes:
         # ends round to the same side of M(x, w); its value at t = 1 keeps
         # lower <= M(x, w) <= upper.
         dom = open_interval(0.05, 8.0)
-        handle = quasiarithmetic_handle(exp_generator().restricted(dom))
+        handle = quasiarithmetic_handle(dataclasses.replace(exp_generator(), domain=dom))
         s = make_weighted_sample(entries, weights, dom)
         lower, upper = envelope_pair(handle, s)
         assert lower <= handle(s) <= upper
@@ -498,7 +504,7 @@ class TestMonotoneRatioEnvelopes:
         "handle",
         [
             quasiarithmetic_handle(cosh_generator()),
-            quasiarithmetic_handle(exp_generator().restricted(open_interval(0.0, 2.0))),
+            quasiarithmetic_handle(dataclasses.replace(exp_generator(), domain=open_interval(0.0, 2.0))),
             quasiarithmetic_handle(scalar_from_expression("5*cosh(3*x)", POS)),
         ],
         ids=lambda h: h.name,
@@ -511,36 +517,40 @@ class TestMonotoneRatioEnvelopes:
         assert len(ends) <= 100 < homogenize.ENVELOPE_GRID < len(scan)
 
     @pytest.mark.parametrize(
-        "text, domain, declared",
+        "text, domain, ends",
         [
-            ("exp(2*x)+1", POS, True),
-            ("3*exp(-x)", POS, True),
-            ("2^x", POS, True),
-            ("5*cosh(3*x)", POS, True),
-            ("sinh(x)-1", POS, True),
-            ("cosh(x+1)", POS, False),  # a shift before cosh
-            ("exp(x)*x", POS, False),  # x occurs twice: no chain
-            ("x+exp(x)", POS, False),
-            ("exp(x^2)", POS, False),  # a power before exp
-            ("sqrt(cosh(x))", POS, False),  # a power after cosh
-            ("1^x", POS, False),  # base 1: a constant
-            ("x^2", POS, False),  # homogeneous instead
-            ("cosh(x)", open_interval(-2.0, 2.0), False),  # a domain reaching below 0
+            ("exp(2*x)+1", POS, (1.0, math.inf)),
+            ("3*exp(-x)", POS, (1.0, -math.inf)),  # p = 1 - u
+            ("2^x", POS, (1.0, math.inf)),
+            ("0.5^x", POS, (1.0, -math.inf)),
+            ("0.5^(-x)", POS, (1.0, math.inf)),
+            ("5*cosh(3*x)", POS, (2.0, math.inf)),
+            ("sinh(x)-1", POS, (1.0, math.inf)),
+            ("cosh(x+1)", POS, None),  # a shift before cosh
+            ("exp(x)*x", POS, None),  # x occurs twice: no chain
+            ("x+exp(x)", POS, None),
+            ("exp(x^2)", POS, None),  # a power before exp
+            ("sqrt(cosh(x))", POS, None),  # a power after cosh
+            ("1^x", POS, None),  # base 1: a constant
+            ("x^2", POS, (2.0, 2.0)),  # homogeneous instead
+            ("cosh(x)", open_interval(-2.0, 2.0), (2.0, math.inf)),  # the same on every domain
         ],
     )
-    def test_chains_declare_a_monotone_order_by_shape(self, text, domain, declared):
+    def test_chains_declare_a_monotone_order_by_shape(self, text, domain, ends):
         gen = scalar_from_expression(text, domain)
-        assert gen.monotone_order is declared
+        assert gen.order_ends == ends
+        declared = ends is not None and ends[0] != ends[1]
         assert quasiarithmetic_handle(gen).monotone_ratio is declared
         in_y = re.sub(r"\bx\b", "y", text)
         kernel = kernel_from_expression(f"{text}-({in_y})", domain)
+        assert kernel.structure.f.order_ends == ends
         assert deviation_handle(kernel).monotone_ratio is declared
 
     @pytest.mark.parametrize(
         "handle, declared",
         [
             (quasiarithmetic_handle(exp_generator()), True),
-            (quasiarithmetic_handle(cosh_generator().restricted(open_interval(0.0, 2.0))), True),
+            (quasiarithmetic_handle(dataclasses.replace(cosh_generator(), domain=open_interval(0, 2))), True),
             (quasiarithmetic_handle(shifted_power_generator(0.0, 1.0)), True),
             (quasiarithmetic_handle(power_generator(2.0)), False),
             (semideviation_handle(resolve_kernel("diff_gen:cosh"), MeanKind.LOWER_WEAK), True),
@@ -619,7 +629,7 @@ class TestLocalHomogenization:
 
     def test_entries_need_not_lie_in_the_mean_domain(self):
         dom = open_interval(0, 2)
-        handle = quasiarithmetic_handle(exp_generator().restricted(dom))
+        handle = quasiarithmetic_handle(dataclasses.replace(exp_generator(), domain=dom))
         s = _pos_sample([5.0, 9.0], [1, 1])  # outside (0, 2)
         est = local_homogenization(handle, s)
         assert est.estimate == pytest.approx(power_mean(s, 1), abs=1e-3)
@@ -643,7 +653,7 @@ class TestLocalHomogenization:
 
     def test_convex_handle_ratio_nondecreasing_and_dominated(self):
         rng = random.Random(29)
-        handle = quasiarithmetic_handle(exp_generator().restricted(POS))
+        handle = quasiarithmetic_handle(dataclasses.replace(exp_generator(), domain=POS))
         for _ in range(15):
             n = rng.randint(1, 4)
             s = _pos_sample(
@@ -659,7 +669,7 @@ class TestLocalHomogenization:
     def test_ordering_chain_envelopes_vs_local(self):
         dom = open_interval(0, 2)
         rng = random.Random(31)
-        for gen in (exp_generator().restricted(dom), cosh_generator().restricted(dom)):
+        for gen in (dataclasses.replace(g(), domain=dom) for g in (exp_generator, cosh_generator)):
             handle = quasiarithmetic_handle(gen)
             for _ in range(10):
                 n = rng.randint(1, 4)
@@ -748,7 +758,7 @@ class TestProfileTable:
     @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
     def test_matches_closed_form(self, kernel, p, mode):
         # The node table is the oracle of the generator's declared order.
-        q = kernel.structure.f.local_order
+        q = kernel.structure.f.order_ends[0]
         assert q == p
         h = homogenization_profile(numeric_profile_kernel(kernel), mode)
         rng = random.Random(41)
@@ -794,12 +804,13 @@ class TestProfileTable:
             assert abs(h(r) - closed) <= 1e-5 * max(1.0, abs(closed)), k
 
     def test_estimate_raises_exactly_when_a_needed_node_fails(self):
-        # The expression spelling evaluates cosh(x) - cosh(y) as written, so
-        # past r ~ 7 the tail spread exceeds the absolute tolerance: the node
-        # at 2^(46/16) ~ 7.336 does not converge, while nodes 42-45 do.  A
-        # query between nodes k and k+1 needs nodes k-1 to k+2; a query at a
-        # node needs only that node.
-        kernel = resolve_kernel("expr:cosh(x)-cosh(y)")
+        # x occurs twice in this spelling of cosh(x) - cosh(y), so it
+        # declares nothing and is evaluated as written: past r ~ 7 the tail
+        # spread exceeds the absolute tolerance, and the node at 2^(46/16) ~
+        # 7.336 does not converge, while nodes 42-45 do.  A query between
+        # nodes k and k+1 needs nodes k-1 to k+2; a query at a node needs
+        # only that node.
+        kernel = resolve_kernel(COSH_TABLE)
         h = homogenization_profile(kernel)
         bad = 2.0 ** (46 / 16)
         with pytest.raises(NotConverged, match=f"r={bad}"):
@@ -878,6 +889,16 @@ class TestProfileTable:
         assert len(scans) == len(table)
 
 
+#: (suite, chain spelling, catalog twin): difference kernels whose
+#: generators declare the same order ends.
+TWINS = [
+    ("cei", "expr:sqrt(x)-sqrt(y)", "power:0.5"),
+    ("tei", "expr:cosh(x)-cosh(y)", "diff_gen:cosh"),
+    ("cei", "expr:x^2-y^2", "power:2"),
+    ("cei", "expr:log(x)-log(y)", "log"),
+]
+
+
 class TestClosedFormProfile:
     @pytest.mark.parametrize("mode", PROFILE_MODES)
     @pytest.mark.parametrize("kernel,p", CLOSED_PROFILES, ids=lambda v: getattr(v, "name", v))
@@ -919,8 +940,11 @@ class TestClosedFormProfile:
     @pytest.mark.parametrize(
         "kernel",
         [
-            resolve_kernel("expr:cosh(x)-cosh(y)"),
-            difference_kernel(shifted_power_generator(2, 1).restricted(POS)),
+            resolve_kernel(COSH_TABLE),
+            # Declared (1, 2) and so a closed form on (0, inf), without it.
+            numeric_profile_kernel(
+                difference_kernel(dataclasses.replace(shifted_power_generator(2, 1), domain=POS))
+            ),
             difference_kernel(
                 ScalarFunction("square", lambda x: x * x, POS, lambda x: 2 * x, lambda x: 2.0)
             ),
@@ -951,6 +975,23 @@ class TestClosedFormProfile:
         wrapped = functools.wraps(h)(lambda r: h(r))
         assert ratio_kernel_from_profile("h", wrapped).structure.order == 2.0
         assert ratio_kernel_from_profile("h", lambda r: h(r**1.05)).structure.order is None
+
+    @pytest.mark.parametrize("suite, chain, catalog", TWINS, ids=[chain for _, chain, _ in TWINS])
+    def test_chain_spellings_have_the_profile_and_report_of_their_twins(self, suite, chain, catalog):
+        # The node table of expr:cosh(x)-cosh(y) did not converge at r =
+        # 2^(85/16) ~ 39.7; its chain now declares the ends of cosh.
+        ratios = [2.0 ** (k / 16) for k in range(-96, 97)]  # 1/64 to 64
+        for mode in PROFILE_MODES:
+            h, twin = (homogenization_profile(resolve_kernel(spec), mode) for spec in (chain, catalog))
+            assert [h(r) for r in ratios] == [twin(r) for r in ratios]
+        reports = []
+        for spec in (chain, catalog):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", f"--suite={suite}", f"--kernel={spec}", "--samples=20", "--format=structured"])
+            reports.append((code, out.getvalue()))
+        # Exit codes too: cei fails on the convex profile of x^2, twice.
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "kernel", [difference_kernel(cosh_generator()), numeric_profile_kernel(difference_kernel(cosh_generator()))],

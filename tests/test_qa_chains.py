@@ -19,7 +19,7 @@ from decimal import Decimal
 import oracle
 import pytest
 
-from meankit import make_weighted_sample, quasiarithmetic_mean, scalar_from_expression
+from meankit import arithmetic_kernel, make_weighted_sample, quasiarithmetic_mean, scalar_from_expression
 from meankit.classic_means import CONDITION_LIMIT, INVERSE_REL_TOL
 from meankit.cli import main, resolve_generator
 from meankit.domain import all_reals, open_interval, positive_reals
@@ -383,30 +383,33 @@ def test_chain_envelope_costs_what_its_catalog_twin_costs(catalog, chain):
     ],
 )
 def test_power_type_chains_declare_their_order(text, order):
-    assert scalar_from_expression(text, positive_reals()).power_order == order
+    assert scalar_from_expression(text, positive_reals()).order_ends == (order, order)
 
 
 @pytest.mark.parametrize(
-    "text, domain",
+    "text, ends",
     [
-        ("(x+1)^2", positive_reals()),  # an affine step before the power
-        ("x^2*0+1", positive_reals()),  # * 0 is not affine
-        ("exp(x)", positive_reals()),
-        ("cosh(x)", positive_reals()),
-        ("2^x", positive_reals()),
-        ("x^3+x", positive_reals()),  # x occurs twice: no chain
-        ("x*x", positive_reals()),
-        ("x^2", open_interval(-2.0, 2.0)),  # a domain reaching below 0
+        ("(x+1)^2", None),  # an affine step before the power
+        ("x^2*0+1", None),  # * 0 is not affine
+        ("exp(x)", (1.0, math.inf)),
+        ("cosh(x)", (2.0, math.inf)),
+        ("2^x", (1.0, math.inf)),
+        ("x^3+x", None),  # x occurs twice: no chain
+        ("x*x", None),
     ],
 )
-def test_other_generators_declare_no_order(text, domain):
-    assert scalar_from_expression(text, domain).power_order is None
+def test_other_generators_declare_their_shape(text, ends):
+    assert scalar_from_expression(text, positive_reals()).order_ends == ends
 
 
-def test_order_is_dropped_on_a_domain_below_zero():
-    gen = scalar_from_expression("x^2", positive_reals())
-    assert gen.restricted(open_interval(0.0, 5.0)).power_order == 2.0
-    assert gen.restricted(open_interval(-2.0, 2.0)).power_order is None
+@pytest.mark.parametrize("text", ["x^2", "exp(x)", "cosh(x)", "sqrt(x)"])
+def test_the_declaration_is_the_same_on_every_domain(text):
+    # It describes the generator on (0, inf), which every consumer keeps to.
+    ends = scalar_from_expression(text, positive_reals()).order_ends
+    for domain in (open_interval(0.0, 5.0), open_interval(-2.0, 2.0), all_reals()):
+        assert scalar_from_expression(text, domain).order_ends == ends
+        gen = dataclasses.replace(resolve_generator(f"expr:{text}"), domain=domain)
+        assert gen.order_ends == ends
 
 
 #: Power-like first steps of a chain and the order q each gives.
@@ -439,7 +442,7 @@ def test_declared_chains_have_the_power_mean_of_their_order(seed):
     for _ in range(100):
         text, q = _random_power_chain(rng)
         gen = scalar_from_expression(text, positive_reals())
-        assert gen.power_order == q, text
+        assert gen.order_ends == (q, q), text
         n = rng.randint(2, 6)
         entries = [rng.uniform(0.05, 8.0) for _ in range(n)]
         weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
@@ -448,3 +451,98 @@ def test_declared_chains_have_the_power_mean_of_their_order(seed):
         bound = 1e-12 * max(abs(lo), abs(hi)) + CONDITION_LIMIT * abs(mean)
         reference = oracle.power_mean(entries, weights, q)
         assert abs(mean - reference) <= bound, (text, entries, weights, mean, reference)
+
+
+def test_a_refused_certificate_evaluates_each_entry_once():
+    # x + 1e10 - 1e10 inverts with kappa ~ 1e10, so the closed form is
+    # refused after the entries; the bisection reuses their values and
+    # average: 3 entries, the 64-point probe and 39 halvings of [1, 2]
+    # down to 2e-12.
+    gen = scalar_from_expression("(x+1e10)-1e10", positive_reals())
+    calls = []
+    counted = dataclasses.replace(gen, fn=lambda x: calls.append(x) or gen.fn(x))
+    sample = make_weighted_sample([1.0, 2.0, 1.5], [1.0, 1.0, 1.0], positive_reals())
+    mean = quasiarithmetic_mean(sample, counted)
+    assert calls[:3] == [1.0, 2.0, 1.5]
+    assert len(calls) <= 106
+    assert mean == quasiarithmetic_mean(sample, dataclasses.replace(gen, hull_inverse=None))
+
+
+#: Each row of the declaration table: a generator spec and its order ends
+#: (p(0+), p(inf)), p(u) = u f''(u)/f'(u) + 1 on the part of the catalog
+#: domain inside (0, inf).
+DECLARATIONS = [
+    ("power:-1", (-1.0, -1.0)),
+    ("power:0.5", (0.5, 0.5)),
+    ("power:3", (3.0, 3.0)),
+    ("log", (0.0, 0.0)),
+    ("exp", (1.0, math.inf)),
+    ("cosh", (2.0, math.inf)),
+    ("shifted_power:2,0", (2.0, 2.0)),
+    ("shifted_power:1,2", (1.0, 1.0)),
+    ("shifted_power:1,-1", (1.0, 1.0)),
+    ("shifted_power:0.5,1", (1.0, 0.5)),
+    ("shifted_power:3,0.5", (1.0, 3.0)),
+    ("shifted_power:0,1", (1.0, 0.0)),
+    ("shifted_power:2,-1", (math.inf, 2.0)),
+    ("shifted_power:0.5,-1", (-math.inf, 0.5)),
+    ("shifted_power:0,-1", (-math.inf, 0.0)),
+    ("identity", (1.0, 1.0)),
+    ("expr:2*x+1", (1.0, 1.0)),
+    ("expr:-x/3", (1.0, 1.0)),
+    ("expr:3*x^2+1", (2.0, 2.0)),
+    ("expr:x^-0.5", (-0.5, -0.5)),
+    ("expr:1/x", (-1.0, -1.0)),
+    ("expr:sqrt(x)-4", (0.5, 0.5)),
+    ("expr:2-log(x)", (0.0, 0.0)),
+    ("expr:exp(2*x)+1", (1.0, math.inf)),
+    ("expr:3*exp(-x)", (1.0, -math.inf)),
+    ("expr:exp(1-x/2)", (1.0, -math.inf)),
+    ("expr:2^x", (1.0, math.inf)),
+    ("expr:0.5^x", (1.0, -math.inf)),
+    ("expr:0.5^(-x)", (1.0, math.inf)),
+    ("expr:5*cosh(3*x)", (2.0, math.inf)),
+    ("expr:-cosh(x/2)", (2.0, math.inf)),
+    ("expr:sinh(x)-1", (1.0, math.inf)),
+    ("expr:2*sinh(-x)", (1.0, math.inf)),
+]
+
+
+def _order_operator(gen, u: float) -> float:
+    """p(u) = u f''(u)/f'(u) + 1: from the catalog's analytic derivatives,
+    or from central differences with the step 0.03 u: long enough that
+    rounding does not reverse p's direction where f is flat near 0, and it
+    leaves p of x^q independent of u."""
+    if gen.deriv1 is not None:
+        return u * gen.deriv2(u) / gen.deriv1(u) + 1.0
+    h = 0.03 * u
+    low, mid, high = gen.fn(u - h), gen.fn(u), gen.fn(u + h)
+    return u * ((high - 2.0 * mid + low) / (h * h)) / ((high - low) / (2.0 * h)) + 1.0
+
+
+def _reaches(value: float, end: float, tol: float) -> bool:
+    """Whether ``value`` is within ``tol`` of a finite end, or past 10 on
+    the side of an infinite one."""
+    return abs(value - end) <= tol if math.isfinite(end) else value * math.copysign(1.0, end) > 10.0
+
+
+@pytest.mark.parametrize("spec, ends", DECLARATIONS, ids=[spec for spec, _ in DECLARATIONS])
+def test_declared_ends_bound_the_order_operator(spec, ends):
+    # On u from 1e-3 (past the lower end of the domain, for c < 0) to 50: p
+    # is monotone, starts within 1e-2 of the first end and ends within 0.1
+    # of the second, or past 10 on the side of an infinite end.
+    gen = arithmetic_kernel().structure.f if spec == "identity" else resolve_generator(spec)
+    assert gen.order_ends == ends
+    start = max(gen.domain.lo, 0.0) + 1e-3
+    us = [start * (50.0 / start) ** (k / 199) for k in range(200)]
+    ps = [_order_operator(gen, u) for u in us]
+    rises = all(b >= a - 1e-6 * (1.0 + abs(a)) for a, b in zip(ps, ps[1:]))
+    falls = all(b <= a + 1e-6 * (1.0 + abs(a)) for a, b in zip(ps, ps[1:]))
+    assert rises or falls, ps
+    assert _reaches(ps[0], ends[0], 1e-2), ps[0]
+    assert _reaches(ps[-1], ends[1], 0.1), ps[-1]
+
+
+def test_infinite_powers_declare_nothing():
+    assert resolve_generator("power:inf").order_ends is None
+    assert resolve_generator("power:-inf").order_ends is None

@@ -45,7 +45,7 @@ from meankit.homogenize import homogenization_profile, ratio_kernel_from_profile
 from meankit.verify import minkowski_preset
 
 import oracle
-from conftest import numeric_profile_kernel
+from conftest import COSH_TABLE, numeric_profile_kernel
 from test_qa_chains import _random_chain
 
 POS = positive_reals()
@@ -559,7 +559,7 @@ def test_expression_difference_sum_fails_like_the_generic_sum(a, entries, y):
 
 def _profile_kernel(spec: str, mode: str, *, numeric: bool = False) -> Kernel2:
     """The ratio kernel of the spec's scale profile; ``numeric`` drops the
-    generator's local order, so that the profile is the node table."""
+    generator's order ends, so that the profile is the node table."""
     kernel = resolve_kernel(spec)
     if numeric:
         kernel = numeric_profile_kernel(kernel)
@@ -670,12 +670,13 @@ def test_ratio_sum_equals_generic_bit_for_bit(make):
 
 
 def test_raising_ratio_gives_the_generic_error():
-    # The expression spelling's "estimate" profile raises NotConverged at the
-    # node 2^(46/16) ~ 7.34 (tests/test_homogenize.py); 1e300 / 1e-10
+    # The +0*x spelling of cosh(x) - cosh(y) declares nothing, and its
+    # "estimate" profile raises NotConverged at the node 2^(46/16) ~ 7.34
+    # (tests/test_homogenize.py); 1e300 / 1e-10
     # overflows to inf, which no profile accepts; y = 0 divides by zero; log
     # rejects a negative ratio.
     bad = 2.0 ** (46 / 16)
-    cosh_expr = _profile_kernel("expr:cosh(x)-cosh(y)", "estimate")
+    cosh_expr = _profile_kernel(COSH_TABLE, "estimate")
     cosh_lower = _profile_kernel("diff_gen:cosh", "lower")
     cases = [
         (cosh_expr, [1.0, bad, 2.0 * bad], 1.0, f"({bad}, 1.0)"),
