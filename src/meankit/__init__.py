@@ -18,17 +18,13 @@ from .expr import (
     ScalarFunction,
     Sign,
     arithmetic_kernel,
-    cosh_generator,
+    catalog_generator,
     difference_kernel,
     evaluate,
-    exp_generator,
     kernel_from_expression,
-    log_generator,
     parse,
-    power_generator,
     ratio_kernel,
     scalar_from_expression,
-    shifted_power_generator,
     sign_kernel,
     to_source,
 )

@@ -2,18 +2,18 @@
 
 A quasiarithmetic mean is f^-1 of the weighted average of the f(x_i), and
 ``closed_form_mean`` is its one closed form, which the means of difference
-kernels share.  For a generator with a ``hull_inverse`` it evaluates f at
-the entries first, and a failure there ends the mean: an error f raises,
-equal values at the hull ends (GeneratorNotMonotone) or an average that is
-not finite (NonFinite).  It then inverts the average wherever the
-``hull_inverse`` certifies f strictly monotone on the sample hull (the
-catalog inverses inside their catalog domain, and ``expr:`` chains, in
-which x occurs once) and, for a chain, the inversion is well conditioned.
-For any other generator, and wherever the certificate is refused, the
-inverse is computed by bracketed bisection on the hull, which the
-mean-value property guarantees to contain the result, after a grid probe of
-the generator's direction; no derivative of the generator is needed.
-``local_power_order`` reads a declared constant order without derivatives.
+kernels share.  For a generator with a ``chain`` it evaluates the chain's
+core g, fn = a g + b with a != 0, whose mean is the same (Daroczy, Publ.
+Math. Debrecen 19, 1972), at the entries first, and a failure there ends
+the mean: an error g raises, equal values at the hull ends
+(GeneratorNotMonotone) or an average that is not finite (NonFinite).  It
+then inverts the average wherever every step of the core is strictly
+monotone on the sample hull and the inversion is well conditioned.  For
+any other generator, and wherever the closed form is refused, the inverse
+is computed by bracketed bisection on the hull, which the mean-value
+property guarantees to contain the result, after a grid probe of the
+direction; no derivative of the generator is needed.  ``local_power_order``
+reads a declared constant order without derivatives.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     SolverFailure,
     VanishingFirstDerivative,
 )
-from .expr import HullInverse, ScalarFunction
+from .expr import ScalarFunction
 from .limits import LIMIT_TOL, LimitEstimate, limit_at_zero, start_scale
 
 #: First-derivative magnitude below which the order operator refuses to divide.
@@ -50,10 +50,13 @@ MAX_BISECT = 200
 MONOTONE_PROBE_POINTS = 64
 
 #: Largest eps * kappa, kappa the condition number of inverting a chain
-#: generator at its mean (``HullInverse.condition``), at which the chain's
+#: generator's core at its mean (``Chain.mean``), at which the chain's
 #: closed form is taken; the error it admits is about this relative to the
 #: mean.  Above it the mean is bisected.
 CONDITION_LIMIT = 1e-8
+
+# The same limit on kappa itself (eps is a power of 2, so the quotient is exact).
+_KAPPA_LIMIT = CONDITION_LIMIT / sys.float_info.epsilon
 
 
 def bisect(a: float, b: float, below: Callable[[float], bool], tol: float) -> float:
@@ -78,17 +81,19 @@ def bisect(a: float, b: float, below: Callable[[float], bool], tol: float) -> fl
 def _entry_average(
     generator: ScalarFunction, sample: WeightedSample, lo: float, hi: float
 ) -> tuple[float, float, float]:
-    """f(lo), f(hi) and the weighted average of f over the entries of
-    ``sample``, whose hull is [lo, hi], from one evaluation of f per entry.
+    """g(lo), g(hi) and the weighted average of g over the entries of
+    ``sample``, whose hull is [lo, hi], from one evaluation per entry of the
+    generator's core g: its chain's core, or fn, whose qa mean it has.
 
-    What fails there raises: an error of ``fn``, GeneratorNotMonotone on
-    f(lo) == f(hi) (x^2 underflowing locates no mean), and NonFinite on an
+    What fails there raises: an error of g, GeneratorNotMonotone on
+    g(lo) == g(hi) (x^2 underflowing locates no mean), and NonFinite on an
     average that is not finite (``fsum`` overflowing or meeting inf - inf),
     which is never clamped, since an overflowed average says nothing about
     where the mean lies.
     """
     entries = sample.entries
-    values = [generator.fn(x) for x in entries]
+    chain = generator.chain
+    values = list(map(generator.fn if chain is None or chain.fn is None else chain.fn, entries))
     f_lo, f_hi = values[entries.index(lo)], values[entries.index(hi)]
     if f_lo == f_hi:
         raise GeneratorNotMonotone(f"{generator.name} is not strictly monotone on [{lo}, {hi}]")
@@ -106,27 +111,23 @@ def closed_form_mean(
 ) -> tuple[float, bool] | None:
     """The quasiarithmetic mean of ``generator`` on ``sample``, whose hull
     is ``lo < hi``, in closed form, and whether the generator increases
-    there; None where it has no ``hull_inverse``, its certificate is
-    refused or raises ArithmeticError or ValueError, or a ``HullInverse``
-    has eps * kappa > CONDITION_LIMIT at the mean.
+    there; None where it has no ``chain``, a step of its core is not
+    monotone on the hull or raises ArithmeticError or ValueError, or
+    eps * kappa > CONDITION_LIMIT at the mean (``Chain.mean``).
 
-    The generator is evaluated at the entries first, unless ``average``
-    holds what ``_entry_average`` returned for them, and what fails there
-    raises.  The inverse of the average is clamped to the hull.
+    The core is evaluated at the entries first, unless ``average`` holds
+    what ``_entry_average`` returned for them, and what fails there raises.
+    The inverse of the average is clamped to the hull.
     """
-    if generator.hull_inverse is None:
+    chain = generator.chain
+    if chain is None:
         return None
     f_lo, f_hi, target = average or _entry_average(generator, sample, lo, hi)
     try:
-        inverse = generator.hull_inverse(lo, hi)
-        if inverse is None:
-            return None
-        mean = min(max(inverse(target), lo), hi)
-        if isinstance(inverse, HullInverse) and sys.float_info.epsilon * inverse.condition(mean) > CONDITION_LIMIT:
-            return None
+        mean = chain.mean(lo, hi, f_lo, f_hi, target, _KAPPA_LIMIT)
     except (ArithmeticError, ValueError):
         return None
-    return mean, f_lo < f_hi
+    return None if mean is None else (mean, (f_lo < f_hi) == chain.rising)
 
 
 def power_mean(sample: WeightedSample, exponent: float) -> float:
@@ -172,14 +173,14 @@ def power_mean(sample: WeightedSample, exponent: float) -> float:
     return result
 
 
-def _probe_monotone_direction(f: ScalarFunction, lo: float, hi: float) -> bool:
+def _probe_monotone_direction(f: Callable[[float], float], name: str, lo: float, hi: float) -> bool:
     """Heuristic strict-monotonicity admission on a uniform grid; returns
     True for increasing.  Raises GeneratorNotMonotone on a tie or reversal."""
     step = (hi - lo) / (MONOTONE_PROBE_POINTS - 1)
-    values = [f.fn(lo + j * step) for j in range(MONOTONE_PROBE_POINTS)]
+    values = [f(lo + j * step) for j in range(MONOTONE_PROBE_POINTS)]
     increasing = all(map(operator.lt, values, values[1:]))
     if not (increasing or all(map(operator.gt, values, values[1:]))):
-        raise GeneratorNotMonotone(f"{f.name} is not strictly monotone on [{lo}, {hi}]")
+        raise GeneratorNotMonotone(f"{name} is not strictly monotone on [{lo}, {hi}]")
     return increasing
 
 
@@ -189,20 +190,23 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
     In closed form wherever ``closed_form_mean`` gives it, or raises;
     otherwise bisected on the hull after a MONOTONE_PROBE_POINTS-point probe
     of the direction, which raises GeneratorNotMonotone on a tie or
-    reversal.  f is evaluated once per entry: the bisection reuses the
-    values the closed form computed, and a generator without a
-    ``hull_inverse`` is probed before its entries are evaluated.
+    reversal.  Both evaluate the generator's core (``_entry_average``) once
+    per entry: the bisection reuses the values the closed form
+    computed, and a generator without a ``chain`` is probed before its
+    entries are evaluated.
     """
     lo, hi = sample.hull()
     if lo == hi:
         return lo
     average = None
-    if generator.hull_inverse is not None:
+    if generator.chain is not None:
         average = _entry_average(generator, sample, lo, hi)
         closed = closed_form_mean(generator, sample, lo, hi, average)
         if closed is not None:
             return closed[0]
-    increasing = _probe_monotone_direction(generator, lo, hi)
+    chain = generator.chain
+    core = generator.fn if chain is None or chain.fn is None else chain.fn
+    increasing = _probe_monotone_direction(core, generator.name, lo, hi)
     f_lo, f_hi, target = average or _entry_average(generator, sample, lo, hi)
     low_val, high_val = (f_lo, f_hi) if increasing else (f_hi, f_lo)
     slack = 1e-9 * (1.0 + abs(low_val) + abs(high_val))
@@ -218,7 +222,7 @@ def quasiarithmetic_mean(sample: WeightedSample, generator: ScalarFunction) -> f
     # samples keep a constant relative accuracy, so t -> 0 limits of the mean
     # are not polluted by solver error growing like tol / t.
     tol = INVERSE_REL_TOL * max(abs(lo), abs(hi))
-    return bisect(lo, hi, lambda y: (generator.fn(y) < target) == increasing, tol)
+    return bisect(lo, hi, lambda y: (core(y) < target) == increasing, tol)
 
 
 def local_power_order(generator: ScalarFunction, x: float) -> float:

@@ -37,15 +37,11 @@ from .errors import MeanKitError
 from .expr import (
     Kernel2,
     ScalarFunction,
-    cosh_generator,
+    catalog_generator,
     difference_kernel,
-    exp_generator,
     kernel_from_expression,
-    log_generator,
-    power_generator,
     ratio_kernel,
     scalar_from_expression,
-    shifted_power_generator,
     sign_kernel,
 )
 from .homogenize import (
@@ -227,27 +223,20 @@ def _config_texts(path: str, command: _Parser) -> dict[argparse.Action, str]:
 def resolve_generator(spec: str, domain: IntervalDomain | None = None) -> ScalarFunction:
     """Generator spec: power:P | log | exp | cosh | shifted_power:Q,C | expr:TEXT.
 
-    An explicit ``domain`` restricts the catalog default.
+    Every spec is a chain (``catalog_generator``).  An explicit ``domain``
+    restricts the catalog default.
     """
     if spec.startswith("expr:"):
         return scalar_from_expression(spec[5:], domain or positive_reals())
     name, _, params = spec.partition(":")
-    generator = None
-    if name == "power":
-        generator = power_generator(_parse_float(params, "power exponent"))
-    elif name == "log":
-        generator = log_generator()
-    elif name == "exp":
-        generator = exp_generator()
-    elif name == "cosh":
-        generator = cosh_generator()
-    elif name == "shifted_power":
+    if name not in ("power", "log", "exp", "cosh", "shifted_power"):
+        raise UsageError(f"unknown generator {spec!r} (see 'meankit catalog')")
+    values = [_parse_float(params, "power exponent")] if name == "power" else []
+    if name == "shifted_power":
         values = _parse_vector(params, "shifted_power parameters")
         if len(values) != 2:
             raise UsageError("shifted_power takes two parameters: q,c")
-        generator = shifted_power_generator(values[0], values[1])
-    if generator is None:
-        raise UsageError(f"unknown generator {spec!r} (see 'meankit catalog')")
+    generator = catalog_generator(name, *values)
     return replace(generator, domain=domain) if domain is not None else generator
 
 
@@ -499,7 +488,7 @@ def catalog() -> None:
         ("generator", "exp", "exp x on (-inf, inf)", "analytic f', f''"),
         ("generator", "cosh", "cosh x on (0, inf)", "analytic f', f''"),
         ("generator", "shifted_power:Q,C", "(x+C)^Q on (-C, inf)", "analytic f', f''"),
-        ("generator", "expr:TEXT", "expression in x", "numeric fallback"),
+        ("generator", "expr:TEXT", "expression in x", "analytic f', f'' with x once, else numeric"),
         ("kernel", "sign_dev", "sign(x - y): weighted medians", "none (not normalizable)"),
         ("kernel", "diff_gen:GEN", "GEN(x) - GEN(y)", "analytic dK/dy when GEN has f', numeric dK/dx"),
         ("kernel", "ratio_dev:GEN", "GEN(x / y) on (0, inf)^2", "analytic dK/dy when GEN has f', numeric dK/dx"),
@@ -574,8 +563,8 @@ def _build_parser() -> tuple[_Parser, set[str]]:
         "--grid", parse=_number(int, 2), default=DEFAULT_CONFIG.grid_size, show_default=True,
         help="Sign-scan grid size of --kind semidev; no effect on kernels solved in "
         "closed form: the difference of a generator increasing on the hull whose "
-        "inverse is certified there (diff_gen inside its catalog domain, and "
-        "expr:A(x)-A(y) with x once in A) and whose weighted average is finite, "
+        "inverse is certified there (diff_gen on a hull where each step of its "
+        "chain is monotone, and expr:A(x)-A(y) with x once in A) and whose weighted average is finite, "
         "ratio_dev:log, and sign_dev and expr:sign(x-y), whose means are "
         "the exact weighted medians.  --kind power, qa and deviation ignore it "
         "(deviation bisects the whole hull of any other kernel and reads only --refine-tol).",

@@ -22,19 +22,17 @@ variables other than the handle's own are rejected then.  A generator's
 variable is x, a kernel's x and y, and the handle's default name is its text;
 its derivatives come from central differences (``numeric_derivative``).
 When x occurs once in a generator's text, the same parse also unwinds the
-AST from the root into a chain of invertible steps, which gives the handle
-its ``hull_inverse``: an inverse certified, hull by hull, by carrying the
-hull's ends through the steps; a chain of a shape ``_order_ends``
-accepts (a x^q + b, a log x + b, or one through exp, b^u, cosh or sinh)
-also gives its ``order_ends``, the ends of its monotone order operator.  A
-kernel's parse shows its structure: text
+AST into a ``Chain`` of invertible steps, which gives the handle its
+derivatives, the inverse of its core, and for the shapes ``_order_ends``
+accepts its ``order_ends``.  Every catalog generator is such a chain
+(``catalog_generator``).  A kernel's parse shows its structure: text
 A - B, where A has only x free and B is A with x renamed to y, declares
-``Difference`` of A as a generator (with its ``hull_inverse`` when x occurs
-once in A), and sign(x - y) declares ``Sign``.  Compiled functions, chains
-and structures are memoized by text and variables.  ``evaluate`` compiles
-its AST afresh on each call and raises ``UnboundVariable`` only when
-evaluation reaches a name missing from its bindings.  Text nested deeper than ``MAX_DEPTH``, and an AST
-handed to ``evaluate`` taller than it, raise ``ExprSyntaxError``.
+``Difference`` of A as a generator, and sign(x - y) declares ``Sign``.
+Compiled functions, chains and structures are memoized by text (or AST)
+and variables.  ``evaluate`` compiles its AST afresh on each call and raises
+``UnboundVariable`` only when evaluation reaches a name missing from its
+bindings.  Text nested deeper than ``MAX_DEPTH``, and an AST handed to
+``evaluate`` taller than it, raise ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
@@ -354,40 +352,34 @@ def to_source(node: ExprAst) -> str:
 # character of the expression text reaches it.
 
 
-def _log(v: float) -> float:
-    if v <= 0.0:
-        raise DomainError(f"log of nonpositive value {v}")
-    return math.log(v)
-
-
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise DomainError(f"sqrt of negative value {v}")
-    return math.sqrt(v)
-
-
 def _sign(v: float) -> float:
     if v != v:
         raise NonFinite(f"NaN operand in sign({v})")
     return float(sign(v))
 
 
-# Unary functions; an OverflowError from any of them becomes NonFinite.
+# Unary functions; an OverflowError from any of them becomes NonFinite, and
+# log and sqrt refuse arguments outside their domain first (``_GUARDS``).
 _UNARY: dict[str, Callable[[float], float]] = {
     "exp": math.exp,
-    "log": _log,
+    "log": math.log,
     "cosh": math.cosh,
     "sinh": math.sinh,
-    "sqrt": _sqrt,
+    "sqrt": math.sqrt,
     "abs": abs,
     "sign": _sign,
 }
+
+#: Arity of every function the emitter compiles: the language's, and cosh1.
+_ARITY = {**FUNCTION_ARITY, "cosh1": 1}
 
 # The global namespace of every generated function, besides its literals.
 _HELPERS = {
     **_UNARY,
     "power": math.pow,
     "isfinite": math.isfinite,
+    "inf": math.inf,
+    "zero": 0.0,
     "NonFinite": NonFinite,
     "DomainError": DomainError,
     "UnboundVariable": UnboundVariable,
@@ -403,6 +395,27 @@ _UNARY_CALL = Template("""\
         $v = $func($a)
     except OverflowError as exc:
         raise NonFinite(f"$func({$a}) overflowed") from exc
+""")
+
+#: Function -> (comparison with 0 that puts its argument outside its domain,
+#: DomainError message).
+_GUARDS = {"log": ("<=", "log of nonpositive value"), "sqrt": ("<", "sqrt of negative value")}
+
+_GUARDED_CALL = Template("""\
+    if $a $outside zero:
+        raise DomainError(f"$message {$a}")
+    $v = $func($a)
+""")
+
+# cosh1(a) = cosh(a) - 1 = 2 sinh(a/2)^2, whose doubling can overflow to inf
+# without raising where sinh and the square still fit.
+_COSH1_CALL = Template("""\
+    try:
+        $v = 2.0 * sinh(0.5 * $a) ** 2
+    except OverflowError as exc:
+        raise NonFinite(f"cosh({$a}) overflowed") from exc
+    if $v == inf:
+        raise NonFinite(f"cosh({$a}) overflowed")
 """)
 
 # min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a.
@@ -428,9 +441,12 @@ _DIVISION = Template("""\
         raise NonFinite(f"overflow in {$a} / {$b}") from exc
 """)
 
-_POWER = Template("""\
-    if $a != $a or $b != $b:
+_NAN_POWER = Template("""\
+    if $test:
         raise NonFinite(f"NaN operand in {$a} ^ {$b}")
+""")
+
+_POWER = Template("""\
     try:
         $v = power($a, $b)
     except OverflowError as exc:
@@ -489,12 +505,17 @@ class _Emitter:
         if isinstance(node, Neg):
             return self.emit(_NEG, a=self.node(node.operand))
         if isinstance(node, Call):
-            arity = FUNCTION_ARITY.get(node.func)
+            arity = _ARITY.get(node.func)
             if arity is None:
                 raise UnknownFunction(f"unknown function {node.func!r}")
             if len(node.args) != arity:
                 raise ExprSyntaxError(f"{node.func} takes {arity} argument(s), got {len(node.args)}", 0)
             args = [self.node(a) for a in node.args]
+            if node.func == "cosh1":
+                return self.emit(_COSH1_CALL, a=args[0])
+            if node.func in _GUARDS:
+                outside, message = _GUARDS[node.func]
+                return self.emit(_GUARDED_CALL, func=node.func, outside=outside, message=message, a=args[0])
             if arity == 1:
                 return self.emit(_UNARY_CALL, func=node.func, a=args[0])
             compare = "<" if node.func == "min" else ">"
@@ -505,6 +526,11 @@ class _Emitter:
             return self.emit(_DIVISION, a=left, b=right)
         if node.op in ("+", "-", "*"):
             return self.emit(_ARITHMETIC, op=node.op, a=left, b=right)
+        # Only temporaries and NaN literals can be NaN.
+        values = [self.namespace.get(name, math.nan) for name in (left, right)]
+        test = " or ".join(f"{name} != {name}" for name, x in zip((left, right), values) if x != x)
+        if test:
+            self.lines.append(_NAN_POWER.substitute(test=test, a=left, b=right))
         return self.emit(_POWER, a=left, b=right)
 
 
@@ -531,6 +557,9 @@ def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
     AST taller than MAX_DEPTH with ``ExprSyntaxError`` (offset 0)."""
     level = [node]
     for _ in range(MAX_DEPTH):  # descends without recursion
+        for n in level:
+            if isinstance(n, Call) and n.func not in FUNCTION_ARITY:
+                raise UnknownFunction(f"unknown function {n.func!r}")
         level = [child for n in level for child in _children(n)]
     if level:
         raise _too_deep(0)
@@ -583,14 +612,19 @@ def numeric_derivative(
 # holds x.  Every subtree off that path has no variable and is folded once
 # into the constant c of its step.  Each step computes what the compiled
 # function computes for its node (u - c as u + (-c), which IEEE arithmetic
-# rounds alike), and has an inverse, a derivative and a condition under
-# which it is strictly monotone on an interval [a, b].
+# rounds alike), and has an inverse, two derivatives and a condition under
+# which it is strictly monotone on an interval [a, b].  cosh(u) is read as
+# cosh1(u) + 1, cosh1(u) = cosh(u) - 1 = 2 sinh(u/2)^2, which keeps its
+# digits where cosh(u) rounds to 1 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 1).
 
 
 class _Step(NamedTuple):
     forward: Callable[[float, float], float]  # (u, c) -> s(u)
     inverse: Callable[[float, float, float], float]  # (v, c, a) -> u with s(u) = v, u >= a
     derivative: Callable[[float, float], float]  # (u, c) -> s'(u)
+    second: Callable[[float, float], float]  # (u, c) -> s''(u)
+    scaled: Callable[[float, float], float]  # (u, c) -> u s'(u), finite wherever s(u) is
     monotone: Callable[[float, float, float], bool]  # (a, b, c) -> strictly monotone on [a, b]
 
 
@@ -603,47 +637,44 @@ def _nonzero_constant(a: float, b: float, c: float) -> bool:
 
 
 _STEPS = {
-    "add": _Step(lambda u, c: u + c, lambda v, c, a: v - c, lambda u, c: 1.0, _always),
-    "rsub": _Step(lambda u, c: c - u, lambda v, c, a: c - v, lambda u, c: -1.0, _always),
-    "mul": _Step(lambda u, c: u * c, lambda v, c, a: v / c, lambda u, c: c, _nonzero_constant),
-    "div": _Step(lambda u, c: u / c, lambda v, c, a: v * c, lambda u, c: 1.0 / c, _nonzero_constant),
-    "rdiv": _Step(
-        lambda u, c: c / u,
-        lambda v, c, a: c / v,
-        lambda u, c: -c / (u * u),
-        lambda a, b, c: c != 0.0 and (a > 0.0 or b < 0.0),
-    ),
-    "pow": _Step(
-        math.pow,
-        lambda v, c, a: math.pow(v, 1.0 / c),
-        lambda u, c: c * math.pow(u, c - 1.0),
-        lambda a, b, c: a > 0.0 and c != 0.0,
-    ),
-    "rpow": _Step(
-        lambda u, c: math.pow(c, u),
-        lambda v, c, a: math.log(v) / math.log(c),
-        lambda u, c: math.log(c) * math.pow(c, u),
-        lambda a, b, c: c > 0.0 and c != 1.0,
-    ),
-    "neg": _Step(lambda u, c: -u, lambda v, c, a: -v, lambda u, c: -1.0, _always),
-    "exp": _Step(lambda u, c: math.exp(u), lambda v, c, a: math.log(v), lambda u, c: math.exp(u), _always),
-    "log": _Step(
-        lambda u, c: math.log(u), lambda v, c, a: math.exp(v), lambda u, c: 1.0 / u, lambda a, b, c: a > 0.0
-    ),
-    "sqrt": _Step(
-        lambda u, c: math.sqrt(u),
-        lambda v, c, a: v * v,
-        lambda u, c: 0.5 / math.sqrt(u),
-        lambda a, b, c: a >= 0.0,
-    ),
-    "sinh": _Step(lambda u, c: math.sinh(u), lambda v, c, a: math.asinh(v), lambda u, c: math.cosh(u), _always),
-    "cosh": _Step(
-        lambda u, c: math.cosh(u),
-        lambda v, c, a: math.acosh(v) if a >= 0.0 else -math.acosh(v),
-        lambda u, c: math.sinh(u),
-        lambda a, b, c: a >= 0.0 or b <= 0.0,
-    ),
+    "add": _Step(lambda u, c: u + c, lambda v, c, a: v - c, lambda u, c: 1.0, lambda u, c: 0.0, lambda u, c: u,
+                 _always),
+    "rsub": _Step(lambda u, c: c - u, lambda v, c, a: c - v, lambda u, c: -1.0, lambda u, c: 0.0, lambda u, c: -u,
+                  _always),
+    "mul": _Step(lambda u, c: u * c, lambda v, c, a: v / c, lambda u, c: c, lambda u, c: 0.0, lambda u, c: u * c,
+                 _nonzero_constant),
+    "div": _Step(lambda u, c: u / c, lambda v, c, a: v * c, lambda u, c: 1.0 / c, lambda u, c: 0.0,
+                 lambda u, c: u / c, _nonzero_constant),
+    "rdiv": _Step(lambda u, c: c / u, lambda v, c, a: c / v, lambda u, c: -c / (u * u),
+                  lambda u, c: 2.0 * c / (u * u * u), lambda u, c: -c / u,
+                  lambda a, b, c: c != 0.0 and (a > 0.0 or b < 0.0)),
+    "pow": _Step(math.pow, lambda v, c, a: math.pow(v, 1.0 / c), lambda u, c: c * math.pow(u, c - 1.0),
+                 lambda u, c: c * (c - 1.0) * math.pow(u, c - 2.0), lambda u, c: c * math.pow(u, c),
+                 lambda a, b, c: a > 0.0 and c != 0.0),
+    "rpow": _Step(lambda u, c: math.pow(c, u), lambda v, c, a: math.log(v) / math.log(c),
+                  lambda u, c: math.log(c) * math.pow(c, u), lambda u, c: math.log(c) ** 2 * math.pow(c, u),
+                  lambda u, c: u * math.log(c) * math.pow(c, u), lambda a, b, c: c > 0.0 and c != 1.0),
+    "neg": _Step(lambda u, c: -u, lambda v, c, a: -v, lambda u, c: -1.0, lambda u, c: 0.0, lambda u, c: -u, _always),
+    "exp": _Step(lambda u, c: math.exp(u), lambda v, c, a: math.log(v), lambda u, c: math.exp(u),
+                 lambda u, c: math.exp(u), lambda u, c: u * math.exp(u), _always),
+    "log": _Step(lambda u, c: math.log(u), lambda v, c, a: math.exp(v), lambda u, c: 1.0 / u,
+                 lambda u, c: -1.0 / (u * u), lambda u, c: 1.0, lambda a, b, c: a > 0.0),
+    "sqrt": _Step(lambda u, c: math.sqrt(u), lambda v, c, a: v * v, lambda u, c: 0.5 / math.sqrt(u),
+                  lambda u, c: -0.25 / (u * math.sqrt(u)), lambda u, c: 0.5 * math.sqrt(u),
+                  lambda a, b, c: a >= 0.0),
+    "sinh": _Step(lambda u, c: math.sinh(u), lambda v, c, a: math.asinh(v), lambda u, c: math.cosh(u),
+                  lambda u, c: math.sinh(u), lambda u, c: u * math.cosh(u), _always),
+    # The forward map as _COSH1_CALL computes it; the inverse takes the
+    # branch of the sign of a (-0.0 + 0.0 is 0.0).
+    "cosh1": _Step(lambda u, c: 2.0 * math.sinh(0.5 * u) ** 2,
+                   lambda v, c, a: math.copysign(2.0 * math.asinh(math.sqrt(0.5 * v)), a + 0.0),
+                   lambda u, c: math.sinh(u), lambda u, c: math.cosh(u), lambda u, c: u * math.sinh(u),
+                   lambda a, b, c: a >= 0.0 or b <= 0.0),
 }
+
+#: Step -> its binary node's operator, and whether the constant is on the left.
+_OPERATORS_OF = {"add": ("+", 0), "rsub": ("-", 1), "mul": ("*", 0), "div": ("/", 0), "rdiv": ("/", 1),
+                 "pow": ("^", 0), "rpow": ("^", 1)}
 
 #: (left operand holds x, right operand holds x) -> step kind, per operator.
 _BINARY_STEPS = {
@@ -668,39 +699,50 @@ def _affine(kind: str, c: float) -> bool:
     return kind in ("add", "rsub") or _scaling(kind, c)
 
 
+def _slope_sign(links: tuple[_Link, ...]) -> float:
+    """The sign of the constant slope of affine steps."""
+    return math.prod(math.copysign(1.0, _STEPS[kind].derivative(0.0, c)) for kind, c in links)
+
+
+def _power_order(kind: str, c: float) -> float | None:
+    """q of a power-like step, u -> a u^q + b (a log u + b at q = 0): ^ c
+    or c / u with c != 0, sqrt, log; None for any other step."""
+    if kind in ("pow", "rdiv") and c != 0.0:
+        return c if kind == "pow" else -1.0
+    return {"sqrt": 0.5, "log": 0.0}.get(kind)
+
+
 def _order_ends(links: tuple[_Link, ...]) -> tuple[float, float] | None:
     """(p(0+), p(inf)) of the order operator p(u) = u f''(u)/f'(u) + 1 of
-    the chain f, for the shapes that make p monotone on (0, inf); None for
-    any other chain.  Affine steps are + c, c - u, -u, * c and / c with
-    c != 0, which leave p unchanged:
+    the chain f, on the part of (0, inf) where f is defined, for the shapes
+    that make p monotone there; None for any other chain.  Affine steps (+ c,
+    c - u, -u, * c and / c with c != 0) leave p unchanged:
 
-    * at most one power-like first step (^ c or c / x with c != 0, sqrt,
-      log), then affine steps: a x^q + b (a log x + b at q = 0), p = q, so
-      (q, q); q = 1 without a power-like step;
-    * affine steps, then exp (or b^u with a constant b > 0, b != 1), then
-      affine steps: a e^(k x + d) + b, p = k u + 1, so (1, inf) for k > 0
-      and (1, -inf) for k < 0, k the inner slope times log b;
-    * scalings (* c, / c, -u), then cosh or sinh, then affine steps:
-      p = |k| u coth(|k| u) + 1 from 2, or |k| u tanh(|k| u) + 1 from 1,
-      to inf.
+    * affine steps alone: (1, 1); an optional + c, then a power-like step
+      (``_power_order``), then affine steps: a (x + c)^q + b, whose p(u) =
+      (q - 1) u/(u + c) + 1 runs to q from q at c = 0 or q = 1, 1 for
+      c > 0, and +-inf, the sign of q - 1, for c < 0 (where u > -c);
+    * affine steps, exp (or b^u, b > 0, b != 1), affine steps: a e^(k x +
+      d) + b, p = k u + 1: (1, +-inf), the sign of k;
+    * scalings, then cosh1 or sinh, then affine steps: p runs from 2 (cosh1)
+      or 1 (sinh) to inf.
     """
-    kind, c = links[0] if links else ("", 0.0)
-    if kind in ("sqrt", "log") or (kind in ("pow", "rdiv") and c != 0.0):
-        q = {"pow": c, "rdiv": -1.0, "sqrt": 0.5, "log": 0.0}[kind]
-        return (q, q) if all(_affine(*link) for link in links[1:]) else None
     i = next((i for i, link in enumerate(links) if not _affine(*link)), len(links))
     if i == len(links):
         return 1.0, 1.0
     if not all(_affine(*link) for link in links[i + 1 :]):
         return None
-    kind, c = links[i]
-    inner = links[:i]
+    (kind, c), inner = links[i], links[:i]
+    q = _power_order(kind, c)
+    if q is not None and (not inner or (len(inner) == 1 and inner[0][0] == "add")):
+        shift = inner[0][1] if inner else 0.0
+        if shift == 0.0 or q == 1.0:
+            return q, q
+        return (1.0 if shift > 0.0 else math.copysign(math.inf, q - 1.0)), q
     if kind == "exp" or (kind == "rpow" and c > 0.0 and c != 1.0):
-        # Affine steps have constant slopes; multiply their signs.
-        slope = math.prod(math.copysign(1.0, _STEPS[k].derivative(0.0, b)) for k, b in inner)
-        return 1.0, math.copysign(math.inf, slope * (math.log(c) if kind == "rpow" else 1.0))
-    if kind in ("cosh", "sinh") and all(_scaling(*link) for link in inner):
-        return (2.0 if kind == "cosh" else 1.0), math.inf
+        return 1.0, math.copysign(math.inf, _slope_sign(inner) * (math.log(c) if kind == "rpow" else 1.0))
+    if kind in ("cosh1", "sinh") and all(_scaling(*link) for link in inner):
+        return (2.0 if kind == "cosh1" else 1.0), math.inf
     return None
 
 
@@ -713,13 +755,16 @@ def _fold(node: ExprAst) -> float:
 def _chain(node: ExprAst, variable: str) -> tuple[_Link, ...] | None:
     """The steps, innermost first, of ``node`` as a chain in ``variable``;
     None unless the variable occurs once, only under the chain's steps, and
-    every constant folds to a finite number."""
+    every constant folds to a finite number.  cosh(u) reads as cosh1(u) + 1."""
     links = []
     try:
         while not isinstance(node, Var):
             if isinstance(node, Neg):
                 links.append(("neg", 0.0))
                 node = node.operand
+            elif isinstance(node, Call) and node.func == "cosh" and len(node.args) == 1:
+                links += [("add", 1.0), ("cosh1", 0.0)]
+                node = node.args[0]
             elif isinstance(node, Call) and node.func in _STEPS and len(node.args) == 1:
                 links.append((node.func, 0.0))
                 node = node.args[0]
@@ -743,22 +788,16 @@ def _chain(node: ExprAst, variable: str) -> tuple[_Link, ...] | None:
 @dataclass(frozen=True)
 class HullInverse:
     """The inverse of a chain on the image of a hull on which every step
-    is strictly monotone (see ``hull_inverse``).
-
-    ``images[k]`` is the interval (low, high) that the hull's ends span
-    after the first k steps, so ``images[0]`` is the hull.
-    """
+    is strictly monotone (see ``Chain.inverse``); ``images[k]`` is the
+    interval (low, high) that the hull's ends span after the first k steps,
+    so ``images[0]`` is the hull."""
 
     links: tuple[_Link, ...]
     images: tuple[tuple[float, float], ...]
 
     def __call__(self, v: float) -> float:
-        """The point of the hull where the chain takes the value ``v``.
-
-        Each step inverts a value clamped to its own image, so every step
-        stays inside the interval it is monotone on, and the result inside
-        the hull.
-        """
+        """The point of the hull where the chain takes the value ``v``, each
+        step inverting a value clamped to its own image."""
         for (kind, c), (a, _), (low, high) in zip(
             reversed(self.links), reversed(self.images[:-1]), reversed(self.images[1:])
         ):
@@ -769,31 +808,28 @@ class HullInverse:
     def condition(self, y: float) -> float:
         """The largest relative condition number of inverting a prefix of
         the chain at y: max over k of max(|u_k(lo)|, |u_k(hi)|) / |y u_k'(y)|,
-        with u_k the first k steps and u_k' from the chain rule (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 1).  The
-        last k gives the chain's own; an earlier one is larger where a step
-        cancels what a former step added.  Infinite where y or u_k'(y) is 0,
-        or u_k'(y) is not finite.
+        with u_k the first k steps (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., ch. 1); an earlier k is larger where a
+        step cancels what a former step added.  y u_k'(y) is the first
+        step's y s'(y), finite wherever s(y) is (c y^c, where y c y^(c - 1)
+        overflows at tiny y), times the later slopes; an overflowing product
+        makes its term 0.  Infinite where a product is 0 or NaN.
         """
-        if y == 0.0:
-            return math.inf
-        u, slope, kappa = y, 1.0, 0.0
+        u, kappa, product = y, 0.0, None
         for (kind, c), (low, high) in zip(self.links, self.images[1:]):
             step = _STEPS[kind]
-            slope *= step.derivative(u, c)
+            product = step.scaled(u, c) if product is None else product * step.derivative(u, c)
             u = step.forward(u, c)
-            if not 0.0 < abs(slope) < math.inf:
+            if not 0.0 < abs(product):
                 return math.inf
-            # Divided one factor at a time: y u_k'(y) alone may overflow.
-            kappa = max(kappa, max(abs(low), abs(high)) / abs(slope) / abs(y))
+            kappa = max(kappa, max(abs(low), abs(high)) / abs(product))
         return kappa
 
 
 def _hull_inverse(links: tuple[_Link, ...], lo: float, hi: float) -> HullInverse | None:
     """The chain's inverse on [lo, hi] when the images of the ends, carried
-    step by step, are finite and each step's condition holds on the
-    interval they span; None otherwise.  Raises what a step raises
-    (OverflowError, ValueError, ZeroDivisionError)."""
+    step by step, are finite and each step is monotone on the interval they
+    span; None otherwise.  Raises what a step raises."""
     images = [(lo, hi)]
     for kind, c in links:
         step = _STEPS[kind]
@@ -807,6 +843,98 @@ def _hull_inverse(links: tuple[_Link, ...], lo: float, hi: float) -> HullInverse
     return HullInverse(links, tuple(images))
 
 
+@dataclass(frozen=True)
+class Chain:
+    """A generator f = s_n o ... o s_1 as its steps, innermost first.
+
+    Its ``core`` drops the trailing affine steps, so f = a core + b with
+    a != 0 (``rising``: a > 0), and the quasiarithmetic and difference-kernel
+    means of f are the core's (Daroczy, Publ. Math. Debrecen 19, 1972).
+    ``fn`` is the core compiled, or None where the core is the whole chain,
+    which the generator's own ``fn`` computes.  cosh(x) has the core cosh1.
+    """
+
+    links: tuple[_Link, ...]
+    core: tuple[_Link, ...]
+    fn: Callable[[float], float] | None
+    rising: bool
+    order_ends: tuple[float, float] | None  # ``_order_ends``
+    step: tuple[_Step, float] | None  # the step of a core of one step, and its constant
+
+    def inverse(self, lo: float, hi: float) -> HullInverse | None:
+        """The core's inverse on the image of [lo, hi] (``_hull_inverse``)."""
+        return _hull_inverse(self.core, lo, hi)
+
+    def mean(self, lo: float, hi: float, f_lo: float, f_hi: float, target: float, kappa_limit: float) -> float | None:
+        """The point y of [lo, hi] where the core, whose values at lo and hi
+        are ``f_lo`` and ``f_hi``, takes the value ``target``; None where a
+        step is not monotone on the hull, or the condition number kappa of
+        the inversion (``HullInverse.condition``) exceeds ``kappa_limit``.
+        A core of one step is inverted directly, with kappa = max(|f_lo|,
+        |f_hi|) / |y s'(y)|: the floats of its ``HullInverse`` without
+        building one.  Raises what a step raises.
+        """
+        if self.step is not None:
+            step, c = self.step
+            if not step.monotone(lo, hi, c):
+                return None
+            if f_lo > f_hi:
+                f_lo, f_hi = f_hi, f_lo
+            v = step.inverse(f_lo if target < f_lo else f_hi if target > f_hi else target, c, lo)
+            y = lo if v < lo else hi if v > hi else v
+            # kappa <= limit without dividing; max(-f_lo, f_hi) is
+            # max(|f_lo|, |f_hi|) for f_lo <= f_hi.
+            return y if max(-f_lo, f_hi) <= kappa_limit * abs(step.scaled(y, c)) else None
+        if not self.core:
+            return min(max(target, lo), hi)
+        inverse = self.inverse(lo, hi)
+        if inverse is None:
+            return None
+        y = min(max(inverse(target), lo), hi)
+        return y if inverse.condition(y) <= kappa_limit else None
+
+    def slope(self, x: float, second: bool = False) -> float:
+        """f'(x), or f''(x) when ``second``, by the chain rule; a chain of
+        one step gives its own s'(x) or s''(x), float for float."""
+        links = self.links or (("add", 0.0),)  # the identity is x + 0
+        u, d1, d2 = x, 1.0, 0.0
+        try:
+            for kind, c in links[:-1]:
+                step = _STEPS[kind]
+                d1, d2 = step.derivative(u, c) * d1, step.second(u, c) * d1 * d1 + step.derivative(u, c) * d2
+                u = step.forward(u, c)
+            kind, c = links[-1]
+            step = _STEPS[kind]
+            # d2 is 0.0 until a curved inner step: no s' that would only add
+            # 0.0 (or overflow where s'' does not).
+            value = step.second(u, c) * d1 * d1 if second else step.derivative(u, c) * d1
+            if second and d2:
+                value += step.derivative(u, c) * d2
+        except ValueError as exc:
+            raise DomainError(f"derivative undefined at {x}") from exc
+        except ArithmeticError as exc:
+            raise NonFinite(f"derivative at {x} is not finite") from exc
+        if not math.isfinite(value):
+            raise NonFinite(f"derivative at {x} is not finite")
+        return value
+
+
+def _chain_of(links: tuple[_Link, ...]) -> Chain:
+    """The ``Chain`` of ``links``, with its core compiled where it is not
+    the whole chain."""
+    k = len(links)
+    while k and _affine(*links[k - 1]):
+        k -= 1
+    node = Var("x")
+    for kind, c in links[:k]:
+        op, constant_first = _OPERATORS_OF.get(kind, ("", 0))
+        operands = (Num(c), node) if constant_first else (node, Num(c))
+        node = BinOp(op, *operands) if op else Neg(node) if kind == "neg" else Call(kind, (node,))
+    fn = _function(node, ("x",)) if k < len(links) else None
+    one = (_STEPS[links[0][0]], links[0][1]) if k == 1 else None
+    return Chain(links, links[:k], fn, _slope_sign(links[k:]) > 0.0, _order_ends(links), one)
+
+
 # --- one-variable function handle -------------------------------------------------
 
 
@@ -814,32 +942,25 @@ def _hull_inverse(links: tuple[_Link, ...], lo: float, hi: float) -> HullInverse
 class ScalarFunction:
     """One-variable function with optional analytic first/second derivatives.
 
-    Only the catalog constructors set ``deriv1`` and ``deriv2``; without
-    them ``derivative`` takes central differences (``numeric_derivative``),
-    as it does for every function built from expression text, whose name is
-    that text.
+    A generator built from a chain (text in which x occurs once under +, -,
+    *, / and ^ with a constant side, negation, exp, log, sqrt, sinh, cosh;
+    every catalog generator) has ``deriv1`` and ``deriv2`` by the chain
+    rule; without them ``derivative`` takes central differences
+    (``numeric_derivative``).  A function built from text is named by it.
 
-    ``hull_inverse`` is the one inverse promise, and it holds only on a
-    given hull: ``hull_inverse(lo, hi)`` returns None, or an inverse of
-    ``fn`` on the image of [lo, hi] that certifies ``fn`` strictly monotone
-    there.  ``classic_means.closed_form_mean`` reads it, for
-    ``quasiarithmetic_mean`` and for the means of difference kernels;
-    without it, the qa mean probes the direction on a grid and bisects.
-    The catalog constructors set it to their textbook inverse on every hull
-    inside the catalog domain (``_inverse_on``), so a copy on a wider
-    domain (``dataclasses.replace``) is trusted no farther.
-    ``scalar_from_expression``, and ``kernel_from_expression`` on the
-    generator of a difference it recognises, set it for text in which x
-    occurs once under the chain's steps (+, -, *, / and ^ with a constant
-    side, negation, exp, log, sqrt, sinh, cosh): a ``HullInverse``, which
-    also carries the condition of the inversion.
+    ``chain`` is the one inverse promise: ``classic_means.closed_form_mean``
+    evaluates its core and inverts it (``Chain.mean``) wherever every step
+    is strictly monotone on the sample hull, for ``quasiarithmetic_mean``
+    and the means of difference kernels, on any domain a copy is given
+    (``dataclasses.replace``).  Without it, the qa mean probes the direction
+    on a grid and bisects.
 
     ``order_ends`` (p(0+), p(inf)) declares the order operator p(u) =
-    u f''(u)/f'(u) + 1 of fn on the part of the catalog domain inside
-    (0, inf): p is monotone there, between those ends.  p does not change
-    under fn -> a fn + b with a != 0, and the declaration describes fn on
-    (0, inf), so it holds on every domain a copy is given; its consumers
-    see only positive entries.  Equal ends q promise p = q, that is fn =
+    u f''(u)/f'(u) + 1 of fn on the part of its chain's domain inside
+    (0, inf): p is monotone there, between those ends (``_order_ends``).  p
+    does not change under fn -> a fn + b with a != 0, and the declaration
+    describes fn on (0, inf), so it holds on every domain a copy is given;
+    its consumers see only positive entries.  Equal ends q promise fn =
     a x^q + b (a log x + b at q = 0): the quasiarithmetic mean of fn is the
     power mean P_q, a homogeneous mean (``local_power_order`` returns q).
     Unequal ends promise a monotone p: the quasiarithmetic mean at scale t,
@@ -848,13 +969,7 @@ class ScalarFunction:
     Studia Math. 10, 1948) it is monotone in t.  A finite p(0+) = q makes
     f' regularly varying at 0+ with index q - 1, so on a kernel domain that
     starts at 0 the scale profile of the difference kernel of fn is
-    (r^q - 1)/q, log r at q = 0 (``homogenization_profile``).  power:p
-    declares (p, p) (p finite), log (0, 0), exp (1, inf), cosh (2, inf),
-    the identity (1, 1), and shifted_power:q,c, whose p(u) = (q - 1)
-    u/(u + c) + 1, declares (q, q) at c = 0 or q = 1, (1, q) for c > 0 and
-    (+-inf, q), the sign of q - 1, for c < 0.  ``scalar_from_expression``,
-    and ``kernel_from_expression`` on the generator of a difference,
-    declare the ends of the chains ``_order_ends`` accepts.
+    (r^q - 1)/q, log r at q = 0 (``homogenization_profile``).
     """
 
     name: str
@@ -862,7 +977,7 @@ class ScalarFunction:
     domain: IntervalDomain
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
-    hull_inverse: Callable[[float, float], Callable[[float], float] | None] | None = None
+    chain: Chain | None = None
     order_ends: tuple[float, float] | None = None
 
     def __call__(self, x: float) -> float:
@@ -886,10 +1001,8 @@ class _Compiled(NamedTuple):
     """A compiled function and what its parse shows of its shape."""
 
     fn: Callable[..., float]
-    #: A function of x in which x occurs once: its ``hull_inverse``.
-    hull_inverse: Callable[[float, float], HullInverse | None] | None = None
-    #: A chain whose order operator is monotone: its ends (``_order_ends``).
-    order_ends: tuple[float, float] | None = None
+    #: A function of x in which x occurs once: its ``Chain``.
+    chain: Chain | None = None
     #: A kernel A(x) - A(y): A compiled as a function of x, and its text.
     difference: tuple["_Compiled", str] | None = None
     #: A kernel sign(x - y).
@@ -913,13 +1026,16 @@ def _renamed(node: ExprAst, old: str, new: str) -> ExprAst:
     return node
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _compiled(ast: ExprAst, variables: tuple[str, ...]) -> _Compiled:
+    """``ast`` compiled as a function of ``variables``, with what its
+    shape shows, memoized by AST (catalog generators are built as ASTs)."""
     fn = _function(ast, variables)
     if variables == ("x",):
         links = _chain(ast, "x")
         if links is None:
             return _Compiled(fn)
-        return _Compiled(fn, functools.partial(_hull_inverse, links), order_ends=_order_ends(links))
+        return _Compiled(fn, _chain_of(links))
     if ast == _SIGN:
         return _Compiled(fn, sign=True)
     if (
@@ -947,15 +1063,17 @@ def _compile(text: str, variables: tuple[str, ...]) -> _Compiled:
 def _scalar(name: str, compiled: _Compiled, domain: IntervalDomain) -> ScalarFunction:
     """The compiled function of x on ``domain`` with the promises its chain
     gives."""
-    return ScalarFunction(
-        name, compiled.fn, domain, hull_inverse=compiled.hull_inverse, order_ends=compiled.order_ends
-    )
+    chain = compiled.chain
+    if chain is None:
+        return ScalarFunction(name, compiled.fn, domain)
+    second = functools.partial(chain.slope, second=True)
+    return ScalarFunction(name, compiled.fn, domain, chain.slope, second, chain, chain.order_ends)
 
 
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
     """Build a function of x, named by its text, from expression text; a
-    chain in x also gets its ``hull_inverse``, and its ``order_ends`` when
-    ``_order_ends`` accepts its shape."""
+    chain in x also gets its ``chain`` and derivatives, and its
+    ``order_ends`` when ``_order_ends`` accepts its shape."""
     return _scalar(source, _compile(source, ("x",)), domain)
 
 
@@ -1054,7 +1172,7 @@ def kernel_from_expression(
 
     Text A - B, where A has only x free and B is A with x renamed to y,
     declares ``Difference(f)`` with f the function A of x on ``domain_x``,
-    named by A's canonical text, with its ``hull_inverse`` and
+    named by A's canonical text, with its chain, derivatives and
     ``order_ends`` as ``scalar_from_expression`` sets them; the text
     sign(x - y) declares ``Sign``.  ``fn`` is the compiled function of the
     whole text either way.
@@ -1069,136 +1187,35 @@ def kernel_from_expression(
 
 # --- built-in catalog -----------------------------------------------------------------
 #
-# Catalog generators are stored free of cancellation (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., ch. 1): cosh as cosh - 1 =
-# 2 sinh(x/2)^2, which stays accurate near 0 where cosh(x) == 1.0 in floats.
-# Quasiarithmetic and difference-kernel means do not change under
-# f -> a f + b; the derivatives are those of the textbook form.  exp stays
-# exp: expm1 would keep e^x only to an absolute 1.1e-16 and lose the digits
-# of qa(exp) on entries below about -20.  Every stored form and inverse
-# raises instead of returning a non-finite value, and each inverse is
-# promised only inside the catalog domain (``_inverse_on``).
+# Every catalog generator is a chain, built as an AST on the path of text:
+# power:p is x^p (log(x) at p = 0), shifted_power:q,c is (x + c)^q (log(x + c)
+# at q = 0), and cosh is cosh1(x), the core of cosh(x), free of cancellation
+# near 0.  exp stays exp: expm1 would keep e^x only to an absolute 1.1e-16
+# and lose the digits of qa(exp) on entries below about -20.  An AST holds
+# any float; a chain with an infinite constant is refused (``_chain``).
 
 
-def _pow(x: float, p: float) -> float:
-    try:
-        return math.pow(x, p)
-    except OverflowError as exc:
-        raise NonFinite(f"{x}^{p} overflowed") from exc
-    except ValueError as exc:
-        raise DomainError(f"invalid power {x}^{p}") from exc
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise NonFinite(f"exp({x}) overflowed") from exc
-
-
-def _cosh_minus_one(x: float) -> float:
-    # 2 sinh(x/2)^2 = cosh(x) - 1.  The doubling can overflow to inf without
-    # raising, where sinh and the square still fit.
-    try:
-        v = 2.0 * math.sinh(0.5 * x) ** 2
-    except OverflowError as exc:
-        raise NonFinite(f"cosh({x}) overflowed") from exc
-    if v == math.inf:
-        raise NonFinite(f"cosh({x}) overflowed")
-    return v
-
-
-def _inverse_on(
-    domain: IntervalDomain, inverse: Callable[[float], float]
-) -> Callable[[float, float], Callable[[float], float] | None]:
-    """A catalog ``hull_inverse``: ``inverse`` on every hull [lo, hi]
-    inside ``domain``, None on any other."""
-    low, high = domain.lo, domain.hi
-    return lambda lo, hi: inverse if low < lo and hi < high else None
-
-
-def power_generator(p: float) -> ScalarFunction:
-    """x -> x^p on the positive half-line; p = 0 selects the logarithm."""
-    dom = positive_reals()
-    if p == 0.0:
-        return ScalarFunction(
-            "power(0)",
-            _log,
-            dom,
-            deriv1=lambda x: 1.0 / x,
-            deriv2=lambda x: -1.0 / (x * x),
-            hull_inverse=_inverse_on(dom, _exp),
-            order_ends=(0.0, 0.0),
-        )
-    return ScalarFunction(
-        f"power({p:g})",
-        lambda x: _pow(x, p),
-        dom,
-        deriv1=lambda x: p * _pow(x, p - 1.0),
-        deriv2=lambda x: p * (p - 1.0) * _pow(x, p - 2.0),
-        hull_inverse=_inverse_on(dom, lambda v: _pow(v, 1.0 / p)),
-        order_ends=(float(p), float(p)) if math.isfinite(p) else None,
-    )
-
-
-def log_generator() -> ScalarFunction:
-    return power_generator(0.0)
-
-
-def exp_generator() -> ScalarFunction:
-    dom = all_reals()
-    return ScalarFunction(
-        "exp",
-        _exp,
-        dom,
-        deriv1=_exp,
-        deriv2=_exp,
-        hull_inverse=_inverse_on(dom, _log),
-        order_ends=(1.0, math.inf),
-    )
-
-
-def cosh_generator() -> ScalarFunction:
-    """cosh on the positive half-line, where it is strictly increasing,
-    stored as cosh(x) - 1 = 2 sinh(x/2)^2."""
-    dom = positive_reals()
-    return ScalarFunction(
-        "cosh",
-        _cosh_minus_one,
-        dom,
-        deriv1=math.sinh,
-        deriv2=math.cosh,
-        hull_inverse=_inverse_on(dom, lambda v: 2.0 * math.asinh(math.sqrt(0.5 * v))),
-        order_ends=(2.0, math.inf),
-    )
-
-
-def shifted_power_generator(q: float, c: float) -> ScalarFunction:
-    """x -> (x + c)^q (logarithm when q = 0) on (-c, inf), whose order
-    operator p(u) = (q - 1) u/(u + c) + 1 runs from its value at the lower
-    end of the part of the domain inside (0, inf) to q."""
-    dom = IntervalDomain(-c, math.inf)
-    first = q if c == 0.0 or q == 1.0 else 1.0 if c > 0.0 else math.copysign(math.inf, q - 1.0)
-    ends = (float(first), float(q))
-    if q == 0.0:
-        return ScalarFunction(
-            f"shifted_power(0,{c:g})",
-            lambda x: _log(x + c),
-            dom,
-            deriv1=lambda x: 1.0 / (x + c),
-            deriv2=lambda x: -1.0 / ((x + c) * (x + c)),
-            hull_inverse=_inverse_on(dom, lambda v: _exp(v) - c),
-            order_ends=ends,
-        )
-    return ScalarFunction(
-        f"shifted_power({q:g},{c:g})",
-        lambda x: _pow(x + c, q),
-        dom,
-        deriv1=lambda x: q * _pow(x + c, q - 1.0),
-        deriv2=lambda x: q * (q - 1.0) * _pow(x + c, q - 2.0),
-        hull_inverse=_inverse_on(dom, lambda v: _pow(v, 1.0 / q) - c),
-        order_ends=ends,
-    )
+def catalog_generator(name: str, *params: float) -> ScalarFunction:
+    """The catalog generator ``name`` of ``params`` on its catalog domain,
+    named by its catalog label: ``power`` (p) on (0, inf), ``log``, ``exp``
+    on the reals, ``cosh`` on (0, inf), ``shifted_power`` (q, c) on
+    (-c, inf), ``identity`` on the reals.  KeyError for any other name."""
+    x, params = Var("x"), tuple(map(float, params))
+    if name not in ("power", "log", "shifted_power"):
+        ast, domain = {
+            "exp": (Call("exp", (x,)), all_reals()),
+            "cosh": (Call("cosh1", (x,)), positive_reals()),
+            "identity": (x, all_reals()),
+        }[name]
+        return _scalar(name, _compiled(ast, ("x",)), domain)
+    if name == "shifted_power":
+        q, c = params
+        base, domain, label = BinOp("+", x, Num(c)), IntervalDomain(-c, math.inf), f"shifted_power({q or 0.0:g},{c:g})"
+    else:
+        q = params[0] if name == "power" else 0.0
+        base, domain, label = x, positive_reals(), f"power({q or 0.0:g})"
+    ast = Call("log", (base,)) if q == 0.0 else BinOp("^", base, Num(q))
+    return _scalar(label, _compiled(ast, ("x",)), domain)
 
 
 def sign_kernel() -> Kernel2:
@@ -1218,25 +1235,16 @@ def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -
 def ratio_kernel(f: ScalarFunction) -> Kernel2:
     """K(x, y) = f(x / y) on the positive quadrant; homogeneous of degree 0.
 
-    The catalog log declares ``Ratio(log, 0.0)``: log(x / y) = log x - log y,
-    so every mean is the geometric mean.  No other f gets an order.
+    The bare chain log(x) (catalog log) declares ``Ratio(log, 0.0)``:
+    log(x / y) = log x - log y, so every mean is the geometric mean.  No
+    other f gets an order; a log x + b with b != 0 has h(1) != 0.
     """
     dom = positive_reals()
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
-    structure = Ratio(f.fn, 0.0 if f.fn is _log else None)
+    structure = Ratio(f.fn, 0.0 if f.chain is not None and f.chain.links == (("log", 0.0),) else None)
     return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, deriv2=d2, structure=structure)
 
 
 def arithmetic_kernel() -> Kernel2:
     """K(x, y) = x - y on the reals (already normalized)."""
-    dom = all_reals()
-    f = ScalarFunction(
-        "identity",
-        lambda x: x,
-        dom,
-        deriv1=lambda x: 1.0,
-        deriv2=lambda x: 0.0,
-        hull_inverse=_inverse_on(dom, lambda v: v),
-        order_ends=(1.0, 1.0),
-    )
-    return difference_kernel(f)
+    return difference_kernel(catalog_generator("identity"))

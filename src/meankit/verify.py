@@ -30,7 +30,7 @@ from .domain import (
     sign,
 )
 from .errors import MeanKitError, NotNormalizable, SignPropertyViolated
-from .expr import Difference, Kernel2, ScalarFunction, difference_kernel, power_generator
+from .expr import Difference, Kernel2, ScalarFunction, catalog_generator, difference_kernel
 from .homogenize import (
     SIGN_PROBE_RATIOS,
     deviation_handle,
@@ -832,7 +832,7 @@ def minkowski_preset(
     """Additivity setup: same difference kernel on J, K, and I = J + K
     (default generator: the identity, power:1)."""
     return _preset(
-        generator or power_generator(1.0), factor_range, "sum",
+        generator or catalog_generator("power", 1.0), factor_range, "sum",
         lambda x, y: x + y, lambda x, y: 1.0, lambda x, y: 1.0,
     )
 
@@ -844,6 +844,6 @@ def hoelder_preset(
     """Multiplicativity setup: same difference kernel on J, K, and I = J * K
     (default generator: log, power:0)."""
     return _preset(
-        generator or power_generator(0.0), factor_range, "product",
+        generator or catalog_generator("power", 0.0), factor_range, "product",
         lambda x, y: x * y, lambda x, y: y, lambda x, y: x,
     )

@@ -13,22 +13,19 @@ import time
 import pytest
 
 from meankit import (
+    catalog_generator,
     MeanKind,
     SamplePlan,
     SemidevMeanConfig,
     arithmetic_kernel,
-    cosh_generator,
     deviation_handle,
     difference_kernel,
     eliminate_zero_weights,
     envelope_pair,
-    exp_generator,
     local_homogenization,
     local_power_order,
-    log_generator,
     make_weighted_sample,
     normalize_kernel,
-    power_generator,
     power_mean,
     quasiarithmetic_handle,
     quasiarithmetic_mean,
@@ -53,7 +50,7 @@ KINDS = list(MeanKind)
 @pytest.mark.acceptance("01 cosh-mean homogenization equals quadratic mean")
 def test_cosh_homogenization_matches_quadratic_mean():
     started = time.monotonic()
-    kernel = difference_kernel(cosh_generator())
+    kernel = difference_kernel(catalog_generator("cosh"))
     handle = deviation_handle(kernel)
     rng = random.Random(101)
     for _ in range(100):
@@ -71,7 +68,7 @@ def test_cosh_homogenization_matches_quadratic_mean():
 def test_power_generator_order_identity():
     xs = [0.1 + (10.0 - 0.1) * k / 49 for k in range(50)]
     for p in (-2.0, -1.0, 0.5, 1.0, 2.0, 3.0):
-        gen = power_generator(p)
+        gen = catalog_generator("power", p)
         for x in xs:
             assert abs(local_power_order(gen, x) - p) <= 1e-6
 
@@ -93,7 +90,7 @@ def test_median_exactness():
 
 @pytest.mark.acceptance("04 large-weight limit recovers the normalized kernel")
 def test_large_weight_limit_converges():
-    kernel = difference_kernel(cosh_generator())
+    kernel = difference_kernel(catalog_generator("cosh"))
     target = normalize_kernel(kernel)(1.0, 2.0)
     cfg = SemidevMeanConfig(grid_size=256, refine_tol=1e-15)
     for kind in (MeanKind.LOWER_WEAK, MeanKind.UPPER_WEAK):
@@ -110,8 +107,8 @@ def test_large_weight_limit_converges():
 
 @pytest.mark.acceptance("05 comparison theorem round-trip")
 def test_comparison_round_trip():
-    linear = difference_kernel(power_generator(1))
-    square = difference_kernel(power_generator(2))
+    linear = difference_kernel(catalog_generator("power", 1))
+    square = difference_kernel(catalog_generator("power", 2))
     plan = SamplePlan(seed=205, n_samples=1000, entry_range=(0.5, 8.0))
     forward = verify_comparison(linear, square, plan)
     assert forward.overall == "pass"
@@ -142,11 +139,11 @@ def test_comparison_round_trip():
 @pytest.mark.acceptance("06 concavity faces agree")
 def test_jensen_faces():
     plan = SamplePlan(seed=206, n_samples=500, entry_range=(0.5, 8.0))
-    sqrt_report = verify_jensen(difference_kernel(power_generator(0.5)), plan)
+    sqrt_report = verify_jensen(difference_kernel(catalog_generator("power", 0.5)), plan)
     assert sqrt_report.overall == "pass"
     assert all(c.holds for c in sqrt_report.conditions)
 
-    square_report = verify_jensen(difference_kernel(power_generator(2)), plan)
+    square_report = verify_jensen(difference_kernel(catalog_generator("power", 2)), plan)
     assert square_report.overall == "fail"
     face = square_report.condition("kernel_midpoint_concavity")
     assert not face.holds and face.witness is not None
@@ -159,7 +156,7 @@ def test_jensen_faces():
 def test_operation_presets():
     plan = SamplePlan(seed=207, n_samples=1000, n_range=(1, 5), entry_range=(0.6, 3.9))
 
-    additive = minkowski_preset(power_generator(1))
+    additive = minkowski_preset(catalog_generator("power", 1))
     report = verify_homi(
         additive["kernel_result"], additive["kernel_first"], additive["kernel_second"],
         additive["operation"], plan, grid=10, monotone_mode=True, suite_label="minkowski",
@@ -168,7 +165,7 @@ def test_operation_presets():
     slack = [c.max_excess for c in report.conditions if c.max_excess is not None]
     assert slack and max(slack) <= 1e-9
 
-    multiplicative = hoelder_preset(power_generator(0))
+    multiplicative = hoelder_preset(catalog_generator("power", 0))
     report = verify_homi(
         multiplicative["kernel_result"], multiplicative["kernel_first"],
         multiplicative["kernel_second"], multiplicative["operation"], plan,
@@ -178,7 +175,7 @@ def test_operation_presets():
     slack = [c.max_excess for c in report.conditions if c.max_excess is not None]
     assert slack and max(slack) <= 1e-9
 
-    quadratic = minkowski_preset(power_generator(2))
+    quadratic = minkowski_preset(catalog_generator("power", 2))
     report = verify_homi(
         quadratic["kernel_result"], quadratic["kernel_first"], quadratic["kernel_second"],
         quadratic["operation"], plan, grid=10, monotone_mode=True, suite_label="minkowski",
@@ -189,12 +186,12 @@ def test_operation_presets():
 
 def _axiom_mean_configs():
     qa_cfgs = [("qa:" + g.name, lambda s, g=g: quasiarithmetic_mean(s, g), 1e-9)
-               for g in (log_generator(), exp_generator(), cosh_generator())]
+               for g in (catalog_generator("log"), catalog_generator("exp"), catalog_generator("cosh"))]
     power_cfgs = [(f"power:{p}", lambda s, p=p: power_mean(s, p), 1e-12)
                   for p in (-math.inf, -1.0, 0.0, 2.0, math.inf)]
     cfg = SemidevMeanConfig(grid_size=128)
     semidev_cfgs = []
-    for kernel in (sign_kernel(), arithmetic_kernel(), difference_kernel(cosh_generator())):
+    for kernel in (sign_kernel(), arithmetic_kernel(), difference_kernel(catalog_generator("cosh"))):
         for kind in KINDS:
             semidev_cfgs.append(
                 (
@@ -254,8 +251,8 @@ def test_envelope_homogenization_ordering():
     # Each generator with the power order of its t -> 0 limit: the arithmetic
     # mean for exp, the quadratic mean for cosh.
     generators = (
-        (dataclasses.replace(exp_generator(), domain=dom), 1.0),
-        (dataclasses.replace(cosh_generator(), domain=dom), 2.0),
+        (dataclasses.replace(catalog_generator("exp"), domain=dom), 1.0),
+        (dataclasses.replace(catalog_generator("cosh"), domain=dom), 2.0),
     )
     for gen, order in generators:
         handle = quasiarithmetic_handle(gen)

@@ -6,20 +6,16 @@ from fractions import Fraction
 import pytest
 
 from meankit import (
+    catalog_generator,
     ScalarFunction,
     common_power_order,
-    cosh_generator,
-    exp_generator,
     local_power_order,
-    log_generator,
     make_weighted_sample,
-    power_generator,
     power_mean,
     qa_local_homogenization,
     quasiarithmetic_mean,
     scalar_from_expression,
     scaling_ratio_limit,
-    shifted_power_generator,
 )
 from meankit.classic_means import MONOTONE_PROBE_POINTS, bisect
 from meankit.domain import open_interval, positive_reals
@@ -119,23 +115,23 @@ class TestPowerMean:
 
 class TestQuasiarithmetic:
     def test_log_generator_matches_geometric(self):
-        assert quasiarithmetic_mean(_sample([1, 4], [1, 1]), log_generator()) == pytest.approx(
+        assert quasiarithmetic_mean(_sample([1, 4], [1, 1]), catalog_generator("log")) == pytest.approx(
             2.0, abs=1e-10
         )
 
     def test_square_generator_matches_quadratic(self):
-        assert quasiarithmetic_mean(_sample([1, 7], [1, 1]), power_generator(2)) == pytest.approx(
+        assert quasiarithmetic_mean(_sample([1, 7], [1, 1]), catalog_generator("power", 2)) == pytest.approx(
             5.0, abs=1e-10
         )
 
     def test_constant_sample_short_circuits(self):
         s = _sample([2.5, 2.5, 2.5], [1, 2, 3])
-        assert quasiarithmetic_mean(s, exp_generator()) == 2.5
+        assert quasiarithmetic_mean(s, catalog_generator("exp")) == 2.5
 
     def test_matches_power_mean_for_power_generators(self):
         for s in _random_samples(7, 40):
             for p in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
-                qa = quasiarithmetic_mean(s, power_generator(p))
+                qa = quasiarithmetic_mean(s, catalog_generator("power", p))
                 pm = power_mean(s, p)
                 assert abs(qa - pm) <= 1e-10 * (1 + abs(pm))
 
@@ -181,7 +177,7 @@ class TestQuasiarithmetic:
 
     def test_mean_value_property(self):
         for s in _random_samples(13, 50):
-            v = quasiarithmetic_mean(s, cosh_generator())
+            v = quasiarithmetic_mean(s, catalog_generator("cosh"))
             lo, hi = s.hull()
             assert lo - 1e-12 <= v <= hi + 1e-12
 
@@ -189,27 +185,27 @@ class TestQuasiarithmetic:
 #: Catalog generators that declare an inverse, each with an entry range in
 #: its domain.
 INVERTIBLE = [
-    (power_generator(2), (0.2, 6.0)),
-    (power_generator(0.5), (0.2, 6.0)),
-    (power_generator(0), (0.2, 6.0)),
-    (power_generator(-1), (0.2, 6.0)),
-    (power_generator(3), (0.2, 6.0)),
-    (exp_generator(), (-4.0, 4.0)),
-    (cosh_generator(), (0.05, 4.0)),
-    (shifted_power_generator(0.5, 1.0), (-0.9, 3.0)),
-    (shifted_power_generator(0.0, 1.0), (-0.9, 3.0)),
+    (catalog_generator("power", 2), (0.2, 6.0)),
+    (catalog_generator("power", 0.5), (0.2, 6.0)),
+    (catalog_generator("power", 0), (0.2, 6.0)),
+    (catalog_generator("power", -1), (0.2, 6.0)),
+    (catalog_generator("power", 3), (0.2, 6.0)),
+    (catalog_generator("exp"), (-4.0, 4.0)),
+    (catalog_generator("cosh"), (0.05, 4.0)),
+    (catalog_generator("shifted_power", 0.5, 1.0), (-0.9, 3.0)),
+    (catalog_generator("shifted_power", 0.0, 1.0), (-0.9, 3.0)),
 ]
 
 
 def _bisection(gen: ScalarFunction) -> ScalarFunction:
-    """The same generator without its ``hull_inverse``: its means are bisected."""
-    return dataclasses.replace(gen, hull_inverse=None)
+    """The same generator without its ``chain``: its means are bisected."""
+    return dataclasses.replace(gen, chain=None)
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("gen, bounds", INVERTIBLE, ids=[g.name for g, _ in INVERTIBLE])
     def test_matches_the_bisection(self, gen, bounds):
-        assert gen.hull_inverse is not None
+        assert gen.chain is not None
         for s in _random_samples(len(gen.name), 60, *bounds, domain=gen.domain):
             closed = quasiarithmetic_mean(s, gen)
             solved = quasiarithmetic_mean(s, _bisection(gen))
@@ -224,7 +220,7 @@ class TestClosedForm:
         # exact arithmetic, bracket A for d = 1e-15; bisection to a relative
         # 1e-12 would not.
         d = Fraction(1, 10**15)
-        gen = power_generator(p)
+        gen = catalog_generator("power", p)
         for s in _random_samples(61 + p, 80):
             y = Fraction(quasiarithmetic_mean(s, gen))
             a = sum(Fraction(w) * Fraction(x) ** p for x, w in zip(s.entries, s.weights))
@@ -235,7 +231,7 @@ class TestClosedForm:
     def test_geometric_mean_is_multiplicative(self):
         # G(x y) = G(x) G(y) for entrywise products under shared weights.
         rng = random.Random(67)
-        log = log_generator()
+        log = catalog_generator("log")
         for _ in range(200):
             n = rng.randint(2, 6)
             weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
@@ -252,20 +248,20 @@ class TestClosedForm:
         # 2 sinh(x/2)^2: near 710.5 only the doubling overflows, which gives
         # inf without an exception; past 711.2 the square, past 1420.4 sinh.
         with pytest.raises(NonFinite):
-            cosh_generator().fn(x)
+            catalog_generator("cosh").fn(x)
 
     @pytest.mark.parametrize("x", [1e-150, 1e-9, 0.5, 30.0, 700.0, 710.4])
     def test_cosh_stored_form_is_cosh_minus_one(self, x):
         # Against the series and cosh itself where each is accurate.
         want = x * x / 2 * (1 + x * x / 12) if x < 1e-4 else math.cosh(x) - 1
-        assert cosh_generator().fn(x) == pytest.approx(want, rel=1e-15)
+        assert catalog_generator("cosh").fn(x) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize(
         "gen, entries, weights",
         [
-            (cosh_generator(), [710.0, 1.0], [3.0, 1.0]),
-            (exp_generator(), [709.0, 0.0], [3.0, 1.0]),
-            (power_generator(2), [1e154, 1e153], [2.0, 1.0]),
+            (catalog_generator("cosh"), [710.0, 1.0], [3.0, 1.0]),
+            (catalog_generator("exp"), [709.0, 0.0], [3.0, 1.0]),
+            (catalog_generator("power", 2), [1e154, 1e153], [2.0, 1.0]),
         ],
         ids=["cosh", "exp", "power(2)"],
     )
@@ -281,13 +277,13 @@ class TestLocalPowerOrder:
     def test_power_generator_has_constant_order(self):
         rng = random.Random(5)
         for p in (-2.0, 0.5, 1.0, 3.0):
-            gen = power_generator(p)
+            gen = catalog_generator("power", p)
             for _ in range(20):
                 x = rng.uniform(0.1, 10.0)
                 assert local_power_order(gen, x) == pytest.approx(p, abs=1e-7)
 
     def test_exponential_order_is_x_plus_one(self):
-        gen = exp_generator()
+        gen = catalog_generator("exp")
         for x in (0.1, 1.0, 2.5):
             assert local_power_order(gen, x) == pytest.approx(x + 1.0, abs=1e-7)
 
@@ -295,7 +291,7 @@ class TestLocalPowerOrder:
         # Oracle: x * coth(x) + 1 evaluated directly.
         x = 0.01
         oracle = x * (math.cosh(x) / math.sinh(x)) + 1.0
-        value = local_power_order(cosh_generator(), x)
+        value = local_power_order(catalog_generator("cosh"), x)
         assert value == pytest.approx(oracle, abs=1e-9)
         assert value == pytest.approx(2.0, abs=1e-3)
 
@@ -310,7 +306,7 @@ class TestComparison:
     def test_comparison_implies_mean_order(self):
         # log''/log' = -1/x <= 0 = x''/x' on the whole domain, which forces
         # the mean order on every sample drawn from it.
-        f, g = log_generator(), power_generator(1)
+        f, g = catalog_generator("log"), catalog_generator("power", 1)
         for s in _random_samples(23, 1000, lo=0.2, hi=9.0):
             qa_f = quasiarithmetic_mean(s, f)
             qa_g = quasiarithmetic_mean(s, g)
@@ -320,7 +316,7 @@ class TestComparison:
         # On (0, 2) the exponential generator's order lies in [1, 3], so the
         # mean is sandwiched between the power means of those orders.
         dom = open_interval(0, 2)
-        gen = dataclasses.replace(exp_generator(), domain=dom)
+        gen = dataclasses.replace(catalog_generator("exp"), domain=dom)
         orders = [local_power_order(gen, x) for x in [0.01 + 0.02 * k for k in range(100)]]
         q, p = min(orders), max(orders)
         rng = random.Random(31)
@@ -336,27 +332,27 @@ class TestComparison:
 
 class TestQaLocalHomogenization:
     def test_cosh_order_limit_is_two(self):
-        est = qa_local_homogenization(cosh_generator())
+        est = qa_local_homogenization(catalog_generator("cosh"))
         assert est.estimate == pytest.approx(2.0, abs=1e-4)
         assert common_power_order(est) == pytest.approx(2.0, abs=1e-4)
 
     def test_exp_order_limit_is_one(self):
-        est = qa_local_homogenization(dataclasses.replace(exp_generator(), domain=POS))
+        est = qa_local_homogenization(dataclasses.replace(catalog_generator("exp"), domain=POS))
         assert est.estimate == pytest.approx(1.0, abs=1e-4)
 
     def test_power_generator_recovers_exponent(self):
         for p in (-2.0, 0.5, 1.0, 3.0):
-            est = qa_local_homogenization(power_generator(p))
+            est = qa_local_homogenization(catalog_generator("power", p))
             assert est.converged
             assert est.estimate == pytest.approx(p, abs=1e-6)
 
     def test_shifted_power_limit_is_one(self):
-        est = qa_local_homogenization(dataclasses.replace(shifted_power_generator(0.5, 1.0), domain=POS))
+        est = qa_local_homogenization(dataclasses.replace(catalog_generator("shifted_power", 0.5, 1.0), domain=POS))
         assert est.estimate == pytest.approx(1.0, abs=1e-4)
 
     def test_requires_zero_infimum(self):
         with pytest.raises(ValueError):
-            qa_local_homogenization(exp_generator())
+            qa_local_homogenization(catalog_generator("exp"))
 
     def test_divergent_order_operator_reported(self):
         from meankit import ScalarFunction
@@ -378,14 +374,14 @@ class TestScalingRatioLimit:
     def test_power_generator_closed_form(self):
         # Oracle: ((x^p - 1) / (2^p - 1)) by direct algebra.
         for p in (-1.0, 0.5, 2.0, 3.0):
-            gen = power_generator(p)
+            gen = catalog_generator("power", p)
             for x in (0.5, 3.0, 8.0):
                 expected = (x**p - 1.0) / (2.0**p - 1.0)
                 est = scaling_ratio_limit(gen, x)
                 assert est.estimate == pytest.approx(expected, abs=1e-9 * (1 + abs(expected)))
 
     def test_log_generator_gives_base_two_log(self):
-        est = scaling_ratio_limit(log_generator(), 8.0)
+        est = scaling_ratio_limit(catalog_generator("log"), 8.0)
         assert est.estimate == pytest.approx(3.0, abs=1e-9)
 
     def test_cosh_generator_taylor_limit(self):
@@ -393,14 +389,14 @@ class TestScalingRatioLimit:
         # cosh differences above the float cancellation floor).
         t = 1e-4
         oracle = (math.cosh(3 * t) - math.cosh(t)) / (math.cosh(2 * t) - math.cosh(t))
-        est = scaling_ratio_limit(cosh_generator(), 3.0)
+        est = scaling_ratio_limit(catalog_generator("cosh"), 3.0)
         assert oracle == pytest.approx(8.0 / 3.0, abs=1e-5)
         assert est.estimate == pytest.approx(8.0 / 3.0, abs=1e-5)
 
     def test_monotone_and_continuous_in_x_on_probe_grid(self):
         # The limit profile must be strictly monotone in x for a power-scale
         # limit to exist; probe on a grid.
-        gen = cosh_generator()
+        gen = catalog_generator("cosh")
         xs = [0.25 + 0.25 * k for k in range(12)]
         values = [scaling_ratio_limit(gen, x).estimate for x in xs]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -436,7 +432,7 @@ class TestScalingRatioLimit:
 
 def test_scan_defaults_by_value():
     # Literal numbers, so that a changed default constant fails here.
-    for est in (qa_local_homogenization(power_generator(2.0)), scaling_ratio_limit(power_generator(2.0), 3.0)):
+    for est in (qa_local_homogenization(catalog_generator("power", 2.0)), scaling_ratio_limit(catalog_generator("power", 2.0), 3.0)):
         assert (est.window, est.tol) == (8, 1e-6)
 
 

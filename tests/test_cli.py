@@ -197,11 +197,13 @@ def test_homogenize_qa_power_order_follows_tol(capsys):
 
 
 def test_homogenize_scan_that_turns_nan_stops_as_runaway(capsys):
-    # The deviation sum of cosh(x) - cosh(y) fails below t ~ 4e-9; once a
-    # window exists, each failed value counts toward the runaway stop.
+    # With x twice, cosh(x) + 0*x has no chain, so no core cosh1 keeps its
+    # digits: its deviation sum fails below t ~ 4e-9 (cosh(t x) == 1.0 in
+    # floats); once a window exists, each failed value counts toward the
+    # runaway stop.
     code, out, _ = run_cli(
         capsys, "homogenize", "--target", "mean", "--mean", "deviation",
-        "--kernel", "expr:cosh(x)-cosh(y)", "--x=1.6033,3.6177", "--w=1.659,0.483",
+        "--kernel", "expr:(cosh(x)+0*x)-(cosh(y)+0*y)", "--x=1.6033,3.6177", "--w=1.659,0.483",
         "--format", "structured",
     )
     assert code == 0

@@ -6,26 +6,22 @@ import re
 import pytest
 
 from meankit import (
+    catalog_generator,
     MeanKind,
     SemidevMeanConfig,
     arithmetic_kernel,
     check_semideviation,
-    cosh_generator,
     deviation_mean,
     deviation_sum,
     difference_kernel,
-    exp_generator,
     kernel_from_expression,
-    log_generator,
     make_weighted_sample,
     normalize_kernel,
-    power_generator,
     quasiarithmetic_mean,
     ratio_kernel,
     scalar_from_expression,
     semideviation_mean,
     semideviation_means,
-    shifted_power_generator,
     sign_kernel,
 )
 import meankit.semideviation as semideviation
@@ -112,7 +108,7 @@ def test_linear_kernel_mean_is_weighted_average():
 
 def test_cosh_kernel_matches_quasiarithmetic_closed_form():
     s = make_weighted_sample([1, 7], [1, 1], POS)
-    kernel = difference_kernel(cosh_generator())
+    kernel = difference_kernel(catalog_generator("cosh"))
     expected = math.acosh((math.cosh(1) + math.cosh(7)) / 2.0)
     for kind in KINDS:
         assert semideviation_mean(kernel, s, kind) == pytest.approx(expected, abs=1e-10)
@@ -126,7 +122,7 @@ def test_constant_sample_short_circuits():
 
 class TestNormalize:
     def test_cosh_kernel_normalization_closed_form(self):
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         scaled = normalize_kernel(kernel)
         rng = random.Random(2)
         for _ in range(50):
@@ -141,19 +137,19 @@ class TestNormalize:
             assert scaled(x, y) == pytest.approx(kernel(x, y), abs=1e-12)
 
     def test_square_kernel_normalization(self):
-        scaled = normalize_kernel(difference_kernel(power_generator(2)))
+        scaled = normalize_kernel(difference_kernel(catalog_generator("power", 2)))
         rng = random.Random(3)
         for _ in range(50):
             x, y = rng.uniform(0.2, 5), rng.uniform(0.2, 5)
             assert scaled(x, y) == pytest.approx((x * x - y * y) / (2 * y), rel=1e-12)
 
     def test_diagonal_slope_is_minus_one(self):
-        scaled = normalize_kernel(difference_kernel(cosh_generator()))
+        scaled = normalize_kernel(difference_kernel(catalog_generator("cosh")))
         for y in (0.3, 1.0, 2.7, 6.0):
             assert scaled.partial2(y, y) == pytest.approx(-1.0, abs=1e-5)
 
     def test_idempotent_within_tolerance(self):
-        scaled = normalize_kernel(difference_kernel(power_generator(2)))
+        scaled = normalize_kernel(difference_kernel(catalog_generator("power", 2)))
         twice = normalize_kernel(scaled)
         rng = random.Random(4)
         for _ in range(30):
@@ -161,7 +157,7 @@ class TestNormalize:
             assert abs(twice(x, y) - scaled(x, y)) <= 1e-9 * (1 + abs(scaled(x, y)))
 
     def test_slope_memo_keeps_quotients_and_evaluates_each_y_once(self, monkeypatch):
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         scaled = normalize_kernel(kernel)
         slopes = []
         diagonal_slope = semideviation._diagonal_slope
@@ -189,7 +185,7 @@ class TestNormalize:
             normalize_kernel(kernel_from_expression("y - x", POS))
 
     def test_normalization_preserves_means(self):
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         scaled = normalize_kernel(kernel)
         cfg = SemidevMeanConfig(grid_size=256)
         rng = random.Random(5)
@@ -222,7 +218,7 @@ class TestAdmissionChecks:
         assert w is not None and (w["x"] - w["y"]) * w["value"] < 0
 
     def test_cosh_kernel_is_semideviation_on_positives(self):
-        assert check_semideviation(difference_kernel(cosh_generator()), POS) is None
+        assert check_semideviation(difference_kernel(catalog_generator("cosh")), POS) is None
 
 
 class TestDeviationMean:
@@ -232,19 +228,19 @@ class TestDeviationMean:
 
     def test_log_difference_kernel_is_geometric(self):
         s = make_weighted_sample([1, 4], [1, 1], POS)
-        assert deviation_mean(difference_kernel(log_generator()), s) == pytest.approx(
+        assert deviation_mean(difference_kernel(catalog_generator("log")), s) == pytest.approx(
             2.0, abs=1e-10
         )
 
     def test_matches_quasiarithmetic_for_cosh(self):
         s = make_weighted_sample([1, 7], [1, 1], POS)
-        dev = deviation_mean(difference_kernel(cosh_generator()), s)
-        qa = quasiarithmetic_mean(s, cosh_generator())
+        dev = deviation_mean(difference_kernel(catalog_generator("cosh")), s)
+        qa = quasiarithmetic_mean(s, catalog_generator("cosh"))
         assert abs(dev - qa) <= 1e-10 * (1 + abs(qa))
 
     def test_matches_all_four_kinds_for_quasideviations(self):
         rng = random.Random(6)
-        kernel = difference_kernel(power_generator(2))
+        kernel = difference_kernel(catalog_generator("power", 2))
         for _ in range(20):
             n = rng.randint(1, 5)
             s = make_weighted_sample(
@@ -325,7 +321,7 @@ class TestSignChangeStructure:
         assert max(values) - min(values) <= 1e-10
 
     def test_continuous_sum_vanishes_at_every_kind(self):
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         s = make_weighted_sample([0.5, 2.0, 4.5], [1, 1, 2], POS)
         d = deviation_sum(kernel, s)
         cfg = SemidevMeanConfig()
@@ -339,7 +335,7 @@ class TestSignChangeStructure:
         kernels = [
             (sign_kernel(), REALS, (-4.0, 4.0)),
             (arithmetic_kernel(), REALS, (-4.0, 4.0)),
-            (difference_kernel(cosh_generator()), POS, (0.2, 5.0)),
+            (difference_kernel(catalog_generator("cosh")), POS, (0.2, 5.0)),
         ]
         cfg = SemidevMeanConfig(grid_size=128)
         for kernel, dom, (lo, hi) in kernels:
@@ -401,14 +397,14 @@ def test_classes_are_exact_signs():
 # --- separable deviation sums and the shared scan ------------------------------------
 
 CATALOG = [
-    (power_generator(2), (0.1, 6.0)),
-    (power_generator(0.5), (0.1, 6.0)),
-    (power_generator(-1), (0.1, 6.0)),
-    (log_generator(), (0.1, 6.0)),
-    (exp_generator(), (-4.0, 4.0)),
-    (cosh_generator(), (0.05, 4.0)),
-    (shifted_power_generator(0.5, 1.0), (-0.9, 3.0)),
-    (shifted_power_generator(0.0, 1.0), (-0.9, 3.0)),
+    (catalog_generator("power", 2), (0.1, 6.0)),
+    (catalog_generator("power", 0.5), (0.1, 6.0)),
+    (catalog_generator("power", -1), (0.1, 6.0)),
+    (catalog_generator("log"), (0.1, 6.0)),
+    (catalog_generator("exp"), (-4.0, 4.0)),
+    (catalog_generator("cosh"), (0.05, 4.0)),
+    (catalog_generator("shifted_power", 0.5, 1.0), (-0.9, 3.0)),
+    (catalog_generator("shifted_power", 0.0, 1.0), (-0.9, 3.0)),
 ]
 
 
@@ -419,12 +415,12 @@ def _generic(kernel: Kernel2) -> Kernel2:
 
 
 def _bisection(kernel: Kernel2) -> Kernel2:
-    """The same kernel with its generator's ``hull_inverse`` dropped, or its
+    """The same kernel with its generator's ``chain`` dropped, or its
     ratio's order, so that its means are solved by the sign
     scan and bisection instead of in closed form."""
     structure = kernel.structure
     if isinstance(structure, Difference):
-        f = dataclasses.replace(structure.f, hull_inverse=None)
+        f = dataclasses.replace(structure.f, chain=None)
         return dataclasses.replace(kernel, structure=Difference(f))
     if isinstance(structure, Ratio):
         return dataclasses.replace(kernel, structure=Ratio(structure.h))
@@ -466,7 +462,7 @@ def test_closed_form_matches_the_bisection(gen, bounds):
     kernel = difference_kernel(gen)
     for s in _seeded_samples(gen.domain, *bounds, seed=3 + len(gen.name)):
         lo, hi = s.hull()
-        if gen.name == power_generator(-1).name and lo < hi:
+        if gen.name == catalog_generator("power", -1).name and lo < hi:
             # A decreasing generator gives no deviation kernel.
             with pytest.raises(NoSignChange):
                 semideviation_means(kernel, s, KINDS)
@@ -492,7 +488,7 @@ def test_closed_form_evaluates_no_deviation_sum(monkeypatch):
         return original(kernel, sample)
 
     monkeypatch.setattr(semideviation, "deviation_sum", recording)
-    kernel = difference_kernel(power_generator(2))
+    kernel = difference_kernel(catalog_generator("power", 2))
     s = make_weighted_sample([1.0, 2.0, 4.0], [1.0, 2.0, 0.5], POS)
     semideviation_means(kernel, s, KINDS)
     deviation_mean(kernel, s)
@@ -500,13 +496,13 @@ def test_closed_form_evaluates_no_deviation_sum(monkeypatch):
 
 
 def test_failing_generator_raises_the_generic_message():
-    log_kernel = difference_kernel(log_generator())
+    log_kernel = difference_kernel(catalog_generator("log"))
     s = make_weighted_sample([1.0, 2.0, 5.0], [1.0, 2.0, 0.5], POS)
     for y in (0.0, -1.5):
         assert _failure(deviation_sum(log_kernel, s), y) == _failure(
             deviation_sum(_generic(log_kernel), s), y
         )
-    exp_kernel = difference_kernel(exp_generator())
+    exp_kernel = difference_kernel(catalog_generator("exp"))
     s = make_weighted_sample([0.5, -1.0], [1.0, 1.0], REALS)
     assert _failure(deviation_sum(exp_kernel, s), 1e4) == _failure(
         deviation_sum(_generic(exp_kernel), s), 1e4
@@ -570,12 +566,12 @@ def _profile_kernel(spec: str, mode: str, *, numeric: bool = False) -> Kernel2:
 #: Every kernel constructor (and the CLI's catalog spellings of them), with
 #: the type of the structure it declares.
 CONSTRUCTORS = {
-    "difference_kernel": (lambda: difference_kernel(cosh_generator()), Difference),
+    "difference_kernel": (lambda: difference_kernel(catalog_generator("cosh")), Difference),
     "arithmetic_kernel": (arithmetic_kernel, Difference),
     "diff_gen:exp": (lambda: resolve_kernel("diff_gen:exp"), Difference),
     "power:0.5": (lambda: resolve_kernel("power:0.5"), Difference),
     "preset": (lambda: minkowski_preset()["kernel_result"], Difference),
-    "ratio_kernel": (lambda: ratio_kernel(log_generator()), Ratio),
+    "ratio_kernel": (lambda: ratio_kernel(catalog_generator("log")), Ratio),
     "ratio_dev:power:2": (lambda: resolve_kernel("ratio_dev:power:2"), Ratio),
     "profile-cosh": (lambda: _profile_kernel("diff_gen:cosh", "lower"), Ratio),
     "profile-log": (lambda: _profile_kernel("log", "estimate"), Ratio),
@@ -588,8 +584,8 @@ CONSTRUCTORS = {
     "expr:(x-y)*(1+x*y)": (lambda: resolve_kernel("expr:(x-y)*(1+x*y)"), type(None)),
     "expr:sign(x^3-y^3)": (lambda: resolve_kernel("expr:sign(x^3-y^3)"), type(None)),
     "expr:x^2-y^3": (lambda: resolve_kernel("expr:x^2-y^3"), type(None)),
-    "normalize_kernel": (lambda: normalize_kernel(difference_kernel(power_generator(2))), type(None)),
-    "normalized-ratio": (lambda: normalize_kernel(ratio_kernel(log_generator())), type(None)),
+    "normalize_kernel": (lambda: normalize_kernel(difference_kernel(catalog_generator("power", 2))), type(None)),
+    "normalized-ratio": (lambda: normalize_kernel(ratio_kernel(catalog_generator("log"))), type(None)),
     "operation": (lambda: minkowski_preset()["operation"], type(None)),
 }
 STRUCTURED = {name: make for name, (make, kind) in CONSTRUCTORS.items() if kind is not type(None)}
@@ -601,11 +597,11 @@ def test_each_constructor_declares_its_structure(make, kind):
 
 
 def test_structure_holds_the_constructor_arguments():
-    cosh, log = cosh_generator(), log_generator()
+    cosh, log = catalog_generator("cosh"), catalog_generator("log")
     assert difference_kernel(cosh).structure == Difference(cosh)
     # log(x / y) = log x - log y: the catalog log alone gets the order 0.
     assert ratio_kernel(log).structure == Ratio(log.fn, 0.0)
-    square = power_generator(2)
+    square = catalog_generator("power", 2)
     assert ratio_kernel(square).structure == Ratio(square.fn)
     assert sign_kernel().structure == Sign()
     profile = homogenization_profile(difference_kernel(cosh))
@@ -644,7 +640,7 @@ def test_declared_structure_gives_the_values_of_fn(make):
 #: profile modes the suites solve with (tei's "lower", cei's "estimate"), and
 #: a closed-form scale-profile kernel.
 RATIO_KERNELS = {
-    "ratio_dev:log": lambda: ratio_kernel(log_generator()),
+    "ratio_dev:log": lambda: ratio_kernel(catalog_generator("log")),
     "profile-cosh-lower": lambda: _profile_kernel("diff_gen:cosh", "lower", numeric=True),
     "profile-sqrt-estimate": lambda: _profile_kernel("power:0.5", "estimate", numeric=True),
     "profile-cosh-closed-form": lambda: _profile_kernel("diff_gen:cosh", "lower"),
@@ -683,7 +679,7 @@ def test_raising_ratio_gives_the_generic_error():
         (cosh_expr, [1e300, 2.0], 1e-10, "(1e+300, 1e-10)"),
         (cosh_lower, [2.0, 1e300], 1e-10, "(1e+300, 1e-10)"),
         (cosh_lower, [2.0, 3.0], 0.0, "(2.0, 0.0)"),
-        (ratio_kernel(log_generator()), [2.0, 3.0], -1.0, "(2.0, -1.0)"),
+        (ratio_kernel(catalog_generator("log")), [2.0, 3.0], -1.0, "(2.0, -1.0)"),
     ]
     for kernel, entries, y, pair in cases:
         s = make_weighted_sample(entries, [1.0] * len(entries), POS)
@@ -750,8 +746,8 @@ def test_wrong_signed_hull_ends_are_reported_before_an_interior_failure():
         # geometric mean have closed forms.
         (_generic(sign_kernel()), REALS, (1.0, 4.0), SemidevMeanConfig(grid_size=64)),
         (_bisection(arithmetic_kernel()), REALS, (-3.0, 3.0), SemidevMeanConfig(grid_size=128)),
-        (_bisection(difference_kernel(cosh_generator())), POS, (0.1, 4.0), SemidevMeanConfig()),
-        (_bisection(ratio_kernel(log_generator())), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
+        (_bisection(difference_kernel(catalog_generator("cosh"))), POS, (0.1, 4.0), SemidevMeanConfig()),
+        (_bisection(ratio_kernel(catalog_generator("log"))), POS, (0.5, 4.0), SemidevMeanConfig(grid_size=128)),
     ],
     ids=["sign_dev", "arithmetic", "cosh", "ratio-log"],
 )
@@ -805,11 +801,11 @@ def _means_or_error(kernel, s, cfg):
 #: increases, so the classes run - ... 0 ... + and every path finds no sign
 #: change.
 MONOTONE = [
-    (power_generator(2), (0.2, 5.0)),
-    (power_generator(0), (0.2, 5.0)),
-    (exp_generator(), (-4.0, 4.0)),
-    (cosh_generator(), (0.05, 4.0)),
-    (power_generator(-1), (0.2, 5.0)),
+    (catalog_generator("power", 2), (0.2, 5.0)),
+    (catalog_generator("power", 0), (0.2, 5.0)),
+    (catalog_generator("exp"), (-4.0, 4.0)),
+    (catalog_generator("cosh"), (0.05, 4.0)),
+    (catalog_generator("power", -1), (0.2, 5.0)),
 ]
 
 
@@ -835,7 +831,7 @@ def test_halving_finds_the_cell_of_the_full_scan(gen, bounds, grid):
 
 @pytest.mark.parametrize("grid", [2, 3, 1024])
 def test_closed_form_on_degenerate_samples(grid):
-    kernel = difference_kernel(power_generator(2))
+    kernel = difference_kernel(catalog_generator("power", 2))
     cfg = SemidevMeanConfig(grid_size=grid)
     x = 1.5
     for entries, weights in (
@@ -859,7 +855,7 @@ def test_full_scan_outside_the_generator_domain():
     # x^2 increases on (0, inf) only; on a hull reaching 0 or below the
     # closed form does not apply, and the separable sum, scanned in full,
     # gives the means of the generic sum.
-    kernel = difference_kernel(power_generator(2), REALS)
+    kernel = difference_kernel(catalog_generator("power", 2), REALS)
     cfg = SemidevMeanConfig(grid_size=64)
     outside = [s for s in _seeded_samples(REALS, -3.0, 3.0, seed=43, count=30) if s.hull()[0] <= 0.0]
     assert len(outside) >= 20
@@ -870,7 +866,7 @@ def test_full_scan_outside_the_generator_domain():
 def test_full_scan_of_a_sum_that_is_zero_in_floats():
     # The textbook cosh has cosh(x) == 1.0 for x ~ 1e-9, so D == 0 at both
     # hull ends: no hull end is returned as a mean, on either sum.
-    flat = dataclasses.replace(cosh_generator(), fn=math.cosh, hull_inverse=None)
+    flat = dataclasses.replace(catalog_generator("cosh"), fn=math.cosh, chain=None)
     kernel = difference_kernel(flat)
     refused = r"signs \(0, 0\) at the hull ends"
     for s in _seeded_samples(POS, 0.5, 3.0, seed=41, count=10):
@@ -944,7 +940,7 @@ def test_chain_differences_against_the_grid_and_the_oracle(seed, domain, low, hi
     for _ in range(100):
         text, f = _random_chain(rng)
         kernel = kernel_from_expression(f"({text}) - ({_of_y(text)})", domain)
-        assert kernel.structure.f.hull_inverse is not None, text
+        assert kernel.structure.f.chain is not None, text
         n = rng.randint(2, 6)
         entries = [rng.uniform(low, high) for _ in range(n)]
         weights = [rng.uniform(0.1, 3.0) for _ in range(n)]
@@ -965,6 +961,13 @@ def test_chain_differences_against_the_grid_and_the_oracle(seed, domain, low, hi
         assert deviation_mean(kernel, s) == closed
         assert closed == quasiarithmetic_mean(s, scalar_from_expression(text, domain))
         bound = 1e-12 * max(abs(lo), abs(hi)) + CONDITION_LIMIT * abs(closed)
+        if not isinstance(old, dict):
+            # The generic sum fails where fn is flat in floats, or fails, and
+            # the core it is affine in (a chain with trailing affine steps)
+            # is not: the closed form of the core stands, against the oracle.
+            assert kernel.structure.f.chain.fn is not None, (text, entries, old)
+            assert abs(closed - oracle.qa_mean_by_bisection(entries, weights, f)) <= bound, (text, entries)
+            continue
         for kind in KINDS:
             assert abs(closed - old[kind]) <= bound, (text, entries, weights, kind)
         assert abs(closed - deviation_mean(_generic(kernel), s)) <= bound
@@ -1043,7 +1046,7 @@ def test_exact_medians_against_the_oracle_and_the_grid(make):
 
 def test_ratio_dev_log_is_the_geometric_mean():
     # log(x / y) = log x - log y, so no sum is scanned.
-    kernel = ratio_kernel(log_generator())
+    kernel = ratio_kernel(catalog_generator("log"))
     for s in _seeded_samples(POS, 0.5, 4.0, seed=29, count=20):
         mean = deviation_mean(kernel, s)
         assert semideviation_means(kernel, s, KINDS) == {kind: mean for kind in KINDS}

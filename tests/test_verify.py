@@ -6,21 +6,19 @@ from collections import Counter
 import pytest
 
 from meankit import (
+    catalog_generator,
     Kernel2,
     MeanHandle,
     MeanKind,
     SamplePlan,
     SemidevMeanConfig,
     arithmetic_kernel,
-    cosh_generator,
     difference_kernel,
     kernel_from_expression,
     local_homogenization,
-    log_generator,
     make_weighted_sample,
     normalize_kernel,
     open_interval,
-    power_generator,
     scalar_from_expression,
     semideviation_mean,
     sign_kernel,
@@ -173,20 +171,20 @@ class TestLemmaLim:
         assert report.overall == "pass"
 
     def test_cosh_kernel_converges_to_normalized_value(self):
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         report = verify_lemma_lim(kernel, 1.0, 2.0)
         assert report.overall == "pass"
 
     def test_equal_points_trivially_pass(self):
-        report = verify_lemma_lim(difference_kernel(cosh_generator()), 2.0, 2.0)
+        report = verify_lemma_lim(difference_kernel(catalog_generator("cosh")), 2.0, 2.0)
         assert report.overall == "pass"
 
     def test_reversed_order_also_converges(self):
-        report = verify_lemma_lim(difference_kernel(cosh_generator()), 2.0, 1.0)
+        report = verify_lemma_lim(difference_kernel(catalog_generator("cosh")), 2.0, 1.0)
         assert report.overall == "pass"
 
     def test_limit_matches_closed_form_target(self):
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         scaled = normalize_kernel(kernel)
         expected = (math.cosh(1.0) - math.cosh(2.0)) / math.sinh(2.0)
         assert scaled(1.0, 2.0) == pytest.approx(expected, rel=1e-12)
@@ -196,8 +194,8 @@ class TestComparison:
     def test_ordered_generators_pass(self):
         plan = SamplePlan(seed=9, n_samples=80, entry_range=(0.5, 8.0))
         report = verify_comparison(
-            difference_kernel(power_generator(1)),
-            difference_kernel(power_generator(2)),
+            difference_kernel(catalog_generator("power", 1)),
+            difference_kernel(catalog_generator("power", 2)),
             plan,
         )
         assert report.overall == "pass"
@@ -205,8 +203,8 @@ class TestComparison:
     def test_swapped_generators_fail_with_replayable_witness(self):
         plan = SamplePlan(seed=9, n_samples=80, entry_range=(0.5, 8.0))
         report = verify_comparison(
-            difference_kernel(power_generator(2)),
-            difference_kernel(power_generator(1)),
+            difference_kernel(catalog_generator("power", 2)),
+            difference_kernel(catalog_generator("power", 1)),
             plan,
         )
         assert report.overall == "fail"
@@ -216,11 +214,11 @@ class TestComparison:
         s = make_weighted_sample(witness["entries"], witness["weights"], POS)
         cfg = SemidevMeanConfig(grid_size=128)
         replay_low = {
-            k.value: semideviation_mean(difference_kernel(power_generator(2)), s, k, cfg)
+            k.value: semideviation_mean(difference_kernel(catalog_generator("power", 2)), s, k, cfg)
             for k in MeanKind
         }
         replay_high = {
-            k.value: semideviation_mean(difference_kernel(power_generator(1)), s, k, cfg)
+            k.value: semideviation_mean(difference_kernel(catalog_generator("power", 1)), s, k, cfg)
             for k in MeanKind
         }
         violated = [
@@ -230,7 +228,7 @@ class TestComparison:
 
     def test_equal_kernels_pass_with_equality(self):
         plan = SamplePlan(seed=10, n_samples=40, entry_range=(0.5, 8.0))
-        k = difference_kernel(power_generator(2))
+        k = difference_kernel(catalog_generator("power", 2))
         report = verify_comparison(k, k, plan)
         assert report.overall == "pass"
 
@@ -242,7 +240,7 @@ class TestComparison:
     def test_perturbed_means_break_implication_consistency(self, monkeypatch):
         # A solver defect on a passing pair: the first kernel's means move up
         # by 1, so they break the order that the kernels keep.
-        low, high = difference_kernel(power_generator(1)), difference_kernel(power_generator(2))
+        low, high = difference_kernel(catalog_generator("power", 1)), difference_kernel(catalog_generator("power", 2))
         original = verify.semideviation_means
 
         def perturbed(kernel, sample, kinds, cfg=None):
@@ -267,18 +265,18 @@ class TestJensen:
 
     def test_sqrt_kernel_passes(self):
         plan = SamplePlan(seed=12, n_samples=60, entry_range=(0.5, 8.0))
-        report = verify_jensen(difference_kernel(power_generator(0.5)), plan)
+        report = verify_jensen(difference_kernel(catalog_generator("power", 0.5)), plan)
         assert report.overall == "pass"
 
     def test_square_kernel_fails_kernel_face_with_witness(self):
         plan = SamplePlan(seed=13, n_samples=60, entry_range=(0.5, 8.0))
-        report = verify_jensen(difference_kernel(power_generator(2)), plan)
+        report = verify_jensen(difference_kernel(catalog_generator("power", 2)), plan)
         assert report.overall == "fail"
         face = report.condition("kernel_midpoint_concavity")
         assert not face.holds and face.witness is not None
         # Replay the witness quadruple against the normalized kernel.
         w = face.witness
-        scaled = normalize_kernel(difference_kernel(power_generator(2)))
+        scaled = normalize_kernel(difference_kernel(catalog_generator("power", 2)))
         lhs = scaled(0.5 * (w["x"] + w["y"]), 0.5 * (w["u"] + w["v"]))
         rhs = 0.5 * (scaled(w["x"], w["u"]) + scaled(w["y"], w["v"]))
         assert lhs < rhs - 1e-9
@@ -299,7 +297,7 @@ class TestJensen:
 
         monkeypatch.setattr(verify, "semideviation_means", perturbed)
         plan = SamplePlan(seed=12, n_samples=60, entry_range=(0.5, 8.0))
-        report = verify_jensen(difference_kernel(power_generator(0.5)), plan)
+        report = verify_jensen(difference_kernel(catalog_generator("power", 0.5)), plan)
         assert report.condition("kernel_midpoint_concavity").holds
         coupling = report.condition("face_coupling")
         assert not coupling.holds
@@ -313,7 +311,7 @@ class TestJensen:
 class TestScaleProfileSuites:
     def test_tei_cosh_kernel_passes(self):
         plan = SamplePlan(seed=14, n_samples=12, n_range=(1, 4), entry_range=(0.5, 3.0))
-        report = verify_tei(difference_kernel(cosh_generator()), plan)
+        report = verify_tei(difference_kernel(catalog_generator("cosh")), plan)
         assert report.overall == "pass"
 
     def test_tei_arithmetic_kernel_passes(self):
@@ -323,7 +321,7 @@ class TestScaleProfileSuites:
 
     def test_cei_sqrt_kernel_passes(self):
         plan = SamplePlan(seed=16, n_samples=12, n_range=(1, 4), entry_range=(0.5, 3.0))
-        report = verify_cei(difference_kernel(power_generator(0.5)), plan)
+        report = verify_cei(difference_kernel(catalog_generator("power", 0.5)), plan)
         assert report.overall == "pass"
 
     def test_cei_arithmetic_kernel_passes(self):
@@ -335,19 +333,19 @@ class TestScaleProfileSuites:
         # The normalized cosh kernel is convex in its first argument, so the
         # concavity hypothesis fails and the suite must not claim a verdict.
         plan = SamplePlan(seed=18, n_samples=8, n_range=(1, 3), entry_range=(0.5, 3.0))
-        report = verify_cei(difference_kernel(cosh_generator()), plan)
+        report = verify_cei(difference_kernel(catalog_generator("cosh")), plan)
         assert report.overall == "inconclusive"
 
     def test_tei_sqrt_kernel_passes(self):
         plan = SamplePlan(seed=25, n_samples=10, n_range=(1, 4), entry_range=(0.5, 3.0))
-        report = verify_tei(difference_kernel(power_generator(0.5)), plan)
+        report = verify_tei(difference_kernel(catalog_generator("power", 0.5)), plan)
         assert report.overall == "pass"
 
     @pytest.mark.parametrize(
         "suite,kernel",
         [
-            (verify_tei, difference_kernel(cosh_generator())),
-            (verify_cei, difference_kernel(power_generator(0.5))),
+            (verify_tei, difference_kernel(catalog_generator("cosh"))),
+            (verify_cei, difference_kernel(catalog_generator("power", 0.5))),
         ],
     )
     def test_distorted_profile_fails(self, suite, kernel, monkeypatch):
@@ -369,7 +367,7 @@ class TestScaleProfileSuites:
     def test_tei_shared_local_scans_match_separate_scans(self, monkeypatch):
         # Both local scans of a sample read one solve per scale; each must
         # equal the scan of its own handle, solving alone.
-        kernel = difference_kernel(cosh_generator())
+        kernel = difference_kernel(catalog_generator("cosh"))
         scans = []
 
         def recording(mean_at, sample, domain, **kwargs):
@@ -399,7 +397,7 @@ class TestScaleProfileSuites:
             return original(kernel, ratio_value, **kwargs)
 
         monkeypatch.setattr(homogenize, "kernel_homogenization", counting)
-        kernel = numeric_profile_kernel(difference_kernel(cosh_generator()))
+        kernel = numeric_profile_kernel(difference_kernel(catalog_generator("cosh")))
         plan = SamplePlan(seed=28, n_samples=6, n_range=(1, 4), entry_range=(0.5, 3.0))
         shared = verify_tei(kernel, plan)
         assert shared.overall == "pass"
@@ -450,7 +448,7 @@ class TestScaleProfileSuites:
 
         monkeypatch.setattr(homogenize, "homogenization_profile", failing)
         plan = SamplePlan(seed=29, n_samples=4, n_range=(1, 3), entry_range=(0.5, 3.0))
-        report = verify_tei(difference_kernel(cosh_generator()), plan)
+        report = verify_tei(difference_kernel(catalog_generator("cosh")), plan)
         assert report.overall == "inconclusive"
         assert report.conditions[0].note == reason
 
@@ -458,7 +456,7 @@ class TestScaleProfileSuites:
 class TestOperationSuites:
     def test_arithmetic_additivity_is_exact(self):
         plan = SamplePlan(seed=19, n_samples=60, n_range=(1, 5), entry_range=(0.6, 3.9))
-        preset = minkowski_preset(power_generator(1))
+        preset = minkowski_preset(catalog_generator("power", 1))
         report = verify_homi(
             preset["kernel_result"], preset["kernel_first"], preset["kernel_second"],
             preset["operation"], plan, grid=8, monotone_mode=True, suite_label="minkowski",
@@ -468,7 +466,7 @@ class TestOperationSuites:
 
     def test_geometric_multiplicativity_is_exact(self):
         plan = SamplePlan(seed=20, n_samples=60, n_range=(1, 5), entry_range=(0.6, 3.9))
-        preset = hoelder_preset(power_generator(0))
+        preset = hoelder_preset(catalog_generator("power", 0))
         report = verify_homi(
             preset["kernel_result"], preset["kernel_first"], preset["kernel_second"],
             preset["operation"], plan, grid=8, monotone_mode=True, suite_label="hoelder",
@@ -478,7 +476,7 @@ class TestOperationSuites:
 
     def test_quadratic_triangle_inequality(self):
         plan = SamplePlan(seed=21, n_samples=60, n_range=(1, 5), entry_range=(0.6, 3.9))
-        preset = minkowski_preset(power_generator(2))
+        preset = minkowski_preset(catalog_generator("power", 2))
         report = verify_homi(
             preset["kernel_result"], preset["kernel_first"], preset["kernel_second"],
             preset["operation"], plan, grid=8, monotone_mode=True, suite_label="minkowski",
@@ -487,7 +485,7 @@ class TestOperationSuites:
 
     def test_sixteen_kind_pairs_mode(self):
         plan = SamplePlan(seed=22, n_samples=20, n_range=(1, 4), entry_range=(0.6, 3.9))
-        preset = minkowski_preset(power_generator(2))
+        preset = minkowski_preset(catalog_generator("power", 2))
         report = verify_homi(
             preset["kernel_result"], preset["kernel_first"], preset["kernel_second"],
             preset["operation"], plan, grid=5, monotone_mode=False,
@@ -503,11 +501,11 @@ class TestOperationSuites:
         # points and lattice arguments together).
         grid = 6
         if monotone_mode:
-            preset = minkowski_preset(power_generator(2))
+            preset = minkowski_preset(catalog_generator("power", 2))
             kernels = [preset["kernel_result"], preset["kernel_first"], preset["kernel_second"]]
             operation = preset["operation"]
         else:
-            kernels = [difference_kernel(power_generator(p)) for p in (2, 2, 3)]
+            kernels = [difference_kernel(catalog_generator("power", p)) for p in (2, 2, 3)]
             operation = kernel_from_expression("x+y", POS, name="operation")
         calls = Counter()
 
@@ -544,7 +542,7 @@ class TestOperationSuites:
     @pytest.mark.parametrize("suite", ["minkowski", "hoelder"])
     @pytest.mark.parametrize(
         "generator",
-        [power_generator(2), power_generator(0.5), power_generator(3), log_generator(), cosh_generator(),
+        [catalog_generator("power", 2), catalog_generator("power", 0.5), catalog_generator("power", 3), catalog_generator("log"), catalog_generator("cosh"),
          scalar_from_expression("x^3+x", POS)],
         ids=["power:2", "power:0.5", "power:3", "log", "cosh", "expr:x^3+x"],
     )
@@ -566,7 +564,7 @@ class TestOperationSuites:
         # The operation returns NaN from x = 2 on.  min and max skip a NaN
         # that is not the first entry, yet the combined sample must refuse it
         # as make_weighted_sample does (the lattice skips such values).
-        preset = minkowski_preset(power_generator(2))
+        preset = minkowski_preset(catalog_generator("power", 2))
         operation = dataclasses.replace(preset["operation"], fn=lambda x, y: x + y if x < 2.0 else math.nan)
         plan = SamplePlan(seed=5, n_samples=20, n_range=(3, 5), entry_range=(0.6, 3.9))
         first = plan.sample_pairs(preset["kernel_first"].domain_x)[0][0]
@@ -577,7 +575,7 @@ class TestOperationSuites:
     def test_difference_result_kernel_calls_its_generator_per_grid_pair(self):
         grid = 6
         calls = Counter()
-        base = power_generator(2)
+        base = catalog_generator("power", 2)
         preset = minkowski_preset(base)
         generator = dataclasses.replace(base, fn=counted(calls, "result", base.fn))
         result = difference_kernel(generator, preset["kernel_result"].domain_x)
@@ -593,7 +591,7 @@ class TestOperationSuites:
         # evaluates it at every point; the per-pair quantities and the slope
         # memo are shared as for a difference kernel.
         grid = 6
-        preset = minkowski_preset(power_generator(2))
+        preset = minkowski_preset(catalog_generator("power", 2))
         result = kernel_from_expression("(x-y)*(x+y)", POS)
         assert result.structure is None
         calls = Counter()
@@ -633,7 +631,7 @@ class TestOperationSuites:
         grid, lo, hi = 6, 0.6, 3.9
         pts = [lo + j * (hi - lo) / (grid - 1) for j in range(grid)]
         refused = pts[index] + pts[3]
-        base = power_generator(2)
+        base = catalog_generator("power", 2)
         original = getattr(base, refusing)
 
         def refuse(x):
@@ -665,7 +663,7 @@ class TestOperationSuites:
         # of the number of inside pairs.
         grid = 6
         dom = open_interval(0.5, 16.0)
-        kernel = difference_kernel(power_generator(2), dom)
+        kernel = difference_kernel(catalog_generator("power", 2), dom)
         operation = kernel_from_expression("x*y", dom, name="operation")
         plan = SamplePlan(seed=3, n_samples=0)
         tabulated = verify_homi(kernel, kernel, kernel, operation, plan, grid=grid)
@@ -692,7 +690,7 @@ class TestOperationSuites:
                 raise NonFinite(f"refusing f({x}, {y})")
             return x + y
 
-        preset = minkowski_preset(power_generator(2))
+        preset = minkowski_preset(catalog_generator("power", 2))
         operation = dataclasses.replace(preset["operation"], fn=fn)
         result = preset["kernel_result"]
         plan = SamplePlan(seed=24, n_samples=3, entry_range=(lo, hi))
@@ -716,8 +714,8 @@ class TestReports:
     def test_json_numbers_round_trip(self):
         plan = SamplePlan(seed=9, n_samples=30, entry_range=(0.5, 8.0))
         report = verify_comparison(
-            difference_kernel(power_generator(2)),
-            difference_kernel(power_generator(1)),
+            difference_kernel(catalog_generator("power", 2)),
+            difference_kernel(catalog_generator("power", 1)),
             plan,
         )
         doc = json.loads(report.to_json())
@@ -734,7 +732,7 @@ class TestReports:
     def test_overall_reflects_conditions(self):
         plan = SamplePlan(seed=24, n_samples=20, entry_range=(0.5, 8.0))
         good = verify_comparison(
-            difference_kernel(power_generator(1)), difference_kernel(power_generator(2)), plan
+            difference_kernel(catalog_generator("power", 1)), difference_kernel(catalog_generator("power", 2)), plan
         )
         assert good.overall == "pass"
         assert all(c.holds for c in good.conditions)
