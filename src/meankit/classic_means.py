@@ -8,7 +8,7 @@ Math. Debrecen 19, 1972), at the entries first, and a failure there ends
 the mean: an error g raises, equal values at the hull ends
 (GeneratorNotMonotone) or an average that is not finite (NonFinite).  It
 then inverts the average wherever every step of the core is strictly
-monotone on the sample hull and the inversion is well conditioned.  For
+monotone on the sample hull unless an inner step is ill-conditioned.  For
 any other generator, and wherever the closed form is refused, the inverse
 is computed by bracketed bisection on the hull, which the mean-value
 property guarantees to contain the result, after a grid probe of the
@@ -49,10 +49,10 @@ MAX_BISECT = 200
 #: Grid size of the strict-monotonicity admission probe.
 MONOTONE_PROBE_POINTS = 64
 
-#: Largest eps * kappa, kappa the condition number of inverting a chain
-#: generator's core at its mean (``Chain.mean``), at which the chain's
-#: closed form is taken; the error it admits is about this relative to the
-#: mean.  Above it the mean is bisected.
+#: Largest eps * kappa, kappa the condition number of inverting a prefix of
+#: a chain generator's core at its mean, for its closed form; the error it
+#: admits is about this relative to the mean.  Beyond it, unless the whole
+#: core's kappa is beyond it too (``Chain.mean``), the mean is bisected.
 CONDITION_LIMIT = 1e-8
 
 # The same limit on kappa itself (eps is a power of 2, so the quotient is exact).
@@ -113,7 +113,7 @@ def closed_form_mean(
     is ``lo < hi``, in closed form, and whether the generator increases
     there; None where it has no ``chain``, a step of its core is not
     monotone on the hull or raises ArithmeticError or ValueError, or
-    eps * kappa > CONDITION_LIMIT at the mean (``Chain.mean``).
+    ``Chain.mean`` refuses it for an ill-conditioned prefix of its steps.
 
     The core is evaluated at the entries first, unless ``average`` holds
     what ``_entry_average`` returned for them, and what fails there raises.

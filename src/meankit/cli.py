@@ -229,14 +229,15 @@ def resolve_generator(spec: str, domain: IntervalDomain | None = None) -> Scalar
     if spec.startswith("expr:"):
         return scalar_from_expression(spec[5:], domain or positive_reals())
     name, _, params = spec.partition(":")
-    if name not in ("power", "log", "exp", "cosh", "shifted_power"):
-        raise UsageError(f"unknown generator {spec!r} (see 'meankit catalog')")
     values = [_parse_float(params, "power exponent")] if name == "power" else []
     if name == "shifted_power":
         values = _parse_vector(params, "shifted_power parameters")
         if len(values) != 2:
             raise UsageError("shifted_power takes two parameters: q,c")
-    generator = catalog_generator(name, *values)
+    try:
+        generator = catalog_generator(name, *values)
+    except KeyError:
+        raise UsageError(f"unknown generator {spec!r} (see 'meankit catalog')") from None
     return replace(generator, domain=domain) if domain is not None else generator
 
 

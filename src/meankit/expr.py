@@ -441,12 +441,9 @@ _DIVISION = Template("""\
         raise NonFinite(f"overflow in {$a} / {$b}") from exc
 """)
 
-_NAN_POWER = Template("""\
-    if $test:
-        raise NonFinite(f"NaN operand in {$a} ^ {$b}")
-""")
-
 _POWER = Template("""\
+    if $a != $a or $b != $b:
+        raise NonFinite(f"NaN operand in {$a} ^ {$b}")
     try:
         $v = power($a, $b)
     except OverflowError as exc:
@@ -526,24 +523,21 @@ class _Emitter:
             return self.emit(_DIVISION, a=left, b=right)
         if node.op in ("+", "-", "*"):
             return self.emit(_ARITHMETIC, op=node.op, a=left, b=right)
-        # Only temporaries and NaN literals can be NaN.
-        values = [self.namespace.get(name, math.nan) for name in (left, right)]
-        test = " or ".join(f"{name} != {name}" for name, x in zip((left, right), values) if x != x)
-        if test:
-            self.lines.append(_NAN_POWER.substitute(test=test, a=left, b=right))
         return self.emit(_POWER, a=left, b=right)
 
 
-def _source(node: ExprAst, variables: tuple[str, ...]) -> tuple[str, dict]:
+def _source(node: ExprAst, variables: tuple[str, ...], finite: bool = True) -> tuple[str, dict]:
     """The source of ``expression(a0, a1, ...)``, which evaluates ``node``
-    with ``variables`` bound to its parameters, and the namespace it needs."""
+    with ``variables`` bound to its parameters, and the namespace it needs;
+    unless ``finite``, it returns an infinite or NaN result."""
     emitter = _Emitter(variables)
-    emitter.lines.append(_RESULT.substitute(v=emitter.node(node)))
+    value = emitter.node(node)
+    emitter.lines.append(_RESULT.substitute(v=value) if finite else f"    return {value}\n")
     return "".join(emitter.lines), emitter.namespace
 
 
-def _function(node: ExprAst, variables: tuple[str, ...]) -> Callable[..., float]:
-    source, namespace = _source(node, variables)
+def _function(node: ExprAst, variables: tuple[str, ...], finite: bool = True) -> Callable[..., float]:
+    source, namespace = _source(node, variables, finite)
     exec(compile(source, "<expression>", "exec"), namespace)
     return namespace["expression"]
 
@@ -619,6 +613,16 @@ def numeric_derivative(
 # Numerical Algorithms, 2nd ed., ch. 1).
 
 
+def _acosh1(v: float) -> float:
+    """The u >= 0 with cosh(u) - 1 = v >= 0 to 1 ulp, each band in the form
+    with the least error on 5,000 log-uniform v against 60-digit values:
+    2 asinh(sqrt(v/2)) below 2 and from 2^1023 on (2 (1 + v) overflows),
+    acosh(1 + v) below 2^28, then log(2 (1 + v))."""
+    if v < 2.0 or v >= 2.0**1023:
+        return 2.0 * math.asinh(math.sqrt(0.5 * v))
+    return math.acosh(1.0 + v) if v < 2.0**28 else math.log(2.0 * (1.0 + v))
+
+
 class _Step(NamedTuple):
     forward: Callable[[float, float], float]  # (u, c) -> s(u)
     inverse: Callable[[float, float, float], float]  # (v, c, a) -> u with s(u) = v, u >= a
@@ -667,7 +671,7 @@ _STEPS = {
     # The forward map as _COSH1_CALL computes it; the inverse takes the
     # branch of the sign of a (-0.0 + 0.0 is 0.0).
     "cosh1": _Step(lambda u, c: 2.0 * math.sinh(0.5 * u) ** 2,
-                   lambda v, c, a: math.copysign(2.0 * math.asinh(math.sqrt(0.5 * v)), a + 0.0),
+                   lambda v, c, a: math.copysign(_acosh1(v), a + 0.0),
                    lambda u, c: math.sinh(u), lambda u, c: math.cosh(u), lambda u, c: u * math.sinh(u),
                    lambda a, b, c: a >= 0.0 or b <= 0.0),
 }
@@ -752,10 +756,10 @@ def _fold(node: ExprAst) -> float:
     return node.value if isinstance(node, Num) else _function(node, ())()
 
 
-def _chain(node: ExprAst, variable: str) -> tuple[_Link, ...] | None:
+def _chain(node: ExprAst, variable: str, finite: bool = True) -> tuple[_Link, ...] | None:
     """The steps, innermost first, of ``node`` as a chain in ``variable``;
     None unless the variable occurs once, only under the chain's steps, and
-    every constant folds to a finite number.  cosh(u) reads as cosh1(u) + 1."""
+    every constant folds to a number, finite if ``finite``; cosh(u) is cosh1(u) + 1."""
     links = []
     try:
         while not isinstance(node, Var):
@@ -774,7 +778,7 @@ def _chain(node: ExprAst, variable: str) -> tuple[_Link, ...] | None:
                     return None
                 kind = _BINARY_STEPS[node.op][right_holds]
                 c = _fold(node.right if left_holds else node.left)
-                if not math.isfinite(c):
+                if finite and not math.isfinite(c):
                     return None
                 links.append((kind, -c if node.op == "-" and left_holds else c))
                 node = node.left if left_holds else node.right
@@ -805,25 +809,26 @@ class HullInverse:
         low, high = self.images[0]
         return min(max(v, low), high)
 
-    def condition(self, y: float) -> float:
-        """The largest relative condition number of inverting a prefix of
-        the chain at y: max over k of max(|u_k(lo)|, |u_k(hi)|) / |y u_k'(y)|,
-        with u_k the first k steps (Higham, Accuracy and Stability of
-        Numerical Algorithms, 2nd ed., ch. 1); an earlier k is larger where a
-        step cancels what a former step added.  y u_k'(y) is the first
-        step's y s'(y), finite wherever s(y) is (c y^c, where y c y^(c - 1)
-        overflows at tiny y), times the later slopes; an overflowing product
-        makes its term 0.  Infinite where a product is 0 or NaN.
-        """
-        u, kappa, product = y, 0.0, None
+    def condition(self, y: float) -> tuple[float, float]:
+        """(kappa, own): the largest relative condition number of inverting
+        a prefix of the chain at y, max over k of max(|u_k(lo)|, |u_k(hi)|)
+        / |y u_k'(y)| with u_k the first k steps (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., ch. 1), and the whole
+        chain's, its last term; an earlier k is larger where a step cancels
+        what a former step added.  y u_k'(y) is the first step's y s'(y),
+        finite wherever s(y) is (c y^c), times the later slopes; an
+        overflowing product makes its term 0.  (inf, NaN) where a product is
+        0 or NaN."""
+        u, kappa, own, product = y, 0.0, 0.0, None
         for (kind, c), (low, high) in zip(self.links, self.images[1:]):
             step = _STEPS[kind]
             product = step.scaled(u, c) if product is None else product * step.derivative(u, c)
             u = step.forward(u, c)
             if not 0.0 < abs(product):
-                return math.inf
-            kappa = max(kappa, max(abs(low), abs(high)) / abs(product))
-        return kappa
+                return math.inf, math.nan
+            own = max(abs(low), abs(high)) / abs(product)
+            kappa = max(kappa, own)
+        return kappa, own
 
 
 def _hull_inverse(links: tuple[_Link, ...], lo: float, hi: float) -> HullInverse | None:
@@ -867,13 +872,12 @@ class Chain:
 
     def mean(self, lo: float, hi: float, f_lo: float, f_hi: float, target: float, kappa_limit: float) -> float | None:
         """The point y of [lo, hi] where the core, whose values at lo and hi
-        are ``f_lo`` and ``f_hi``, takes the value ``target``; None where a
-        step is not monotone on the hull, or the condition number kappa of
-        the inversion (``HullInverse.condition``) exceeds ``kappa_limit``.
-        A core of one step is inverted directly, with kappa = max(|f_lo|,
-        |f_hi|) / |y s'(y)|: the floats of its ``HullInverse`` without
-        building one.  Raises what a step raises.
-        """
+        are ``f_lo`` and ``f_hi``, takes the value ``target``.  None where a
+        step is not monotone on the hull, or where a prefix of the steps has
+        kappa above ``kappa_limit`` and the core has not
+        (``HullInverse.condition``): a bisection against the same rounded
+        average shares the core's own kappa.  A core of one step is inverted
+        directly, ungated.  Raises what a step raises."""
         if self.step is not None:
             step, c = self.step
             if not step.monotone(lo, hi, c):
@@ -881,21 +885,20 @@ class Chain:
             if f_lo > f_hi:
                 f_lo, f_hi = f_hi, f_lo
             v = step.inverse(f_lo if target < f_lo else f_hi if target > f_hi else target, c, lo)
-            y = lo if v < lo else hi if v > hi else v
-            # kappa <= limit without dividing; max(-f_lo, f_hi) is
-            # max(|f_lo|, |f_hi|) for f_lo <= f_hi.
-            return y if max(-f_lo, f_hi) <= kappa_limit * abs(step.scaled(y, c)) else None
+            return lo if v < lo else hi if v > hi else v
         if not self.core:
             return min(max(target, lo), hi)
         inverse = self.inverse(lo, hi)
         if inverse is None:
             return None
         y = min(max(inverse(target), lo), hi)
-        return y if inverse.condition(y) <= kappa_limit else None
+        kappa, own = inverse.condition(y)
+        return y if kappa <= kappa_limit or own > kappa_limit else None
 
-    def slope(self, x: float, second: bool = False) -> float:
+    def slope(self, x: float, second: bool = False, finite: bool = True) -> float:
         """f'(x), or f''(x) when ``second``, by the chain rule; a chain of
-        one step gives its own s'(x) or s''(x), float for float."""
+        one step gives its own s'(x) or s''(x), float for float.  Unless
+        ``finite`` is False, an infinite or NaN value raises NonFinite."""
         links = self.links or (("add", 0.0),)  # the identity is x + 0
         u, d1, d2 = x, 1.0, 0.0
         try:
@@ -914,7 +917,7 @@ class Chain:
             raise DomainError(f"derivative undefined at {x}") from exc
         except ArithmeticError as exc:
             raise NonFinite(f"derivative at {x} is not finite") from exc
-        if not math.isfinite(value):
+        if finite and not math.isfinite(value):
             raise NonFinite(f"derivative at {x} is not finite")
         return value
 
@@ -942,18 +945,16 @@ def _chain_of(links: tuple[_Link, ...]) -> Chain:
 class ScalarFunction:
     """One-variable function with optional analytic first/second derivatives.
 
-    A generator built from a chain (text in which x occurs once under +, -,
-    *, / and ^ with a constant side, negation, exp, log, sqrt, sinh, cosh;
-    every catalog generator) has ``deriv1`` and ``deriv2`` by the chain
-    rule; without them ``derivative`` takes central differences
-    (``numeric_derivative``).  A function built from text is named by it.
+    A generator built from a chain (x once under +, -, *, / and ^ with a
+    constant side, negation, exp, log, sqrt, sinh, cosh; every catalog
+    generator) has ``deriv1`` and ``deriv2`` by the chain rule, others take
+    central differences (``numeric_derivative``).  Text names its function.
 
     ``chain`` is the one inverse promise: ``classic_means.closed_form_mean``
-    evaluates its core and inverts it (``Chain.mean``) wherever every step
-    is strictly monotone on the sample hull, for ``quasiarithmetic_mean``
-    and the means of difference kernels, on any domain a copy is given
-    (``dataclasses.replace``).  Without it, the qa mean probes the direction
-    on a grid and bisects.
+    evaluates its core and inverts it (``Chain.mean``) on hulls where every
+    step is strictly monotone, for ``quasiarithmetic_mean`` and difference
+    kernels, on any domain a copy is given (``dataclasses.replace``).
+    Without it, the qa mean probes the direction on a grid and bisects.
 
     ``order_ends`` (p(0+), p(inf)) declares the order operator p(u) =
     u f''(u)/f'(u) + 1 of fn on the part of its chain's domain inside
@@ -1187,35 +1188,35 @@ def kernel_from_expression(
 
 # --- built-in catalog -----------------------------------------------------------------
 #
-# Every catalog generator is a chain, built as an AST on the path of text:
-# power:p is x^p (log(x) at p = 0), shifted_power:q,c is (x + c)^q (log(x + c)
-# at q = 0), and cosh is cosh1(x), the core of cosh(x), free of cancellation
-# near 0.  exp stays exp: expm1 would keep e^x only to an absolute 1.1e-16
-# and lose the digits of qa(exp) on entries below about -20.  An AST holds
-# any float; a chain with an infinite constant is refused (``_chain``).
+# Every catalog generator is a chain built as an AST: power:p is x^p (log(x)
+# at p = 0), shifted_power:q,c is (x + c)^q (log(x + c) at q = 0), and cosh is
+# cosh1(x), the core of cosh(x).  exp stays exp: expm1 would keep e^x only to
+# an absolute 1.1e-16 and lose the digits of qa(exp) below about -20.
 
 
 def catalog_generator(name: str, *params: float) -> ScalarFunction:
-    """The catalog generator ``name`` of ``params`` on its catalog domain,
-    named by its catalog label: ``power`` (p) on (0, inf), ``log``, ``exp``
-    on the reals, ``cosh`` on (0, inf), ``shifted_power`` (q, c) on
-    (-c, inf), ``identity`` on the reals.  KeyError for any other name."""
+    """The catalog generator ``name`` (``power`` p, ``log``, ``exp``,
+    ``cosh``, ``shifted_power`` q, c) on its catalog domain, named by its
+    label; KeyError for any other name.  An infinite parameter keeps IEEE
+    values of f, f' and f'' where text raises (x^inf is 0, 1 or inf), and
+    the chain that ``_chain`` refuses to text; power:+-inf has no order ends."""
     x, params = Var("x"), tuple(map(float, params))
-    if name not in ("power", "log", "shifted_power"):
-        ast, domain = {
-            "exp": (Call("exp", (x,)), all_reals()),
-            "cosh": (Call("cosh1", (x,)), positive_reals()),
-            "identity": (x, all_reals()),
-        }[name]
-        return _scalar(name, _compiled(ast, ("x",)), domain)
     if name == "shifted_power":
         q, c = params
         base, domain, label = BinOp("+", x, Num(c)), IntervalDomain(-c, math.inf), f"shifted_power({q or 0.0:g},{c:g})"
-    else:
+    elif name in ("power", "log"):
         q = params[0] if name == "power" else 0.0
         base, domain, label = x, positive_reals(), f"power({q or 0.0:g})"
+    else:
+        ast = {"exp": Call("exp", (x,)), "cosh": Call("cosh1", (x,))}[name]
+        return _scalar(name, _compiled(ast, ("x",)), positive_reals() if name == "cosh" else all_reals())
     ast = Call("log", (base,)) if q == 0.0 else BinOp("^", base, Num(q))
-    return _scalar(label, _compiled(ast, ("x",)), domain)
+    if all(map(math.isfinite, params)):
+        return _scalar(label, _compiled(ast, ("x",)), domain)
+    chain = _chain_of(_chain(ast, "x", finite=False))
+    first, second = (functools.partial(chain.slope, second=order == 2, finite=False) for order in (1, 2))
+    fn, ends = _function(ast, ("x",), finite=False), chain.order_ends if base is not x else None
+    return ScalarFunction(label, fn, domain, first, second, chain, ends)
 
 
 def sign_kernel() -> Kernel2:
@@ -1247,4 +1248,4 @@ def ratio_kernel(f: ScalarFunction) -> Kernel2:
 
 def arithmetic_kernel() -> Kernel2:
     """K(x, y) = x - y on the reals (already normalized)."""
-    return difference_kernel(catalog_generator("identity"))
+    return difference_kernel(_scalar("identity", _compiled(Var("x"), ("x",)), all_reals()))

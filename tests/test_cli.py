@@ -41,6 +41,32 @@ def test_compute_infinite_exponent(capsys):
     assert out.strip().splitlines()[-1] == "2.0"
 
 
+@pytest.mark.parametrize(
+    "args, code, last",
+    [
+        # x^inf - y^inf is inf - inf or inf - 0, and the sign scan ends next
+        # to the larger entry, the limit of P_q as q -> inf.
+        (("compute", "mean", "--kind", "deviation", "--kernel", "diff_gen:power:inf",
+          "--x=4.311004478845392,3.7217246559897466", "--w=2.906550564587525,1.0557860235743344"),
+         0, "4.311004478843248"),
+        (("compute", "mean", "--kind", "deviation", "--kernel", "diff_gen:shifted_power:inf,1",
+          "--x=6.806186401636176,4.869848494401911", "--w=1.9438166538482198,0.8621398972554903"),
+         0, "6.806186401634415"),
+        (("homogenize", "--target", "qa", "--generator", "shifted_power:2,inf"), 0, "power_order=1.0"),
+        (("homogenize", "--target", "qa", "--generator", "power:inf"), 3,
+         "error: AllEvaluationsFailed: no finite value of g on (8.673617379884035e-19, 1.0]"),
+        (("compute", "mean", "--kind", "qa", "--generator", "power:inf", "--x", "0.5,2", "--w", "1,1"), 3,
+         "error: NonFinite: weighted average of power(inf) values is inf"),
+    ],
+)
+def test_infinite_catalog_parameters_keep_ieee_values(capsys, args, code, last):
+    # A catalog generator with an infinite parameter returns inf or 0 where
+    # expression text raises, as the catalog always has: the exit codes and
+    # lines of the hand-written constructors.
+    got, out, err = run_cli(capsys, *args)
+    assert (got, (out or err).splitlines()[-1]) == (code, last)
+
+
 def test_compute_semidev_median(capsys):
     code, out, _ = run_cli(
         capsys, "compute", "mean", "--kind", "semidev", "--kernel", "sign_dev",
