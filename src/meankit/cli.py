@@ -484,16 +484,16 @@ def _report_lines(report: Report) -> list[str]:
 def catalog() -> None:
     """List built-in generators and kernels with derivative availability."""
     rows = [
-        ("generator", "power:P", "x^P (P=0: log) on (0, inf)", "analytic f', f''"),
-        ("generator", "log", "log x on (0, inf)", "analytic f', f''"),
-        ("generator", "exp", "exp x on (-inf, inf)", "analytic f', f''"),
-        ("generator", "cosh", "cosh x on (0, inf)", "analytic f', f''"),
-        ("generator", "shifted_power:Q,C", "(x+C)^Q on (-C, inf)", "analytic f', f''"),
-        ("generator", "expr:TEXT", "expression in x", "analytic f', f'' with x once, else numeric"),
+        ("generator", "power:P", "x^P (P=0: log) on (0, inf)", "symbolic f', f''"),
+        ("generator", "log", "log x on (0, inf)", "symbolic f', f''"),
+        ("generator", "exp", "exp x on (-inf, inf)", "symbolic f', f''"),
+        ("generator", "cosh", "cosh x on (0, inf)", "symbolic f', f''"),
+        ("generator", "shifted_power:Q,C", "(x+C)^Q on (-C, inf)", "symbolic f', f''"),
+        ("generator", "expr:TEXT", "expression in x", "symbolic f', f''"),
         ("kernel", "sign_dev", "sign(x - y): weighted medians", "none (not normalizable)"),
-        ("kernel", "diff_gen:GEN", "GEN(x) - GEN(y)", "analytic dK/dy when GEN has f', numeric dK/dx"),
-        ("kernel", "ratio_dev:GEN", "GEN(x / y) on (0, inf)^2", "analytic dK/dy when GEN has f', numeric dK/dx"),
-        ("kernel", "expr:TEXT", "expression in x, y", "numeric fallback"),
+        ("kernel", "diff_gen:GEN", "GEN(x) - GEN(y)", "dK/dx, dK/dy from GEN's f'"),
+        ("kernel", "ratio_dev:GEN", "GEN(x / y) on (0, inf)^2", "dK/dx, dK/dy from GEN's f'"),
+        ("kernel", "expr:TEXT", "expression in x, y", "symbolic dK/dx, dK/dy"),
     ]
     width = max(len(r[1]) for r in rows)
     for role, name, what, derivs in rows:

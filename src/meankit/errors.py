@@ -53,10 +53,6 @@ class NonFinite(MeanKitError):
     """An evaluation overflowed to +/-inf or produced NaN."""
 
 
-class StencilOutsideDomain(MeanKitError):
-    pass
-
-
 # --- classical means --------------------------------------------------------
 
 class NonPositiveEntry(MeanKitError):

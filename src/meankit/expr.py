@@ -1,4 +1,4 @@
-"""Expression language, function handles, and numeric differentiation.
+"""Expression language, function handles, and symbolic differentiation.
 
 Grammar (whitespace-insensitive; ``^`` is right-associative and binds tighter
 than unary minus):
@@ -20,25 +20,27 @@ A function handle compiles its expression, when it is built, into the source
 of one straight-line Python function, and its ``fn`` is that function; free
 variables other than the handle's own are rejected then.  A generator's
 variable is x, a kernel's x and y, and the handle's default name is its text;
-its derivatives come from central differences (``numeric_derivative``).
-When x occurs once in a generator's text, the same parse also unwinds the
-AST into a ``Chain`` of invertible steps, which gives the handle its
-derivatives, the inverse of its core, and for the shapes ``_order_ends``
-accepts its ``order_ends``.  Every catalog generator is such a chain
-(``catalog_generator``).  A kernel's parse shows its structure: text
-A - B, where A has only x free and B is A with x renamed to y, declares
-``Difference`` of A as a generator, and sign(x - y) declares ``Sign``.
-Compiled functions, chains and structures are memoized by text (or AST)
-and variables.  ``evaluate`` compiles its AST afresh on each call and raises
-``UnboundVariable`` only when evaluation reaches a name missing from its
-bindings.  Text nested deeper than ``MAX_DEPTH``, and an AST handed to
-``evaluate`` taller than it, raise ``ExprSyntaxError``.
+its derivatives (f' and f'', or dK/dx and dK/dy) are the ASTs ``_derivative``
+makes of its AST, compiled on first use.  When x occurs once in a
+generator's text, the parse also unwinds the AST into a ``Chain`` of
+invertible steps, which gives the handle the inverse of its core, and for
+the shapes ``_order_ends`` accepts its ``order_ends``.  Every catalog
+generator is such a chain (``catalog_generator``).  A kernel's parse shows
+its structure: text A - B, where A has only x free and B is A with x
+renamed to y, declares ``Difference`` of A as a generator, and sign(x - y)
+declares ``Sign``.
+Compiled functions, their derivatives, chains and structures are memoized
+by text (or AST) and variables.  ``evaluate`` compiles its AST afresh on
+each call and raises ``UnboundVariable`` only when evaluation reaches a name
+missing from its bindings.  Text nested deeper than ``MAX_DEPTH``, and an
+AST handed to ``evaluate`` taller than it, raise ``ExprSyntaxError``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from string import Template
 from typing import Callable, Mapping, NamedTuple, Union
@@ -49,7 +51,6 @@ from .errors import (
     ExprSyntaxError,
     MeanKitError,
     NonFinite,
-    StencilOutsideDomain,
     UnboundVariable,
     UnknownFunction,
 )
@@ -370,12 +371,13 @@ _UNARY: dict[str, Callable[[float], float]] = {
     "sign": _sign,
 }
 
-#: Arity of every function the emitter compiles: the language's, and cosh1.
-_ARITY = {**FUNCTION_ARITY, "cosh1": 1}
+#: Arity of every function the emitter compiles: the language's, cosh1 and dsign (sign').
+_ARITY = {**FUNCTION_ARITY, "cosh1": 1, "dsign": 1}
 
 # The global namespace of every generated function, besides its literals.
 _HELPERS = {
     **_UNARY,
+    "dsign": lambda v: 0.0,
     "power": math.pow,
     "isfinite": math.isfinite,
     "inf": math.inf,
@@ -399,7 +401,8 @@ _UNARY_CALL = Template("""\
 
 #: Function -> (comparison with 0 that puts its argument outside its domain,
 #: DomainError message).
-_GUARDS = {"log": ("<=", "log of nonpositive value"), "sqrt": ("<", "sqrt of negative value")}
+_GUARDS = {"log": ("<=", "log of nonpositive value"), "sqrt": ("<", "sqrt of negative value"),
+           "dsign": ("==", "sign jumps, so it has no derivative, at")}
 
 _GUARDED_CALL = Template("""\
     if $a $outside zero:
@@ -460,11 +463,11 @@ _RESULT = Template("""\
 
 
 class _Emitter:
-    """Source of one function of ``variables`` and the namespace it runs in."""
+    """Source of one function of ``variables`` and its namespace; a shared node is computed once."""
 
     def __init__(self, variables: tuple[str, ...]):
         self.params = {name: f"a{i}" for i, name in enumerate(variables)}
-        self.floats: dict[str, str] = {}  # parameter -> its float() value
+        self.emitted: dict[object, str] = {}  # a variable's name, or a node's id -> the name of its value
         self.namespace = dict(_HELPERS)
         self.constants = 0
         self.temps = 0
@@ -487,7 +490,13 @@ class _Emitter:
         return v
 
     def node(self, node: ExprAst) -> str:
-        """Emit the statements of ``node``; the name holding its value."""
+        """Emit the statements of ``node``, once; the name holding its value."""
+        key = node.name if isinstance(node, Var) else id(node)
+        if key not in self.emitted:
+            self.emitted[key] = self.fresh(node)
+        return self.emitted[key]
+
+    def fresh(self, node: ExprAst) -> str:
         if isinstance(node, Num):
             return self.bind(node.value)
         if isinstance(node, Var):
@@ -496,9 +505,7 @@ class _Emitter:
                 message = self.bind(f"variable {node.name!r} is not bound")
                 self.lines.append(_UNBOUND.substitute(message=message))
                 return self.temp()  # never assigned: the raise comes first
-            if param not in self.floats:
-                self.floats[param] = self.emit(_FLOAT, a=param)
-            return self.floats[param]
+            return self.emit(_FLOAT, a=param)
         if isinstance(node, Neg):
             return self.emit(_NEG, a=self.node(node.operand))
         if isinstance(node, Call):
@@ -560,43 +567,81 @@ def evaluate(node: ExprAst, bindings: Mapping[str, float]) -> float:
     return _function(node, tuple(bindings))(*bindings.values())
 
 
-# --- numeric differentiation ----------------------------------------------------
+# --- symbolic differentiation --------------------------------------------------------
+#
+# ``_derivative`` applies the rules of calculus to an AST (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., SIAM 2008); the emitter compiles the result,
+# so a derivative raises the typed errors of its code.  ``_op`` folds literals
+# and drops identities: x^p gets f' = p x^(p - 1) and f'' = (p (p - 1))
+# x^(p - 2), float for float.  Kinks take the symmetric derivative, the limit
+# of central differences: abs'(u) = sign(u), min and max at a tie give
+# (a' + b')/2, and sign' = dsign is 0 off 0 and raises DomainError at 0.
 
-_EPS = 2.220446049250313e-16
-_H1 = _EPS ** (1.0 / 3.0)
-_H2 = _EPS**0.25
+_ZERO, _HALF, _ONE = Num(0.0), Num(0.5), Num(1.0)
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
+_OUTER = {"sinh": "cosh", "cosh": "sinh", "cosh1": "sinh", "abs": "sign", "sign": "dsign", "dsign": "dsign"}
 
 
-def numeric_derivative(
-    fn: Callable[[float], float],
-    x: float,
-    order: int = 1,
-    domain: IntervalDomain | None = None,
-) -> float:
-    """Central difference of order 1 or 2.
+def _op(op: str, a: ExprAst, b: ExprAst) -> ExprAst:
+    """a op b, two literals folded where the compiled function gives a number; no
+    0 + u, u - 0, 0 * u, 1 * u, u / 1, u ^ 1; 0 - u is -u, and a (b u) is (a b) u."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        try:
+            value = _FOLD[op](a.value, b.value)
+        except (ArithmeticError, ValueError):  # the compiled function raises
+            value = math.nan
+        if value == value:
+            return Num(value)
+    if op == "*" and isinstance(a, Num) and isinstance(b, BinOp) and b.op == "*" and isinstance(b.left, Num):
+        return _op("*", _op("*", a, b.left), b.right)
+    if op == "*" and _ZERO in (a, b) or op == "/" and a == _ZERO:
+        return _ZERO
+    if op in "+-" and b == _ZERO or op in "*/^" and b == _ONE:
+        return a
+    if op == "+" and a == _ZERO or op == "*" and a == _ONE:
+        return b
+    if op == "-" and a == _ZERO:
+        return b.operand if isinstance(b, Neg) else Neg(b)
+    return BinOp(op, a, b)
 
-    Steps: h1 = cbrt(eps) * max(1, |x|), h2 = eps^(1/4) * max(1, |x|).  Near a
-    domain boundary the step shrinks to half the available room, so scaling
-    limits t -> 0 stay differentiable; with no room at all the stencil fails.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    h = (_H1 if order == 1 else _H2) * max(1.0, abs(x))
-    if domain is not None:
-        room = min(x - domain.inner_lo(), domain.inner_hi() - x)
-        if room <= 0.0:
-            raise StencilOutsideDomain(f"point {x} has no interior room in {domain}")
-        h = min(h, 0.5 * room)
-        if h <= abs(x) * _EPS:
-            raise StencilOutsideDomain(f"no room for a stencil around {x} in {domain}")
-    hi, lo = fn(x + h), fn(x - h)
-    if order == 1:
-        d = (hi - lo) / (2.0 * h)
+
+def _derivative(node: ExprAst, variable: str, memo: dict[int, tuple] | None = None) -> ExprAst:
+    """The AST of d node / d ``variable``, sharing the subtrees of ``node`` (exp(u)' is the node exp(u)
+    times u'); ``memo`` maps the id of each node differentiated so far to the node and its derivative."""
+    memo = {} if memo is None else memo
+    if id(node) in memo:
+        return memo[id(node)][1]
+    d = functools.partial(_derivative, variable=variable, memo=memo)
+    if isinstance(node, (Num, Var)):
+        result = _ONE if node == Var(variable) else _ZERO
+    elif isinstance(node, Neg):
+        result = _op("-", _ZERO, d(node.operand))
+    elif isinstance(node, BinOp):
+        u, v = node.left, node.right
+        du, dv = d(u), d(v)
+        if node.op in "+-":
+            result = _op(node.op, du, dv)
+        elif node.op == "*":
+            result = _op("+", _op("*", du, v), _op("*", u, dv))
+        elif node.op == "/":
+            quotient = _op("-", _op("*", du, v), _op("*", u, dv))
+            result = _op("/", du, v) if dv == _ZERO else _op("/", quotient, _op("*", v, v))
+        elif dv == _ZERO:  # c u^(c - 1) u'
+            result = _op("*", _op("*", v, _op("^", u, _op("-", v, _ONE))), du)
+        else:  # u^v (v' log u + v u' / u); log(c) c^v v' for a constant base c
+            log = _op("*", dv, Call("log", (u,)))
+            result = _op("*", node, log if du == _ZERO else _op("+", log, _op("/", _op("*", v, du), u)))
+    elif node.func in ("min", "max"):  # max: a' (1 + s)/2 + b' (1 - s)/2 with s = sign(a - b)
+        a, b = node.args
+        s = Call("sign", (_op("-", a, b) if node.func == "max" else _op("-", b, a),))
+        weights = _op("*", _op("+", _ONE, s), _HALF), _op("*", _op("-", _ONE, s), _HALF)
+        result = _op("+", _op("*", d(a), weights[0]), _op("*", d(b), weights[1]))
     else:
-        d = (hi - 2.0 * fn(x) + lo) / (h * h)
-    if not math.isfinite(d):
-        raise NonFinite(f"derivative stencil at {x} is not finite")
-    return d
+        (u,) = node.args
+        outer = {"exp": lambda: node, "log": lambda: _op("/", _ONE, u), "sqrt": lambda: _op("/", _HALF, node)}
+        result = _op("*", outer.get(node.func, lambda: Call(_OUTER[node.func], (u,)))(), d(u))
+    memo[id(node)] = (node, result)
+    return result
 
 
 # --- single-occurrence chains ------------------------------------------------------
@@ -606,7 +651,7 @@ def numeric_derivative(
 # holds x.  Every subtree off that path has no variable and is folded once
 # into the constant c of its step.  Each step computes what the compiled
 # function computes for its node (u - c as u + (-c), which IEEE arithmetic
-# rounds alike), and has an inverse, two derivatives and a condition under
+# rounds alike), and has an inverse, a derivative and a condition under
 # which it is strictly monotone on an interval [a, b].  cosh(u) is read as
 # cosh1(u) + 1, cosh1(u) = cosh(u) - 1 = 2 sinh(u/2)^2, which keeps its
 # digits where cosh(u) rounds to 1 (Higham, Accuracy and Stability of
@@ -627,52 +672,38 @@ class _Step(NamedTuple):
     forward: Callable[[float, float], float]  # (u, c) -> s(u)
     inverse: Callable[[float, float, float], float]  # (v, c, a) -> u with s(u) = v, u >= a
     derivative: Callable[[float, float], float]  # (u, c) -> s'(u)
-    second: Callable[[float, float], float]  # (u, c) -> s''(u)
     scaled: Callable[[float, float], float]  # (u, c) -> u s'(u), finite wherever s(u) is
     monotone: Callable[[float, float, float], bool]  # (a, b, c) -> strictly monotone on [a, b]
 
 
-def _always(a: float, b: float, c: float) -> bool:
-    return True
-
-
-def _nonzero_constant(a: float, b: float, c: float) -> bool:
-    return c != 0.0
-
-
 _STEPS = {
-    "add": _Step(lambda u, c: u + c, lambda v, c, a: v - c, lambda u, c: 1.0, lambda u, c: 0.0, lambda u, c: u,
-                 _always),
-    "rsub": _Step(lambda u, c: c - u, lambda v, c, a: c - v, lambda u, c: -1.0, lambda u, c: 0.0, lambda u, c: -u,
-                  _always),
-    "mul": _Step(lambda u, c: u * c, lambda v, c, a: v / c, lambda u, c: c, lambda u, c: 0.0, lambda u, c: u * c,
-                 _nonzero_constant),
-    "div": _Step(lambda u, c: u / c, lambda v, c, a: v * c, lambda u, c: 1.0 / c, lambda u, c: 0.0,
-                 lambda u, c: u / c, _nonzero_constant),
-    "rdiv": _Step(lambda u, c: c / u, lambda v, c, a: c / v, lambda u, c: -c / (u * u),
-                  lambda u, c: 2.0 * c / (u * u * u), lambda u, c: -c / u,
+    "add": _Step(lambda u, c: u + c, lambda v, c, a: v - c, lambda u, c: 1.0, lambda u, c: u, lambda a, b, c: True),
+    "rsub": _Step(lambda u, c: c - u, lambda v, c, a: c - v, lambda u, c: -1.0, lambda u, c: -u, lambda a, b, c: True),
+    "mul": _Step(lambda u, c: u * c, lambda v, c, a: v / c, lambda u, c: c, lambda u, c: u * c,
+                 lambda a, b, c: c != 0.0),
+    "div": _Step(lambda u, c: u / c, lambda v, c, a: v * c, lambda u, c: 1.0 / c, lambda u, c: u / c,
+                 lambda a, b, c: c != 0.0),
+    "rdiv": _Step(lambda u, c: c / u, lambda v, c, a: c / v, lambda u, c: -c / (u * u), lambda u, c: -c / u,
                   lambda a, b, c: c != 0.0 and (a > 0.0 or b < 0.0)),
     "pow": _Step(math.pow, lambda v, c, a: math.pow(v, 1.0 / c), lambda u, c: c * math.pow(u, c - 1.0),
-                 lambda u, c: c * (c - 1.0) * math.pow(u, c - 2.0), lambda u, c: c * math.pow(u, c),
-                 lambda a, b, c: a > 0.0 and c != 0.0),
+                 lambda u, c: c * math.pow(u, c), lambda a, b, c: a > 0.0 and c != 0.0),
     "rpow": _Step(lambda u, c: math.pow(c, u), lambda v, c, a: math.log(v) / math.log(c),
-                  lambda u, c: math.log(c) * math.pow(c, u), lambda u, c: math.log(c) ** 2 * math.pow(c, u),
-                  lambda u, c: u * math.log(c) * math.pow(c, u), lambda a, b, c: c > 0.0 and c != 1.0),
-    "neg": _Step(lambda u, c: -u, lambda v, c, a: -v, lambda u, c: -1.0, lambda u, c: 0.0, lambda u, c: -u, _always),
+                  lambda u, c: math.log(c) * math.pow(c, u), lambda u, c: u * math.log(c) * math.pow(c, u),
+                  lambda a, b, c: c > 0.0 and c != 1.0),
+    "neg": _Step(lambda u, c: -u, lambda v, c, a: -v, lambda u, c: -1.0, lambda u, c: -u, lambda a, b, c: True),
     "exp": _Step(lambda u, c: math.exp(u), lambda v, c, a: math.log(v), lambda u, c: math.exp(u),
-                 lambda u, c: math.exp(u), lambda u, c: u * math.exp(u), _always),
-    "log": _Step(lambda u, c: math.log(u), lambda v, c, a: math.exp(v), lambda u, c: 1.0 / u,
-                 lambda u, c: -1.0 / (u * u), lambda u, c: 1.0, lambda a, b, c: a > 0.0),
+                 lambda u, c: u * math.exp(u), lambda a, b, c: True),
+    "log": _Step(lambda u, c: math.log(u), lambda v, c, a: math.exp(v), lambda u, c: 1.0 / u, lambda u, c: 1.0,
+                 lambda a, b, c: a > 0.0),
     "sqrt": _Step(lambda u, c: math.sqrt(u), lambda v, c, a: v * v, lambda u, c: 0.5 / math.sqrt(u),
-                  lambda u, c: -0.25 / (u * math.sqrt(u)), lambda u, c: 0.5 * math.sqrt(u),
-                  lambda a, b, c: a >= 0.0),
+                  lambda u, c: 0.5 * math.sqrt(u), lambda a, b, c: a >= 0.0),
     "sinh": _Step(lambda u, c: math.sinh(u), lambda v, c, a: math.asinh(v), lambda u, c: math.cosh(u),
-                  lambda u, c: math.sinh(u), lambda u, c: u * math.cosh(u), _always),
+                  lambda u, c: u * math.cosh(u), lambda a, b, c: True),
     # The forward map as _COSH1_CALL computes it; the inverse takes the
     # branch of the sign of a (-0.0 + 0.0 is 0.0).
     "cosh1": _Step(lambda u, c: 2.0 * math.sinh(0.5 * u) ** 2,
                    lambda v, c, a: math.copysign(_acosh1(v), a + 0.0),
-                   lambda u, c: math.sinh(u), lambda u, c: math.cosh(u), lambda u, c: u * math.sinh(u),
+                   lambda u, c: math.sinh(u), lambda u, c: u * math.sinh(u),
                    lambda a, b, c: a >= 0.0 or b <= 0.0),
 }
 
@@ -895,32 +926,6 @@ class Chain:
         kappa, own = inverse.condition(y)
         return y if kappa <= kappa_limit or own > kappa_limit else None
 
-    def slope(self, x: float, second: bool = False, finite: bool = True) -> float:
-        """f'(x), or f''(x) when ``second``, by the chain rule; a chain of
-        one step gives its own s'(x) or s''(x), float for float.  Unless
-        ``finite`` is False, an infinite or NaN value raises NonFinite."""
-        links = self.links or (("add", 0.0),)  # the identity is x + 0
-        u, d1, d2 = x, 1.0, 0.0
-        try:
-            for kind, c in links[:-1]:
-                step = _STEPS[kind]
-                d1, d2 = step.derivative(u, c) * d1, step.second(u, c) * d1 * d1 + step.derivative(u, c) * d2
-                u = step.forward(u, c)
-            kind, c = links[-1]
-            step = _STEPS[kind]
-            # d2 is 0.0 until a curved inner step: no s' that would only add
-            # 0.0 (or overflow where s'' does not).
-            value = step.second(u, c) * d1 * d1 if second else step.derivative(u, c) * d1
-            if second and d2:
-                value += step.derivative(u, c) * d2
-        except ValueError as exc:
-            raise DomainError(f"derivative undefined at {x}") from exc
-        except ArithmeticError as exc:
-            raise NonFinite(f"derivative at {x} is not finite") from exc
-        if finite and not math.isfinite(value):
-            raise NonFinite(f"derivative at {x} is not finite")
-        return value
-
 
 def _chain_of(links: tuple[_Link, ...]) -> Chain:
     """The ``Chain`` of ``links``, with its core compiled where it is not
@@ -943,12 +948,10 @@ def _chain_of(links: tuple[_Link, ...]) -> Chain:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """One-variable function with optional analytic first/second derivatives.
+    """One-variable function with optional first and second derivatives.
 
-    A generator built from a chain (x once under +, -, *, / and ^ with a
-    constant side, negation, exp, log, sqrt, sinh, cosh; every catalog
-    generator) has ``deriv1`` and ``deriv2`` by the chain rule, others take
-    central differences (``numeric_derivative``).  Text names its function.
+    A generator built from an AST (text, every catalog spec) has f' and f''
+    (``_derivative``); a handle without them raises ``DomainError``.
 
     ``chain`` is the one inverse promise: ``classic_means.closed_form_mean``
     evaluates its core and inverts it (``Chain.mean``) on hulls where every
@@ -985,11 +988,10 @@ class ScalarFunction:
         return self.fn(x)
 
     def derivative(self, x: float, order: int = 1) -> float:
-        if order == 1 and self.deriv1 is not None:
-            return self.deriv1(x)
-        if order == 2 and self.deriv2 is not None:
-            return self.deriv2(x)
-        return numeric_derivative(self.fn, x, order, self.domain)
+        d = {1: self.deriv1, 2: self.deriv2}[order]
+        if d is None:
+            raise DomainError(f"{self.name} has no derivative of order {order}")
+        return d(x)
 
 
 # Functions kept by the memo.  Compiling one (an exec of its source) costs
@@ -999,9 +1001,11 @@ _MEMO_SIZE = 256
 
 
 class _Compiled(NamedTuple):
-    """A compiled function and what its parse shows of its shape."""
+    """A compiled function, its derivatives, and what its parse shows."""
 
     fn: Callable[..., float]
+    #: The partial in each variable, then for a function of x its f''.
+    derivatives: tuple[Callable[..., float], ...]
     #: A function of x in which x occurs once: its ``Chain``.
     chain: Chain | None = None
     #: A kernel A(x) - A(y): A compiled as a function of x, and its text.
@@ -1028,25 +1032,37 @@ def _renamed(node: ExprAst, old: str, new: str) -> ExprAst:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _compiled(ast: ExprAst, variables: tuple[str, ...]) -> _Compiled:
-    """``ast`` compiled as a function of ``variables``, with what its
-    shape shows, memoized by AST (catalog generators are built as ASTs)."""
-    fn = _function(ast, variables)
+def _compiled(ast: ExprAst, variables: tuple[str, ...], finite: bool = True) -> _Compiled:
+    """``ast`` compiled as a function of ``variables``, with its derivatives
+    and what its shape shows, memoized by AST; unless ``finite``, the
+    functions return inf and NaN, and a chain may hold infinite constants."""
+
+    def lazy(*path: str) -> Callable[..., float]:
+        # The derivative in the variables of path, compiled on its first call.
+        compiled = []
+
+        def derivative(*args: float) -> float:
+            if not compiled:
+                compiled.append(_function(functools.reduce(_derivative, path, ast), variables, finite))
+            return compiled[0](*args)
+
+        return derivative
+
+    paths = [(v,) for v in variables] + ([("x", "x")] if variables == ("x",) else [])
+    compiled = _Compiled(_function(ast, variables, finite), tuple(lazy(*path) for path in paths))
     if variables == ("x",):
-        links = _chain(ast, "x")
-        if links is None:
-            return _Compiled(fn)
-        return _Compiled(fn, _chain_of(links))
+        links = _chain(ast, "x", finite)
+        return compiled if links is None else compiled._replace(chain=_chain_of(links))
     if ast == _SIGN:
-        return _Compiled(fn, sign=True)
+        return compiled._replace(sign=True)
     if (
         isinstance(ast, BinOp)
         and ast.op == "-"
         and free_variables(ast.left) == {"x"}
         and ast.right == _renamed(ast.left, "x", "y")
     ):
-        return _Compiled(fn, difference=(_compiled(ast.left, ("x",)), to_source(ast.left)))
-    return _Compiled(fn)
+        return compiled._replace(difference=(_compiled(ast.left, ("x",)), to_source(ast.left)))
+    return compiled
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -1062,18 +1078,16 @@ def _compile(text: str, variables: tuple[str, ...]) -> _Compiled:
 
 
 def _scalar(name: str, compiled: _Compiled, domain: IntervalDomain) -> ScalarFunction:
-    """The compiled function of x on ``domain`` with the promises its chain
-    gives."""
+    """The compiled function of x on ``domain`` with its derivatives and
+    the promises its chain gives."""
     chain = compiled.chain
-    if chain is None:
-        return ScalarFunction(name, compiled.fn, domain)
-    second = functools.partial(chain.slope, second=True)
-    return ScalarFunction(name, compiled.fn, domain, chain.slope, second, chain, chain.order_ends)
+    ends = chain.order_ends if chain is not None else None
+    return ScalarFunction(name, compiled.fn, domain, *compiled.derivatives, chain, ends)
 
 
 def scalar_from_expression(source: str, domain: IntervalDomain) -> ScalarFunction:
-    """Build a function of x, named by its text, from expression text; a
-    chain in x also gets its ``chain`` and derivatives, and its
+    """Build a function of x, named by its text, from expression text, with
+    f' and f''; a chain in x also gets its ``chain``, and its
     ``order_ends`` when ``_order_ends`` accepts its shape."""
     return _scalar(source, _compile(source, ("x",)), domain)
 
@@ -1119,7 +1133,7 @@ class Sign:
 
 @dataclass(frozen=True)
 class Kernel2:
-    """Two-variable kernel K(x, y) with optional analytic partials.
+    """Two-variable kernel K(x, y) with optional partials dK/dx and dK/dy.
 
     ``structure``, when set, is a ``Difference``, ``Ratio`` or ``Sign``
     promise about the values of ``fn``, so solvers may use it instead of
@@ -1130,9 +1144,10 @@ class Kernel2:
     kernel built from expression text keeps that text only as its default
     ``name``.
 
-    Only the operations of ``verify._preset`` set ``deriv1``;
-    ``difference_kernel`` and ``ratio_kernel`` set ``deriv2``, the diagonal
-    slope that ``normalize_kernel`` reads.
+    Expression kernels have both partials (``_derivative``), as have
+    ``difference_kernel`` and ``ratio_kernel`` of an f with f'.
+    ``partial1`` and ``partial2`` of a kernel built without them
+    (``sign_kernel``, profile and normalized kernels) raise ``DomainError``.
     """
 
     name: str
@@ -1147,14 +1162,14 @@ class Kernel2:
         return self.fn(x, y)
 
     def partial1(self, x: float, y: float) -> float:
-        if self.deriv1 is not None:
-            return self.deriv1(x, y)
-        return numeric_derivative(lambda u: self.fn(u, y), x, 1, self.domain_x)
+        if self.deriv1 is None:
+            raise DomainError(f"{self.name} has no partial derivative in x")
+        return self.deriv1(x, y)
 
     def partial2(self, x: float, y: float) -> float:
-        if self.deriv2 is not None:
-            return self.deriv2(x, y)
-        return numeric_derivative(lambda v: self.fn(x, v), y, 1, self.domain_y)
+        if self.deriv2 is None:
+            raise DomainError(f"{self.name} has no partial derivative in y")
+        return self.deriv2(x, y)
 
     def with_domains(self, domain: IntervalDomain) -> "Kernel2":
         """The same kernel with ``domain`` for both arguments."""
@@ -1176,14 +1191,14 @@ def kernel_from_expression(
     named by A's canonical text, with its chain, derivatives and
     ``order_ends`` as ``scalar_from_expression`` sets them; the text
     sign(x - y) declares ``Sign``.  ``fn`` is the compiled function of the
-    whole text either way.
+    whole text either way, and the partials are those of its AST.
     """
     compiled = _compile(source, ("x", "y"))
     structure = Sign() if compiled.sign else None
     if compiled.difference is not None:
         part, text = compiled.difference
         structure = Difference(_scalar(text, part, domain_x))
-    return Kernel2(name or source, compiled.fn, domain_x, domain_y or domain_x, structure=structure)
+    return Kernel2(name or source, compiled.fn, domain_x, domain_y or domain_x, *compiled.derivatives, structure)
 
 
 # --- built-in catalog -----------------------------------------------------------------
@@ -1211,12 +1226,8 @@ def catalog_generator(name: str, *params: float) -> ScalarFunction:
         ast = {"exp": Call("exp", (x,)), "cosh": Call("cosh1", (x,))}[name]
         return _scalar(name, _compiled(ast, ("x",)), positive_reals() if name == "cosh" else all_reals())
     ast = Call("log", (base,)) if q == 0.0 else BinOp("^", base, Num(q))
-    if all(map(math.isfinite, params)):
-        return _scalar(label, _compiled(ast, ("x",)), domain)
-    chain = _chain_of(_chain(ast, "x", finite=False))
-    first, second = (functools.partial(chain.slope, second=order == 2, finite=False) for order in (1, 2))
-    fn, ends = _function(ast, ("x",), finite=False), chain.order_ends if base is not x else None
-    return ScalarFunction(label, fn, domain, first, second, chain, ends)
+    f = _scalar(label, _compiled(ast, ("x",), all(map(math.isfinite, params))), domain)
+    return f if math.isfinite(q) or base is not x else replace(f, order_ends=None)
 
 
 def sign_kernel() -> Kernel2:
@@ -1227,10 +1238,8 @@ def sign_kernel() -> Kernel2:
 def difference_kernel(f: ScalarFunction, domain: IntervalDomain | None = None) -> Kernel2:
     """K(x, y) = f(x) - f(y) for a strictly increasing f."""
     dom = domain or f.domain
-    d2 = (lambda x, y: -f.deriv1(y)) if f.deriv1 is not None else None
-    return Kernel2(
-        f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, deriv2=d2, structure=Difference(f)
-    )
+    d1, d2 = (None, None) if f.deriv1 is None else ((lambda x, y: f.deriv1(x)), (lambda x, y: -f.deriv1(y)))
+    return Kernel2(f"diff_gen({f.name})", lambda x, y: f.fn(x) - f.fn(y), dom, dom, d1, d2, Difference(f))
 
 
 def ratio_kernel(f: ScalarFunction) -> Kernel2:
@@ -1241,9 +1250,10 @@ def ratio_kernel(f: ScalarFunction) -> Kernel2:
     other f gets an order; a log x + b with b != 0 has h(1) != 0.
     """
     dom = positive_reals()
+    d1 = (lambda x, y: f.deriv1(x / y) / y) if f.deriv1 is not None else None
     d2 = (lambda x, y: -f.deriv1(x / y) * x / (y * y)) if f.deriv1 is not None else None
     structure = Ratio(f.fn, 0.0 if f.chain is not None and f.chain.links == (("log", 0.0),) else None)
-    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, deriv2=d2, structure=structure)
+    return Kernel2(f"ratio_dev({f.name})", lambda x, y: f.fn(x / y), dom, dom, d1, d2, structure)
 
 
 def arithmetic_kernel() -> Kernel2:

@@ -24,9 +24,10 @@ tail.  A true liminf/limsup at 0 is not computable, and the tail min/max
 remain its proxies.  When no candidate is met (typically because
 floating-point cancellation takes over below some scale), the reported tail
 is the sampled window with the smallest spread, so the estimate degrades
-gracefully instead of descending into noise.  The (t, value) table of the
-grid samples is always retained for inspection; off-grid values are not in
-it.
+gracefully instead of descending into noise; so does a rounding or
+extrapolated limit off that window, a constant that g froze on after a
+jump.  The (t, value) table of the grid samples is always retained for
+inspection; off-grid values are not in it.
 
 Every scan shares one failure rule (``FailureRule``): a MeanKitError,
 OverflowError or ZeroDivisionError raised by g, on the grid or off it, makes
@@ -159,7 +160,8 @@ def limit_at_zero(
     reports the lowest-spread window seen, with ``converged`` False.  Once a
     window exists, a value that is not finite, or whose window spreads past
     both 100 times the best spread and 10 times ``tol``, counts toward the
-    runaway stop; ``window`` such values in a row stop the scan ("runaway").
+    runaway stop; ``window`` such values in a row stop the scan ("runaway"),
+    and so does a rounding or extrapolated limit off the best window.
     When no grid value is finite it raises AllEvaluationsFailed, whose
     message names the class and message of the first error ``g`` raised
     (chained as its cause).  Raises ValueError unless t0 > 0, window >= 1
@@ -227,6 +229,12 @@ def limit_at_zero(
             candidate = (entry,)
         elif windowed and spread <= tol:
             candidate = window_tail
+        # A rounding or extrapolated limit off the best window (widened by its spread and tol) is a
+        # constant that g froze on after a jump no window saw: g quantized in floats at small t.
+        if candidate is not None and len(candidate) == 1 and best is not None:
+            if not min(best[1]) - best[0] - tol <= candidate[0] <= max(best[1]) + best[0] + tol:
+                stop_reason = "runaway"
+                break
         if candidate is not None and k > 0:
             probes = [value(t * factor) for factor in _OFF_GRID]
             octave = (v, pairs[-2][1]) if math.isfinite(pairs[-2][1]) else (v,)

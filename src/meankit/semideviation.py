@@ -75,7 +75,7 @@ from .errors import (
     NonFinite,
     NotNormalizable,
 )
-from .expr import _H1, Difference, Kernel2, Ratio, Sign, numeric_derivative
+from .expr import Difference, Kernel2, Ratio, Sign
 
 
 @dataclass(frozen=True)
@@ -412,49 +412,38 @@ SLOPE_MEMO_SIZE = 4096
 
 
 def _diagonal_slope(kernel: Kernel2, y: float) -> float:
-    if kernel.deriv2 is not None:
-        return kernel.deriv2(y, y)
-    return numeric_derivative(lambda v: kernel.fn(y, v), y, 1, kernel.domain_y)
+    return kernel.deriv2(y, y)
 
 
 def normalize_kernel(kernel: Kernel2) -> Kernel2:
     """Rescale a kernel by its diagonal slope: K*(x, y) = K(x, y) / (-dK/dy at (y, y)).
 
-    The rescaled kernel has diagonal slope -1, generates the same sign-change
-    means, and is a fixed point of this operation (within numerical noise).
-    Admission requires the diagonal slope to exist and be strictly negative,
-    probed on a 17-point interior grid; kernels without analytic partials
-    also get a step-halving stability check so jump kernels are rejected.
+    The rescaled kernel has diagonal slope -1 and generates the same
+    sign-change means.  Admission requires dK/dy (``Kernel2.deriv2``) at
+    (y, y) to exist and be strictly negative on a 17-point interior grid,
+    which refuses jumps: the derivative of sign(u) raises at u = 0.
     The rescaled kernel keeps a memo of -dK/dy(y, y) keyed by y (at most
     SLOPE_MEMO_SIZE entries), seeded with the probed slopes, so each
     distinct y costs one slope evaluation; the quotients are the same floats
     as without it.  The rescaled ``fn`` carries that memoized divisor as its
     attribute ``slope``: ``fn(x, y)`` is exactly
     ``kernel.fn(x, y) / fn.slope(y)``, so callers that tabulate K(x, y)
-    themselves get the same floats by dividing by it.
+    themselves get the same floats by dividing by it.  A kernel whose ``fn``
+    carries ``slope`` is normalized already and is returned as it is, so
+    this operation is a fixed point.
     """
-    analytic = kernel.deriv2 is not None
+    if hasattr(kernel.fn, "slope"):
+        return kernel
+    if kernel.deriv2 is None:
+        raise NotNormalizable(f"{kernel.name} has no dK/dy to normalize by")
     slopes: dict[float, float] = {}
     for y in probe_points(kernel.domain_y, 17):
         try:
             d = _diagonal_slope(kernel, y)
-            if not analytic:
-                fn = lambda v, _y=y: kernel.fn(_y, v)
-                h = _H1 * max(1.0, abs(y)) / 2.0
-                d_half = (fn(y + h) - fn(y - h)) / (2.0 * h)
-                if abs(d_half - d) > 0.25 * max(1e-12, abs(d_half)):
-                    raise NotNormalizable(
-                        f"diagonal slope of {kernel.name} is unstable at y={y}: "
-                        f"{d} vs {d_half} under step halving"
-                    )
         except MeanKitError as exc:
-            if isinstance(exc, NotNormalizable):
-                raise
             raise NotNormalizable(f"diagonal slope of {kernel.name} failed at y={y}: {exc}") from exc
         if not d < -1e-12:
-            raise NotNormalizable(
-                f"diagonal slope of {kernel.name} is {d} at y={y}; need strictly negative"
-            )
+            raise NotNormalizable(f"diagonal slope of {kernel.name} is {d} at y={y}; need strictly negative")
         slopes[y] = -d
 
     def slope(y: float) -> float:
@@ -469,12 +458,7 @@ def normalize_kernel(kernel: Kernel2) -> Kernel2:
         return kernel.fn(x, y) / slope(y)
 
     scaled.slope = slope
-    return Kernel2(
-        name=f"normalized({kernel.name})",
-        fn=scaled,
-        domain_x=kernel.domain_x,
-        domain_y=kernel.domain_y,
-    )
+    return Kernel2(f"normalized({kernel.name})", scaled, kernel.domain_x, kernel.domain_y)
 
 
 # --- admission checks ---------------------------------------------------------------

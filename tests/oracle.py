@@ -7,12 +7,15 @@ values of the float inputs, then rounded once to a float; so are the
 quasiarithmetic means of generators without an inverse, by bisection.
 Weighted medians compare exact ``fractions.Fraction`` weight sums.
 Scale profiles (r^q - 1)/q and local power orders are exact rationals
-(``fractions.Fraction``) for rational q and r.
+(``fractions.Fraction``) for rational q and r.  Derivatives are central
+differences of expression ASTs evaluated in ``decimal`` arithmetic, whose
+steps are far too short for a float stencil.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -116,6 +119,83 @@ def local_order(terms: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
     x f''/f' + 1 tends to that p; the constant c does not enter.
     """
     return min(p for p, a in terms if p > 0 and a != 0)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+def decimal_value(node, bindings: dict[str, Decimal]) -> Decimal:
+    """The value of an expression AST in ``decimal`` arithmetic at the
+    current context's precision.  The nodes are read by their class names
+    and fields (Num, Var, Neg, BinOp, Call), independently of meankit's
+    evaluator; cosh1(u) is cosh(u) - 1 and dsign(u) the derivative of sign(u),
+    0 off 0.  Raises ArithmeticError or ValueError where the expression is
+    undefined, as for log(0), 0 ^ -1 and (-8) ^ (1/3)."""
+    kind = type(node).__name__
+    if kind == "Num":
+        return Decimal(node.value)
+    if kind == "Var":
+        return bindings[node.name]
+    if kind == "Neg":
+        return -decimal_value(node.operand, bindings)
+    if kind == "BinOp":
+        return _OPERATORS[node.op](decimal_value(node.left, bindings), decimal_value(node.right, bindings))
+    args = [decimal_value(arg, bindings) for arg in node.args]
+    if node.func in ("min", "max"):
+        return min(args) if node.func == "min" else max(args)
+    (u,) = args
+    if (node.func == "log" and u <= 0) or (node.func == "dsign" and u == 0):
+        raise ValueError(f"{node.func}({u}) is undefined")
+    if node.func in ("cosh", "cosh1"):
+        half = (u / 2).exp() - (-u / 2).exp()  # 2 sinh(u/2)
+        return half * half / 2 + (1 if node.func == "cosh" else 0)
+    return {
+        "exp": lambda: u.exp(),
+        "log": lambda: u.ln(),
+        "sqrt": lambda: u.sqrt(),
+        "sinh": lambda: (u.exp() - (-u).exp()) / 2,
+        "abs": lambda: abs(u),
+        "sign": lambda: Decimal((u > 0) - (u < 0)),
+        "dsign": lambda: Decimal(0),
+    }[node.func]()
+
+
+def expression_value(node, point: dict[str, float]) -> float:
+    """The value of an expression AST at ``point`` (variable -> float) in
+    DIGITS-digit decimal arithmetic (``decimal_value``), rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float(decimal_value(node, {name: Decimal(v) for name, v in point.items()}))
+
+
+def partial_derivative(node, point: dict[str, float], variable: str, order: int = 1) -> float:
+    """The first or second partial derivative of an expression AST in
+    ``variable`` at ``point``, by a central difference of ``decimal_value``
+    at DIGITS digits with the step 1e-18 (1e-12 at order 2) times max(1,
+    |x|): wherever the AST is smooth on the stencil, its truncation and
+    rounding errors are orders of magnitude below a float's ulp."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        bindings = {name: Decimal(v) for name, v in point.items()}
+        at = bindings[variable]
+        h = Decimal(10) ** (-18 if order == 1 else -12) * max(Decimal(1), abs(at))
+
+        def f(u: Decimal) -> Decimal:
+            return decimal_value(node, {**bindings, variable: u})
+
+        high, low = f(at + h), f(at - h)
+        if order == 1:
+            return float((high - low) / (2 * h))
+        return float((high - 2 * f(at) + low) / (h * h))
+
+
+def central_difference(fn: Callable[[float], float], x: float) -> float:
+    """(fn(x + h) - fn(x - h)) / 2h with h = eps^(1/3) max(1, |x|), the
+    step that balances truncation and rounding for a float function: about
+    1e-10 relative on smooth functions, where the ``decimal`` partials need
+    an AST."""
+    h = 2.0 ** (-52 / 3) * max(1.0, abs(x))
+    return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
 def ulps(value: float, reference: float) -> float:

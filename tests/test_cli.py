@@ -307,11 +307,12 @@ def test_compute_mean_solver_flags_reach_the_solver(argv, flag, exact, refine_to
 
 
 def test_homogenize_qa_scan_keeps_failed_scales_as_nan_rows(capsys):
-    # At tol 0 the scan of expr:x^2+x reaches scales where its numeric
-    # derivative stencil leaves the domain; those scales are null rows
-    # instead of ending the call.
+    # At tol 0 the scan of x^2 + x, times a factor 1 + 0 sqrt(x - 1e-12)
+    # that its derivatives keep, reaches scales below 1e-12 where the order
+    # operator raises DomainError; those scales are null rows instead of
+    # ending the call.
     code, out, _ = run_cli(
-        capsys, "homogenize", "--target", "qa", "--generator", "expr:x^2+x", "--tol", "0",
+        capsys, "homogenize", "--target", "qa", "--generator", "expr:(x^2+x)*(1+0*sqrt(x-1e-12))", "--tol", "0",
         "--format", "structured",
     )
     assert code == 0
@@ -320,6 +321,21 @@ def test_homogenize_qa_scan_keeps_failed_scales_as_nan_rows(capsys):
     assert doc["table"][-1][1] is None
     assert doc["converged"] is False and doc["power_order"] is None
     assert doc["estimate"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_kernel_scan_stops_before_a_quantized_plateau(capsys):
+    # cosh(x) - cosh(y) cancels at small t, where its exact dK/dy = -sinh(y)
+    # divides a difference quantized to ulp(1): at r = 4.123 the values
+    # settle near (r^2 - 1)/2 within 1e-5, then jump onto exactly 8.0.  The
+    # scan reports the window where they settled, not that constant.
+    code, out, _ = run_cli(
+        capsys, "homogenize", "--target", "kernel", "--kernel", "expr:cosh(x)-cosh(y)", "--ratio", "4.123",
+        "--format", "structured",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["estimate"] == pytest.approx((4.123**2 - 1) / 2, abs=1e-5)
 
 
 _NO_LIMIT = "error: AllEvaluationsFailed: no finite value of g on ("
@@ -615,9 +631,9 @@ def test_a_hull_flat_in_floats_returns_no_hull_end(spec, err, capsys):
 
 
 def test_homi_raising_operation_fails_at_its_first_lattice_point(capsys):
-    # f(p, q) fails at the lattice's first point, p = 0.6, and the numeric
-    # partial at u = 0.6 fails at log(-0.39999...).  The partials table is
-    # built first in both modes, so its error is the one reported.
+    # f(p, q) fails at the lattice's first point, p = 0.6, at log(-0.4).
+    # The partial 1 / (x - 1) is defined there, so the error is the one of
+    # the operation's values, in both modes.
     for mode in ("--no-monotone", "--monotone"):
         code, out, err = run_cli(
             capsys, "verify", "--suite", "homi", "--kernel", "power:2", "--kernel2", "power:2",
@@ -626,7 +642,7 @@ def test_homi_raising_operation_fails_at_its_first_lattice_point(capsys):
         )
         assert code == 3
         assert out == ""
-        assert err == "error: DomainError: log of nonpositive value -0.3999939445455476\n"
+        assert err == "error: DomainError: log of nonpositive value -0.4\n"
 
 
 def test_structured_output_is_byte_identical_across_runs(capsys):
@@ -656,6 +672,11 @@ def test_catalog_lists_builtins(capsys):
     assert code == 0
     for token in ("power:P", "sign_dev", "diff_gen:GEN", "ratio_dev:GEN", "expr:TEXT"):
         assert token in out
+    # Every derivative is symbolic: no row falls back to central differences.
+    rows = out.splitlines()
+    assert "numeric" not in out
+    assert all(row.endswith("symbolic f', f''") for row in rows if row.startswith("generator"))
+    assert rows[-1].endswith("symbolic dK/dx, dK/dy")
 
 
 def test_human_output_explains_the_defining_formula(capsys):

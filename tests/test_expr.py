@@ -1,8 +1,10 @@
+import functools
 import keyword
 import math
 import random
 import re
 
+import oracle
 import pytest
 
 from meankit import (
@@ -19,7 +21,6 @@ from meankit.errors import (
     DomainError,
     ExprSyntaxError,
     NonFinite,
-    StencilOutsideDomain,
     UnboundVariable,
     UnknownFunction,
 )
@@ -31,11 +32,14 @@ from meankit.expr import (
     Difference,
     Neg,
     Num,
+    ScalarFunction,
     Sign,
     Var,
+    _children,
+    _derivative,
+    _function,
     _source,
     free_variables,
-    numeric_derivative,
 )
 
 
@@ -512,48 +516,115 @@ def test_free_variables():
     assert free_variables(parse("3.5 + exp(2)")) == frozenset()
 
 
-def test_numeric_derivative_polynomial():
-    assert numeric_derivative(lambda x: x * x, 3.0, 1) == pytest.approx(6.0, abs=1e-7)
+def test_symbolic_derivative_polynomial():
+    f = scalar_from_expression("x*x", all_reals())
+    assert (f.derivative(3.0, 1), f.derivative(3.0, 2)) == (6.0, 2.0)
 
 
-def test_numeric_derivative_second_order():
-    assert numeric_derivative(math.cosh, 0.0, 2) == pytest.approx(1.0, abs=1e-5)
+def test_symbolic_second_derivative():
+    assert scalar_from_expression("cosh(x)+0*x", all_reals()).derivative(0.0, 2) == 1.0
 
 
 def test_kernel_partial_on_diagonal():
     k = kernel_from_expression("x - y", all_reals())
-    assert k.partial2(2.0, 2.0) == pytest.approx(-1.0, abs=1e-9)
+    assert (k.partial1(2.0, 2.0), k.partial2(2.0, 2.0)) == (1.0, -1.0)
 
 
-def test_stencil_requires_room():
-    f = scalar_from_expression("sqrt(x)", open_interval(0, 1))
-    with pytest.raises(StencilOutsideDomain):
-        numeric_derivative(f.fn, 1.0, 1, f.domain)
+def test_handles_without_derivatives_raise_typed_errors():
+    # No stencil stands in for a derivative a handle was built without.
+    f = ScalarFunction("bare", math.sqrt, open_interval(0, 1))
+    for order in (1, 2):
+        with pytest.raises(DomainError, match=f"^bare has no derivative of order {order}$"):
+            f.derivative(0.5, order)
+    with pytest.raises(DomainError, match="^sign_dev has no partial derivative in x$"):
+        sign_kernel().partial1(1.0, 2.0)
+    with pytest.raises(DomainError, match="^sign_dev has no partial derivative in y$"):
+        sign_kernel().partial2(1.0, 2.0)
+
+
+def test_derivatives_keep_the_typed_errors_of_the_emitter():
+    # A derivative is compiled code like its function: sqrt' at 0 divides
+    # by zero, and log' of x - 1 is 1 / (x - 1), defined wherever x != 1.
+    f = scalar_from_expression("sqrt(x)+x", all_reals())
+    with pytest.raises(NonFinite, match="^division by zero: 0.5 / 0.0$"):
+        f.derivative(0.0)
+    with pytest.raises(DomainError, match="^sqrt of negative value -1.0$"):
+        f.derivative(-1.0)
+    assert scalar_from_expression("log(x-1)", all_reals()).derivative(0.5) == -2.0
+
+
+#: Catalog generators and their texts, which the oracle evaluates.
+_CATALOG_TEXTS = [
+    (catalog_generator("power", -2.0), "x^-2"),
+    (catalog_generator("power", 0.5), "x^0.5"),
+    (catalog_generator("power", 3.0), "x^3"),
+    (catalog_generator("log"), "log(x)"),
+    (catalog_generator("exp"), "exp(x)"),
+    (catalog_generator("cosh"), "cosh(x)"),
+    (catalog_generator("shifted_power", 0.5, 1.0), "(x+1)^0.5"),
+]
+
+
+def _occurrences(ast, name: str) -> int:
+    return (ast == Var(name)) + sum(_occurrences(child, name) for child in _children(ast))
 
 
 def test_catalog_derivatives_match_central_differences():
+    # f' and f'' of each catalog generator, in floats, within 4 ulps (and
+    # 1e-300 absolute) of central differences of its text in 50-digit
+    # decimal arithmetic (oracle.py).
     rng = random.Random(99)
-    catalog = [
-        catalog_generator("power", -2.0),
-        catalog_generator("power", 0.5),
-        catalog_generator("power", 3.0),
-        catalog_generator("log"),
-        catalog_generator("exp"),
-        catalog_generator("cosh"),
-        catalog_generator("shifted_power", 0.5, 1.0),
-    ]
-    for gen in catalog:
+    for gen, text in _CATALOG_TEXTS:
         window = probe_points(gen.domain, 2)
         for _ in range(100):
             x = rng.uniform(window[0], window[-1])
             for order in (1, 2):
-                numeric = numeric_derivative(gen.fn, x, order, gen.domain)
+                reference = oracle.partial_derivative(parse(text), {"x": x}, "x", order)
                 analytic = gen.derivative(x, order)
-                assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(analytic)), (
-                    gen.name,
-                    x,
-                    order,
-                )
+                assert abs(analytic - reference) <= 4 * math.ulp(reference) + 1e-300, (gen.name, x, order)
+
+
+@pytest.mark.parametrize("variables, paths", [(("x",), [("x",), ("x", "x")]), (("x", "y"), [("x",), ("y",)])],
+                         ids=["generator", "kernel"])
+def test_random_derivatives_match_central_differences(variables, paths):
+    # Seeded random ASTs in which x occurs more than once: their symbolic f'
+    # and f'' (a generator) or dK/dx and dK/dy (a kernel), evaluated in
+    # 50-digit decimal arithmetic, agree with central differences of the AST
+    # there to 1e-12 of the larger of 1 and the function and derivative
+    # values; the handles' compiled derivatives are the same ASTs in
+    # floats.  Points where the AST or a difference is undefined are
+    # skipped, and most are checked.
+    rng = random.Random(3779)
+    checked = skipped = 0
+    while checked < 300:
+        ast = _random_ast(rng, rng.randint(2, 4), variables)
+        if _occurrences(ast, "x") < 2:
+            continue
+        text = to_source(ast)
+        point = {v: rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0) for v in variables}
+        for path in paths:
+            derivative = functools.reduce(_derivative, path, ast)
+            try:
+                value = oracle.expression_value(ast, point)
+                reference = oracle.partial_derivative(ast, point, path[0], len(path))
+                symbolic = oracle.expression_value(derivative, point)
+            except (ArithmeticError, ValueError):
+                skipped += 1
+                continue
+            scale = max(1.0, abs(value), abs(reference))
+            if not math.isfinite(scale):
+                skipped += 1
+                continue
+            assert abs(symbolic - reference) <= 1e-12 * scale, (text, path, point, symbolic, reference)
+            checked += 1
+            if variables == ("x",):
+                handle = scalar_from_expression(text, all_reals())
+                compiled = lambda: handle.derivative(point["x"], len(path))
+            else:
+                handle = kernel_from_expression(text, all_reals())
+                compiled = lambda: (handle.partial1 if path == ("x",) else handle.partial2)(point["x"], point["y"])
+            assert _outcome(compiled) == _outcome(_function(derivative, variables), *point.values()), (text, path)
+    assert skipped < checked
 
 
 def test_sign_kernel_vanishes_on_diagonal():

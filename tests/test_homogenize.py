@@ -239,6 +239,22 @@ class TestLimitAtZero:
         ts = [t for t, _ in est.values]
         assert all(b == 0.5 * a for a, b in zip(ts, ts[1:]))
 
+    def test_a_constant_reached_by_a_jump_is_not_a_limit(self):
+        # g settles near 8 within 1e-5, never within tol, then jumps by 5e-4
+        # onto a constant it approaches geometrically, as a kernel quantized
+        # in floats does below the scale where its cancellation leaves no
+        # digit.  The rounding and extrapolation rules would take that
+        # constant for the limit, and it passes the off-grid check; the scan
+        # stops as runaway with the window where g had settled.
+        def g(t):
+            if t > 2.0**-20:
+                return 8.0 + 5e-6 * math.cos(math.pi * math.log2(t))
+            return 8.0005 + t * t
+
+        est = limit_at_zero(g, 1.0)
+        assert (est.stop_reason, est.converged) == ("runaway", False)
+        assert est.tail_min == 8.0 - 5e-6 and est.tail_max == 8.0 + 5e-6
+
     def test_non_finite_values_count_toward_runaway(self):
         est = limit_at_zero(lambda t: 1.0 + t if t > 2.0**-12 else math.nan, 1.0)
         assert (est.stop_reason, est.converged) == ("runaway", False)
@@ -807,19 +823,19 @@ class TestProfileTable:
 
     def test_estimate_raises_exactly_when_a_needed_node_fails(self):
         # x occurs twice in this spelling of cosh(x) - cosh(y), so it
-        # declares nothing and is evaluated as written: past r ~ 7 the tail
-        # spread exceeds the absolute tolerance, and the node at 2^(46/16) ~
-        # 7.336 does not converge, while nodes 42-45 do.  A query between
-        # nodes k and k+1 needs nodes k-1 to k+2; a query at a node needs
-        # only that node.
+        # declares nothing and is evaluated as written: past r ~ 25 the tail
+        # spread of the cancelling cosh(x) - cosh(y) exceeds the absolute
+        # tolerance, and the node at 2^(75/16) ~ 25.6 does not converge,
+        # while nodes 71-74 do.  A query between nodes k and k+1 needs nodes
+        # k-1 to k+2; a query at a node needs only that node.
         kernel = resolve_kernel(COSH_TABLE)
         h = homogenization_profile(kernel)
-        bad = 2.0 ** (46 / 16)
+        bad = 2.0 ** (75 / 16)
         with pytest.raises(NotConverged, match=f"r={bad}"):
             h(bad)
         with pytest.raises(NotConverged, match=f"r={bad}"):
-            h(2.0 ** (44.5 / 16))
-        for r in (2.0 ** (45 / 16), math.nextafter(2.0 ** (44 / 16), 0.0)):
+            h(2.0 ** (73.5 / 16))
+        for r in (2.0 ** (74 / 16), math.nextafter(2.0 ** (73 / 16), 0.0)):
             assert h(r) == pytest.approx((r**2 - 1) / 2, rel=1e-5)
         assert homogenization_profile(kernel, "upper")(bad) == pytest.approx(
             (bad**2 - 1) / 2, rel=1e-6

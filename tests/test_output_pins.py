@@ -42,6 +42,12 @@ cosh on 0.5, 1.5 kept its bits, and the upper one, the ratio at the last
 float scale before cosh overflows (t* = 473.65057338262926), rose from
 1.4985365853641213 to 1.4985365853658537, 0 ulps from the 60-digit
 M(t* x) / t*.
+Four calls were re-recorded when expression kernels and generators got
+symbolic derivatives in place of central differences, each budget cut to
+its new error: ``homogenize-qa-expr`` (10 -> 0 ulps), ``homogenize-kernel-expr``
+(526,122,261 -> 0 ulps), and the two ``verify-homi-*`` lattice calls, whose
+``rhs`` and ``max_excess`` read the operation's partials (CHANGES.md gives
+each value's error against 60-digit references before and after).
 ``test_limit_pin_estimate_within_oracle_budget`` checks each limit call's
 estimate against ``oracle.py`` within a ulp budget; CHANGES.md gives each
 estimate's error before and after.  ``test_mean_pin_value_within_oracle_budget``
@@ -116,7 +122,7 @@ CALLS = {
         "verify", "--suite", "homi", "--kernel", "power:3", "--kernel2", "power:1", "--kernel3", "power:1",
         "--op", "x+y", "--grid", "4", "--samples", "10",
     ),
-    # Numeric partials of max(x, y), some taken at its kink x = y.
+    # Partials of max(x, y), some taken at its kink x = y, where they are 1/2.
     "verify-homi-kink-partials": (
         "verify", "--suite", "homi", "--kernel", "power:0", "--kernel2", "power:1", "--kernel3", "power:1",
         "--op", "max(x,y)", "--grid", "4", "--samples", "10",
@@ -126,15 +132,14 @@ CALLS = {
 
 #: Limit call id -> (exact limit from ``oracle``, error budget of the printed
 #: estimate in ulps of that limit).  The budgets are the errors measured when
-#: the pins were last recorded and are never widened.  The expr kernel is
-#: normalized with numeric derivatives, which leave about 1e-7 relative.
+#: the pins were last recorded and are never widened.
 F = Fraction
 LIMIT_REFERENCES = {
     # cosh - 1 = x^2/2 + x^4/24 + ...
     "homogenize-qa-catalog": (float(oracle.local_order([(F(2), F(1, 2)), (F(4), F(1, 24))])), 1),
-    "homogenize-qa-expr": (float(oracle.local_order([(F(1), F(1)), (F(2), F(1))])), 10),
+    "homogenize-qa-expr": (float(oracle.local_order([(F(1), F(1)), (F(2), F(1))])), 0),
     "homogenize-kernel-catalog": (float(oracle.power_profile(F(2), F(2))), 4),
-    "homogenize-kernel-expr": (float(oracle.power_profile(F(1, 2), F(3))), 526_122_261),
+    "homogenize-kernel-expr": (float(oracle.power_profile(F(1, 2), F(3))), 0),
     "homogenize-local-qa": (oracle.power_mean([1.0, 2.0, 4.0], [1.0, 1.0, 2.0], 3), 0),
     "homogenize-local-semidev": (oracle.power_mean([1.0, 2.0, 4.0], [1.0, 1.0, 2.0], 2), 0),
 }

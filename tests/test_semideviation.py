@@ -146,7 +146,12 @@ class TestNormalize:
     def test_diagonal_slope_is_minus_one(self):
         scaled = normalize_kernel(difference_kernel(catalog_generator("cosh")))
         for y in (0.3, 1.0, 2.7, 6.0):
-            assert scaled.partial2(y, y) == pytest.approx(-1.0, abs=1e-5)
+            assert oracle.central_difference(lambda v: scaled(y, v), y) == pytest.approx(-1.0, abs=1e-5)
+
+    def test_normalizing_a_normalized_kernel_returns_it(self):
+        for kernel in (difference_kernel(catalog_generator("power", 2)), kernel_from_expression("x^3-y^3", POS)):
+            scaled = normalize_kernel(kernel)
+            assert normalize_kernel(scaled) is scaled
 
     def test_idempotent_within_tolerance(self):
         scaled = normalize_kernel(difference_kernel(catalog_generator("power", 2)))
@@ -179,6 +184,27 @@ class TestNormalize:
     def test_sign_kernel_not_normalizable(self):
         with pytest.raises(NotNormalizable):
             normalize_kernel(sign_kernel())
+
+    @pytest.mark.parametrize("case", ["jump", "kink", "sign_dev", "max-tie"])
+    def test_jumps_and_kinks_take_the_symmetric_derivative(self, case):
+        # Central differences converge to the mean of the one-sided slopes
+        # at a kink and diverge at a jump; the symbolic rules give that
+        # limit: abs'(0) = sign(0) = 0, max(x, y) has partials 1/2 at a tie,
+        # and sign' raises at 0, so a jump kernel is not normalizable.  A
+        # kernel built without dK/dy (sign_dev) is refused too.
+        if case == "jump":
+            with pytest.raises(NotNormalizable, match=r"^diagonal slope of x-y\+sign\(x-y\) failed at y=0\.8: sign "):
+                normalize_kernel(resolve_kernel("expr:x-y+sign(x-y)"))
+        elif case == "kink":
+            scaled = normalize_kernel(resolve_kernel("expr:x-y+0.001*abs(x-y)"))
+            assert [scaled.fn.slope(y) for y in (0.8, 2.0, 3.7)] == [1.0, 1.0, 1.0]
+        elif case == "sign_dev":
+            with pytest.raises(NotNormalizable, match="^sign_dev has no dK/dy to normalize by$"):
+                normalize_kernel(resolve_kernel("sign_dev"))
+        else:
+            operation = resolve_kernel("expr:max(x,y)")
+            assert (operation.partial1(2.0, 2.0), operation.partial2(2.0, 2.0)) == (0.5, 0.5)
+            assert (operation.partial1(3.0, 2.0), operation.partial2(3.0, 2.0)) == (1.0, 0.0)
 
     def test_reversed_kernel_not_normalizable(self):
         with pytest.raises(NotNormalizable):
@@ -667,11 +693,11 @@ def test_ratio_sum_equals_generic_bit_for_bit(make):
 
 def test_raising_ratio_gives_the_generic_error():
     # The +0*x spelling of cosh(x) - cosh(y) declares nothing, and its
-    # "estimate" profile raises NotConverged at the node 2^(46/16) ~ 7.34
+    # "estimate" profile raises NotConverged at the node 2^(75/16) ~ 25.6
     # (tests/test_homogenize.py); 1e300 / 1e-10
     # overflows to inf, which no profile accepts; y = 0 divides by zero; log
     # rejects a negative ratio.
-    bad = 2.0 ** (46 / 16)
+    bad = 2.0 ** (75 / 16)
     cosh_expr = _profile_kernel(COSH_TABLE, "estimate")
     cosh_lower = _profile_kernel("diff_gen:cosh", "lower")
     cases = [
